@@ -14,10 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
 from reccost import LOG_LINE, make_family, parse_family_spec, sup_defect
-from reccost.grids import symmetric_grid
+from reccost.dalembert import defect_grid
 
 
 def main():
@@ -37,10 +35,7 @@ def main():
           f" delta = {report.argmax.delta:.17g}")
 
     if args.out:
-        _, axis = symmetric_grid(args.T, args.step)
-        vals = handle(axis)
-        delta = handle(np.add.outer(axis, axis)) + handle(np.subtract.outer(axis, axis)) \
-            - 2.0 * np.outer(vals, vals)
+        _, axis, delta = defect_grid(handle, args.T, args.step)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("t,u,delta\n")
             for i, t in enumerate(axis):

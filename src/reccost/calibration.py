@@ -22,12 +22,21 @@ from scipy.optimize import minimize_scalar
 
 from .errors import ClassificationError, DomainError, ParameterError, PrecisionError
 from .grids import symmetric_grid
-from .handles import LOG_LINE, FunctionHandle
+from .handles import LOG_LINE, FunctionHandle, require_domain
 
 BRANCH_ZERO = "Zero"
 BRANCH_CONSTANT_ONE = "ConstantOne"
 BRANCH_COS = "Cos"
 BRANCH_COSH = "Cosh"
+
+
+def branch_values(branch: str, k: float | None, t):
+    """The solution branch at t: cosh(k t), cos(k t), 1 or 0."""
+    if branch == BRANCH_COSH:
+        return np.cosh(k * t)
+    if branch == BRANCH_COS:
+        return np.cos(k * t)
+    return np.ones_like(t) if branch == BRANCH_CONSTANT_ONE else np.zeros_like(t)
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,7 @@ class BranchClassification:
 def quad_ratio(h: FunctionHandle, step: float) -> float:
     """q(step) = 2 (H(step) - 1) / step^2 with the symmetrized value
     (H(step) + H(-step))/2, which cancels odd components exactly."""
-    if h.domain != LOG_LINE:
-        raise DomainError(f"quad_ratio needs a log-line handle, got {h.domain}")
+    require_domain(h, LOG_LINE, "quad_ratio")
     s = float(step)
     if s == 0.0 or not math.isfinite(s):
         raise DomainError(f"step must be nonzero and finite, got {step}")
@@ -106,23 +114,14 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
     unc = [abs(diag[k] - diag[k - 1]) for k in range(1, len(diag))]
     table = tuple((float(s), float(q)) for s, q in zip(steps, qs))
     floor = 1e-14 * (1.0 + max(abs(d) for d in diag))
+    used = levels
     for i in range(1, len(unc)):
         if unc[i] > unc[i - 1] and unc[i] > floor:
             # extrapolants started diverging: noise-dominated beyond level i
-            return CurvatureEstimate(
-                kappa=diag[i],
-                uncertainty=unc[i - 1],
-                ratio_table=table,
-                levels=i + 1,
-                noise_limited=True,
-            )
-    return CurvatureEstimate(
-        kappa=diag[-1],
-        uncertainty=unc[-1],
-        ratio_table=table,
-        levels=levels,
-        noise_limited=False,
-    )
+            used = i + 1
+            break
+    return CurvatureEstimate(kappa=diag[used - 1], uncertainty=unc[used - 2], ratio_table=table,
+                             levels=used, noise_limited=used < levels)
 
 
 def classify(
@@ -144,8 +143,7 @@ def classify(
     when the final sup residual exceeds residual_tol (the handle is not near
     any branch); the default threshold is 1e-6 * cosh(window_T).
     """
-    if h.domain != LOG_LINE:
-        raise DomainError(f"classify needs a log-line handle, got {h.domain}")
+    require_domain(h, LOG_LINE, "classify")
     if not (window_T > 0 and math.isfinite(window_T)):
         raise DomainError(f"window_T must be positive and finite, got {window_T}")
     step = residual_grid_step if residual_grid_step is not None else window_T / 100.0
@@ -184,13 +182,11 @@ def classify(
             )
         return BranchClassification(BRANCH_CONSTANT_ONE, None, residual, kappa)
 
-    if kappa > 0:
-        branch, ref, k0 = BRANCH_COSH, np.cosh, math.sqrt(kappa)
-    else:
-        branch, ref, k0 = BRANCH_COS, np.cos, math.sqrt(-kappa)
+    branch = BRANCH_COSH if kappa > 0 else BRANCH_COS
+    k0 = math.sqrt(abs(kappa))
 
     def sq_residual(k: float) -> float:
-        r = vals - ref(k * grid)
+        r = vals - branch_values(branch, k, grid)
         return float(np.dot(r, r))
 
     fit = minimize_scalar(
@@ -200,7 +196,7 @@ def classify(
         options={"xatol": 1e-12},
     )
     k = float(fit.x) if fit.fun <= sq_residual(k0) else k0
-    residual = float(np.max(np.abs(vals - ref(k * grid))))
+    residual = float(np.max(np.abs(vals - branch_values(branch, k, grid))))
     if residual > accept:
         raise ClassificationError(
             f"not near any branch: sup residual {residual:.3e} vs {branch}(k={k:.6g}) "

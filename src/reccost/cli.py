@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, core, dalembert, geometry, stability
+from . import calibration, core, dalembert, geometry, grids, stability
 from .errors import (
     ClassificationError,
     ConvergenceError,
@@ -200,6 +201,49 @@ def _load_handle(ns, target: str | None):
 
 
 # --------------------------------------------------------------------------
+# result sections, shared by the single-stage commands and report
+
+
+def _fields(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _defect_section(rep) -> dict:
+    return {"epsilon": rep.epsilon, "argmax": dataclasses.asdict(rep.argmax), "count": rep.count}
+
+
+def _curvature_section(est) -> dict:
+    return _fields(est, "kappa", "uncertainty", "levels", "noise_limited")
+
+
+def _classification_section(outcome) -> dict:
+    """A BranchClassification, or the exception that refused one."""
+    if isinstance(outcome, Exception):
+        return {"classified": False, "reason": str(outcome)}
+    return {"classified": True, **dataclasses.asdict(outcome)}
+
+
+def _certificate_section(cert) -> dict:
+    fields = _fields(cert, "verified", "delta", "max_observed_error", "max_envelope_margin")
+    return {**fields, "inputs": dataclasses.asdict(cert.inputs)}
+
+
+def _given(flags: dict) -> dict:
+    """The optional numeric flags that were set, for the input echo."""
+    return {key: float(value) for key, value in flags.items() if value is not None}
+
+
+def _grid_source(ns, target: str):
+    """Handle, input echo and diagnostics of a command that sweeps [-T, T] at --step."""
+    handle, echo, notes = _load_handle(ns, target=target)
+    echo.update({"T": float(ns.T), "step": float(ns.step)})
+    diag: dict = {"grid": {"T": float(ns.T), "step": float(ns.step)}}
+    if notes:
+        diag["notes"] = notes
+    return handle, echo, diag
+
+
+# --------------------------------------------------------------------------
 # subcommand handlers: each returns (inputs, results, diagnostics, status, plot_rows)
 
 
@@ -230,27 +274,15 @@ def _cmd_defect(ns):
 
 
 def _cmd_sup_defect(ns):
-    handle, echo, notes = _load_handle(ns, target=LOG_LINE)
+    handle, echo, diag = _grid_source(ns, LOG_LINE)
     report = dalembert.sup_defect(handle, ns.T, ns.step)
-    echo.update({"T": float(ns.T), "step": float(ns.step)})
-    results = {
-        "epsilon": report.epsilon,
-        "argmax": {"t": report.argmax.t, "u": report.argmax.u, "delta": report.argmax.delta},
-        "count": report.count,
-    }
-    diag = {"grid": {"T": report.T, "step": report.step}}
-    if notes:
-        diag["notes"] = notes
-    return echo, results, diag, STATUS_OK, None
+    diag["grid"] = {"T": report.T, "step": report.step}
+    return echo, _defect_section(report), diag, STATUS_OK, None
 
 
 def _cmd_identities(ns):
-    handle, echo, notes = _load_handle(ns, target=LOG_LINE)
+    handle, echo, diag = _grid_source(ns, LOG_LINE)
     report = dalembert.identity_report(handle, ns.T, ns.step)
-    echo.update({"T": float(ns.T), "step": float(ns.step)})
-    diag = {"grid": {"T": float(ns.T), "step": float(ns.step)}}
-    if notes:
-        diag["notes"] = notes
     return echo, dataclasses.asdict(report), diag, STATUS_OK, None
 
 
@@ -258,109 +290,51 @@ def _cmd_calibrate(ns):
     handle, echo, notes = _load_handle(ns, target=LOG_LINE)
     est = calibration.estimate_kappa(handle, h0=ns.h0, levels=ns.levels)
     echo.update({"h0": float(ns.h0), "levels": int(ns.levels)})
-    results = {
-        "kappa": est.kappa,
-        "uncertainty": est.uncertainty,
-        "levels": est.levels,
-        "noise_limited": est.noise_limited,
-        "ratio_table": [list(row) for row in est.ratio_table],
-    }
+    results = {**_curvature_section(est), "ratio_table": [list(row) for row in est.ratio_table]}
     diag = {"notes": notes} if notes else {}
     if est.noise_limited:
-        diag.setdefault("warnings", []).append(
-            "ratio table became round-off dominated before the requested depth"
-        )
+        diag["warnings"] = ["ratio table became round-off dominated before the requested depth"]
     return echo, results, diag, STATUS_OK, None
 
 
 def _cmd_classify(ns):
     handle, echo, notes = _load_handle(ns, target=LOG_LINE)
     echo.update({"window-T": float(ns.window_T), "const-tol": float(ns.const_tol)})
-    if ns.residual_step is not None:
-        echo["residual-step"] = float(ns.residual_step)
-    if ns.residual_tol is not None:
-        echo["residual-tol"] = float(ns.residual_tol)
+    echo.update(_given({"residual-step": ns.residual_step, "residual-tol": ns.residual_tol}))
     diag = {"notes": notes} if notes else {}
     plot = None
     try:
-        result = calibration.classify(
-            handle,
-            window_T=ns.window_T,
-            const_tol=ns.const_tol,
-            residual_grid_step=ns.residual_step,
-            residual_tol=ns.residual_tol,
-        )
+        result = calibration.classify(handle, window_T=ns.window_T, const_tol=ns.const_tol,
+                                      residual_grid_step=ns.residual_step,
+                                      residual_tol=ns.residual_tol)
     except ClassificationError as exc:
-        results = {"classified": False, "reason": str(exc)}
-        return echo, results, diag, STATUS_FAILED, None
-    results = {
-        "classified": True,
-        "branch": result.branch,
-        "k": result.k,
-        "residual": result.residual,
-        "kappa_used": result.kappa_used,
-    }
+        return echo, _classification_section(exc), diag, STATUS_FAILED, None
     if ns.plot_csv:
         step = ns.residual_step if ns.residual_step is not None else ns.window_T / 100.0
-        from .grids import symmetric_grid
-
-        _, ts = symmetric_grid(ns.window_T, step)
-        vals = handle(ts)
-        if result.branch == calibration.BRANCH_COSH:
-            fit = np.cosh(result.k * ts)
-        elif result.branch == calibration.BRANCH_COS:
-            fit = np.cos(result.k * ts)
-        elif result.branch == calibration.BRANCH_CONSTANT_ONE:
-            fit = np.ones_like(ts)
-        else:
-            fit = np.zeros_like(ts)
-        plot = [(t, v, f, "", abs(v - f)) for t, v, f in zip(ts, vals, fit)]
-    return echo, results, diag, STATUS_OK, plot
+        _, ts = grids.symmetric_grid(ns.window_T, step)
+        fit = calibration.branch_values(result.branch, result.k, ts)
+        plot = [(t, v, f, "", abs(v - f)) for t, v, f in zip(ts, handle(ts), fit)]
+    return echo, _classification_section(result), diag, STATUS_OK, plot
 
 
 def _certify_common(ns, ratio: bool):
-    target = POSITIVE_RATIOS if ratio else LOG_LINE
-    handle, echo, notes = _load_handle(ns, target=target)
-    echo.update({"T": float(ns.T), "step": float(ns.step)})
-    if ns.h is not None:
-        echo["h"] = float(ns.h)
-    if ns.a is not None:
-        echo["a"] = float(ns.a)
+    handle, echo, diag = _grid_source(ns, POSITIVE_RATIOS if ratio else LOG_LINE)
+    echo.update(_given({"h": ns.h, "a": ns.a}))
     fn = stability.certify_ratio if ratio else stability.certify
     cert = fn(handle, ns.T, ns.step, h_choice=ns.h, a=ns.a)
-    results = {
-        "verified": cert.verified,
-        "delta": cert.delta,
-        "max_observed_error": cert.max_observed_error,
-        "max_envelope_margin": cert.max_envelope_margin,
-        "inputs": dataclasses.asdict(cert.inputs),
-        "envelope": dataclasses.asdict(cert.envelope),
-    }
-    diag: dict = {"grid": {"T": float(ns.T), "step": float(ns.step)}}
-    if notes:
-        diag["notes"] = notes
+    results = {**_certificate_section(cert), "envelope": dataclasses.asdict(cert.envelope)}
     sweep_handle = lift_to_log(handle) if ratio else handle
     if sweep_handle.deriv_order < 3:
-        diag.setdefault("warnings", []).append(
-            "K estimated by third central differences (sample table); treat as approximate"
-        )
+        diag["warnings"] = [
+            "K estimated by third central differences (sample table); treat as approximate"]
     if ratio:
         half = cert.inputs.T - cert.inputs.h
         diag["x_window"] = [math.exp(-half), math.exp(half)]
     plot = None
     if ns.plot_csv:
-        ts, vals, branch, env, err = stability.certificate_sweep(sweep_handle, cert, ns.step)
-        plot = list(zip(ts, vals, branch, env, err))
+        plot = list(zip(*stability.certificate_sweep(sweep_handle, cert, ns.step)))
     status = STATUS_OK if cert.verified else STATUS_FAILED
     return echo, results, diag, status, plot
-
-
-def _cmd_certify(ns):
-    return _certify_common(ns, ratio=False)
-
-
-def _cmd_certify_ratio(ns):
-    return _certify_common(ns, ratio=True)
 
 
 def _cmd_distance(ns):
@@ -374,12 +348,7 @@ def _cmd_distance(ns):
             raise InputError(f"RECCOST_EVAL_BUDGET must be an integer, got {budget_env!r}") from None
     result = geometry.distance(ns.x, ns.y, ns.tol, budget=budget)
     echo = {"x": float(ns.x), "y": float(ns.y), "tol": float(ns.tol)}
-    results = {
-        "value": result.value,
-        "abs_error_estimate": result.abs_error_estimate,
-        "endpoints": list(result.endpoints),
-        "evaluations": result.evaluations,
-    }
+    results = _fields(result, "value", "abs_error_estimate", "endpoints", "evaluations")
     return echo, results, {"budget": budget}, STATUS_OK, None
 
 
@@ -387,71 +356,33 @@ def _cmd_chebyshev(ns):
     check = geometry.chebyshev_cost(ns.x, ns.n)
     seq = geometry.chebyshev_sequence(core.canonical_cost(ns.x) + 1.0, max(ns.n, 1))
     echo = {"x": float(ns.x), "n": int(ns.n)}
-    results = {
-        "via_identity": check.via_identity,
-        "direct": check.direct,
-        "rel_discrepancy": check.rel_discrepancy,
-        "sequence": seq[: ns.n + 1],
-    }
+    results = _fields(check, "via_identity", "direct", "rel_discrepancy")
+    results["sequence"] = seq[: ns.n + 1]
     return echo, results, {}, STATUS_OK, None
 
 
 def _cmd_golden(ns):
     result = core.golden_fixed_point(ns.x0, ns.tol, ns.max_iter)
     echo = {"x0": float(ns.x0), "tol": float(ns.tol), "max-iter": int(ns.max_iter)}
-    results = {
-        "phi": result.phi,
-        "iterations": result.iterations,
-        "cost_at_phi": result.cost_at_phi,
-    }
-    return echo, results, {}, STATUS_OK, None
+    return echo, _fields(result, "phi", "iterations", "cost_at_phi"), {}, STATUS_OK, None
 
 
 def _cmd_report(ns):
-    handle, echo, notes = _load_handle(ns, target=LOG_LINE)
-    echo.update({"T": float(ns.T), "step": float(ns.step)})
-    diag: dict = {"grid": {"T": float(ns.T), "step": float(ns.step)}}
-    if notes:
-        diag["notes"] = notes
-    failed = False
-    sections: dict = {}
-
-    rep = dalembert.sup_defect(handle, ns.T, ns.step)
-    sections["sup_defect"] = {
-        "epsilon": rep.epsilon,
-        "argmax": {"t": rep.argmax.t, "u": rep.argmax.u, "delta": rep.argmax.delta},
-        "count": rep.count,
-    }
-    sections["identities"] = dataclasses.asdict(dalembert.identity_report(handle, ns.T, ns.step))
-    est = calibration.estimate_kappa(handle)
-    sections["curvature"] = {
-        "kappa": est.kappa,
-        "uncertainty": est.uncertainty,
-        "levels": est.levels,
-        "noise_limited": est.noise_limited,
+    handle, echo, diag = _grid_source(ns, LOG_LINE)
+    sections = {
+        "sup_defect": _defect_section(dalembert.sup_defect(handle, ns.T, ns.step)),
+        "identities": dataclasses.asdict(dalembert.identity_report(handle, ns.T, ns.step)),
+        "curvature": _curvature_section(calibration.estimate_kappa(handle)),
     }
     try:
         cls = calibration.classify(handle, window_T=ns.T)
-        sections["classification"] = {
-            "classified": True,
-            "branch": cls.branch,
-            "k": cls.k,
-            "residual": cls.residual,
-            "kappa_used": cls.kappa_used,
-        }
     except (ClassificationError, PrecisionError) as exc:
-        sections["classification"] = {"classified": False, "reason": str(exc)}
-        if isinstance(exc, ClassificationError):
-            failed = True
+        cls = exc
+    sections["classification"] = _classification_section(cls)
+    failed = isinstance(cls, ClassificationError)
     try:
         cert = stability.certify(handle, ns.T, ns.step)
-        sections["certificate"] = {
-            "verified": cert.verified,
-            "delta": cert.delta,
-            "max_observed_error": cert.max_observed_error,
-            "max_envelope_margin": cert.max_envelope_margin,
-            "inputs": dataclasses.asdict(cert.inputs),
-        }
+        sections["certificate"] = _certificate_section(cert)
         failed = failed or not cert.verified
     except PreconditionError as exc:
         sections["certificate"] = {"error": str(exc)}
@@ -466,8 +397,8 @@ _HANDLERS = {
     "identities": _cmd_identities,
     "calibrate": _cmd_calibrate,
     "classify": _cmd_classify,
-    "certify": _cmd_certify,
-    "certify-ratio": _cmd_certify_ratio,
+    "certify": functools.partial(_certify_common, ratio=False),
+    "certify-ratio": functools.partial(_certify_common, ratio=True),
     "distance": _cmd_distance,
     "chebyshev": _cmd_chebyshev,
     "golden": _cmd_golden,
@@ -485,6 +416,15 @@ def _add_source(sp, with_domain: bool = True):
     if with_domain:
         sp.add_argument("--domain", choices=[LOG_LINE, POSITIVE_RATIOS],
                         help="domain of the source (default: inferred)")
+
+
+def _add_grid_command(sub, name: str, help_text: str):
+    """A subcommand that reads a function source and sweeps [-T, T] at --step."""
+    sp = sub.add_parser(name, help=help_text)
+    _add_source(sp)
+    sp.add_argument("--T", type=float, default=2.0)
+    sp.add_argument("--step", type=float, default=0.05)
+    return sp
 
 
 def _add_json(sp):
@@ -515,17 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", type=float)
     _add_json(sp)
 
-    sp = sub.add_parser("sup-defect", help="grid supremum of the defect")
-    _add_source(sp)
-    sp.add_argument("--T", type=float, default=2.0)
-    sp.add_argument("--step", type=float, default=0.05)
-    _add_json(sp)
-
-    sp = sub.add_parser("identities", help="violations of the solution identities")
-    _add_source(sp)
-    sp.add_argument("--T", type=float, default=2.0)
-    sp.add_argument("--step", type=float, default=0.05)
-    _add_json(sp)
+    _add_json(_add_grid_command(sub, "sup-defect", "grid supremum of the defect"))
+    _add_json(_add_grid_command(sub, "identities", "violations of the solution identities"))
 
     sp = sub.add_parser("calibrate", help="extrapolated log-curvature estimate")
     _add_source(sp)
@@ -546,10 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("certify", "stability certificate in log coordinates"),
         ("certify-ratio", "stability certificate on positive ratios"),
     ):
-        sp = sub.add_parser(name, help=help_text)
-        _add_source(sp)
-        sp.add_argument("--T", type=float, default=2.0)
-        sp.add_argument("--step", type=float, default=0.05)
+        sp = _add_grid_command(sub, name, help_text)
         sp.add_argument("--h", type=float, default=None, help="step h (default: optimal)")
         sp.add_argument("--a", type=float, default=None, help="curvature override")
         _add_json(sp)
@@ -572,11 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iter", dest="max_iter", type=int, default=200)
     _add_json(sp)
 
-    sp = sub.add_parser("report", help="full verification suite on one input")
-    _add_source(sp)
-    sp.add_argument("--T", type=float, default=2.0)
-    sp.add_argument("--step", type=float, default=0.05)
-    _add_json(sp)
+    _add_json(_add_grid_command(sub, "report", "full verification suite on one input"))
 
     return parser
 

@@ -5,8 +5,12 @@ The log-coordinate equation is H(t+u) + H(t-u) = 2 H(t) H(u); its defect is
     Delta_H(t, u) = H(t+u) + H(t-u) - 2 H(t) H(u),
 
 zero exactly for solutions.  On positive ratios the equivalent composition
-law reads F(xy) + F(x/y) = 2 F(x) F(y) + 2 F(x) + 2 F(y), and the lift
-H(t) = F(e^t) + 1 maps one defect onto the other.
+law reads F(xy) + F(x/y) = 2 F(x) F(y) + 2 F(x) + 2 F(y).  Both are one
+kernel in the excess G(t) = H(t) - 1 = F(e^t) that every handle stores:
+
+    Delta = G(t+u) + G(t-u) - 2 G(t) G(u) - 2 G(t) - 2 G(u),
+
+which keeps the precision of G near t = 0 instead of cancelling 1s in H.
 
 Suprema are reported over explicit uniform grids, never over the continuum;
 every report carries the grid spec so certificates are explicit about the
@@ -24,8 +28,7 @@ import numpy as np
 from .core import validate_log_coord, validate_positive_ratio
 from .errors import DomainError
 from .grids import symmetric_grid
-from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle
-from .handles import lift_to_log as _lift
+from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, require_domain
 
 __all__ = [
     "DefectSample",
@@ -33,7 +36,7 @@ __all__ = [
     "IdentityViolations",
     "defect_log",
     "defect_ratio",
-    "lift_to_log",
+    "defect_grid",
     "sup_defect",
     "identity_report",
     "ode_residual",
@@ -79,37 +82,46 @@ class IdentityViolations:
     evenness: float
 
 
-def _require_log(h: FunctionHandle, op: str) -> None:
-    if h.domain != LOG_LINE:
-        raise DomainError(f"{op} needs a log-line handle, got {h.domain}")
+def _kernel(gs, gd, gt, gu):
+    """Delta from G(t+u), G(t-u), G(t), G(u), in place; gt broadcasts down, gu across."""
+    two_gt = 2.0 * gt  # doubling is exact: 2 (G(t) G(u) + G(t) + G(u)) in three passes
+    cross = two_gt * gu
+    cross += two_gt
+    cross += 2.0 * gu
+    gs += gd
+    gs -= cross
+    return gs
 
 
-def _require_ratio(f: FunctionHandle, op: str) -> None:
-    if f.domain != POSITIVE_RATIOS:
-        raise DomainError(f"{op} needs a positive-ratio handle, got {f.domain}")
+def _excess_sweep(h: FunctionHandle, T: float, step: float, op: str):
+    """(step, axis, G(axis), G(t+u), G(t-u)) over the symmetric grid of [-T, T]."""
+    require_domain(h, LOG_LINE, op)
+    actual_step, axis = symmetric_grid(T, step)
+    if not h.evaluable_on(-2.0 * T, 2.0 * T):
+        raise DomainError(f"{h.name}: {op} needs evaluability on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
+    # left to right: the t+u grid is evaluated and its argument freed before t-u is built
+    return (actual_step, axis, h.excess(axis), h.excess(np.add.outer(axis, axis)),
+            h.excess(np.subtract.outer(axis, axis)))
 
 
-def lift_to_log(f: FunctionHandle) -> FunctionHandle:
-    """Lift a positive-ratio handle to log coordinates: H(t) = f(e^t) + 1."""
-    return _lift(f)
+def defect_grid(h: FunctionHandle, T: float, step: float):
+    """(step, axis, Delta) with Delta[i, j] = Delta_H(axis[i], axis[j]) on the grid of [-T, T]."""
+    actual_step, axis, g, sums, diffs = _excess_sweep(h, T, step, "sup_defect")
+    return actual_step, axis, _kernel(sums, diffs, g[:, None], g[None, :])
 
 
 def defect_log(h: FunctionHandle, t: float, u: float) -> float:
     """Delta_H(t, u) = H(t+u) + H(t-u) - 2 H(t) H(u)."""
-    _require_log(h, "defect_log")
-    t = validate_log_coord(t)
-    u = validate_log_coord(u)
-    vals = h(np.array([t + u, t - u, t, u]))
-    return float(vals[0] + vals[1] - 2.0 * vals[2] * vals[3])
+    require_domain(h, LOG_LINE, "defect_log")
+    t, u = validate_log_coord(t), validate_log_coord(u)
+    return float(_kernel(*h.excess(np.array([t + u, t - u, t, u]))))
 
 
 def defect_ratio(f: FunctionHandle, x: float, y: float) -> float:
     """Composition-law defect F(xy) + F(x/y) - 2 F(x) F(y) - 2 F(x) - 2 F(y)."""
-    _require_ratio(f, "defect_ratio")
-    x = validate_positive_ratio(x)
-    y = validate_positive_ratio(y)
-    vals = f(np.array([x * y, x / y, x, y]))
-    return float(vals[0] + vals[1] - 2.0 * vals[2] * vals[3] - 2.0 * vals[2] - 2.0 * vals[3])
+    require_domain(f, POSITIVE_RATIOS, "defect_ratio")
+    x, y = validate_positive_ratio(x), validate_positive_ratio(y)
+    return float(_kernel(*f.excess(np.array([x * y, x / y, x, y]))))
 
 
 def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
@@ -119,46 +131,42 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     Ties at the max resolve to the first point in row-major order, so the
     report is deterministic.
     """
-    _require_log(h, "sup_defect")
-    actual_step, axis = symmetric_grid(T, step)
-    if not h.evaluable_on(-2.0 * T, 2.0 * T):
-        raise DomainError(f"{h.name}: sup_defect needs evaluability on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
-    vals = h(axis)
-    sums = h(np.add.outer(axis, axis))
-    diffs = h(np.subtract.outer(axis, axis))
-    delta = sums + diffs - 2.0 * np.outer(vals, vals)
-    flat = int(np.argmax(np.abs(delta)))
-    i, j = divmod(flat, axis.size)
+    actual_step, axis, delta = defect_grid(h, T, step)
+    i, j = divmod(int(np.argmax(np.abs(delta))), axis.size)
     worst = DefectSample(t=float(axis[i]), u=float(axis[j]), delta=float(delta[i, j]))
-    return DefectReport(
-        epsilon=abs(worst.delta),
-        argmax=worst,
-        T=float(T),
-        step=actual_step,
-        count=axis.size**2,
-    )
+    return DefectReport(epsilon=abs(worst.delta), argmax=worst, T=float(T), step=actual_step,
+                        count=axis.size**2)
 
 
 def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolations:
-    """Grid suprema of the four identity violations; see IdentityViolations."""
-    _require_log(h, "identity_report")
-    _, axis = symmetric_grid(T, step)
-    if not h.evaluable_on(-2.0 * T, 2.0 * T):
-        raise DomainError(f"{h.name}: identity_report needs evaluability on [-2T, 2T]")
-    vals = h(axis)
-    sums = h(np.add.outer(axis, axis))
-    diffs = h(np.subtract.outer(axis, axis))
-    sq = vals * vals
-    product = np.abs(sums * diffs - (sq[:, None] + sq[None, :] - 1.0))
-    diff_sq = np.abs((sums - diffs) ** 2 - 4.0 * np.outer(sq - 1.0, sq - 1.0))
-    double = np.abs(h(2.0 * axis) - (2.0 * sq - 1.0))
-    even = np.abs(h(-axis) - vals)
+    """Grid suprema of the four identity violations; see IdentityViolations.
+
+    Evaluated in G = H - 1, where H^2 - 1 = G (G + 2).
+    """
+    _, axis, g, sums, diffs = _excess_sweep(h, T, step, "identity_report")
+    q = g * (g + 2.0)
+    # in place: numpy does not reliably reuse the temporaries of a longer expression
+    product = sums * diffs
+    product += sums
+    product += diffs
+    product -= q[:, None]
+    product -= q
+    product_identity = _sup_abs(product)
+    del product
+    sums -= diffs
+    sums *= sums
+    sums -= np.outer(4.0 * q, q)
     return IdentityViolations(
-        product_identity=float(product.max()),
-        difference_square=float(diff_sq.max()),
-        double_angle=float(double.max()),
-        evenness=float(even.max()),
+        product_identity=product_identity,
+        difference_square=_sup_abs(sums),
+        double_angle=_sup_abs(h.excess(2.0 * axis) - 2.0 * q),
+        evenness=_sup_abs(h.excess(-axis) - g),
     )
+
+
+def _sup_abs(a: np.ndarray) -> float:
+    """max |a|, overwriting a."""
+    return float(np.max(np.abs(a, out=a)))
 
 
 def ode_residual(h: FunctionHandle, a: float, T: float, step: float, fd_h: float) -> float:
@@ -168,7 +176,7 @@ def ode_residual(h: FunctionHandle, a: float, T: float, step: float, fd_h: float
     solves h'' = a h with a the log-curvature; needs h evaluable on
     [-T - fd_h, T + fd_h].
     """
-    _require_log(h, "ode_residual")
+    require_domain(h, LOG_LINE, "ode_residual")
     a = float(a)
     if not math.isfinite(a):
         raise DomainError(f"curvature coefficient must be finite, got {a}")

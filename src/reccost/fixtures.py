@@ -1,20 +1,21 @@
 """Built-in analytic families, counterexample profiles and smooth perturbations.
 
-Families (log-line profile h(t) / positive-ratio profile F(x) = h(ln x) - 1):
+Each family is written once, as its log-line excess stack
+G(t) = h(t) - 1 with analytic derivatives to order 3; the positive-ratio
+form F(x) = G(ln x) is the same stack viewed through handles.from_excess.
 
-    cosh-lambda   h(t) = cosh(lambda t)            exact solution branch
-    cos-k         h(t) = cos(k t)                  oscillatory solution branch
-    constant-one  h(t) = 1                         degenerate solution
-    zero          h(t) = 0                         trivial solution (F = -1)
-    quadlog       h(t) = 1 + t^2/2                 calibrated non-solution
-    noisy-cosh    cosh(lambda t) + smooth even perturbation
-    powerlaw-w    F(x) = (W + 1/W)/2 - 1 with W = x^lambda, evaluated via W
+    cosh-lambda   G(t) = 2 sinh^2(lambda t / 2)      exact solution branch
+    cos-k         G(t) = -2 sin^2(k t / 2)           oscillatory solution branch
+    constant-one  G(t) = 0                           degenerate solution
+    zero          G(t) = -1                          trivial solution (h = 0)
+    quadlog       G(t) = t^2/2                       calibrated non-solution
+    noisy-cosh    cosh-lambda plus a smooth even perturbation
+    powerlaw-w    G(t) = (W - 1)^2 / (2W) with W = e^(lambda t), evaluated via W
 
 cosh-lambda and powerlaw-w are the same function computed along different
-routes; agreement between them is asserted by the test suite.  All handles
-expose analytic derivatives to order 3 and are immutable; noisy-cosh noise
-coefficients are materialized at construction from the seed, so evaluation
-order cannot change values.
+routes; agreement between them is asserted by the test suite.  Handles are
+immutable; noisy-cosh noise coefficients are materialized at construction
+from the seed, so evaluation order cannot change values.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, analytic
+from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, from_excess
 
 FAMILY_COSH_LAMBDA = "cosh-lambda"
 FAMILY_COS_K = "cos-k"
@@ -63,7 +64,6 @@ _NOISY_MODES = ("poly4", "sine", "trig")
 
 _COSH_T_MAX = 700.0
 _LOG_SUPPORT_HUGE = 1e150
-_RATIO_SUPPORT = (math.exp(-708.0), math.exp(708.0))
 
 
 @dataclass(frozen=True)
@@ -86,131 +86,59 @@ def _float_param(params, key, default):
     return v
 
 
-def _cosh_log_fns(lam: float):
+def _positive_param(params, key, family):
+    v = _float_param(params, key, 1.0)
+    _require(v > 0, f"{family} needs {key} > 0, got {v}")
+    return v
+
+
+def _cosh_excess(lam: float):
+    # 2 sinh^2(lam t / 2) = cosh(lam t) - 1 without the cancellation near t = 0
     return (
-        lambda t: np.cosh(lam * t),
+        lambda t: 2.0 * np.sinh(0.5 * lam * t) ** 2,
         lambda t: lam * np.sinh(lam * t),
         lambda t: lam * lam * np.cosh(lam * t),
         lambda t: lam**3 * np.sinh(lam * t),
     )
 
 
-def _cosh_ratio_fns(lam: float):
-    # value via 2 sinh^2(lam ln(x) / 2): stable where cosh(lam ln x) - 1 cancels
-    def v(x):
-        return 2.0 * np.sinh(0.5 * lam * np.log(x)) ** 2
-
-    def d1(x):
-        return lam * np.sinh(lam * np.log(x)) / x
-
-    def d2(x):
-        u = lam * np.log(x)
-        return (lam * lam * np.cosh(u) - lam * np.sinh(u)) / (x * x)
-
-    def d3(x):
-        u = lam * np.log(x)
-        return ((lam**3 + 2.0 * lam) * np.sinh(u) - 3.0 * lam * lam * np.cosh(u)) / x**3
-
-    return (v, d1, d2, d3)
-
-
-def _cos_log_fns(k: float):
+def _cos_excess(k: float):
     return (
-        lambda t: np.cos(k * t),
+        lambda t: -2.0 * np.sin(0.5 * k * t) ** 2,
         lambda t: -k * np.sin(k * t),
         lambda t: -k * k * np.cos(k * t),
         lambda t: k**3 * np.sin(k * t),
     )
 
 
-def _cos_ratio_fns(k: float):
-    def v(x):
-        return -2.0 * np.sin(0.5 * k * np.log(x)) ** 2
-
-    def d1(x):
-        return -k * np.sin(k * np.log(x)) / x
-
-    def d2(x):
-        u = k * np.log(x)
-        return (-k * k * np.cos(u) + k * np.sin(u)) / (x * x)
-
-    def d3(x):
-        u = k * np.log(x)
-        return ((k**3 - 2.0 * k) * np.sin(u) + 3.0 * k * k * np.cos(u)) / x**3
-
-    return (v, d1, d2, d3)
+def _constant_excess(value: float):
+    return (lambda t: np.full_like(t, value),) + (lambda t: np.zeros_like(t),) * 3
 
 
-def _quadlog_log_fns():
-    return (
-        lambda t: 1.0 + 0.5 * t * t,
-        lambda t: t,
-        lambda t: np.ones_like(t),
-        lambda t: np.zeros_like(t),
-    )
+_QUADLOG_EXCESS = (
+    lambda t: 0.5 * t * t,
+    lambda t: t,
+    lambda t: np.ones_like(t),
+    lambda t: np.zeros_like(t),
+)
 
 
-def _quadlog_ratio_fns():
-    def v(x):
-        u = np.log(x)
-        return 0.5 * u * u
+def _powerlaw_excess(lam: float):
+    # honest "via W" route, W = e^(lambda t): G = J(W) = (W - 1)^2 / (2W) and
+    # G^(k) = lambda^k (W - 1/W) / 2 for odd k, lambda^k (W + 1/W) / 2 for even k
+    def via_w(k):
+        def g(t):
+            w = np.exp(lam * t)
+            if k == 0:
+                return (w - 1.0) ** 2 / (2.0 * w)
+            return 0.5 * lam**k * (w - 1.0 / w if k % 2 else w + 1.0 / w)
 
-    def d1(x):
-        return np.log(x) / x
+        return g
 
-    def d2(x):
-        return (1.0 - np.log(x)) / (x * x)
-
-    def d3(x):
-        return (2.0 * np.log(x) - 3.0) / x**3
-
-    return (v, d1, d2, d3)
+    return tuple(via_w(k) for k in range(4))
 
 
-def _powerlaw_ratio_fns(lam: float):
-    # honest "via W" route: F = J(W(x)) with W(x) = x^lambda
-    def v(x):
-        w = np.power(x, lam)
-        return (w - 1.0) ** 2 / (2.0 * w)
-
-    def d1(x):
-        w = np.power(x, lam)
-        return lam * (w - 1.0 / w) / (2.0 * x)
-
-    def d2(x):
-        w = np.power(x, lam)
-        return (lam * lam * (w + 1.0 / w) - lam * (w - 1.0 / w)) / (2.0 * x * x)
-
-    def d3(x):
-        w = np.power(x, lam)
-        return (
-            (lam**3 + 2.0 * lam) * (w - 1.0 / w) - 3.0 * lam * lam * (w + 1.0 / w)
-        ) / (2.0 * x**3)
-
-    return (v, d1, d2, d3)
-
-
-def _powerlaw_log_fns(lam: float):
-    def v(t):
-        w = np.exp(lam * t)
-        return 0.5 * (w + 1.0 / w)
-
-    def d1(t):
-        w = np.exp(lam * t)
-        return 0.5 * lam * (w - 1.0 / w)
-
-    def d2(t):
-        w = np.exp(lam * t)
-        return 0.5 * lam * lam * (w + 1.0 / w)
-
-    def d3(t):
-        w = np.exp(lam * t)
-        return 0.5 * lam**3 * (w - 1.0 / w)
-
-    return (v, d1, d2, d3)
-
-
-def _perturbation_fns(mode: str, amplitude: float, freq: float, seed: int):
+def _perturbation_fns(mode: str, amplitude: float, freq: float, seed: int = 0):
     """Even, smooth perturbation p with p(0) = 0 and analytic derivatives to order 3."""
     a = amplitude
     if mode == "poly4":
@@ -235,23 +163,14 @@ def _perturbation_fns(mode: str, amplitude: float, freq: float, seed: int):
         c = raw / raw.sum()
         js = freq * np.arange(1, 6)
 
-        def p0(t):
-            tt = np.asarray(t, dtype=float)
-            return a * np.sum(c[:, None] * (1.0 - np.cos(np.outer(js, tt.ravel()))), axis=0).reshape(tt.shape)
+        def term(power, sign, wave):
+            # sign * a * sum_j c_j js_j^power wave(js_j t)
+            w = (c * js**power)[:, None]
+            return lambda t: sign * a * np.sum(
+                w * wave(np.outer(js, np.ravel(t))), axis=0).reshape(np.shape(t))
 
-        def p1(t):
-            tt = np.asarray(t, dtype=float)
-            return a * np.sum((c * js)[:, None] * np.sin(np.outer(js, tt.ravel())), axis=0).reshape(tt.shape)
-
-        def p2(t):
-            tt = np.asarray(t, dtype=float)
-            return a * np.sum((c * js**2)[:, None] * np.cos(np.outer(js, tt.ravel())), axis=0).reshape(tt.shape)
-
-        def p3(t):
-            tt = np.asarray(t, dtype=float)
-            return -a * np.sum((c * js**3)[:, None] * np.sin(np.outer(js, tt.ravel())), axis=0).reshape(tt.shape)
-
-        return (p0, p1, p2, p3)
+        return (term(0, 1.0, lambda z: 1.0 - np.cos(z)), term(1, 1.0, np.sin),
+                term(2, 1.0, np.cos), term(3, -1.0, np.sin))
     raise ParameterError(f"unknown perturbation mode {mode!r}")
 
 
@@ -267,8 +186,8 @@ def make_family(spec: FamilySpec, domain: str | None = None) -> FunctionHandle:
     """Construct a handle for a builtin family in the requested domain.
 
     With domain None the family's natural domain is used.  Every family is
-    constructible on both the log line and positive ratios; the two forms are
-    consistent under t = ln x.
+    constructible on both the log line and positive ratios; both are views of
+    the one log-line excess stack, consistent under t = ln x.
     """
     fam = _ALIASES.get(spec.family, spec.family)
     if fam not in FAMILIES:
@@ -277,50 +196,23 @@ def make_family(spec: FamilySpec, domain: str | None = None) -> FunctionHandle:
     if domain not in (LOG_LINE, POSITIVE_RATIOS):
         raise ParameterError(f"unknown domain {domain!r}")
     p = spec.params
+    t_max, params = _LOG_SUPPORT_HUGE, {}
 
-    if fam == FAMILY_COSH_LAMBDA:
-        lam = _float_param(p, "lambda", 1.0)
-        _require(lam > 0, f"cosh-lambda needs lambda > 0, got {lam}")
-        t_max = _COSH_T_MAX / lam
-        if domain == LOG_LINE:
-            return analytic(domain, f"cosh-lambda({lam:g})", _cosh_log_fns(lam),
-                            support=(-t_max, t_max), params={"lambda": lam})
-        x_hi = math.exp(min(t_max, 708.0))
-        return analytic(domain, f"cosh-lambda({lam:g})", _cosh_ratio_fns(lam),
-                        support=(1.0 / x_hi, x_hi), params={"lambda": lam})
-
-    if fam == FAMILY_COS_K:
-        k = _float_param(p, "k", 1.0)
-        _require(k > 0, f"cos-k needs k > 0, got {k}")
-        if domain == LOG_LINE:
-            return analytic(domain, f"cos-k({k:g})", _cos_log_fns(k),
-                            support=(-_LOG_SUPPORT_HUGE, _LOG_SUPPORT_HUGE), params={"k": k})
-        return analytic(domain, f"cos-k({k:g})", _cos_ratio_fns(k),
-                        support=_RATIO_SUPPORT, params={"k": k})
-
-    if fam == FAMILY_CONSTANT_ONE:
-        if domain == LOG_LINE:
-            fns = (lambda t: np.ones_like(t),) + (lambda t: np.zeros_like(t),) * 3
-            return analytic(domain, "constant-one", fns,
-                            support=(-_LOG_SUPPORT_HUGE, _LOG_SUPPORT_HUGE))
-        fns = (lambda x: np.zeros_like(x),) + (lambda x: np.zeros_like(x),) * 3
-        return analytic(domain, "constant-one", fns, support=_RATIO_SUPPORT)
-
-    if fam == FAMILY_ZERO:
-        if domain == LOG_LINE:
-            fns = (lambda t: np.zeros_like(t),) + (lambda t: np.zeros_like(t),) * 3
-            return analytic(domain, "zero", fns,
-                            support=(-_LOG_SUPPORT_HUGE, _LOG_SUPPORT_HUGE))
-        fns = (lambda x: np.full_like(x, -1.0),) + (lambda x: np.zeros_like(x),) * 3
-        return analytic(domain, "zero", fns, support=_RATIO_SUPPORT)
-
-    if fam == FAMILY_QUADLOG:
-        if domain == LOG_LINE:
-            return analytic(domain, "quadlog", _quadlog_log_fns(),
-                            support=(-_LOG_SUPPORT_HUGE, _LOG_SUPPORT_HUGE))
-        return analytic(domain, "quadlog", _quadlog_ratio_fns(), support=_RATIO_SUPPORT)
-
-    if fam == FAMILY_NOISY_COSH:
+    if fam in (FAMILY_COSH_LAMBDA, FAMILY_POWERLAW_W):
+        lam = _positive_param(p, "lambda", fam)
+        t_max, params = _COSH_T_MAX / lam, {"lambda": lam}
+        name = f"{fam}({lam:g})"
+        fns = _cosh_excess(lam) if fam == FAMILY_COSH_LAMBDA else _powerlaw_excess(lam)
+    elif fam == FAMILY_COS_K:
+        k = _positive_param(p, "k", fam)
+        name, fns, params = f"cos-k({k:g})", _cos_excess(k), {"k": k}
+    elif fam == FAMILY_CONSTANT_ONE:
+        name, fns = fam, _constant_excess(0.0)
+    elif fam == FAMILY_ZERO:
+        name, fns = fam, _constant_excess(-1.0)
+    elif fam == FAMILY_QUADLOG:
+        name, fns = fam, _QUADLOG_EXCESS
+    else:
         lam = _float_param(p, "lambda", 1.0)
         amp = _float_param(p, "amplitude", 1e-3)
         freq = _float_param(p, "freq", 5.0)
@@ -331,44 +223,11 @@ def make_family(spec: FamilySpec, domain: str | None = None) -> FunctionHandle:
         _require(freq > 0, f"noisy-cosh needs freq > 0, got {freq}")
         _require(mode in _NOISY_MODES, f"noisy-cosh mode must be one of {_NOISY_MODES}")
         _require(seed >= 0, f"noisy-cosh needs seed >= 0, got {seed}")
-        base = make_family(FamilySpec(FAMILY_COSH_LAMBDA, {"lambda": lam}), LOG_LINE)
-        pert = _perturbation_fns(mode, amp, freq, seed)
+        t_max = _COSH_T_MAX / lam
         name = f"noisy-cosh({lam:g},{mode},{amp:g})"
         params = {"lambda": lam, "amplitude": amp, "freq": freq, "seed": float(seed)}
-        log_fns = _sum_fns(base.fns, pert, 3)
-        if domain == LOG_LINE:
-            return analytic(domain, name, log_fns, support=base.support, params=params)
-        # F(x) = h(ln x) - 1 with the stable cosh part kept separate
-        stable = _cosh_ratio_fns(lam)
-
-        def v(x):
-            return stable[0](x) + pert[0](np.log(x))
-
-        def d1(x):
-            return stable[1](x) + pert[1](np.log(x)) / x
-
-        def d2(x):
-            u = np.log(x)
-            return stable[2](x) + (pert[2](u) - pert[1](u)) / (x * x)
-
-        def d3(x):
-            u = np.log(x)
-            return stable[3](x) + (pert[3](u) - 3.0 * pert[2](u) + 2.0 * pert[1](u)) / x**3
-
-        x_hi = math.exp(min(_COSH_T_MAX / lam, 708.0))
-        return analytic(domain, name, (v, d1, d2, d3),
-                        support=(1.0 / x_hi, x_hi), params=params)
-
-    # powerlaw-w
-    lam = _float_param(p, "lambda", 1.0)
-    _require(lam > 0, f"powerlaw-w needs lambda > 0, got {lam}")
-    t_max = _COSH_T_MAX / lam
-    if domain == LOG_LINE:
-        return analytic(domain, f"powerlaw-w({lam:g})", _powerlaw_log_fns(lam),
-                        support=(-t_max, t_max), params={"lambda": lam})
-    x_hi = math.exp(min(t_max, 708.0))
-    return analytic(domain, f"powerlaw-w({lam:g})", _powerlaw_ratio_fns(lam),
-                    support=(1.0 / x_hi, x_hi), params={"lambda": lam})
+        fns = _sum_fns(_cosh_excess(lam), _perturbation_fns(mode, amp, freq, seed), 3)
+    return from_excess(domain, name, fns, (-t_max, t_max), params)
 
 
 _SPEC_FLOAT_KEYS = ("lambda", "k", "amplitude", "freq")
@@ -440,14 +299,12 @@ def perturb(
     base: FunctionHandle,
     mode: str,
     amplitude: float,
-    seed: int = 0,
     freq: float = 1.0,
 ) -> FunctionHandle:
     """Add a smooth even perturbation vanishing at t = 0 to a log-line handle.
 
     poly4 adds amplitude * t^4; sine adds amplitude * (1 - cos(freq t)); both
-    preserve H(0) = 1 and evenness exactly.  The seed is accepted for
-    interface stability but unused by these deterministic modes.
+    preserve H(0) = 1 and evenness exactly.
     """
     if base.domain != LOG_LINE:
         raise DomainError("perturb operates on log-line handles")
@@ -459,14 +316,8 @@ def perturb(
     freq = float(freq)
     if mode == "sine" and not (freq > 0.0 and math.isfinite(freq)):
         raise ParameterError(f"sine mode needs freq > 0, got {freq}")
-    pert = _perturbation_fns(mode, amplitude, freq, int(seed))
-    order = min(base.deriv_order, 3)
-    fns = _sum_fns(base.fns, pert, order)
+    pert = _perturbation_fns(mode, amplitude, freq)
+    fns = _sum_fns(base.fns, pert, min(base.deriv_order, 3))
     tag = f"{mode}({freq:g})" if mode == "sine" else mode
-    return analytic(
-        LOG_LINE,
-        f"{base.name}+{tag}*{amplitude:g}",
-        fns,
-        support=base.support,
-        params=dict(base.params),
-    )
+    return from_excess(LOG_LINE, f"{base.name}+{tag}*{amplitude:g}", fns, base.support,
+                       params=dict(base.params))

@@ -1,16 +1,24 @@
 """Evaluable function handles: analytic families and interpolated sample tables.
 
-A handle couples a real function of one real variable with the coordinate
-domain it lives on (the log line t, or positive ratios x), the interval on
-which it may be evaluated, and as many analytic derivatives as the
-construction provides (0 for sample tables).  Handles are immutable after
-construction and safe to share across concurrent callers.
+Every handle stores one representation: the log-coordinate excess stack
+``fns = (G, G', G'', G''')`` of ``G(t) = H(t) - 1 = F(e^t)``, as many
+derivatives deep as the construction provides (0 for sample tables).  The
+domain tag only says how callers address the handle:
+
+    log-line         h(t) = G(t) + 1, derivatives G^(k)(t)
+    positive-ratios  f(x) = G(ln x), derivatives by the chain rule below
+
+so ``lift_to_log`` and ``to_ratio`` are coordinate changes that retag the
+same stack; the lift is exact, ``H(t) = G(t) + 1`` with no round trip
+through ``exp``/``log``.  Each handle also carries the interval on which it
+may be evaluated.  Handles are immutable after construction and safe to
+share across concurrent callers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -26,14 +34,20 @@ SAMPLE_TABLE = "sample-table"
 # exp() overflows just above 709.78; lifted handles stay clear of it
 _EXP_MAX = 709.0
 
+# With D = x d/dx = d/dt:  x^k F^(k) = sum_j s(k, j) G^(j)  (signed Stirling
+# numbers of the first kind) and G^(k) = sum_j S(k, j) x^j F^(j) (second
+# kind), j = 1..k.  These two tables are the whole log <-> ratio chain rule.
+_RATIO_FROM_LOG = ((1.0,), (-1.0, 1.0), (2.0, -3.0, 1.0))
+_LOG_FROM_RATIO = ((1.0,), (1.0, 1.0), (1.0, 3.0, 1.0))
+
 
 @dataclass(frozen=True, eq=False)
 class FunctionHandle:
-    """An evaluable function plus its domain tag, support and derivative stack.
+    """A log-line excess stack plus the domain it is addressed in and its support.
 
-    ``fns[0]`` is the value, ``fns[k]`` the k-th derivative; all accept and
-    return numpy arrays.  ``support`` is the closed interval of evaluable
-    abscissas (in t for log-line handles, in x for positive-ratio handles).
+    ``fns[k]`` is the k-th t-derivative of G = H - 1; all accept and return
+    numpy arrays.  ``support`` is the closed interval of evaluable abscissas
+    (in t for log-line handles, in x for positive-ratio handles).
     """
 
     kind: str
@@ -58,11 +72,27 @@ class FunctionHandle:
                 f"{self.name}: abscissa outside evaluable range [{lo:.6g}, {hi:.6g}]"
             )
 
-    def __call__(self, z):
+    def _eval(self, z, order: int):
         arr = np.asarray(z, dtype=float)
         self._check(arr)
-        out = np.asarray(self.fns[0](arr), dtype=float)
+        if self.domain == LOG_LINE:
+            out = self.fns[order](arr)
+        elif order == 0:
+            out = self.fns[0](np.log(arr))
+        else:
+            t = np.log(arr)
+            coeffs = _RATIO_FROM_LOG[order - 1]
+            out = sum(c * self.fns[j](t) for j, c in enumerate(coeffs, 1)) / arr**order
+        out = np.asarray(out, dtype=float)
         return float(out) if arr.ndim == 0 else out
+
+    def __call__(self, z):
+        out = self._eval(z, 0)
+        return out + 1.0 if self.domain == LOG_LINE else out
+
+    def excess(self, z):
+        """G(t) = H(t) - 1 on the log line; on positive ratios the value F(x) = G(ln x)."""
+        return self._eval(z, 0)
 
     def derivative(self, z, order: int):
         if not 1 <= order <= self.deriv_order:
@@ -70,13 +100,50 @@ class FunctionHandle:
                 f"{self.name}: derivative of order {order} unavailable "
                 f"(capability {self.deriv_order})"
             )
-        arr = np.asarray(z, dtype=float)
-        self._check(arr)
-        out = np.asarray(self.fns[order](arr), dtype=float)
-        return float(out) if arr.ndim == 0 else out
+        return self._eval(z, order)
 
     def evaluable_on(self, lo: float, hi: float) -> bool:
         return self.support[0] <= lo and hi <= self.support[1]
+
+
+def require_domain(h: FunctionHandle, domain: str, op: str) -> None:
+    """Raise DomainError unless op was handed a handle addressed in ``domain``."""
+    if h.domain != domain:
+        noun = "log-line" if domain == LOG_LINE else "positive-ratio"
+        raise DomainError(f"{op} needs a {noun} handle, got {h.domain}")
+
+
+def _handle(kind, domain, name, fns, support, params=None, table=None) -> FunctionHandle:
+    # the chain rule to x-derivatives stops at order 3
+    order = len(fns) - 1 if domain == LOG_LINE else min(len(fns) - 1, 3)
+    support = (float(support[0]), float(support[1]))
+    return FunctionHandle(kind, domain, name, order, support, tuple(fns), dict(params or {}), table)
+
+
+def _x_support(t_lo: float, t_hi: float) -> tuple[float, float]:
+    return math.exp(max(t_lo, -_EXP_MAX + 1.0)), math.exp(min(t_hi, _EXP_MAX - 1.0))
+
+
+def _t_support(x_lo: float, x_hi: float) -> tuple[float, float]:
+    return max(math.log(x_lo), -_EXP_MAX), min(math.log(x_hi), _EXP_MAX)
+
+
+def _excess_of_ratio(fns, k: int) -> Callable:
+    """G^(k)(t) from a ratio-domain value/derivative stack, at x = e^t."""
+    if k == 0:
+        return lambda t: np.asarray(fns[0](np.exp(t)), dtype=float)
+
+    def g(t):
+        x = np.exp(t)
+        return sum(c * fns[j](x) * x**j for j, c in enumerate(_LOG_FROM_RATIO[k - 1], 1))
+
+    return g
+
+
+def from_excess(domain: str, name: str, fns, t_support, params=None) -> FunctionHandle:
+    """Builtin handle from a log-line excess stack (G, G', ...) on the t-interval t_support."""
+    support = tuple(t_support) if domain == LOG_LINE else _x_support(*t_support)
+    return _handle(BUILTIN_FAMILY, domain, name, fns, support, params)
 
 
 def analytic(
@@ -86,21 +153,23 @@ def analytic(
     support=(-math.inf, math.inf),
     params: Mapping[str, float] | None = None,
 ) -> FunctionHandle:
-    """Wrap a value callable plus optional derivative callables as a builtin handle."""
+    """Wrap a value callable plus optional derivative callables as a builtin handle.
+
+    The callables and the support are given in the handle's own domain (H and
+    its t-derivatives, or F and its x-derivatives); they are converted to the
+    excess stack once, here.
+    """
     if domain not in (LOG_LINE, POSITIVE_RATIOS):
         raise DomainError(f"unknown domain tag {domain!r}")
     lo, hi = float(support[0]), float(support[1])
     if domain == POSITIVE_RATIOS and not lo > 0.0:
         raise DomainError("positive-ratio support must have a positive lower edge")
-    return FunctionHandle(
-        kind=BUILTIN_FAMILY,
-        domain=domain,
-        name=name,
-        deriv_order=len(fns) - 1,
-        support=(lo, hi),
-        fns=tuple(fns),
-        params=dict(params or {}),
-    )
+    if domain == LOG_LINE:
+        h0 = fns[0]
+        gfns = (lambda t: np.asarray(h0(t), dtype=float) - 1.0,) + tuple(fns[1:])
+    else:
+        gfns = tuple(_excess_of_ratio(fns, k) for k in range(min(len(fns), 4)))
+    return _handle(BUILTIN_FAMILY, domain, name, gfns, (lo, hi), params)
 
 
 def sample_table(domain: str, xs, ys, name: str = "table") -> FunctionHandle:
@@ -121,120 +190,29 @@ def sample_table(domain: str, xs, ys, name: str = "table") -> FunctionHandle:
         raise DomainError("table abscissas must be strictly increasing")
     if domain == POSITIVE_RATIOS and xs[0] <= 0.0:
         raise DomainError("positive-ratio table needs abscissas > 0")
-    xs = xs.copy()
-    ys = ys.copy()
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    spline = CubicSpline(xs, ys)
-    return FunctionHandle(
-        kind=SAMPLE_TABLE,
-        domain=domain,
-        name=name,
-        deriv_order=0,
-        support=(float(xs[0]), float(xs[-1])),
-        fns=(lambda a: spline(a),),
-        table=(xs, ys),
-    )
+    xs, ys = xs.copy(), ys.copy()
+    for column in (xs, ys):
+        column.setflags(write=False)
+    # interpolation is linear in the data, so the spline of ys - 1 is G = spline(ys) - 1
+    spline = CubicSpline(xs, ys - 1.0 if domain == LOG_LINE else ys)
+    g = spline if domain == LOG_LINE else (lambda t: spline(np.exp(t)))
+    return _handle(SAMPLE_TABLE, domain, name, (g,), (xs[0], xs[-1]), table=(xs, ys))
 
 
 def lift_to_log(f: FunctionHandle) -> FunctionHandle:
-    """Log-coordinate lift H(t) = f(e^t) + 1 of a positive-ratio handle.
+    """Log-coordinate view H(t) = f(e^t) + 1 = G(t) + 1 of a positive-ratio handle.
 
-    Carries analytic derivatives through the chain rule when the source has
-    them; a lifted table keeps derivative capability 0.
+    A retag of the same excess stack: analytic derivatives carry over, and a
+    lifted table keeps derivative capability 0.
     """
-    if f.domain != POSITIVE_RATIOS:
-        raise DomainError(f"lift_to_log needs a positive-ratio handle, got {f.domain}")
-    lo, hi = f.support
-    t_lo = max(math.log(lo), -_EXP_MAX)
-    t_hi = _EXP_MAX if math.isinf(hi) else min(math.log(hi), _EXP_MAX)
-    v = f.fns[0]
-
-    def h0(t):
-        return np.asarray(v(np.exp(t)), dtype=float) + 1.0
-
-    fns = [h0]
-    order = min(f.deriv_order, 3)
-    if order >= 1:
-        d1 = f.fns[1]
-
-        def h1(t):
-            x = np.exp(t)
-            return d1(x) * x
-
-        fns.append(h1)
-    if order >= 2:
-        d1, d2 = f.fns[1], f.fns[2]
-
-        def h2(t):
-            x = np.exp(t)
-            return d2(x) * x * x + d1(x) * x
-
-        fns.append(h2)
-    if order >= 3:
-        d1, d2, d3 = f.fns[1], f.fns[2], f.fns[3]
-
-        def h3(t):
-            x = np.exp(t)
-            return d3(x) * x**3 + 3.0 * d2(x) * x * x + d1(x) * x
-
-        fns.append(h3)
-    return FunctionHandle(
-        kind=f.kind,
-        domain=LOG_LINE,
-        name=f"lift({f.name})",
-        deriv_order=order,
-        support=(t_lo, t_hi),
-        fns=tuple(fns),
-        params=dict(f.params),
-        table=f.table,
-    )
+    require_domain(f, POSITIVE_RATIOS, "lift_to_log")
+    return replace(f, domain=LOG_LINE, name=f"lift({f.name})", support=_t_support(*f.support),
+                   params=dict(f.params))
 
 
 def to_ratio(h: FunctionHandle) -> FunctionHandle:
-    """Positive-ratio projection F(x) = h(ln x) - 1 of a log-line handle."""
-    if h.domain != LOG_LINE:
-        raise DomainError(f"to_ratio needs a log-line handle, got {h.domain}")
-    t_lo, t_hi = h.support
-    x_lo = math.exp(max(t_lo, -_EXP_MAX + 1.0))
-    x_hi = math.exp(min(t_hi, _EXP_MAX - 1.0))
-    v = h.fns[0]
-
-    def f0(x):
-        return np.asarray(v(np.log(x)), dtype=float) - 1.0
-
-    fns = [f0]
-    order = min(h.deriv_order, 3)
-    if order >= 1:
-        d1 = h.fns[1]
-
-        def f1(x):
-            return d1(np.log(x)) / x
-
-        fns.append(f1)
-    if order >= 2:
-        d1, d2 = h.fns[1], h.fns[2]
-
-        def f2(x):
-            u = np.log(x)
-            return (d2(u) - d1(u)) / (x * x)
-
-        fns.append(f2)
-    if order >= 3:
-        d1, d2, d3 = h.fns[1], h.fns[2], h.fns[3]
-
-        def f3(x):
-            u = np.log(x)
-            return (d3(u) - 3.0 * d2(u) + 2.0 * d1(u)) / x**3
-
-        fns.append(f3)
-    return FunctionHandle(
-        kind=h.kind,
-        domain=POSITIVE_RATIOS,
-        name=f"ratio({h.name})",
-        deriv_order=order,
-        support=(x_lo, x_hi),
-        fns=tuple(fns),
-        params=dict(h.params),
-        table=h.table,
-    )
+    """Positive-ratio view F(x) = h(ln x) - 1 = G(ln x) of a log-line handle."""
+    require_domain(h, LOG_LINE, "to_ratio")
+    return replace(h, domain=POSITIVE_RATIOS, name=f"ratio({h.name})",
+                   support=_x_support(*h.support), deriv_order=min(h.deriv_order, 3),
+                   params=dict(h.params))

@@ -28,7 +28,7 @@ from .calibration import estimate_kappa
 from .dalembert import sup_defect
 from .errors import DomainError, PreconditionError
 from .grids import symmetric_grid
-from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log
+from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log, require_domain
 
 _HYPOTHESIS_TOL = 1e-6
 _SIMPLIFIED_A_TOL = 1e-10
@@ -82,8 +82,7 @@ def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
     sample tables it falls back to third central differences with step four
     times the table spacing, an ill-conditioned estimate flagged by callers.
     """
-    if h.domain != LOG_LINE:
-        raise DomainError(f"estimate_bounds needs a log-line handle, got {h.domain}")
+    require_domain(h, LOG_LINE, "estimate_bounds")
     if not (T > 0 and math.isfinite(T)):
         raise DomainError(f"T must be positive and finite, got {T}")
     _, grid = symmetric_grid(T, T / 1000.0)
@@ -173,8 +172,7 @@ def certify(
     envelope.  a defaults to the extrapolated log-curvature; callers may
     override it, at the price of certifying against a different branch.
     """
-    if h.domain != LOG_LINE:
-        raise DomainError(f"certify needs a log-line handle, got {h.domain}")
+    require_domain(h, LOG_LINE, "certify")
     if not (T > 0 and math.isfinite(T)):
         raise DomainError(f"T must be positive and finite, got {T}")
     if not h.evaluable_on(-2.0 * T, 2.0 * T):
@@ -210,14 +208,9 @@ def certify(
             raise DomainError(f"h_choice must satisfy 0 < h <= T, got {h_choice}")
     delta = delta_of_h(epsilon, B, K, h_used)
 
-    sqrt_a = math.sqrt(a)
-    ts = _sweep_grid(T - h_used, report.step)
-    branch = np.cosh(sqrt_a * ts)
-    err = np.abs(h(ts) - branch)
-    envelope = EnvelopeSpec(scale=delta / a, rate=sqrt_a)
-    env = envelope.value(ts)
-    margin = env - err
-    min_margin = float(np.min(margin))
+    envelope = EnvelopeSpec(scale=delta / a, rate=math.sqrt(a))
+    _, _, _, env, err = _sweep(h, T - h_used, envelope, report.step)
+    min_margin = float(np.min(env - err))
     return StabilityCertificate(
         inputs=StabilityInputs(T=float(T), h=h_used, epsilon=epsilon, B=B, K=K, a=a),
         delta=delta,
@@ -228,13 +221,17 @@ def certify(
     )
 
 
+def _sweep(handle: FunctionHandle, half_width: float, envelope: EnvelopeSpec, step: float):
+    # the branch cosh(sqrt(a) t) shares the envelope's rate sqrt(a)
+    ts = _sweep_grid(half_width, float(step))
+    vals = handle(ts)
+    branch = np.cosh(envelope.rate * ts)
+    return ts, vals, branch, envelope.value(ts), np.abs(vals - branch)
+
+
 def certificate_sweep(handle: FunctionHandle, cert: StabilityCertificate, step: float):
     """(t, H, branch, envelope, |error|) columns of a certificate's sweep grid."""
-    ts = _sweep_grid(cert.inputs.T - cert.inputs.h, float(step))
-    branch = np.cosh(math.sqrt(cert.inputs.a) * ts)
-    vals = handle(ts)
-    err = np.abs(vals - branch)
-    return ts, vals, branch, cert.envelope.value(ts), err
+    return _sweep(handle, cert.inputs.T - cert.inputs.h, cert.envelope, step)
 
 
 def certify_ratio(
@@ -252,12 +249,9 @@ def certify_ratio(
     (delta/a)(cosh(sqrt(a) |ln x|) - 1).  When a is within 1e-10 of 1 the
     envelope is reported in the simplified form delta * J(x).
     """
-    if f.domain != POSITIVE_RATIOS:
-        raise DomainError(f"certify_ratio needs a positive-ratio handle, got {f.domain}")
-    cert = certify(
-        lift_to_log(f), T, step, h_choice=h_choice, a=a,
-        kappa_h0=kappa_h0, kappa_levels=kappa_levels,
-    )
+    require_domain(f, POSITIVE_RATIOS, "certify_ratio")
+    cert = certify(lift_to_log(f), T, step, h_choice=h_choice, a=a,
+                   kappa_h0=kappa_h0, kappa_levels=kappa_levels)
     if abs(cert.inputs.a - 1.0) <= _SIMPLIFIED_A_TOL:
         cert = replace(cert, envelope=replace(cert.envelope, form=ENVELOPE_DELTA_TIMES_J))
     return cert

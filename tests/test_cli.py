@@ -238,6 +238,28 @@ class TestReports:
         assert report.results["classification"]["branch"] == "Cosh"
         assert report.results["certificate"]["verified"] is True
 
+    def test_report_sections_match_single_commands(self, capsys):
+        source = ["--family", "cosh-lambda,lambda=2"]
+        grid = source + ["--T", "2", "--step", "0.1"]
+        report = run(["report"] + grid)[1].results
+        cal = run(["calibrate"] + source)[1].results
+        cert = run(["certify"] + grid)[1].results
+        assert report["sup_defect"] == run(["sup-defect"] + grid)[1].results
+        assert report["identities"] == run(["identities"] + grid)[1].results
+        assert list(report["curvature"]) + ["ratio_table"] == list(cal)
+        assert report["curvature"] == {k: cal[k] for k in report["curvature"]}
+        assert report["classification"] == run(["classify", "--window-T", "2"] + source)[1].results
+        assert list(report["certificate"]) + ["envelope"] == list(cert)
+        assert report["certificate"] == {k: cert[k] for k in report["certificate"]}
+
+    def test_classify_plot_csv_uses_fitted_branch(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code, report = run(["classify", "--family", "cos-k,k=1.5", "--plot-csv", str(out)])
+        assert code == 0 and report.results["branch"] == "Cos"
+        rows = np.array([[float(v) for v in ln.split(",") if v]
+                         for ln in out.read_text(encoding="utf-8").splitlines()[1:]])
+        assert np.array_equal(rows[:, 2], np.cos(report.results["k"] * rows[:, 0]))
+
     def test_report_on_zero_family_keeps_ok_status(self, capsys):
         # zero solves the equation; the certificate section records the
         # hypothesis failure without flipping the verdict

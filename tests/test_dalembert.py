@@ -20,6 +20,7 @@ from reccost import (
     ode_residual,
     sup_defect,
 )
+from reccost.dalembert import defect_grid
 from reccost.grids import symmetric_grid
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
@@ -117,6 +118,12 @@ class TestSupDefect:
         assert abs(rep.epsilon - eps_oracle) <= 1e-13 * (1.0 + eps_oracle)
         assert (rep.argmax.t, rep.argmax.u) == arg_oracle
 
+    def test_exact_cosh_near_origin_is_free_of_cancellation(self):
+        # in G = H - 1 the defect of cosh stays far below the 2.2e-16 spacing of doubles at 1
+        rep = sup_defect(COSH_LOG, 0.1, 0.001)
+        assert rep.count == 201**2
+        assert rep.epsilon <= 1e-16
+
     def test_grid_preconditions(self):
         with pytest.raises(DomainError):
             sup_defect(COSH_LOG, -1.0, 0.1)
@@ -130,6 +137,24 @@ class TestSupDefect:
         h = sample_table(LOG_LINE, ts, np.cosh(ts))
         with pytest.raises(DomainError):
             sup_defect(h, 1.5, 0.1)  # needs [-3, 3]
+
+
+class TestDefectGrid:
+    def test_matches_pointwise_defect(self):
+        h = cosh_sin5()
+        step, axis, delta = defect_grid(h, 1.0, 0.25)
+        assert step == 0.25 and delta.shape == (axis.size, axis.size)
+        for i, t in enumerate(axis):
+            for j, u in enumerate(axis):
+                assert abs(delta[i, j] - defect_log(h, float(t), float(u))) <= 1e-14
+
+    def test_supremum_is_grid_max(self):
+        step, axis, delta = defect_grid(QUADLOG_LOG, 2.0, 0.1)
+        assert float(np.max(np.abs(delta))) == sup_defect(QUADLOG_LOG, 2.0, 0.1).epsilon
+
+    def test_rejects_ratio_handle(self):
+        with pytest.raises(DomainError):
+            defect_grid(make_family(FamilySpec("quadlog")), 1.0, 0.1)
 
 
 class TestIdentityReport:

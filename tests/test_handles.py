@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reccost import (
+    FAMILIES,
     LOG_LINE,
     POSITIVE_RATIOS,
     DomainError,
@@ -112,6 +113,57 @@ class TestConversions:
         xs = np.exp(np.linspace(-2.0, 2.0, 101))
         scale = 1.0 + np.abs(f(xs))
         assert np.max(np.abs(back(xs) - f(xs)) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_ratio_family_is_view_of_log_stack(self, family):
+        direct = make_family(FamilySpec(family), domain=POSITIVE_RATIOS)
+        view = to_ratio(make_family(FamilySpec(family), domain=LOG_LINE))
+        xs = np.exp(np.linspace(-3.0, 3.0, 241))
+        assert np.array_equal(direct(xs), view(xs))
+        for k in (1, 2, 3):
+            assert np.array_equal(direct.derivative(xs, k), view.derivative(xs, k))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lift_is_exact(self, family):
+        # H(t) = G(t) + 1 from the stored stack, with no exp/log round trip
+        h = make_family(FamilySpec(family), domain=LOG_LINE)
+        lifted = lift_to_log(make_family(FamilySpec(family), domain=POSITIVE_RATIOS))
+        ts = np.linspace(-3.0, 3.0, 241)
+        assert np.array_equal(lifted(ts), h(ts))
+        assert np.array_equal(lifted.derivative(ts, 3), h.derivative(ts, 3))
+
+    def test_conversions_are_retags(self):
+        h = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
+        f = to_ratio(h)
+        assert f.fns is h.fns and lift_to_log(f).fns is h.fns
+        assert (f.domain, f.deriv_order) == (POSITIVE_RATIOS, 3)
+        assert f(1.0) == 0.0 and h(0.0) == 1.0
+
+    def test_analytic_ratio_stack_converted_once(self):
+        # J(x) = (x - 1)^2 / (2x) and its x-derivatives; its log view is cosh
+        fns = (
+            lambda x: (x - 1.0) ** 2 / (2.0 * x),
+            lambda x: 0.5 * (1.0 - 1.0 / x**2),
+            lambda x: 1.0 / x**3,
+            lambda x: -3.0 / x**4,
+        )
+        f = analytic(POSITIVE_RATIOS, "J", fns, support=(1e-3, 1e3))
+        xs = np.exp(np.linspace(-2.0, 2.0, 81))
+        for k, fn in enumerate(fns):
+            got = f(xs) if k == 0 else f.derivative(xs, k)
+            assert np.max(np.abs(got - fn(xs)) / (1.0 + np.abs(fn(xs)))) <= 1e-13
+        h = lift_to_log(f)
+        ts = np.linspace(-2.0, 2.0, 81)
+        assert np.max(np.abs(h(ts) - np.cosh(ts))) <= 1e-13
+        assert np.max(np.abs(h.derivative(ts, 2) - np.cosh(ts))) <= 1e-13
+        assert np.max(np.abs(h.derivative(ts, 3) - np.sinh(ts))) <= 1e-13
+
+    def test_analytic_log_values_are_kept(self):
+        h = analytic(LOG_LINE, "1+t^2", (lambda t: 1.0 + t * t, lambda t: 2.0 * t))
+        ts = np.linspace(-3.0, 3.0, 61)
+        assert np.array_equal(h(ts), 1.0 + ts * ts)  # (H - 1) + 1 = H exactly for H >= 1/2
+        assert np.array_equal(h.excess(ts), (1.0 + ts * ts) - 1.0)
+        assert np.array_equal(h.derivative(ts, 1), 2.0 * ts)
 
     def test_lift_chain_rule_derivatives(self):
         lam = 1.5

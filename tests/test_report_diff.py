@@ -1,0 +1,59 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+from reccost.cli import run
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_diff.py"
+_spec = importlib.util.spec_from_file_location("report_diff", _SCRIPT)
+report_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_diff)
+
+
+def write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+class TestUlpDistance:
+    def test_neighbours(self):
+        x = 0.1
+        assert report_diff.ulp_distance(x, x) == 0
+        assert report_diff.ulp_distance(x, float(np.nextafter(x, 1.0))) == 1
+        assert report_diff.ulp_distance(-x, float(np.nextafter(-x, -1.0))) == 1
+
+    def test_across_zero(self):
+        tiny = 5e-324
+        assert report_diff.ulp_distance(0.0, -0.0) == 0
+        assert report_diff.ulp_distance(-tiny, tiny) == 2
+
+
+class TestReportDiff:
+    def test_identical_cli_reports(self, tmp_path, capsys):
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        run(["sup-defect", "--family", "quadlog", "--T", "1", "--step", "0.1", "--json", a])
+        run(["sup-defect", "--family", "quadlog", "--T", "1", "--step", "0.1", "--json", b])
+        capsys.readouterr()
+        assert report_diff.main([a, b]) == 0
+        assert capsys.readouterr().out.strip() == "identical"
+
+    def test_float_leaf_reports_path_and_ulps(self, tmp_path, capsys):
+        y = float(np.nextafter(np.nextafter(0.25, 1.0), 1.0))
+        a = write(tmp_path, "a.json", {"results": {"J": 0.25, "rows": [[1.0, 0.25]]}})
+        b = write(tmp_path, "b.json", {"results": {"J": y, "rows": [[1.0, y]]}})
+        assert report_diff.main([a, b]) == 1
+        out = capsys.readouterr().out
+        assert f"results.J: 0.25 -> {y!r} (2 ulps)" in out
+        assert f"results.rows[0][1]: 0.25 -> {y!r} (2 ulps)" in out
+
+    def test_structural_differences(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", {"k": 1, "only_a": 0, "seq": [1, 2], "x": 1.0, "y": 2.0})
+        b = write(tmp_path, "b.json", {"k": 1.0, "seq": [1], "y": 2.0, "x": 1.0, "only_b": None})
+        assert report_diff.main([a, b]) == 1
+        out = capsys.readouterr().out
+        for line in ("k: 1 -> 1.0", "only_a: only in A", "only_b: only in B",
+                     "seq: length 2 -> 1", "<root>: keys in a different order"):
+            assert line in out

@@ -165,6 +165,14 @@ class TestCertify:
         pos = env[ts >= 0]
         assert np.all(np.diff(pos) > 0)
 
+    def test_certificate_sweep_reproduces_certify(self):
+        pert = perturb(COSH_LOG, "poly4", 1e-4)
+        cert = certify(pert, 1.5, 0.05)
+        ts, vals, branch, env, err = certificate_sweep(pert, cert, 0.05)
+        assert float(np.max(err)) == cert.max_observed_error
+        assert float(np.min(env - err)) == cert.max_envelope_margin
+        assert np.array_equal(err, np.abs(vals - branch))
+
     def test_certify_sampled_cosh_table(self):
         # integer-multiple grid puts t = 0 exactly on a node
         ts = np.arange(-440, 441) * 0.005
