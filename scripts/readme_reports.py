@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Write the --json reports of the README command-line examples into OUTDIR.
+
+OUTDIR receives samples.csv (cosh on 1001 nodes of [-2.5, 2.5], the input of
+the classify example) and one report per example, NAME.json.  The reports come
+from reccost.cli.run of whichever reccost PYTHONPATH points at, so two
+checkouts can be compared report by report with report_diff.py:
+
+    PYTHONPATH=src python scripts/readme_reports.py after
+    PYTHONPATH=../other/src python scripts/readme_reports.py before
+    for f in before/*.json; do python scripts/report_diff.py "$f" "after/${f#before/}"; done
+"""
+
+import argparse
+import math
+import os
+from pathlib import Path
+
+import numpy as np
+
+from reccost.cli import run
+
+EXAMPLES = {
+    "eval": ["eval", "--x", "2"],
+    "cert": ["certify", "--family", "cosh", "--T", "2", "--step", "0.05"],
+    "classify": ["classify", "--input", "samples.csv"],
+    "sup-defect": ["sup-defect", "--family", "noisy-cosh,amplitude=1e-3,mode=sine,freq=5",
+                   "--T", "2", "--step", "0.05"],
+    "report": ["report", "--family", "cosh-lambda,lambda=2", "--T", "2", "--step", "0.05"],
+}
+
+
+def write_samples(path: Path) -> None:
+    ts = np.linspace(-2.5, 2.5, 1001)
+    rows = "".join(f"{float(t)!r},{math.cosh(float(t))!r}\n" for t in ts)
+    path.write_text("t,H\n" + rows, encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("outdir", help="directory for samples.csv and the NAME.json reports")
+    args = ap.parse_args(argv)
+    out = Path(args.outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_samples(out / "samples.csv")
+    # run inside OUTDIR: the classify example names its input relatively, and the
+    # report echoes that name, so reports from different OUTDIRs stay comparable
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        for name, example in EXAMPLES.items():
+            code, _ = run([*example, "--json", f"{name}.json"])
+            print(f"wrote {out / name}.json (exit {code})")
+    finally:
+        os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

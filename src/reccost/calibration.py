@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import ClassificationError, DomainError, ParameterError, PrecisionError
+from .core import COSH_T_MAX
+from .errors import (ClassificationError, DomainError, ParameterError, PrecisionError,
+                     RangeOverflowError)
 from .grids import symmetric_grid
 from .handles import LOG_LINE, FunctionHandle, require_domain
 
@@ -74,10 +76,9 @@ def quad_ratio(h: FunctionHandle, step: float) -> float:
     """q(step) = 2 (H(step) - 1) / step^2 with the symmetrized value
     (H(step) + H(-step))/2, which cancels odd components exactly."""
     require_domain(h, LOG_LINE, "quad_ratio")
-    s = float(step)
-    if s == 0.0 or not math.isfinite(s):
-        raise DomainError(f"step must be nonzero and finite, got {step}")
-    s = abs(s)
+    s = abs(float(step))
+    if not (math.isfinite(s) and s * s >= np.finfo(float).tiny):  # step^2 must not underflow
+        raise DomainError(f"step must be finite with a normal square, got {step}")
     sym = 0.5 * (h(s) + h(-s))
     return 2.0 * (sym - 1.0) / (s * s)
 
@@ -146,6 +147,9 @@ def classify(
     require_domain(h, LOG_LINE, "classify")
     if not (window_T > 0 and math.isfinite(window_T)):
         raise DomainError(f"window_T must be positive and finite, got {window_T}")
+    if residual_tol is None and window_T > COSH_T_MAX:
+        raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the default "
+                                 "residual_tol 1e-6 cosh(window_T) would overflow")
     step = residual_grid_step if residual_grid_step is not None else window_T / 100.0
     accept = residual_tol if residual_tol is not None else 1e-6 * math.cosh(window_T)
     _, grid = symmetric_grid(window_T, step)

@@ -41,6 +41,7 @@ from .errors import (
     ParameterError,
     PrecisionError,
     PreconditionError,
+    RangeOverflowError,
 )
 from .fixtures import NATURAL_DOMAIN, make_family, parse_family_spec
 from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log, sample_table, to_ratio
@@ -237,7 +238,7 @@ def _grid_source(ns, target: str):
     """Handle, input echo and diagnostics of a command that sweeps [-T, T] at --step."""
     handle, echo, notes = _load_handle(ns, target=target)
     echo.update({"T": float(ns.T), "step": float(ns.step)})
-    diag: dict = {"grid": {"T": float(ns.T), "step": float(ns.step)}}
+    diag: dict = {"grid": {"T": float(ns.T), "step": grids.symmetric_grid(ns.T, ns.step)[0]}}
     if notes:
         diag["notes"] = notes
     return handle, echo, diag
@@ -276,7 +277,6 @@ def _cmd_defect(ns):
 def _cmd_sup_defect(ns):
     handle, echo, diag = _grid_source(ns, LOG_LINE)
     report = dalembert.sup_defect(handle, ns.T, ns.step)
-    diag["grid"] = {"T": report.T, "step": report.step}
     return echo, _defect_section(report), diag, STATUS_OK, None
 
 
@@ -376,10 +376,10 @@ def _cmd_report(ns):
     }
     try:
         cls = calibration.classify(handle, window_T=ns.T)
-    except (ClassificationError, PrecisionError) as exc:
+    except (ClassificationError, PrecisionError, RangeOverflowError) as exc:
         cls = exc
     sections["classification"] = _classification_section(cls)
-    failed = isinstance(cls, ClassificationError)
+    failed = isinstance(cls, (ClassificationError, RangeOverflowError))
     try:
         cert = stability.certify(handle, ns.T, ns.step)
         sections["certificate"] = _certificate_section(cert)

@@ -14,8 +14,9 @@ which keeps the precision of G near t = 0 instead of cancelling 1s in H.
 
 Suprema are reported over explicit uniform grids, never over the continuum;
 every report carries the grid spec so certificates are explicit about the
-discretization.  Max reductions are order-independent, so grid sweeps are
-deterministic.
+discretization.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
+node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, and its
+max reductions are order-independent, so sweeps are deterministic.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import validate_log_coord, validate_positive_ratio
 from .errors import DomainError
@@ -83,30 +85,33 @@ class IdentityViolations:
 
 
 def _kernel(gs, gd, gt, gu):
-    """Delta from G(t+u), G(t-u), G(t), G(u), in place; gt broadcasts down, gu across."""
+    """Delta from G(t+u), G(t-u), G(t), G(u) into one new array; gt broadcasts down, gu across."""
     two_gt = 2.0 * gt  # doubling is exact: 2 (G(t) G(u) + G(t) + G(u)) in three passes
     cross = two_gt * gu
     cross += two_gt
     cross += 2.0 * gu
-    gs += gd
-    gs -= cross
-    return gs
+    out = gs + gd
+    out -= cross
+    return out
 
 
 def _excess_sweep(h: FunctionHandle, T: float, step: float, op: str):
-    """(step, axis, G(axis), G(t+u), G(t-u)) over the symmetric grid of [-T, T]."""
+    """(step, axis, G(nodes), G(t), G(t+u), G(t-u)) for the symmetric grid of [-T, T]; the
+    n x n tables are read-only views: t_i + u_j is node i + j, t_i - u_j node n - 1 + i - j."""
     require_domain(h, LOG_LINE, op)
     actual_step, axis = symmetric_grid(T, step)
     if not h.evaluable_on(-2.0 * T, 2.0 * T):
         raise DomainError(f"{h.name}: {op} needs evaluability on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
-    # left to right: the t+u grid is evaluated and its argument freed before t-u is built
-    return (actual_step, axis, h.excess(axis), h.excess(np.add.outer(axis, axis)),
-            h.excess(np.subtract.outer(axis, axis)))
+    n, m = axis.size, axis.size // 2
+    far = symmetric_grid(2.0 * T, actual_step)[1][3 * m + 1:]  # k s for m < k < 2m, then 2T
+    nodes = h.excess(np.concatenate([-far[::-1], axis, far]))  # +-T exact, where m s may not be
+    return (actual_step, axis, nodes, nodes[m: m + n], sliding_window_view(nodes, n),
+            sliding_window_view(nodes[::-1], n)[::-1])
 
 
 def defect_grid(h: FunctionHandle, T: float, step: float):
     """(step, axis, Delta) with Delta[i, j] = Delta_H(axis[i], axis[j]) on the grid of [-T, T]."""
-    actual_step, axis, g, sums, diffs = _excess_sweep(h, T, step, "sup_defect")
+    actual_step, axis, _, g, sums, diffs = _excess_sweep(h, T, step, "sup_defect")
     return actual_step, axis, _kernel(sums, diffs, g[:, None], g[None, :])
 
 
@@ -143,7 +148,7 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
 
     Evaluated in G = H - 1, where H^2 - 1 = G (G + 2).
     """
-    _, axis, g, sums, diffs = _excess_sweep(h, T, step, "identity_report")
+    _, _, nodes, g, sums, diffs = _excess_sweep(h, T, step, "identity_report")
     q = g * (g + 2.0)
     # in place: numpy does not reliably reuse the temporaries of a longer expression
     product = sums * diffs
@@ -153,14 +158,14 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
     product -= q
     product_identity = _sup_abs(product)
     del product
-    sums -= diffs
-    sums *= sums
-    sums -= np.outer(4.0 * q, q)
+    square = sums - diffs
+    square *= square
+    square -= np.outer(4.0 * q, q)
     return IdentityViolations(
         product_identity=product_identity,
-        difference_square=_sup_abs(sums),
-        double_angle=_sup_abs(h.excess(2.0 * axis) - 2.0 * q),
-        evenness=_sup_abs(h.excess(-axis) - g),
+        difference_square=_sup_abs(square),
+        double_angle=_sup_abs(nodes[::2] - 2.0 * q),
+        evenness=_sup_abs(g[::-1] - g),
     )
 
 

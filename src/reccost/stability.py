@@ -89,12 +89,8 @@ def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
     vals = h(grid)
     B = float(np.max(np.abs(vals)))
     if h.deriv_order >= 3:
-        K = float(np.max(np.abs(h.derivative(grid, 3))))
-        return B, K
-    if h.table is not None:
-        spacing = float(np.median(np.diff(h.table[0])))
-    else:
-        spacing = float(grid[1] - grid[0])
+        return B, float(np.max(np.abs(h.derivative(grid, 3))))
+    spacing = float(np.median(np.diff(h.table[0])) if h.table is not None else grid[1] - grid[0])
     d = 4.0 * spacing
     if d > T / 10.0:
         warnings.warn(
@@ -111,14 +107,18 @@ def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
     return B, K
 
 
-def delta_of_h(epsilon: float, B: float, K: float, h: float) -> float:
-    """delta(h) = eps/h^2 + (1 + B) K h / 3."""
-    h = float(h)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise DomainError(f"h must be positive and finite, got {h}")
+def _check_bounds(epsilon: float, B: float, K: float) -> None:
     for nm, v in (("epsilon", epsilon), ("B", B), ("K", K)):
         if not (float(v) >= 0.0 and math.isfinite(float(v))):
             raise DomainError(f"{nm} must be >= 0 and finite, got {v}")
+
+
+def delta_of_h(epsilon: float, B: float, K: float, h: float) -> float:
+    """delta(h) = eps/h^2 + (1 + B) K h / 3."""
+    h = float(h)
+    if not (h > 0.0 and math.isfinite(h) and h * h >= np.finfo(float).tiny):
+        raise DomainError(f"h must be positive and finite with a normal square, got {h}")
+    _check_bounds(epsilon, B, K)
     return float(epsilon) / (h * h) + (1.0 + float(B)) * float(K) * h / 3.0
 
 
@@ -132,9 +132,7 @@ def optimal_h(epsilon: float, B: float, K: float, T: float) -> float:
     """
     if not (T > 0 and math.isfinite(T)):
         raise DomainError(f"T must be positive and finite, got {T}")
-    for nm, v in (("epsilon", epsilon), ("B", B), ("K", K)):
-        if not (float(v) >= 0.0 and math.isfinite(float(v))):
-            raise DomainError(f"{nm} must be >= 0 and finite, got {v}")
+    _check_bounds(epsilon, B, K)
     epsilon = float(epsilon)
     if epsilon == 0.0:
         return T / 100.0
@@ -142,17 +140,6 @@ def optimal_h(epsilon: float, B: float, K: float, T: float) -> float:
     if c == 0.0:
         return float(T)
     return min(float(T), (6.0 * epsilon / c) ** (1.0 / 3.0))
-
-
-def _sweep_grid(half_width: float, step: float) -> np.ndarray:
-    # symmetric grid with exact 0; empty window degenerates to the single point 0
-    if half_width < step:
-        return np.array([0.0])
-    m = int(math.floor(half_width / step + 1e-12))
-    right = step * np.arange(1, m + 1)
-    if right[-1] > half_width:
-        right = right[:-1]
-    return np.concatenate([-right[::-1], [0.0], right])
 
 
 def certify(
@@ -197,8 +184,7 @@ def certify(
     if not (a > 0.0 and math.isfinite(a)):
         raise PreconditionError(f"curvature a = {a!r} violates the hypothesis a > 0")
 
-    report = sup_defect(h, T, step)
-    epsilon = report.epsilon
+    epsilon = sup_defect(h, T, step).epsilon
     B, K = estimate_bounds(h, T)
     if h_choice is None:
         h_used = optimal_h(epsilon, B, K, T)
@@ -209,7 +195,7 @@ def certify(
     delta = delta_of_h(epsilon, B, K, h_used)
 
     envelope = EnvelopeSpec(scale=delta / a, rate=math.sqrt(a))
-    _, _, _, env, err = _sweep(h, T - h_used, envelope, report.step)
+    _, _, _, env, err = _sweep(h, _sweep_grid(axis, T - h_used), envelope)
     min_margin = float(np.min(env - err))
     return StabilityCertificate(
         inputs=StabilityInputs(T=float(T), h=h_used, epsilon=epsilon, B=B, K=K, a=a),
@@ -221,17 +207,22 @@ def certify(
     )
 
 
-def _sweep(handle: FunctionHandle, half_width: float, envelope: EnvelopeSpec, step: float):
+def _sweep_grid(axis: np.ndarray, half_width: float) -> np.ndarray:
+    # the window |t| <= T - h of the certificate's own grid
+    return axis[np.abs(axis) <= half_width]
+
+
+def _sweep(handle: FunctionHandle, ts: np.ndarray, envelope: EnvelopeSpec):
     # the branch cosh(sqrt(a) t) shares the envelope's rate sqrt(a)
-    ts = _sweep_grid(half_width, float(step))
     vals = handle(ts)
     branch = np.cosh(envelope.rate * ts)
     return ts, vals, branch, envelope.value(ts), np.abs(vals - branch)
 
 
 def certificate_sweep(handle: FunctionHandle, cert: StabilityCertificate, step: float):
-    """(t, H, branch, envelope, |error|) columns of a certificate's sweep grid."""
-    return _sweep(handle, cert.inputs.T - cert.inputs.h, cert.envelope, step)
+    """(t, H, branch, envelope, |error|) at the certificate's own nodes, given certify's step."""
+    ts = _sweep_grid(symmetric_grid(cert.inputs.T, step)[1], cert.inputs.T - cert.inputs.h)
+    return _sweep(handle, ts, cert.envelope)
 
 
 def certify_ratio(

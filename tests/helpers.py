@@ -54,3 +54,24 @@ def brute_sup_defect(value_at, axis) -> tuple[float, tuple[float, float]]:
                 best = d
                 arg = (t, u)
     return best, arg
+
+
+def brute_identities(value_at, axis) -> tuple[float, float, float, float]:
+    """Scalar-loop suprema of the four identity violations on axis (and axis^2), in H form.
+
+    Returns (product_identity, difference_square, double_angle, evenness) for
+    H(t+u) H(t-u) = H(t)^2 + H(u)^2 - 1, (H(t+u) - H(t-u))^2 = 4 (H(t)^2 - 1)(H(u)^2 - 1),
+    H(2t) = 2 H(t)^2 - 1 and H(-t) = H(t).
+    """
+    axis = [float(t) for t in axis]
+    product = square = double = even = 0.0
+    for t in axis:
+        ht = value_at(t)
+        double = max(double, abs(value_at(2.0 * t) - (2.0 * ht * ht - 1.0)))
+        even = max(even, abs(value_at(-t) - ht))
+        for u in axis:
+            hu = value_at(u)
+            hs, hd = value_at(t + u), value_at(t - u)
+            product = max(product, abs(hs * hd - (ht * ht + hu * hu - 1.0)))
+            square = max(square, abs((hs - hd) ** 2 - 4.0 * (ht * ht - 1.0) * (hu * hu - 1.0)))
+    return product, square, double, even

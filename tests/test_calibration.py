@@ -57,6 +57,8 @@ class TestQuadRatio:
     def test_step_validation(self):
         with pytest.raises(DomainError):
             quad_ratio(COSH_LOG, 0.0)
+        with pytest.raises(DomainError):  # step^2 underflows
+            quad_ratio(COSH_LOG, -1e-300)
 
 
 class TestEstimateKappa:

@@ -111,6 +111,11 @@ class TestExitCodes:
         ["eval"],  # missing required flag
         ["no-such-command"],
         ["defect", "--family", "cosh", "--input", "x.csv", "--x", "2", "--y", "3"],
+        # crash guards; the leading flag keeps each test id distinct
+        ["calibrate", "--h0", "1e-300", "--family", "cosh"],  # h0^2 underflows
+        ["calibrate", "--levels", "2000", "--family", "cosh"],  # h0 2^-k underflows
+        ["certify", "--h", "1e-300", "--family", "cosh", "--T", "2", "--step", "0.05"],
+        ["classify", "--window-T", "800", "--family", "quadlog"],  # 1e-6 cosh(800) overflows
     ]
 
     @pytest.mark.parametrize("argv", OK, ids=lambda a: "ok-" + a[0])
@@ -230,6 +235,25 @@ class TestReports:
         assert np.max(np.abs(np.abs(data[:, 1] - data[:, 2]) - data[:, 4])) <= 1e-15
         assert np.min(data[:, 3] - data[:, 4]) >= 0.0
 
+    @pytest.mark.parametrize("command", ["sup-defect", "identities", "certify", "certify-ratio",
+                                         "report"])
+    def test_grid_echo_is_the_grid_used(self, command, capsys):
+        code, report = run([command, "--family", "cosh", "--T", "2", "--step", "0.03"])
+        assert code == 0
+        assert report.inputs["step"] == 0.03
+        assert report.diagnostics["grid"] == {"T": 2.0, "step": 2.0 / 67}
+
+    def test_plot_rows_are_the_certificate_nodes(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        family = "noisy-cosh,amplitude=1e-3,mode=sine,freq=5"
+        code, report = run(["certify", "--family", family, "--T", "2", "--step", "0.03",
+                            "--plot-csv", str(out)])
+        rows = np.array([[float(v) for v in ln.split(",")]
+                         for ln in out.read_text(encoding="utf-8").splitlines()[1:]])
+        assert np.allclose(rows[:, 0] * 67 / 2, np.round(rows[:, 0] * 67 / 2), rtol=0, atol=1e-9)
+        assert float(np.max(rows[:, 4])) == report.results["max_observed_error"]
+        assert float(np.min(rows[:, 3] - rows[:, 4])) == report.results["max_envelope_margin"]
+
     def test_report_command_sections(self, capsys):
         code, report = run(["report", "--family", "cosh", "--T", "2", "--step", "0.1"])
         assert code == 0
@@ -237,6 +261,16 @@ class TestReports:
             assert section in report.results
         assert report.results["classification"]["branch"] == "Cosh"
         assert report.results["certificate"]["verified"] is True
+
+    def test_report_records_a_classify_window_refusal(self, capsys):
+        # past COSH_T_MAX classify refuses its default threshold; the other sections still run
+        code, report = run(["report", "--family", "quadlog", "--T", "705", "--step", "5"])
+        assert code == 1 and report.status == "verification-failed"
+        for section in ("sup_defect", "identities", "curvature", "certificate"):
+            assert "error" not in report.results[section]
+        assert report.results["sup_defect"]["epsilon"] == 123516925312.5
+        assert report.results["classification"]["classified"] is False
+        assert "exceeds 700" in report.results["classification"]["reason"]
 
     def test_report_sections_match_single_commands(self, capsys):
         source = ["--family", "cosh-lambda,lambda=2"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_sup_defect
+from helpers import brute_identities, brute_sup_defect
 from reccost import (
     LOG_LINE,
     POSITIVE_RATIOS,
@@ -18,6 +18,7 @@ from reccost import (
     lift_to_log,
     make_family,
     ode_residual,
+    sample_table,
     sup_defect,
 )
 from reccost.dalembert import defect_grid
@@ -137,6 +138,45 @@ class TestSupDefect:
         h = sample_table(LOG_LINE, ts, np.cosh(ts))
         with pytest.raises(DomainError):
             sup_defect(h, 1.5, 0.1)  # needs [-3, 3]
+
+
+class TestNodeSweep:
+    """Both sweeps read G(t), G(t+u), G(t-u), G(2t), G(-t) from G on the nodes of [-2T, 2T]."""
+
+    @pytest.mark.parametrize("h", [cosh_sin5(), QUADLOG_LOG], ids=lambda h: h.name)
+    def test_identities_against_scalar_loops(self, h):
+        rep = identity_report(h, 1.0, 0.1)
+        _, axis = symmetric_grid(1.0, 0.1)
+        oracle = brute_identities(lambda t: h(t), axis)
+        fields = (rep.product_identity, rep.difference_square, rep.double_angle, rep.evenness)
+        for got, want in zip(fields, oracle):
+            assert abs(got - want) <= 1e-13 * (1.0 + want)
+
+    def test_nodes_stay_inside_an_exact_support(self):
+        # (T/m) m > T here, so multiples k (T/m) up to 2m would leave [-6, 6]
+        T, m = 3.0, 187
+        assert 2 * m * (T / m) > 2.0 * T
+        ts = np.linspace(-6.0, 6.0, 1201)
+        table = sample_table(LOG_LINE, ts, np.cosh(ts))
+        rep = sup_defect(table, T, T / m)
+        assert rep.count == (2 * m + 1) ** 2 and rep.epsilon <= 1e-6
+        assert identity_report(table, T, T / m).evenness <= 1e-12
+        # the axis ends are exactly +-T, so the corner defect -t^2 u^2 / 2 of quadlog is exact
+        assert sup_defect(QUADLOG_LOG, T, T / m).epsilon == T**4 / 2
+
+    def test_one_evaluation_per_sweep(self):
+        sizes = []
+
+        def counted_cosh(t):
+            sizes.append(np.size(t))
+            return np.cosh(t)
+
+        h = analytic(LOG_LINE, "counted cosh", (counted_cosh,), support=(-700.0, 700.0))
+        n = symmetric_grid(1.0, 0.1)[1].size
+        sup_defect(h, 1.0, 0.1)
+        assert sizes == [2 * n - 1]
+        identity_report(h, 1.0, 0.1)
+        assert sizes == [2 * n - 1] * 2
 
 
 class TestDefectGrid:

@@ -6,10 +6,18 @@ import numpy as np
 
 from reccost.cli import run
 
-_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_diff.py"
-_spec = importlib.util.spec_from_file_location("report_diff", _SCRIPT)
-report_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(report_diff)
+_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_diff = load_script("report_diff")
+readme_reports = load_script("readme_reports")
 
 
 def write(tmp_path, name, obj):
@@ -57,3 +65,18 @@ class TestReportDiff:
         for line in ("k: 1 -> 1.0", "only_a: only in A", "only_b: only in B",
                      "seq: length 2 -> 1", "<root>: keys in a different order"):
             assert line in out
+
+
+class TestReadmeReports:
+    def test_writes_every_example_report(self, tmp_path, capsys):
+        out = tmp_path / "reports"
+        assert readme_reports.main([str(out)]) == 0
+        assert (out / "samples.csv").read_text(encoding="utf-8").startswith("t,H\n")
+        for name, example in readme_reports.EXAMPLES.items():
+            payload = json.loads((out / f"{name}.json").read_text(encoding="utf-8"))
+            assert payload["command"] == example[0] and payload["status"] == "ok"
+        # the relative input name keeps reports from two directories comparable
+        again = tmp_path / "again"
+        readme_reports.main([str(again)])
+        capsys.readouterr()
+        assert report_diff.main([str(out / "classify.json"), str(again / "classify.json")]) == 0

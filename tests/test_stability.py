@@ -66,6 +66,8 @@ class TestDeltaOfH:
             delta_of_h(0.0, 1.0, 3.0, 0.0)
         with pytest.raises(DomainError):
             delta_of_h(-1.0, 1.0, 3.0, 0.1)
+        with pytest.raises(DomainError):  # h^2 underflows
+            delta_of_h(0.0, 1.0, 3.0, 1e-300)
 
 
 class TestOptimalH:
@@ -167,11 +169,13 @@ class TestCertify:
 
     def test_certificate_sweep_reproduces_certify(self):
         pert = perturb(COSH_LOG, "poly4", 1e-4)
-        cert = certify(pert, 1.5, 0.05)
-        ts, vals, branch, env, err = certificate_sweep(pert, cert, 0.05)
-        assert float(np.max(err)) == cert.max_observed_error
-        assert float(np.min(env - err)) == cert.max_envelope_margin
-        assert np.array_equal(err, np.abs(vals - branch))
+        # 0.03 does not tile [-2, 2]: certify sweeps at the adjusted step 2/67
+        for T, step in ((1.5, 0.05), (2.0, 0.03)):
+            cert = certify(pert, T, step)
+            ts, vals, branch, env, err = certificate_sweep(pert, cert, step)
+            assert float(np.max(err)) == cert.max_observed_error
+            assert float(np.min(env - err)) == cert.max_envelope_margin
+            assert np.array_equal(err, np.abs(vals - branch))
 
     def test_certify_sampled_cosh_table(self):
         # integer-multiple grid puts t = 0 exactly on a node
