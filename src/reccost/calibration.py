@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import COSH_T_MAX
 from .errors import (ClassificationError, DomainError, ParameterError, PrecisionError,
@@ -30,6 +30,71 @@ BRANCH_ZERO = "Zero"
 BRANCH_CONSTANT_ONE = "ConstantOne"
 BRANCH_COS = "Cos"
 BRANCH_COSH = "Cosh"
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_FIT_MAX_FEV = 500
+
+
+class ScalarFit(NamedTuple):
+    """A bounded 1-D minimum: the abscissa, its value and the evaluations spent."""
+
+    x: float
+    fun: float
+    nfev: int
+
+
+def minimize_scalar(f: Callable[[float], float], bounds: tuple[float, float],
+                    xatol: float) -> ScalarFit:
+    """Minimise f on [a, b] by Brent's method (parabolic steps guarded by golden
+    sections; Brent, Algorithms for Minimization without Derivatives, 1973).
+
+    The same iteration as scipy.optimize's bounded minimize_scalar (fminbound),
+    without its display and status options: it returns the same x, fun and
+    nfev, bit for bit, and stops at the same 500 evaluations.
+    """
+    a, b = bounds
+    x = w = v = a + _GOLDEN * (b - a)  # best, second best, previous second best
+    fx = fw = fv = f(x)
+    nfev = 1
+    d = e = 0.0  # the last step and the one before
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+    while abs(x - xm) > 2.0 * tol1 - 0.5 * (b - a) and nfev < _FIT_MAX_FEV:
+        golden = True
+        if abs(e) > tol1:  # try the parabola through x, w, v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                u = x + d
+                if u - a < 2.0 * tol1 or b - u < 2.0 * tol1:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN * e
+        u = x + (-1.0 if d < 0.0 else 1.0) * max(abs(d), tol1)
+        fu = f(u)
+        nfev += 1
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+    return ScalarFit(x, fx, nfev)
 
 
 def branch_values(branch: str, k: float | None, t):
@@ -99,6 +164,10 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
     levels = int(levels)
     if levels < 2:
         raise ParameterError(f"levels must be >= 2, got {levels}")
+    deepest = h0 * 2.0 ** (1 - levels)
+    if deepest * deepest < np.finfo(float).tiny:  # quad_ratio would refuse the last step
+        raise ParameterError(f"h0 * 2^-(levels - 1) = {deepest:g} for h0 = {h0:g}, levels = "
+                             f"{levels}: its square underflows; raise h0 or lower levels")
     steps = [h0 * 2.0 ** (-k) for k in range(levels)]
     qs = [quad_ratio(h, s) for s in steps]
 
@@ -188,17 +257,17 @@ def classify(
 
     branch = BRANCH_COSH if kappa > 0 else BRANCH_COS
     k0 = math.sqrt(abs(kappa))
+    bracket = (0.7 * k0, 1.3 * k0)
+    if branch == BRANCH_COSH and bracket[1] * window_T > COSH_T_MAX:
+        raise RangeOverflowError(f"window_T = {window_T:g} is too wide for the fit: cosh(k t) "
+                                 f"at the bracket top k = {bracket[1]:.6g} exceeds "
+                                 f"cosh({COSH_T_MAX:g})")
 
     def sq_residual(k: float) -> float:
         r = vals - branch_values(branch, k, grid)
         return float(np.dot(r, r))
 
-    fit = minimize_scalar(
-        sq_residual,
-        bounds=(0.7 * k0, 1.3 * k0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
+    fit = minimize_scalar(sq_residual, bracket, 1e-12)
     k = float(fit.x) if fit.fun <= sq_residual(k0) else k0
     residual = float(np.max(np.abs(vals - branch_values(branch, k, grid))))
     if residual > accept:

@@ -23,6 +23,8 @@ from .errors import ConvergenceError, DomainError, ParameterError, RangeOverflow
 # sqrt halves the exponent, so sqrt(cosh t) fits in a double for |t| <= 1400
 SQRT_COSH_T_MAX = 1400.0
 DEFAULT_EVAL_BUDGET = 1_000_000
+# the Chebyshev recursion is an O(n) Python loop, and the CLI prints all n + 1 terms
+CHEBYSHEV_N_MAX = 100_000
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,8 @@ def chebyshev_cost(x: float, n: int) -> ChebyshevCheck:
     """
     x = validate_positive_ratio(x)
     n = int(n)
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    if not 0 <= n <= CHEBYSHEV_N_MAX:
+        raise ParameterError(f"n must be in [0, {CHEBYSHEV_N_MAX}], got {n}")
     t = n * math.log(x)
     if abs(t) > 700.0:
         raise RangeOverflowError(f"x^n = exp({t:g}) overflows double precision")
@@ -186,8 +188,8 @@ def chebyshev_sequence(H1: float, N: int) -> list[float]:
             f"H1 = {H1!r} < 1 lies on the oscillatory branch, incompatible with the cost"
         )
     N = int(N)
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
+    if not 1 <= N <= CHEBYSHEV_N_MAX:
+        raise ParameterError(f"N must be in [1, {CHEBYSHEV_N_MAX}], got {N}")
     if H1 > 1.0 and N * math.acosh(H1) > 700.0:
         raise RangeOverflowError("cosh(N arcosh(H1)) overflows double precision")
     seq = [1.0, H1]

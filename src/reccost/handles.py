@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 
@@ -178,6 +177,9 @@ def sample_table(domain: str, xs, ys, name: str = "table") -> FunctionHandle:
     Queries outside [xs[0], xs[-1]] are a domain error, never extrapolated.
     Derivative capability is 0: consumers fall back to finite differences.
     """
+    # imported here, so that runs without a sample table never load scipy
+    from scipy.interpolate import CubicSpline
+
     if domain not in (LOG_LINE, POSITIVE_RATIOS):
         raise DomainError(f"unknown domain tag {domain!r}")
     xs = np.asarray(xs, dtype=float)

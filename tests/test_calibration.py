@@ -14,6 +14,7 @@ from reccost import (
     LOG_LINE,
     ParameterError,
     PrecisionError,
+    RangeOverflowError,
     analytic,
     classify,
     estimate_kappa,
@@ -21,6 +22,7 @@ from reccost import (
     make_family,
     quad_ratio,
 )
+from reccost.calibration import minimize_scalar
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
 CONST_ONE = make_family(FamilySpec("constant-one"))
@@ -113,6 +115,12 @@ class TestEstimateKappa:
         with pytest.raises(ParameterError):
             estimate_kappa(COSH_LOG, levels=1)
 
+    @pytest.mark.parametrize("h0, levels", [(0.25, 2000), (1e-300, 2)])
+    def test_underflowing_table_is_refused_up_front(self, h0, levels):
+        # the message names the inputs, not the step at which quad_ratio would fail
+        with pytest.raises(ParameterError, match=r"h0 \* 2\^-\(levels - 1\)"):
+            estimate_kappa(COSH_LOG, h0=h0, levels=levels)
+
 
 class TestClassify:
     def test_cosh_branch(self):
@@ -188,3 +196,30 @@ class TestClassify:
     def test_window_validation(self):
         with pytest.raises(DomainError):
             classify(COSH_LOG, -1.0)
+
+    def test_explicit_tolerance_keeps_the_overflow_guard(self):
+        # cosh(1.3 k0 window_T) at the fit bracket's top overflows
+        quadlog = make_family(FamilySpec("quadlog"), domain=LOG_LINE)
+        with pytest.raises(RangeOverflowError, match="window_T"):
+            classify(quadlog, 800.0, residual_tol=1.0)
+
+
+class TestMinimizeScalar:
+    def test_matches_scipy_bounded_bit_for_bit(self, rng):
+        from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+        grid = np.linspace(-2.0, 2.0, 201)
+        for i in range(120):
+            branch = np.cosh if i % 2 else np.cos
+            k = rng.uniform(0.3, 3.0)
+            vals = branch(k * grid) + rng.normal(0.0, 10.0 ** rng.uniform(-12, -3), grid.size)
+            k0 = k * (1.0 + rng.uniform(-0.2, 0.2))
+
+            def sq_residual(kk):
+                r = vals - branch(kk * grid)
+                return float(np.dot(r, r))
+
+            ours = minimize_scalar(sq_residual, (0.7 * k0, 1.3 * k0), 1e-12)
+            ref = scipy_minimize_scalar(sq_residual, bounds=(0.7 * k0, 1.3 * k0),
+                                        method="bounded", options={"xatol": 1e-12})
+            assert (ours.x, ours.fun, ours.nfev) == (ref.x, ref.fun, ref.nfev)

@@ -116,6 +116,9 @@ class TestExitCodes:
         ["calibrate", "--levels", "2000", "--family", "cosh"],  # h0 2^-k underflows
         ["certify", "--h", "1e-300", "--family", "cosh", "--T", "2", "--step", "0.05"],
         ["classify", "--window-T", "800", "--family", "quadlog"],  # 1e-6 cosh(800) overflows
+        # the fit's cosh(1.3 k0 window_T) overflows
+        ["classify", "--residual-tol", "1", "--family", "quadlog", "--window-T", "800"],
+        ["chebyshev", "--n", "100000000", "--x", "1"],  # O(n) recursion, no overflow at x = 1
     ]
 
     @pytest.mark.parametrize("argv", OK, ids=lambda a: "ok-" + a[0])
@@ -137,6 +140,12 @@ class TestExitCodes:
         assert code == 2
         assert report.status == "input-error"
         assert report.results is None
+
+
+    def test_too_deep_ratio_table_names_its_flags(self, capsys):
+        code, report = run(["calibrate", "--family", "cosh", "--levels", "2000"])
+        assert code == 2
+        assert "h0 * 2^-(levels - 1)" in report.diagnostics["error"]
 
 
 class TestTableWorkflows:

@@ -19,6 +19,7 @@ from reccost import (
     metric_weight,
     metric_weight_ratio,
 )
+from reccost.geometry import CHEBYSHEV_N_MAX
 
 # frozen oracle: composite Simpson, step 1e-5, of sqrt(cosh) on [0, 1]
 D_1_E = 1.0816431206927474
@@ -171,6 +172,12 @@ class TestChebyshevCost:
         with pytest.raises(ParameterError):
             chebyshev_cost(2.0, -1)
 
+    def test_power_cap(self):
+        # at x = 1 the overflow guard never fires, so only the cap bounds the loop
+        assert chebyshev_cost(1.0, CHEBYSHEV_N_MAX).via_identity == 0.0
+        with pytest.raises(ParameterError, match="n must be"):
+            chebyshev_cost(1.0, CHEBYSHEV_N_MAX + 1)
+
 
 class TestChebyshevSequence:
     def test_all_ones(self):
@@ -190,6 +197,8 @@ class TestChebyshevSequence:
     def test_length_validation(self):
         with pytest.raises(ParameterError):
             chebyshev_sequence(1.5, 0)
+        with pytest.raises(ParameterError):
+            chebyshev_sequence(1.0, CHEBYSHEV_N_MAX + 1)
 
     @given(st.floats(min_value=1.0, max_value=5.0), st.integers(min_value=1, max_value=15))
     def test_matches_cosh_of_arcosh(self, h1, n):
