@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from reccost import LOG_LINE, make_family, parse_family_spec, sup_defect
-from reccost.dalembert import defect_grid
+from reccost.dalembert import _defect_blocks
 
 
 def main():
@@ -35,12 +35,14 @@ def main():
           f" delta = {report.argmax.delta:.17g}")
 
     if args.out:
-        _, axis, delta = defect_grid(handle, args.T, args.step)
+        # one row block at a time, so a fine grid never holds the n x n matrix
+        _, axis, blocks = _defect_blocks(handle, args.T, args.step)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("t,u,delta\n")
-            for i, t in enumerate(axis):
-                for j, u in enumerate(axis):
-                    fh.write(f"{t:.17g},{u:.17g},{delta[i, j]:.17g}\n")
+            for r0, delta in blocks:
+                for t, row in zip(axis[r0:], delta):
+                    for u, d in zip(axis, row):
+                        fh.write(f"{t:.17g},{u:.17g},{d:.17g}\n")
         print(f"wrote   : {args.out}")
 
 

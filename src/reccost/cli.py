@@ -106,6 +106,9 @@ def _print_results(results: dict, prefix: str = "") -> None:
         elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
             for row in value:
                 print(f"  {label}: " + ", ".join(_fmt(v) for v in row))
+        elif isinstance(value, (list, tuple)) and len(value) > 10:  # --json keeps every entry
+            shown = [_fmt(v) for v in value[:5]] + ["..."] + [_fmt(v) for v in value[-5:]]
+            print(f"  {label} = [" + ", ".join(shown) + f"] ({len(value)} entries)")
         elif isinstance(value, (list, tuple)):
             print(f"  {label} = [" + ", ".join(_fmt(v) for v in value) + "]")
         else:

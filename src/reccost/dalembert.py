@@ -15,8 +15,9 @@ which keeps the precision of G near t = 0 instead of cancelling 1s in H.
 Suprema are reported over explicit uniform grids, never over the continuum;
 every report carries the grid spec so certificates are explicit about the
 discretization.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
-node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, and its
-max reductions are order-independent, so sweeps are deterministic.
+node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, reduces
+the n x n tables in row blocks (memory O(n) plus one block), and its max
+reductions are order-independent, so sweeps are deterministic.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ class IdentityViolations:
     evenness: float
 
 
+_BLOCK_ELEMS = 1 << 16  # elements per row block: 512 KB of float64, so temporaries stay in cache
+
+
 def _kernel(gs, gd, gt, gu):
     """Delta from G(t+u), G(t-u), G(t), G(u) into one new array; gt broadcasts down, gu across."""
     two_gt = 2.0 * gt  # doubling is exact: 2 (G(t) G(u) + G(t) + G(u)) in three passes
@@ -109,10 +113,23 @@ def _excess_sweep(h: FunctionHandle, T: float, step: float, op: str):
             sliding_window_view(nodes[::-1], n)[::-1])
 
 
+def _row_blocks(n: int):
+    """Row slices of an n x n table, each about _BLOCK_ELEMS elements (at least one row)."""
+    rows = max(1, _BLOCK_ELEMS // n)
+    return (slice(r0, r0 + rows) for r0 in range(0, n, rows))
+
+
+def _defect_blocks(h: FunctionHandle, T: float, step: float):
+    """(step, axis, blocks): blocks yields (r0, Delta[r0:r1]) down the grid of [-T, T]."""
+    actual_step, axis, _, g, sums, diffs = _excess_sweep(h, T, step, "sup_defect")
+    blocks = ((r.start, _kernel(sums[r], diffs[r], g[r, None], g)) for r in _row_blocks(axis.size))
+    return actual_step, axis, blocks
+
+
 def defect_grid(h: FunctionHandle, T: float, step: float):
     """(step, axis, Delta) with Delta[i, j] = Delta_H(axis[i], axis[j]) on the grid of [-T, T]."""
-    actual_step, axis, _, g, sums, diffs = _excess_sweep(h, T, step, "sup_defect")
-    return actual_step, axis, _kernel(sums, diffs, g[:, None], g[None, :])
+    actual_step, axis, blocks = _defect_blocks(h, T, step)
+    return actual_step, axis, np.concatenate([delta for _, delta in blocks])
 
 
 def defect_log(h: FunctionHandle, t: float, u: float) -> float:
@@ -136,9 +153,14 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     Ties at the max resolve to the first point in row-major order, so the
     report is deterministic.
     """
-    actual_step, axis, delta = defect_grid(h, T, step)
-    i, j = divmod(int(np.argmax(np.abs(delta))), axis.size)
-    worst = DefectSample(t=float(axis[i]), u=float(axis[j]), delta=float(delta[i, j]))
+    actual_step, axis, blocks = _defect_blocks(h, T, step)
+    picks = []  # (row-major index, Delta) at each block's first NaN, else its first max |Delta|
+    for r0, delta in blocks:
+        k = int(np.argmax(np.abs(delta)))
+        picks.append((r0 * axis.size + k, float(delta.flat[k])))
+    flat, worst_delta = picks[int(np.argmax([abs(d) for _, d in picks]))]  # the same across blocks
+    i, j = divmod(flat, axis.size)
+    worst = DefectSample(t=float(axis[i]), u=float(axis[j]), delta=worst_delta)
     return DefectReport(epsilon=abs(worst.delta), argmax=worst, T=float(T), step=actual_step,
                         count=axis.size**2)
 
@@ -150,20 +172,24 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
     """
     _, _, nodes, g, sums, diffs = _excess_sweep(h, T, step, "identity_report")
     q = g * (g + 2.0)
-    # in place: numpy does not reliably reuse the temporaries of a longer expression
-    product = sums * diffs
-    product += sums
-    product += diffs
-    product -= q[:, None]
-    product -= q
-    product_identity = _sup_abs(product)
-    del product
-    square = sums - diffs
-    square *= square
-    square -= np.outer(4.0 * q, q)
+    product_identity = difference_square = 0.0
+    for r in _row_blocks(g.size):
+        s, d = sums[r], diffs[r]
+        # in place: numpy does not reliably reuse the temporaries of a longer expression
+        product = s * d
+        product += s
+        product += d
+        product -= q[r, None]
+        product -= q
+        square = s - d
+        square *= square
+        square -= np.outer(4.0 * q[r], q)
+        # np.maximum, unlike max(), keeps a NaN
+        product_identity = np.maximum(product_identity, _sup_abs(product))
+        difference_square = np.maximum(difference_square, _sup_abs(square))
     return IdentityViolations(
-        product_identity=product_identity,
-        difference_square=_sup_abs(square),
+        product_identity=float(product_identity),
+        difference_square=float(difference_square),
         double_angle=_sup_abs(nodes[::2] - 2.0 * q),
         evenness=_sup_abs(g[::-1] - g),
     )

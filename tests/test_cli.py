@@ -203,6 +203,17 @@ class TestReports:
         out = capsys.readouterr().out
         assert "0.69314718055994529" in out  # ln 2 at 17 significant digits
 
+    def test_long_list_prints_its_ends(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code, report = run(["chebyshev", "--x", "1", "--n", "100000", "--json", str(out)])
+        line = [s for s in capsys.readouterr().out.splitlines() if "sequence" in s]
+        assert code == 0
+        assert line == ["  sequence = [1, 1, 1, 1, 1, ..., 1, 1, 1, 1, 1] (100001 entries)"]
+        assert json.loads(out.read_text(encoding="utf-8"))["results"]["sequence"] == [1.0] * 100001
+        run(["chebyshev", "--x", "2", "--n", "9"])  # ten entries are all printed
+        assert "  sequence = [1, 1.25, 2.125, 4.0625, 8.03125, 16.015625, 32.0078125, " \
+            "64.00390625, 128.001953125, 256.0009765625]\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv",
         [

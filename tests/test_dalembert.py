@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from reccost import (
     sample_table,
     sup_defect,
 )
-from reccost.dalembert import defect_grid
+from reccost.dalembert import _BLOCK_ELEMS, _excess_sweep, defect_grid
 from reccost.grids import symmetric_grid
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
@@ -177,6 +178,75 @@ class TestNodeSweep:
         assert sizes == [2 * n - 1]
         identity_report(h, 1.0, 0.1)
         assert sizes == [2 * n - 1] * 2
+
+
+def full_identities(h, T, step):
+    """product_identity, difference_square of identity_report, reduced over whole n x n tables."""
+    _, _, _, g, sums, diffs = _excess_sweep(h, T, step, "identity_report")
+    q = g * (g + 2.0)
+    product = sums * diffs + sums + diffs - q[:, None] - q
+    square = (sums - diffs) * (sums - diffs) - np.outer(4.0 * q, q)
+    return float(np.max(np.abs(product))), float(np.max(np.abs(square)))
+
+
+class TestRowBlocks:
+    """Sweeps larger than one row block equal reductions over the whole n x n matrix."""
+
+    T, STEP = 2.0, 0.005  # n = 801: nine blocks of 81 rows and a tenth of 72
+
+    def test_grid_spans_several_blocks_and_a_partial_one(self):
+        n = symmetric_grid(self.T, self.STEP)[1].size
+        rows = _BLOCK_ELEMS // n
+        assert n == 801 and n // rows >= 2 and n % rows != 0
+
+    @pytest.mark.parametrize("h", [cosh_sin5(), QUADLOG_LOG], ids=lambda h: h.name)
+    def test_equal_to_full_matrix_reductions(self, h):
+        _, axis, delta = defect_grid(h, self.T, self.STEP)
+        i, j = divmod(int(np.argmax(np.abs(delta))), axis.size)
+        rep = sup_defect(h, self.T, self.STEP)
+        assert rep.epsilon == abs(delta[i, j])
+        assert (rep.argmax.t, rep.argmax.u, rep.argmax.delta) == (axis[i], axis[j], delta[i, j])
+        ids = identity_report(h, self.T, self.STEP)
+        full = full_identities(h, self.T, self.STEP)
+        assert (ids.product_identity, ids.difference_square) == full
+
+    def test_tie_across_blocks_resolves_to_the_earlier_row(self):
+        # quadlog is even, so its corner defect -T^4/2 is attained in the first and the last row
+        _, axis, delta = defect_grid(QUADLOG_LOG, self.T, self.STEP)
+        assert delta[0, 0] == delta[-1, -1] == -self.T**4 / 2
+        rep = sup_defect(QUADLOG_LOG, self.T, self.STEP)
+        assert (rep.argmax.t, rep.argmax.u, rep.epsilon) == (-self.T, -self.T, self.T**4 / 2)
+
+    def test_nan_node_propagates(self):
+        # G(3) first enters the sweep at t = 1 (row 600, the eighth block), after finite blocks
+        def poisoned(t):
+            return np.where(np.abs(t - 3.0) < 1e-3, np.nan, np.cosh(t) + 1e-3 * np.sin(5.0 * t))
+
+        h = analytic(LOG_LINE, "cosh+sin with NaN at 3", (poisoned,), support=(-700.0, 700.0))
+        _, axis, delta = defect_grid(h, self.T, self.STEP)
+        i, j = divmod(int(np.argmax(np.abs(delta))), axis.size)
+        assert i == 600 and np.isfinite(delta[:i]).all()
+        rep = sup_defect(h, self.T, self.STEP)
+        assert math.isnan(rep.epsilon) and math.isnan(rep.argmax.delta)
+        assert (rep.argmax.t, rep.argmax.u) == (axis[i], axis[j])
+        ids = identity_report(h, self.T, self.STEP)
+        assert math.isnan(ids.product_identity) and math.isnan(ids.difference_square)
+
+    @pytest.mark.parametrize("sweep", [sup_defect, identity_report], ids=lambda f: f.__name__)
+    def test_fine_grid_peak_memory(self, sweep):
+        # at T = 2, step 0.001 one n x n float64 table is 122 MB (2^20 bytes)
+        own = not tracemalloc.is_tracing()
+        if own:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sweep(COSH_LOG, 2.0, 0.001)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if own:
+                tracemalloc.stop()
+        assert peak < 50 * 2**20
 
 
 class TestDefectGrid:

@@ -1,10 +1,13 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from reccost import LOG_LINE, make_family, parse_family_spec
 from reccost.cli import run
+from reccost.dalembert import defect_grid
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -18,6 +21,7 @@ def load_script(name):
 
 report_diff = load_script("report_diff")
 readme_reports = load_script("readme_reports")
+defect_landscape = load_script("defect_landscape")
 
 
 def write(tmp_path, name, obj):
@@ -80,3 +84,21 @@ class TestReadmeReports:
         readme_reports.main([str(again)])
         capsys.readouterr()
         assert report_diff.main([str(out / "classify.json"), str(again / "classify.json")]) == 0
+
+
+class TestDefectLandscape:
+    def test_streamed_csv_is_the_defect_grid(self, tmp_path, monkeypatch, capsys):
+        # n = 301 takes two row blocks, the second one partial
+        family, out = "noisy-cosh,amplitude=1e-3,mode=sine,freq=5", tmp_path / "defect.csv"
+        argv = ["defect_landscape.py", "--family", family, "--T", "1.5", "--step", "0.01",
+                "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        defect_landscape.main()
+        assert f"wrote   : {out}" in capsys.readouterr().out
+        handle = make_family(parse_family_spec(family), domain=LOG_LINE)
+        _, axis, delta = defect_grid(handle, 1.5, 0.01)
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "t,u,delta" and len(rows) == 1 + axis.size**2
+        want = (f"{t:.17g},{u:.17g},{delta[i, j]:.17g}" for i, t in enumerate(axis)
+                for j, u in enumerate(axis))
+        assert all(got == w for got, w in zip(rows[1:], want))
