@@ -15,7 +15,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from reccost import LOG_LINE, make_family, parse_family_spec, sup_defect
-from reccost.dalembert import _defect_blocks
+from reccost.dalembert import _defect_blocks, _defect_report
+
+
+def written(fh, axis, blocks):
+    """Pass the (r0, Delta rows) blocks through, writing their (t, u, delta) rows to fh."""
+    for r0, delta in blocks:
+        for t, row in zip(axis[r0:], delta):
+            for u, d in zip(axis, row):
+                fh.write(f"{t:.17g},{u:.17g},{d:.17g}\n")
+        yield r0, delta
 
 
 def main():
@@ -27,22 +36,21 @@ def main():
     args = ap.parse_args()
 
     handle = make_family(parse_family_spec(args.family), domain=LOG_LINE)
-    report = sup_defect(handle, args.T, args.step)
+    if args.out:
+        # one sweep of the whole table, one row block at a time, so a fine grid never holds
+        # the n x n matrix; the summary is folded from the same blocks
+        step, axis, w, blocks = _defect_blocks(handle, args.T, args.step, mirror=False)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("t,u,delta\n")
+            report = _defect_report(args.T, step, axis, w, written(fh, axis, blocks))
+    else:
+        report = sup_defect(handle, args.T, args.step)
     print(f"family  : {handle.name}")
     print(f"grid    : [-{report.T:g}, {report.T:g}] step {report.step:.17g} ({report.count} points)")
     print(f"epsilon : {report.epsilon:.17g}")
     print(f"argmax  : (t, u) = ({report.argmax.t:.17g}, {report.argmax.u:.17g}),"
           f" delta = {report.argmax.delta:.17g}")
-
     if args.out:
-        # one row block at a time, so a fine grid never holds the n x n matrix
-        _, axis, blocks = _defect_blocks(handle, args.T, args.step)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("t,u,delta\n")
-            for r0, delta in blocks:
-                for t, row in zip(axis[r0:], delta):
-                    for u, d in zip(axis, row):
-                        fh.write(f"{t:.17g},{u:.17g},{d:.17g}\n")
         print(f"wrote   : {args.out}")
 
 

@@ -373,7 +373,7 @@ def _cmd_golden(ns):
 def _cmd_report(ns):
     handle, echo, diag = _grid_source(ns, LOG_LINE)
     sections = {
-        "sup_defect": _defect_section(dalembert.sup_defect(handle, ns.T, ns.step)),
+        "sup_defect": _defect_section(defect := dalembert.sup_defect(handle, ns.T, ns.step)),
         "identities": dataclasses.asdict(dalembert.identity_report(handle, ns.T, ns.step)),
         "curvature": _curvature_section(calibration.estimate_kappa(handle)),
     }
@@ -384,7 +384,7 @@ def _cmd_report(ns):
     sections["classification"] = _classification_section(cls)
     failed = isinstance(cls, (ClassificationError, RangeOverflowError))
     try:
-        cert = stability.certify(handle, ns.T, ns.step)
+        cert = stability.certify(handle, ns.T, ns.step, defect=defect)
         sections["certificate"] = _certificate_section(cert)
         failed = failed or not cert.verified
     except PreconditionError as exc:

@@ -143,7 +143,7 @@ def _perturbation_fns(mode: str, amplitude: float, freq: float, seed: int = 0):
     a = amplitude
     if mode == "poly4":
         return (
-            lambda t: a * t**4,
+            lambda t: a * ((t * t) * (t * t)),  # bitwise even, unlike numpy's t**4
             lambda t: 4.0 * a * t**3,
             lambda t: 12.0 * a * t * t,
             lambda t: 24.0 * a * t,

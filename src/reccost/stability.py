@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import estimate_kappa
-from .dalembert import sup_defect
+from .dalembert import DefectReport, sup_defect
 from .errors import DomainError, PreconditionError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log, require_domain
@@ -150,6 +150,7 @@ def certify(
     a: float | None = None,
     kappa_h0: float = 0.25,
     kappa_levels: int = 6,
+    defect: DefectReport | None = None,
 ) -> StabilityCertificate:
     """Build a stability certificate for a log-line handle on [-T, T].
 
@@ -158,6 +159,7 @@ def certify(
     sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
     envelope.  a defaults to the extrapolated log-curvature; callers may
     override it, at the price of certifying against a different branch.
+    defect, sup_defect(h, T, step) if the caller has it, saves that sweep.
     """
     require_domain(h, LOG_LINE, "certify")
     if not (T > 0 and math.isfinite(T)):
@@ -165,7 +167,9 @@ def certify(
     if not h.evaluable_on(-2.0 * T, 2.0 * T):
         raise DomainError(f"{h.name}: certify needs evaluability on [-2T, 2T]")
 
-    _, axis = symmetric_grid(T, step)
+    actual_step, axis = symmetric_grid(T, step)
+    if defect is not None and (defect.T, defect.step) != (float(T), actual_step):
+        raise DomainError(f"defect report grid {(defect.T, defect.step)} is not {(T, actual_step)}")
     vals = h(axis)
     h_at_0 = h(0.0)
     if abs(h_at_0 - 1.0) > _HYPOTHESIS_TOL:
@@ -184,7 +188,7 @@ def certify(
     if not (a > 0.0 and math.isfinite(a)):
         raise PreconditionError(f"curvature a = {a!r} violates the hypothesis a > 0")
 
-    epsilon = sup_defect(h, T, step).epsilon
+    epsilon = (sup_defect(h, T, step) if defect is None else defect).epsilon
     B, K = estimate_bounds(h, T)
     if h_choice is None:
         h_used = optimal_h(epsilon, B, K, T)

@@ -282,6 +282,19 @@ class TestReports:
         assert report.results["classification"]["branch"] == "Cosh"
         assert report.results["certificate"]["verified"] is True
 
+    def test_report_sweeps_the_defect_once(self, monkeypatch, capsys):
+        # certify reuses the sup_defect report that the report command already has
+        from reccost import dalembert
+
+        calls = []
+        sweep = dalembert.sup_defect
+        monkeypatch.setattr(dalembert, "sup_defect", lambda *a: calls.append(a) or sweep(*a))
+        monkeypatch.setattr("reccost.stability.sup_defect", dalembert.sup_defect)
+        code, report = run(["report", "--family", "cosh", "--T", "2", "--step", "0.1"])
+        assert code == 0 and len(calls) == 1
+        epsilon = report.results["sup_defect"]["epsilon"]
+        assert report.results["certificate"]["inputs"]["epsilon"] == epsilon
+
     def test_report_records_a_classify_window_refusal(self, capsys):
         # past COSH_T_MAX classify refuses its default threshold; the other sections still run
         code, report = run(["report", "--family", "quadlog", "--T", "705", "--step", "5"])

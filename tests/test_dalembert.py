@@ -19,10 +19,11 @@ from reccost import (
     lift_to_log,
     make_family,
     ode_residual,
+    parse_family_spec,
     sample_table,
     sup_defect,
 )
-from reccost.dalembert import _BLOCK_ELEMS, _excess_sweep, defect_grid
+from reccost.dalembert import _BLOCK_ELEMS, _excess_sweep, _row_blocks, defect_grid
 from reccost.grids import symmetric_grid
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
@@ -180,19 +181,38 @@ class TestNodeSweep:
         assert sizes == [2 * n - 1] * 2
 
 
-def full_identities(h, T, step):
-    """product_identity, difference_square of identity_report, reduced over whole n x n tables."""
-    _, _, _, g, sums, diffs = _excess_sweep(h, T, step, "identity_report")
+def full_tables(h, T, step):
+    """sup_defect's (epsilon, t, u, delta) and identity_report's four fields, each reduced over
+    whole n x n tables by one expression, with the sweeps' operation order."""
+    _, axis, nodes, g, sums, diffs, _ = _excess_sweep(h, T, step, "full tables")
+    gt = g[:, None]
+    delta = (sums + diffs) - ((2.0 * gt * g + 2.0 * gt) + 2.0 * g)
+    i, j = divmod(int(np.argmax(np.abs(delta))), axis.size)
     q = g * (g + 2.0)
     product = sums * diffs + sums + diffs - q[:, None] - q
     square = (sums - diffs) * (sums - diffs) - np.outer(4.0 * q, q)
-    return float(np.max(np.abs(product))), float(np.max(np.abs(square)))
+    violations = (product, square, nodes[::2] - 2.0 * q, g[::-1] - g)
+    return ((abs(delta[i, j]), axis[i], axis[j], delta[i, j]),
+            tuple(float(np.max(np.abs(v))) for v in violations))
+
+
+def fields(h, T, step):
+    """The same fields from sup_defect and identity_report."""
+    rep, ids = sup_defect(h, T, step), identity_report(h, T, step)
+    return ((rep.epsilon, rep.argmax.t, rep.argmax.u, rep.argmax.delta),
+            (ids.product_identity, ids.difference_square, ids.double_angle, ids.evenness))
+
+
+def assert_same(got, want):
+    """== on every field of fields() and full_tables(), where a NaN matches only a NaN."""
+    for g, w in zip(got[0] + got[1], want[0] + want[1]):
+        assert g == w or (math.isnan(g) and math.isnan(w)), (got, want)
 
 
 class TestRowBlocks:
     """Sweeps larger than one row block equal reductions over the whole n x n matrix."""
 
-    T, STEP = 2.0, 0.005  # n = 801: nine blocks of 81 rows and a tenth of 72
+    T, STEP = 2.0, 0.005  # n = 801: a whole table is nine blocks of 81 rows and a tenth of 72
 
     def test_grid_spans_several_blocks_and_a_partial_one(self):
         n = symmetric_grid(self.T, self.STEP)[1].size
@@ -207,14 +227,20 @@ class TestRowBlocks:
         assert rep.epsilon == abs(delta[i, j])
         assert (rep.argmax.t, rep.argmax.u, rep.argmax.delta) == (axis[i], axis[j], delta[i, j])
         ids = identity_report(h, self.T, self.STEP)
-        full = full_identities(h, self.T, self.STEP)
-        assert (ids.product_identity, ids.difference_square) == full
+        full = full_tables(h, self.T, self.STEP)[1]
+        assert (ids.product_identity, ids.difference_square) == full[:2]
 
     def test_tie_across_blocks_resolves_to_the_earlier_row(self):
-        # quadlog is even, so its corner defect -T^4/2 is attained in the first and the last row
-        _, axis, delta = defect_grid(QUADLOG_LOG, self.T, self.STEP)
+        # quadlog's corner defect -T^4/2 is attained in the first and the last row; a bump at
+        # G(0.5), away from the corners, makes the sweep take the whole table
+        def bumped(t):
+            return 1.0 + 0.5 * t * t + np.where(np.abs(t - 0.5) < 1e-9, 1e-9, 0.0)
+
+        h = analytic(LOG_LINE, "quadlog bumped at 0.5", (bumped,))
+        assert _excess_sweep(h, self.T, self.STEP, "test")[-1] == 801
+        _, axis, delta = defect_grid(h, self.T, self.STEP)
         assert delta[0, 0] == delta[-1, -1] == -self.T**4 / 2
-        rep = sup_defect(QUADLOG_LOG, self.T, self.STEP)
+        rep = sup_defect(h, self.T, self.STEP)
         assert (rep.argmax.t, rep.argmax.u, rep.epsilon) == (-self.T, -self.T, self.T**4 / 2)
 
     def test_nan_node_propagates(self):
@@ -247,6 +273,87 @@ class TestRowBlocks:
             if own:
                 tracemalloc.stop()
         assert peak < 50 * 2**20
+
+
+EVEN_SPECS = st.one_of(
+    st.floats(0.5, 2.0).map(lambda lam: f"cosh-lambda,lambda={lam!r}"),
+    st.floats(0.3, 3.0).map(lambda k: f"cos-k,k={k!r}"),
+    st.sampled_from(["quadlog", "constant-one"]),
+    st.builds(lambda mode, amp, freq, seed: (f"noisy-cosh,mode={mode},amplitude={amp!r},"
+                                             f"freq={freq!r},seed={seed}"),
+              st.sampled_from(["sine", "trig", "poly4"]), st.floats(1e-5, 1e-2),
+              st.floats(1.0, 8.0), st.integers(0, 1000)),
+)
+
+
+class TestMirrorFold:
+    """Bitwise even handles reduce a mirror-free part of the tables, with the results of the
+    whole tables; any other handle reduces the whole tables."""
+
+    @given(EVEN_SPECS, st.floats(0.5, 3.0), st.integers(1, 40))
+    def test_even_families_equal_full_tables(self, spec, T, m):
+        h = make_family(parse_family_spec(spec), domain=LOG_LINE)
+        _, axis, _, _, _, _, half = _excess_sweep(h, T, T / m, "test")
+        assert half == axis.size // 2 + 1  # the folded sweep
+        assert_same(fields(h, T, T / m), full_tables(h, T, T / m))
+
+    def test_several_blocks_of_the_quadrant(self):
+        # n = 801, so the 401-wide quadrant takes two blocks of 163 rows and a third of 75
+        T, step = 2.0, 0.005
+        assert list(_row_blocks(401, 401)) == [slice(0, 163), slice(163, 326), slice(326, 401)]
+        trig = make_family(parse_family_spec("noisy-cosh,mode=trig"), domain=LOG_LINE)
+        for h in (COSH_LOG, trig):
+            assert _excess_sweep(h, T, step, "test")[-1] == 401
+            assert fields(h, T, step) == full_tables(h, T, step)
+
+    def test_max_at_the_origin(self):
+        # G(0) = 1 makes |Delta| = 4 at (0, 0) alone: the quadrant includes its t = 0 row and column
+        h = analytic(LOG_LINE, "1 + bump", (lambda t: 2.0 + np.expm1(-(t * t) / 0.01),))
+        assert _excess_sweep(h, 1.0, 0.05, "test")[-1] == 21
+        got = fields(h, 1.0, 0.05)
+        assert got == full_tables(h, 1.0, 0.05)
+        assert got[0] == (4.0, 0.0, 0.0, -4.0)
+
+    def test_constant_one_ties_at_the_first_corner(self):
+        rep = sup_defect(make_family(FamilySpec("constant-one")), 1.5, 0.1)
+        assert (rep.epsilon, rep.argmax.t, rep.argmax.u, rep.argmax.delta) == (0.0, -1.5, -1.5, 0.0)
+
+    @pytest.mark.parametrize("h", [
+        make_family(FamilySpec("powerlaw-w", {"lambda": 1.5}), domain=LOG_LINE),
+        sample_table(LOG_LINE, np.linspace(-2.2, 2.2, 441), np.cosh(np.linspace(-2.2, 2.2, 441))),
+    ], ids=lambda h: h.name)
+    def test_other_handles_take_the_whole_table(self, h):
+        n = _excess_sweep(h, 1.0, 0.05, "test")[1].size
+        assert _excess_sweep(h, 1.0, 0.05, "test")[-1] == n
+        assert fields(h, 1.0, 0.05) == full_tables(h, 1.0, 0.05)
+
+    def test_one_uneven_node_falls_back(self):
+        # G(1.5) alone is bumped: it enters only at t + u = 1.5 and t - u = 1.5, both with t > 0,
+        # so a folded sweep would miss it; the first such pair in row-major order is (0.5, -1)
+        def bumped(t):
+            return np.cosh(t) + np.where(np.abs(t - 1.5) < 1e-9, 1e-3, 0.0)
+
+        h = analytic(LOG_LINE, "cosh bumped at 1.5", (bumped,), support=(-700.0, 700.0))
+        assert _excess_sweep(h, 1.0, 0.1, "test")[-1] == 21
+        got, want = fields(h, 1.0, 0.1), full_tables(h, 1.0, 0.1)
+        assert got == want
+        assert got[0][1:3] == (0.5, -1.0) and got[0][0] > 9e-4 and got[1][0] > 9e-4
+
+    @pytest.mark.parametrize("T, fns", [
+        (400.0, (np.cosh,)),  # G(800) = inf and 2 G(t) G(u) = inf: NaN at the corners
+        (2.0, (lambda t: 1.0 + 1e300 * ((t * t) * (t * t)),)),  # 2 G(t) G(u) = inf: Delta = -inf
+    ], ids=["nan", "inf"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow(self, T, fns):
+        h = analytic(LOG_LINE, "overflowing", fns)
+        assert _excess_sweep(h, T, T / 10, "test")[-1] == 11
+        got, want = fields(h, T, T / 10), full_tables(h, T, T / 10)
+        assert not math.isfinite(got[0][0])
+        assert_same(got, want)
+
+    def test_defect_grid_keeps_the_whole_table(self):
+        _, axis, delta = defect_grid(COSH_LOG, 1.0, 0.1)
+        assert delta.shape == (21, 21) and axis.size == 21
 
 
 class TestDefectGrid:

@@ -177,6 +177,15 @@ class TestCertify:
             assert float(np.min(env - err)) == cert.max_envelope_margin
             assert np.array_equal(err, np.abs(vals - branch))
 
+    def test_measured_defect_is_reused(self):
+        pert = perturb(COSH_LOG, "poly4", 1e-4)
+        # 0.03 does not tile [-2, 2]: the report carries the adjusted step 2/67
+        rep = sup_defect(pert, 2.0, 0.03)
+        assert certify(pert, 2.0, 0.03, defect=rep) == certify(pert, 2.0, 0.03)
+        for T, step in ((1.5, 0.03), (2.0, 0.05)):
+            with pytest.raises(DomainError, match="defect report"):
+                certify(pert, T, step, defect=rep)
+
     def test_certify_sampled_cosh_table(self):
         # integer-multiple grid puts t = 0 exactly on a node
         ts = np.arange(-440, 441) * 0.005
