@@ -216,6 +216,9 @@ def classify(
     require_domain(h, LOG_LINE, "classify")
     if not (window_T > 0 and math.isfinite(window_T)):
         raise DomainError(f"window_T must be positive and finite, got {window_T}")
+    if not all(math.isfinite(v) and v >= 0 for v in (const_tol, residual_tol) if v is not None):
+        raise ParameterError(f"const_tol and residual_tol must be finite and >= 0, got "
+                             f"{const_tol}, {residual_tol}")
     if residual_tol is None and window_T > COSH_T_MAX:
         raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the default "
                                  "residual_tol 1e-6 cosh(window_T) would overflow")

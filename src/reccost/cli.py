@@ -14,8 +14,7 @@ or "x,F" (positive ratios), one comma-separated pair per line, strictly
 increasing abscissas.
 
 All numeric output is printed with 17 significant digits so reports can be
-replayed bit-for-bit.  The environment variable RECCOST_EVAL_BUDGET
-overrides the quadrature evaluation budget of the distance command.
+replayed bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -341,18 +339,8 @@ def _certify_common(ns, ratio: bool):
 
 
 def _cmd_distance(ns):
-    budget_env = os.environ.get("RECCOST_EVAL_BUDGET")
-    if budget_env is None:
-        budget = geometry.DEFAULT_EVAL_BUDGET
-    else:
-        try:
-            budget = int(budget_env)
-        except ValueError:
-            raise InputError(f"RECCOST_EVAL_BUDGET must be an integer, got {budget_env!r}") from None
-    result = geometry.distance(ns.x, ns.y, ns.tol, budget=budget)
     echo = {"x": float(ns.x), "y": float(ns.y), "tol": float(ns.tol)}
-    results = _fields(result, "value", "abs_error_estimate", "endpoints", "evaluations")
-    return echo, results, {"budget": budget}, STATUS_OK, None
+    return echo, dataclasses.asdict(geometry.distance(ns.x, ns.y, ns.tol)), {}, STATUS_OK, None
 
 
 def _cmd_chebyshev(ns):

@@ -18,7 +18,7 @@ class ParameterError(ReccostError):
 
 
 class ConvergenceError(ReccostError):
-    """An iteration or adaptive refinement exhausted its budget before reaching tolerance."""
+    """An iteration exhausted its budget before reaching tolerance."""
 
 
 class PrecisionError(ReccostError):

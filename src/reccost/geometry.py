@@ -3,13 +3,15 @@ Chebyshev structure of powers.
 
 The generator cosh induces the line element ds^2 = cosh(t) dt^2 on the log
 line, equivalently ds^2 = ((x^2 + 1)/(2 x^3)) dx^2 on positive ratios.  The
-geodesic distance is the one-dimensional integral
+geodesic distance d_J(x, y) = |I(ln y) - I(ln x)| is an elliptic integral: with
+S = sinh(|t|/2), I(t) = integral_0^t sqrt(cosh u) du is, in Carlson's symmetric
+forms (computed by duplication; Carlson, Numer. Algorithms 10, 1995),
 
-    d_J(x, y) = | integral_{ln x}^{ln y} sqrt(cosh u) du |,
+    I(t) = sign(t) (2 S R_F(1, 1+S^2, 1+2S^2) + (4/3) S^3 R_D(1+S^2, 1+2S^2, 1)).
 
-computed by adaptive Simpson quadrature with an interval-doubling error
-estimate.  Powers of a ratio obey J(x^n) = T_n(J(x) + 1) - 1 through the
-three-term recursion H_{n+1} = 2 H_1 H_n - H_{n-1}.
+Arcs at most 1 long take an 8-node Gauss-Legendre rule, which reaches rounding
+because sqrt(cosh) is analytic in |Im u| < pi/2.  Powers of a ratio obey
+J(x^n) = T_n(J(x) + 1) - 1 through the recursion H_{n+1} = 2 H_1 H_n - H_{n-1}.
 """
 
 from __future__ import annotations
@@ -18,18 +20,24 @@ import math
 from dataclasses import dataclass
 
 from .core import canonical_cost, validate_log_coord, validate_positive_ratio
-from .errors import ConvergenceError, DomainError, ParameterError, RangeOverflowError
+from .errors import DomainError, ParameterError, RangeOverflowError
 
 # sqrt halves the exponent, so sqrt(cosh t) fits in a double for |t| <= 1400
 SQRT_COSH_T_MAX = 1400.0
-DEFAULT_EVAL_BUDGET = 1_000_000
 # the Chebyshev recursion is an O(n) Python loop, and the CLI prints all n + 1 terms
 CHEBYSHEV_N_MAX = 100_000
+# Carlson's stopping constant (r/4)^(-1/6) of R_D for r = 2^-53; it also suffices for R_F
+_CARLSON_Q = (0.25 * 2.0**-53) ** (-1.0 / 6.0)
+# I(t) - sqrt(2) e^(|t|/2) -> -1.198, below half an ulp from |t| = 80; below it S^2 < 6e34
+_ASYMPTOTIC_T = 80.0
+# the 8-node Gauss-Legendre rule on [-1, 1], rounded to doubles: nodes +-x_i, weights w_i
+_GL_NODES = (0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363)
+_GL_WEIGHTS = (0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626)
 
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """A geodesic distance value with its quadrature error estimate and cost."""
+    """A geodesic distance value, a bound on its error, and its cost."""
 
     value: float
     abs_error_estimate: float
@@ -70,78 +78,92 @@ def metric_weight_ratio(x: float) -> float:
     """sqrt((x^2 + 1)/(2 x^3)), the same weight in ratio coordinates.
 
     Evaluated as sqrt(cosh(ln x))/x, which agrees with the direct formula and
-    stays in range for extreme x.
+    stays in range until the weight itself overflows, below x ~ 2.5e-206.
     """
     x = validate_positive_ratio(x)
-    return metric_weight(math.log(x)) / x
+    w = metric_weight(math.log(x)) / x
+    if math.isinf(w):
+        raise RangeOverflowError(f"x = {x:g}: the weight, about x^(-3/2)/sqrt(2), overflows")
+    return w
 
 
-def _adaptive_simpson(a: float, b: float, tol: float, budget: int) -> tuple[float, float, int]:
-    # Interval-doubling estimate: d = S(two halves) - S(whole) tracks the error
-    # of the refined rule.  Acceptance demands |d| <= tol0 rather than the
-    # asymptotic 15*tol0, and at least two refinement levels, because d can be
-    # accidentally small on coarse grids when the fourth derivative of
-    # sqrt(cosh) varies across the interval.
-    f = _sqrt_cosh
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    evals = 3
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # stack of (a, m, b, fa, fm, fb, S, local tol, depth); refinement is sequential
-    stack = [(a, m, b, fa, fm, fb, whole, tol, 0)]
-    total = 0.0
-    err_total = 0.0
-    min_width = 16.0 * math.ulp(max(abs(a), abs(b), 1.0))
-    while stack:
-        a0, m0, b0, fa0, fm0, fb0, s0, tol0, depth = stack.pop()
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm, frm = f(lm), f(rm)
-        evals += 2
-        if evals > budget:
-            raise ConvergenceError(
-                f"quadrature budget of {budget} evaluations exhausted before "
-                f"reaching tolerance {tol:g}"
-            )
-        s_left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        s_right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        d = s_left + s_right - s0
-        if (abs(d) <= tol0 and depth >= 2) or (b0 - a0) <= min_width:
-            total += s_left + s_right + d / 15.0
-            err_total += abs(d) / 15.0
-        else:
-            stack.append((a0, lm, m0, fa0, flm, fm0, s_left, 0.5 * tol0, depth + 1))
-            stack.append((m0, rm, b0, fm0, frm, fb0, s_right, 0.5 * tol0, depth + 1))
-    return total, err_total, evals
+def _carlson(x: float, y: float, z: float) -> tuple[float, float, int]:
+    """Carlson's R_F(x, y, z) and R_D(x, y, z) for positive arguments, and the steps
+    of the duplication (x, y, z) -> ((x, y, z) + lam)/4 they share."""
+    af, ad = (x + y + z) / 3.0, (x + y + 3.0 * z) / 5.0
+    q = _CARLSON_Q * max(abs(a - v) for a in (af, ad) for v in (x, y, z))
+    xf, yf, xd, yd = af - x, af - y, ad - x, ad - y
+    scale, steps, tail = 1.0, 0, 0.0
+    while q * scale >= min(af, ad):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        tail += scale / (sz * (z + lam))
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        af, ad = 0.25 * (af + lam), 0.25 * (ad + lam)
+        scale *= 0.25
+        steps += 1
+    X, Y = xf * scale / af, yf * scale / af
+    e2, e3 = X * Y - (X + Y) ** 2, -X * Y * (X + Y)
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(af)
+    X, Y = xd * scale / ad, yd * scale / ad
+    xy, zz, Z = X * Y, (X + Y) ** 2 / 9.0, -(X + Y) / 3.0
+    e2, e3, e4, e5 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * Z, 3.0 * (xy - zz) * zz, xy * zz * Z
+    rd = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+          - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0) * scale / (ad * math.sqrt(ad)) + 3.0 * tail
+    return rf, rd, steps
 
 
-def distance(
-    x: float, y: float, tol: float, budget: int = DEFAULT_EVAL_BUDGET
-) -> DistanceResult:
-    """Geodesic distance d_J(x, y); symmetric in its arguments, zero iff x = y."""
+def _antiderivative(t: float) -> tuple[float, int]:
+    """I(t) = integral_0^t sqrt(cosh u) du and its duplication steps."""
+    a = abs(t)
+    if a >= _ASYMPTOTIC_T:
+        return math.copysign(math.sqrt(2.0) * math.exp(0.5 * a), t), 1
+    s = math.sinh(0.5 * a)
+    rf, rd, steps = _carlson(1.0 + s * s, 1.0 + 2.0 * s * s, 1.0)
+    return math.copysign(2.0 * s * rf + (4.0 / 3.0) * s**3 * rd, t), steps
+
+
+def _arc_length(lo: float, hi: float) -> tuple[float, float, int]:
+    """(integral_lo^hi sqrt(cosh u) du, error bound, evaluations) for lo < hi."""
+    eps = 16.0 * math.ulp(1.0)  # the error bound per magnitude summed; tests check it holds
+    if hi - lo <= 1.0:
+        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        value = r * sum(w * (_sqrt_cosh(c - r * x) + _sqrt_cosh(c + r * x))
+                        for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+        return value, eps * value, 2 * len(_GL_NODES)
+    (i_hi, n_hi), (i_lo, n_lo) = _antiderivative(hi), _antiderivative(lo)
+    return i_hi - i_lo, eps * (abs(i_hi) + abs(i_lo)), n_hi + n_lo
+
+
+def distance(x: float, y: float, tol: float) -> DistanceResult:
+    """Geodesic distance d_J(x, y); symmetric in its arguments, zero at x = y.
+
+    The value is accurate to abs_error_estimate whatever tol is; tol must be
+    positive and finite but steers nothing.  evaluations counts the rule's
+    nodes, or the duplication steps of R_F and R_D (1 for an endpoint |ln x| >= 80).
+    """
     x = validate_positive_ratio(x)
     y = validate_positive_ratio(y)
     tol = float(tol)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    a, b = math.log(x), math.log(y)
-    if a == b:
+    if x == y:
         return DistanceResult(0.0, 0.0, (x, y), 0)
-    lo, hi = (a, b) if a < b else (b, a)
-    value, err, evals = _adaptive_simpson(lo, hi, tol, int(budget))
-    return DistanceResult(abs(value), err, (x, y), evals)
+    a, b = math.log(x), math.log(y)
+    value, err, evals = _arc_length(min(a, b), max(a, b))
+    # ln x and ln y may each be an ulp off, which moves the arc by the metric weight there
+    err += math.ulp(a) * _sqrt_cosh(a) + math.ulp(b) * _sqrt_cosh(b)
+    return DistanceResult(value, err, (x, y), evals)
 
 
 def local_equivalence_ratio(x: float, y: float) -> float:
     """d_J(x, y) / |ln y - ln x|; tends to 1 as both arguments approach 1."""
     x = validate_positive_ratio(x)
     y = validate_positive_ratio(y)
-    gap = abs(math.log(y) - math.log(x))
-    if gap == 0.0:
+    a, b = math.log(x), math.log(y)
+    if a == b:
         raise DomainError("local equivalence ratio needs x != y")
-    tol = max(1e-15, 1e-13 * gap)
-    return distance(x, y, tol).value / gap
+    return _arc_length(min(a, b), max(a, b))[0] / abs(b - a)
 
 
 def chebyshev_cost(x: float, n: int) -> ChebyshevCheck:

@@ -142,6 +142,34 @@ class TestExitCodes:
         assert report.results is None
 
 
+    @pytest.mark.parametrize("argv", [
+        ["sup-defect", "--family", "cosh", "--step", "1e-9"],
+        ["certify", "--family", "cosh", "--step", "1e-9"],
+        ["report", "--family", "cosh", "--step", "1e-9"],
+        ["classify", "--family", "cosh", "--residual-step", "1e-9"],
+    ], ids=lambda a: a[0])
+    def test_grid_past_the_node_cap_is_refused(self, argv, capsys):
+        # 2e9 intervals per side once asked numpy for 14.9 GiB
+        code, report = run(argv)
+        assert code == 2
+        assert "needs over 65536 intervals" in report.diagnostics["error"]
+
+    @pytest.mark.parametrize("family", ["cosh", "quadlog"])
+    @pytest.mark.parametrize("flag", ["--const-tol", "--residual-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_classify_refuses_tolerances_that_are_not_finite_and_nonnegative(
+            self, family, flag, value, capsys):
+        code, report = run(["classify", "--family", family, flag, value])
+        assert code == 2
+        assert "must be finite and >= 0" in report.diagnostics["error"]
+
+    @pytest.mark.parametrize("y", ["1e30", "1.9424263952412558e+130"])
+    def test_distance_to_far_endpoints_answers(self, y, capsys):
+        code, report = run(["distance", "--x", "1", "--y", y])
+        assert code == 0
+        assert math.isfinite(report.results["value"]) and report.results["evaluations"] > 0
+        assert report.diagnostics == {}
+
     def test_too_deep_ratio_table_names_its_flags(self, capsys):
         code, report = run(["calibrate", "--family", "cosh", "--levels", "2000"])
         assert code == 2
@@ -359,15 +387,3 @@ class TestModuleInvocation:
             text=True,
         )
         assert proc.returncode == 2
-
-
-class TestEnvBudget:
-    def test_budget_override(self, monkeypatch, capsys):
-        monkeypatch.setenv("RECCOST_EVAL_BUDGET", "4")
-        code, report = run(["distance", "--x", "1", "--y", "100", "--tol", "1e-12"])
-        assert code == 2
-
-    def test_invalid_budget(self, monkeypatch, capsys):
-        monkeypatch.setenv("RECCOST_EVAL_BUDGET", "lots")
-        code, _ = run(["distance", "--x", "1", "--y", "2", "--tol", "1e-10"])
-        assert code == 2

@@ -133,6 +133,16 @@ class TestSupDefect:
         with pytest.raises(DomainError):
             sup_defect(COSH_LOG, 1.0, 2.0)
 
+    def test_node_cap(self):
+        assert symmetric_grid(1.0, 2.0**-16)[1].size == 2**17 + 1
+        with pytest.raises(DomainError, match="needs over 65536 intervals"):
+            symmetric_grid(1.0, 1.0 / (2**16 + 1))
+        # the sweeps tile [-2T, 2T] at the same step, so they stop at 2^15 intervals on [0, T]
+        with pytest.raises(DomainError, match="needs over 65536 intervals"):
+            sup_defect(COSH_LOG, 1.0, 1.0 / (2**15 + 1))
+        with pytest.raises(DomainError, match="needs over 65536 intervals"):
+            identity_report(COSH_LOG, 1.0, 1.0 / (2**15 + 1))
+
     def test_needs_double_window(self):
         ts = np.linspace(-2, 2, 81)
         from reccost import sample_table

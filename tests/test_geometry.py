@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers import composite_simpson
 from reccost import (
-    ConvergenceError,
     DomainError,
     ParameterError,
     RangeOverflowError,
@@ -19,10 +18,30 @@ from reccost import (
     metric_weight,
     metric_weight_ratio,
 )
-from reccost.geometry import CHEBYSHEV_N_MAX
+from reccost.geometry import CHEBYSHEV_N_MAX, _carlson
 
 # frozen oracle: composite Simpson, step 1e-5, of sqrt(cosh) on [0, 1]
 D_1_E = 1.0816431206927474
+
+
+def quad_reference(lo, hi):
+    """integral_lo^hi sqrt(cosh u) du by QUADPACK on pieces at most 1/2 long."""
+    from scipy import integrate
+
+    def weight(u):  # sqrt(cosh u) without overflow past |u| = 710
+        return math.exp(0.5 * abs(u)) * math.sqrt(0.5 * (1.0 + math.exp(-2.0 * abs(u))))
+
+    n = max(1, math.ceil(2.0 * (hi - lo)))
+    cuts = [lo + (hi - lo) * k / n for k in range(n)] + [hi]
+    return math.fsum(integrate.quad(weight, p, q, epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+                     for p, q in zip(cuts, cuts[1:]))
+
+
+# (lo, hi) in log coordinates: the rule on arcs up to 1 long (worst at the origin), the
+# closed form across and beside 0, both sides of the asymptotic switch at 80, and far out
+ARCS = [(-0.5, 0.5), (-0.3, 0.7), (-0.495, 0.495), (2.0, 2.001), (30.0, 31.0), (-744.0, -743.2),
+        (-0.5, 0.5000001), (0.2, 1.7), (-3.0, 5.0), (0.0, 20.0), (-30.0, -2.0), (19.0, 22.0),
+        (79.0, 80.5), (79.9, 81.0), (0.0, 80.0), (100.0, 102.0), (-744.4, 709.7)]
 
 
 class TestMetricWeight:
@@ -52,6 +71,13 @@ class TestMetricWeight:
     def test_overflow_guard(self):
         with pytest.raises(RangeOverflowError):
             metric_weight(1400.5)
+
+    def test_ratio_overflow_guard(self):
+        # the weight is about x^(-3/2)/sqrt(2): finite at 1e-200, past the doubles at 1e-300
+        assert math.isfinite(metric_weight_ratio(1e-200))
+        for x in (1e-300, 5e-324):
+            with pytest.raises(RangeOverflowError):
+                metric_weight_ratio(x)
 
 
 class TestDistance:
@@ -107,9 +133,47 @@ class TestDistance:
         # lower bound: sqrt(cosh u) >= e^(u/2)/sqrt(2)
         assert res.value >= math.sqrt(2.0) * (100.0 - 1.0)
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(ConvergenceError):
-            distance(1.0, math.e, 1e-16, budget=4)
+    def test_far_endpoints_are_finite(self):
+        for y in (1e30, math.exp(300.0)):
+            res = distance(1.0, y, 1e-10)
+            assert abs(res.value - quad_reference(0.0, math.log(y))) <= 1e-13 * res.value
+        res = distance(5e-324, 1.7e308, 1e-10)
+        far = math.sqrt(2.0) * (math.exp(-0.5 * math.log(5e-324)) + math.sqrt(1.7e308))
+        assert abs(res.value - far) <= 1e-13 * far
+
+    def test_matches_piecewise_quadrature(self, rng):
+        for x, y in 10.0 ** rng.uniform(-6, 6, size=(200, 2)):
+            value = distance(float(x), float(y), 1e-10).value
+            ref = quad_reference(*sorted((math.log(float(x)), math.log(float(y)))))
+            assert abs(value - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("lo, hi", ARCS)
+    def test_error_within_its_estimate(self, lo, hi):
+        res = distance(math.exp(lo), math.exp(hi), 1e-10)
+        lo, hi = math.log(res.endpoints[0]), math.log(res.endpoints[1])
+        assert res.evaluations > 0
+        assert abs(res.value - quad_reference(lo, hi)) <= res.abs_error_estimate
+
+    def test_estimate_covers_the_rounding_of_the_logs(self):
+        # far from 1, an ulp of ln x is about 1e-13, and the metric weight magnifies it
+        for x, y in ((1e300, 1e300 * (1 + 1e-10)), (1e300, math.nextafter(1e300, math.inf)),
+                     (1e-300, 1e-300 * (1 + 1e-9))):
+            res = distance(x, y, 1e-10)
+            ref = math.log1p((y - x) / x) * metric_weight(math.log(x))  # to O(1e-9) relative
+            assert abs(res.value - ref) <= res.abs_error_estimate
+
+    def test_tol_does_not_steer_the_value(self):
+        assert distance(0.3, 7.0, 1e-3) == distance(0.3, 7.0, 1e-14)
+
+    @pytest.mark.parametrize("S", [1e-8, 0.3, 1.0, 5.0, 1e5, 1e15])
+    def test_carlson_terms_match_scipy(self, S):
+        from scipy.special import elliprd, elliprf
+
+        x, y = 1.0 + S * S, 1.0 + 2.0 * S * S
+        rf, rd, _ = _carlson(x, y, 1.0)
+        ref_f, ref_d = elliprf(1.0, x, y), elliprd(x, y, 1.0)
+        assert abs(rf - ref_f) <= 4 * math.ulp(ref_f)
+        assert abs(rd - ref_d) <= 4 * math.ulp(ref_d)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -139,6 +203,13 @@ class TestLocalEquivalence:
     def test_equal_arguments_rejected(self):
         with pytest.raises(DomainError):
             local_equivalence_ratio(2.0, 2.0)
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    def test_exact_near_one(self, gap):
+        for lo in (-gap, -0.5 * gap, 0.0, 3e-3):
+            hi = lo + gap
+            ratio = local_equivalence_ratio(math.exp(lo), math.exp(hi))
+            assert abs(ratio - quad_reference(lo, hi) / (hi - lo)) <= 1e-12 * ratio
 
 
 class TestChebyshevCost:
