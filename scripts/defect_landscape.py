@@ -15,16 +15,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from reccost import LOG_LINE, make_family, parse_family_spec, sup_defect
-from reccost.dalembert import _defect_blocks, _defect_report
+from reccost.dalembert import _kernel, _sweep
 
 
-def written(fh, axis, blocks):
-    """Pass the (r0, Delta rows) blocks through, writing their (t, u, delta) rows to fh."""
-    for r0, delta in blocks:
-        for t, row in zip(axis[r0:], delta):
+def write_rows(fh, axis, blocks):
+    """Write the (t, u, delta) rows of the sweep's blocks to fh, one row block at a time."""
+    for r, *block in blocks:
+        for t, row in zip(axis[r], _kernel(*block)):
             for u, d in zip(axis, row):
                 fh.write(f"{t:.17g},{u:.17g},{d:.17g}\n")
-        yield r0, delta
 
 
 def main():
@@ -37,14 +36,13 @@ def main():
 
     handle = make_family(parse_family_spec(args.family), domain=LOG_LINE)
     if args.out:
-        # one sweep of the whole table, one row block at a time, so a fine grid never holds
-        # the n x n matrix; the summary is folded from the same blocks
-        step, axis, w, blocks = _defect_blocks(handle, args.T, args.step, mirror=False)
+        # the whole table, one row block at a time, so a fine grid never holds the n x n matrix
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("t,u,delta\n")
-            report = _defect_report(args.T, step, axis, w, written(fh, axis, blocks))
-    else:
-        report = sup_defect(handle, args.T, args.step)
+            _, axis, _, _, _, blocks = _sweep(handle, args.T, args.step, "defect_landscape",
+                                              whole=True)
+            write_rows(fh, axis, blocks)
+    report = sup_defect(handle, args.T, args.step)
     print(f"family  : {handle.name}")
     print(f"grid    : [-{report.T:g}, {report.T:g}] step {report.step:.17g} ({report.count} points)")
     print(f"epsilon : {report.epsilon:.17g}")

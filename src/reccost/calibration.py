@@ -194,24 +194,36 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
                              levels=used, noise_limited=used < levels)
 
 
+def window_curvature(h: FunctionHandle, window_T: float,
+                     curvature: CurvatureEstimate | None = None) -> CurvatureEstimate:
+    """estimate_kappa(h, h0 = min(0.25, window_T/2)) at 6 levels, the curvature classify,
+    certify and report use on [-window_T, window_T], or curvature if it was measured so."""
+    h0 = min(0.25, 0.5 * window_T)
+    if curvature is None:
+        return estimate_kappa(h, h0=h0)
+    got = (curvature.ratio_table[0][0], len(curvature.ratio_table))
+    if got != (h0, 6):
+        raise DomainError(f"curvature ratio table (h0, levels) {got} is not {(h0, 6)}")
+    return curvature
+
+
 def classify(
     h: FunctionHandle,
     window_T: float,
     const_tol: float = 1e-8,
     residual_grid_step: float | None = None,
     residual_tol: float | None = None,
-    h0: float = 0.25,
-    levels: int = 6,
+    curvature: CurvatureEstimate | None = None,
 ) -> BranchClassification:
     """Classify a normalized handle into its unique solution branch.
 
-    Requires h(0) within const_tol of 0 or of 1.  The branch is selected by
-    the sign of the extrapolated curvature; for the parametric branches k is
-    refined by a one-dimensional least-squares fit on the window, initialized
-    at sqrt(|kappa|), because sampled data make the purely local limit noisy
-    while the global fit is well conditioned.  Raises ClassificationError
-    when the final sup residual exceeds residual_tol (the handle is not near
-    any branch); the default threshold is 1e-6 * cosh(window_T).
+    Requires h(0) within const_tol of 0 or of 1.  The branch is selected by the
+    sign of curvature, window_curvature(h, window_T) if not given; for the
+    parametric branches k is refined by a one-dimensional least-squares fit on
+    the window, initialized at sqrt(|kappa|), because sampled data make the
+    purely local limit noisy while the global fit is well conditioned.  Raises
+    ClassificationError when the final sup residual exceeds residual_tol (the
+    handle is not near any branch); the default threshold is 1e-6 * cosh(window_T).
     """
     require_domain(h, LOG_LINE, "classify")
     if not (window_T > 0 and math.isfinite(window_T)):
@@ -242,7 +254,7 @@ def classify(
             "only normalized handles are classified"
         )
 
-    est = estimate_kappa(h, h0=min(h0, 0.5 * window_T), levels=levels)
+    est = window_curvature(h, window_T, curvature)
     kappa = est.kappa
     if est.noise_limited and est.uncertainty > max(abs(kappa), const_tol):
         raise PrecisionError(

@@ -345,10 +345,9 @@ def _cmd_distance(ns):
 
 def _cmd_chebyshev(ns):
     check = geometry.chebyshev_cost(ns.x, ns.n)
-    seq = geometry.chebyshev_sequence(core.canonical_cost(ns.x) + 1.0, max(ns.n, 1))
     echo = {"x": float(ns.x), "n": int(ns.n)}
     results = _fields(check, "via_identity", "direct", "rel_discrepancy")
-    results["sequence"] = seq[: ns.n + 1]
+    results["sequence"] = check.sequence[: ns.n + 1]
     return echo, results, {}, STATUS_OK, None
 
 
@@ -363,16 +362,16 @@ def _cmd_report(ns):
     sections = {
         "sup_defect": _defect_section(defect := dalembert.sup_defect(handle, ns.T, ns.step)),
         "identities": dataclasses.asdict(dalembert.identity_report(handle, ns.T, ns.step)),
-        "curvature": _curvature_section(calibration.estimate_kappa(handle)),
+        "curvature": _curvature_section(curv := calibration.window_curvature(handle, ns.T)),
     }
     try:
-        cls = calibration.classify(handle, window_T=ns.T)
+        cls = calibration.classify(handle, window_T=ns.T, curvature=curv)
     except (ClassificationError, PrecisionError, RangeOverflowError) as exc:
         cls = exc
     sections["classification"] = _classification_section(cls)
     failed = isinstance(cls, (ClassificationError, RangeOverflowError))
     try:
-        cert = stability.certify(handle, ns.T, ns.step, defect=defect)
+        cert = stability.certify(handle, ns.T, ns.step, defect=defect, a=curv.kappa)
         sections["certificate"] = _certificate_section(cert)
         failed = failed or not cert.verified
     except PreconditionError as exc:
@@ -529,19 +528,17 @@ def run(argv) -> tuple[int, RunReport]:
     try:
         inputs, results, diagnostics, status, plot_rows = _HANDLERS[command](ns)
     except _INPUT_ERRORS as exc:
+        inputs, results, plot_rows, status = {}, None, None, STATUS_INPUT_ERROR
         diagnostics = {"error": f"{type(exc).__name__}: {exc}"}
-        report = RunReport(command, {}, None, _py(diagnostics), STATUS_INPUT_ERROR)
-        print(f"reccost {command}: {STATUS_INPUT_ERROR}")
-        print(f"  {diagnostics['error']}")
-        if getattr(ns, "json", None):
-            _write_json(ns.json, report)
-        return 2, report
 
     report = RunReport(command, _py(inputs), _py(results), _py(diagnostics), status)
     print(f"reccost {command}: {status}")
-    if command == "classify" and not results.get("classified", True):
-        print("  not near any branch")
-    _print_results(report.results)
+    if results is None:
+        print(f"  {diagnostics['error']}")
+    else:
+        if command == "classify" and not results.get("classified", True):
+            print("  not near any branch")
+        _print_results(report.results)
     if getattr(ns, "json", None):
         _write_json(ns.json, report)
     if getattr(ns, "plot_csv", None) and plot_rows is not None:

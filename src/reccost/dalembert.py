@@ -18,11 +18,11 @@ discretization.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
 node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, reduces
 the n x n tables in row blocks (memory O(n) plus one block), and its max
 reductions are order-independent, so sweeps are deterministic.  When G is
-bitwise even on the symmetric nodes (a NaN never is), as for solutions, Delta
-is bitwise invariant under t -> -t and u -> -u: its first NaN, else first max
-|Delta|, lies in the quadrant t, u <= 0, the (m + 1)^2 of n^2 = (2m + 1)^2
-pairs sup_defect reduces.  identity_report's rounding is invariant only under
-(t, u) -> (-t, -u): it reduces the (m + 1) n pairs of the rows t <= 0.
+bitwise even on the symmetric nodes (a NaN never is), G(t+u) and G(t-u) swap
+under t -> -t and under u -> -u.  Delta and the identity violations round
+G(t+u) and G(t-u) symmetrically, so they are bitwise invariant under both, and
+their first NaN, else first max, lies in the quadrant t, u <= 0: the (m + 1)^2
+of n^2 = (2m + 1)^2 pairs both sweeps reduce.
 """
 
 from __future__ import annotations
@@ -104,9 +104,11 @@ def _kernel(gs, gd, gt, gu):
     return out
 
 
-def _excess_sweep(h: FunctionHandle, T: float, step: float, op: str):
-    """(step, axis, G(nodes), G(t), G(t+u), G(t-u), half) for the symmetric grid of [-T, T];
-    the n x n tables are read-only views: t_i + u_j is node i + j, t_i - u_j node n - 1 + i - j."""
+def _sweep(h: FunctionHandle, T: float, step: float, op: str, whole: bool = False):
+    """(step, axis, G on the nodes of [-2T, 2T], G on the axis, w, blocks) for the grid of
+    [-T, T]: blocks yield (rows, G(t+u), G(t-u), G(t), G(u)) for row blocks of the w x w corner
+    of the tables, as views: t_i + u_j is node i + j, t_i - u_j node n - 1 + i - j.  w is the
+    quadrant's m + 1 when G is bitwise even and not whole, else n."""
     require_domain(h, LOG_LINE, op)
     actual_step, axis = symmetric_grid(T, step)
     if not h.evaluable_on(-2.0 * T, 2.0 * T):
@@ -114,42 +116,23 @@ def _excess_sweep(h: FunctionHandle, T: float, step: float, op: str):
     n, m = axis.size, axis.size // 2
     far = symmetric_grid(2.0 * T, actual_step)[1][3 * m + 1:]  # k s for m < k < 2m, then 2T
     nodes = h.excess(np.concatenate([-far[::-1], axis, far]))  # +-T exact, where m s may not be
-    half = m + 1 if np.array_equal(nodes, nodes[::-1]) else n  # the rows t <= 0 if G is even
-    return (actual_step, axis, nodes, nodes[m: m + n], sliding_window_view(nodes, n),
-            sliding_window_view(nodes[::-1], n)[::-1], half)
+    g = nodes[m: m + n]
+    sums, diffs = sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
+    w = m + 1 if not whole and np.array_equal(nodes, nodes[::-1]) else n
+    blocks = ((r, sums[r, :w], diffs[r, :w], g[r, None], g[:w]) for r in _row_blocks(w))
+    return actual_step, axis, nodes, g, w, blocks
 
 
-def _row_blocks(rows: int, width: int):
-    """Slices of rows 0..rows of a table width wide, each about _BLOCK_ELEMS elements."""
-    size = max(1, _BLOCK_ELEMS // width)
-    return (slice(r0, min(r0 + size, rows)) for r0 in range(0, rows, size))
-
-
-def _defect_blocks(h: FunctionHandle, T: float, step: float, mirror: bool = True):
-    """(step, axis, w, blocks of (r0, Delta[r0:r1, :w])): w is n, or half when mirror."""
-    actual_step, axis, _, g, sums, diffs, half = _excess_sweep(h, T, step, "sup_defect")
-    w = half if mirror else axis.size
-    blocks = ((r.start, _kernel(sums[r, :w], diffs[r, :w], g[r, None], g[:w]))
-              for r in _row_blocks(w, w))
-    return actual_step, axis, w, blocks
+def _row_blocks(w: int):
+    """Slices of the rows of a w x w table, each about _BLOCK_ELEMS elements."""
+    size = max(1, _BLOCK_ELEMS // w)
+    return (slice(r0, min(r0 + size, w)) for r0 in range(0, w, size))
 
 
 def defect_grid(h: FunctionHandle, T: float, step: float):
     """(step, axis, Delta) with Delta[i, j] = Delta_H(axis[i], axis[j]) on the grid of [-T, T]."""
-    actual_step, axis, _, blocks = _defect_blocks(h, T, step, mirror=False)
-    return actual_step, axis, np.concatenate([delta for _, delta in blocks])
-
-
-def _defect_report(T: float, step: float, axis: np.ndarray, w: int, blocks) -> DefectReport:
-    """The DefectReport of _defect_blocks: their first NaN, else first max |Delta|, row-major."""
-    picks = []  # (row-major index, Delta) of each block's pick
-    for r0, delta in blocks:
-        k = int(np.argmax(np.abs(delta)))
-        picks.append((r0 * w + k, float(delta.flat[k])))
-    flat, worst_delta = picks[int(np.argmax([abs(d) for _, d in picks]))]  # the same across blocks
-    i, j = divmod(flat, w)
-    worst = DefectSample(float(axis[i]), float(axis[j]), worst_delta)
-    return DefectReport(abs(worst_delta), worst, float(T), step, count=axis.size**2)
+    actual_step, axis, _, _, _, blocks = _sweep(h, T, step, "defect_grid", whole=True)
+    return actual_step, axis, np.concatenate([_kernel(*b) for _, *b in blocks])
 
 
 def defect_log(h: FunctionHandle, t: float, u: float) -> float:
@@ -173,7 +156,16 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     Ties at the max resolve to the first point in row-major order, so the
     report is deterministic.
     """
-    return _defect_report(T, *_defect_blocks(h, T, step))
+    actual_step, axis, _, _, w, blocks = _sweep(h, T, step, "sup_defect")
+    picks = []  # (row-major index, Delta) of each block's first NaN, else first max |Delta|
+    for r, *block in blocks:
+        delta = _kernel(*block)
+        k = int(np.argmax(np.abs(delta)))
+        picks.append((r.start * w + k, float(delta.flat[k])))
+    flat, worst_delta = picks[int(np.argmax([abs(d) for _, d in picks]))]  # the same across blocks
+    i, j = divmod(flat, w)
+    worst = DefectSample(float(axis[i]), float(axis[j]), worst_delta)
+    return DefectReport(abs(worst_delta), worst, float(T), actual_step, count=axis.size**2)
 
 
 def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolations:
@@ -181,20 +173,18 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
 
     Evaluated in G = H - 1, where H^2 - 1 = G (G + 2).
     """
-    _, _, nodes, g, sums, diffs, half = _excess_sweep(h, T, step, "identity_report")
+    _, _, nodes, g, w, blocks = _sweep(h, T, step, "identity_report")
     q = g * (g + 2.0)
     product_identity = difference_square = 0.0
-    for r in _row_blocks(half, g.size):
-        s, d = sums[r], diffs[r]
+    for r, s, d, _, _ in blocks:
         # in place: numpy does not reliably reuse the temporaries of a longer expression
         product = s * d
-        product += s
-        product += d
+        product += s + d  # s d + (s + d) is symmetric in s <-> d, as the quadrant needs
         product -= q[r, None]
-        product -= q
+        product -= q[:w]
         square = s - d
         square *= square
-        square -= np.outer(4.0 * q[r], q)
+        square -= np.outer(4.0 * q[r], q[:w])
         # np.maximum, unlike max(), keeps a NaN
         product_identity = np.maximum(product_identity, _sup_abs(product))
         difference_square = np.maximum(difference_square, _sup_abs(square))

@@ -54,6 +54,7 @@ class ChebyshevCheck:
     via_identity: float
     direct: float
     rel_discrepancy: float
+    sequence: list[float]  # chebyshev_sequence's terms H_0, ..., H_max(n, 1)
 
 
 def _sqrt_cosh(t: float) -> float:
@@ -169,10 +170,12 @@ def local_equivalence_ratio(x: float, y: float) -> float:
 def chebyshev_cost(x: float, n: int) -> ChebyshevCheck:
     """Check J(x^n) = T_n(J(x) + 1) - 1 numerically.
 
-    via_identity runs the recursion H_{k+1} = 2 H_1 H_k - H_{k-1} from
-    H_0 = 1, H_1 = J(x) + 1; direct evaluates J at x^n = exp(n ln x), which
-    keeps the comparison meaningful when x^n is not exactly representable.
-    The discrepancy is relative because J(x^n) grows like x^n / 2.
+    via_identity is H_n - 1 from chebyshev_sequence(J(x) + 1, max(n, 1)),
+    whose terms the check keeps (so n = 0 shares that call's range checks and
+    raises once |ln x| > 700); direct evaluates J at
+    x^n = exp(n ln x), which keeps the comparison meaningful when x^n is not
+    exactly representable.  The discrepancy is relative because J(x^n) grows
+    like x^n / 2.
     """
     x = validate_positive_ratio(x)
     n = int(n)
@@ -181,17 +184,12 @@ def chebyshev_cost(x: float, n: int) -> ChebyshevCheck:
     t = n * math.log(x)
     if abs(t) > 700.0:
         raise RangeOverflowError(f"x^n = exp({t:g}) overflows double precision")
-    h_prev, h_cur = 1.0, canonical_cost(x) + 1.0
-    if n == 0:
-        via = 0.0
-    else:
-        h1 = h_cur
-        for _ in range(n - 1):
-            h_prev, h_cur = h_cur, 2.0 * h1 * h_cur - h_prev
-        via = h_cur - 1.0
+    seq = chebyshev_sequence(canonical_cost(x) + 1.0, max(n, 1))
+    via = seq[n] - 1.0
     direct = canonical_cost(math.exp(t))
     rel = abs(via - direct) / (1.0 + abs(direct))
-    return ChebyshevCheck(x=x, n=n, via_identity=via, direct=direct, rel_discrepancy=rel)
+    return ChebyshevCheck(x=x, n=n, via_identity=via, direct=direct, rel_discrepancy=rel,
+                          sequence=seq)
 
 
 def chebyshev_sequence(H1: float, N: int) -> list[float]:
@@ -215,6 +213,8 @@ def chebyshev_sequence(H1: float, N: int) -> list[float]:
     if H1 > 1.0 and N * math.acosh(H1) > 700.0:
         raise RangeOverflowError("cosh(N arcosh(H1)) overflows double precision")
     seq = [1.0, H1]
+    append, prev, cur = seq.append, 1.0, H1
     for _ in range(N - 1):
-        seq.append(2.0 * H1 * seq[-1] - seq[-2])
+        prev, cur = cur, 2.0 * H1 * cur - prev
+        append(cur)
     return seq

@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import estimate_kappa
+from .calibration import window_curvature
+from .calibration import estimate_kappa  # noqa: F401  (bench/tracer.py wraps this name)
 from .dalembert import DefectReport, sup_defect
 from .errors import DomainError, PreconditionError
 from .grids import symmetric_grid
@@ -148,8 +149,6 @@ def certify(
     step: float,
     h_choice: float | None = None,
     a: float | None = None,
-    kappa_h0: float = 0.25,
-    kappa_levels: int = 6,
     defect: DefectReport | None = None,
 ) -> StabilityCertificate:
     """Build a stability certificate for a log-line handle on [-T, T].
@@ -157,9 +156,10 @@ def certify(
     Checks the hypotheses (even, H(0) = 1 within 1e-6, a > 0), measures
     eps, B, K on grids, picks h (optimal_h unless h_choice is given), and
     sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
-    envelope.  a defaults to the extrapolated log-curvature; callers may
-    override it, at the price of certifying against a different branch.
-    defect, sup_defect(h, T, step) if the caller has it, saves that sweep.
+    envelope.  a defaults to the kappa of window_curvature(h, T)
+    (h0 = min(0.25, T/2)); a caller that has measured that curvature passes its
+    kappa as a, and any other a certifies against a different branch.  defect,
+    sup_defect(h, T, step), saves that sweep if the caller has it.
     """
     require_domain(h, LOG_LINE, "certify")
     if not (T > 0 and math.isfinite(T)):
@@ -183,7 +183,7 @@ def certify(
         )
 
     if a is None:
-        a = estimate_kappa(h, h0=min(kappa_h0, 0.5 * T), levels=kappa_levels).kappa
+        a = window_curvature(h, T).kappa
     a = float(a)
     if not (a > 0.0 and math.isfinite(a)):
         raise PreconditionError(f"curvature a = {a!r} violates the hypothesis a > 0")
@@ -199,7 +199,9 @@ def certify(
     delta = delta_of_h(epsilon, B, K, h_used)
 
     envelope = EnvelopeSpec(scale=delta / a, rate=math.sqrt(a))
-    _, _, _, env, err = _sweep(h, _sweep_grid(axis, T - h_used), envelope)
+    ts = _sweep_grid(axis, T - h_used)
+    k = (axis.size - ts.size) // 2  # the window is the middle of the symmetric axis
+    _, _, _, env, err = _sweep(ts, vals[k: k + ts.size], envelope)
     min_margin = float(np.min(env - err))
     return StabilityCertificate(
         inputs=StabilityInputs(T=float(T), h=h_used, epsilon=epsilon, B=B, K=K, a=a),
@@ -216,9 +218,8 @@ def _sweep_grid(axis: np.ndarray, half_width: float) -> np.ndarray:
     return axis[np.abs(axis) <= half_width]
 
 
-def _sweep(handle: FunctionHandle, ts: np.ndarray, envelope: EnvelopeSpec):
+def _sweep(ts: np.ndarray, vals: np.ndarray, envelope: EnvelopeSpec):
     # the branch cosh(sqrt(a) t) shares the envelope's rate sqrt(a)
-    vals = handle(ts)
     branch = np.cosh(envelope.rate * ts)
     return ts, vals, branch, envelope.value(ts), np.abs(vals - branch)
 
@@ -226,7 +227,7 @@ def _sweep(handle: FunctionHandle, ts: np.ndarray, envelope: EnvelopeSpec):
 def certificate_sweep(handle: FunctionHandle, cert: StabilityCertificate, step: float):
     """(t, H, branch, envelope, |error|) at the certificate's own nodes, given certify's step."""
     ts = _sweep_grid(symmetric_grid(cert.inputs.T, step)[1], cert.inputs.T - cert.inputs.h)
-    return _sweep(handle, ts, cert.envelope)
+    return _sweep(ts, handle(ts), cert.envelope)
 
 
 def certify_ratio(
@@ -235,18 +236,16 @@ def certify_ratio(
     step: float,
     h_choice: float | None = None,
     a: float | None = None,
-    kappa_h0: float = 0.25,
-    kappa_levels: int = 6,
 ) -> StabilityCertificate:
     """Certificate for a positive-ratio handle over x in (e^-(T-h), e^(T-h)).
 
-    Lifts to log coordinates and certifies there; the envelope in x reads
+    Lifts to log coordinates and certifies there (a defaults to the lift's
+    window_curvature, h0 = min(0.25, T/2)); the envelope in x reads
     (delta/a)(cosh(sqrt(a) |ln x|) - 1).  When a is within 1e-10 of 1 the
     envelope is reported in the simplified form delta * J(x).
     """
     require_domain(f, POSITIVE_RATIOS, "certify_ratio")
-    cert = certify(lift_to_log(f), T, step, h_choice=h_choice, a=a,
-                   kappa_h0=kappa_h0, kappa_levels=kappa_levels)
+    cert = certify(lift_to_log(f), T, step, h_choice=h_choice, a=a)
     if abs(cert.inputs.a - 1.0) <= _SIMPLIFIED_A_TOL:
         cert = replace(cert, envelope=replace(cert.envelope, form=ENVELOPE_DELTA_TIMES_J))
     return cert

@@ -22,7 +22,7 @@ from reccost import (
     make_family,
     quad_ratio,
 )
-from reccost.calibration import minimize_scalar
+from reccost.calibration import minimize_scalar, window_curvature
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
 CONST_ONE = make_family(FamilySpec("constant-one"))
@@ -192,6 +192,14 @@ class TestClassify:
         h = lift_to_log(make_family(FamilySpec("cosh-lambda", {"lambda": lam})))
         res = classify(h, 2.0)
         assert abs(res.k**2 - lam * lam) / (lam * lam) <= 1e-6
+
+    def test_measured_curvature_is_reused(self):
+        h = make_family(FamilySpec("cos-k", {"k": 0.7}))
+        for T in (0.4, 2.0):
+            assert classify(h, T, curvature=window_curvature(h, T)) == classify(h, T)
+        for est in (window_curvature(h, 0.4), estimate_kappa(h, levels=5)):
+            with pytest.raises(DomainError, match="curvature ratio table"):
+                classify(h, 2.0, curvature=est)
 
     def test_window_validation(self):
         with pytest.raises(DomainError):

@@ -323,6 +323,24 @@ class TestReports:
         epsilon = report.results["sup_defect"]["epsilon"]
         assert report.results["certificate"]["inputs"]["epsilon"] == epsilon
 
+    @pytest.mark.parametrize("T, step", [(0.4, 0.01), (2.0, 0.1)])
+    def test_report_estimates_the_curvature_once(self, monkeypatch, capsys, T, step):
+        # classify and certify take the curvature the report prints, at T < 0.5 too, where
+        # its h0 = min(0.25, T/2) is below 0.25
+        from reccost import calibration
+
+        calls = []
+        estimate = calibration.estimate_kappa
+        monkeypatch.setattr(calibration, "estimate_kappa",
+                            lambda *a, **k: calls.append(a) or estimate(*a, **k))
+        monkeypatch.setattr("reccost.stability.estimate_kappa", calibration.estimate_kappa)
+        code, report = run(["report", "--family", "cosh-lambda,lambda=2", "--T", str(T),
+                            "--step", str(step)])
+        assert code == 0 and len(calls) == 1
+        kappa = report.results["curvature"]["kappa"]
+        assert kappa == report.results["certificate"]["inputs"]["a"]
+        assert kappa == report.results["classification"]["kappa_used"]
+
     def test_report_records_a_classify_window_refusal(self, capsys):
         # past COSH_T_MAX classify refuses its default threshold; the other sections still run
         code, report = run(["report", "--family", "quadlog", "--T", "705", "--step", "5"])

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +24,8 @@ from reccost import (
     sample_table,
     sup_defect,
 )
-from reccost.dalembert import _BLOCK_ELEMS, _excess_sweep, _row_blocks, defect_grid
+from reccost import dalembert
+from reccost.dalembert import _BLOCK_ELEMS, _row_blocks, _sweep, defect_grid
 from reccost.grids import symmetric_grid
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
@@ -194,16 +196,23 @@ class TestNodeSweep:
 def full_tables(h, T, step):
     """sup_defect's (epsilon, t, u, delta) and identity_report's four fields, each reduced over
     whole n x n tables by one expression, with the sweeps' operation order."""
-    _, axis, nodes, g, sums, diffs, _ = _excess_sweep(h, T, step, "full tables")
+    _, axis, nodes, g, _, _ = _sweep(h, T, step, "full tables", whole=True)
+    n = axis.size
+    sums, diffs = sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
     gt = g[:, None]
     delta = (sums + diffs) - ((2.0 * gt * g + 2.0 * gt) + 2.0 * g)
     i, j = divmod(int(np.argmax(np.abs(delta))), axis.size)
     q = g * (g + 2.0)
-    product = sums * diffs + sums + diffs - q[:, None] - q
+    product = sums * diffs + (sums + diffs) - q[:, None] - q
     square = (sums - diffs) * (sums - diffs) - np.outer(4.0 * q, q)
     violations = (product, square, nodes[::2] - 2.0 * q, g[::-1] - g)
     return ((abs(delta[i, j]), axis[i], axis[j], delta[i, j]),
             tuple(float(np.max(np.abs(v))) for v in violations))
+
+
+def width(h, T, step):
+    """The width of the tables the sweeps reduce: the quadrant's m + 1, or n."""
+    return _sweep(h, T, step, "test")[4]
 
 
 def fields(h, T, step):
@@ -247,7 +256,7 @@ class TestRowBlocks:
             return 1.0 + 0.5 * t * t + np.where(np.abs(t - 0.5) < 1e-9, 1e-9, 0.0)
 
         h = analytic(LOG_LINE, "quadlog bumped at 0.5", (bumped,))
-        assert _excess_sweep(h, self.T, self.STEP, "test")[-1] == 801
+        assert width(h, self.T, self.STEP) == 801
         _, axis, delta = defect_grid(h, self.T, self.STEP)
         assert delta[0, 0] == delta[-1, -1] == -self.T**4 / 2
         rep = sup_defect(h, self.T, self.STEP)
@@ -297,29 +306,32 @@ EVEN_SPECS = st.one_of(
 
 
 class TestMirrorFold:
-    """Bitwise even handles reduce a mirror-free part of the tables, with the results of the
-    whole tables; any other handle reduces the whole tables."""
+    """On bitwise even handles both sweeps reduce the quadrant t, u <= 0 of the tables, with the
+    results of the whole tables; any other handle reduces the whole tables."""
 
     @given(EVEN_SPECS, st.floats(0.5, 3.0), st.integers(1, 40))
     def test_even_families_equal_full_tables(self, spec, T, m):
         h = make_family(parse_family_spec(spec), domain=LOG_LINE)
-        _, axis, _, _, _, _, half = _excess_sweep(h, T, T / m, "test")
-        assert half == axis.size // 2 + 1  # the folded sweep
+        assert width(h, T, T / m) == m + 1  # the folded sweep
         assert_same(fields(h, T, T / m), full_tables(h, T, T / m))
 
-    def test_several_blocks_of_the_quadrant(self):
+    def test_several_blocks_of_the_quadrant(self, monkeypatch):
         # n = 801, so the 401-wide quadrant takes two blocks of 163 rows and a third of 75
         T, step = 2.0, 0.005
-        assert list(_row_blocks(401, 401)) == [slice(0, 163), slice(163, 326), slice(326, 401)]
+        assert list(_row_blocks(401)) == [slice(0, 163), slice(163, 326), slice(326, 401)]
+        widths = []  # of the tables each sweep reduces
+        monkeypatch.setattr(dalembert, "_row_blocks", lambda w: widths.append(w) or _row_blocks(w))
         trig = make_family(parse_family_spec("noisy-cosh,mode=trig"), domain=LOG_LINE)
         for h in (COSH_LOG, trig):
-            assert _excess_sweep(h, T, step, "test")[-1] == 401
-            assert fields(h, T, step) == full_tables(h, T, step)
+            got = fields(h, T, step)
+            assert widths == [401, 401]  # sup_defect's and identity_report's quadrants
+            assert got == full_tables(h, T, step)
+            widths.clear()
 
     def test_max_at_the_origin(self):
         # G(0) = 1 makes |Delta| = 4 at (0, 0) alone: the quadrant includes its t = 0 row and column
         h = analytic(LOG_LINE, "1 + bump", (lambda t: 2.0 + np.expm1(-(t * t) / 0.01),))
-        assert _excess_sweep(h, 1.0, 0.05, "test")[-1] == 21
+        assert width(h, 1.0, 0.05) == 21
         got = fields(h, 1.0, 0.05)
         assert got == full_tables(h, 1.0, 0.05)
         assert got[0] == (4.0, 0.0, 0.0, -4.0)
@@ -333,8 +345,7 @@ class TestMirrorFold:
         sample_table(LOG_LINE, np.linspace(-2.2, 2.2, 441), np.cosh(np.linspace(-2.2, 2.2, 441))),
     ], ids=lambda h: h.name)
     def test_other_handles_take_the_whole_table(self, h):
-        n = _excess_sweep(h, 1.0, 0.05, "test")[1].size
-        assert _excess_sweep(h, 1.0, 0.05, "test")[-1] == n
+        assert width(h, 1.0, 0.05) == 41
         assert fields(h, 1.0, 0.05) == full_tables(h, 1.0, 0.05)
 
     def test_one_uneven_node_falls_back(self):
@@ -344,7 +355,7 @@ class TestMirrorFold:
             return np.cosh(t) + np.where(np.abs(t - 1.5) < 1e-9, 1e-3, 0.0)
 
         h = analytic(LOG_LINE, "cosh bumped at 1.5", (bumped,), support=(-700.0, 700.0))
-        assert _excess_sweep(h, 1.0, 0.1, "test")[-1] == 21
+        assert width(h, 1.0, 0.1) == 21
         got, want = fields(h, 1.0, 0.1), full_tables(h, 1.0, 0.1)
         assert got == want
         assert got[0][1:3] == (0.5, -1.0) and got[0][0] > 9e-4 and got[1][0] > 9e-4
@@ -356,7 +367,7 @@ class TestMirrorFold:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow(self, T, fns):
         h = analytic(LOG_LINE, "overflowing", fns)
-        assert _excess_sweep(h, T, T / 10, "test")[-1] == 11
+        assert width(h, T, T / 10) == 11
         got, want = fields(h, T, T / 10), full_tables(h, T, T / 10)
         assert not math.isfinite(got[0][0])
         assert_same(got, want)

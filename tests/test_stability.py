@@ -21,6 +21,7 @@ from reccost import (
     sample_table,
     sup_defect,
 )
+from reccost.calibration import window_curvature
 from reccost.stability import ENVELOPE_COSH_BRANCH, ENVELOPE_DELTA_TIMES_J, certificate_sweep
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
@@ -185,6 +186,13 @@ class TestCertify:
         for T, step in ((1.5, 0.03), (2.0, 0.05)):
             with pytest.raises(DomainError, match="defect report"):
                 certify(pert, T, step, defect=rep)
+
+    def test_measured_kappa_as_a_matches_default(self):
+        # report measures window_curvature once and hands its kappa to certify as a
+        pert = perturb(COSH_LOG, "poly4", 1e-4)
+        for T in (0.4, 2.0):
+            measured = window_curvature(pert, T)
+            assert certify(pert, T, 0.05, a=measured.kappa) == certify(pert, T, 0.05)
 
     def test_certify_sampled_cosh_table(self):
         # integer-multiple grid puts t = 0 exactly on a node
