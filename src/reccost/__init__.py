@@ -1,157 +1,44 @@
 """reccost: verification and certification toolkit for the canonical
 reciprocal cost J(x) = (x + 1/x)/2 - 1 and d'Alembert-type functional
-equations."""
+equations.
 
-from .calibration import (
-    BRANCH_CONSTANT_ONE,
-    BRANCH_COS,
-    BRANCH_COSH,
-    BRANCH_ZERO,
-    BranchClassification,
-    CurvatureEstimate,
-    classify,
-    estimate_kappa,
-    quad_ratio,
-)
-from .core import (
-    AmGmDecomposition,
-    GoldenResult,
-    LogForms,
-    am_gm_decomposition,
-    bregman_divergence,
-    canonical_cost,
-    golden_fixed_point,
-    log_forms,
-    validate_log_coord,
-    validate_positive_ratio,
-)
-from .dalembert import (
-    DefectReport,
-    DefectSample,
-    IdentityViolations,
-    defect_log,
-    defect_ratio,
-    identity_report,
-    ode_residual,
-    sup_defect,
-)
-from .errors import (
-    ClassificationError,
-    ConvergenceError,
-    DomainError,
-    InputError,
-    ParameterError,
-    PrecisionError,
-    PreconditionError,
-    RangeOverflowError,
-    ReccostError,
-)
-from .fixtures import (
-    FAMILIES,
-    FamilySpec,
-    family_spec_text,
-    make_family,
-    parse_family_spec,
-    perturb,
-    quadlog_defect_oracle,
-)
-from .geometry import (
-    ChebyshevCheck,
-    DistanceResult,
-    chebyshev_cost,
-    chebyshev_sequence,
-    distance,
-    local_equivalence_ratio,
-    metric_weight,
-    metric_weight_ratio,
-)
-from .handles import (
-    LOG_LINE,
-    POSITIVE_RATIOS,
-    FunctionHandle,
-    analytic,
-    lift_to_log,
-    sample_table,
-    to_ratio,
-)
-from .stability import (
-    EnvelopeSpec,
-    StabilityCertificate,
-    StabilityInputs,
-    certify,
-    certify_ratio,
-    delta_of_h,
-    estimate_bounds,
-    optimal_h,
-)
+Each name is imported from its submodule on first access (PEP 562), so
+``import reccost`` loads no numpy.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "calibration": ("BRANCH_CONSTANT_ONE", "BRANCH_COS", "BRANCH_COSH", "BRANCH_ZERO",
+                    "BranchClassification", "CurvatureEstimate", "classify",
+                    "estimate_kappa", "quad_ratio"),
+    "core": ("AmGmDecomposition", "GoldenResult", "LOG_LINE", "LogForms", "POSITIVE_RATIOS",
+             "am_gm_decomposition", "bregman_divergence", "canonical_cost",
+             "golden_fixed_point", "log_forms", "validate_log_coord",
+             "validate_positive_ratio"),
+    "dalembert": ("DefectReport", "DefectSample", "IdentityViolations", "defect_log",
+                  "defect_ratio", "identity_report", "ode_residual", "sup_defect"),
+    "errors": ("ClassificationError", "ConvergenceError", "DomainError", "InputError",
+               "ParameterError", "PrecisionError", "PreconditionError", "RangeOverflowError",
+               "ReccostError"),
+    "fixtures": ("FAMILIES", "FamilySpec", "family_spec_text", "make_family",
+                 "parse_family_spec", "perturb", "quadlog_defect_oracle"),
+    "geometry": ("ChebyshevCheck", "DistanceResult", "chebyshev_cost", "chebyshev_sequence",
+                 "distance", "local_equivalence_ratio", "metric_weight", "metric_weight_ratio"),
+    "handles": ("FunctionHandle", "analytic", "lift_to_log", "sample_table", "to_ratio"),
+    "stability": ("EnvelopeSpec", "StabilityCertificate", "StabilityInputs", "certify",
+                  "certify_ratio", "delta_of_h", "estimate_bounds", "optimal_h"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmGmDecomposition",
-    "BranchClassification",
-    "BRANCH_CONSTANT_ONE",
-    "BRANCH_COS",
-    "BRANCH_COSH",
-    "BRANCH_ZERO",
-    "ChebyshevCheck",
-    "ClassificationError",
-    "ConvergenceError",
-    "CurvatureEstimate",
-    "DefectReport",
-    "DefectSample",
-    "DistanceResult",
-    "DomainError",
-    "EnvelopeSpec",
-    "FAMILIES",
-    "FamilySpec",
-    "FunctionHandle",
-    "GoldenResult",
-    "IdentityViolations",
-    "InputError",
-    "LOG_LINE",
-    "LogForms",
-    "POSITIVE_RATIOS",
-    "ParameterError",
-    "PrecisionError",
-    "PreconditionError",
-    "RangeOverflowError",
-    "ReccostError",
-    "StabilityCertificate",
-    "StabilityInputs",
-    "am_gm_decomposition",
-    "analytic",
-    "bregman_divergence",
-    "canonical_cost",
-    "certify",
-    "certify_ratio",
-    "chebyshev_cost",
-    "chebyshev_sequence",
-    "classify",
-    "defect_log",
-    "defect_ratio",
-    "delta_of_h",
-    "distance",
-    "estimate_bounds",
-    "estimate_kappa",
-    "family_spec_text",
-    "golden_fixed_point",
-    "identity_report",
-    "lift_to_log",
-    "local_equivalence_ratio",
-    "log_forms",
-    "make_family",
-    "metric_weight",
-    "metric_weight_ratio",
-    "ode_residual",
-    "optimal_h",
-    "parse_family_spec",
-    "perturb",
-    "quad_ratio",
-    "quadlog_defect_oracle",
-    "sample_table",
-    "sup_defect",
-    "to_ratio",
-    "validate_log_coord",
-    "validate_positive_ratio",
-]
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value

@@ -15,6 +15,11 @@ increasing abscissas.
 
 All numeric output is printed with 17 significant digits so reports can be
 replayed bit-for-bit.
+
+Imports are lazy: at module level only the standard library, ``core``,
+``geometry`` and ``errors``, so ``eval``, ``golden``, ``chebyshev`` and
+``distance`` never load numpy.  Other handlers import what they use and call
+through module attributes (``handles.sample_table``), so patches are seen.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import calibration, core, dalembert, geometry, grids, stability
+from . import core, geometry
+from .core import LOG_LINE, POSITIVE_RATIOS
 from .errors import (
     ClassificationError,
     ConvergenceError,
@@ -41,8 +46,9 @@ from .errors import (
     PreconditionError,
     RangeOverflowError,
 )
-from .fixtures import NATURAL_DOMAIN, make_family, parse_family_spec
-from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log, sample_table, to_ratio
+
+if TYPE_CHECKING:
+    from .handles import FunctionHandle
 
 STATUS_OK = "ok"
 STATUS_FAILED = "verification-failed"
@@ -69,22 +75,27 @@ class RunReport:
     status: str
 
 
+def __getattr__(name):
+    # for bench/tracer.py, which wraps these two names here (ROADMAP item 5); cli calls neither
+    if name in ("sample_table", "make_family"):
+        from . import fixtures, handles
+        return getattr(handles if name == "sample_table" else fixtures, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _py(obj):
     """Coerce numpy scalars/arrays and dataclasses into plain JSON-able Python."""
+    if type(obj) in (float, int, str, bool, type(None)):  # np.float64 subclasses float
+        return obj
     if isinstance(obj, dict):
         return {k: _py(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_py(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _py(dataclasses.asdict(obj))
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is imported
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
+        return _py(obj.tolist())  # numpy scalars become float, int or bool
     return obj
 
 
@@ -169,11 +180,13 @@ def load_samples(path: str, domain: str) -> FunctionHandle:
         ys.append(b)
     if len(xs) < 2:
         raise InputError("table needs at least two rows")
-    return sample_table(domain, xs, ys, name=Path(path).name)
+    from . import handles
+    return handles.sample_table(domain, xs, ys, name=Path(path).name)
 
 
 def _load_handle(ns, target: str | None):
     """Resolve --family/--input into a handle in the target domain (if any)."""
+    from . import fixtures, handles
     family = getattr(ns, "family", None)
     path = getattr(ns, "input", None)
     if (family is None) == (path is None):
@@ -181,9 +194,9 @@ def _load_handle(ns, target: str | None):
     echo: dict = {}
     notes: list[str] = []
     if family is not None:
-        spec = parse_family_spec(family)
-        domain = getattr(ns, "domain", None) or target or NATURAL_DOMAIN[spec.family]
-        handle = make_family(spec, domain=domain)
+        spec = fixtures.parse_family_spec(family)
+        domain = getattr(ns, "domain", None) or target or fixtures.NATURAL_DOMAIN[spec.family]
+        handle = fixtures.make_family(spec, domain=domain)
         echo["family"] = family
         if getattr(ns, "domain", None):
             echo["domain"] = ns.domain
@@ -194,10 +207,10 @@ def _load_handle(ns, target: str | None):
         echo["domain"] = domain
     if target is not None and handle.domain != target:
         if target == LOG_LINE:
-            handle = lift_to_log(handle)
+            handle = handles.lift_to_log(handle)
             notes.append("source lifted to log coordinates (H = F(e^t) + 1)")
         else:
-            handle = to_ratio(handle)
+            handle = handles.to_ratio(handle)
             notes.append("source projected to ratio coordinates (F = H(ln x) - 1)")
     return handle, echo, notes
 
@@ -237,6 +250,7 @@ def _given(flags: dict) -> dict:
 
 def _grid_source(ns, target: str):
     """Handle, input echo and diagnostics of a command that sweeps [-T, T] at --step."""
+    from . import grids
     handle, echo, notes = _load_handle(ns, target=target)
     echo.update({"T": float(ns.T), "step": float(ns.step)})
     diag: dict = {"grid": {"T": float(ns.T), "step": grids.symmetric_grid(ns.T, ns.step)[0]}}
@@ -260,6 +274,7 @@ def _cmd_eval(ns):
 
 
 def _cmd_defect(ns):
+    from . import dalembert
     handle, echo, notes = _load_handle(ns, target=None)
     diag = {"notes": notes} if notes else {}
     if handle.domain == LOG_LINE:
@@ -276,18 +291,21 @@ def _cmd_defect(ns):
 
 
 def _cmd_sup_defect(ns):
+    from . import dalembert
     handle, echo, diag = _grid_source(ns, LOG_LINE)
     report = dalembert.sup_defect(handle, ns.T, ns.step)
     return echo, _defect_section(report), diag, STATUS_OK, None
 
 
 def _cmd_identities(ns):
+    from . import dalembert
     handle, echo, diag = _grid_source(ns, LOG_LINE)
     report = dalembert.identity_report(handle, ns.T, ns.step)
     return echo, dataclasses.asdict(report), diag, STATUS_OK, None
 
 
 def _cmd_calibrate(ns):
+    from . import calibration
     handle, echo, notes = _load_handle(ns, target=LOG_LINE)
     est = calibration.estimate_kappa(handle, h0=ns.h0, levels=ns.levels)
     echo.update({"h0": float(ns.h0), "levels": int(ns.levels)})
@@ -299,6 +317,7 @@ def _cmd_calibrate(ns):
 
 
 def _cmd_classify(ns):
+    from . import calibration, grids
     handle, echo, notes = _load_handle(ns, target=LOG_LINE)
     echo.update({"window-T": float(ns.window_T), "const-tol": float(ns.const_tol)})
     echo.update(_given({"residual-step": ns.residual_step, "residual-tol": ns.residual_tol}))
@@ -319,12 +338,13 @@ def _cmd_classify(ns):
 
 
 def _certify_common(ns, ratio: bool):
+    from . import handles, stability
     handle, echo, diag = _grid_source(ns, POSITIVE_RATIOS if ratio else LOG_LINE)
     echo.update(_given({"h": ns.h, "a": ns.a}))
     fn = stability.certify_ratio if ratio else stability.certify
     cert = fn(handle, ns.T, ns.step, h_choice=ns.h, a=ns.a)
     results = {**_certificate_section(cert), "envelope": dataclasses.asdict(cert.envelope)}
-    sweep_handle = lift_to_log(handle) if ratio else handle
+    sweep_handle = handles.lift_to_log(handle) if ratio else handle
     if sweep_handle.deriv_order < 3:
         diag["warnings"] = [
             "K estimated by third central differences (sample table); treat as approximate"]
@@ -358,6 +378,7 @@ def _cmd_golden(ns):
 
 
 def _cmd_report(ns):
+    from . import calibration, dalembert, stability
     handle, echo, diag = _grid_source(ns, LOG_LINE)
     sections = {
         "sup_defect": _defect_section(defect := dalembert.sup_defect(handle, ns.T, ns.step)),

@@ -20,6 +20,10 @@ from .errors import ConvergenceError, DomainError, ParameterError, RangeOverflow
 # cosh(t) stays inside double range for |t| <= 700
 COSH_T_MAX = 700.0
 
+# the two domain tags: a function of t = ln x, or of the positive ratio x
+LOG_LINE = "log-line"
+POSITIVE_RATIOS = "positive-ratios"
+
 
 def validate_positive_ratio(x: float) -> float:
     """Return x as a float after checking it is finite and strictly positive."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reccost import InputError, LOG_LINE, POSITIVE_RATIOS
-from reccost.cli import load_samples, run
+from reccost.cli import _py, load_samples, run
 
 
 def write_cosh_csv(path, lo=-2.5, hi=2.5, n=1001):
@@ -380,6 +380,13 @@ class TestReports:
         assert code == 0
         assert report.results["classification"]["branch"] == "Zero"
         assert "error" in report.results["certificate"]
+
+
+def test_py_turns_numpy_values_into_plain_python():
+    value = {"a": np.float64(0.5), "b": (np.int64(3), np.bool_(True)), "c": np.array([[1.0, 2.0]])}
+    out = _py(value)
+    assert out == {"a": 0.5, "b": [3, True], "c": [[1.0, 2.0]]}
+    assert [type(v) for v in (out["a"], *out["b"], out["c"][0][0])] == [float, int, bool, float]
 
 
 class TestModuleInvocation:

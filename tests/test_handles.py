@@ -63,6 +63,50 @@ class TestSampleTable:
             h.derivative(0.5, 1)
 
 
+def spline_abscissas(kind, n, rng):
+    if kind == "unit-gaps":  # at n = 3 scipy solves this system by Cholesky, not LU
+        return np.arange(n, dtype=float) - n // 2
+    if kind == "uniform":
+        return np.linspace(-4.05, 4.05, n)
+    return np.cumsum(np.exp(rng.normal(0.0, 1.0, n))) - 2.0
+
+
+class TestSplineMatchesScipy:
+    """The table interpolant is scipy's not-a-knot CubicSpline, value for value."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 811])
+    @pytest.mark.parametrize("kind", ["unit-gaps", "uniform", "random"])
+    def test_log_table_values_are_bit_identical(self, kind, n):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(n)
+        xs = spline_abscissas(kind, n, rng)
+        for ys in (rng.normal(size=n), np.cosh(xs / 4.0)):
+            h = sample_table(LOG_LINE, xs, ys)
+            q = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 400), [xs[-1]]])
+            ref = CubicSpline(xs, ys - 1.0)
+            assert np.array_equal(h.excess(q), ref(q))
+            assert all(h.excess(float(z)) == float(ref(z)) for z in q[::37])
+
+    def test_ratio_table_through_exp_is_bit_identical(self):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(7)
+        xs = np.exp(np.sort(rng.uniform(-2.5, 2.5, 301)))
+        # end nodes whose exp(ln x) rounds outside the table, so the lifted handle's
+        # support ends make scipy extrapolate the end pieces
+        xs[0] = next(x for x in np.linspace(0.06, 0.07, 99) if np.exp(np.log(x)) < x)
+        xs[-1] = next(x for x in np.linspace(13.0, 13.5, 99) if np.exp(np.log(x)) > x)
+        ys = (xs - 1.0) ** 2 / (2.0 * xs)
+        f = sample_table(POSITIVE_RATIOS, xs, ys)
+        ref = CubicSpline(xs, ys)
+        q = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 400), [xs[-1]]])
+        assert np.array_equal(f(q), ref(np.exp(np.log(q))))
+        h = lift_to_log(f)
+        ts = np.concatenate([[math.log(xs[0]), math.log(xs[-1])], np.log(q)])
+        assert np.array_equal(h.excess(ts), ref(np.exp(ts)))
+
+
 class TestAnalyticHandles:
     def test_scalar_and_array_evaluation(self):
         h = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
