@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Write the --json reports of the README command-line examples into OUTDIR.
 
-OUTDIR receives samples.csv (cosh on 1001 nodes of [-2.5, 2.5], the input of
-the classify example) and one report per example, NAME.json.  The reports come
+There is one example per subcommand, twelve in all.  OUTDIR receives
+samples.csv (cosh on 1001 nodes of [-2.5, 2.5], the input of the classify
+example) and one report per example, NAME.json.  The reports come
 from reccost.cli.run of whichever reccost PYTHONPATH points at, so two
 checkouts can be compared report by report with report_diff.py:
 
@@ -27,6 +28,13 @@ EXAMPLES = {
     "sup-defect": ["sup-defect", "--family", "noisy-cosh,amplitude=1e-3,mode=sine,freq=5",
                    "--T", "2", "--step", "0.05"],
     "report": ["report", "--family", "cosh-lambda,lambda=2", "--T", "2", "--step", "0.05"],
+    "defect": ["defect", "--family", "cosh", "--x", "2", "--y", "3"],
+    "identities": ["identities", "--family", "cosh", "--T", "2", "--step", "0.05"],
+    "calibrate": ["calibrate", "--family", "cosh-lambda,lambda=2"],
+    "cert-ratio": ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
+    "distance": ["distance", "--x", "1", "--y", "1e4"],
+    "chebyshev": ["chebyshev", "--x", "2", "--n", "8"],
+    "golden": ["golden"],
 }
 
 

@@ -207,6 +207,12 @@ def window_curvature(h: FunctionHandle, window_T: float,
     return curvature
 
 
+def residual_grid(window_T: float, step: float | None = None) -> np.ndarray:
+    """The nodes of [-window_T, window_T] on which classify measures its residual, at
+    step, or window_T / 100 if step is None."""
+    return symmetric_grid(window_T, window_T / 100.0 if step is None else step)[1]
+
+
 def classify(
     h: FunctionHandle,
     window_T: float,
@@ -234,9 +240,8 @@ def classify(
     if residual_tol is None and window_T > COSH_T_MAX:
         raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the default "
                                  "residual_tol 1e-6 cosh(window_T) would overflow")
-    step = residual_grid_step if residual_grid_step is not None else window_T / 100.0
     accept = residual_tol if residual_tol is not None else 1e-6 * math.cosh(window_T)
-    _, grid = symmetric_grid(window_T, step)
+    grid = residual_grid(window_T, residual_grid_step)
     vals = h(grid)
     h_at_0 = h(0.0)
 

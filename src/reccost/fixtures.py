@@ -196,16 +196,16 @@ def make_family(spec: FamilySpec, domain: str | None = None) -> FunctionHandle:
     if domain not in (LOG_LINE, POSITIVE_RATIOS):
         raise ParameterError(f"unknown domain {domain!r}")
     p = spec.params
-    t_max, params = _LOG_SUPPORT_HUGE, {}
+    t_max = _LOG_SUPPORT_HUGE
 
     if fam in (FAMILY_COSH_LAMBDA, FAMILY_POWERLAW_W):
         lam = _positive_param(p, "lambda", fam)
-        t_max, params = _COSH_T_MAX / lam, {"lambda": lam}
+        t_max = _COSH_T_MAX / lam
         name = f"{fam}({lam:g})"
         fns = _cosh_excess(lam) if fam == FAMILY_COSH_LAMBDA else _powerlaw_excess(lam)
     elif fam == FAMILY_COS_K:
         k = _positive_param(p, "k", fam)
-        name, fns, params = f"cos-k({k:g})", _cos_excess(k), {"k": k}
+        name, fns = f"cos-k({k:g})", _cos_excess(k)
     elif fam == FAMILY_CONSTANT_ONE:
         name, fns = fam, _constant_excess(0.0)
     elif fam == FAMILY_ZERO:
@@ -225,9 +225,8 @@ def make_family(spec: FamilySpec, domain: str | None = None) -> FunctionHandle:
         _require(seed >= 0, f"noisy-cosh needs seed >= 0, got {seed}")
         t_max = _COSH_T_MAX / lam
         name = f"noisy-cosh({lam:g},{mode},{amp:g})"
-        params = {"lambda": lam, "amplitude": amp, "freq": freq, "seed": float(seed)}
         fns = _sum_fns(_cosh_excess(lam), _perturbation_fns(mode, amp, freq, seed), 3)
-    return from_excess(domain, name, fns, (-t_max, t_max), params)
+    return from_excess(domain, name, fns, (-t_max, t_max))
 
 
 _SPEC_FLOAT_KEYS = ("lambda", "k", "amplitude", "freq")
@@ -319,5 +318,4 @@ def perturb(
     pert = _perturbation_fns(mode, amplitude, freq)
     fns = _sum_fns(base.fns, pert, min(base.deriv_order, 3))
     tag = f"{mode}({freq:g})" if mode == "sine" else mode
-    return from_excess(LOG_LINE, f"{base.name}+{tag}*{amplitude:g}", fns, base.support,
-                       params=dict(base.params))
+    return from_excess(LOG_LINE, f"{base.name}+{tag}*{amplitude:g}", fns, base.support)

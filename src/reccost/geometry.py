@@ -124,16 +124,24 @@ def _antiderivative(t: float) -> tuple[float, int]:
     return math.copysign(2.0 * s * rf + (4.0 / 3.0) * s**3 * rd, t), steps
 
 
-def _arc_length(lo: float, hi: float) -> tuple[float, float, int]:
-    """(integral_lo^hi sqrt(cosh u) du, error bound, evaluations) for lo < hi."""
+def _arc_length(x: float, y: float) -> tuple[float, float, int, float]:
+    """(integral of sqrt(cosh u) du between ln x and ln y, error bound, evaluations,
+    |ln y - ln x|) for ratios x != y."""
+    a, b = math.log(x), math.log(y)
+    # ln x and ln y may each be an ulp off, which moves the arc by the metric weight there
+    slack = math.ulp(a) * _sqrt_cosh(a) + math.ulp(b) * _sqrt_cosh(b)
+    (x, lo), (y, hi) = sorted(((x, a), (y, b)))
     eps = 16.0 * math.ulp(1.0)  # the error bound per magnitude summed; tests check it holds
     if hi - lo <= 1.0:
-        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        value = r * sum(w * (_sqrt_cosh(c - r * x) + _sqrt_cosh(c + r * x))
-                        for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-        return value, eps * value, 2 * len(_GL_NODES)
+        # close x, y far from 1 share the leading digits of their logs, so hi - lo loses
+        # the gap; y - x and the division round once each
+        width = math.log1p((y - x) / x)
+        c, r = 0.5 * (lo + hi), 0.5 * width
+        value = r * sum(w * (_sqrt_cosh(c - r * z) + _sqrt_cosh(c + r * z))
+                        for z, w in zip(_GL_NODES, _GL_WEIGHTS))
+        return value, eps * value + slack, 2 * len(_GL_NODES), width
     (i_hi, n_hi), (i_lo, n_lo) = _antiderivative(hi), _antiderivative(lo)
-    return i_hi - i_lo, eps * (abs(i_hi) + abs(i_lo)), n_hi + n_lo
+    return i_hi - i_lo, eps * (abs(i_hi) + abs(i_lo)) + slack, n_hi + n_lo, hi - lo
 
 
 def distance(x: float, y: float, tol: float) -> DistanceResult:
@@ -150,10 +158,7 @@ def distance(x: float, y: float, tol: float) -> DistanceResult:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     if x == y:
         return DistanceResult(0.0, 0.0, (x, y), 0)
-    a, b = math.log(x), math.log(y)
-    value, err, evals = _arc_length(min(a, b), max(a, b))
-    # ln x and ln y may each be an ulp off, which moves the arc by the metric weight there
-    err += math.ulp(a) * _sqrt_cosh(a) + math.ulp(b) * _sqrt_cosh(b)
+    value, err, evals, _ = _arc_length(x, y)
     return DistanceResult(value, err, (x, y), evals)
 
 
@@ -161,10 +166,10 @@ def local_equivalence_ratio(x: float, y: float) -> float:
     """d_J(x, y) / |ln y - ln x|; tends to 1 as both arguments approach 1."""
     x = validate_positive_ratio(x)
     y = validate_positive_ratio(y)
-    a, b = math.log(x), math.log(y)
-    if a == b:
+    if x == y:
         raise DomainError("local equivalence ratio needs x != y")
-    return _arc_length(min(a, b), max(a, b))[0] / abs(b - a)
+    value, _, _, width = _arc_length(x, y)
+    return value / width
 
 
 def chebyshev_cost(x: float, n: int) -> ChebyshevCheck:

@@ -18,8 +18,8 @@ share across concurrent callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class FunctionHandle:
     deriv_order: int
     support: tuple[float, float]
     fns: tuple[Callable, ...]
-    params: Mapping[str, float] = field(default_factory=dict)
     table: tuple[np.ndarray, np.ndarray] | None = None
 
     def _check(self, arr: np.ndarray) -> None:
@@ -111,11 +110,11 @@ def require_domain(h: FunctionHandle, domain: str, op: str) -> None:
         raise DomainError(f"{op} needs a {noun} handle, got {h.domain}")
 
 
-def _handle(kind, domain, name, fns, support, params=None, table=None) -> FunctionHandle:
+def _handle(kind, domain, name, fns, support, table=None) -> FunctionHandle:
     # the chain rule to x-derivatives stops at order 3
     order = len(fns) - 1 if domain == LOG_LINE else min(len(fns) - 1, 3)
     support = (float(support[0]), float(support[1]))
-    return FunctionHandle(kind, domain, name, order, support, tuple(fns), dict(params or {}), table)
+    return FunctionHandle(kind, domain, name, order, support, tuple(fns), table)
 
 
 def _x_support(t_lo: float, t_hi: float) -> tuple[float, float]:
@@ -138,10 +137,10 @@ def _excess_of_ratio(fns, k: int) -> Callable:
     return g
 
 
-def from_excess(domain: str, name: str, fns, t_support, params=None) -> FunctionHandle:
+def from_excess(domain: str, name: str, fns, t_support) -> FunctionHandle:
     """Builtin handle from a log-line excess stack (G, G', ...) on the t-interval t_support."""
     support = tuple(t_support) if domain == LOG_LINE else _x_support(*t_support)
-    return _handle(BUILTIN_FAMILY, domain, name, fns, support, params)
+    return _handle(BUILTIN_FAMILY, domain, name, fns, support)
 
 
 def analytic(
@@ -149,7 +148,6 @@ def analytic(
     name: str,
     fns,
     support=(-math.inf, math.inf),
-    params: Mapping[str, float] | None = None,
 ) -> FunctionHandle:
     """Wrap a value callable plus optional derivative callables as a builtin handle.
 
@@ -167,7 +165,7 @@ def analytic(
         gfns = (lambda t: np.asarray(h0(t), dtype=float) - 1.0,) + tuple(fns[1:])
     else:
         gfns = tuple(_excess_of_ratio(fns, k) for k in range(min(len(fns), 4)))
-    return _handle(BUILTIN_FAMILY, domain, name, gfns, (lo, hi), params)
+    return _handle(BUILTIN_FAMILY, domain, name, gfns, (lo, hi))
 
 
 def _gtsv(dl: list, d: list, du: list, b: list) -> list:
@@ -296,13 +294,11 @@ def lift_to_log(f: FunctionHandle) -> FunctionHandle:
     lifted table keeps derivative capability 0.
     """
     require_domain(f, POSITIVE_RATIOS, "lift_to_log")
-    return replace(f, domain=LOG_LINE, name=f"lift({f.name})", support=_t_support(*f.support),
-                   params=dict(f.params))
+    return replace(f, domain=LOG_LINE, name=f"lift({f.name})", support=_t_support(*f.support))
 
 
 def to_ratio(h: FunctionHandle) -> FunctionHandle:
     """Positive-ratio view F(x) = h(ln x) - 1 = G(ln x) of a log-line handle."""
     require_domain(h, LOG_LINE, "to_ratio")
     return replace(h, domain=POSITIVE_RATIOS, name=f"ratio({h.name})",
-                   support=_x_support(*h.support), deriv_order=min(h.deriv_order, 3),
-                   params=dict(h.params))
+                   support=_x_support(*h.support), deriv_order=min(h.deriv_order, 3))

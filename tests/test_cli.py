@@ -4,8 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from reccost import InputError, LOG_LINE, POSITIVE_RATIOS
-from reccost.cli import _py, load_samples, run
+from reccost import InputError, LOG_LINE, POSITIVE_RATIOS, calibration, core
+from reccost.cli import _HANDLERS, _py, load_samples, run
+
+# one passing run of each subcommand
+EXAMPLES = {argv[0]: argv for argv in [
+    ["eval", "--x", "2"],
+    ["defect", "--family", "cosh", "--x", "2", "--y", "3"],
+    ["sup-defect", "--family", "cosh-lambda,lambda=2", "--T", "2", "--step", "0.1"],
+    ["identities", "--family", "cosh", "--T", "2", "--step", "0.1"],
+    ["calibrate", "--family", "cosh"],
+    ["classify", "--family", "cosh-lambda,lambda=2"],
+    ["certify", "--family", "cosh", "--T", "2", "--step", "0.05"],
+    ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
+    ["distance", "--x", "1", "--y", "3", "--tol", "1e-10"],
+    ["chebyshev", "--x", "2", "--n", "5"],
+    ["golden", "--x0", "1", "--tol", "1e-12", "--max-iter", "200"],
+    ["report", "--family", "cosh", "--T", "2", "--step", "0.1"],
+]}
 
 
 def write_cosh_csv(path, lo=-2.5, hi=2.5, n=1001):
@@ -64,6 +80,30 @@ class TestLoadSamples:
         with pytest.raises(InputError) as info:
             load_samples(str(p), POSITIVE_RATIOS)
         assert info.value.line == 2
+
+    @pytest.mark.parametrize("header, domain", [("t,H", LOG_LINE), ("x,F", POSITIVE_RATIOS)])
+    def test_header_names_the_domain(self, tmp_path, header, domain):
+        p = tmp_path / "s.csv"
+        p.write_text(f"{header}\n0.5,0.25\n1,0\n", encoding="utf-8")
+        assert load_samples(str(p)).domain == domain
+        other = POSITIVE_RATIOS if domain == LOG_LINE else LOG_LINE
+        with pytest.raises(InputError, match="expected header") as info:
+            load_samples(str(p), other)
+        assert info.value.line == 1
+
+    @pytest.mark.parametrize("domain", [None, LOG_LINE])
+    def test_empty_file(self, tmp_path, domain):
+        p = tmp_path / "s.csv"
+        p.write_text("", encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_samples(str(p), domain)
+        assert info.value.line == 1
+
+    def test_undecodable_file(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"t,H\n0,1\n\xff,2\n")
+        with pytest.raises(InputError, match="cannot read"):
+            load_samples(str(p))
 
     def test_non_numeric(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -242,24 +282,15 @@ class TestReports:
         assert "  sequence = [1, 1.25, 2.125, 4.0625, 8.03125, 16.015625, 32.0078125, " \
             "64.00390625, 128.001953125, 256.0009765625]\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eval", "--x", "2"],
-            ["defect", "--family", "cosh", "--x", "2", "--y", "3"],
-            ["sup-defect", "--family", "cosh-lambda,lambda=2", "--T", "2", "--step", "0.1"],
-            ["identities", "--family", "cosh", "--T", "2", "--step", "0.1"],
-            ["calibrate", "--family", "cosh"],
-            ["classify", "--family", "cosh-lambda,lambda=2"],
-            ["certify", "--family", "cosh", "--T", "2", "--step", "0.05"],
-            ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
-            ["distance", "--x", "1", "--y", "3", "--tol", "1e-10"],
-            ["chebyshev", "--x", "2", "--n", "5"],
-            ["golden", "--x0", "1", "--tol", "1e-12", "--max-iter", "200"],
-            ["report", "--family", "cosh", "--T", "2", "--step", "0.1"],
-        ],
-        ids=lambda a: "roundtrip-" + a[0],
-    )
+    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    def test_every_command_writes_json(self, command, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code, report = run([*EXAMPLES[command], "--json", str(out)])
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert code == 0 and payload["command"] == command
+        assert payload["results"] == report.results
+
+    @pytest.mark.parametrize("argv", EXAMPLES.values(), ids=lambda a: "roundtrip-" + a[0])
     def test_round_trip_determinism(self, argv, capsys):
         code1, report1 = run(argv)
         assert code1 == 0
@@ -367,11 +398,16 @@ class TestReports:
 
     def test_classify_plot_csv_uses_fitted_branch(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
-        code, report = run(["classify", "--family", "cos-k,k=1.5", "--plot-csv", str(out)])
-        assert code == 0 and report.results["branch"] == "Cos"
-        rows = np.array([[float(v) for v in ln.split(",") if v]
-                         for ln in out.read_text(encoding="utf-8").splitlines()[1:]])
-        assert np.array_equal(rows[:, 2], np.cos(report.results["k"] * rows[:, 0]))
+        for step in (None, 0.3):  # the t column is classify's own residual grid
+            flags = [] if step is None else ["--residual-step", str(step)]
+            code, report = run(["classify", "--family", "cos-k,k=1.5", "--plot-csv", str(out),
+                                *flags])
+            assert code == 0 and report.results["branch"] == "Cos"
+            rows = np.array([[float(v) for v in ln.split(",") if v]
+                             for ln in out.read_text(encoding="utf-8").splitlines()[1:]])
+            assert len(rows) == (201 if step is None else 15)  # [-2, 2] at 2/100, at 2/7
+            assert np.array_equal(rows[:, 0], calibration.residual_grid(2.0, step))
+            assert np.array_equal(rows[:, 2], np.cos(report.results["k"] * rows[:, 0]))
 
     def test_report_on_zero_family_keeps_ok_status(self, capsys):
         # zero solves the equation; the certificate section records the
@@ -387,6 +423,13 @@ def test_py_turns_numpy_values_into_plain_python():
     out = _py(value)
     assert out == {"a": 0.5, "b": [3, True], "c": [[1.0, 2.0]]}
     assert [type(v) for v in (out["a"], *out["b"], out["c"][0][0])] == [float, int, bool, float]
+
+
+def test_py_turns_named_tuples_into_dicts_in_field_order():
+    out = _py([core.GoldenResult(phi=1.5, iterations=3, cost_at_phi=np.float64(0.25))])
+    assert out == [{"phi": 1.5, "iterations": 3, "cost_at_phi": 0.25}]
+    assert list(out[0]) == ["phi", "iterations", "cost_at_phi"]
+    assert type(out[0]["cost_at_phi"]) is float
 
 
 class TestModuleInvocation:

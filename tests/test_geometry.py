@@ -43,6 +43,18 @@ ARCS = [(-0.5, 0.5), (-0.3, 0.7), (-0.495, 0.495), (2.0, 2.001), (30.0, 31.0), (
         (-0.5, 0.5000001), (0.2, 1.7), (-3.0, 5.0), (0.0, 20.0), (-30.0, -2.0), (19.0, 22.0),
         (79.0, 80.5), (79.9, 81.0), (0.0, 80.0), (100.0, 102.0), (-744.4, 709.7)]
 
+# close ratios far from 1, whose rounded logs share most digits; the last pair are neighbours
+CLOSE_PAIRS = [(1e300, 1e300 * (1 + 1e-10)), (1e-300, 1e-300 * (1 + 1e-9)),
+               (1e300, math.nextafter(1e300, math.inf))]
+
+
+def mp_arc(x, y):
+    """(integral of sqrt(cosh u) du over [ln x, ln y], ln y - ln x) to 50 digits, x < y."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, b = mpmath.log(mpmath.mpf(x)), mpmath.log(mpmath.mpf(y))
+        return mpmath.quad(lambda u: mpmath.sqrt(mpmath.cosh(u)), [a, b]), b - a
+
 
 class TestMetricWeight:
     def test_identity_point(self):
@@ -162,6 +174,13 @@ class TestDistance:
             ref = math.log1p((y - x) / x) * metric_weight(math.log(x))  # to O(1e-9) relative
             assert abs(res.value - ref) <= res.abs_error_estimate
 
+    @pytest.mark.parametrize("x, y", CLOSE_PAIRS)
+    def test_close_endpoints_keep_their_gap(self, x, y):
+        ref = mp_arc(x, y)[0]
+        for got in (distance(x, y, 1e-10), distance(y, x, 1e-10)):
+            assert abs(got.value - ref) <= 1e-13 * ref
+            assert abs(got.value - ref) <= got.abs_error_estimate
+
     def test_tol_does_not_steer_the_value(self):
         assert distance(0.3, 7.0, 1e-3) == distance(0.3, 7.0, 1e-14)
 
@@ -203,6 +222,11 @@ class TestLocalEquivalence:
     def test_equal_arguments_rejected(self):
         with pytest.raises(DomainError):
             local_equivalence_ratio(2.0, 2.0)
+
+    def test_neighbouring_doubles(self):
+        x, y = CLOSE_PAIRS[-1]
+        arc, width = mp_arc(x, y)
+        assert abs(local_equivalence_ratio(x, y) - arc / width) <= 1e-13 * (arc / width)
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
     def test_exact_near_one(self, gap):
