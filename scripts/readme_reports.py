@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Write the --json reports of the README command-line examples into OUTDIR.
 
-There is one example per subcommand, twelve in all.  OUTDIR receives
-samples.csv (cosh on 1001 nodes of [-2.5, 2.5], the input of the classify
-example) and one report per example, NAME.json.  The reports come
-from reccost.cli.run of whichever reccost PYTHONPATH points at, so two
-checkouts can be compared report by report with report_diff.py:
+There is one example per subcommand, plus certify on a table: thirteen in
+all.  OUTDIR receives samples.csv (cosh on 1001 nodes of [-2.5, 2.5], the
+input of the two table examples) and one report per example, NAME.json.
+The reports come from reccost.cli.run of whichever reccost PYTHONPATH points
+at, so two checkouts can be compared report by report with report_diff.py:
 
     PYTHONPATH=src python scripts/readme_reports.py after
     PYTHONPATH=../other/src python scripts/readme_reports.py before
@@ -25,6 +25,8 @@ EXAMPLES = {
     "eval": ["eval", "--x", "2"],
     "cert": ["certify", "--family", "cosh", "--T", "2", "--step", "0.05"],
     "classify": ["classify", "--input", "samples.csv"],
+    # T = 2 would need the table on [-4, 4]; it covers [-2.5, 2.5]
+    "cert-table": ["certify", "--input", "samples.csv", "--T", "1.2", "--step", "0.05"],
     "sup-defect": ["sup-defect", "--family", "noisy-cosh,amplitude=1e-3,mode=sine,freq=5",
                    "--T", "2", "--step", "0.05"],
     "report": ["report", "--family", "cosh-lambda,lambda=2", "--T", "2", "--step", "0.05"],
@@ -51,7 +53,7 @@ def main(argv=None) -> int:
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_samples(out / "samples.csv")
-    # run inside OUTDIR: the classify example names its input relatively, and the
+    # run inside OUTDIR: the table examples name their input relatively, and the
     # report echoes that name, so reports from different OUTDIRs stay comparable
     cwd = os.getcwd()
     os.chdir(out)

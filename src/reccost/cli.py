@@ -325,9 +325,6 @@ def _certify_common(ns, ratio: bool):
     echo.update(_given({"h": ns.h, "a": ns.a}))
     fn = stability.certify_ratio if ratio else stability.certify
     cert = fn(handle, ns.T, ns.step, h_choice=ns.h, a=ns.a)
-    if handle.deriv_order < 3:  # lift_to_log keeps the order, so this is the sweep's too
-        diag["warnings"] = [
-            "K estimated by third central differences (sample table); treat as approximate"]
     if ratio:
         half = cert.inputs.T - cert.inputs.h
         diag["x_window"] = [math.exp(-half), math.exp(half)]

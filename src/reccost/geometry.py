@@ -127,10 +127,7 @@ def _antiderivative(t: float) -> tuple[float, int]:
 def _arc_length(x: float, y: float) -> tuple[float, float, int, float]:
     """(integral of sqrt(cosh u) du between ln x and ln y, error bound, evaluations,
     |ln y - ln x|) for ratios x != y."""
-    a, b = math.log(x), math.log(y)
-    # ln x and ln y may each be an ulp off, which moves the arc by the metric weight there
-    slack = math.ulp(a) * _sqrt_cosh(a) + math.ulp(b) * _sqrt_cosh(b)
-    (x, lo), (y, hi) = sorted(((x, a), (y, b)))
+    (x, lo), (y, hi) = sorted(((x, math.log(x)), (y, math.log(y))))
     eps = 16.0 * math.ulp(1.0)  # the error bound per magnitude summed; tests check it holds
     if hi - lo <= 1.0:
         # close x, y far from 1 share the leading digits of their logs, so hi - lo loses
@@ -139,7 +136,11 @@ def _arc_length(x: float, y: float) -> tuple[float, float, int, float]:
         c, r = 0.5 * (lo + hi), 0.5 * width
         value = r * sum(w * (_sqrt_cosh(c - r * z) + _sqrt_cosh(c + r * z))
                         for z, w in zip(_GL_NODES, _GL_WEIGHTS))
-        return value, eps * value + slack, 2 * len(_GL_NODES), width
+        # rounded logs move only the centre c, by about an ulp, and the weight's relative
+        # slope there is |tanh c|/2 <= 1/2
+        return value, value * (eps + math.ulp(c)), 2 * len(_GL_NODES), width
+    # ln x and ln y may each be an ulp off, which moves the arc by the metric weight there
+    slack = math.ulp(lo) * _sqrt_cosh(lo) + math.ulp(hi) * _sqrt_cosh(hi)
     (i_hi, n_hi), (i_lo, n_lo) = _antiderivative(hi), _antiderivative(lo)
     return i_hi - i_lo, eps * (abs(i_hi) + abs(i_lo)) + slack, n_hi + n_lo, hi - lo
 

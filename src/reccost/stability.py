@@ -19,7 +19,6 @@ not warnings, to keep certificates sound.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,35 +76,22 @@ class StabilityCertificate:
 
 
 def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
-    """(B, K) = (grid sup |H|, sup |H'''|) on [-T, T].
+    """(B, K) = (sup |H|, sup |H'''|) on the T/1000 grid of [-T, T].
 
-    K uses the analytic third derivative when the handle provides one; for
-    sample tables it falls back to third central differences with step four
-    times the table spacing, an ill-conditioned estimate flagged by callers.
+    K reads the handle's own H''', so a handle without one (an ``analytic``
+    stack shorter than four) is a DomainError.  A sample table's H''' is its
+    cubic interpolant's, constant on each piece: H'' is Lipschitz with
+    constant sup |6 c0| over the pieces, which is all the paper's remainder
+    needs (H''' bounded, not continuous).  Both bounds are grid suprema, not
+    enclosures, until validated enclosures land (ROADMAP item 5).
     """
     require_domain(h, LOG_LINE, "estimate_bounds")
     if not (T > 0 and math.isfinite(T)):
         raise DomainError(f"T must be positive and finite, got {T}")
+    if h.deriv_order < 3:
+        raise DomainError(f"{h.name}: K needs H''', but the handle stops at order {h.deriv_order}")
     _, grid = symmetric_grid(T, T / 1000.0)
-    vals = h(grid)
-    B = float(np.max(np.abs(vals)))
-    if h.deriv_order >= 3:
-        return B, float(np.max(np.abs(h.derivative(grid, 3))))
-    spacing = float(np.median(np.diff(h.table[0])) if h.table is not None else grid[1] - grid[0])
-    d = 4.0 * spacing
-    if d > T / 10.0:
-        warnings.warn(
-            f"{h.name}: table spacing {spacing:g} is coarse for third differences on "
-            f"[-{T:g}, {T:g}]; K is ill-conditioned",
-            stacklevel=2,
-        )
-    lo, hi = h.support
-    inner = grid[(grid - 2.0 * d >= lo) & (grid + 2.0 * d <= hi)]
-    if inner.size == 0:
-        raise DomainError(f"{h.name}: no room for third central differences inside the support")
-    num = h(inner + 2.0 * d) - 2.0 * h(inner + d) + 2.0 * h(inner - d) - h(inner - 2.0 * d)
-    K = float(np.max(np.abs(num)) / (2.0 * d**3))
-    return B, K
+    return float(np.max(np.abs(h(grid)))), float(np.max(np.abs(h.derivative(grid, 3))))
 
 
 def _check_bounds(epsilon: float, B: float, K: float) -> None:

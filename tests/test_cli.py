@@ -43,7 +43,7 @@ class TestLoadSamples:
         p = tmp_path / "s.csv"
         p.write_text("t,H\n0,1\n0.5,1.1276\n1,1.5431\n", encoding="utf-8")
         h = load_samples(str(p), LOG_LINE)
-        assert h.table[0].shape == (3,)
+        assert h.support == (0.0, 1.0)
         assert h.domain == LOG_LINE
 
     def test_ratio_table(self, tmp_path):
@@ -234,6 +234,19 @@ class TestTableWorkflows:
         assert code == 0
         assert report.results["branch"] == "Cosh"
         assert abs(report.results["k"] - 1.0) <= 1e-4
+
+    def test_certify_table_takes_the_interpolants_K(self, tmp_path, capsys):
+        from reccost.stability import estimate_bounds
+
+        path = write_cosh_csv(tmp_path / "cosh.csv")
+        out = tmp_path / "r.json"
+        code, _ = run(["certify", "--input", path, "--T", "1.2", "--step", "0.05",
+                       "--json", str(out)])
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert code == 0
+        assert "warnings" not in payload["diagnostics"]
+        _, K = estimate_bounds(load_samples(path), 1.2)
+        assert payload["results"]["inputs"]["K"] == K
 
     def test_ratio_table_lifted_for_log_command(self, tmp_path, capsys):
         xs = np.exp(np.linspace(-2.5, 2.5, 1001))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from reccost import (
     sample_table,
     to_ratio,
 )
+from reccost.handles import _LOG_FROM_RATIO
 
 
 def cosh_table(lo=-2.0, hi=2.0, n=81, domain=LOG_LINE):
@@ -26,13 +28,13 @@ class TestSampleTable:
     def test_three_nodes(self):
         h = cosh_table(0.0, 1.0, 3)
         assert h.kind == "sample-table"
-        assert h.deriv_order == 0
-        assert h.table[0].shape == (3,)
+        assert h.deriv_order == 3
+        assert h.support == (0.0, 1.0)
         assert abs(h(0.5) - math.cosh(0.5)) < 5e-3  # coarse interpolant
 
     def test_interpolates_nodes_exactly(self):
+        ts = np.linspace(-2.0, 2.0, 81)
         h = cosh_table()
-        ts = h.table[0]
         assert np.max(np.abs(h(ts) - np.cosh(ts))) <= 1e-14
 
     def test_rejects_bad_tables(self):
@@ -52,31 +54,53 @@ class TestSampleTable:
         with pytest.raises(DomainError):
             h(np.array([0.0, -1.5]))
 
-    def test_table_arrays_read_only(self):
-        h = cosh_table()
-        with pytest.raises(ValueError):
-            h.table[1][0] = 99.0
+    def test_caller_mutation_leaves_the_handle_unchanged(self):
+        q = np.linspace(0.5, 2.0, 97)
+        for domain in (LOG_LINE, POSITIVE_RATIOS):
+            xs = np.linspace(0.5, 2.0, 31)
+            ys = np.cosh(xs)
+            h = sample_table(domain, xs, ys)
+            before = [h(q)] + [h.derivative(q, k) for k in (1, 2, 3)]
+            xs[:] = np.linspace(0.6, 2.1, 31)
+            ys[:] = 99.0
+            after = [h(q)] + [h.derivative(q, k) for k in (1, 2, 3)]
+            assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
     def test_derivative_unavailable(self):
         h = cosh_table()
         with pytest.raises(DomainError):
-            h.derivative(0.5, 1)
+            h.derivative(0.5, 4)
 
 
 def spline_abscissas(kind, n, rng):
-    if kind == "unit-gaps":  # at n = 3 scipy solves this system by Cholesky, not LU
+    if kind == "unit-gaps":
         return np.arange(n, dtype=float) - n // 2
     if kind == "uniform":
         return np.linspace(-4.05, 4.05, n)
     return np.cumsum(np.exp(rng.normal(0.0, 1.0, n))) - 2.0
 
 
+def exact_parabola(xs, ys, q):
+    """The parabola through three (x, y) rows at each query, in exact rationals, rounded once."""
+    (x0, x1, x2), (y0, y1, y2) = ([Fraction(float(v)) for v in col] for col in (xs, ys))
+    d01, d12 = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
+    a = (d12 - d01) / (x2 - x0)
+    return np.array([float(y0 + (d01 + a * (z - x1)) * (z - x0))
+                     for z in map(Fraction, map(float, q))])
+
+
 class TestSplineMatchesScipy:
-    """The table interpolant is scipy's not-a-knot CubicSpline, value for value."""
+    """The table interpolant is scipy's not-a-knot CubicSpline, value for value.
+
+    Three rows are the exception: the spline is the interpolating parabola,
+    whose slopes have a closed form.  scipy solves a 3x3 system for them
+    instead, so there both are held to the exact parabola within 64 ulps.
+    """
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 811])
     @pytest.mark.parametrize("kind", ["unit-gaps", "uniform", "random"])
     def test_log_table_values_are_bit_identical(self, kind, n):
+        """Values and the three derivatives, bit for bit unless n = 3."""
         from scipy.interpolate import CubicSpline
 
         rng = np.random.default_rng(n)
@@ -85,8 +109,30 @@ class TestSplineMatchesScipy:
             h = sample_table(LOG_LINE, xs, ys)
             q = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 400), [xs[-1]]])
             ref = CubicSpline(xs, ys - 1.0)
+            if n == 3:
+                tol = 64 * math.ulp(float(np.max(np.abs(ys - 1.0))))
+                exact = exact_parabola(xs, ys - 1.0, q)
+                assert np.max(np.abs(h.excess(q) - ref(q))) <= tol
+                assert np.max(np.abs(h.excess(q) - exact)) <= tol
+                assert np.max(np.abs(ref(q) - exact)) <= tol
+                continue
             assert np.array_equal(h.excess(q), ref(q))
             assert all(h.excess(float(z)) == float(ref(z)) for z in q[::37])
+            for k in (1, 2, 3):
+                assert np.array_equal(h.derivative(q, k), ref(q, nu=k))
+
+    def test_ratio_table_stack_is_the_chain_rule_of_scipys(self):
+        from scipy.interpolate import CubicSpline
+
+        xs = np.exp(np.linspace(-2.5, 2.5, 301))
+        ys = (xs - 1.0) ** 2 / (2.0 * xs) + 1e-3 * np.sin(5.0 * xs)
+        h = lift_to_log(sample_table(POSITIVE_RATIOS, xs, ys))
+        ref = CubicSpline(xs, ys)
+        ts = np.linspace(-2.5, 2.5, 2001)
+        x = np.exp(ts)
+        for k, coeffs in enumerate(_LOG_FROM_RATIO, 1):
+            want = sum(c * x**j * ref(x, nu=j) for j, c in enumerate(coeffs, 1))
+            assert np.max(np.abs(h.derivative(ts, k) - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_ratio_table_through_exp_is_bit_identical(self):
         from scipy.interpolate import CubicSpline
@@ -218,11 +264,11 @@ class TestConversions:
         assert np.max(np.abs(h.derivative(ts, 2) - lam**2 * np.cosh(lam * ts))) <= 1e-10
         assert np.max(np.abs(h.derivative(ts, 3) - lam**3 * np.sinh(lam * ts))) <= 1e-10
 
-    def test_lifted_table_keeps_capability_zero(self):
+    def test_lifted_table_keeps_capability_three(self):
         xs = np.exp(np.linspace(-1.0, 1.0, 41))
         f = sample_table(POSITIVE_RATIOS, xs, (xs - 1.0) ** 2 / (2 * xs))
         h = lift_to_log(f)
-        assert h.deriv_order == 0
+        assert (f.deriv_order, h.deriv_order) == (3, 3)
         assert abs(h(0.5) - math.cosh(0.5)) < 1e-4
 
     def test_domain_guards(self):

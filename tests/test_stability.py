@@ -22,6 +22,7 @@ from reccost import (
     sup_defect,
 )
 from reccost.calibration import window_curvature
+from reccost.grids import symmetric_grid
 from reccost.stability import ENVELOPE_COSH_BRANCH, ENVELOPE_DELTA_TIMES_J, certificate_sweep
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
@@ -42,17 +43,20 @@ class TestEstimateBounds:
         assert abs(B - 1.0) <= 1e-9
         assert abs(K - 1.0) <= 1e-6
 
-    def test_table_fallback_third_difference(self):
+    def test_table_K_is_the_interpolants_third_derivative(self):
+        from scipy.interpolate import CubicSpline
+
         ts = np.linspace(-2.2, 2.2, 441)
         h = sample_table(LOG_LINE, ts, np.cosh(ts))
         B, K = estimate_bounds(h, 2.0)
+        grid = symmetric_grid(2.0, 2.0 / 1000.0)[1]
+        assert K == float(np.max(np.abs(CubicSpline(ts, np.cosh(ts) - 1.0)(grid, nu=3))))
         assert abs(B - math.cosh(2.0)) <= 1e-6
-        assert abs(K - math.sinh(2.0)) <= 0.1 * math.sinh(2.0)
+        assert abs(K - math.sinh(2.0)) <= 0.01 * math.sinh(2.0)
 
-    def test_coarse_table_warns(self):
-        ts = np.linspace(-2.5, 2.5, 21)
-        h = sample_table(LOG_LINE, ts, np.cosh(ts))
-        with pytest.warns(UserWarning):
+    def test_handle_without_third_derivative_is_refused(self):
+        h = analytic(LOG_LINE, "cosh", (np.cosh,))
+        with pytest.raises(DomainError, match="K needs H'''"):
             estimate_bounds(h, 2.0)
 
 
