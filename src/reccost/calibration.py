@@ -15,7 +15,7 @@ never claim the limit exists; existence is the caller's modeling assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -129,12 +129,16 @@ class BranchClassification:
 
     residual is the sup deviation from the fitted branch on the classification
     window; kappa_used is the curvature estimate that selected the branch.
+    grid is the residual grid of the window and values the handle on it, kept
+    so that a plot of the fit needs no second evaluation.
     """
 
     branch: str
     k: float | None
     residual: float
     kappa_used: float
+    grid: np.ndarray = field(repr=False, compare=False)
+    values: np.ndarray = field(repr=False, compare=False)
 
 
 def quad_ratio(h: FunctionHandle, step: float) -> float:
@@ -207,12 +211,6 @@ def window_curvature(h: FunctionHandle, window_T: float,
     return curvature
 
 
-def residual_grid(window_T: float, step: float | None = None) -> np.ndarray:
-    """The nodes of [-window_T, window_T] on which classify measures its residual, at
-    step, or window_T / 100 if step is None."""
-    return symmetric_grid(window_T, window_T / 100.0 if step is None else step)[1]
-
-
 def classify(
     h: FunctionHandle,
     window_T: float,
@@ -230,6 +228,8 @@ def classify(
     purely local limit noisy while the global fit is well conditioned.  Raises
     ClassificationError when the final sup residual exceeds residual_tol (the
     handle is not near any branch); the default threshold is 1e-6 * cosh(window_T).
+    The residual is measured on the nodes of [-window_T, window_T] at
+    residual_grid_step, or window_T / 100 if that is None.
     """
     require_domain(h, LOG_LINE, "classify")
     if not (window_T > 0 and math.isfinite(window_T)):
@@ -241,7 +241,8 @@ def classify(
         raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the default "
                                  "residual_tol 1e-6 cosh(window_T) would overflow")
     accept = residual_tol if residual_tol is not None else 1e-6 * math.cosh(window_T)
-    grid = residual_grid(window_T, residual_grid_step)
+    step = window_T / 100.0 if residual_grid_step is None else residual_grid_step
+    grid = symmetric_grid(window_T, step)[1]
     vals = h(grid)
     h_at_0 = h(0.0)
 
@@ -251,7 +252,7 @@ def classify(
             raise ClassificationError(
                 f"H(0) ~ 0 but sup|H| = {residual:.3e} on the window; not the zero branch"
             )
-        return BranchClassification(BRANCH_ZERO, None, residual, 0.0)
+        return BranchClassification(BRANCH_ZERO, None, residual, 0.0, grid, vals)
 
     if abs(h_at_0 - 1.0) > const_tol:
         raise ClassificationError(
@@ -273,7 +274,7 @@ def classify(
             raise ClassificationError(
                 f"curvature ~ 0 but sup|H - 1| = {residual:.3e} exceeds {accept:.3e}"
             )
-        return BranchClassification(BRANCH_CONSTANT_ONE, None, residual, kappa)
+        return BranchClassification(BRANCH_CONSTANT_ONE, None, residual, kappa, grid, vals)
 
     branch = BRANCH_COSH if kappa > 0 else BRANCH_COS
     k0 = math.sqrt(abs(kappa))
@@ -295,4 +296,4 @@ def classify(
             f"not near any branch: sup residual {residual:.3e} vs {branch}(k={k:.6g}) "
             f"exceeds the acceptance threshold {accept:.3e}"
         )
-    return BranchClassification(branch, k, residual, kappa)
+    return BranchClassification(branch, k, residual, kappa, grid, vals)

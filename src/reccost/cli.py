@@ -13,10 +13,10 @@ Exit codes: 0 = ok, 1 = verification-failed (a negative mathematical verdict
 from certify/classify), 2 = input-error.
 
 Function sources: --family SPEC (e.g. "cosh", "cosh-lambda,lambda=2",
-"family=noisy-cosh,amplitude=1e-3,mode=sine,freq=5") or --input PATH with an
-optional --domain.  Input CSV format: UTF-8, header exactly "t,H" (log line)
-or "x,F" (positive ratios), one comma-separated pair per line, strictly
-increasing abscissas.
+"family=noisy-cosh,amplitude=1e-3,mode=sine,freq=5"; a key the family does not
+take is an input error) or --input PATH with an optional --domain.  Input CSV
+format: UTF-8, header exactly "t,H" (log line) or "x,F" (positive ratios), one
+comma-separated pair per line, strictly increasing abscissas.
 
 All numeric output is printed with 17 significant digits so reports can be
 replayed bit-for-bit.
@@ -147,13 +147,13 @@ def load_samples(path: str, domain: str | None = None) -> FunctionHandle:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    header = lines[0].strip() if lines else ""
+    if not lines:
+        raise InputError("empty file", line=1)
+    header = lines[0].strip()
     if domain is None:
         domain = _HEADERS.get(header)
         if domain is None:
             raise InputError(f"header must be exactly 't,H' or 'x,F', got {header!r}", line=1)
-    if not lines:
-        raise InputError("empty file", line=1)
     expected = "t,H" if domain == LOG_LINE else "x,F"
     if header != expected:
         raise InputError(f"expected header {expected!r}, got {header!r}", line=1)
@@ -219,6 +219,7 @@ def _load_handle(ns, target: str | None):
 _DEFECT = ("epsilon", "argmax", "count")
 _CURVATURE = ("kappa", "uncertainty", "levels", "noise_limited")
 _CERTIFICATE = ("verified", "delta", "max_observed_error", "max_envelope_margin", "inputs")
+_CLASSIFICATION = ("branch", "k", "residual", "kappa_used")
 
 
 def _pick(obj, names) -> dict:
@@ -229,7 +230,7 @@ def _classification_section(outcome) -> dict:
     """A BranchClassification, or the exception that refused one."""
     if isinstance(outcome, Exception):
         return {"classified": False, "reason": str(outcome)}
-    return {"classified": True, **_py(outcome)}
+    return {"classified": True, **_pick(outcome, _CLASSIFICATION)}
 
 
 def _given(flags: dict) -> dict:
@@ -312,10 +313,9 @@ def _cmd_classify(ns):
     except ClassificationError as exc:
         return echo, _classification_section(exc), diag, STATUS_FAILED, None
     plot = None
-    if ns.plot_csv:
-        ts = calibration.residual_grid(ns.window_T, ns.residual_step)
-        fit = calibration.branch_values(result.branch, result.k, ts)
-        plot = [(t, v, f, "", abs(v - f)) for t, v, f in zip(ts, handle(ts), fit)]
+    if ns.plot_csv:  # the values classify measured on its residual grid
+        fit = calibration.branch_values(result.branch, result.k, result.grid)
+        plot = [(t, v, f, "", abs(v - f)) for t, v, f in zip(result.grid, result.values, fit)]
     return echo, _classification_section(result), diag, STATUS_OK, plot
 
 

@@ -12,6 +12,19 @@ form F(x) = G(ln x) is the same stack viewed through handles.from_excess.
     noisy-cosh    cosh-lambda plus a smooth even perturbation
     powerlaw-w    G(t) = (W - 1)^2 / (2W) with W = e^(lambda t), evaluated via W
 
+One table, ``_TABLE``, gives each family's natural domain and its parameters
+with their defaults; a value takes its default's type:
+
+    cosh-lambda, powerlaw-w        lambda = 1.0
+    cos-k                          k = 1.0
+    noisy-cosh                     lambda = 1.0, amplitude = 1e-3, freq = 5.0,
+                                   mode = sine (poly4, sine or trig), seed = 0
+    constant-one, zero, quadlog    none
+
+lambda, k and freq must be finite and > 0, amplitude finite and >= 0, seed an
+integer >= 0.  A key the family does not take, or a key given twice, is a
+ParameterError (the CLI exits 2) rather than being ignored.
+
 cosh-lambda and powerlaw-w are the same function computed along different
 routes; agreement between them is asserted by the test suite.  Handles are
 immutable; noisy-cosh noise coefficients are materialized at construction
@@ -26,43 +39,34 @@ from typing import Mapping
 
 import numpy as np
 
+from .core import COSH_T_MAX
 from .errors import DomainError, ParameterError
 from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, from_excess
 
-FAMILY_COSH_LAMBDA = "cosh-lambda"
-FAMILY_COS_K = "cos-k"
-FAMILY_CONSTANT_ONE = "constant-one"
-FAMILY_ZERO = "zero"
-FAMILY_QUADLOG = "quadlog"
-FAMILY_NOISY_COSH = "noisy-cosh"
-FAMILY_POWERLAW_W = "powerlaw-w"
+PERTURB_MODES = ("poly4", "sine", "trig")
+# the parameters of a perturbation, shared by perturb and noisy-cosh
+_PERTURBATION = {"amplitude": 1e-3, "freq": 5.0, "mode": "sine", "seed": 0}
+_NONNEGATIVE = ("amplitude", "seed")  # every other number must be > 0
 
-FAMILIES = (
-    FAMILY_COSH_LAMBDA,
-    FAMILY_COS_K,
-    FAMILY_CONSTANT_ONE,
-    FAMILY_ZERO,
-    FAMILY_QUADLOG,
-    FAMILY_NOISY_COSH,
-    FAMILY_POWERLAW_W,
-)
-
-_ALIASES = {"cosh": FAMILY_COSH_LAMBDA, "cos": FAMILY_COS_K}
-
-NATURAL_DOMAIN = {
-    FAMILY_COSH_LAMBDA: POSITIVE_RATIOS,
-    FAMILY_COS_K: LOG_LINE,
-    FAMILY_CONSTANT_ONE: LOG_LINE,
-    FAMILY_ZERO: LOG_LINE,
-    FAMILY_QUADLOG: POSITIVE_RATIOS,
-    FAMILY_NOISY_COSH: LOG_LINE,
-    FAMILY_POWERLAW_W: POSITIVE_RATIOS,
+# family: (natural domain, parameters with their defaults, handle name, excess stack of the
+# checked parameters); a family with a lambda grows like cosh(lambda t), so |t| <= 700/lambda
+_TABLE = {
+    "cosh-lambda": (POSITIVE_RATIOS, {"lambda": 1.0}, "cosh-lambda({lambda:g})",
+                    lambda p: _cosh_excess(p["lambda"])),
+    "cos-k": (LOG_LINE, {"k": 1.0}, "cos-k({k:g})", lambda p: _cos_excess(p["k"])),
+    "constant-one": (LOG_LINE, {}, "constant-one", lambda p: _constant_excess(0.0)),
+    "zero": (LOG_LINE, {}, "zero", lambda p: _constant_excess(-1.0)),
+    "quadlog": (POSITIVE_RATIOS, {}, "quadlog", lambda p: _QUADLOG_EXCESS),
+    "noisy-cosh": (LOG_LINE, {"lambda": 1.0, **_PERTURBATION},
+                   "noisy-cosh({lambda:g},{mode},{amplitude:g})",
+                   lambda p: _sum_fns(_cosh_excess(p["lambda"]), _perturbation_fns(p), 3)),
+    "powerlaw-w": (POSITIVE_RATIOS, {"lambda": 1.0}, "powerlaw-w({lambda:g})",
+                   lambda p: _powerlaw_excess(p["lambda"])),
 }
+FAMILIES = tuple(_TABLE)
 
-PERTURB_MODES = ("poly4", "sine")
-_NOISY_MODES = ("poly4", "sine", "trig")
+_ALIASES = {"cosh": "cosh-lambda", "cos": "cos-k"}
 
-_COSH_T_MAX = 700.0
 _LOG_SUPPORT_HUGE = 1e150
 
 
@@ -71,25 +75,39 @@ class FamilySpec:
     """A family name plus its validated parameters."""
 
     family: str
-    params: Mapping[str, float] = field(default_factory=dict)
+    params: Mapping[str, float | str | int] = field(default_factory=dict)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParameterError(msg)
+def _known(family: str) -> str:
+    fam = _ALIASES.get(family, family)
+    if fam not in _TABLE:
+        raise ParameterError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    return fam
 
 
-def _float_param(params, key, default):
-    v = float(params.get(key, default))
-    if not math.isfinite(v):
-        raise ParameterError(f"parameter {key} must be finite, got {v}")
-    return v
-
-
-def _positive_param(params, key, family):
-    v = _float_param(params, key, 1.0)
-    _require(v > 0, f"{family} needs {key} > 0, got {v}")
-    return v
+def _params(who: str, defaults: Mapping, given: Mapping) -> dict:
+    """The defaults updated by given, each value of its default's type, all checked."""
+    p = dict(defaults)
+    for key, value in given.items():
+        if key not in defaults:
+            raise ParameterError(f"{who} takes no parameter {key!r}; its parameters: "
+                                 f"{', '.join(defaults) or 'none'}")
+        kind = type(defaults[key])
+        try:
+            p[key] = kind(value)  # int("1.5") raises; int(1.5) must not truncate
+            if kind is int and not isinstance(value, str) and p[key] != value:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            noun = "an integer" if kind is int else "a number"
+            raise ParameterError(f"{key} must be {noun}, got {value!r}") from None
+    for key, v in p.items():
+        if key == "mode":
+            if v not in PERTURB_MODES:
+                raise ParameterError(f"{who} needs mode in {PERTURB_MODES}, got {v!r}")
+        elif not ((v >= 0 if key in _NONNEGATIVE else v > 0) and v < math.inf):  # nan fails
+            bound = ">= 0" if key in _NONNEGATIVE else "> 0"
+            raise ParameterError(f"{who} needs {key} {bound} and finite, got {v!r}")
+    return p
 
 
 def _cosh_excess(lam: float):
@@ -138,40 +156,38 @@ def _powerlaw_excess(lam: float):
     return tuple(via_w(k) for k in range(4))
 
 
-def _perturbation_fns(mode: str, amplitude: float, freq: float, seed: int = 0):
-    """Even, smooth perturbation p with p(0) = 0 and analytic derivatives to order 3."""
-    a = amplitude
-    if mode == "poly4":
+def _perturbation_fns(p: Mapping):
+    """Even, smooth perturbation with value 0 at t = 0 and analytic derivatives to order 3,
+    from the checked parameters p (amplitude, freq, mode, seed)."""
+    a, f = p["amplitude"], p["freq"]
+    if p["mode"] == "poly4":
         return (
             lambda t: a * ((t * t) * (t * t)),  # bitwise even, unlike numpy's t**4
             lambda t: 4.0 * a * t**3,
             lambda t: 12.0 * a * t * t,
             lambda t: 24.0 * a * t,
         )
-    if mode == "sine":
-        f = freq
+    if p["mode"] == "sine":
         return (
             lambda t: a * (1.0 - np.cos(f * t)),
             lambda t: a * f * np.sin(f * t),
             lambda t: a * f * f * np.cos(f * t),
             lambda t: -a * f**3 * np.sin(f * t),
         )
-    if mode == "trig":
-        # seeded random even trig sum, coefficients fixed at construction
-        rng = np.random.default_rng(seed)
-        raw = rng.random(5)
-        c = raw / raw.sum()
-        js = freq * np.arange(1, 6)
+    # trig: a seeded random even trig sum, coefficients fixed at construction
+    rng = np.random.default_rng(p["seed"])
+    raw = rng.random(5)
+    c = raw / raw.sum()
+    js = f * np.arange(1, 6)
 
-        def term(power, sign, wave):
-            # sign * a * sum_j c_j js_j^power wave(js_j t)
-            w = (c * js**power)[:, None]
-            return lambda t: sign * a * np.sum(
-                w * wave(np.outer(js, np.ravel(t))), axis=0).reshape(np.shape(t))
+    def term(power, sign, wave):
+        # sign * a * sum_j c_j js_j^power wave(js_j t)
+        w = (c * js**power)[:, None]
+        return lambda t: sign * a * np.sum(
+            w * wave(np.outer(js, np.ravel(t))), axis=0).reshape(np.shape(t))
 
-        return (term(0, 1.0, lambda z: 1.0 - np.cos(z)), term(1, 1.0, np.sin),
-                term(2, 1.0, np.cos), term(3, -1.0, np.sin))
-    raise ParameterError(f"unknown perturbation mode {mode!r}")
+    return (term(0, 1.0, lambda z: 1.0 - np.cos(z)), term(1, 1.0, np.sin),
+            term(2, 1.0, np.cos), term(3, -1.0, np.sin))
 
 
 def _sum_fns(base_fns, pert_fns, order: int):
@@ -189,93 +205,40 @@ def make_family(spec: FamilySpec, domain: str | None = None) -> FunctionHandle:
     constructible on both the log line and positive ratios; both are views of
     the one log-line excess stack, consistent under t = ln x.
     """
-    fam = _ALIASES.get(spec.family, spec.family)
-    if fam not in FAMILIES:
-        raise ParameterError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
-    domain = domain or NATURAL_DOMAIN[fam]
+    fam = _known(spec.family)
+    natural, defaults, name, excess = _TABLE[fam]
+    domain = domain or natural
     if domain not in (LOG_LINE, POSITIVE_RATIOS):
         raise ParameterError(f"unknown domain {domain!r}")
-    p = spec.params
-    t_max = _LOG_SUPPORT_HUGE
-
-    if fam in (FAMILY_COSH_LAMBDA, FAMILY_POWERLAW_W):
-        lam = _positive_param(p, "lambda", fam)
-        t_max = _COSH_T_MAX / lam
-        name = f"{fam}({lam:g})"
-        fns = _cosh_excess(lam) if fam == FAMILY_COSH_LAMBDA else _powerlaw_excess(lam)
-    elif fam == FAMILY_COS_K:
-        k = _positive_param(p, "k", fam)
-        name, fns = f"cos-k({k:g})", _cos_excess(k)
-    elif fam == FAMILY_CONSTANT_ONE:
-        name, fns = fam, _constant_excess(0.0)
-    elif fam == FAMILY_ZERO:
-        name, fns = fam, _constant_excess(-1.0)
-    elif fam == FAMILY_QUADLOG:
-        name, fns = fam, _QUADLOG_EXCESS
-    else:
-        lam = _float_param(p, "lambda", 1.0)
-        amp = _float_param(p, "amplitude", 1e-3)
-        freq = _float_param(p, "freq", 5.0)
-        mode = str(p.get("mode", "sine"))
-        seed = int(p.get("seed", 0))
-        _require(lam > 0, f"noisy-cosh needs lambda > 0, got {lam}")
-        _require(amp >= 0, f"noisy-cosh needs amplitude >= 0, got {amp}")
-        _require(freq > 0, f"noisy-cosh needs freq > 0, got {freq}")
-        _require(mode in _NOISY_MODES, f"noisy-cosh mode must be one of {_NOISY_MODES}")
-        _require(seed >= 0, f"noisy-cosh needs seed >= 0, got {seed}")
-        t_max = _COSH_T_MAX / lam
-        name = f"noisy-cosh({lam:g},{mode},{amp:g})"
-        fns = _sum_fns(_cosh_excess(lam), _perturbation_fns(mode, amp, freq, seed), 3)
-    return from_excess(domain, name, fns, (-t_max, t_max))
-
-
-_SPEC_FLOAT_KEYS = ("lambda", "k", "amplitude", "freq")
-_SPEC_KEYS = ("family",) + _SPEC_FLOAT_KEYS + ("mode", "seed")
+    p = _params(fam, defaults, spec.params)
+    t_max = COSH_T_MAX / p["lambda"] if "lambda" in p else _LOG_SUPPORT_HUGE
+    return from_excess(domain, name.format_map(p), excess(p), (-t_max, t_max))
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the textual family form used by the CLI.
 
     Accepted shapes: a bare name ("cosh", "quadlog"), or comma-separated
-    key=value pairs ("family=cosh-lambda,lambda=2"); a bare leading token is
-    shorthand for family=<token>.
+    key=value pairs ("family=cosh-lambda,lambda=2"); a bare token is
+    shorthand for family=<token>.  The keys must be parameters of the family,
+    each given once, and the values are checked as make_family checks them.
     """
-    family = None
-    params: dict[str, float | str] = {}
+    given: dict[str, str] = {}
     for token in str(text).split(","):
         token = token.strip()
         if not token:
             continue
-        if "=" not in token:
-            if family is not None:
-                raise ParameterError(f"family spec {text!r} names two families")
-            family = token
-            continue
-        key, _, value = token.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _SPEC_KEYS:
-            raise ParameterError(f"unknown family-spec key {key!r}; known: {', '.join(_SPEC_KEYS)}")
-        if key == "family":
-            family = value
-        elif key == "mode":
-            params["mode"] = value
-        elif key == "seed":
-            try:
-                params["seed"] = int(value)
-            except ValueError:
-                raise ParameterError(f"seed must be an integer, got {value!r}") from None
-        else:
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise ParameterError(f"{key} must be a number, got {value!r}") from None
-    if family is None:
+        key, eq, value = token.partition("=")
+        key, value = (key.strip(), value.strip()) if eq else ("family", token)
+        if key in given:
+            raise ParameterError(f"family spec {text!r} names two families" if key == "family"
+                                 else f"family spec {text!r} gives {key!r} twice")
+        given[key] = value
+    if "family" not in given:
         raise ParameterError(f"family spec {text!r} does not name a family")
-    family = _ALIASES.get(family, family)
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    return FamilySpec(family, params)
+    family = _known(given.pop("family"))
+    p = _params(family, _TABLE[family][1], given)
+    return FamilySpec(family, {key: p[key] for key in given})
 
 
 def family_spec_text(spec: FamilySpec) -> str:
@@ -302,20 +265,14 @@ def perturb(
 ) -> FunctionHandle:
     """Add a smooth even perturbation vanishing at t = 0 to a log-line handle.
 
-    poly4 adds amplitude * t^4; sine adds amplitude * (1 - cos(freq t)); both
-    preserve H(0) = 1 and evenness exactly.
+    poly4 adds amplitude * t^4; sine adds amplitude * (1 - cos(freq t)); trig
+    adds noisy-cosh's seed-0 trig sum at base frequency freq.  All preserve
+    H(0) = 1 and evenness exactly.  The parameters are checked as noisy-cosh's
+    are: freq must be finite and > 0 in every mode.
     """
     if base.domain != LOG_LINE:
         raise DomainError("perturb operates on log-line handles")
-    if mode not in PERTURB_MODES:
-        raise ParameterError(f"perturb mode must be one of {PERTURB_MODES}, got {mode!r}")
-    amplitude = float(amplitude)
-    if not (amplitude >= 0.0 and math.isfinite(amplitude)):
-        raise ParameterError(f"amplitude must be >= 0 and finite, got {amplitude}")
-    freq = float(freq)
-    if mode == "sine" and not (freq > 0.0 and math.isfinite(freq)):
-        raise ParameterError(f"sine mode needs freq > 0, got {freq}")
-    pert = _perturbation_fns(mode, amplitude, freq)
-    fns = _sum_fns(base.fns, pert, min(base.deriv_order, 3))
-    tag = f"{mode}({freq:g})" if mode == "sine" else mode
-    return from_excess(LOG_LINE, f"{base.name}+{tag}*{amplitude:g}", fns, base.support)
+    p = _params("perturb", _PERTURBATION, {"mode": mode, "amplitude": amplitude, "freq": freq})
+    fns = _sum_fns(base.fns, _perturbation_fns(p), min(base.deriv_order, 3))
+    tag = p["mode"] if p["mode"] == "poly4" else f"{p['mode']}({p['freq']:g})"
+    return from_excess(LOG_LINE, f"{base.name}+{tag}*{p['amplitude']:g}", fns, base.support)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import canonical_cost, validate_log_coord, validate_positive_ratio
+from .core import COSH_T_MAX, canonical_cost, validate_log_coord, validate_positive_ratio
 from .errors import DomainError, ParameterError, RangeOverflowError
 
 # sqrt halves the exponent, so sqrt(cosh t) fits in a double for |t| <= 1400
@@ -188,7 +188,7 @@ def chebyshev_cost(x: float, n: int) -> ChebyshevCheck:
     if not 0 <= n <= CHEBYSHEV_N_MAX:
         raise ParameterError(f"n must be in [0, {CHEBYSHEV_N_MAX}], got {n}")
     t = n * math.log(x)
-    if abs(t) > 700.0:
+    if abs(t) > COSH_T_MAX:
         raise RangeOverflowError(f"x^n = exp({t:g}) overflows double precision")
     seq = chebyshev_sequence(canonical_cost(x) + 1.0, max(n, 1))
     via = seq[n] - 1.0
@@ -216,7 +216,7 @@ def chebyshev_sequence(H1: float, N: int) -> list[float]:
     N = int(N)
     if not 1 <= N <= CHEBYSHEV_N_MAX:
         raise ParameterError(f"N must be in [1, {CHEBYSHEV_N_MAX}], got {N}")
-    if H1 > 1.0 and N * math.acosh(H1) > 700.0:
+    if H1 > 1.0 and N * math.acosh(H1) > COSH_T_MAX:
         raise RangeOverflowError("cosh(N arcosh(H1)) overflows double precision")
     seq = [1.0, H1]
     append, prev, cur = seq.append, 1.0, H1

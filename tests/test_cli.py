@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from reccost import InputError, LOG_LINE, POSITIVE_RATIOS, calibration, core
+from reccost import InputError, LOG_LINE, POSITIVE_RATIOS, core, fixtures, grids, handles
 from reccost.cli import _HANDLERS, _py, load_samples, run
 
 # one passing run of each subcommand
@@ -95,7 +95,7 @@ class TestLoadSamples:
     def test_empty_file(self, tmp_path, domain):
         p = tmp_path / "s.csv"
         p.write_text("", encoding="utf-8")
-        with pytest.raises(InputError) as info:
+        with pytest.raises(InputError, match="empty file") as info:
             load_samples(str(p), domain)
         assert info.value.line == 1
 
@@ -159,6 +159,11 @@ class TestExitCodes:
         # the fit's cosh(1.3 k0 window_T) overflows
         ["classify", "--residual-tol", "1", "--family", "quadlog", "--window-T", "800"],
         ["chebyshev", "--n", "100000000", "--x", "1"],  # O(n) recursion, no overflow at x = 1
+        # a key the family does not take, or a key given twice, once answered silently
+        ["classify", "--family=cos,lambda=2"],  # was Cos with k = 1
+        ["sup-defect", "--family=quadlog,lambda=-3"],
+        ["sup-defect", "--family=cosh,lambda=1,lambda=2"],  # the last value won
+        ["sup-defect", "--family=cosh,mode=banana"],
     ]
 
     @pytest.mark.parametrize("argv", OK, ids=lambda a: "ok-" + a[0])
@@ -181,6 +186,16 @@ class TestExitCodes:
         assert report.status == "input-error"
         assert report.results is None
 
+
+    @pytest.mark.parametrize("spec, key", [("cos,lambda=2", "'lambda'"),
+                                           ("quadlog,lambda=-3", "'lambda'"),
+                                           ("cosh,mode=banana", "'mode'"),
+                                           ("cosh,lambda=1,lambda=2", "'lambda' twice")])
+    def test_family_spec_errors_name_the_key(self, spec, key, capsys):
+        code, report = run(["classify", "--family", spec])
+        assert code == 2
+        assert report.diagnostics["error"].startswith("ParameterError: ")
+        assert key in report.diagnostics["error"]
 
     @pytest.mark.parametrize("argv", [
         ["sup-defect", "--family", "cosh", "--step", "1e-9"],
@@ -419,8 +434,25 @@ class TestReports:
             rows = np.array([[float(v) for v in ln.split(",") if v]
                              for ln in out.read_text(encoding="utf-8").splitlines()[1:]])
             assert len(rows) == (201 if step is None else 15)  # [-2, 2] at 2/100, at 2/7
-            assert np.array_equal(rows[:, 0], calibration.residual_grid(2.0, step))
+            grid = grids.symmetric_grid(2.0, 2.0 / 100 if step is None else step)[1]
+            assert np.array_equal(rows[:, 0], grid)
             assert np.array_equal(rows[:, 2], np.cos(report.results["k"] * rows[:, 0]))
+
+    def test_classify_plot_csv_evaluates_the_residual_grid_once(self, tmp_path, monkeypatch,
+                                                               capsys):
+        sizes = []  # of the abscissa arrays the handle is called on
+        call = handles.FunctionHandle.__call__
+        monkeypatch.setattr(handles.FunctionHandle, "__call__",
+                            lambda h, z: sizes.append(np.size(z)) or call(h, z))
+        out = tmp_path / "c.csv"
+        code, report = run(["classify", "--family", "cosh", "--plot-csv", str(out)])
+        assert code == 0 and report.results["branch"] == "Cosh"
+        assert sizes.count(201) == 1 and len(out.read_text(encoding="utf-8").splitlines()) == 202
+        rows = np.array([[float(v) for v in ln.split(",") if v]
+                         for ln in out.read_text(encoding="utf-8").splitlines()[1:]])
+        # the H column is what the handle gives on the grid
+        h = fixtures.make_family(fixtures.FamilySpec("cosh-lambda"), LOG_LINE)
+        assert np.array_equal(rows[:, 1], call(h, rows[:, 0]))
 
     def test_report_on_zero_family_keeps_ok_status(self, capsys):
         # zero solves the equation; the certificate section records the

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +156,12 @@ class TestPerturb:
         with pytest.raises(ParameterError):
             perturb(self.base(), "poly4", -1.0)
 
+    @pytest.mark.parametrize("mode", ["poly4", "sine", "trig"])
+    def test_freq_is_checked_in_every_mode(self, mode):
+        # the one rule perturb shares with noisy-cosh; poly4 once took any freq
+        with pytest.raises(ParameterError, match=re.escape("perturb needs freq > 0 and finite")):
+            perturb(self.base(), mode, 1e-3, freq=-1.0)
+
 
 class TestFamilySpecText:
     def test_bare_name(self):
@@ -180,3 +188,115 @@ class TestFamilySpecText:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParameterError):
             parse_family_spec(bad)
+
+
+# the parameters each family takes, as documented; every other key is refused
+PARAMS = {
+    "cosh-lambda": ("lambda",),
+    "cos-k": ("k",),
+    "constant-one": (),
+    "zero": (),
+    "quadlog": (),
+    "noisy-cosh": ("lambda", "amplitude", "freq", "mode", "seed"),
+    "powerlaw-w": ("lambda",),
+}
+# a value each key would accept, as text and as the type make_family takes
+VALUES = {"lambda": "2", "k": "2", "amplitude": "1e-3", "freq": "5", "mode": "sine", "seed": "3"}
+TYPED = {"lambda": 2.0, "k": 2.0, "amplitude": 1e-3, "freq": 5.0, "mode": "sine", "seed": 3}
+
+# name and sha256 prefix of (support, H or F and derivatives 1..3 on TS) of handles built
+# before the family table existed; the table must rebuild them bit for bit
+TS = np.linspace(-2.0, 2.0, 41)
+PINNED = [
+    ("cosh-lambda", LOG_LINE, "cosh-lambda(1)", "682b6f452d423743"),
+    ("cosh-lambda", POSITIVE_RATIOS, "cosh-lambda(1)", "5f3267cbf33f1732"),
+    ("cos-k", LOG_LINE, "cos-k(1)", "c7d642e4520de4e7"),
+    ("cos-k", POSITIVE_RATIOS, "cos-k(1)", "3ee7c50662f66752"),
+    ("constant-one", LOG_LINE, "constant-one", "d322724437df0d62"),
+    ("constant-one", POSITIVE_RATIOS, "constant-one", "14907fc809fb074c"),
+    ("zero", LOG_LINE, "zero", "b40e6c2daa8a1630"),
+    ("zero", POSITIVE_RATIOS, "zero", "a43c65c98e06b8ae"),
+    ("quadlog", LOG_LINE, "quadlog", "8ae116d0943c7d6e"),
+    ("quadlog", POSITIVE_RATIOS, "quadlog", "f6da8a122c89ffcc"),
+    ("noisy-cosh", LOG_LINE, "noisy-cosh(1,sine,0.001)", "84f7ace69bbbd52c"),
+    ("noisy-cosh", POSITIVE_RATIOS, "noisy-cosh(1,sine,0.001)", "1b1d42b5d3a20234"),
+    ("powerlaw-w", LOG_LINE, "powerlaw-w(1)", "8768a0b561a75b29"),
+    ("powerlaw-w", POSITIVE_RATIOS, "powerlaw-w(1)", "1e57cf0e9d3e8ac6"),
+    ("cosh-lambda,lambda=2", LOG_LINE, "cosh-lambda(2)", "a2badc9c80126a03"),
+    ("cosh-lambda,lambda=2", POSITIVE_RATIOS, "cosh-lambda(2)", "6b964a945ab9d431"),
+    ("cos,k=0.7", LOG_LINE, "cos-k(0.7)", "94e4f5330c2e171e"),
+    ("cos,k=0.7", POSITIVE_RATIOS, "cos-k(0.7)", "c0056d2cc0188ab8"),
+    ("noisy-cosh,mode=poly4,amplitude=0.01", LOG_LINE,
+     "noisy-cosh(1,poly4,0.01)", "29d5f117c115e041"),
+    ("noisy-cosh,mode=poly4,amplitude=0.01", POSITIVE_RATIOS,
+     "noisy-cosh(1,poly4,0.01)", "54e02ed37b4a2810"),
+    ("noisy-cosh,mode=trig,seed=7,freq=2", LOG_LINE,
+     "noisy-cosh(1,trig,0.001)", "c54be195e0d8ac9d"),
+    ("noisy-cosh,mode=trig,seed=7,freq=2", POSITIVE_RATIOS,
+     "noisy-cosh(1,trig,0.001)", "d33be0562cb41740"),
+    ("powerlaw-w,lambda=0.5", LOG_LINE, "powerlaw-w(0.5)", "f65313a692252628"),
+    ("powerlaw-w,lambda=0.5", POSITIVE_RATIOS, "powerlaw-w(0.5)", "9a0d282899450d56"),
+]
+
+
+def digest(h) -> str:
+    z = TS if h.domain == LOG_LINE else np.exp(TS)
+    stack = np.stack([h(z)] + [h.derivative(z, k) for k in (1, 2, 3)])
+    return hashlib.sha256(np.array(h.support).tobytes() + stack.tobytes()).hexdigest()[:16]
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family, key", [(f, k) for f, keys in PARAMS.items()
+                                             for k in VALUES if k not in keys])
+    def test_a_key_the_family_does_not_take_is_refused(self, family, key):
+        listed = ", ".join(PARAMS[family]) or "none"
+        message = f"{family} takes no parameter '{key}'; its parameters: {listed}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            parse_family_spec(f"{family},{key}={VALUES[key]}")
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            make_family(FamilySpec(family, {key: TYPED[key]}))
+
+    @pytest.mark.parametrize("key", ["lambda", "amplitude", "freq", "mode", "seed", "family"])
+    def test_a_key_given_twice_is_refused(self, key):
+        # a FamilySpec's params are a mapping, so only the text can repeat a key
+        value = "noisy-cosh" if key == "family" else VALUES[key]
+        with pytest.raises(ParameterError, match="twice|two families"):
+            parse_family_spec(f"noisy-cosh,{key}={value},{key}={value}")
+
+    @pytest.mark.parametrize("family, key, value, message", [
+        ("noisy-cosh", "seed", 1.5, "seed must be an integer"),
+        ("noisy-cosh", "seed", -1, "noisy-cosh needs seed >= 0"),
+        ("cosh-lambda", "lambda", "abc", "lambda must be a number"),
+        ("cos-k", "k", math.inf, "cos-k needs k > 0 and finite"),
+        ("noisy-cosh", "freq", 0.0, "noisy-cosh needs freq > 0 and finite"),
+        ("noisy-cosh", "amplitude", math.nan, "noisy-cosh needs amplitude >= 0 and finite"),
+        ("noisy-cosh", "mode", "banana", "noisy-cosh needs mode in"),
+    ])
+    def test_a_bad_value_is_refused(self, family, key, value, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            parse_family_spec(f"{family},{key}={value}")
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            make_family(FamilySpec(family, {key: value}))
+
+    def test_a_seed_past_the_double_range_is_an_integer_like_any_other(self):
+        text = "noisy-cosh,mode=trig,seed=" + "7" * 400
+        assert parse_family_spec(text).params["seed"] == int("7" * 400)
+        make_family(FamilySpec("noisy-cosh", {"mode": "trig", "seed": 10**400}))
+
+    @pytest.mark.parametrize("spec, domain, name, pinned", PINNED,
+                             ids=[f"{s}-{d}" for s, d, _, _ in PINNED])
+    def test_handles_are_bit_identical_to_the_pinned_ones(self, spec, domain, name, pinned):
+        h = make_family(parse_family_spec(spec), domain)
+        assert h.name == name
+        assert digest(h) == pinned
+
+    @pytest.mark.parametrize("mode", ["poly4", "sine", "trig"])
+    def test_noisy_cosh_is_perturbed_cosh(self, mode):
+        noisy = make_family(FamilySpec("noisy-cosh", {"mode": mode, "amplitude": 3e-3,
+                                                      "freq": 2.5}), LOG_LINE)
+        cosh = make_family(FamilySpec("cosh-lambda"), LOG_LINE)
+        perturbed = perturb(cosh, mode, 3e-3, freq=2.5)
+        assert perturbed.support == noisy.support
+        assert np.array_equal(perturbed(TS), noisy(TS))
+        for k in (1, 2, 3):
+            assert np.array_equal(perturbed.derivative(TS, k), noisy.derivative(TS, k))
