@@ -19,8 +19,8 @@ from reccost.dalembert import _kernel, _sweep
 
 
 def write_rows(fh, axis, blocks):
-    """Write the (t, u, delta) rows of the sweep's blocks to fh, one row block at a time."""
-    for r, *block in blocks:
+    """Write the (t, u, delta) rows of the sweep's whole-width row blocks to fh, one at a time."""
+    for r, _, *block in blocks:
         for t, row in zip(axis[r], _kernel(*block)):
             for u, d in zip(axis, row):
                 fh.write(f"{t:.17g},{u:.17g},{d:.17g}\n")

@@ -16,13 +16,20 @@ Suprema are reported over explicit uniform grids, never over the continuum;
 every report carries the grid spec so certificates are explicit about the
 discretization.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
 node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, reduces
-the n x n tables in row blocks (memory O(n) plus one block), and its max
+the n x n tables in blocks written into two buffers allocated once (memory
+O(n) plus two blocks: 1.2 MB traced at T = 2, step 0.001), and its max
 reductions are order-independent, so sweeps are deterministic.  When G is
 bitwise even on the symmetric nodes (a NaN never is), G(t+u) and G(t-u) swap
-under t -> -t and under u -> -u.  Delta and the identity violations round
-G(t+u) and G(t-u) symmetrically, so they are bitwise invariant under both, and
-their first NaN, else first max, lies in the quadrant t, u <= 0: the (m + 1)^2
-of n^2 = (2m + 1)^2 pairs both sweeps reduce.
+under t -> -t and under u -> -u and are each invariant under t <-> u.  Both
+sweeps round every operation commutatively, with the doublings exact (so
+also 2 G finite wherever G is): the defect forms (2 G(t)) G(u) +
+(2 G(t) + 2 G(u)), the identities G+ G- + (G+ + G-) - (q(t) + q(u)) and
+(G+ - G-)^2 - 4 (q(t) q(u)).  So every table is bitwise invariant under all
+three maps, its first NaN, else first max, lies in the triangle j >= i of the
+quadrant t, u <= 0, and both sweeps reduce about (m + 1)(m + 2)/2 of the
+n^2 = (2m + 1)^2 pairs.  Each block of the triangle spans the columns from its
+first row on; the pairs it holds below the diagonal mirror earlier pairs of
+the same block, so they never move its first max.
 """
 
 from __future__ import annotations
@@ -90,25 +97,28 @@ class IdentityViolations:
     evenness: float
 
 
-_BLOCK_ELEMS = 1 << 16  # elements per row block: 512 KB of float64, so temporaries stay in cache
+_BLOCK_ELEMS = 1 << 16  # elements per block: 512 KB of float64, so the buffers stay in cache
 
 
-def _kernel(gs, gd, gt, gu):
-    """Delta from G(t+u), G(t-u), G(t), G(u) into one new array; gt broadcasts down, gu across."""
-    two_gt = 2.0 * gt  # doubling is exact: 2 (G(t) G(u) + G(t) + G(u)) in three passes
-    cross = two_gt * gu
-    cross += two_gt
-    cross += 2.0 * gu
-    out = gs + gd
+def _kernel(gs, gd, gt, gu, out=None, cross=None):
+    """Delta from G(t+u), G(t-u), G(t), G(u), gt broadcasting down and gu across, into out;
+    cross = (2 G(t)) G(u) + (2 G(t) + 2 G(u)) into cross.  Both are new arrays where not given.
+    The doublings are exact and the three rounded operations commutative, so Delta is bitwise
+    symmetric in t <-> u wherever G(t - u) = G(u - t) and 2 G(t) does not overflow."""
+    two_gt, two_gu = 2.0 * gt, 2.0 * gu
+    cross = np.multiply(two_gt, gu, out=cross)
+    cross += np.add(two_gt, two_gu, out=out)  # out as scratch
+    out = np.add(gs, gd, out=out)
     out -= cross
     return out
 
 
 def _sweep(h: FunctionHandle, T: float, step: float, op: str, whole: bool = False):
     """(step, axis, G on the nodes of [-2T, 2T], G on the axis, w, blocks) for the grid of
-    [-T, T]: blocks yield (rows, G(t+u), G(t-u), G(t), G(u)) for row blocks of the w x w corner
-    of the tables, as views: t_i + u_j is node i + j, t_i - u_j node n - 1 + i - j.  w is the
-    quadrant's m + 1 when G is bitwise even and not whole, else n."""
+    [-T, T]: blocks yield (rows, cols, G(t+u), G(t-u), G(t), G(u)) for blocks of the w x w
+    corner of the tables, as views: t_i + u_j is node i + j, t_i - u_j node n - 1 + i - j.
+    When G is bitwise even (and 2 G finite wherever G is) and not whole, w is the quadrant's
+    m + 1 and the blocks cover its triangle j >= i; else w = n and they cover the table."""
     require_domain(h, LOG_LINE, op)
     actual_step, axis = symmetric_grid(T, step)
     if not h.evaluable_on(-2.0 * T, 2.0 * T):
@@ -118,21 +128,41 @@ def _sweep(h: FunctionHandle, T: float, step: float, op: str, whole: bool = Fals
     nodes = h.excess(np.concatenate([-far[::-1], axis, far]))  # +-T exact, where m s may not be
     g = nodes[m: m + n]
     sums, diffs = sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
-    w = m + 1 if not whole and np.array_equal(nodes, nodes[::-1]) else n
-    blocks = ((r, sums[r, :w], diffs[r, :w], g[r, None], g[:w]) for r in _row_blocks(w))
+    fold = (not whole and np.array_equal(nodes, nodes[::-1])
+            and np.array_equal(np.isinf(2.0 * g), np.isinf(g)))
+    w = m + 1 if fold else n
+    blocks = ((r, c, sums[r, c], diffs[r, c], g[r, None], g[c]) for r, c in _blocks(w, fold))
     return actual_step, axis, nodes, g, w, blocks
 
 
-def _row_blocks(w: int):
-    """Slices of the rows of a w x w table, each about _BLOCK_ELEMS elements."""
-    size = max(1, _BLOCK_ELEMS // w)
-    return (slice(r0, min(r0 + size, w)) for r0 in range(0, w, size))
+def _blocks(w: int, triangle: bool):
+    """(rows, cols) slices of blocks of about _BLOCK_ELEMS elements, at most max(_BLOCK_ELEMS, w),
+    covering a w x w table: row blocks of the whole width, or for its triangle j >= i, row
+    blocks that start at the column of their first row."""
+    r0 = 0
+    while r0 < w:
+        c0 = r0 if triangle else 0
+        r1 = min(w, r0 + max(1, _BLOCK_ELEMS // (w - c0)))
+        yield slice(r0, r1), slice(c0, w)
+        r0 = r1
+
+
+def _buffers(w: int):
+    """A function of a block's (rows, cols) giving two views of its shape into two buffers
+    allocated once, large enough for any block of a w-wide table."""
+    flat = np.empty(max(_BLOCK_ELEMS, w)), np.empty(max(_BLOCK_ELEMS, w))
+
+    def views(r: slice, c: slice):
+        shape = (r.stop - r.start, c.stop - c.start)
+        return tuple(b[: shape[0] * shape[1]].reshape(shape) for b in flat)
+
+    return views
 
 
 def defect_grid(h: FunctionHandle, T: float, step: float):
     """(step, axis, Delta) with Delta[i, j] = Delta_H(axis[i], axis[j]) on the grid of [-T, T]."""
     actual_step, axis, _, _, _, blocks = _sweep(h, T, step, "defect_grid", whole=True)
-    return actual_step, axis, np.concatenate([_kernel(*b) for _, *b in blocks])
+    return actual_step, axis, np.concatenate([_kernel(*b) for _, _, *b in blocks])
 
 
 def defect_log(h: FunctionHandle, t: float, u: float) -> float:
@@ -157,13 +187,16 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     report is deterministic.
     """
     actual_step, axis, _, _, w, blocks = _sweep(h, T, step, "sup_defect")
-    picks = []  # (row-major index, Delta) of each block's first NaN, else first max |Delta|
-    for r, *block in blocks:
-        delta = _kernel(*block)
-        k = int(np.argmax(np.abs(delta)))
-        picks.append((r.start * w + k, float(delta.flat[k])))
-    flat, worst_delta = picks[int(np.argmax([abs(d) for _, d in picks]))]  # the same across blocks
-    i, j = divmod(flat, w)
+    views = _buffers(w)
+    picks = []  # (i, j, Delta) of each block's first NaN, else first max |Delta|
+    for r, c, gs, gd, gt, gu in blocks:
+        delta, cross = views(r, c)
+        _kernel(gs, gd, gt, gu, out=delta, cross=cross)
+        a, b = divmod(int(np.argmax(np.abs(delta, out=delta))), c.stop - c.start)
+        # Delta with the sign that the in-place |Delta| dropped, from the same two roundings
+        signed = float(gs[a, b]) + float(gd[a, b]) - float(cross[a, b])
+        picks.append((r.start + a, c.start + b, signed))
+    i, j, worst_delta = picks[int(np.argmax([abs(d) for *_, d in picks]))]  # first across blocks
     worst = DefectSample(float(axis[i]), float(axis[j]), worst_delta)
     return DefectReport(abs(worst_delta), worst, float(T), actual_step, count=axis.size**2)
 
@@ -175,18 +208,21 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
     """
     _, _, nodes, g, w, blocks = _sweep(h, T, step, "identity_report")
     q = g * (g + 2.0)
+    views = _buffers(w)
     product_identity = difference_square = 0.0
-    for r, s, d, _, _ in blocks:
-        # in place: numpy does not reliably reuse the temporaries of a longer expression
-        product = s * d
-        product += s + d  # s d + (s + d) is symmetric in s <-> d, as the quadrant needs
-        product -= q[r, None]
-        product -= q[:w]
-        square = s - d
+    for r, c, s, d, _, _ in blocks:
+        # s d + (s + d) - (q(t) + q(u)) and (s - d)^2 - 4 (q(t) q(u)): every rounded operation
+        # is commutative (and 4x exact), so both are symmetric in s <-> d and in t <-> u
+        product, scratch = views(r, c)
+        np.multiply(s, d, out=product)
+        product += np.add(s, d, out=scratch)
+        product -= np.add(q[r, None], q[c], out=scratch)
+        square = np.subtract(s, d, out=scratch)
         square *= square
-        square -= np.outer(4.0 * q[r], q[:w])
-        # np.maximum, unlike max(), keeps a NaN
-        product_identity = np.maximum(product_identity, _sup_abs(product))
+        product_identity = np.maximum(product_identity, _sup_abs(product))  # keeps a NaN
+        cross = np.multiply(q[r, None], q[c], out=product)
+        cross *= 4.0
+        square -= cross
         difference_square = np.maximum(difference_square, _sup_abs(square))
     return IdentityViolations(
         product_identity=float(product_identity),

@@ -110,13 +110,21 @@ def _params(who: str, defaults: Mapping, given: Mapping) -> dict:
     return p
 
 
+def _pow(x: float, k: int) -> float:
+    """x**k for a checked parameter x > 0, inf where it overflows (a float power raises)."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
 def _cosh_excess(lam: float):
     # 2 sinh^2(lam t / 2) = cosh(lam t) - 1 without the cancellation near t = 0
     return (
         lambda t: 2.0 * np.sinh(0.5 * lam * t) ** 2,
         lambda t: lam * np.sinh(lam * t),
         lambda t: lam * lam * np.cosh(lam * t),
-        lambda t: lam**3 * np.sinh(lam * t),
+        lambda t: _pow(lam, 3) * np.sinh(lam * t),
     )
 
 
@@ -125,7 +133,7 @@ def _cos_excess(k: float):
         lambda t: -2.0 * np.sin(0.5 * k * t) ** 2,
         lambda t: -k * np.sin(k * t),
         lambda t: -k * k * np.cos(k * t),
-        lambda t: k**3 * np.sin(k * t),
+        lambda t: _pow(k, 3) * np.sin(k * t),
     )
 
 
@@ -149,7 +157,7 @@ def _powerlaw_excess(lam: float):
             w = np.exp(lam * t)
             if k == 0:
                 return (w - 1.0) ** 2 / (2.0 * w)
-            return 0.5 * lam**k * (w - 1.0 / w if k % 2 else w + 1.0 / w)
+            return 0.5 * _pow(lam, k) * (w - 1.0 / w if k % 2 else w + 1.0 / w)
 
         return g
 
@@ -172,7 +180,7 @@ def _perturbation_fns(p: Mapping):
             lambda t: a * (1.0 - np.cos(f * t)),
             lambda t: a * f * np.sin(f * t),
             lambda t: a * f * f * np.cos(f * t),
-            lambda t: -a * f**3 * np.sin(f * t),
+            lambda t: -a * _pow(f, 3) * np.sin(f * t),
         )
     # trig: a seeded random even trig sum, coefficients fixed at construction
     rng = np.random.default_rng(p["seed"])

@@ -225,6 +225,22 @@ class TestExitCodes:
         assert math.isfinite(report.results["value"]) and report.results["evaluations"] > 0
         assert report.diagnostics == {}
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family", "noisy-cosh,freq=1e308"],
+        ["report", "--family", "noisy-cosh,freq=1e308"],
+        ["certify", "--family", "cosh-lambda,lambda=1e103", "--T", "1e-104", "--step", "1e-105"],
+    ], ids=["certify-freq", "report-freq", "certify-lambda"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_parameter_powers_answer_with_a_message(self, argv, capsys):
+        # freq^3 and lambda^3 in H''' once raised OverflowError; they are inf now, and the
+        # certificate refuses the epsilon or K that is not finite
+        code, report = run(argv)
+        assert code == 2 and report.status == "input-error"
+        error = report.diagnostics["error"]
+        assert error.startswith("DomainError: ") and "must be >= 0 and finite, got nan" in error
+        assert capsys.readouterr().out.splitlines() == [f"reccost {argv[0]}: input-error",
+                                                        f"  {error}"]
+
     def test_too_deep_ratio_table_names_its_flags(self, capsys):
         code, report = run(["calibrate", "--family", "cosh", "--levels", "2000"])
         assert code == 2

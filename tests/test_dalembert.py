@@ -25,7 +25,7 @@ from reccost import (
     sup_defect,
 )
 from reccost import dalembert
-from reccost.dalembert import _BLOCK_ELEMS, _row_blocks, _sweep, defect_grid
+from reccost.dalembert import _BLOCK_ELEMS, _blocks, _sweep, defect_grid
 from reccost.grids import symmetric_grid
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
@@ -200,11 +200,11 @@ def full_tables(h, T, step):
     n = axis.size
     sums, diffs = sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
     gt = g[:, None]
-    delta = (sums + diffs) - ((2.0 * gt * g + 2.0 * gt) + 2.0 * g)
+    delta = (sums + diffs) - ((2.0 * gt) * g + (2.0 * gt + 2.0 * g))
     i, j = divmod(int(np.argmax(np.abs(delta))), axis.size)
     q = g * (g + 2.0)
-    product = sums * diffs + (sums + diffs) - q[:, None] - q
-    square = (sums - diffs) * (sums - diffs) - np.outer(4.0 * q, q)
+    product = sums * diffs + (sums + diffs) - (q[:, None] + q)
+    square = (sums - diffs) * (sums - diffs) - 4.0 * np.outer(q, q)
     violations = (product, square, nodes[::2] - 2.0 * q, g[::-1] - g)
     return ((abs(delta[i, j]), axis[i], axis[j], delta[i, j]),
             tuple(float(np.max(np.abs(v))) for v in violations))
@@ -306,8 +306,9 @@ EVEN_SPECS = st.one_of(
 
 
 class TestMirrorFold:
-    """On bitwise even handles both sweeps reduce the quadrant t, u <= 0 of the tables, with the
-    results of the whole tables; any other handle reduces the whole tables."""
+    """On bitwise even handles both sweeps reduce the triangle j >= i of the quadrant t, u <= 0
+    of the tables, with the results of the whole tables; any other handle reduces the whole
+    tables."""
 
     @given(EVEN_SPECS, st.floats(0.5, 3.0), st.integers(1, 40))
     def test_even_families_equal_full_tables(self, spec, T, m):
@@ -315,18 +316,62 @@ class TestMirrorFold:
         assert width(h, T, T / m) == m + 1  # the folded sweep
         assert_same(fields(h, T, T / m), full_tables(h, T, T / m))
 
+    @given(EVEN_SPECS, st.floats(0.5, 3.0), st.integers(1, 40), st.integers(1, 400))
+    def test_even_families_are_symmetric_in_t_and_u(self, spec, T, m, block):
+        # any block size: each block's spill below the diagonal mirrors earlier pairs of its own
+        h = make_family(parse_family_spec(spec), domain=LOG_LINE)
+        _, _, delta = defect_grid(h, T, T / m)
+        assert np.array_equal(delta.view(np.uint64), delta.T.view(np.uint64))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dalembert, "_BLOCK_ELEMS", block)
+            assert_same(fields(h, T, T / m), full_tables(h, T, T / m))
+
     def test_several_blocks_of_the_quadrant(self, monkeypatch):
-        # n = 801, so the 401-wide quadrant takes two blocks of 163 rows and a third of 75
+        # n = 801: the 401-wide quadrant's triangle takes 163 whole rows, then the 238 rows left
+        # from the diagonal on (238^2 fits one block)
         T, step = 2.0, 0.005
-        assert list(_row_blocks(401)) == [slice(0, 163), slice(163, 326), slice(326, 401)]
-        widths = []  # of the tables each sweep reduces
-        monkeypatch.setattr(dalembert, "_row_blocks", lambda w: widths.append(w) or _row_blocks(w))
+        assert list(_blocks(401, True)) == [(slice(0, 163), slice(0, 401)),
+                                            (slice(163, 401), slice(163, 401))]
+        tables = []  # (width, triangle) of the tables each sweep reduces
+        monkeypatch.setattr(dalembert, "_blocks",
+                            lambda w, tri: tables.append((w, tri)) or _blocks(w, tri))
         trig = make_family(parse_family_spec("noisy-cosh,mode=trig"), domain=LOG_LINE)
         for h in (COSH_LOG, trig):
             got = fields(h, T, step)
-            assert widths == [401, 401]  # sup_defect's and identity_report's quadrants
+            assert tables == [(401, True)] * 2  # sup_defect's and identity_report's triangles
             assert got == full_tables(h, T, step)
-            widths.clear()
+            tables.clear()
+
+    @pytest.mark.parametrize("h", [
+        COSH_LOG,
+        make_family(FamilySpec("constant-one")),  # all ties: the first corner
+        analytic(LOG_LINE, "1 + bump", (lambda t: 2.0 + np.expm1(-(t * t) / 0.01),)),
+        make_family(FamilySpec("powerlaw-w", {"lambda": 1.5}), domain=LOG_LINE),
+    ], ids=lambda h: h.name)
+    def test_rows_wider_than_a_block(self, h, monkeypatch):
+        # 5 elements per block: every block is one row, of up to 21 or 41 elements, until the
+        # triangle's last rows are 5 wide or less
+        monkeypatch.setattr(dalembert, "_BLOCK_ELEMS", 5)
+        w = width(h, 1.0, 0.05)
+        blocks = list(_blocks(w, w == 21))
+        assert all(r.stop - r.start == 1 for r, c in blocks if c.stop - c.start > 5)
+        assert fields(h, 1.0, 0.05) == full_tables(h, 1.0, 0.05)
+
+    def test_even_sweeps_reduce_about_half_the_quadrant(self, monkeypatch):
+        # T = 2, step 0.001: (m + 1)^2 = 2001^2 pairs in the quadrant, its triangle about half
+        pairs = []
+        kernel, blocks = dalembert._kernel, dalembert._blocks
+        monkeypatch.setattr(dalembert, "_kernel",
+                            lambda gs, *a, **k: pairs.append(np.broadcast(gs, *a).size)
+                            or kernel(gs, *a, **k))
+        sup_defect(COSH_LOG, 2.0, 0.001)
+        assert sum(pairs) <= 0.55 * 2001**2
+        pairs.clear()
+        monkeypatch.setattr(dalembert, "_blocks", lambda w, tri: (
+            pairs.append((r.stop - r.start) * (c.stop - c.start)) or (r, c)
+            for r, c in blocks(w, tri)))
+        identity_report(COSH_LOG, 2.0, 0.001)
+        assert sum(pairs) <= 0.55 * 2001**2
 
     def test_max_at_the_origin(self):
         # G(0) = 1 makes |Delta| = 4 at (0, 0) alone: the quadrant includes its t = 0 row and column
@@ -371,6 +416,20 @@ class TestMirrorFold:
         got, want = fields(h, T, T / 10), full_tables(h, T, T / 10)
         assert not math.isfinite(got[0][0])
         assert_same(got, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_doubling_takes_the_whole_table(self):
+        # G(+-0.5) = 1.5e308, G = -0.5 elsewhere: (2 G(-0.5)) G(-1) = -inf makes Delta(-0.5, -1)
+        # NaN, but (2 G(-1)) G(-0.5) is finite and Delta(-1, -0.5) = -inf, which the triangle
+        # would report
+        h = analytic(LOG_LINE, "even, 2 G overflows",
+                     (lambda t: np.where(np.abs(t) == 0.5, 1.5e308, 0.5),))
+        _, _, delta = defect_grid(h, 1.0, 0.25)
+        assert math.isnan(delta[2, 0]) and delta[0, 2] == -math.inf
+        assert width(h, 1.0, 0.25) == 9
+        got = fields(h, 1.0, 0.25)
+        assert_same(got, full_tables(h, 1.0, 0.25))
+        assert math.isnan(got[0][0]) and got[0][1:3] == (-0.5, -1.0)
 
     def test_defect_grid_keeps_the_whole_table(self):
         _, axis, delta = defect_grid(COSH_LOG, 1.0, 0.1)
