@@ -221,15 +221,16 @@ def classify(
 ) -> BranchClassification:
     """Classify a normalized handle into its unique solution branch.
 
-    Requires h(0) within const_tol of 0 or of 1.  The branch is selected by the
-    sign of curvature, window_curvature(h, window_T) if not given; for the
-    parametric branches k is refined by a one-dimensional least-squares fit on
-    the window, initialized at sqrt(|kappa|), because sampled data make the
-    purely local limit noisy while the global fit is well conditioned.  Raises
-    ClassificationError when the final sup residual exceeds residual_tol (the
-    handle is not near any branch); the default threshold is 1e-6 * cosh(window_T).
-    The residual is measured on the nodes of [-window_T, window_T] at
-    residual_grid_step, or window_T / 100 if that is None.
+    Requires h(0) within const_tol of 0 (Zero) or of 1.  Otherwise a finite
+    curvature, window_curvature(h, window_T) if not given, selects the branch:
+    ConstantOne when |kappa| <= const_tol, else Cos or Cosh by its sign, with k
+    refined by a one-dimensional least-squares fit on the window, initialized at
+    sqrt(|kappa|), because sampled data make the purely local limit noisy while
+    the global fit is well conditioned.  One rule accepts every branch: the sup
+    residual |H - branch| on the nodes of [-window_T, window_T] at
+    residual_grid_step (window_T / 100 if None) must be <= const_tol for Zero and
+    residual_tol (default 1e-6 * cosh(window_T)) for the others; any other
+    residual, NaN included, raises ClassificationError (not near any branch).
     """
     require_domain(h, LOG_LINE, "classify")
     if not (window_T > 0 and math.isfinite(window_T)):
@@ -247,53 +248,46 @@ def classify(
     h_at_0 = h(0.0)
 
     if abs(h_at_0) <= const_tol:
-        residual = float(np.max(np.abs(vals)))
-        if residual > const_tol:
-            raise ClassificationError(
-                f"H(0) ~ 0 but sup|H| = {residual:.3e} on the window; not the zero branch"
-            )
-        return BranchClassification(BRANCH_ZERO, None, residual, 0.0, grid, vals)
-
-    if abs(h_at_0 - 1.0) > const_tol:
+        branch, k, kappa, threshold = BRANCH_ZERO, None, 0.0, const_tol
+    elif not abs(h_at_0 - 1.0) <= const_tol:
         raise ClassificationError(
             f"H(0) = {h_at_0!r} is near neither 0 nor 1 (tolerance {const_tol:g}); "
             "only normalized handles are classified"
         )
-
-    est = window_curvature(h, window_T, curvature)
-    kappa = est.kappa
-    if est.noise_limited and est.uncertainty > max(abs(kappa), const_tol):
-        raise PrecisionError(
-            f"curvature estimate {kappa:.3e} +- {est.uncertainty:.3e} is round-off "
-            "dominated; cannot pick a branch"
-        )
-
-    if abs(kappa) <= const_tol:
-        residual = float(np.max(np.abs(vals - 1.0)))
-        if residual > accept:
-            raise ClassificationError(
-                f"curvature ~ 0 but sup|H - 1| = {residual:.3e} exceeds {accept:.3e}"
+    else:
+        est = window_curvature(h, window_T, curvature)
+        kappa, threshold = est.kappa, accept
+        if not math.isfinite(kappa):
+            raise ClassificationError(f"curvature estimate {kappa!r} is not finite; "
+                                      "cannot pick a branch")
+        if est.noise_limited and est.uncertainty > max(abs(kappa), const_tol):
+            raise PrecisionError(
+                f"curvature estimate {kappa:.3e} +- {est.uncertainty:.3e} is round-off "
+                "dominated; cannot pick a branch"
             )
-        return BranchClassification(BRANCH_CONSTANT_ONE, None, residual, kappa, grid, vals)
+        if abs(kappa) <= const_tol:
+            branch, k = BRANCH_CONSTANT_ONE, None
+        else:
+            branch = BRANCH_COSH if kappa > 0 else BRANCH_COS
+            k0 = math.sqrt(abs(kappa))
+            bracket = (0.7 * k0, 1.3 * k0)
+            if branch == BRANCH_COSH and bracket[1] * window_T > COSH_T_MAX:
+                raise RangeOverflowError(
+                    f"window_T = {window_T:g} is too wide for the fit: cosh(k t) at the "
+                    f"bracket top k = {bracket[1]:.6g} exceeds cosh({COSH_T_MAX:g})")
 
-    branch = BRANCH_COSH if kappa > 0 else BRANCH_COS
-    k0 = math.sqrt(abs(kappa))
-    bracket = (0.7 * k0, 1.3 * k0)
-    if branch == BRANCH_COSH and bracket[1] * window_T > COSH_T_MAX:
-        raise RangeOverflowError(f"window_T = {window_T:g} is too wide for the fit: cosh(k t) "
-                                 f"at the bracket top k = {bracket[1]:.6g} exceeds "
-                                 f"cosh({COSH_T_MAX:g})")
+            def sq_residual(k: float) -> float:
+                r = vals - branch_values(branch, k, grid)
+                return float(np.dot(r, r))
 
-    def sq_residual(k: float) -> float:
-        r = vals - branch_values(branch, k, grid)
-        return float(np.dot(r, r))
+            fit = minimize_scalar(sq_residual, bracket, 1e-12)
+            k = float(fit.x) if fit.fun <= sq_residual(k0) else k0
 
-    fit = minimize_scalar(sq_residual, bracket, 1e-12)
-    k = float(fit.x) if fit.fun <= sq_residual(k0) else k0
     residual = float(np.max(np.abs(vals - branch_values(branch, k, grid))))
-    if residual > accept:
+    if not residual <= threshold:  # a NaN residual fails too
+        fitted = branch if k is None else f"{branch}(k={k:.6g})"
         raise ClassificationError(
-            f"not near any branch: sup residual {residual:.3e} vs {branch}(k={k:.6g}) "
-            f"exceeds the acceptance threshold {accept:.3e}"
+            f"not near any branch: sup residual {residual:.3e} vs {fitted} "
+            f"exceeds the acceptance threshold {threshold:.3e}"
         )
     return BranchClassification(branch, k, residual, kappa, grid, vals)

@@ -154,7 +154,7 @@ def load_samples(path: str, domain: str | None = None) -> FunctionHandle:
         domain = _HEADERS.get(header)
         if domain is None:
             raise InputError(f"header must be exactly 't,H' or 'x,F', got {header!r}", line=1)
-    expected = "t,H" if domain == LOG_LINE else "x,F"
+    expected = next(text for text, tag in _HEADERS.items() if tag == domain)
     if header != expected:
         raise InputError(f"expected header {expected!r}, got {header!r}", line=1)
     xs: list[float] = []
@@ -189,26 +189,24 @@ def load_samples(path: str, domain: str | None = None) -> FunctionHandle:
 
 
 def _load_handle(ns, target: str | None):
-    """Resolve --family/--input into a handle in the target domain (if any), its input
-    echo and the diagnostics that note a change of coordinates."""
+    """Resolve --family/--input into a handle in the target domain (if any) and the
+    diagnostics that note a change of coordinates.  A table's header names its domain,
+    which is written back to ``ns.domain`` for the input echo."""
     from . import fixtures, handles
     if (ns.family is None) == (ns.input is None):
         raise InputError("exactly one function source is required: --family SPEC or --input PATH")
     if ns.family is not None:
         handle = fixtures.make_family(fixtures.parse_family_spec(ns.family),
                                       domain=ns.domain or target)
-        echo = {"family": ns.family}
-        if ns.domain:
-            echo["domain"] = ns.domain
     else:
         handle = load_samples(ns.input, ns.domain)
-        echo = {"input": ns.input, "domain": handle.domain}
+        ns.domain = handle.domain
     if target is None or handle.domain == target:
-        return handle, echo, {}
+        return handle, {}
     if target == LOG_LINE:
-        return handles.lift_to_log(handle), echo, {
+        return handles.lift_to_log(handle), {
             "notes": ["source lifted to log coordinates (H = F(e^t) + 1)"]}
-    return handles.to_ratio(handle), echo, {
+    return handles.to_ratio(handle), {
         "notes": ["source projected to ratio coordinates (F = H(ln x) - 1)"]}
 
 
@@ -233,22 +231,16 @@ def _classification_section(outcome) -> dict:
     return {"classified": True, **_pick(outcome, _CLASSIFICATION)}
 
 
-def _given(flags: dict) -> dict:
-    """The optional numeric flags that were set, for the input echo."""
-    return {key: float(value) for key, value in flags.items() if value is not None}
-
-
 def _grid_source(ns, target: str):
-    """Handle, input echo and diagnostics of a command that sweeps [-T, T] at --step."""
+    """Handle and diagnostics of a command that sweeps [-T, T] at --step."""
     from . import grids
-    handle, echo, diag = _load_handle(ns, target=target)
-    echo.update({"T": float(ns.T), "step": float(ns.step)})
+    handle, diag = _load_handle(ns, target=target)
     grid = {"T": float(ns.T), "step": grids.symmetric_grid(ns.T, ns.step)[0]}
-    return handle, echo, {"grid": grid, **diag}
+    return handle, {"grid": grid, **diag}
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns (inputs, results, diagnostics, status, plot_rows),
+# subcommand handlers: each returns (results, diagnostics, status, plot_rows),
 # where results is a record or a dict of records and fields for _py to convert
 
 
@@ -259,70 +251,64 @@ def _cmd_eval(ns):
     g, h = core.log_forms(t)
     am, gm, _ = core.am_gm_decomposition(x)
     results = {"J": j, "t": t, "G": g, "H": h, "am": am, "gm": gm}
-    return {"x": x}, results, {}, STATUS_OK, None
+    return results, {}, STATUS_OK, None
 
 
 def _cmd_defect(ns):
     from . import dalembert
-    handle, echo, diag = _load_handle(ns, target=None)
+    handle, diag = _load_handle(ns, target=None)
     if handle.domain == LOG_LINE:
         if ns.t is None or ns.u is None:
             raise InputError("log-line defect needs --t and --u")
         value = dalembert.defect_log(handle, ns.t, ns.u)
-        echo.update({"t": float(ns.t), "u": float(ns.u)})
     else:
         if ns.x is None or ns.y is None:
             raise InputError("ratio-domain defect needs --x and --y")
         value = dalembert.defect_ratio(handle, ns.x, ns.y)
-        echo.update({"x": float(ns.x), "y": float(ns.y)})
-    return echo, {"delta": value}, diag, STATUS_OK, None
+    return {"delta": value}, diag, STATUS_OK, None
 
 
 def _cmd_sup_defect(ns):
     from . import dalembert
-    handle, echo, diag = _grid_source(ns, LOG_LINE)
+    handle, diag = _grid_source(ns, LOG_LINE)
     report = dalembert.sup_defect(handle, ns.T, ns.step)
-    return echo, _pick(report, _DEFECT), diag, STATUS_OK, None
+    return _pick(report, _DEFECT), diag, STATUS_OK, None
 
 
 def _cmd_identities(ns):
     from . import dalembert
-    handle, echo, diag = _grid_source(ns, LOG_LINE)
-    return echo, dalembert.identity_report(handle, ns.T, ns.step), diag, STATUS_OK, None
+    handle, diag = _grid_source(ns, LOG_LINE)
+    return dalembert.identity_report(handle, ns.T, ns.step), diag, STATUS_OK, None
 
 
 def _cmd_calibrate(ns):
     from . import calibration
-    handle, echo, diag = _load_handle(ns, target=LOG_LINE)
+    handle, diag = _load_handle(ns, target=LOG_LINE)
     est = calibration.estimate_kappa(handle, h0=ns.h0, levels=ns.levels)
-    echo.update({"h0": float(ns.h0), "levels": int(ns.levels)})
     if est.noise_limited:
         diag["warnings"] = ["ratio table became round-off dominated before the requested depth"]
-    return echo, _pick(est, _CURVATURE + ("ratio_table",)), diag, STATUS_OK, None
+    return _pick(est, _CURVATURE + ("ratio_table",)), diag, STATUS_OK, None
 
 
 def _cmd_classify(ns):
     from . import calibration
-    handle, echo, diag = _load_handle(ns, target=LOG_LINE)
-    echo.update({"window-T": float(ns.window_T), "const-tol": float(ns.const_tol)})
-    echo.update(_given({"residual-step": ns.residual_step, "residual-tol": ns.residual_tol}))
+    handle, diag = _load_handle(ns, target=LOG_LINE)
     try:
         result = calibration.classify(handle, window_T=ns.window_T, const_tol=ns.const_tol,
                                       residual_grid_step=ns.residual_step,
                                       residual_tol=ns.residual_tol)
     except ClassificationError as exc:
-        return echo, _classification_section(exc), diag, STATUS_FAILED, None
+        return _classification_section(exc), diag, STATUS_FAILED, None
     plot = None
     if ns.plot_csv:  # the values classify measured on its residual grid
         fit = calibration.branch_values(result.branch, result.k, result.grid)
         plot = [(t, v, f, "", abs(v - f)) for t, v, f in zip(result.grid, result.values, fit)]
-    return echo, _classification_section(result), diag, STATUS_OK, plot
+    return _classification_section(result), diag, STATUS_OK, plot
 
 
 def _certify_common(ns, ratio: bool):
     from . import handles, stability
-    handle, echo, diag = _grid_source(ns, POSITIVE_RATIOS if ratio else LOG_LINE)
-    echo.update(_given({"h": ns.h, "a": ns.a}))
+    handle, diag = _grid_source(ns, POSITIVE_RATIOS if ratio else LOG_LINE)
     fn = stability.certify_ratio if ratio else stability.certify
     cert = fn(handle, ns.T, ns.step, h_choice=ns.h, a=ns.a)
     if ratio:
@@ -333,31 +319,27 @@ def _certify_common(ns, ratio: bool):
         sweep_handle = handles.lift_to_log(handle) if ratio else handle
         plot = list(zip(*stability.certificate_sweep(sweep_handle, cert, ns.step)))
     status = STATUS_OK if cert.verified else STATUS_FAILED
-    return echo, _pick(cert, _CERTIFICATE + ("envelope",)), diag, status, plot
+    return _pick(cert, _CERTIFICATE + ("envelope",)), diag, status, plot
 
 
 def _cmd_distance(ns):
-    echo = {"x": float(ns.x), "y": float(ns.y), "tol": float(ns.tol)}
-    return echo, geometry.distance(ns.x, ns.y, ns.tol), {}, STATUS_OK, None
+    return geometry.distance(ns.x, ns.y, ns.tol), {}, STATUS_OK, None
 
 
 def _cmd_chebyshev(ns):
     check = geometry.chebyshev_cost(ns.x, ns.n)
-    echo = {"x": float(ns.x), "n": int(ns.n)}
     results = {**_pick(check, ("via_identity", "direct", "rel_discrepancy")),
                "sequence": check.sequence[: ns.n + 1]}
-    return echo, results, {}, STATUS_OK, None
+    return results, {}, STATUS_OK, None
 
 
 def _cmd_golden(ns):
-    result = core.golden_fixed_point(ns.x0, ns.tol, ns.max_iter)
-    echo = {"x0": float(ns.x0), "tol": float(ns.tol), "max-iter": int(ns.max_iter)}
-    return echo, result, {}, STATUS_OK, None
+    return core.golden_fixed_point(ns.x0, ns.tol, ns.max_iter), {}, STATUS_OK, None
 
 
 def _cmd_report(ns):
     from . import calibration, dalembert, stability
-    handle, echo, diag = _grid_source(ns, LOG_LINE)
+    handle, diag = _grid_source(ns, LOG_LINE)
     sections = {
         "sup_defect": _pick(defect := dalembert.sup_defect(handle, ns.T, ns.step), _DEFECT),
         "identities": dalembert.identity_report(handle, ns.T, ns.step),
@@ -376,7 +358,7 @@ def _cmd_report(ns):
     except PreconditionError as exc:
         sections["certificate"] = {"error": str(exc)}
     status = STATUS_FAILED if failed else STATUS_OK
-    return echo, sections, diag, status, None
+    return sections, diag, status, None
 
 
 _HANDLERS = {
@@ -487,6 +469,19 @@ def build_parser() -> argparse.ArgumentParser:
 # driver
 
 
+def _require_finite(value, path: str) -> None:
+    """Raise DomainError at the first NaN or infinite leaf of a _py result."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            if not (type(item) is float and math.isfinite(item)):  # a finite float needs no path
+                _require_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{path} = {value!r} is not an answer")
+
+
 def _write_json(path: str, report: RunReport) -> None:
     payload = json.dumps(vars(report), indent=2)  # its fields are _py output already
     Path(path).write_text(payload + "\n", encoding="utf-8")
@@ -514,12 +509,16 @@ def run(argv) -> tuple[int, RunReport]:
 
     command = ns.command
     try:
-        inputs, results, diagnostics, status, plot_rows = _HANDLERS[command](ns)
+        results, diagnostics, status, plot_rows = _HANDLERS[command](ns)
+        results = _py(results)
+        _require_finite(results, "results")
+        inputs = {key.replace("_", "-"): value for key, value in vars(ns).items()
+                  if value is not None and key not in ("command", "json", "plot_csv")}
     except _INPUT_ERRORS as exc:
         inputs, results, plot_rows, status = {}, None, None, STATUS_INPUT_ERROR
         diagnostics = {"error": f"{type(exc).__name__}: {exc}"}
 
-    report = RunReport(command, _py(inputs), _py(results), _py(diagnostics), status)
+    report = RunReport(command, inputs, results, _py(diagnostics), status)
     print(f"reccost {command}: {status}")
     if results is None:
         print(f"  {diagnostics['error']}")

@@ -2,7 +2,9 @@
 
 Every handle stores one representation: the log-coordinate excess stack
 ``fns = (G, G', G'', G''')`` of ``G(t) = H(t) - 1 = F(e^t)``, as many
-derivatives deep as the construction provides (3 for sample tables).  The
+derivatives deep as the construction provides (3 for sample tables).  A
+handle's capability, its highest derivative, is the depth of that stack,
+capped at 3 on positive ratios, where the chain rule below stops.  The
 domain tag only says how callers address the handle:
 
     log-line         h(t) = G(t) + 1, derivatives G^(k)(t)
@@ -26,9 +28,6 @@ import numpy as np
 from .core import LOG_LINE, POSITIVE_RATIOS
 from .errors import DomainError
 
-BUILTIN_FAMILY = "builtin-family"
-SAMPLE_TABLE = "sample-table"
-
 # exp() overflows just above 709.78; lifted handles stay clear of it
 _EXP_MAX = 709.0
 
@@ -48,12 +47,15 @@ class FunctionHandle:
     (in t for log-line handles, in x for positive-ratio handles).
     """
 
-    kind: str
     domain: str
     name: str
-    deriv_order: int
     support: tuple[float, float]
     fns: tuple[Callable, ...]
+
+    @property
+    def deriv_order(self) -> int:
+        """The highest derivative available: the stack's depth, at most 3 on positive ratios."""
+        return len(self.fns) - 1 if self.domain == LOG_LINE else min(len(self.fns) - 1, 3)
 
     def _check(self, arr: np.ndarray) -> None:
         if arr.size == 0:
@@ -109,11 +111,8 @@ def require_domain(h: FunctionHandle, domain: str, op: str) -> None:
         raise DomainError(f"{op} needs a {noun} handle, got {h.domain}")
 
 
-def _handle(kind, domain, name, fns, support) -> FunctionHandle:
-    # the chain rule to x-derivatives stops at order 3
-    order = len(fns) - 1 if domain == LOG_LINE else min(len(fns) - 1, 3)
-    support = (float(support[0]), float(support[1]))
-    return FunctionHandle(kind, domain, name, order, support, tuple(fns))
+def _handle(domain, name, fns, support) -> FunctionHandle:
+    return FunctionHandle(domain, name, (float(support[0]), float(support[1])), tuple(fns))
 
 
 def _x_support(t_lo: float, t_hi: float) -> tuple[float, float]:
@@ -139,7 +138,7 @@ def _excess_of_ratio(fns, k: int) -> Callable:
 def from_excess(domain: str, name: str, fns, t_support) -> FunctionHandle:
     """Builtin handle from a log-line excess stack (G, G', ...) on the t-interval t_support."""
     support = tuple(t_support) if domain == LOG_LINE else _x_support(*t_support)
-    return _handle(BUILTIN_FAMILY, domain, name, fns, support)
+    return _handle(domain, name, fns, support)
 
 
 def analytic(
@@ -164,7 +163,7 @@ def analytic(
         gfns = (lambda t: np.asarray(h0(t), dtype=float) - 1.0,) + tuple(fns[1:])
     else:
         gfns = tuple(_excess_of_ratio(fns, k) for k in range(min(len(fns), 4)))
-    return _handle(BUILTIN_FAMILY, domain, name, gfns, (lo, hi))
+    return _handle(domain, name, gfns, (lo, hi))
 
 
 def _gtsv(dl: list, d: list, du: list, b: list) -> list:
@@ -271,7 +270,7 @@ def sample_table(domain: str, xs, ys, name: str = "table") -> FunctionHandle:
     # interpolation is linear in the data, so the spline of ys - 1 is G = spline(ys) - 1
     stack = _cubic_spline(xs, ys - 1.0 if domain == LOG_LINE else ys)
     fns = stack if domain == LOG_LINE else tuple(_excess_of_ratio(stack, k) for k in range(4))
-    return _handle(SAMPLE_TABLE, domain, name, fns, (xs[0], xs[-1]))
+    return _handle(domain, name, fns, (xs[0], xs[-1]))
 
 
 def lift_to_log(f: FunctionHandle) -> FunctionHandle:
@@ -287,4 +286,4 @@ def to_ratio(h: FunctionHandle) -> FunctionHandle:
     """Positive-ratio view F(x) = h(ln x) - 1 = G(ln x) of a log-line handle."""
     require_domain(h, LOG_LINE, "to_ratio")
     return replace(h, domain=POSITIVE_RATIOS, name=f"ratio({h.name})",
-                   support=_x_support(*h.support), deriv_order=min(h.deriv_order, 3))
+                   support=_x_support(*h.support))

@@ -158,12 +158,12 @@ def certify(
         raise DomainError(f"defect report grid {(defect.T, defect.step)} is not {(T, actual_step)}")
     vals = h(axis)
     h_at_0 = h(0.0)
-    if abs(h_at_0 - 1.0) > _HYPOTHESIS_TOL:
+    if not abs(h_at_0 - 1.0) <= _HYPOTHESIS_TOL:  # NaN fails
         raise PreconditionError(
             f"H(0) = {h_at_0!r} violates the normalization H(0) = 1 (tolerance {_HYPOTHESIS_TOL:g})"
         )
     even_dev = float(np.max(np.abs(vals - vals[::-1])))
-    if even_dev > _HYPOTHESIS_TOL * max(1.0, float(np.max(np.abs(vals)))):
+    if not even_dev <= _HYPOTHESIS_TOL * max(1.0, float(np.max(np.abs(vals)))):
         raise PreconditionError(
             f"handle is not even: sup|H(-t) - H(t)| = {even_dev:.3e} on the grid"
         )

@@ -160,6 +160,16 @@ class TestClassify:
         with pytest.raises(ClassificationError):
             classify(h, 2.0)
 
+    @pytest.mark.parametrize("base, nan_at, reason", [
+        (np.cosh, lambda t: t == 1.0, "sup residual nan vs Cosh"),  # a residual-grid node
+        (np.zeros_like, lambda t: t == 1.0, "sup residual nan vs Zero"),
+        (np.cosh, lambda t: (t != 0.0) & (np.abs(t) <= 0.25), "curvature estimate nan"),
+    ], ids=["cosh-node", "zero-node", "curvature-steps"])
+    def test_nan_is_refused(self, base, nan_at, reason):
+        h = analytic(LOG_LINE, "nan", (lambda t: np.where(nan_at(t), np.nan, base(t)),))
+        with pytest.raises(ClassificationError, match=reason):
+            classify(h, 2.0)
+
     def test_noise_dominated_raises_precision_error(self):
         with pytest.raises(PrecisionError):
             classify(signed_ripple(), 2.0)

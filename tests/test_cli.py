@@ -225,21 +225,44 @@ class TestExitCodes:
         assert math.isfinite(report.results["value"]) and report.results["evaluations"] > 0
         assert report.diagnostics == {}
 
-    @pytest.mark.parametrize("argv", [
-        ["certify", "--family", "noisy-cosh,freq=1e308"],
-        ["report", "--family", "noisy-cosh,freq=1e308"],
-        ["certify", "--family", "cosh-lambda,lambda=1e103", "--T", "1e-104", "--step", "1e-105"],
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--family", "noisy-cosh,freq=1e308"],
+         "PreconditionError: handle is not even: sup|H(-t) - H(t)| = nan"),
+        (["report", "--family", "noisy-cosh,freq=1e308"],
+         "DomainError: results.sup_defect.epsilon = nan"),
+        (["certify", "--family", "cosh-lambda,lambda=1e103", "--T", "1e-104", "--step", "1e-105"],
+         "DomainError: K must be >= 0 and finite, got nan"),
     ], ids=["certify-freq", "report-freq", "certify-lambda"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_parameter_powers_answer_with_a_message(self, argv, capsys):
+    def test_overflowing_parameter_powers_answer_with_a_message(self, argv, message, capsys):
         # freq^3 and lambda^3 in H''' once raised OverflowError; they are inf now, and the
-        # certificate refuses the epsilon or K that is not finite
+        # NaN they leave fails the evenness hypothesis, the finite-answer check or the bound K
         code, report = run(argv)
         assert code == 2 and report.status == "input-error"
         error = report.diagnostics["error"]
-        assert error.startswith("DomainError: ") and "must be >= 0 and finite, got nan" in error
+        assert error.startswith(message)
         assert capsys.readouterr().out.splitlines() == [f"reccost {argv[0]}: input-error",
                                                         f"  {error}"]
+
+    @pytest.mark.parametrize("argv, leaf", [
+        (["sup-defect", "--family", "noisy-cosh,freq=1e308"], "epsilon"),
+        (["identities", "--family", "noisy-cosh,freq=1e308"], "product_identity"),
+        (["sup-defect", "--family", "noisy-cosh,amplitude=1e308"], "epsilon"),
+        (["calibrate", "--family", "noisy-cosh,mode=trig,freq=1e308"], "kappa"),
+        (["report", "--family", "noisy-cosh,mode=trig,freq=1e308"], "sup_defect.epsilon"),
+        (["classify", "--family", "noisy-cosh,freq=1e308"], None),
+        (["classify", "--family", "noisy-cosh,mode=trig,freq=1e308"], None),
+    ], ids=lambda v: v[0] + "-" + v[2] if isinstance(v, list) else None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_is_not_an_answer(self, argv, leaf, capsys):
+        code, report = run(argv)
+        if leaf is None:  # classify refuses the handle as near no branch
+            assert code == 1 and not report.results["classified"]
+            assert "nan" in report.results["reason"]
+        else:
+            assert code == 2 and report.results is None and report.inputs == {}
+            error = report.diagnostics["error"]
+            assert error == f"DomainError: results.{leaf} = nan is not an answer"
 
     def test_too_deep_ratio_table_names_its_flags(self, capsys):
         code, report = run(["calibrate", "--family", "cosh", "--levels", "2000"])
@@ -334,10 +357,25 @@ class TestReports:
         assert code == 0 and payload["command"] == command
         assert payload["results"] == report.results
 
-    @pytest.mark.parametrize("argv", EXAMPLES.values(), ids=lambda a: "roundtrip-" + a[0])
-    def test_round_trip_determinism(self, argv, capsys):
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(argv, id="roundtrip-" + argv[0]) for argv in EXAMPLES.values()),
+        pytest.param(["sup-defect", "--input", "TABLE", "--T", "1.2", "--step", "0.05"],
+                     id="roundtrip-table"),
+        pytest.param(["certify", "--family", "cosh", "--T", "2", "--step", "0.05",
+                      "--h", "0.1", "--a", "1"], id="roundtrip-certify-h-a"),
+        pytest.param(["classify", "--family", "cosh", "--residual-step", "0.05",
+                      "--residual-tol", "1e-6"], id="roundtrip-classify-residual"),
+        pytest.param(["defect", "--family", "cosh", "--domain", "log-line",
+                      "--t", "0.5", "--u", "0.25"], id="roundtrip-defect-log-line"),
+    ])
+    def test_round_trip_determinism(self, argv, tmp_path, capsys):
+        table = write_cosh_csv(tmp_path / "cosh.csv")
+        argv = [table if arg == "TABLE" else arg for arg in argv]
         code1, report1 = run(argv)
         assert code1 == 0
+        if "--input" in argv:  # the table's header supplies the domain
+            assert list(report1.inputs.items()) == [
+                ("input", table), ("domain", "log-line"), ("T", 1.2), ("step", 0.05)]
         rebuilt = [argv[0]]
         for key, value in report1.inputs.items():
             rebuilt += [f"--{key}", repr(value) if isinstance(value, float) else str(value)]

@@ -153,6 +153,12 @@ class TestCertify:
         with pytest.raises(PreconditionError):
             certify(odd, 2.0, 0.05)
 
+    @pytest.mark.parametrize("node", [0.0, 1.0])
+    def test_nan_at_one_node_is_rejected(self, node):
+        h = analytic(LOG_LINE, "cosh+nan", (lambda t: np.where(t == node, np.nan, np.cosh(t)),))
+        with pytest.raises(PreconditionError, match="nan"):
+            certify(h, 2.0, 0.05)
+
     def test_wrong_normalization_rejected(self):
         z = make_family(FamilySpec("zero"))
         with pytest.raises(PreconditionError):
