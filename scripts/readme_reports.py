@@ -9,7 +9,7 @@ at, so two checkouts can be compared report by report with report_diff.py:
 
     PYTHONPATH=src python scripts/readme_reports.py after
     PYTHONPATH=../other/src python scripts/readme_reports.py before
-    for f in before/*.json; do python scripts/report_diff.py "$f" "after/${f#before/}"; done
+    python scripts/report_diff.py before after
 """
 
 import argparse

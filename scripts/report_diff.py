@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Compare two reccost --json reports leaf by leaf.
+"""Compare two reccost --json reports, or two directories of them, leaf by leaf.
 
 Prints every leaf that differs, with its path; float leaves also get their
 distance in units in the last place (ulps, counted on the IEEE-754 bit
-patterns, so 0 means bitwise equal).  Exits 0 only when the reports are
-identical, key order included, e.g.
+patterns, so 0 means bitwise equal).  Given two directories, it compares
+every NAME.json that either holds, prefixes each line with NAME.json, and
+prints one summary line per report; a report on one side only is a
+difference.  Exits 0 only when every report is identical, key order
+included, e.g.
 
     python scripts/report_diff.py before.json after.json
+    python scripts/report_diff.py before after
 """
 
 import argparse
 import json
 import struct
 import sys
+from pathlib import Path
 
 
 def ulp_distance(a: float, b: float) -> int:
@@ -57,17 +62,31 @@ def diff(a, b, path: str = "") -> list[str]:
     return [f"{label}: {a!r} -> {b!r}"]
 
 
+def _report_pairs(a: Path, b: Path):
+    """(label prefix, A path, B path) for two files, or for every NAME.json of two directories."""
+    if not (a.is_dir() and b.is_dir()):
+        return [("", a, b)]
+    names = sorted({p.name for p in a.glob("*.json")} | {p.name for p in b.glob("*.json")})
+    return [(f"{name}: ", a / name, b / name) for name in names]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("a", help="first report (A)")
-    ap.add_argument("b", help="second report (B)")
+    ap.add_argument("a", help="first report, or directory of reports (A)")
+    ap.add_argument("b", help="second report, or directory of reports (B)")
     args = ap.parse_args(argv)
-    with open(args.a, encoding="utf-8") as fa, open(args.b, encoding="utf-8") as fb:
-        lines = diff(json.load(fa), json.load(fb))
-    for line in lines:
-        print(line)
-    print("identical" if not lines else f"{len(lines)} difference(s)")
-    return 0 if not lines else 1
+    same = True
+    for prefix, pa, pb in _report_pairs(Path(args.a), Path(args.b)):
+        if prefix and not (pa.is_file() and pb.is_file()):
+            lines, summary = [], f"only in {'A' if pa.is_file() else 'B'}"
+        else:
+            with open(pa, encoding="utf-8") as fa, open(pb, encoding="utf-8") as fb:
+                lines = diff(json.load(fa), json.load(fb))
+            summary = "identical" if not lines else f"{len(lines)} difference(s)"
+        for line in lines + [summary]:
+            print(prefix + line)
+        same = same and summary == "identical"
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

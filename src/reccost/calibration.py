@@ -142,26 +142,26 @@ class BranchClassification:
 
 
 def quad_ratio(h: FunctionHandle, step: float) -> float:
-    """q(step) = 2 (H(step) - 1) / step^2 with the symmetrized value
-    (H(step) + H(-step))/2, which cancels odd components exactly."""
+    """q(step) = 2 G(step) / step^2 with the symmetrized excess (G(step) + G(-step))/2,
+    which cancels odd components exactly.  G = H - 1 is what the handle stores, so no
+    1 is added and cancelled again: q keeps G's relative precision at every step."""
     require_domain(h, LOG_LINE, "quad_ratio")
     s = abs(float(step))
     if not (math.isfinite(s) and s * s >= np.finfo(float).tiny):  # step^2 must not underflow
         raise DomainError(f"step must be finite with a normal square, got {step}")
-    sym = 0.5 * (h(s) + h(-s))
-    return 2.0 * (sym - 1.0) / (s * s)
+    sym = 0.5 * (h.excess(s) + h.excess(-s))
+    return 2.0 * sym / (s * s)
 
 
 def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> CurvatureEstimate:
     """Richardson-extrapolated log-curvature from the ratio table q(h0 * 2^-k).
 
     q(h) has an even-power error expansion q = kappa + c2 h^2 + c4 h^4 + ...
-    for smooth handles, so Neville elimination with factors 4^j applies.  The
-    defaults h0 = 0.25, levels = 6 balance the h^2 truncation of q against
-    its round-off amplification: forming 2(H(h)-1)/h^2 loses about
-    eps * |H| / h^2 absolutely, which is ~1e-11 at the deepest default level,
-    far below the 1e-8 scale the toolkit certifies.  The uncertainty is the
-    change between the last two extrapolants.
+    for smooth handles, so Neville elimination with factors 4^j applies.  q is
+    formed from the stored excess G = H - 1, so each entry carries G's
+    relative error and none is amplified by 1/h^2; an exact handle gives kappa
+    to the last bit at any h0.  The uncertainty is the change between the last
+    two extrapolants.
     """
     if not (h0 > 0.0 and math.isfinite(h0)):
         raise ParameterError(f"h0 must be positive and finite, got {h0}")
@@ -245,7 +245,7 @@ def classify(
     step = window_T / 100.0 if residual_grid_step is None else residual_grid_step
     grid = symmetric_grid(window_T, step)[1]
     vals = h(grid)
-    h_at_0 = h(0.0)
+    h_at_0 = float(vals[grid.size // 2])  # the symmetric grid has t = 0 in its middle
 
     if abs(h_at_0) <= const_tol:
         branch, k, kappa, threshold = BRANCH_ZERO, None, 0.0, const_tol

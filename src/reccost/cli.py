@@ -10,7 +10,7 @@ that a section shows (``_pick``), and ``_py`` alone turns them into plain
 JSON-able Python for the printout and the JSON file.
 
 Exit codes: 0 = ok, 1 = verification-failed (a negative mathematical verdict
-from certify/classify), 2 = input-error.
+from certify/classify), 2 = input-error (any toolkit error that reaches run).
 
 Function sources: --family SPEC (e.g. "cosh", "cosh-lambda,lambda=2",
 "family=noisy-cosh,amplitude=1e-3,mode=sine,freq=5"; a key the family does not
@@ -41,16 +41,8 @@ from typing import TYPE_CHECKING
 
 from . import core, geometry
 from .core import LOG_LINE, POSITIVE_RATIOS
-from .errors import (
-    ClassificationError,
-    ConvergenceError,
-    DomainError,
-    InputError,
-    ParameterError,
-    PrecisionError,
-    PreconditionError,
-    RangeOverflowError,
-)
+from .errors import (ClassificationError, DomainError, InputError, PrecisionError,
+                     PreconditionError, RangeOverflowError, ReccostError)
 
 if TYPE_CHECKING:
     from .handles import FunctionHandle
@@ -60,15 +52,6 @@ STATUS_FAILED = "verification-failed"
 STATUS_INPUT_ERROR = "input-error"
 
 _EXIT = {STATUS_OK: 0, STATUS_FAILED: 1, STATUS_INPUT_ERROR: 2}
-
-_INPUT_ERRORS = (
-    InputError,
-    ParameterError,
-    DomainError,
-    PreconditionError,
-    ConvergenceError,
-    PrecisionError,
-)
 
 
 @dataclass
@@ -307,17 +290,14 @@ def _cmd_classify(ns):
 
 
 def _certify_common(ns, ratio: bool):
-    from . import handles, stability
+    from . import stability
     handle, diag = _grid_source(ns, POSITIVE_RATIOS if ratio else LOG_LINE)
     fn = stability.certify_ratio if ratio else stability.certify
     cert = fn(handle, ns.T, ns.step, h_choice=ns.h, a=ns.a)
     if ratio:
         half = cert.inputs.T - cert.inputs.h
         diag["x_window"] = [math.exp(-half), math.exp(half)]
-    plot = None
-    if ns.plot_csv:
-        sweep_handle = handles.lift_to_log(handle) if ratio else handle
-        plot = list(zip(*stability.certificate_sweep(sweep_handle, cert, ns.step)))
+    plot = list(zip(*stability.certificate_sweep(cert))) if ns.plot_csv else None
     status = STATUS_OK if cert.verified else STATUS_FAILED
     return _pick(cert, _CERTIFICATE + ("envelope",)), diag, status, plot
 
@@ -514,7 +494,7 @@ def run(argv) -> tuple[int, RunReport]:
         _require_finite(results, "results")
         inputs = {key.replace("_", "-"): value for key, value in vars(ns).items()
                   if value is not None and key not in ("command", "json", "plot_csv")}
-    except _INPUT_ERRORS as exc:
+    except ReccostError as exc:  # a verdict (ClassificationError) is caught by its handler
         inputs, results, plot_rows, status = {}, None, None, STATUS_INPUT_ERROR
         diagnostics = {"error": f"{type(exc).__name__}: {exc}"}
 

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import validate_log_coord, validate_positive_ratio
-from .errors import DomainError
+from .errors import DomainError, RangeOverflowError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, require_domain
 
@@ -169,14 +169,22 @@ def defect_log(h: FunctionHandle, t: float, u: float) -> float:
     """Delta_H(t, u) = H(t+u) + H(t-u) - 2 H(t) H(u)."""
     require_domain(h, LOG_LINE, "defect_log")
     t, u = validate_log_coord(t), validate_log_coord(u)
-    return float(_kernel(*h.excess(np.array([t + u, t - u, t, u]))))
+    s, d = t + u, t - u
+    if not (math.isfinite(s) and math.isfinite(d)):
+        raise RangeOverflowError(f"defect at t = {t!r}, u = {u!r} needs t + u and t - u finite, "
+                                 f"got {s!r} and {d!r}")
+    return float(_kernel(*h.excess(np.array([s, d, t, u]))))
 
 
 def defect_ratio(f: FunctionHandle, x: float, y: float) -> float:
     """Composition-law defect F(xy) + F(x/y) - 2 F(x) F(y) - 2 F(x) - 2 F(y)."""
     require_domain(f, POSITIVE_RATIOS, "defect_ratio")
     x, y = validate_positive_ratio(x), validate_positive_ratio(y)
-    return float(_kernel(*f.excess(np.array([x * y, x / y, x, y]))))
+    p, q = x * y, x / y
+    if not (0.0 < p < math.inf and 0.0 < q < math.inf):
+        raise RangeOverflowError(f"defect at x = {x!r}, y = {y!r} needs x*y and x/y finite and "
+                                 f"positive, got {p!r} and {q!r}")
+    return float(_kernel(*f.excess(np.array([p, q, x, y]))))
 
 
 def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:

@@ -12,14 +12,16 @@ for every 0 < h <= T and |t| <= T - h, with
 
 certify() estimates every ingredient on explicit grids, picks h (or takes a
 user choice), sweeps the window and reports a verified/failed verdict with
-margins.  Hypothesis violations (not even, H(0) != 1, a <= 0) are errors,
-not warnings, to keep certificates sound.
+margins.  The certificate keeps the window it judged, its nodes and H on
+them, so certificate_sweep() reads the verdict's own sweep back without
+evaluating H again.  Hypothesis violations (not even, H(0) != 1, a <= 0) are
+errors, not warnings, to keep certificates sound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,6 +75,9 @@ class StabilityCertificate:
     max_observed_error: float
     max_envelope_margin: float  # min over the grid of envelope - |error|
     verified: bool
+    # the window |t| <= T - h of the grid and H on it, kept so the sweep is never replayed
+    grid: np.ndarray = field(repr=False, compare=False)
+    values: np.ndarray = field(repr=False, compare=False)
 
 
 def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
@@ -157,7 +162,7 @@ def certify(
     if defect is not None and (defect.T, defect.step) != (float(T), actual_step):
         raise DomainError(f"defect report grid {(defect.T, defect.step)} is not {(T, actual_step)}")
     vals = h(axis)
-    h_at_0 = h(0.0)
+    h_at_0 = float(vals[axis.size // 2])  # the symmetric axis has t = 0 in its middle
     if not abs(h_at_0 - 1.0) <= _HYPOTHESIS_TOL:  # NaN fails
         raise PreconditionError(
             f"H(0) = {h_at_0!r} violates the normalization H(0) = 1 (tolerance {_HYPOTHESIS_TOL:g})"
@@ -187,7 +192,7 @@ def certify(
     envelope = EnvelopeSpec(scale=delta / a, rate=math.sqrt(a))
     ts = _sweep_grid(axis, T - h_used)
     k = (axis.size - ts.size) // 2  # the window is the middle of the symmetric axis
-    _, _, _, env, err = _sweep(ts, vals[k: k + ts.size], envelope)
+    ts, window, _, env, err = _sweep(ts, vals[k: k + ts.size], envelope)
     min_margin = float(np.min(env - err))
     return StabilityCertificate(
         inputs=StabilityInputs(T=float(T), h=h_used, epsilon=epsilon, B=B, K=K, a=a),
@@ -196,6 +201,8 @@ def certify(
         max_observed_error=float(np.max(err)),
         max_envelope_margin=min_margin,
         verified=bool(min_margin >= 0.0),
+        grid=ts,
+        values=window,
     )
 
 
@@ -210,10 +217,10 @@ def _sweep(ts: np.ndarray, vals: np.ndarray, envelope: EnvelopeSpec):
     return ts, vals, branch, envelope.value(ts), np.abs(vals - branch)
 
 
-def certificate_sweep(handle: FunctionHandle, cert: StabilityCertificate, step: float):
-    """(t, H, branch, envelope, |error|) at the certificate's own nodes, given certify's step."""
-    ts = _sweep_grid(symmetric_grid(cert.inputs.T, step)[1], cert.inputs.T - cert.inputs.h)
-    return _sweep(ts, handle(ts), cert.envelope)
+def certificate_sweep(cert: StabilityCertificate):
+    """(t, H, branch, envelope, |error|) on the window the certificate judged: the same
+    sweep, from the same nodes and values, that gave its error and margin."""
+    return _sweep(cert.grid, cert.values, cert.envelope)
 
 
 def certify_ratio(

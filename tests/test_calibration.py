@@ -70,6 +70,15 @@ class TestEstimateKappa:
         est = estimate_kappa(h)
         assert abs(est.kappa - lam * lam) <= 1e-8 * lam * lam
 
+    @pytest.mark.parametrize("h0", [0.25, 1e-5, 1e-9])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_exact_cosh_to_the_last_bit(self, lam, h0):
+        # q is formed from the stored excess G, so no 1 cancels at any step
+        est = estimate_kappa(make_family(FamilySpec("cosh-lambda", {"lambda": lam}), LOG_LINE),
+                             h0=h0)
+        assert abs(est.kappa - lam * lam) <= np.finfo(float).eps * lam * lam
+        assert not est.noise_limited and est.levels == 6
+
     def test_constant_one_exact(self):
         est = estimate_kappa(CONST_ONE)
         assert est.kappa == 0.0

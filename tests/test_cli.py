@@ -99,6 +99,24 @@ class TestLoadSamples:
             load_samples(str(p), domain)
         assert info.value.line == 1
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("time,value\n0,1\n1,2\n", 1, "header must be exactly 't,H' or 'x,F'"),
+        ("t,H\n0,1\n\n1,2\n", 3, "blank line inside the table"),
+        ("t,H\n0,1,2\n1,2\n", 2, "expected two comma-separated values"),
+        ("t,H\n0,1\n", None, "table needs at least two rows"),
+    ], ids=["unknown-header", "inner-blank-line", "three-columns", "one-row"])
+    def test_malformed_table_without_a_domain(self, tmp_path, text, line, message):
+        p = tmp_path / "s.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match=message) as info:
+            load_samples(str(p))
+        assert info.value.line == line
+
+    def test_trailing_blank_line_is_accepted(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("t,H\n0,1\n1,2\n\n", encoding="utf-8")
+        assert load_samples(str(p)).support == (0.0, 1.0)
+
     def test_undecodable_file(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_bytes(b"t,H\n0,1\n\xff,2\n")
@@ -128,6 +146,7 @@ class TestExitCodes:
         ["chebyshev", "--x", "2", "--n", "3"],
         ["golden", "--x0", "1", "--tol", "1e-12", "--max-iter", "200"],
         ["report", "--family", "cosh", "--T", "2", "--step", "0.1"],
+        ["--help"],
     ]
     FAILED = [
         ["classify", "--family", "quadlog"],
@@ -164,6 +183,8 @@ class TestExitCodes:
         ["sup-defect", "--family=quadlog,lambda=-3"],
         ["sup-defect", "--family=cosh,lambda=1,lambda=2"],  # the last value won
         ["sup-defect", "--family=cosh,mode=banana"],
+        ["defect", "--domain", "log-line", "--family", "cosh", "--x", "2", "--y", "3"],
+        ["certify", "--T", "400", "--step", "100", "--family", "cosh"],  # [-800, 800] overflows
     ]
 
     @pytest.mark.parametrize("argv", OK, ids=lambda a: "ok-" + a[0])
@@ -232,11 +253,19 @@ class TestExitCodes:
          "DomainError: results.sup_defect.epsilon = nan"),
         (["certify", "--family", "cosh-lambda,lambda=1e103", "--T", "1e-104", "--step", "1e-105"],
          "DomainError: K must be >= 0 and finite, got nan"),
-    ], ids=["certify-freq", "report-freq", "certify-lambda"])
+        (["defect", "--family", "cosh", "--x", "1e300", "--y", "1e300"],
+         "RangeOverflowError: defect at x = 1e+300, y = 1e+300 needs x*y and x/y"),
+        (["defect", "--family", "cosh", "--x", "1e-300", "--y", "1e300"],
+         "RangeOverflowError: defect at x = 1e-300, y = 1e+300 needs x*y and x/y"),
+        (["defect", "--family", "quadlog", "--domain", "log-line", "--t", "1e308", "--u", "1e308"],
+         "RangeOverflowError: defect at t = 1e+308, u = 1e+308 needs t + u and t - u finite"),
+    ], ids=["certify-freq", "report-freq", "certify-lambda", "defect-xy", "defect-x-over-y",
+            "defect-t-plus-u"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_parameter_powers_answer_with_a_message(self, argv, message, capsys):
         # freq^3 and lambda^3 in H''' once raised OverflowError; they are inf now, and the
-        # NaN they leave fails the evenness hypothesis, the finite-answer check or the bound K
+        # NaN they leave fails the evenness hypothesis, the finite-answer check or the bound K.
+        # A defect whose arguments overflow names its inputs, not the abscissa they give.
         code, report = run(argv)
         assert code == 2 and report.status == "input-error"
         error = report.diagnostics["error"]
@@ -367,6 +396,8 @@ class TestReports:
                       "--residual-tol", "1e-6"], id="roundtrip-classify-residual"),
         pytest.param(["defect", "--family", "cosh", "--domain", "log-line",
                       "--t", "0.5", "--u", "0.25"], id="roundtrip-defect-log-line"),
+        pytest.param(["certify-ratio", "--family", "noisy-cosh", "--T", "2", "--step", "0.05"],
+                     id="roundtrip-certify-ratio-log-line-source"),
     ])
     def test_round_trip_determinism(self, argv, tmp_path, capsys):
         table = write_cosh_csv(tmp_path / "cosh.csv")
@@ -505,6 +536,29 @@ class TestReports:
         rows = np.array([[float(v) for v in ln.split(",") if v]
                          for ln in out.read_text(encoding="utf-8").splitlines()[1:]])
         # the H column is what the handle gives on the grid
+        h = fixtures.make_family(fixtures.FamilySpec("cosh-lambda"), LOG_LINE)
+        assert np.array_equal(rows[:, 1], call(h, rows[:, 0]))
+
+    @pytest.mark.parametrize("command", ["certify", "certify-ratio"])
+    def test_certify_plot_csv_evaluates_the_window_once(self, command, tmp_path, monkeypatch,
+                                                       capsys):
+        sizes = []  # of the abscissa arrays the handle is called on
+        call = handles.FunctionHandle.__call__
+        monkeypatch.setattr(handles.FunctionHandle, "__call__",
+                            lambda h, z: sizes.append(np.size(z)) or call(h, z))
+        out = tmp_path / "p.csv"
+        code, report = run([command, "--family", "cosh", "--T", "2", "--step", "0.05",
+                            "--plot-csv", str(out)])
+        assert code == 0 and report.results["verified"] is True
+        # the axis of [-2, 2] at 0.05 and estimate_bounds' grid at T/1000; the plotted
+        # window is a slice of the axis, never evaluated again
+        assert sorted(n for n in sizes if n > 1) == [81, 2001]
+        rows = np.array([[float(v) for v in ln.split(",")]
+                         for ln in out.read_text(encoding="utf-8").splitlines()[1:]])
+        axis = grids.symmetric_grid(2.0, 0.05)[1]
+        half = report.results["inputs"]["T"] - report.results["inputs"]["h"]
+        assert np.array_equal(rows[:, 0], axis[np.abs(axis) <= half])
+        # a lifted ratio handle keeps the log-line excess stack, so one reference serves both
         h = fixtures.make_family(fixtures.FamilySpec("cosh-lambda"), LOG_LINE)
         assert np.array_equal(rows[:, 1], call(h, rows[:, 0]))
 

@@ -84,6 +84,22 @@ class TestReadmeReports:
         readme_reports.main([str(again)])
         capsys.readouterr()
         assert report_diff.main([str(out / "classify.json"), str(again / "classify.json")]) == 0
+        capsys.readouterr()
+        assert report_diff.main([str(out), str(again)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name}: identical" for name in sorted(f"{n}.json" for n in readme_reports.EXAMPLES)]
+        # one edited leaf, then one missing report, makes the directories differ
+        payload = json.loads((again / "eval.json").read_text(encoding="utf-8"))
+        payload["results"]["J"] = 0.5
+        (again / "eval.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert report_diff.main([str(out), str(again)]) == 1
+        out_lines = capsys.readouterr().out.splitlines()
+        assert "eval.json: results.J: 0.25 -> 0.5 (4503599627370496 ulps)" in out_lines
+        assert "eval.json: 1 difference(s)" in out_lines
+        assert "golden.json: identical" in out_lines
+        (again / "eval.json").unlink()
+        assert report_diff.main([str(out), str(again)]) == 1
+        assert "eval.json: only in A" in capsys.readouterr().out.splitlines()
 
 
 class TestDefectLandscape:

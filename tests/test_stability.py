@@ -159,6 +159,14 @@ class TestCertify:
         with pytest.raises(PreconditionError, match="nan"):
             certify(h, 2.0, 0.05)
 
+    @pytest.mark.parametrize("call", [lambda: certify(COSH_LOG, math.nan, 0.05),
+                                      lambda: estimate_bounds(COSH_LOG, 0.0)],
+                             ids=["certify-nan", "estimate-bounds-zero"])
+    def test_window_must_be_positive_and_finite(self, call):
+        # the CLI's grid refuses such a T before either is called
+        with pytest.raises(DomainError, match="T must be positive and finite"):
+            call()
+
     def test_wrong_normalization_rejected(self):
         z = make_family(FamilySpec("zero"))
         with pytest.raises(PreconditionError):
@@ -171,7 +179,7 @@ class TestCertify:
 
     def test_envelope_shape(self):
         cert = certify(COSH_LOG, 2.0, 0.05)
-        ts, _, _, env, _ = certificate_sweep(COSH_LOG, cert, 0.05)
+        ts, _, _, env, _ = certificate_sweep(cert)
         # even, zero at t = 0, strictly increasing in |t|
         assert env[np.argmin(np.abs(ts))] == 0.0
         assert np.allclose(env, env[::-1], rtol=0, atol=0)
@@ -183,7 +191,10 @@ class TestCertify:
         # 0.03 does not tile [-2, 2]: certify sweeps at the adjusted step 2/67
         for T, step in ((1.5, 0.05), (2.0, 0.03)):
             cert = certify(pert, T, step)
-            ts, vals, branch, env, err = certificate_sweep(pert, cert, step)
+            ts, vals, branch, env, err = certificate_sweep(cert)
+            axis = symmetric_grid(T, step)[1]
+            assert np.array_equal(ts, axis[np.abs(axis) <= T - cert.inputs.h])
+            assert np.array_equal(vals, pert(ts))
             assert float(np.max(err)) == cert.max_observed_error
             assert float(np.min(env - err)) == cert.max_envelope_margin
             assert np.array_equal(err, np.abs(vals - branch))
