@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +31,7 @@ BRANCH_CONSTANT_ONE = "ConstantOne"
 BRANCH_COS = "Cos"
 BRANCH_COSH = "Cosh"
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-_FIT_MAX_FEV = 500
+_FIT_MAX_STEPS = 100
 
 
 class ScalarFit(NamedTuple):
@@ -44,57 +42,28 @@ class ScalarFit(NamedTuple):
     nfev: int
 
 
-def minimize_scalar(f: Callable[[float], float], bounds: tuple[float, float],
-                    xatol: float) -> ScalarFit:
-    """Minimise f on [a, b] by Brent's method (parabolic steps guarded by golden
-    sections; Brent, Algorithms for Minimization without Derivatives, 1973).
+def minimize_scalar(branch: str, grid: np.ndarray, vals: np.ndarray, k0: float,
+                    bounds: tuple[float, float]) -> ScalarFit:
+    """Least-squares scale k of the Cos or Cosh branch: the minimum of
+    sum (vals - branch(k grid))^2 by Gauss-Newton from k0 (Nocedal & Wright,
+    Numerical Optimization, 2006, sec. 10.3).
 
-    The same iteration as scipy.optimize's bounded minimize_scalar (fminbound),
-    without its display and status options: it returns the same x, fun and
-    nfev, bit for bit, and stops at the same 500 evaluations.
+    Each step is k += sum(slope r) / sum(slope^2), with r the residual and slope
+    = d branch(k t)/dk = t sinh(k t) or -t sin(k t), clamped to bounds.  The map
+    from one k to the next is fixed, so the iteration stops once a k repeats
+    (converged, or cycling within round-off of the minimum), on a NaN step, or
+    after _FIT_MAX_STEPS evaluations.
     """
-    a, b = bounds
-    x = w = v = a + _GOLDEN * (b - a)  # best, second best, previous second best
-    fx = fw = fv = f(x)
-    nfev = 1
-    d = e = 0.0  # the last step and the one before
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
-    while abs(x - xm) > 2.0 * tol1 - 0.5 * (b - a) and nfev < _FIT_MAX_FEV:
-        golden = True
-        if abs(e) > tol1:  # try the parabola through x, w, v
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden = False
-                d = p / q
-                u = x + d
-                if u - a < 2.0 * tol1 or b - u < 2.0 * tol1:
-                    d = tol1 if xm >= x else -tol1
-        if golden:
-            e = (a if x >= xm else b) - x
-            d = _GOLDEN * e
-        u = x + (-1.0 if d < 0.0 else 1.0) * max(abs(d), tol1)
-        fu = f(u)
-        nfev += 1
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (a, u) if u >= x else (u, b)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
-    return ScalarFit(x, fx, nfev)
+    lo, hi = bounds
+    k, seen = k0, []
+    while True:
+        r = vals - branch_values(branch, k, grid)
+        slope = grid * (np.sinh(k * grid) if branch == BRANCH_COSH else -np.sin(k * grid))
+        seen.append(k)
+        k_next = min(max(k + float(np.dot(slope, r) / np.dot(slope, slope)), lo), hi)
+        if k_next in seen or math.isnan(k_next) or len(seen) == _FIT_MAX_STEPS:
+            return ScalarFit(k, float(np.dot(r, r)), len(seen))
+        k = k_next
 
 
 def branch_values(branch: str, k: float | None, t):
@@ -224,10 +193,10 @@ def classify(
     Requires h(0) within const_tol of 0 (Zero) or of 1.  Otherwise a finite
     curvature, window_curvature(h, window_T) if not given, selects the branch:
     ConstantOne when |kappa| <= const_tol, else Cos or Cosh by its sign, with k
-    refined by a one-dimensional least-squares fit on the window, initialized at
-    sqrt(|kappa|), because sampled data make the purely local limit noisy while
-    the global fit is well conditioned.  One rule accepts every branch: the sup
-    residual |H - branch| on the nodes of [-window_T, window_T] at
+    refined by a least-squares fit on the window, Gauss-Newton (minimize_scalar)
+    from sqrt(|kappa|), because sampled data make the purely local limit noisy
+    while the global fit is well conditioned.  One rule accepts every branch:
+    the sup residual |H - branch| on the nodes of [-window_T, window_T] at
     residual_grid_step (window_T / 100 if None) must be <= const_tol for Zero and
     residual_tol (default 1e-6 * cosh(window_T)) for the others; any other
     residual, NaN included, raises ClassificationError (not near any branch).
@@ -280,7 +249,7 @@ def classify(
                 r = vals - branch_values(branch, k, grid)
                 return float(np.dot(r, r))
 
-            fit = minimize_scalar(sq_residual, bracket, 1e-12)
+            fit = minimize_scalar(branch, grid, vals, k0, bracket)
             k = float(fit.x) if fit.fun <= sq_residual(k0) else k0
 
     residual = float(np.max(np.abs(vals - branch_values(branch, k, grid))))

@@ -34,6 +34,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,14 +242,17 @@ def _cmd_defect(ns):
     from . import dalembert
     handle, diag = _load_handle(ns, target=None)
     if handle.domain == LOG_LINE:
-        if ns.t is None or ns.u is None:
-            raise InputError("log-line defect needs --t and --u")
-        value = dalembert.defect_log(handle, ns.t, ns.u)
+        reads, ignored, defect = ("t", "u"), ("x", "y"), dalembert.defect_log
     else:
-        if ns.x is None or ns.y is None:
-            raise InputError("ratio-domain defect needs --x and --y")
-        value = dalembert.defect_ratio(handle, ns.x, ns.y)
-    return {"delta": value}, diag, STATUS_OK, None
+        reads, ignored, defect = ("x", "y"), ("t", "u"), dalembert.defect_ratio
+    flags = " and ".join(f"--{name}" for name in reads)
+    stray = [f"--{name}" for name in ignored if getattr(ns, name) is not None]
+    if stray:
+        raise InputError(f"{handle.domain} defect reads {flags}, not {' or '.join(stray)}")
+    args = [getattr(ns, name) for name in reads]
+    if None in args:
+        raise InputError(f"{handle.domain} defect needs {flags}")
+    return {"delta": defect(handle, *args)}, diag, STATUS_OK, None
 
 
 def _cmd_sup_defect(ns):
@@ -381,8 +385,20 @@ def _add_plot(sp):
     sp.add_argument("--plot-csv", help="write (t,H,branch,envelope,error) rows to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose parse errors raise InputError, and that reads every
+    negative float literal (-1e308, -.5, -inf) as a value, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reccost",
         description="Verification toolkit for the canonical reciprocal cost "
         "J(x) = (x + 1/x)/2 - 1 and d'Alembert-type functional equations.",
@@ -476,30 +492,23 @@ def _write_plot_csv(path: str, rows) -> None:
 
 def run(argv) -> tuple[int, RunReport]:
     """Execute one CLI invocation; returns (exit_code, report)."""
-    parser = build_parser()
+    ns = argparse.Namespace(command="", json=None)  # what a failed parse leaves
     try:
-        ns = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        if code == 0:
-            report = RunReport("help", {}, None, {}, STATUS_OK)
-            return 0, report
-        report = RunReport("", {}, None, {"error": "unrecognized arguments"}, STATUS_INPUT_ERROR)
-        return 2, report
-
-    command = ns.command
-    try:
-        results, diagnostics, status, plot_rows = _HANDLERS[command](ns)
+        ns = build_parser().parse_args(list(argv))
+        results, diagnostics, status, plot_rows = _HANDLERS[ns.command](ns)
         results = _py(results)
         _require_finite(results, "results")
         inputs = {key.replace("_", "-"): value for key, value in vars(ns).items()
                   if value is not None and key not in ("command", "json", "plot_csv")}
+    except SystemExit:  # --help printed the usage; a parse error raises InputError
+        return 0, RunReport("help", {}, None, {}, STATUS_OK)
     except ReccostError as exc:  # a verdict (ClassificationError) is caught by its handler
         inputs, results, plot_rows, status = {}, None, None, STATUS_INPUT_ERROR
         diagnostics = {"error": f"{type(exc).__name__}: {exc}"}
 
+    command = ns.command
     report = RunReport(command, inputs, results, _py(diagnostics), status)
-    print(f"reccost {command}: {status}")
+    print(f"reccost {command}: {status}" if command else f"reccost: {status}")
     if results is None:
         print(f"  {diagnostics['error']}")
     else:

@@ -21,6 +21,7 @@ from reccost import (
     lift_to_log,
     make_family,
     quad_ratio,
+    sample_table,
 )
 from reccost.calibration import minimize_scalar, window_curvature
 
@@ -232,21 +233,30 @@ class TestClassify:
 
 
 class TestMinimizeScalar:
-    def test_matches_scipy_bounded_bit_for_bit(self, rng):
-        from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+    def test_readme_table_classifies_to_the_last_bits(self):
+        # the README classify example: cosh sampled on 1001 nodes of [-2.5, 2.5]
+        ts = [float(t) for t in np.linspace(-2.5, 2.5, 1001)]
+        res = classify(sample_table(LOG_LINE, ts, [math.cosh(t) for t in ts]), 2.0)
+        assert res.branch == BRANCH_COSH
+        assert abs(res.k - 1.0) <= 4 * math.ulp(1.0)
+        assert res.residual <= 1e-14
+
+    def test_reaches_the_least_squares_optimum_inside_the_bounds(self, rng):
+        from scipy.optimize import least_squares
 
         grid = np.linspace(-2.0, 2.0, 201)
-        for i in range(120):
-            branch = np.cosh if i % 2 else np.cos
+        for i in range(60):
+            branch, f = (BRANCH_COSH, np.cosh) if i % 2 else (BRANCH_COS, np.cos)
             k = rng.uniform(0.3, 3.0)
-            vals = branch(k * grid) + rng.normal(0.0, 10.0 ** rng.uniform(-12, -3), grid.size)
+            # noise far above the round-off of f(k t): near 1e-6 and below, sum r^2 at
+            # the optimum moves by over 1e-9 relative from one ulp of k to the next
+            vals = f(k * grid) + rng.normal(0.0, 10.0 ** rng.uniform(-5, -2), grid.size)
             k0 = k * (1.0 + rng.uniform(-0.2, 0.2))
-
-            def sq_residual(kk):
-                r = vals - branch(kk * grid)
-                return float(np.dot(r, r))
-
-            ours = minimize_scalar(sq_residual, (0.7 * k0, 1.3 * k0), 1e-12)
-            ref = scipy_minimize_scalar(sq_residual, bounds=(0.7 * k0, 1.3 * k0),
-                                        method="bounded", options={"xatol": 1e-12})
-            assert (ours.x, ours.fun, ours.nfev) == (ref.x, ref.fun, ref.nfev)
+            bounds = (0.7 * k0, 1.3 * k0)
+            fit = minimize_scalar(branch, grid, vals, k0, bounds)
+            ref = least_squares(lambda kk: vals - f(kk[0] * grid), [k0], bounds=bounds,
+                                xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            r = vals - f(fit.x * grid)
+            assert bounds[0] <= fit.x <= bounds[1]
+            assert fit.fun == float(np.dot(r, r))
+            assert fit.fun <= float(np.dot(ref.fun, ref.fun)) * (1.0 + 1e-9)

@@ -298,6 +298,45 @@ class TestExitCodes:
         assert code == 2
         assert "h0 * 2^-(levels - 1)" in report.diagnostics["error"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval"], "the following arguments are required: --x"),
+        (["eval", "--x", "2", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+        (["chebyshev", "--x", "2", "--n", "1.5"], "argument --n: invalid int value: '1.5'"),
+    ], ids=["missing", "unknown-flag", "unknown-command", "bad-int"])
+    def test_parse_errors_carry_argparse_message(self, argv, message, capsys):
+        code, report = run(argv)
+        assert code == 2 and report.status == "input-error" and report.command == ""
+        error = report.diagnostics["error"]
+        assert error.startswith(f"InputError: {message}")
+        out, err = capsys.readouterr()
+        assert (out.splitlines(), err) == (["reccost: input-error", f"  {error}"], "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["defect", "--family", "quadlog", "--domain", "log-line", "--t", "1e308", "--u", "-1e308"],
+         "RangeOverflowError: defect at t = 1e+308, u = -1e+308 needs t + u and t - u finite"),
+        (["sup-defect", "--family", "cosh", "--step", "-1e-3"],
+         "DomainError: grid step must satisfy 0 < step <= 2.0, got -0.001"),
+        (["eval", "--x", "-inf"], "DomainError: positive ratio must be finite, got -inf"),
+    ], ids=["defect-u", "sup-defect-step", "eval-x"])
+    def test_negative_values_in_exponent_form_reach_the_handler(self, argv, message, capsys):
+        # argparse's own pattern for a negative number has no exponent and no inf, so
+        # -1e308 once read as an unknown option and left --u with "expected one argument"
+        code, report = run(argv)
+        assert code == 2 and report.command == argv[0]
+        assert report.diagnostics["error"].startswith(message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["defect", "--family", "cosh", "--domain", "log-line", "--t", "0.5", "--u", "0.25",
+          "--x", "3"], "log-line defect reads --t and --u, not --x"),
+        (["defect", "--family", "cosh", "--x", "2", "--y", "3", "--t", "0.5", "--u", "0.25"],
+         "positive-ratios defect reads --x and --y, not --t or --u"),
+    ], ids=["log-line-x", "ratio-t-u"])
+    def test_a_flag_the_domain_does_not_read_is_refused(self, argv, message, capsys):
+        code, report = run(argv)
+        assert code == 2 and report.results is None
+        assert report.diagnostics["error"] == f"InputError: {message}"
+
 
 class TestTableWorkflows:
     def test_classify_quadlog_samples_fails(self, tmp_path, capsys):
