@@ -18,22 +18,27 @@ discretization.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
 node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, reduces
 the n x n tables in blocks written into two buffers allocated once (memory
 O(n) plus two blocks: 1.2 MB traced at T = 2, step 0.001), and its max
-reductions are order-independent, so sweeps are deterministic.  When G is
-bitwise even on the symmetric nodes (a NaN never is), G(t+u) and G(t-u) swap
-under t -> -t and under u -> -u and are each invariant under t <-> u.  Both
-sweeps round every operation commutatively, with the doublings exact (so
-also 2 G finite wherever G is): the defect forms (2 G(t)) G(u) +
-(2 G(t) + 2 G(u)), the identities G+ G- + (G+ + G-) - (q(t) + q(u)) and
-(G+ - G-)^2 - 4 (q(t) q(u)).  So every table is bitwise invariant under all
-three maps, its first NaN, else first max, lies in the triangle j >= i of the
-quadrant t, u <= 0, and both sweeps reduce about (m + 1)(m + 2)/2 of the
-n^2 = (2m + 1)^2 pairs.  Each block of the triangle spans the columns from its
-first row on; the pairs it holds below the diagonal mirror earlier pairs of
-the same block, so they never move its first max.
+reductions are order-independent, so sweeps are deterministic.  Both sweeps
+round every operation commutatively, with the doublings exact: the defect
+forms (2 G(t)) G(u) + (2 G(t) + 2 G(u)), the identities G+ G- + (G+ + G-) -
+(q(t) + q(u)) and (G+ - G-)^2 - 4 (q(t) q(u)).  So where G is bitwise even on
+the symmetric nodes and 2 G finite wherever G is, the tables are bitwise
+invariant under t <-> u, t -> -t and u -> -u, and the sweeps reduce the
+triangle j >= i of the quadrant t, u <= 0, which holds the first NaN, else
+first max (pairs a block holds below the diagonal mirror earlier ones of it).
+Any other G, such as a spline, is within omega of its even part
+E = (nodes + nodes[::-1]) / 2, which is bitwise even.  A forward error bound
+(Higham, Accuracy and Stability of Numerical Algorithms, 3.1) gives each score
+a rho >= |fl score(G) - fl score(E)| on every pair, so no pair whose E score
+is below theta = max_E - 2 rho holds G's max: the sweeps reduce E's triangle,
+then score G on the 8 images under the three maps of the box of the pairs
+reaching theta in each block.  Where rho is not finite, or too many blocks
+reach theta, they reduce the whole table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,7 +132,7 @@ def _sweep(h: FunctionHandle, T: float, step: float, op: str, whole: bool = Fals
     far = symmetric_grid(2.0 * T, actual_step)[1][3 * m + 1:]  # k s for m < k < 2m, then 2T
     nodes = h.excess(np.concatenate([-far[::-1], axis, far]))  # +-T exact, where m s may not be
     g = nodes[m: m + n]
-    sums, diffs = sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
+    sums, diffs = _tables(nodes, n)
     fold = (not whole and np.array_equal(nodes, nodes[::-1])
             and np.array_equal(np.isinf(2.0 * g), np.isinf(g)))
     w = m + 1 if fold else n
@@ -157,6 +162,82 @@ def _buffers(w: int):
         return tuple(b[: shape[0] * shape[1]].reshape(shape) for b in flat)
 
     return views
+
+
+def _tables(nodes: np.ndarray, n: int):
+    """The n x n tables of G(t + u) and G(t - u) on the grid, as views of G on its nodes."""
+    return sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
+
+
+def _first_max(x: np.ndarray, i0: int, j0: int):
+    """(value, i0 + i, j0 + j) at the first NaN, else first max, of x in row-major order."""
+    i, j = divmod(int(np.argmax(x)), x.shape[1])
+    return x[i, j], i0 + i, j0 + j
+
+
+def _suprema(h: FunctionHandle, T: float, step: float, op: str, aux, scores, bounds):
+    """(step, axis, nodes, G on the axis, picks): per score, (|score|, i, j) at its first NaN, else
+    first max, in row-major order over the whole table.  scores(G(t + u), G(t - u), a(t), a(u),
+    buffers), a = aux(G on the axis), yields each |score| block in a buffer in turn."""
+    actual_step, axis, nodes, g, w, blocks = _sweep(h, T, step, op)
+    a, views = aux(g), _buffers(w)
+    picks = None if w < axis.size else _even_part(nodes, a, aux, scores, bounds, views)
+    if picks is None:
+        picks = [p[int(np.argmax([v for v, _, _ in p]))] for p in zip(*(
+            [_first_max(x, r.start, c.start) for x in scores(s, d, a[r, None], a[c], views(r, c))]
+            for r, c, s, d, _, _ in blocks))]
+    return actual_step, axis, nodes, g, picks
+
+
+def _even_part(nodes: np.ndarray, a: np.ndarray, aux, scores, bounds, views):
+    """_suprema's picks through the even part E, or None where rho = bounds(max |G - E|, max |G|,
+    max |a - a_E|, max(|a|, |a_E|)) is not finite or the blocks reaching theta outgrow 4 blocks."""
+    n, m = a.size, a.size // 2
+    e = (nodes + nodes[::-1]) * 0.5  # bitwise even: mirrored entries add the same two numbers
+    ae = aux(e[m: m + n])
+    rho = np.array(bounds(*(float(np.max(np.abs(x))) for x in (nodes - e, nodes, a - ae, [a, ae]))))
+    if not np.all(np.isfinite(rho)):
+        return None
+    (se, de), tri = _tables(e, n), list(_blocks(m + 1, True))
+    def of_e(r, c):
+        return scores(se[r, c], de[r, c], ae[r, None], ae[c], views(r, c))
+    sizes = np.array([(r.stop - r.start) * (c.stop - c.start) for r, c in tri])
+    tops = np.full((len(tri), rho.size), -np.inf)
+    for b, (r, c) in enumerate(tri):
+        tops[b] = [x.max() for x in of_e(r, c)]
+        # theta only rises, so the blocks it keeps now include the ones it keeps at the end
+        theta = np.nextafter(tops.max(axis=0) - 2.0 * rho, -np.inf)
+        kept = np.any(tops >= theta, axis=1)
+        if sizes[kept].sum() > 4 * max(_BLOCK_ELEMS, m + 1):
+            return None
+    sums, diffs = _tables(nodes, n)
+    picks = []
+    for r, c in itertools.compress(tri, kept):
+        hit = np.logical_or.reduce([x >= t for x, t in zip(of_e(r, c), theta)])
+        i, j = np.flatnonzero(hit.any(axis=1)) + r.start, np.flatnonzero(hit.any(axis=0)) + c.start
+        rows, cols = [(slice(k[0], k[-1] + 1), slice(n - 1 - k[-1], n - k[0])) for k in (i, j)]
+        for X, Y in itertools.chain(itertools.product(rows, cols), itertools.product(cols, rows)):
+            picks.append([_first_max(x, X.start, Y.start)
+                          for x in scores(sums[X, Y], diffs[X, Y], a[X, None], a[Y], views(X, Y))])
+    return [max(p, key=lambda v: (v[0], -v[1], -v[2])) for p in zip(*picks)]
+
+
+def _rho(spread: float, size: float, k: int) -> float:
+    """>= |fl f(G) - fl f(E)| (2^-1060 for underflow) where |f(G) - f(E)| <= spread and f's terms,
+    of up to k roundings each, sum to size; infinite where 4 size overflows, before f's values."""
+    return (spread + k * 2.0**-54 * (4.0 * size)) * (1.0 + 2.0**-40) + 2.0**-1060
+
+
+def _identity_scores(s, d, qt, qu, views):
+    # s d + (s + d) - (q(t) + q(u)) and (s - d)^2 - 4 (q(t) q(u)), symmetric in s <-> d, t <-> u
+    product, square = views
+    np.multiply(s, d, out=product)
+    product += np.add(s, d, out=square)
+    product -= np.add(qt, qu, out=square)
+    np.square(np.subtract(s, d, out=square), out=square)
+    yield np.abs(product, out=product)
+    square -= np.multiply(np.multiply(qt, qu, out=product), 4.0, out=product)
+    yield np.abs(square, out=square)
 
 
 def defect_grid(h: FunctionHandle, T: float, step: float):
@@ -194,19 +275,15 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     Ties at the max resolve to the first point in row-major order, so the
     report is deterministic.
     """
-    actual_step, axis, _, _, w, blocks = _sweep(h, T, step, "sup_defect")
-    views = _buffers(w)
-    picks = []  # (i, j, Delta) of each block's first NaN, else first max |Delta|
-    for r, c, gs, gd, gt, gu in blocks:
-        delta, cross = views(r, c)
-        _kernel(gs, gd, gt, gu, out=delta, cross=cross)
-        a, b = divmod(int(np.argmax(np.abs(delta, out=delta))), c.stop - c.start)
-        # Delta with the sign that the in-place |Delta| dropped, from the same two roundings
-        signed = float(gs[a, b]) + float(gd[a, b]) - float(cross[a, b])
-        picks.append((r.start + a, c.start + b, signed))
-    i, j, worst_delta = picks[int(np.argmax([abs(d) for *_, d in picks]))]  # first across blocks
-    worst = DefectSample(float(axis[i]), float(axis[j]), worst_delta)
-    return DefectReport(abs(worst_delta), worst, float(T), actual_step, count=axis.size**2)
+    # |Delta_G - Delta_E| <= 2 omega + 2 (2 M omega) + 4 omega; the terms sum to 6 M + 2 M^2
+    actual_step, axis, nodes, g, [(_, i, j)] = _suprema(
+        h, T, step, "sup_defect", lambda g: g,
+        lambda s, d, gt, gu, bufs: (np.abs(_kernel(s, d, gt, gu, *bufs), out=bufs[0]),),
+        lambda w, big, *_: (_rho(w * (6.0 + 4.0 * big), 6.0 * big + 2.0 * big * big, 3),))
+    n = axis.size  # Delta with its sign, from the same roundings as the sweep
+    delta = float(_kernel(nodes[i + j], nodes[n - 1 + i - j], g[i], g[j]))
+    worst = DefectSample(float(axis[i]), float(axis[j]), delta)
+    return DefectReport(abs(delta), worst, float(T), actual_step, count=n**2)
 
 
 def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolations:
@@ -214,35 +291,18 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
 
     Evaluated in G = H - 1, where H^2 - 1 = G (G + 2).
     """
-    _, _, nodes, g, w, blocks = _sweep(h, T, step, "identity_report")
-    q = g * (g + 2.0)
-    views = _buffers(w)
-    product_identity = difference_square = 0.0
-    for r, c, s, d, _, _ in blocks:
-        # s d + (s + d) - (q(t) + q(u)) and (s - d)^2 - 4 (q(t) q(u)): every rounded operation
-        # is commutative (and 4x exact), so both are symmetric in s <-> d and in t <-> u
-        product, scratch = views(r, c)
-        np.multiply(s, d, out=product)
-        product += np.add(s, d, out=scratch)
-        product -= np.add(q[r, None], q[c], out=scratch)
-        square = np.subtract(s, d, out=scratch)
-        square *= square
-        product_identity = np.maximum(product_identity, _sup_abs(product))  # keeps a NaN
-        cross = np.multiply(q[r, None], q[c], out=product)
-        cross *= 4.0
-        square -= cross
-        difference_square = np.maximum(difference_square, _sup_abs(square))
+    # with wq = max |q_G - q_E|, Q = max |q|, and |(s - d)_G^2 - (s - d)_E^2| <= 2 omega 4 M
+    _, _, nodes, g, (product, square) = _suprema(
+        h, T, step, "identity_report", lambda g: g * (g + 2.0), _identity_scores,
+        lambda w, big, wq, mq: (
+            _rho(w * (2.0 + 2.0 * big) + 2.0 * wq, big * big + 2.0 * (big + mq), 3),
+            _rho(8.0 * (big * w + mq * wq), 4.0 * (big * big + mq * mq), 4)))
     return IdentityViolations(
-        product_identity=float(product_identity),
-        difference_square=float(difference_square),
-        double_angle=_sup_abs(nodes[::2] - 2.0 * q),
-        evenness=_sup_abs(g[::-1] - g),
+        product_identity=float(product[0]),
+        difference_square=float(square[0]),
+        double_angle=float(np.max(np.abs(nodes[::2] - 2.0 * (g * (g + 2.0))))),
+        evenness=float(np.max(np.abs(g[::-1] - g))),
     )
-
-
-def _sup_abs(a: np.ndarray) -> float:
-    """max |a|, overwriting a."""
-    return float(np.max(np.abs(a, out=a)))
 
 
 def ode_residual(h: FunctionHandle, a: float, T: float, step: float, fd_h: float) -> float:

@@ -211,8 +211,19 @@ def full_tables(h, T, step):
 
 
 def width(h, T, step):
-    """The width of the tables the sweeps reduce: the quadrant's m + 1, or n."""
+    """The width of the tables _sweep hands the sweeps: the quadrant's m + 1 where G is bitwise
+    even, else n."""
     return _sweep(h, T, step, "test")[4]
+
+
+def path(h, T, step):
+    """The reduction sup_defect takes: "fold" where G is bitwise even, else "even part" (E's
+    triangle, then G on the images of what it cannot rule out) or "whole table"."""
+    taken, even_part = [], dalembert._even_part
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dalembert, "_even_part", lambda *a: taken.append(even_part(*a)) or taken[-1])
+        sup_defect(h, T, step)
+    return "fold" if not taken else "whole table" if taken[0] is None else "even part"
 
 
 def fields(h, T, step):
@@ -251,12 +262,13 @@ class TestRowBlocks:
 
     def test_tie_across_blocks_resolves_to_the_earlier_row(self):
         # quadlog's corner defect -T^4/2 is attained in the first and the last row; a bump at
-        # G(0.5), away from the corners, makes the sweep take the whole table
+        # G(0.5), away from the corners, makes G uneven, so the sweep reduces its even part and
+        # scores G on the images of the corners, which lie in both rows
         def bumped(t):
             return 1.0 + 0.5 * t * t + np.where(np.abs(t - 0.5) < 1e-9, 1e-9, 0.0)
 
         h = analytic(LOG_LINE, "quadlog bumped at 0.5", (bumped,))
-        assert width(h, self.T, self.STEP) == 801
+        assert path(h, self.T, self.STEP) == "even part"
         _, axis, delta = defect_grid(h, self.T, self.STEP)
         assert delta[0, 0] == delta[-1, -1] == -self.T**4 / 2
         rep = sup_defect(h, self.T, self.STEP)
@@ -307,8 +319,8 @@ EVEN_SPECS = st.one_of(
 
 class TestMirrorFold:
     """On bitwise even handles both sweeps reduce the triangle j >= i of the quadrant t, u <= 0
-    of the tables, with the results of the whole tables; any other handle reduces the whole
-    tables."""
+    of the tables, with the results of the whole tables; any other handle reduces that triangle
+    of its even part's tables first (TestEvenPart)."""
 
     @given(EVEN_SPECS, st.floats(0.5, 3.0), st.integers(1, 40))
     def test_even_families_equal_full_tables(self, spec, T, m):
@@ -352,10 +364,12 @@ class TestMirrorFold:
         # 5 elements per block: every block is one row, of up to 21 or 41 elements, until the
         # triangle's last rows are 5 wide or less
         monkeypatch.setattr(dalembert, "_BLOCK_ELEMS", 5)
-        w = width(h, 1.0, 0.05)
-        blocks = list(_blocks(w, w == 21))
-        assert all(r.stop - r.start == 1 for r, c in blocks if c.stop - c.start > 5)
+        tables = []  # (width, triangle) of every table the sweeps reduce
+        monkeypatch.setattr(dalembert, "_blocks",
+                            lambda w, tri: tables.append((w, tri)) or _blocks(w, tri))
         assert fields(h, 1.0, 0.05) == full_tables(h, 1.0, 0.05)
+        blocks = [b for w, tri in tables for b in _blocks(w, tri)]
+        assert all(r.stop - r.start == 1 for r, c in blocks if c.stop - c.start > 5)
 
     def test_even_sweeps_reduce_about_half_the_quadrant(self, monkeypatch):
         # T = 2, step 0.001: (m + 1)^2 = 2001^2 pairs in the quadrant, its triangle about half
@@ -434,6 +448,110 @@ class TestMirrorFold:
     def test_defect_grid_keeps_the_whole_table(self):
         _, axis, delta = defect_grid(COSH_LOG, 1.0, 0.1)
         assert delta.shape == (21, 21) and axis.size == 21
+
+
+ODD = {"sin 3t": lambda t: np.sin(3.0 * t), "t^3": lambda t: t**3, "tanh": np.tanh}
+
+
+@st.composite
+def uneven(draw):
+    """(h, T, m): a handle that is mostly not bitwise even, on the grid of [-T, T] with m
+    intervals a side: an even family plus eta times an odd function or a one-node bump, a
+    not-a-knot table on np.linspace nodes, a lifted positive-ratio table, or powerlaw-w."""
+    T, m = draw(st.floats(0.5, 3.0)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["odd part", "bump", "table", "ratio table", "powerlaw-w"]))
+    if kind == "powerlaw-w":
+        return make_family(FamilySpec("powerlaw-w", {"lambda": draw(st.floats(0.3, 2.0))}),
+                           domain=LOG_LINE), T, m
+    spec = parse_family_spec(draw(EVEN_SPECS))
+    if kind in ("table", "ratio table"):
+        ts = np.linspace(-2.05 * T, 2.05 * T, draw(st.integers(50, 900)))
+        if kind == "table":
+            return sample_table(LOG_LINE, ts, make_family(spec, domain=LOG_LINE)(ts)), T, m
+        f = make_family(spec, domain=POSITIVE_RATIOS)
+        return lift_to_log(sample_table(POSITIVE_RATIOS, np.exp(ts), f(np.exp(ts)))), T, m
+    base, eta = make_family(spec, domain=LOG_LINE), 10.0 ** draw(st.floats(-16.0, -2.0))
+    if kind == "bump":  # G at the node t0 > 0 alone
+        t0 = T * draw(st.integers(1, 2 * m)) / m
+        odd = lambda t: np.where(np.abs(t - t0) < 1e-9 * T, 1.0, 0.0)  # noqa: E731
+    else:
+        odd = ODD[draw(st.sampled_from(sorted(ODD)))]
+    return analytic(LOG_LINE, f"{base.name} + {eta!r} odd", (lambda t: base(t) + eta * odd(t),),
+                    support=base.support), T, m
+
+
+class TestEvenPart:
+    """Any other handle is within omega of its bitwise even part E: both sweeps reduce the
+    triangle of E's tables and score G on the images of the pairs a bound on |G - E| cannot rule
+    out, with the results of the whole tables, or reduce the whole tables."""
+
+    @given(uneven(), st.integers(1, 400))
+    def test_uneven_handles_equal_full_tables(self, case, block):
+        h, T, m = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dalembert, "_BLOCK_ELEMS", block)
+            assert_same(fields(h, T, T / m), full_tables(h, T, T / m))
+
+    @pytest.mark.parametrize("step", [0.5, 0.05])
+    def test_tie_between_images_resolves_to_the_first_pair(self, step):
+        # G(0.5) lowered by 2: |Delta| = 11.5 at (-2, 0.5), (0.5, -2), (0.5, 2) and (2, 0.5), all
+        # images of the triangle's (-2, -0.5), where it is 0.5; the first in row-major order wins
+        def bumped(t):
+            return 1.0 + 0.5 * t * t + np.where(np.abs(t - 0.5) < 1e-9, -2.0, 0.0)
+
+        h = analytic(LOG_LINE, "quadlog lowered at 0.5", (bumped,))
+        assert path(h, 2.0, step) == "even part"
+        got = fields(h, 2.0, step)
+        assert got == full_tables(h, 2.0, step)
+        assert got[0] == (11.5, -2.0, 0.5, 11.5)
+
+    @pytest.mark.parametrize("ys", [
+        lambda ts: np.cosh(ts),  # on 8001 rows Delta is rounding noise: it all comes within 2 rho
+        lambda ts: np.cosh(ts) + 1e-6 * np.sin(ts),  # rho is far above E's largest Delta
+    ], ids=["exact cosh", "cosh + 1e-6 sin"])
+    def test_inputs_within_rounding_of_even_take_the_whole_table(self, ys, monkeypatch):
+        ts = np.linspace(-4.05, 4.05, 8001)
+        h = sample_table(LOG_LINE, ts, ys(ts))
+        assert path(h, 2.0, 0.001) == "whole table"
+        monkeypatch.setattr(dalembert, "_BLOCK_ELEMS", 1024)  # so that the budget bites at n = 401
+        assert path(h, 2.0, 0.01) == "whole table"
+        assert_same(fields(h, 2.0, 0.01), full_tables(h, 2.0, 0.01))
+
+
+class TestTableCost:
+    """A fine-grid table, 811 rows of a noisy cosh at T = 2, step 0.001, is not bitwise even,
+    yet each sweep reduces about the triangle of the quadrant, in two block buffers."""
+
+    TS = np.linspace(-4.05, 4.05, 811)
+    TABLE = sample_table(LOG_LINE, TS, make_family(parse_family_spec(
+        "noisy-cosh,amplitude=1e-4,mode=trig,freq=2.5,seed=7"), domain=LOG_LINE)(TS))
+
+    @pytest.mark.parametrize("sweep, scores", [
+        (sup_defect, "_kernel"), (identity_report, "_identity_scores")],
+        ids=["sup_defect", "identity_report"])
+    def test_sweeps_reduce_about_half_the_quadrant(self, sweep, scores, monkeypatch):
+        assert path(self.TABLE, 2.0, 0.001) == "even part"
+        pairs, inner = [], getattr(dalembert, scores)
+        monkeypatch.setattr(dalembert, scores, lambda s, *a: pairs.append(
+            np.broadcast(s, *a[:3]).size) or inner(s, *a))
+        sweep(self.TABLE, 2.0, 0.001)
+        assert sum(pairs) <= 0.6 * 2001**2
+
+    @pytest.mark.parametrize("sweep", [sup_defect, identity_report], ids=lambda f: f.__name__)
+    def test_peak_memory(self, sweep):
+        # two 512 KB block buffers and O(n) vectors of the 4001 nodes
+        own = not tracemalloc.is_tracing()
+        if own:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sweep(self.TABLE, 2.0, 0.001)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if own:
+                tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestDefectGrid:
