@@ -15,13 +15,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from reccost import LOG_LINE, make_family, parse_family_spec, sup_defect
-from reccost.dalembert import _kernel, _sweep
+from reccost.dalembert import _scored, _sweep
 
 
 def write_rows(fh, axis, blocks):
-    """Write the (t, u, delta) rows of the sweep's whole-width row blocks to fh, one at a time."""
-    for r, _, *block in blocks:
-        for t, row in zip(axis[r], _kernel(*block)):
+    """Write the (t, u, delta) rows of the whole table to fh, one row block at a time."""
+    for r, _, delta in blocks:
+        for t, row in zip(axis[r], delta):
             for u, d in zip(axis, row):
                 fh.write(f"{t:.17g},{u:.17g},{d:.17g}\n")
 
@@ -39,9 +39,8 @@ def main():
         # the whole table, one row block at a time, so a fine grid never holds the n x n matrix
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("t,u,delta\n")
-            _, axis, _, _, _, blocks = _sweep(handle, args.T, args.step, "defect_landscape",
-                                              whole=True)
-            write_rows(fh, axis, blocks)
+            _, axis, nodes, g = _sweep(handle, args.T, args.step, "defect_landscape")
+            write_rows(fh, axis, _scored(nodes, g, False))
     report = sup_defect(handle, args.T, args.step)
     print(f"family  : {handle.name}")
     print(f"grid    : [-{report.T:g}, {report.T:g}] step {report.step:.17g} ({report.count} points)")

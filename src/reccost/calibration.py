@@ -52,17 +52,21 @@ def minimize_scalar(branch: str, grid: np.ndarray, vals: np.ndarray, k0: float,
     = d branch(k t)/dk = t sinh(k t) or -t sin(k t), clamped to bounds.  The map
     from one k to the next is fixed, so the iteration stops once a k repeats
     (converged, or cycling within round-off of the minimum), on a NaN step, or
-    after _FIT_MAX_STEPS evaluations.
+    after _FIT_MAX_STEPS evaluations.  It returns k0 and its sum instead where
+    the last k's sum is not at most k0's (a NaN fails too).
     """
     lo, hi = bounds
     k, seen = k0, []
     while True:
         r = vals - branch_values(branch, k, grid)
         slope = grid * (np.sinh(k * grid) if branch == BRANCH_COSH else -np.sin(k * grid))
+        fun = float(np.dot(r, r))
+        if not seen:
+            first = fun
         seen.append(k)
         k_next = min(max(k + float(np.dot(slope, r) / np.dot(slope, slope)), lo), hi)
         if k_next in seen or math.isnan(k_next) or len(seen) == _FIT_MAX_STEPS:
-            return ScalarFit(k, float(np.dot(r, r)), len(seen))
+            return ScalarFit(k, fun, len(seen)) if fun <= first else ScalarFit(k0, first, len(seen))
         k = k_next
 
 
@@ -244,13 +248,7 @@ def classify(
                 raise RangeOverflowError(
                     f"window_T = {window_T:g} is too wide for the fit: cosh(k t) at the "
                     f"bracket top k = {bracket[1]:.6g} exceeds cosh({COSH_T_MAX:g})")
-
-            def sq_residual(k: float) -> float:
-                r = vals - branch_values(branch, k, grid)
-                return float(np.dot(r, r))
-
-            fit = minimize_scalar(branch, grid, vals, k0, bracket)
-            k = float(fit.x) if fit.fun <= sq_residual(k0) else k0
+            k = float(minimize_scalar(branch, grid, vals, k0, bracket).x)
 
     residual = float(np.max(np.abs(vals - branch_values(branch, k, grid))))
     if not residual <= threshold:  # a NaN residual fails too

@@ -478,16 +478,16 @@ def _require_finite(value, path: str) -> None:
         raise DomainError(f"{path} = {value!r} is not an answer")
 
 
-def _write_json(path: str, report: RunReport) -> None:
-    payload = json.dumps(vars(report), indent=2)  # its fields are _py output already
-    Path(path).write_text(payload + "\n", encoding="utf-8")
+def _write(path: str, lines) -> None:
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def _write_plot_csv(path: str, rows) -> None:
-    lines = ["t,H,branch,envelope,error"]
-    for row in rows:
-        lines.append(",".join("" if v == "" else f"{float(v):.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _failure(command: str, exc: ReccostError) -> RunReport:
+    return RunReport(command, {}, None, {"error": f"{type(exc).__name__}: {exc}"},
+                     STATUS_INPUT_ERROR)
 
 
 def run(argv) -> tuple[int, RunReport]:
@@ -500,26 +500,27 @@ def run(argv) -> tuple[int, RunReport]:
         _require_finite(results, "results")
         inputs = {key.replace("_", "-"): value for key, value in vars(ns).items()
                   if value is not None and key not in ("command", "json", "plot_csv")}
+        if getattr(ns, "plot_csv", None) and plot_rows is not None:
+            _write(ns.plot_csv, ["t,H,branch,envelope,error"] + [",".join(
+                "" if v == "" else f"{float(v):.17g}" for v in row) for row in plot_rows])
+        report = RunReport(ns.command, inputs, results, _py(diagnostics), status)
     except SystemExit:  # --help printed the usage; a parse error raises InputError
         return 0, RunReport("help", {}, None, {}, STATUS_OK)
     except ReccostError as exc:  # a verdict (ClassificationError) is caught by its handler
-        inputs, results, plot_rows, status = {}, None, None, STATUS_INPUT_ERROR
-        diagnostics = {"error": f"{type(exc).__name__}: {exc}"}
-
-    command = ns.command
-    report = RunReport(command, inputs, results, _py(diagnostics), status)
-    print(f"reccost {command}: {status}" if command else f"reccost: {status}")
-    if results is None:
-        print(f"  {diagnostics['error']}")
+        report = _failure(ns.command, exc)
+    if ns.json:
+        try:
+            _write(ns.json, [json.dumps(vars(report), indent=2)])  # _py output already
+        except InputError as exc:
+            report = _failure(ns.command, exc)
+    print(f"reccost {ns.command}: {report.status}" if ns.command else f"reccost: {report.status}")
+    if report.results is None:
+        print(f"  {report.diagnostics['error']}")
     else:
-        if command == "classify" and not results.get("classified", True):
+        if ns.command == "classify" and not report.results.get("classified", True):
             print("  not near any branch")
         _print_results(report.results)
-    if ns.json:
-        _write_json(ns.json, report)
-    if getattr(ns, "plot_csv", None) and plot_rows is not None:
-        _write_plot_csv(ns.plot_csv, plot_rows)
-    return _EXIT[status], report
+    return _EXIT[report.status], report
 
 
 def main(argv=None) -> None:

@@ -21,19 +21,18 @@ O(n) plus two blocks: 1.2 MB traced at T = 2, step 0.001), and its max
 reductions are order-independent, so sweeps are deterministic.  Both sweeps
 round every operation commutatively, with the doublings exact: the defect
 forms (2 G(t)) G(u) + (2 G(t) + 2 G(u)), the identities G+ G- + (G+ + G-) -
-(q(t) + q(u)) and (G+ - G-)^2 - 4 (q(t) q(u)).  So where G is bitwise even on
-the symmetric nodes and 2 G finite wherever G is, the tables are bitwise
-invariant under t <-> u, t -> -t and u -> -u, and the sweeps reduce the
-triangle j >= i of the quadrant t, u <= 0, which holds the first NaN, else
-first max (pairs a block holds below the diagonal mirror earlier ones of it).
-Any other G, such as a spline, is within omega of its even part
-E = (nodes + nodes[::-1]) / 2, which is bitwise even.  A forward error bound
-(Higham, Accuracy and Stability of Numerical Algorithms, 3.1) gives each score
-a rho >= |fl score(G) - fl score(E)| on every pair, so no pair whose E score
-is below theta = max_E - 2 rho holds G's max: the sweeps reduce E's triangle,
-then score G on the 8 images under the three maps of the box of the pairs
-reaching theta in each block.  Where rho is not finite, or too many blocks
-reach theta, they reduce the whole table.
+(q(t) + q(u)) and (G+ - G-)^2 - 4 (q(t) q(u)).  So where G equals its even
+part E = (nodes + nodes[::-1]) / 2, which is bitwise even (mirrored entries
+add the same two numbers), the tables are bitwise invariant under t <-> u,
+t -> -t and u -> -u, and the sweeps reduce the triangle j >= i of the
+quadrant t, u <= 0, which holds the first NaN, else first max (pairs a block
+holds below the diagonal mirror earlier ones of it).  Any other G is within
+omega of E: a forward error bound (Higham, Accuracy and Stability of
+Numerical Algorithms, 3.1) gives each score a rho >= |fl score(G) - fl
+score(E)|, so no pair whose E score is below theta = max_E - 2 rho holds G's
+max.  The sweeps reduce E's triangle, then score G on the 8 images under the
+three maps of the box of the pairs reaching theta in each block, or, where
+rho is not finite or too many blocks reach theta, the whole table.
 """
 
 from __future__ import annotations
@@ -118,12 +117,8 @@ def _kernel(gs, gd, gt, gu, out=None, cross=None):
     return out
 
 
-def _sweep(h: FunctionHandle, T: float, step: float, op: str, whole: bool = False):
-    """(step, axis, G on the nodes of [-2T, 2T], G on the axis, w, blocks) for the grid of
-    [-T, T]: blocks yield (rows, cols, G(t+u), G(t-u), G(t), G(u)) for blocks of the w x w
-    corner of the tables, as views: t_i + u_j is node i + j, t_i - u_j node n - 1 + i - j.
-    When G is bitwise even (and 2 G finite wherever G is) and not whole, w is the quadrant's
-    m + 1 and the blocks cover its triangle j >= i; else w = n and they cover the table."""
+def _sweep(h: FunctionHandle, T: float, step: float, op: str):
+    """(step, axis, G on the nodes of [-2T, 2T], G on the axis) for the grid of [-T, T]."""
     require_domain(h, LOG_LINE, op)
     actual_step, axis = symmetric_grid(T, step)
     if not h.evaluable_on(-2.0 * T, 2.0 * T):
@@ -131,13 +126,7 @@ def _sweep(h: FunctionHandle, T: float, step: float, op: str, whole: bool = Fals
     n, m = axis.size, axis.size // 2
     far = symmetric_grid(2.0 * T, actual_step)[1][3 * m + 1:]  # k s for m < k < 2m, then 2T
     nodes = h.excess(np.concatenate([-far[::-1], axis, far]))  # +-T exact, where m s may not be
-    g = nodes[m: m + n]
-    sums, diffs = _tables(nodes, n)
-    fold = (not whole and np.array_equal(nodes, nodes[::-1])
-            and np.array_equal(np.isinf(2.0 * g), np.isinf(g)))
-    w = m + 1 if fold else n
-    blocks = ((r, c, sums[r, c], diffs[r, c], g[r, None], g[c]) for r, c in _blocks(w, fold))
-    return actual_step, axis, nodes, g, w, blocks
+    return actual_step, axis, nodes, nodes[m: m + n]
 
 
 def _blocks(w: int, triangle: bool):
@@ -165,8 +154,20 @@ def _buffers(w: int):
 
 
 def _tables(nodes: np.ndarray, n: int):
-    """The n x n tables of G(t + u) and G(t - u) on the grid, as views of G on its nodes."""
+    """The n x n tables of G(t + u) and G(t - u) on the grid, as views of G on its nodes:
+    t_i + u_j is node i + j, t_i - u_j node n - 1 + i - j."""
     return sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
+
+
+def _scored(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores=_kernel, views=None):
+    """(rows, cols, scores(G(t + u), G(t - u), a(t), a(u), out, cross)) per block of the tables of
+    G on nodes, a on the axis (by default Delta, a = G): row blocks of the triangle j >= i of the
+    quadrant t, u <= 0, or of the whole table; out and cross are views(rows, cols), by default of
+    two buffers allocated here."""
+    n = a.size
+    (sums, diffs), views = _tables(nodes, n), views or _buffers(n)
+    for r, c in _blocks(n // 2 + 1 if triangle else n, triangle):
+        yield r, c, scores(sums[r, c], diffs[r, c], a[r, None], a[c], *views(r, c))
 
 
 def _first_max(x: np.ndarray, i0: int, j0: int):
@@ -178,47 +179,47 @@ def _first_max(x: np.ndarray, i0: int, j0: int):
 def _suprema(h: FunctionHandle, T: float, step: float, op: str, aux, scores, bounds):
     """(step, axis, nodes, G on the axis, picks): per score, (|score|, i, j) at its first NaN, else
     first max, in row-major order over the whole table.  scores(G(t + u), G(t - u), a(t), a(u),
-    buffers), a = aux(G on the axis), yields each |score| block in a buffer in turn."""
-    actual_step, axis, nodes, g, w, blocks = _sweep(h, T, step, op)
-    a, views = aux(g), _buffers(w)
-    picks = None if w < axis.size else _even_part(nodes, a, aux, scores, bounds, views)
-    if picks is None:
+    out, cross), a = aux(G on the axis), yields each |score| block in out or cross in turn.
+    Where the even part E is G they are its triangle's, else E's (_even_part) or the table's."""
+    actual_step, axis, nodes, g = _sweep(h, T, step, op)
+    e = (nodes + nodes[::-1]) * 0.5  # bitwise even: mirrored entries add the same two numbers
+    a, views = aux(g), _buffers(axis.size)
+    fold = np.array_equal(e, nodes)  # G bitwise even, 2 G finite: x + x overflows, NaN != NaN
+    picks = None if fold else _even_part(nodes, e, a, aux, scores, bounds, views)
+    if picks is None:  # the first pick of the first block that holds the largest
         picks = [p[int(np.argmax([v for v, _, _ in p]))] for p in zip(*(
-            [_first_max(x, r.start, c.start) for x in scores(s, d, a[r, None], a[c], views(r, c))]
-            for r, c, s, d, _, _ in blocks))]
+            [_first_max(x, r.start, c.start) for x in xs]
+            for r, c, xs in _scored(nodes, a, fold, scores, views)))]
     return actual_step, axis, nodes, g, picks
 
 
-def _even_part(nodes: np.ndarray, a: np.ndarray, aux, scores, bounds, views):
-    """_suprema's picks through the even part E, or None where rho = bounds(max |G - E|, max |G|,
+def _even_part(nodes: np.ndarray, e: np.ndarray, a: np.ndarray, aux, scores, bounds, views):
+    """_suprema's picks through the even part e = E, or None where rho = bounds(max |G - E|, max |G|,
     max |a - a_E|, max(|a|, |a_E|)) is not finite or the blocks reaching theta outgrow 4 blocks."""
     n, m = a.size, a.size // 2
-    e = (nodes + nodes[::-1]) * 0.5  # bitwise even: mirrored entries add the same two numbers
     ae = aux(e[m: m + n])
     rho = np.array(bounds(*(float(np.max(np.abs(x))) for x in (nodes - e, nodes, a - ae, [a, ae]))))
     if not np.all(np.isfinite(rho)):
         return None
-    (se, de), tri = _tables(e, n), list(_blocks(m + 1, True))
-    def of_e(r, c):
-        return scores(se[r, c], de[r, c], ae[r, None], ae[c], views(r, c))
-    sizes = np.array([(r.stop - r.start) * (c.stop - c.start) for r, c in tri])
-    tops = np.full((len(tri), rho.size), -np.inf)
-    for b, (r, c) in enumerate(tri):
-        tops[b] = [x.max() for x in of_e(r, c)]
-        # theta only rises, so the blocks it keeps now include the ones it keeps at the end
-        theta = np.nextafter(tops.max(axis=0) - 2.0 * rho, -np.inf)
-        kept = np.any(tops >= theta, axis=1)
-        if sizes[kept].sum() > 4 * max(_BLOCK_ELEMS, m + 1):
+    kept, top, budget = [], np.full(rho.size, -np.inf), 4 * max(_BLOCK_ELEMS, m + 1)
+    for r, c, xs in _scored(e, ae, True, scores, views):
+        block = np.array([x.max() for x in xs])
+        top = np.maximum(top, block)
+        # theta only rises, so a block it drops now it drops at the end
+        theta = np.nextafter(top - 2.0 * rho, -np.inf)
+        kept = [k for k in kept + [(r, c, block)] if np.any(k[2] >= theta)]
+        if sum((i.stop - i.start) * (j.stop - j.start) for i, j, _ in kept) > budget:
             return None
-    sums, diffs = _tables(nodes, n)
+    (se, de), (sums, diffs) = _tables(e, n), _tables(nodes, n)
     picks = []
-    for r, c in itertools.compress(tri, kept):
-        hit = np.logical_or.reduce([x >= t for x, t in zip(of_e(r, c), theta)])
+    for r, c, _ in kept:
+        hit = np.logical_or.reduce([x >= t for x, t in zip(
+            scores(se[r, c], de[r, c], ae[r, None], ae[c], *views(r, c)), theta)])
         i, j = np.flatnonzero(hit.any(axis=1)) + r.start, np.flatnonzero(hit.any(axis=0)) + c.start
         rows, cols = [(slice(k[0], k[-1] + 1), slice(n - 1 - k[-1], n - k[0])) for k in (i, j)]
         for X, Y in itertools.chain(itertools.product(rows, cols), itertools.product(cols, rows)):
-            picks.append([_first_max(x, X.start, Y.start)
-                          for x in scores(sums[X, Y], diffs[X, Y], a[X, None], a[Y], views(X, Y))])
+            picks.append([_first_max(x, X.start, Y.start) for x in scores(
+                sums[X, Y], diffs[X, Y], a[X, None], a[Y], *views(X, Y))])
     return [max(p, key=lambda v: (v[0], -v[1], -v[2])) for p in zip(*picks)]
 
 
@@ -228,9 +229,8 @@ def _rho(spread: float, size: float, k: int) -> float:
     return (spread + k * 2.0**-54 * (4.0 * size)) * (1.0 + 2.0**-40) + 2.0**-1060
 
 
-def _identity_scores(s, d, qt, qu, views):
+def _identity_scores(s, d, qt, qu, product, square):
     # s d + (s + d) - (q(t) + q(u)) and (s - d)^2 - 4 (q(t) q(u)), symmetric in s <-> d, t <-> u
-    product, square = views
     np.multiply(s, d, out=product)
     product += np.add(s, d, out=square)
     product -= np.add(qt, qu, out=square)
@@ -242,8 +242,8 @@ def _identity_scores(s, d, qt, qu, views):
 
 def defect_grid(h: FunctionHandle, T: float, step: float):
     """(step, axis, Delta) with Delta[i, j] = Delta_H(axis[i], axis[j]) on the grid of [-T, T]."""
-    actual_step, axis, _, _, _, blocks = _sweep(h, T, step, "defect_grid", whole=True)
-    return actual_step, axis, np.concatenate([_kernel(*b) for _, _, *b in blocks])
+    actual_step, axis, nodes, g = _sweep(h, T, step, "defect_grid")
+    return actual_step, axis, _kernel(*_tables(nodes, axis.size), g[:, None], g)
 
 
 def defect_log(h: FunctionHandle, t: float, u: float) -> float:
@@ -278,7 +278,7 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     # |Delta_G - Delta_E| <= 2 omega + 2 (2 M omega) + 4 omega; the terms sum to 6 M + 2 M^2
     actual_step, axis, nodes, g, [(_, i, j)] = _suprema(
         h, T, step, "sup_defect", lambda g: g,
-        lambda s, d, gt, gu, bufs: (np.abs(_kernel(s, d, gt, gu, *bufs), out=bufs[0]),),
+        lambda s, d, gt, gu, out, cross: (np.abs(_kernel(s, d, gt, gu, out, cross), out=out),),
         lambda w, big, *_: (_rho(w * (6.0 + 4.0 * big), 6.0 * big + 2.0 * big * big, 3),))
     n = axis.size  # Delta with its sign, from the same roundings as the sweep
     delta = float(_kernel(nodes[i + j], nodes[n - 1 + i - j], g[i], g[j]))

@@ -260,3 +260,12 @@ class TestMinimizeScalar:
             assert bounds[0] <= fit.x <= bounds[1]
             assert fit.fun == float(np.dot(r, r))
             assert fit.fun <= float(np.dot(ref.fun, ref.fun)) * (1.0 + 1e-9)
+
+    def test_keeps_k0_where_the_last_step_is_worse(self):
+        # far from any cos fit (noise of 3 on 41 nodes) the steps cycle after three evaluations,
+        # on a k whose sum of squares, 499.3, exceeds k0's 490.2
+        grid = np.linspace(-2.0, 2.0, 41)
+        vals = np.cos(grid) + np.random.default_rng(8).normal(0.0, 3.0, grid.size)
+        fit = minimize_scalar(BRANCH_COS, grid, vals, 1.2, (0.7 * 1.2, 1.3 * 1.2))
+        r = vals - np.cos(1.2 * grid)
+        assert (fit.x, fit.fun, fit.nfev) == (1.2, float(np.dot(r, r)), 3)

@@ -207,6 +207,28 @@ class TestExitCodes:
         assert report.status == "input-error"
         assert report.results is None
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--x", "2", "--json", "no-such-dir/r.json"],
+        ["certify", "--family", "cosh", "--plot-csv", "no-such-dir/x.csv"],
+        ["eval", "--x", "2", "--json", "."],  # a directory
+    ], ids=["json-missing-dir", "plot-csv-missing-dir", "json-directory"])
+    def test_unwritable_output_is_an_input_error(self, argv, capsys):
+        # once a FileNotFoundError or IsADirectoryError traceback, exit 1, after a status line "ok"
+        code, report = run(argv)
+        assert code == 2
+        assert report.status == "input-error" and report.results is None
+        assert report.diagnostics["error"].startswith(f"InputError: cannot write {argv[-1]}: ")
+        status, message = capsys.readouterr().out.splitlines()
+        assert status == f"reccost {argv[0]}: input-error" and f"cannot write {argv[-1]}" in message
+
+    def test_unwritable_plot_is_reported_in_the_json(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        code, _ = run(["certify", "--family", "cosh", "--plot-csv", str(tmp_path / "no" / "x.csv"),
+                       "--json", str(path)])
+        written = json.loads(path.read_text(encoding="utf-8"))
+        assert code == 2 and written["status"] == "input-error" and written["results"] is None
+        assert "cannot write" in written["diagnostics"]["error"]
+
 
     @pytest.mark.parametrize("spec, key", [("cos,lambda=2", "'lambda'"),
                                            ("quadlog,lambda=-3", "'lambda'"),

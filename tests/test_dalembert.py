@@ -27,6 +27,7 @@ from reccost import (
 from reccost import dalembert
 from reccost.dalembert import _BLOCK_ELEMS, _blocks, _sweep, defect_grid
 from reccost.grids import symmetric_grid
+from reccost.handles import from_excess
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
 QUADLOG_LOG = make_family(FamilySpec("quadlog"), domain=LOG_LINE)
@@ -196,7 +197,7 @@ class TestNodeSweep:
 def full_tables(h, T, step):
     """sup_defect's (epsilon, t, u, delta) and identity_report's four fields, each reduced over
     whole n x n tables by one expression, with the sweeps' operation order."""
-    _, axis, nodes, g, _, _ = _sweep(h, T, step, "full tables", whole=True)
+    _, axis, nodes, g = _sweep(h, T, step, "full tables")
     n = axis.size
     sums, diffs = sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
     gt = g[:, None]
@@ -210,15 +211,10 @@ def full_tables(h, T, step):
             tuple(float(np.max(np.abs(v))) for v in violations))
 
 
-def width(h, T, step):
-    """The width of the tables _sweep hands the sweeps: the quadrant's m + 1 where G is bitwise
-    even, else n."""
-    return _sweep(h, T, step, "test")[4]
-
-
 def path(h, T, step):
-    """The reduction sup_defect takes: "fold" where G is bitwise even, else "even part" (E's
-    triangle, then G on the images of what it cannot rule out) or "whole table"."""
+    """The reduction sup_defect takes: "fold" (the triangle of G's own tables) where the even
+    part E is G, else "even part" (E's triangle, then G on the images of what it cannot rule out)
+    or "whole table"."""
     taken, even_part = [], dalembert._even_part
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dalembert, "_even_part", lambda *a: taken.append(even_part(*a)) or taken[-1])
@@ -325,7 +321,7 @@ class TestMirrorFold:
     @given(EVEN_SPECS, st.floats(0.5, 3.0), st.integers(1, 40))
     def test_even_families_equal_full_tables(self, spec, T, m):
         h = make_family(parse_family_spec(spec), domain=LOG_LINE)
-        assert width(h, T, T / m) == m + 1  # the folded sweep
+        assert path(h, T, T / m) == "fold"
         assert_same(fields(h, T, T / m), full_tables(h, T, T / m))
 
     @given(EVEN_SPECS, st.floats(0.5, 3.0), st.integers(1, 40), st.integers(1, 400))
@@ -390,7 +386,7 @@ class TestMirrorFold:
     def test_max_at_the_origin(self):
         # G(0) = 1 makes |Delta| = 4 at (0, 0) alone: the quadrant includes its t = 0 row and column
         h = analytic(LOG_LINE, "1 + bump", (lambda t: 2.0 + np.expm1(-(t * t) / 0.01),))
-        assert width(h, 1.0, 0.05) == 21
+        assert path(h, 1.0, 0.05) == "fold"
         got = fields(h, 1.0, 0.05)
         assert got == full_tables(h, 1.0, 0.05)
         assert got[0] == (4.0, 0.0, 0.0, -4.0)
@@ -404,7 +400,7 @@ class TestMirrorFold:
         sample_table(LOG_LINE, np.linspace(-2.2, 2.2, 441), np.cosh(np.linspace(-2.2, 2.2, 441))),
     ], ids=lambda h: h.name)
     def test_other_handles_take_the_whole_table(self, h):
-        assert width(h, 1.0, 0.05) == 41
+        assert path(h, 1.0, 0.05) != "fold"
         assert fields(h, 1.0, 0.05) == full_tables(h, 1.0, 0.05)
 
     def test_one_uneven_node_falls_back(self):
@@ -414,7 +410,7 @@ class TestMirrorFold:
             return np.cosh(t) + np.where(np.abs(t - 1.5) < 1e-9, 1e-3, 0.0)
 
         h = analytic(LOG_LINE, "cosh bumped at 1.5", (bumped,), support=(-700.0, 700.0))
-        assert width(h, 1.0, 0.1) == 21
+        assert path(h, 1.0, 0.1) != "fold"
         got, want = fields(h, 1.0, 0.1), full_tables(h, 1.0, 0.1)
         assert got == want
         assert got[0][1:3] == (0.5, -1.0) and got[0][0] > 9e-4 and got[1][0] > 9e-4
@@ -426,7 +422,7 @@ class TestMirrorFold:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow(self, T, fns):
         h = analytic(LOG_LINE, "overflowing", fns)
-        assert width(h, T, T / 10) == 11
+        assert path(h, T, T / 10) == "fold"
         got, want = fields(h, T, T / 10), full_tables(h, T, T / 10)
         assert not math.isfinite(got[0][0])
         assert_same(got, want)
@@ -440,10 +436,30 @@ class TestMirrorFold:
                      (lambda t: np.where(np.abs(t) == 0.5, 1.5e308, 0.5),))
         _, _, delta = defect_grid(h, 1.0, 0.25)
         assert math.isnan(delta[2, 0]) and delta[0, 2] == -math.inf
-        assert width(h, 1.0, 0.25) == 9
+        assert path(h, 1.0, 0.25) == "whole table"
         got = fields(h, 1.0, 0.25)
         assert_same(got, full_tables(h, 1.0, 0.25))
         assert math.isnan(got[0][0]) and got[0][1:3] == (-0.5, -1.0)
+
+    @pytest.mark.parametrize("h, T, step, taken", [
+        # bitwise even, but G = 1.5e308 beyond T: 2 G overflows off the axis only
+        (analytic(LOG_LINE, "even, 2 G overflows beyond T",
+                  (lambda t: np.where(np.abs(t) > 1.0, 1.5e308, np.cosh(t)),)),
+         1.0, 0.1, "whole table"),
+        # G = -0.0 on t < 0 and +0.0 on t >= 0 near the origin: mirrored zeros compare equal
+        (from_excess(LOG_LINE, "signed zeros near 0", (lambda t: np.where(
+            np.abs(t) < 0.5, np.copysign(0.0, t), 0.5 * t * t),), (-700.0, 700.0)),
+         1.0, 0.1, "fold"),
+        (analytic(LOG_LINE, "cosh", (np.cosh,)), 400.0, 40.0, "fold"),  # G(+-800) = inf
+        (analytic(LOG_LINE, "cosh with NaN at 1.5", (lambda t: np.where(
+            np.abs(t - 1.5) < 1e-9, np.nan, np.cosh(t)),)), 1.0, 0.1, "whole table"),
+    ], ids=["2G-overflows-beyond-T", "signed-zeros", "even-infs", "nan-node"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_even_part_equal_to_g_is_the_one_criterion(self, h, T, step, taken):
+        # the sweeps fold exactly where E = (nodes + nodes[::-1]) / 2 equals G: G bitwise even
+        # and 2 G finite wherever G is, since x + x overflows to inf != x and NaN != NaN
+        assert path(h, T, step) == taken
+        assert_same(fields(h, T, step), full_tables(h, T, step))
 
     def test_defect_grid_keeps_the_whole_table(self):
         _, axis, delta = defect_grid(COSH_LOG, 1.0, 0.1)
