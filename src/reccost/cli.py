@@ -21,26 +21,28 @@ comma-separated pair per line, strictly increasing abscissas.
 All numeric output is printed with 17 significant digits so reports can be
 replayed bit-for-bit.
 
-Imports are lazy: at module level only the standard library, ``core``,
-``geometry`` and ``errors``, so ``eval``, ``golden``, ``chebyshev`` and
-``distance`` never load numpy.  Other handlers import what they use and call
-through module attributes (``handles.sample_table``), so patches are seen.
+Imports are lazy: at module level only the standard library, ``core`` and
+``errors``, so ``eval``, ``golden``, ``chebyshev`` and ``distance`` never load
+numpy, and ``eval`` and ``golden`` load neither ``geometry`` nor
+``dataclasses``.  Every check that needs no array runs before a numpy-backed
+module loads: the grid flags, then the function source (a table is parsed
+before ``handles`` loads), and only then does a handler import the library
+module it calls.  Handlers call through module attributes
+(``handles.sample_table``), so patches are seen.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import core, geometry
+from . import core
 from .core import LOG_LINE, POSITIVE_RATIOS
 from .errors import (ClassificationError, DomainError, InputError, PrecisionError,
                      PreconditionError, RangeOverflowError, ReccostError)
@@ -55,13 +57,16 @@ STATUS_INPUT_ERROR = "input-error"
 _EXIT = {STATUS_OK: 0, STATUS_FAILED: 1, STATUS_INPUT_ERROR: 2}
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict
-    results: dict | None
-    diagnostics: dict
-    status: str
+    """One invocation's report; ``vars()`` gives its JSON object, keys in this order."""
+
+    def __init__(self, command: str, inputs: dict, results: dict | None, diagnostics: dict,
+                 status: str):
+        self.command = command
+        self.inputs = inputs
+        self.results = results
+        self.diagnostics = diagnostics
+        self.status = status
 
 
 def __getattr__(name):
@@ -82,7 +87,8 @@ def _py(obj):
         return _py(obj._asdict())
     if isinstance(obj, (list, tuple)):
         return [_py(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if hasattr(obj, "__dataclass_fields__") and not isinstance(obj, type):
+        import dataclasses  # a dataclass instance exists only once dataclasses is imported
         return _py(dataclasses.asdict(obj))
     np = sys.modules.get("numpy")  # a numpy value exists only once numpy is imported
     if np is not None and isinstance(obj, (np.ndarray, np.generic)):
@@ -176,10 +182,10 @@ def _load_handle(ns, target: str | None):
     """Resolve --family/--input into a handle in the target domain (if any) and the
     diagnostics that note a change of coordinates.  A table's header names its domain,
     which is written back to ``ns.domain`` for the input echo."""
-    from . import fixtures, handles
     if (ns.family is None) == (ns.input is None):
         raise InputError("exactly one function source is required: --family SPEC or --input PATH")
     if ns.family is not None:
+        from . import fixtures
         handle = fixtures.make_family(fixtures.parse_family_spec(ns.family),
                                       domain=ns.domain or target)
     else:
@@ -187,6 +193,7 @@ def _load_handle(ns, target: str | None):
         ns.domain = handle.domain
     if target is None or handle.domain == target:
         return handle, {}
+    from . import handles
     if target == LOG_LINE:
         return handles.lift_to_log(handle), {
             "notes": ["source lifted to log coordinates (H = F(e^t) + 1)"]}
@@ -216,10 +223,11 @@ def _classification_section(outcome) -> dict:
 
 
 def _grid_source(ns, target: str):
-    """Handle and diagnostics of a command that sweeps [-T, T] at --step."""
+    """Handle and diagnostics of a command that sweeps [-T, T] at --step; the grid
+    flags are checked before the source is loaded."""
     from . import grids
+    grid = {"T": float(ns.T), "step": ns.T / grids.grid_intervals(ns.T, ns.step)}
     handle, diag = _load_handle(ns, target=target)
-    grid = {"T": float(ns.T), "step": grids.symmetric_grid(ns.T, ns.step)[0]}
     return handle, {"grid": grid, **diag}
 
 
@@ -239,8 +247,8 @@ def _cmd_eval(ns):
 
 
 def _cmd_defect(ns):
-    from . import dalembert
     handle, diag = _load_handle(ns, target=None)
+    from . import dalembert
     if handle.domain == LOG_LINE:
         reads, ignored, defect = ("t", "u"), ("x", "y"), dalembert.defect_log
     else:
@@ -256,21 +264,21 @@ def _cmd_defect(ns):
 
 
 def _cmd_sup_defect(ns):
-    from . import dalembert
     handle, diag = _grid_source(ns, LOG_LINE)
+    from . import dalembert
     report = dalembert.sup_defect(handle, ns.T, ns.step)
     return _pick(report, _DEFECT), diag, STATUS_OK, None
 
 
 def _cmd_identities(ns):
-    from . import dalembert
     handle, diag = _grid_source(ns, LOG_LINE)
+    from . import dalembert
     return dalembert.identity_report(handle, ns.T, ns.step), diag, STATUS_OK, None
 
 
 def _cmd_calibrate(ns):
-    from . import calibration
     handle, diag = _load_handle(ns, target=LOG_LINE)
+    from . import calibration
     est = calibration.estimate_kappa(handle, h0=ns.h0, levels=ns.levels)
     if est.noise_limited:
         diag["warnings"] = ["ratio table became round-off dominated before the requested depth"]
@@ -278,8 +286,8 @@ def _cmd_calibrate(ns):
 
 
 def _cmd_classify(ns):
-    from . import calibration
     handle, diag = _load_handle(ns, target=LOG_LINE)
+    from . import calibration
     try:
         result = calibration.classify(handle, window_T=ns.window_T, const_tol=ns.const_tol,
                                       residual_grid_step=ns.residual_step,
@@ -294,8 +302,8 @@ def _cmd_classify(ns):
 
 
 def _certify_common(ns, ratio: bool):
-    from . import stability
     handle, diag = _grid_source(ns, POSITIVE_RATIOS if ratio else LOG_LINE)
+    from . import stability
     fn = stability.certify_ratio if ratio else stability.certify
     cert = fn(handle, ns.T, ns.step, h_choice=ns.h, a=ns.a)
     if ratio:
@@ -307,10 +315,12 @@ def _certify_common(ns, ratio: bool):
 
 
 def _cmd_distance(ns):
+    from . import geometry
     return geometry.distance(ns.x, ns.y, ns.tol), {}, STATUS_OK, None
 
 
 def _cmd_chebyshev(ns):
+    from . import geometry
     check = geometry.chebyshev_cost(ns.x, ns.n)
     results = {**_pick(check, ("via_identity", "direct", "rel_discrepancy")),
                "sequence": check.sequence[: ns.n + 1]}
@@ -322,8 +332,8 @@ def _cmd_golden(ns):
 
 
 def _cmd_report(ns):
-    from . import calibration, dalembert, stability
     handle, diag = _grid_source(ns, LOG_LINE)
+    from . import calibration, dalembert, stability
     sections = {
         "sup_defect": _pick(defect := dalembert.sup_defect(handle, ns.T, ns.step), _DEFECT),
         "identities": dalembert.identity_report(handle, ns.T, ns.step),

@@ -207,6 +207,16 @@ class TestExitCodes:
         assert report.status == "input-error"
         assert report.results is None
 
+    @pytest.mark.parametrize("argv, needs", [
+        (["defect", "--family", "cosh", "--domain", "log-line", "--t", "1"],
+         "log-line defect needs --t and --u"),
+        (["defect", "--family", "cosh", "--y", "3"], "positive-ratios defect needs --x and --y"),
+    ], ids=["log-line", "positive-ratios"])
+    def test_defect_needs_both_of_its_flags(self, argv, needs, capsys):
+        code, report = run(argv)
+        assert code == 2
+        assert report.diagnostics["error"] == f"InputError: {needs}"
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--x", "2", "--json", "no-such-dir/r.json"],
         ["certify", "--family", "cosh", "--plot-csv", "no-such-dir/x.csv"],
@@ -401,6 +411,15 @@ class TestTableWorkflows:
         assert code == 0
         assert report.results["epsilon"] <= 1e-6
         assert "notes" in report.diagnostics
+
+    def test_log_table_projected_for_ratio_command(self, tmp_path, capsys):
+        # the sweeps of T = 2 read the table on [-4, 4]
+        path = write_cosh_csv(tmp_path / "cosh.csv", lo=-4.5, hi=4.5, n=1801)
+        code, report = run(["certify-ratio", "--input", path])
+        assert code == 0
+        assert report.inputs["domain"] == LOG_LINE
+        assert report.diagnostics["notes"] == [
+            "source projected to ratio coordinates (F = H(ln x) - 1)"]
 
 
 class TestReports:
@@ -630,6 +649,16 @@ class TestReports:
         assert code == 0
         assert report.results["classification"]["branch"] == "Zero"
         assert "error" in report.results["certificate"]
+
+
+def test_calibrate_warns_when_the_extrapolation_stops_early(capsys):
+    # 1 - cos(50 t) is not resolved by steps h0 2^-k near 0.25: the extrapolants
+    # diverge after the second level
+    code, report = run(["calibrate", "--family", "noisy-cosh,amplitude=1e-3,mode=sine,freq=50"])
+    assert code == 0
+    assert report.results["noise_limited"] and report.results["levels"] == 2
+    assert report.diagnostics["warnings"] == [
+        "ratio table became round-off dominated before the requested depth"]
 
 
 def test_py_turns_numpy_values_into_plain_python():

@@ -1,7 +1,9 @@
-"""What a cold process imports: ``import reccost`` and the scalar subcommands
-load no numpy module, and no run loads scipy, sample tables included.  Each
-probe runs in a fresh interpreter, because an import made anywhere in the test
-process would mask the check.  Also the package's lazily resolved names."""
+"""What a cold process imports: ``import reccost``, the scalar subcommands and
+every input the CLI refuses before it needs an array load no numpy module,
+``eval`` and ``golden`` load neither ``geometry`` nor ``dataclasses``, and no
+run loads scipy, sample tables included.  Each probe runs in a fresh
+interpreter, because an import made anywhere in the test process would mask
+the check.  Also the package's lazily resolved names."""
 
 import math
 import subprocess
@@ -11,12 +13,13 @@ import numpy as np
 import pytest
 
 import reccost
+from reccost.cli import run
 from test_cli import write_cosh_csv
 
 PROBE = """
 import sys
 {body}
-print("packages:" + ",".join(sorted({{m.split(".")[0] for m in sys.modules}} & {{"numpy", "scipy"}})))
+print("modules:" + ",".join(sorted(sys.modules)))
 """
 
 MAIN = """
@@ -28,14 +31,15 @@ except SystemExit as exc:
 """
 
 
-def probe(body: str) -> tuple[str, list[str]]:
-    """stdout of ``body`` in a fresh interpreter, and which of numpy/scipy it loaded."""
+def probe(body: str) -> tuple[str, list[str], set[str]]:
+    """stdout of ``body`` in a fresh interpreter, which of numpy/scipy it loaded, and
+    every module it loaded."""
     proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     *_, last = proc.stdout.splitlines()
-    packages = last.removeprefix("packages:")
-    return proc.stdout, packages.split(",") if packages else []
+    modules = set(last.removeprefix("modules:").split(","))
+    return proc.stdout, sorted({m.split(".")[0] for m in modules} & {"numpy", "scipy"}), modules
 
 
 def write_cosh_ratio_csv(path, n=401):
@@ -48,7 +52,7 @@ def write_cosh_ratio_csv(path, n=401):
 
 @pytest.mark.parametrize("body", ["import reccost", "import reccost.cli"])
 def test_import_loads_no_numpy(body):
-    _, packages = probe(body)
+    _, packages, _ = probe(body)
     assert packages == []
 
 
@@ -60,9 +64,41 @@ def test_import_loads_no_numpy(body):
     (["distance", "--x", "0.5", "--y", "3"], 0),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
 def test_scalar_subcommand_loads_no_numpy(argv, code):
-    out, packages = probe(MAIN.format(argv=argv))
+    out, packages, _ = probe(MAIN.format(argv=argv))
     assert f"exit-code: {code}" in out
     assert packages == []
+
+
+@pytest.mark.parametrize("argv", [["eval", "--x", "2"], ["golden"]], ids=lambda a: a[0])
+def test_pointwise_subcommand_loads_no_geometry_or_dataclasses(argv):
+    out, _, modules = probe(MAIN.format(argv=argv))
+    assert "exit-code: 0" in out
+    assert "reccost.geometry" not in modules
+    if "dataclasses" not in probe("")[2]:  # some interpreters load it at start-up
+        assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sup-defect", "--family", "cosh", "--step", "0"], "grid step must satisfy"),
+    (["certify", "--family", "cosh", "--T", "nan"], "grid half-width must be positive"),
+    (["report", "--family", "cosh", "--step", "1e-9"], "needs over 65536 intervals"),
+    (["classify", "--input", "{missing}"], "cannot read"),
+    (["classify", "--input", "{repeated}"], "abscissas must increase strictly"),
+], ids=["step-0", "T-nan", "step-1e-9", "missing-file", "repeated-abscissa"])
+def test_input_error_loads_no_numpy(tmp_path, argv, error):
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("t,H\n-1.0,1.5\n0.0,1.0\n0.0,1.0\n1.0,1.5\n", encoding="utf-8")
+    argv = [a.format(missing=tmp_path / "missing.csv", repeated=repeated) for a in argv]
+    out, packages, _ = probe(MAIN.format(argv=argv))
+    assert "exit-code: 2" in out
+    assert error in out
+    assert packages == []
+
+
+def test_grid_error_is_reported_before_a_source_error(tmp_path, capsys):
+    code, report = run(["certify", "--input", str(tmp_path / "missing.csv"), "--step", "0"])
+    assert code == 2
+    assert report.diagnostics["error"].startswith("DomainError: grid step must satisfy")
 
 
 @pytest.mark.parametrize("argv", [
@@ -70,7 +106,7 @@ def test_scalar_subcommand_loads_no_numpy(argv, code):
     ["report", "--family", "cosh", "--T", "1", "--step", "0.1"],
 ], ids=lambda a: a[0])
 def test_table_free_run_loads_no_scipy(argv):
-    out, packages = probe(MAIN.format(argv=argv))
+    out, packages, _ = probe(MAIN.format(argv=argv))
     assert "exit-code: 0" in out
     assert packages == ["numpy"]
 
@@ -78,7 +114,7 @@ def test_table_free_run_loads_no_scipy(argv):
 @pytest.mark.parametrize("write", [write_cosh_csv, write_cosh_ratio_csv], ids=["t,H", "x,F"])
 def test_table_run_loads_no_scipy(tmp_path, write):
     path = write(tmp_path / "cosh.csv")
-    out, packages = probe(MAIN.format(argv=["classify", "--input", path]))
+    out, packages, _ = probe(MAIN.format(argv=["classify", "--input", path]))
     assert "exit-code: 0" in out
     assert "branch = Cosh" in out
     assert packages == ["numpy"]
@@ -124,5 +160,5 @@ def test_every_exported_name_resolves():
 
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_from_reccost_import_submodule(name):
-    out, _ = probe(f"from reccost import {name}\nprint(type({name}).__name__, {name}.__name__)")
+    out, _, _ = probe(f"from reccost import {name}\nprint(type({name}).__name__, {name}.__name__)")
     assert f"module reccost.{name}" in out

@@ -8,6 +8,7 @@ import pytest
 from reccost import (
     LOG_LINE,
     POSITIVE_RATIOS,
+    DomainError,
     FamilySpec,
     ParameterError,
     canonical_cost,
@@ -66,6 +67,10 @@ class TestMakeFamily:
         h = make_family(FamilySpec("quadlog"), domain=LOG_LINE)
         rep = sup_defect(h, 1.0, 0.5)
         assert rep.epsilon > 0.1
+
+    def test_unknown_domain_rejected(self):
+        with pytest.raises(ParameterError, match="unknown domain 'ratios'"):
+            make_family(FamilySpec("cosh-lambda"), domain="ratios")
 
     def test_zero_family_ratio_form(self):
         f = make_family(FamilySpec("zero"), domain=POSITIVE_RATIOS)
@@ -149,6 +154,11 @@ class TestPerturb:
     def test_derivatives_exposed(self):
         p = perturb(self.base(), "poly4", 1e-2)
         assert abs(p.derivative(1.0, 3) - (math.sinh(1.0) + 24.0 * 1e-2)) <= 1e-12
+
+    def test_positive_ratio_handle_rejected(self):
+        ratio = make_family(FamilySpec("cosh-lambda"), domain=POSITIVE_RATIOS)
+        with pytest.raises(DomainError, match="perturb operates on log-line handles"):
+            perturb(ratio, "poly4", 1e-3)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):

@@ -291,6 +291,17 @@ class TestChebyshevSequence:
         with pytest.raises(DomainError):
             chebyshev_sequence(0.99, 3)
 
+    @pytest.mark.parametrize("H1", [math.nan, math.inf])
+    def test_non_finite_H1_rejected(self, H1):
+        with pytest.raises(DomainError, match="H1 must be finite"):
+            chebyshev_sequence(H1, 3)
+
+    def test_overflow_refused_before_the_recursion(self):
+        # 2 arcosh(cosh(351)) = 702 > 700, while H_1 itself is finite
+        with pytest.raises(RangeOverflowError, match="overflows"):
+            chebyshev_sequence(math.cosh(351.0), 2)
+        assert chebyshev_sequence(math.cosh(349.0), 2)[-1] < math.inf
+
     def test_length_validation(self):
         with pytest.raises(ParameterError):
             chebyshev_sequence(1.5, 0)

@@ -45,6 +45,8 @@ class TestSampleTable:
             sample_table(LOG_LINE, [0.0], [1.0])
         with pytest.raises(DomainError):
             sample_table(POSITIVE_RATIOS, [-1.0, 1.0], [0.0, 0.0])
+        with pytest.raises(DomainError, match="unknown domain tag 'ratios'"):
+            sample_table("ratios", [1.0, 2.0], [0.0, 0.25])
 
     def test_no_extrapolation(self):
         h = cosh_table(-1.0, 1.0, 41)
