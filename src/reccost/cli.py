@@ -4,10 +4,13 @@ Subcommands map one-to-one onto library operations; each invocation prints a
 human-readable summary, optionally writes the full report as JSON
 (--json PATH) and plot-ready CSV (--plot-csv PATH, certify/classify only).
 
-One path leads from a result to its report: a handler returns the library's
-records (dataclasses and named tuples) as they are, or the fields of a record
-that a section shows (``_pick``), and ``_py`` alone turns them into plain
-JSON-able Python for the printout and the JSON file.
+Each subcommand is declared once, in ``build_parser``, which sets its handler
+as the parse's ``handler`` default.  One path leads from a result to its
+report: a handler returns the library's records (frozen dataclasses and named
+tuples) as they are, or the fields of a record that a section shows
+(``_pick``), and ``_py`` alone turns them into plain JSON-able Python for the
+printout and the JSON file.  The report is an ``argparse.Namespace`` whose
+``vars()`` is the JSON object.
 
 Exit codes: 0 = ok, 1 = verification-failed (a negative mathematical verdict
 from certify/classify), 2 = input-error (any toolkit error that reaches run).
@@ -24,11 +27,12 @@ replayed bit-for-bit.
 Imports are lazy: at module level only the standard library, ``core`` and
 ``errors``, so ``eval``, ``golden``, ``chebyshev`` and ``distance`` never load
 numpy, and ``eval`` and ``golden`` load neither ``geometry`` nor
-``dataclasses``.  Every check that needs no array runs before a numpy-backed
-module loads: the grid flags, then the function source (a table is parsed
-before ``handles`` loads), and only then does a handler import the library
-module it calls.  Handlers call through module attributes
-(``handles.sample_table``), so patches are seen.
+``dataclasses``, which only the library modules that define records import.
+Every check that needs no array runs before a numpy-backed module loads: the
+grid flags, then the function source (a table is parsed before ``handles``
+loads), and only then does a handler import the library module it calls.
+Handlers call through module attributes (``handles.sample_table``), so
+patches are seen.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -57,18 +62,6 @@ STATUS_INPUT_ERROR = "input-error"
 _EXIT = {STATUS_OK: 0, STATUS_FAILED: 1, STATUS_INPUT_ERROR: 2}
 
 
-class RunReport:
-    """One invocation's report; ``vars()`` gives its JSON object, keys in this order."""
-
-    def __init__(self, command: str, inputs: dict, results: dict | None, diagnostics: dict,
-                 status: str):
-        self.command = command
-        self.inputs = inputs
-        self.results = results
-        self.diagnostics = diagnostics
-        self.status = status
-
-
 def __getattr__(name):
     # for bench/tracer.py, which wraps these two names here (ROADMAP item 5); cli calls neither
     if name in ("sample_table", "make_family"):
@@ -78,7 +71,8 @@ def __getattr__(name):
 
 
 def _py(obj):
-    """Coerce records (dataclasses, named tuples) and numpy values into plain JSON-able Python."""
+    """Coerce records (frozen dataclasses, read through ``vars``; named tuples) and numpy
+    values into plain JSON-able Python."""
     if type(obj) in (float, int, str, bool, type(None)):  # np.float64 subclasses float
         return obj
     if isinstance(obj, dict):
@@ -88,8 +82,7 @@ def _py(obj):
     if isinstance(obj, (list, tuple)):
         return [_py(v) for v in obj]
     if hasattr(obj, "__dataclass_fields__") and not isinstance(obj, type):
-        import dataclasses  # a dataclass instance exists only once dataclasses is imported
-        return _py(dataclasses.asdict(obj))
+        return _py(vars(obj))  # a frozen dataclass's __dict__ is its fields, in order
     np = sys.modules.get("numpy")  # a numpy value exists only once numpy is imported
     if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return _py(obj.tolist())  # numpy scalars become float, int or bool
@@ -355,22 +348,6 @@ def _cmd_report(ns):
     return sections, diag, status, None
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "defect": _cmd_defect,
-    "sup-defect": _cmd_sup_defect,
-    "identities": _cmd_identities,
-    "calibrate": _cmd_calibrate,
-    "classify": _cmd_classify,
-    "certify": functools.partial(_certify_common, ratio=False),
-    "certify-ratio": functools.partial(_certify_common, ratio=True),
-    "distance": _cmd_distance,
-    "chebyshev": _cmd_chebyshev,
-    "golden": _cmd_golden,
-    "report": _cmd_report,
-}
-
-
 # --------------------------------------------------------------------------
 # parser
 
@@ -382,9 +359,16 @@ def _add_source(sp):
                     help="domain of the source (default: inferred)")
 
 
-def _add_grid_command(sub, name: str, help_text: str):
-    """A subcommand that reads a function source and sweeps [-T, T] at --step."""
+def _command(sub, name: str, help_text: str, handler):
+    """A subcommand whose parse leaves its handler in ``ns.handler``."""
     sp = sub.add_parser(name, help=help_text)
+    sp.set_defaults(handler=handler)
+    return sp
+
+
+def _add_grid_command(sub, name: str, help_text: str, handler):
+    """A subcommand that reads a function source and sweeps [-T, T] at --step."""
+    sp = _command(sub, name, help_text, handler)
     _add_source(sp)
     sp.add_argument("--T", type=float, default=2.0)
     sp.add_argument("--step", type=float, default=0.05)
@@ -415,25 +399,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("eval", help="evaluate J and its log forms at a point")
+    sp = _command(sub, "eval", "evaluate J and its log forms at a point", _cmd_eval)
     sp.add_argument("--x", type=float, required=True)
 
-    sp = sub.add_parser("defect", help="pointwise defect of the functional equation")
+    sp = _command(sub, "defect", "pointwise defect of the functional equation", _cmd_defect)
     _add_source(sp)
     sp.add_argument("--t", type=float)
     sp.add_argument("--u", type=float)
     sp.add_argument("--x", type=float)
     sp.add_argument("--y", type=float)
 
-    _add_grid_command(sub, "sup-defect", "grid supremum of the defect")
-    _add_grid_command(sub, "identities", "violations of the solution identities")
+    _add_grid_command(sub, "sup-defect", "grid supremum of the defect", _cmd_sup_defect)
+    _add_grid_command(sub, "identities", "violations of the solution identities",
+                      _cmd_identities)
 
-    sp = sub.add_parser("calibrate", help="extrapolated log-curvature estimate")
+    sp = _command(sub, "calibrate", "extrapolated log-curvature estimate", _cmd_calibrate)
     _add_source(sp)
     sp.add_argument("--h0", type=float, default=0.25)
     sp.add_argument("--levels", type=int, default=6)
 
-    sp = sub.add_parser("classify", help="classify into the solution branch")
+    sp = _command(sub, "classify", "classify into the solution branch", _cmd_classify)
     _add_source(sp)
     sp.add_argument("--window-T", dest="window_T", type=float, default=2.0)
     sp.add_argument("--const-tol", dest="const_tol", type=float, default=1e-8)
@@ -441,30 +426,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--residual-tol", dest="residual_tol", type=float, default=None)
     _add_plot(sp)
 
-    for name, help_text in (
-        ("certify", "stability certificate in log coordinates"),
-        ("certify-ratio", "stability certificate on positive ratios"),
+    for name, help_text, ratio in (
+        ("certify", "stability certificate in log coordinates", False),
+        ("certify-ratio", "stability certificate on positive ratios", True),
     ):
-        sp = _add_grid_command(sub, name, help_text)
+        sp = _add_grid_command(sub, name, help_text,
+                               functools.partial(_certify_common, ratio=ratio))
         sp.add_argument("--h", type=float, default=None, help="step h (default: optimal)")
         sp.add_argument("--a", type=float, default=None, help="curvature override")
         _add_plot(sp)
 
-    sp = sub.add_parser("distance", help="geodesic distance of the Hessian metric")
+    sp = _command(sub, "distance", "geodesic distance of the Hessian metric", _cmd_distance)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--y", type=float, required=True)
     sp.add_argument("--tol", type=float, default=1e-10)
 
-    sp = sub.add_parser("chebyshev", help="Chebyshev identity check for J(x^n)")
+    sp = _command(sub, "chebyshev", "Chebyshev identity check for J(x^n)", _cmd_chebyshev)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
 
-    sp = sub.add_parser("golden", help="golden-ratio fixed point of x -> 1 + 1/x")
+    sp = _command(sub, "golden", "golden-ratio fixed point of x -> 1 + 1/x", _cmd_golden)
     sp.add_argument("--x0", type=float, default=1.0)
     sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--max-iter", dest="max_iter", type=int, default=200)
 
-    _add_grid_command(sub, "report", "full verification suite on one input")
+    _add_grid_command(sub, "report", "full verification suite on one input", _cmd_report)
 
     for sp in sub.choices.values():
         sp.add_argument("--json", help="write the run report as JSON to this path")
@@ -495,27 +481,30 @@ def _write(path: str, lines) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def _failure(command: str, exc: ReccostError) -> RunReport:
-    return RunReport(command, {}, None, {"error": f"{type(exc).__name__}: {exc}"},
-                     STATUS_INPUT_ERROR)
+def _failure(command: str, exc: ReccostError) -> argparse.Namespace:
+    return argparse.Namespace(command=command, inputs={}, results=None,
+                              diagnostics={"error": f"{type(exc).__name__}: {exc}"},
+                              status=STATUS_INPUT_ERROR)
 
 
-def run(argv) -> tuple[int, RunReport]:
+def run(argv) -> tuple[int, argparse.Namespace]:
     """Execute one CLI invocation; returns (exit_code, report)."""
     ns = argparse.Namespace(command="", json=None)  # what a failed parse leaves
     try:
         ns = build_parser().parse_args(list(argv))
-        results, diagnostics, status, plot_rows = _HANDLERS[ns.command](ns)
+        results, diagnostics, status, plot_rows = ns.handler(ns)
         results = _py(results)
         _require_finite(results, "results")
         inputs = {key.replace("_", "-"): value for key, value in vars(ns).items()
-                  if value is not None and key not in ("command", "json", "plot_csv")}
+                  if value is not None and key not in ("command", "handler", "json", "plot_csv")}
         if getattr(ns, "plot_csv", None) and plot_rows is not None:
             _write(ns.plot_csv, ["t,H,branch,envelope,error"] + [",".join(
                 "" if v == "" else f"{float(v):.17g}" for v in row) for row in plot_rows])
-        report = RunReport(ns.command, inputs, results, _py(diagnostics), status)
+        report = argparse.Namespace(command=ns.command, inputs=inputs, results=results,
+                                    diagnostics=_py(diagnostics), status=status)
     except SystemExit:  # --help printed the usage; a parse error raises InputError
-        return 0, RunReport("help", {}, None, {}, STATUS_OK)
+        return 0, argparse.Namespace(command="help", inputs={}, results=None, diagnostics={},
+                                     status=STATUS_OK)
     except ReccostError as exc:  # a verdict (ClassificationError) is caught by its handler
         report = _failure(ns.command, exc)
     if ns.json:
@@ -523,18 +512,26 @@ def run(argv) -> tuple[int, RunReport]:
             _write(ns.json, [json.dumps(vars(report), indent=2)])  # _py output already
         except InputError as exc:
             report = _failure(ns.command, exc)
-    print(f"reccost {ns.command}: {report.status}" if ns.command else f"reccost: {report.status}")
-    if report.results is None:
-        print(f"  {report.diagnostics['error']}")
-    else:
-        if ns.command == "classify" and not report.results.get("classified", True):
-            print("  not near any branch")
-        _print_results(report.results)
+    try:  # a closed stdout fails here if it is unbuffered or the summary outgrows its buffer
+        print(f"reccost {ns.command}: {report.status}" if ns.command
+              else f"reccost: {report.status}")
+        if report.results is None:
+            print(f"  {report.diagnostics['error']}")
+        else:
+            if not report.results.get("classified", True):  # classify's refusal
+                print("  not near any branch")
+            _print_results(report.results)
+    except BrokenPipeError:
+        pass
     return _EXIT[report.status], report
 
 
 def main(argv=None) -> None:
     code, _ = run(sys.argv[1:] if argv is None else argv)
+    try:
+        sys.stdout.flush()  # a piped stdout is block-buffered, so a closed pipe shows here
+    except BrokenPipeError:  # as Python's signal docs advise: quiet the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(code)
 
 

@@ -1,11 +1,22 @@
+import dataclasses
+import importlib.util
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reccost import InputError, LOG_LINE, POSITIVE_RATIOS, core, fixtures, grids, handles
-from reccost.cli import _HANDLERS, _py, load_samples, run
+from reccost import (InputError, LOG_LINE, POSITIVE_RATIOS, calibration, core, dalembert, fixtures,
+                     geometry, grids, handles, stability)
+from reccost.cli import _py, build_parser, load_samples, run
+
+# the parser's subcommands, in declaration order
+COMMANDS = list(next(a.choices for a in build_parser()._actions if a.dest == "command"))
 
 # one passing run of each subcommand
 EXAMPLES = {argv[0]: argv for argv in [
@@ -458,7 +469,7 @@ class TestReports:
         assert "  sequence = [1, 1.25, 2.125, 4.0625, 8.03125, 16.015625, 32.0078125, " \
             "64.00390625, 128.001953125, 256.0009765625]\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_every_command_writes_json(self, command, tmp_path, capsys):
         out = tmp_path / "r.json"
         code, report = run([*EXAMPLES[command], "--json", str(out)])
@@ -668,6 +679,44 @@ def test_py_turns_numpy_values_into_plain_python():
     assert [type(v) for v in (out["a"], *out["b"], out["c"][0][0])] == [float, int, bool, float]
 
 
+_COSH = fixtures.make_family(fixtures.FamilySpec("cosh-lambda"), LOG_LINE)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dalembert.sup_defect(_COSH, 2.0, 0.1),  # nests a DefectSample
+    lambda: dalembert.identity_report(_COSH, 2.0, 0.1),
+    lambda: calibration.estimate_kappa(_COSH),
+    lambda: calibration.classify(_COSH, window_T=2.0),
+    lambda: stability.certify(_COSH, 2.0, 0.05).inputs,
+    lambda: stability.certify(_COSH, 2.0, 0.05).envelope,
+    lambda: geometry.distance(1.0, 3.0, 1e-10),
+    lambda: geometry.chebyshev_cost(2.0, 5),
+    lambda: core.log_forms(0.5),
+    lambda: core.golden_fixed_point(1.0, 1e-12, 200),
+], ids=["DefectReport", "IdentityViolations", "CurvatureEstimate", "BranchClassification",
+        "StabilityInputs", "EnvelopeSpec", "DistanceResult", "ChebyshevCheck", "LogForms",
+        "GoldenResult"])
+def test_py_reads_every_record_as_asdict_does(make):
+    # key order included: the JSON report lists a record's fields in declaration order
+    record = make()
+    plain = record._asdict() if isinstance(record, tuple) else dataclasses.asdict(record)
+    assert json.dumps(_py(record)) == json.dumps(_py(plain))
+
+
+def test_the_subcommands_are_named_alike_everywhere():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"exposes the subcommands(.*?)\.", readme, re.S).group(1)
+    spec = importlib.util.spec_from_file_location("readme_reports",
+                                                  root / "scripts" / "readme_reports.py")
+    readme_reports = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(readme_reports)
+    assert len(COMMANDS) == 12
+    assert re.findall(r"`([a-z-]+)`", sentence) == COMMANDS
+    assert sorted({argv[0] for argv in readme_reports.EXAMPLES.values()}) == sorted(COMMANDS)
+    assert list(EXAMPLES) == COMMANDS
+
+
 def test_py_turns_named_tuples_into_dicts_in_field_order():
     out = _py([core.GoldenResult(phi=1.5, iterations=3, cost_at_phi=np.float64(0.25))])
     assert out == [{"phi": 1.5, "iterations": 3, "cost_at_phi": 0.25}]
@@ -677,9 +726,6 @@ def test_py_turns_named_tuples_into_dicts_in_field_order():
 
 class TestModuleInvocation:
     def test_python_dash_m(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "reccost", "eval", "--x", "2"],
             capture_output=True,
@@ -689,12 +735,29 @@ class TestModuleInvocation:
         assert "J = 0.25" in proc.stdout
 
     def test_unknown_flag_exits_two(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "reccost", "eval", "--x", "2", "--frobnicate"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", "--x", "2"], 0),
+        (["certify", "--family", "cosh", "--a", "4"], 1),
+        (["eval", "--x", "-1"], 2),
+        (["calibrate", "--family", "cosh", "--levels", "300"], 0),  # 12 KB: past the buffer
+    ], ids=["ok", "verification-failed", "input-error", "long-summary"])
+    def test_a_closed_stdout_ends_the_run_quietly(self, argv, code, unbuffered):
+        # a closed pipe fails the flush at exit when stdout is block-buffered, and a print when
+        # it is unbuffered or the summary outgrows its buffer
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "reccost", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (code, b"")

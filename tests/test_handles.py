@@ -285,3 +285,17 @@ class TestConversions:
             analytic("weird", "x", (lambda t: t,))
         with pytest.raises(DomainError):
             analytic(POSITIVE_RATIOS, "x", (lambda t: t,), support=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_family(FamilySpec("cos-k"), LOG_LINE),
+    lambda: make_family(FamilySpec("cosh-lambda"), POSITIVE_RATIOS),
+    lambda: cosh_table(),
+    lambda: cosh_table(0.5, 2.0, domain=POSITIVE_RATIOS),
+], ids=["log-line-family", "positive-ratio-family", "log-line-table", "positive-ratio-table"])
+def test_an_empty_array_evaluates_to_an_empty_array(make):
+    # no abscissa to check: no DomainError, even where min() of an empty array would raise
+    h = make()
+    empty = np.array([])
+    for out in (h(empty), h.excess(empty), h.derivative(empty, 1)):
+        assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (0,)
