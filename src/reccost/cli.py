@@ -17,9 +17,11 @@ from certify/classify), 2 = input-error (any toolkit error that reaches run).
 
 Function sources: --family SPEC (e.g. "cosh", "cosh-lambda,lambda=2",
 "family=noisy-cosh,amplitude=1e-3,mode=sine,freq=5"; a key the family does not
-take is an input error) or --input PATH with an optional --domain.  Input CSV
-format: UTF-8, header exactly "t,H" (log line) or "x,F" (positive ratios), one
-comma-separated pair per line, strictly increasing abscissas.
+take is an input error) or --input PATH, whose header names its coordinates.
+The command fixes its own (``defect`` by its pair, --t/--u or --x/--y), and a
+table is lifted or projected into them with a note.  Input CSV format: UTF-8,
+header exactly "t,H" (log line) or "x,F" (positive ratios), one comma-separated
+pair per line, strictly increasing abscissas.
 
 All numeric output is printed with 17 significant digits so reports can be
 replayed bit-for-bit.
@@ -97,19 +99,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _ends(value, gap: str) -> list:
+    # a list of more than ten is shown as its first and last five around gap;
+    # --json keeps every entry
+    return list(value) if len(value) <= 10 else [*value[:5], gap, *value[-5:]]
+
+
 def _print_results(results: dict, prefix: str = "") -> None:
     for key, value in results.items():
         label = f"{prefix}{key}"
         if isinstance(value, dict):
             _print_results(value, prefix=f"{label}.")
         elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
-            for row in value:
-                print(f"  {label}: " + ", ".join(_fmt(v) for v in row))
-        elif isinstance(value, (list, tuple)) and len(value) > 10:  # --json keeps every entry
-            shown = [_fmt(v) for v in value[:5]] + ["..."] + [_fmt(v) for v in value[-5:]]
-            print(f"  {label} = [" + ", ".join(shown) + f"] ({len(value)} entries)")
+            for row in _ends(value, f"... ({len(value)} rows)"):
+                print(f"  {label}: " + (row if isinstance(row, str) else ", ".join(map(_fmt, row))))
         elif isinstance(value, (list, tuple)):
-            print(f"  {label} = [" + ", ".join(_fmt(v) for v in value) + "]")
+            count = f" ({len(value)} entries)" if len(value) > 10 else ""
+            print(f"  {label} = [" + ", ".join(map(_fmt, _ends(value, "..."))) + "]" + count)
         else:
             print(f"  {label} = {_fmt(value)}")
 
@@ -171,20 +177,17 @@ def load_samples(path: str, domain: str | None = None) -> FunctionHandle:
     return handles.sample_table(domain, xs, ys, name=Path(path).name)
 
 
-def _load_handle(ns, target: str | None):
-    """Resolve --family/--input into a handle in the target domain (if any) and the
-    diagnostics that note a change of coordinates.  A table's header names its domain,
-    which is written back to ``ns.domain`` for the input echo."""
+def _load_handle(ns, target: str):
+    """Resolve --family/--input into a handle in the target domain and the diagnostics
+    that note a change of coordinates."""
     if (ns.family is None) == (ns.input is None):
         raise InputError("exactly one function source is required: --family SPEC or --input PATH")
     if ns.family is not None:
         from . import fixtures
-        handle = fixtures.make_family(fixtures.parse_family_spec(ns.family),
-                                      domain=ns.domain or target)
+        handle = fixtures.make_family(fixtures.parse_family_spec(ns.family), domain=target)
     else:
-        handle = load_samples(ns.input, ns.domain)
-        ns.domain = handle.domain
-    if target is None or handle.domain == target:
+        handle = load_samples(ns.input)
+    if handle.domain == target:
         return handle, {}
     from . import handles
     if target == LOG_LINE:
@@ -220,7 +223,7 @@ def _grid_source(ns, target: str):
     flags are checked before the source is loaded."""
     from . import grids
     grid = {"T": float(ns.T), "step": ns.T / grids.grid_intervals(ns.T, ns.step)}
-    handle, diag = _load_handle(ns, target=target)
+    handle, diag = _load_handle(ns, target)
     return handle, {"grid": grid, **diag}
 
 
@@ -240,20 +243,15 @@ def _cmd_eval(ns):
 
 
 def _cmd_defect(ns):
-    handle, diag = _load_handle(ns, target=None)
+    # the pair given names the equation; it is checked before the source loads
+    given = "".join(name for name in "tuxy" if getattr(ns, name) is not None)
+    if given not in ("tu", "xy"):
+        raise InputError("defect needs one coordinate pair: --t and --u (log line) "
+                         "or --x and --y (positive ratios)")
+    handle, diag = _load_handle(ns, LOG_LINE if given == "tu" else POSITIVE_RATIOS)
     from . import dalembert
-    if handle.domain == LOG_LINE:
-        reads, ignored, defect = ("t", "u"), ("x", "y"), dalembert.defect_log
-    else:
-        reads, ignored, defect = ("x", "y"), ("t", "u"), dalembert.defect_ratio
-    flags = " and ".join(f"--{name}" for name in reads)
-    stray = [f"--{name}" for name in ignored if getattr(ns, name) is not None]
-    if stray:
-        raise InputError(f"{handle.domain} defect reads {flags}, not {' or '.join(stray)}")
-    args = [getattr(ns, name) for name in reads]
-    if None in args:
-        raise InputError(f"{handle.domain} defect needs {flags}")
-    return {"delta": defect(handle, *args)}, diag, STATUS_OK, None
+    defect = dalembert.defect_log if given == "tu" else dalembert.defect_ratio
+    return {"delta": defect(handle, *(getattr(ns, name) for name in given))}, diag, STATUS_OK, None
 
 
 def _cmd_sup_defect(ns):
@@ -270,7 +268,7 @@ def _cmd_identities(ns):
 
 
 def _cmd_calibrate(ns):
-    handle, diag = _load_handle(ns, target=LOG_LINE)
+    handle, diag = _load_handle(ns, LOG_LINE)
     from . import calibration
     est = calibration.estimate_kappa(handle, h0=ns.h0, levels=ns.levels)
     if est.noise_limited:
@@ -279,7 +277,7 @@ def _cmd_calibrate(ns):
 
 
 def _cmd_classify(ns):
-    handle, diag = _load_handle(ns, target=LOG_LINE)
+    handle, diag = _load_handle(ns, LOG_LINE)
     from . import calibration
     try:
         result = calibration.classify(handle, window_T=ns.window_T, const_tol=ns.const_tol,
@@ -355,8 +353,6 @@ def _cmd_report(ns):
 def _add_source(sp):
     sp.add_argument("--family", help="builtin family spec, e.g. cosh-lambda,lambda=2")
     sp.add_argument("--input", help="CSV sample table (header 't,H' or 'x,F')")
-    sp.add_argument("--domain", choices=[LOG_LINE, POSITIVE_RATIOS],
-                    help="domain of the source (default: inferred)")
 
 
 def _command(sub, name: str, help_text: str, handler):

@@ -49,19 +49,6 @@ from .errors import DomainError, RangeOverflowError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, require_domain
 
-__all__ = [
-    "DefectSample",
-    "DefectReport",
-    "IdentityViolations",
-    "defect_log",
-    "defect_ratio",
-    "defect_grid",
-    "sup_defect",
-    "identity_report",
-    "ode_residual",
-]
-
-
 @dataclass(frozen=True)
 class DefectSample:
     """One evaluation of the defect: the point (t, u) and the signed value."""

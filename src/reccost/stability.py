@@ -15,7 +15,8 @@ user choice), sweeps the window and reports a verified/failed verdict with
 margins.  The certificate keeps the window it judged, its nodes and H on
 them, so certificate_sweep() reads the verdict's own sweep back without
 evaluating H again.  Hypothesis violations (not even, H(0) != 1, a <= 0) are
-errors, not warnings, to keep certificates sound.
+errors, not warnings; the verdict is still judged only at the window's nodes,
+and a is taken as H''(0) unchecked.
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ def certify(
     require_domain(h, LOG_LINE, "certify")
     if not (T > 0 and math.isfinite(T)):
         raise DomainError(f"T must be positive and finite, got {T}")
+    if h_choice is not None and not (0.0 < float(h_choice) <= T):
+        raise DomainError(f"h_choice must satisfy 0 < h <= T, got {h_choice}")
     if not h.evaluable_on(-2.0 * T, 2.0 * T):
         raise DomainError(f"{h.name}: certify needs evaluability on [-2T, 2T]")
 
@@ -179,14 +182,9 @@ def certify(
     if not (a > 0.0 and math.isfinite(a)):
         raise PreconditionError(f"curvature a = {a!r} violates the hypothesis a > 0")
 
+    B, K = estimate_bounds(h, T)  # a handle without H''' is refused before the sweep
     epsilon = (sup_defect(h, T, step) if defect is None else defect).epsilon
-    B, K = estimate_bounds(h, T)
-    if h_choice is None:
-        h_used = optimal_h(epsilon, B, K, T)
-    else:
-        h_used = float(h_choice)
-        if not (0.0 < h_used <= T):
-            raise DomainError(f"h_choice must satisfy 0 < h <= T, got {h_choice}")
+    h_used = optimal_h(epsilon, B, K, T) if h_choice is None else float(h_choice)
     delta = delta_of_h(epsilon, B, K, h_used)
 
     envelope = EnvelopeSpec(scale=delta / a, rate=math.sqrt(a))

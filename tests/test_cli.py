@@ -42,6 +42,14 @@ def write_cosh_csv(path, lo=-2.5, hi=2.5, n=1001):
     return str(path)
 
 
+def write_cosh_ratio_csv(path, n=401):
+    """An ``x,F`` table of J(x) = cosh(ln x) - 1 on x in [e^-2.5, e^2.5]."""
+    xs = np.exp(np.linspace(-2.5, 2.5, n))
+    rows = "\n".join(f"{float(x)!r},{math.cosh(math.log(float(x))) - 1.0!r}" for x in xs)
+    path.write_text("x,F\n" + rows + "\n", encoding="utf-8")
+    return str(path)
+
+
 def write_quadlog_csv(path, lo=-2.5, hi=2.5, n=101):
     ts = np.linspace(lo, hi, n)
     rows = "\n".join(f"{float(t)!r},{1.0 + 0.5 * float(t) * float(t)!r}" for t in ts)
@@ -146,7 +154,7 @@ class TestExitCodes:
     OK = [
         ["eval", "--x", "2"],
         ["defect", "--family", "cosh", "--x", "2", "--y", "3"],
-        ["defect", "--family", "cosh", "--domain", "log-line", "--t", "1.3", "--u", "0.4"],
+        ["defect", "--family", "cosh", "--t", "1.3", "--u", "0.4"],
         ["sup-defect", "--family", "cosh", "--T", "2", "--step", "0.1"],
         ["identities", "--family", "cosh", "--T", "2", "--step", "0.1"],
         ["calibrate", "--family", "cosh-lambda,lambda=2"],
@@ -167,7 +175,7 @@ class TestExitCodes:
     ]
     INPUT_ERROR = [
         ["eval", "--x", "-1"],
-        ["defect", "--family", "cosh", "--t", "1", "--u", "1"],  # ratio handle, wrong flags
+        ["defect", "--family", "cosh", "--t", "1", "--y", "1"],  # a mixed coordinate pair
         ["sup-defect", "--family", "cosh", "--step", "-0.1"],
         ["identities", "--family", "cosh", "--T", "0"],
         ["calibrate", "--family", "cosh", "--levels", "1"],
@@ -194,7 +202,7 @@ class TestExitCodes:
         ["sup-defect", "--family=quadlog,lambda=-3"],
         ["sup-defect", "--family=cosh,lambda=1,lambda=2"],  # the last value won
         ["sup-defect", "--family=cosh,mode=banana"],
-        ["defect", "--domain", "log-line", "--family", "cosh", "--x", "2", "--y", "3"],
+        ["defect", "--domain", "log-line", "--family", "cosh", "--x", "2", "--y", "3"],  # not a flag
         ["certify", "--T", "400", "--step", "100", "--family", "cosh"],  # [-800, 800] overflows
     ]
 
@@ -218,15 +226,17 @@ class TestExitCodes:
         assert report.status == "input-error"
         assert report.results is None
 
-    @pytest.mark.parametrize("argv, needs", [
-        (["defect", "--family", "cosh", "--domain", "log-line", "--t", "1"],
-         "log-line defect needs --t and --u"),
-        (["defect", "--family", "cosh", "--y", "3"], "positive-ratios defect needs --x and --y"),
-    ], ids=["log-line", "positive-ratios"])
-    def test_defect_needs_both_of_its_flags(self, argv, needs, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["defect", "--family", "cosh", "--t", "1"],
+        ["defect", "--family", "cosh", "--y", "3"],
+        ["defect", "--family", "cosh"],
+    ], ids=["log-line", "positive-ratios", "no-pair"])
+    def test_defect_needs_both_of_its_flags(self, argv, capsys):
         code, report = run(argv)
         assert code == 2
-        assert report.diagnostics["error"] == f"InputError: {needs}"
+        assert report.diagnostics["error"] == (
+            "InputError: defect needs one coordinate pair: --t and --u (log line) "
+            "or --x and --y (positive ratios)")
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--x", "2", "--json", "no-such-dir/r.json"],
@@ -300,7 +310,7 @@ class TestExitCodes:
          "RangeOverflowError: defect at x = 1e+300, y = 1e+300 needs x*y and x/y"),
         (["defect", "--family", "cosh", "--x", "1e-300", "--y", "1e300"],
          "RangeOverflowError: defect at x = 1e-300, y = 1e+300 needs x*y and x/y"),
-        (["defect", "--family", "quadlog", "--domain", "log-line", "--t", "1e308", "--u", "1e308"],
+        (["defect", "--family", "quadlog", "--t", "1e308", "--u", "1e308"],
          "RangeOverflowError: defect at t = 1e+308, u = 1e+308 needs t + u and t - u finite"),
     ], ids=["certify-freq", "report-freq", "certify-lambda", "defect-xy", "defect-x-over-y",
             "defect-t-plus-u"])
@@ -356,7 +366,7 @@ class TestExitCodes:
         assert (out.splitlines(), err) == (["reccost: input-error", f"  {error}"], "")
 
     @pytest.mark.parametrize("argv, message", [
-        (["defect", "--family", "quadlog", "--domain", "log-line", "--t", "1e308", "--u", "-1e308"],
+        (["defect", "--family", "quadlog", "--t", "1e308", "--u", "-1e308"],
          "RangeOverflowError: defect at t = 1e+308, u = -1e+308 needs t + u and t - u finite"),
         (["sup-defect", "--family", "cosh", "--step", "-1e-3"],
          "DomainError: grid step must satisfy 0 < step <= 2.0, got -0.001"),
@@ -369,16 +379,22 @@ class TestExitCodes:
         assert code == 2 and report.command == argv[0]
         assert report.diagnostics["error"].startswith(message)
 
-    @pytest.mark.parametrize("argv, message", [
-        (["defect", "--family", "cosh", "--domain", "log-line", "--t", "0.5", "--u", "0.25",
-          "--x", "3"], "log-line defect reads --t and --u, not --x"),
-        (["defect", "--family", "cosh", "--x", "2", "--y", "3", "--t", "0.5", "--u", "0.25"],
-         "positive-ratios defect reads --x and --y, not --t or --u"),
+    @pytest.mark.parametrize("argv", [
+        ["defect", "--family", "cosh", "--t", "0.5", "--u", "0.25", "--x", "3"],
+        ["defect", "--family", "cosh", "--x", "2", "--y", "3", "--t", "0.5", "--u", "0.25"],
     ], ids=["log-line-x", "ratio-t-u"])
-    def test_a_flag_the_domain_does_not_read_is_refused(self, argv, message, capsys):
+    def test_a_flag_the_domain_does_not_read_is_refused(self, argv, capsys):
+        # a pair and a flag of the other pair name no one equation
         code, report = run(argv)
         assert code == 2 and report.results is None
-        assert report.diagnostics["error"] == f"InputError: {message}"
+        assert report.diagnostics["error"].startswith("InputError: defect needs one coordinate pair")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_subcommand_takes_a_domain(self, command, capsys):
+        # the command, a table's header or defect's pair names the coordinates
+        code, report = run([*EXAMPLES[command], "--domain", "log-line"])
+        assert code == 2 and report.results is None
+        assert report.diagnostics["error"] == "InputError: unrecognized arguments: --domain log-line"
 
 
 class TestTableWorkflows:
@@ -428,9 +444,44 @@ class TestTableWorkflows:
         path = write_cosh_csv(tmp_path / "cosh.csv", lo=-4.5, hi=4.5, n=1801)
         code, report = run(["certify-ratio", "--input", path])
         assert code == 0
-        assert report.inputs["domain"] == LOG_LINE
+        assert "domain" not in report.inputs
         assert report.diagnostics["notes"] == [
             "source projected to ratio coordinates (F = H(ln x) - 1)"]
+
+
+class TestDefectCoordinates:
+    """defect answers in the equation its coordinate pair names, whatever the source."""
+
+    LIFTED = ["source lifted to log coordinates (H = F(e^t) + 1)"]
+    PROJECTED = ["source projected to ratio coordinates (F = H(ln x) - 1)"]
+
+    @pytest.mark.parametrize("family", ["cosh", "cos-k,k=0.5"], ids=["ratio-family", "log-family"])
+    @pytest.mark.parametrize("pair", [("--t", 1.0, "--u", 0.5), ("--x", 2.0, "--y", 3.0)],
+                             ids=["t-u", "x-y"])
+    def test_a_family_is_built_in_the_pairs_coordinates(self, family, pair, capsys):
+        code, report = run(["defect", "--family", family, *map(str, pair)])
+        domain, defect = ((LOG_LINE, dalembert.defect_log) if pair[0] == "--t"
+                          else (POSITIVE_RATIOS, dalembert.defect_ratio))
+        handle = fixtures.make_family(fixtures.parse_family_spec(family), domain)
+        assert code == 0 and report.diagnostics == {}
+        assert report.results["delta"] == defect(handle, pair[1], pair[3])
+
+    def test_a_log_table_answers_ratio_coordinates_through_to_ratio(self, tmp_path, capsys):
+        path = write_cosh_csv(tmp_path / "cosh.csv")
+        code, report = run(["defect", "--input", path, "--x", "1.5", "--y", "1.2"])
+        assert code == 0 and report.diagnostics == {"notes": self.PROJECTED}
+        table = handles.to_ratio(load_samples(path))
+        assert report.results["delta"] == dalembert.defect_ratio(table, 1.5, 1.2)
+        code, report = run(["defect", "--input", path, "--t", "1", "--u", "0.5"])
+        assert code == 0 and report.diagnostics == {}
+        assert report.results["delta"] == dalembert.defect_log(load_samples(path), 1.0, 0.5)
+
+    def test_a_ratio_table_answers_log_coordinates_through_lift_to_log(self, tmp_path, capsys):
+        path = write_cosh_ratio_csv(tmp_path / "j.csv")
+        code, report = run(["defect", "--input", path, "--t", "1", "--u", "0.5"])
+        assert code == 0 and report.diagnostics == {"notes": self.LIFTED}
+        table = handles.lift_to_log(load_samples(path))
+        assert report.results["delta"] == dalembert.defect_log(table, 1.0, 0.5)
 
 
 class TestReports:
@@ -469,6 +520,20 @@ class TestReports:
         assert "  sequence = [1, 1.25, 2.125, 4.0625, 8.03125, 16.015625, 32.0078125, " \
             "64.00390625, 128.001953125, 256.0009765625]\n" in capsys.readouterr().out
 
+    def test_long_list_of_rows_prints_its_ends(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code, report = run(["calibrate", "--family", "cosh", "--levels", "300", "--json", str(out)])
+        lines = [s for s in capsys.readouterr().out.splitlines() if "ratio_table" in s]
+        table = report.results["ratio_table"]
+        assert code == 0 and len(table) == 300
+        shown = [", ".join(f"{v:.17g}" for v in row) for row in table[:5] + table[-5:]]
+        assert lines == [f"  ratio_table: {row}" for row in shown[:5]] + [
+            "  ratio_table: ... (300 rows)"] + [f"  ratio_table: {row}" for row in shown[5:]]
+        assert json.loads(out.read_text(encoding="utf-8"))["results"]["ratio_table"] == table
+        run(["calibrate", "--family", "cosh", "--levels", "10"])  # ten rows are all printed
+        lines = [s for s in capsys.readouterr().out.splitlines() if "ratio_table" in s]
+        assert len(lines) == 10 and "..." not in "".join(lines)
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_command_writes_json(self, command, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -485,8 +550,8 @@ class TestReports:
                       "--h", "0.1", "--a", "1"], id="roundtrip-certify-h-a"),
         pytest.param(["classify", "--family", "cosh", "--residual-step", "0.05",
                       "--residual-tol", "1e-6"], id="roundtrip-classify-residual"),
-        pytest.param(["defect", "--family", "cosh", "--domain", "log-line",
-                      "--t", "0.5", "--u", "0.25"], id="roundtrip-defect-log-line"),
+        pytest.param(["defect", "--family", "cosh", "--t", "0.5", "--u", "0.25"],
+                     id="roundtrip-defect-log-line"),
         pytest.param(["certify-ratio", "--family", "noisy-cosh", "--T", "2", "--step", "0.05"],
                      id="roundtrip-certify-ratio-log-line-source"),
     ])
@@ -495,9 +560,8 @@ class TestReports:
         argv = [table if arg == "TABLE" else arg for arg in argv]
         code1, report1 = run(argv)
         assert code1 == 0
-        if "--input" in argv:  # the table's header supplies the domain
-            assert list(report1.inputs.items()) == [
-                ("input", table), ("domain", "log-line"), ("T", 1.2), ("step", 0.05)]
+        if "--input" in argv:  # the table's header names its domain, which is not echoed
+            assert list(report1.inputs.items()) == [("input", table), ("T", 1.2), ("step", 0.05)]
         rebuilt = [argv[0]]
         for key, value in report1.inputs.items():
             rebuilt += [f"--{key}", repr(value) if isinstance(value, float) else str(value)]
@@ -747,7 +811,7 @@ class TestModuleInvocation:
         (["eval", "--x", "2"], 0),
         (["certify", "--family", "cosh", "--a", "4"], 1),
         (["eval", "--x", "-1"], 2),
-        (["calibrate", "--family", "cosh", "--levels", "300"], 0),  # 12 KB: past the buffer
+        (["classify", "--input", "x" * 10_000], 2),  # the path twice, 20 KB: past the buffer
     ], ids=["ok", "verification-failed", "input-error", "long-summary"])
     def test_a_closed_stdout_ends_the_run_quietly(self, argv, code, unbuffered):
         # a closed pipe fails the flush at exit when stdout is block-buffered, and a print when

@@ -5,16 +5,14 @@ run loads scipy, sample tables included.  Each probe runs in a fresh
 interpreter, because an import made anywhere in the test process would mask
 the check.  Also the package's lazily resolved names."""
 
-import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import reccost
 from reccost.cli import run
-from test_cli import write_cosh_csv
+from test_cli import write_cosh_csv, write_cosh_ratio_csv
 
 PROBE = """
 import sys
@@ -40,14 +38,6 @@ def probe(body: str) -> tuple[str, list[str], set[str]]:
     *_, last = proc.stdout.splitlines()
     modules = set(last.removeprefix("modules:").split(","))
     return proc.stdout, sorted({m.split(".")[0] for m in modules} & {"numpy", "scipy"}), modules
-
-
-def write_cosh_ratio_csv(path, n=401):
-    """An ``x,F`` table of J(x) = cosh(ln x) - 1 on x in [e^-2.5, e^2.5]."""
-    xs = np.exp(np.linspace(-2.5, 2.5, n))
-    rows = "\n".join(f"{float(x)!r},{math.cosh(math.log(float(x))) - 1.0!r}" for x in xs)
-    path.write_text("x,F\n" + rows + "\n", encoding="utf-8")
-    return str(path)
 
 
 @pytest.mark.parametrize("body", ["import reccost", "import reccost.cli"])
@@ -84,7 +74,11 @@ def test_pointwise_subcommand_loads_no_geometry_or_dataclasses(argv):
     (["report", "--family", "cosh", "--step", "1e-9"], "needs over 65536 intervals"),
     (["classify", "--input", "{missing}"], "cannot read"),
     (["classify", "--input", "{repeated}"], "abscissas must increase strictly"),
-], ids=["step-0", "T-nan", "step-1e-9", "missing-file", "repeated-abscissa"])
+    (["defect", "--family", "cosh", "--x", "2"], "defect needs one coordinate pair"),
+    (["defect", "--input", "{repeated}", "--t", "1", "--y", "2"],
+     "defect needs one coordinate pair"),
+], ids=["step-0", "T-nan", "step-1e-9", "missing-file", "repeated-abscissa", "defect-half-pair",
+        "defect-mixed-pair"])
 def test_input_error_loads_no_numpy(tmp_path, argv, error):
     repeated = tmp_path / "repeated.csv"
     repeated.write_text("t,H\n-1.0,1.5\n0.0,1.0\n0.0,1.0\n1.0,1.5\n", encoding="utf-8")

@@ -141,6 +141,18 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(COSH_LOG, 2.0, 0.05, h_choice=2.5)
 
+    @pytest.mark.parametrize("handle, kwargs, message", [
+        (COSH_LOG, {"h_choice": 5.0}, "h_choice must satisfy 0 < h <= T"),
+        (analytic(LOG_LINE, "cosh", (np.cosh,)), {}, "K needs H'''"),
+    ], ids=["h-choice", "no-third-derivative"])
+    def test_refusals_come_before_the_defect_sweep(self, handle, kwargs, message, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("certify swept the defect before refusing")
+
+        monkeypatch.setattr("reccost.stability.sup_defect", no_sweep)
+        with pytest.raises(DomainError, match=message):
+            certify(handle, 2.0, 0.0002, **kwargs)
+
     def test_curvature_override_changes_branch(self):
         cert = certify(COSH_LOG, 2.0, 0.05, a=4.0)
         assert not cert.verified  # certifying cosh against cosh(2t) must fail
