@@ -114,16 +114,18 @@ class BranchClassification:
     values: np.ndarray = field(repr=False, compare=False)
 
 
-def quad_ratio(h: FunctionHandle, step: float) -> float:
+def quad_ratio(h: FunctionHandle, step) -> float | np.ndarray:
     """q(step) = 2 G(step) / step^2 with the symmetrized excess (G(step) + G(-step))/2,
     which cancels odd components exactly.  G = H - 1 is what the handle stores, so no
-    1 is added and cancelled again: q keeps G's relative precision at every step."""
+    1 is added and cancelled again: q keeps G's relative precision at every step.
+    An array of steps gives an array of q from one evaluation per sign; one step takes
+    that path too and gives a float, so quad_ratio(h, s) == quad_ratio(h, [s])[0]."""
     require_domain(h, LOG_LINE, "quad_ratio")
-    s = abs(float(step))
-    if not (math.isfinite(s) and s * s >= np.finfo(float).tiny):  # step^2 must not underflow
+    s = np.abs(np.atleast_1d(np.asarray(step, dtype=float)))
+    if not np.all(np.isfinite(s) & (s * s >= np.finfo(float).tiny)):  # no step^2 may underflow
         raise DomainError(f"step must be finite with a normal square, got {step}")
-    sym = 0.5 * (h.excess(s) + h.excess(-s))
-    return 2.0 * sym / (s * s)
+    q = 2.0 * (0.5 * (h.excess(s) + h.excess(-s))) / (s * s)
+    return float(q[0]) if np.ndim(step) == 0 else q
 
 
 def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> CurvatureEstimate:
@@ -134,7 +136,7 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
     formed from the stored excess G = H - 1, so each entry carries G's
     relative error and none is amplified by 1/h^2; an exact handle gives kappa
     to the last bit at any h0.  The uncertainty is the change between the last
-    two extrapolants.
+    two extrapolants.  The whole ladder is one quad_ratio call: two handle evaluations.
     """
     if not (h0 > 0.0 and math.isfinite(h0)):
         raise ParameterError(f"h0 must be positive and finite, got {h0}")
@@ -146,7 +148,7 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
         raise ParameterError(f"h0 * 2^-(levels - 1) = {deepest:g} for h0 = {h0:g}, levels = "
                              f"{levels}: its square underflows; raise h0 or lower levels")
     steps = [h0 * 2.0 ** (-k) for k in range(levels)]
-    qs = [quad_ratio(h, s) for s in steps]
+    qs = quad_ratio(h, steps).tolist()  # Python floats, as every field must be
 
     diag: list[float] = []
     prev: list[float] = []
@@ -171,17 +173,10 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
                              levels=used, noise_limited=used < levels)
 
 
-def window_curvature(h: FunctionHandle, window_T: float,
-                     curvature: CurvatureEstimate | None = None) -> CurvatureEstimate:
-    """estimate_kappa(h, h0 = min(0.25, window_T/2)) at 6 levels, the curvature classify,
-    certify and report use on [-window_T, window_T], or curvature if it was measured so."""
-    h0 = min(0.25, 0.5 * window_T)
-    if curvature is None:
-        return estimate_kappa(h, h0=h0)
-    got = (curvature.ratio_table[0][0], len(curvature.ratio_table))
-    if got != (h0, 6):
-        raise DomainError(f"curvature ratio table (h0, levels) {got} is not {(h0, 6)}")
-    return curvature
+def window_curvature(h: FunctionHandle, window_T: float) -> CurvatureEstimate:
+    """estimate_kappa(h, h0 = min(0.25, window_T/2)) at 6 levels: the curvature that
+    classify, certify and report each measure on [-window_T, window_T]."""
+    return estimate_kappa(h, h0=min(0.25, 0.5 * window_T))
 
 
 def classify(
@@ -190,12 +185,11 @@ def classify(
     const_tol: float = 1e-8,
     residual_grid_step: float | None = None,
     residual_tol: float | None = None,
-    curvature: CurvatureEstimate | None = None,
 ) -> BranchClassification:
     """Classify a normalized handle into its unique solution branch.
 
     Requires h(0) within const_tol of 0 (Zero) or of 1.  Otherwise a finite
-    curvature, window_curvature(h, window_T) if not given, selects the branch:
+    curvature, window_curvature(h, window_T), selects the branch:
     ConstantOne when |kappa| <= const_tol, else Cos or Cosh by its sign, with k
     refined by a least-squares fit on the window, Gauss-Newton (minimize_scalar)
     from sqrt(|kappa|), because sampled data make the purely local limit noisy
@@ -228,7 +222,7 @@ def classify(
             "only normalized handles are classified"
         )
     else:
-        est = window_curvature(h, window_T, curvature)
+        est = window_curvature(h, window_T)
         kappa, threshold = est.kappa, accept
         if not math.isfinite(kappa):
             raise ClassificationError(f"curvature estimate {kappa!r} is not finite; "

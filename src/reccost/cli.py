@@ -46,6 +46,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -65,7 +66,7 @@ _EXIT = {STATUS_OK: 0, STATUS_FAILED: 1, STATUS_INPUT_ERROR: 2}
 
 
 def __getattr__(name):
-    # for bench/tracer.py, which wraps these two names here (ROADMAP item 5); cli calls neither
+    # for bench/tracer.py, which wraps these two names here (ROADMAP item 1); cli calls neither
     if name in ("sample_table", "make_family"):
         from . import fixtures, handles
         return getattr(handles if name == "sample_table" else fixtures, name)
@@ -328,16 +329,16 @@ def _cmd_report(ns):
     sections = {
         "sup_defect": _pick(defect := dalembert.sup_defect(handle, ns.T, ns.step), _DEFECT),
         "identities": dalembert.identity_report(handle, ns.T, ns.step),
-        "curvature": _pick(curv := calibration.window_curvature(handle, ns.T), _CURVATURE),
+        "curvature": _pick(calibration.window_curvature(handle, ns.T), _CURVATURE),
     }
     try:
-        cls = calibration.classify(handle, window_T=ns.T, curvature=curv)
+        cls = calibration.classify(handle, window_T=ns.T)
     except (ClassificationError, PrecisionError, RangeOverflowError) as exc:
         cls = exc
     sections["classification"] = _classification_section(cls)
     failed = isinstance(cls, (ClassificationError, RangeOverflowError))
     try:
-        cert = stability.certify(handle, ns.T, ns.step, defect=defect, a=curv.kappa)
+        cert = stability.certify(handle, ns.T, ns.step, defect=defect)
         sections["certificate"] = _pick(cert, _CERTIFICATE)
         failed = failed or not cert.verified
     except PreconditionError as exc:
@@ -488,7 +489,9 @@ def run(argv) -> tuple[int, argparse.Namespace]:
     ns = argparse.Namespace(command="", json=None)  # what a failed parse leaves
     try:
         ns = build_parser().parse_args(list(argv))
-        results, diagnostics, status, plot_rows = ns.handler(ns)
+        with warnings.catch_warnings():  # numpy's overflow notes; a non-finite result is refused
+            warnings.simplefilter("ignore", RuntimeWarning)
+            results, diagnostics, status, plot_rows = ns.handler(ns)
         results = _py(results)
         _require_finite(results, "results")
         inputs = {key.replace("_", "-"): value for key, value in vars(ns).items()

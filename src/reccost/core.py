@@ -67,10 +67,11 @@ class GoldenResult(NamedTuple):
 
 
 def canonical_cost(x: float) -> float:
-    """J(x) = (x-1)^2/(2x); equals (x + 1/x)/2 - 1 to within one ulp."""
+    """J(x) = (x-1)^2/(2x); equals (x + 1/x)/2 - 1 to within one ulp.  Past sqrt(DBL_MAX),
+    where (x-1)^2 overflows but J ~ x/2 does not, it is ((x-1)/2) ((x-1)/x), within 2 ulps."""
     x = validate_positive_ratio(x)
     u = x - 1.0
-    return (u * u) / (2.0 * x)
+    return (u * u) / (2.0 * x) if u * u < math.inf else (0.5 * u) * (u / x)
 
 
 def log_forms(t: float) -> LogForms:

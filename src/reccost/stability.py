@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibration import window_curvature
+from .calibration import BRANCH_COSH, branch_values, window_curvature
 from .calibration import estimate_kappa  # noqa: F401  (bench/tracer.py wraps this name)
 from .dalembert import DefectReport, sup_defect
 from .errors import DomainError, PreconditionError
@@ -149,9 +149,9 @@ def certify(
     eps, B, K on grids, picks h (optimal_h unless h_choice is given), and
     sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
     envelope.  a defaults to the kappa of window_curvature(h, T)
-    (h0 = min(0.25, T/2)); a caller that has measured that curvature passes its
-    kappa as a, and any other a certifies against a different branch.  defect,
-    sup_defect(h, T, step), saves that sweep if the caller has it.
+    (h0 = min(0.25, T/2)), which certify measures itself; an a given instead
+    certifies against the branch cosh(sqrt(a) t).  defect, sup_defect(h, T, step),
+    saves that sweep if the caller has it.
     """
     require_domain(h, LOG_LINE, "certify")
     if not (T > 0 and math.isfinite(T)):
@@ -211,7 +211,7 @@ def _sweep_grid(axis: np.ndarray, half_width: float) -> np.ndarray:
 
 def _sweep(ts: np.ndarray, vals: np.ndarray, envelope: EnvelopeSpec):
     # the branch cosh(sqrt(a) t) shares the envelope's rate sqrt(a)
-    branch = np.cosh(envelope.rate * ts)
+    branch = branch_values(BRANCH_COSH, envelope.rate, ts)
     return ts, vals, branch, envelope.value(ts), np.abs(vals - branch)
 
 

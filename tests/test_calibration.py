@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reccost import (
     BRANCH_CONSTANT_ONE,
@@ -11,7 +13,9 @@ from reccost import (
     ClassificationError,
     DomainError,
     FamilySpec,
+    FunctionHandle,
     LOG_LINE,
+    POSITIVE_RATIOS,
     ParameterError,
     PrecisionError,
     RangeOverflowError,
@@ -23,10 +27,38 @@ from reccost import (
     quad_ratio,
     sample_table,
 )
-from reccost.calibration import minimize_scalar, window_curvature
+from reccost.calibration import minimize_scalar
+from reccost.fixtures import FAMILIES, PERTURB_MODES
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
 CONST_ONE = make_family(FamilySpec("constant-one"))
+NOISY_TRIG = make_family(FamilySpec("noisy-cosh", {"mode": "trig"}))
+TS = np.linspace(-4.05, 4.05, 811)
+TABLE = sample_table(LOG_LINE, TS, NOISY_TRIG(TS))
+
+LAMBDA = st.floats(min_value=0.3, max_value=3.0)
+FAMILY_PARAMS = {
+    "cosh-lambda": {"lambda": LAMBDA},
+    "cos-k": {"k": LAMBDA},
+    "noisy-cosh": {"lambda": LAMBDA, "amplitude": st.floats(min_value=0.0, max_value=1e-2),
+                   "freq": st.floats(min_value=0.1, max_value=50.0),
+                   "mode": st.sampled_from(PERTURB_MODES), "seed": st.integers(0, 99)},
+    "powerlaw-w": {"lambda": LAMBDA},
+}
+
+
+@st.composite
+def ladder_handles(draw):
+    """A builtin family with drawn parameters, or its sample table in t,H or in x,F, lifted."""
+    fam = draw(st.sampled_from(FAMILIES))
+    spec = FamilySpec(fam, draw(st.fixed_dictionaries(FAMILY_PARAMS.get(fam, {}))))
+    source = draw(st.sampled_from(["family", "t,H", "x,F"]))
+    if source == "family":
+        return make_family(spec, LOG_LINE)
+    if source == "t,H":
+        return sample_table(LOG_LINE, TS, make_family(spec, LOG_LINE)(TS))
+    xs = np.exp(TS)
+    return lift_to_log(sample_table(POSITIVE_RATIOS, xs, make_family(spec, POSITIVE_RATIOS)(xs)))
 
 
 def signed_ripple(amp=1e-8, freq=40.0):
@@ -62,6 +94,8 @@ class TestQuadRatio:
             quad_ratio(COSH_LOG, 0.0)
         with pytest.raises(DomainError):  # step^2 underflows
             quad_ratio(COSH_LOG, -1e-300)
+        with pytest.raises(DomainError, match=r"got \[0\.1, 0\.0\]"):  # one bad step of many
+            quad_ratio(COSH_LOG, [0.1, 0.0])
 
 
 class TestEstimateKappa:
@@ -130,6 +164,36 @@ class TestEstimateKappa:
         # the message names the inputs, not the step at which quad_ratio would fail
         with pytest.raises(ParameterError, match=r"h0 \* 2\^-\(levels - 1\)"):
             estimate_kappa(COSH_LOG, h0=h0, levels=levels)
+
+    @pytest.mark.parametrize("h", [COSH_LOG, NOISY_TRIG, TABLE], ids=["cosh", "noisy", "table"])
+    def test_a_ladder_costs_two_evaluations(self, h, monkeypatch):
+        # one per sign for the whole ladder; one per step and sign took 12
+        calls = []
+        evaluate = FunctionHandle._eval
+        monkeypatch.setattr(FunctionHandle, "_eval",
+                            lambda self, z, order: calls.append(z) or evaluate(self, z, order))
+        estimate_kappa(h, levels=6)
+        assert len(calls) <= 2
+
+    @given(ladder_handles(), st.floats(min_value=1e-4, max_value=0.25))
+    def test_ratio_table_is_quad_ratio_of_the_ladder(self, h, h0):
+        ladder = [h0 * 2.0**-k for k in range(6)]
+        est = estimate_kappa(h, h0=h0)
+        assert [s for s, _ in est.ratio_table] == ladder
+        qs = quad_ratio(h, ladder)
+        assert np.array([q for _, q in est.ratio_table]).tobytes() == qs.tobytes()
+        for s, q in zip(ladder, qs):
+            one = quad_ratio(h, s)
+            assert type(one) is float and np.float64(one).tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("h", [COSH_LOG, NOISY_TRIG, TABLE, CONST_ONE, signed_ripple()],
+                             ids=["cosh", "noisy", "table", "constant-one", "noise-limited"])
+    def test_fields_are_python_scalars(self, h):
+        # a numpy scalar would print as np.float64(...) in classify's {kappa!r} messages
+        est = estimate_kappa(h)
+        assert (type(est.kappa), type(est.uncertainty)) == (float, float)
+        assert (type(est.levels), type(est.noise_limited)) == (int, bool)
+        assert {type(v) for row in est.ratio_table for v in row} == {float}
 
 
 class TestClassify:
@@ -212,14 +276,6 @@ class TestClassify:
         h = lift_to_log(make_family(FamilySpec("cosh-lambda", {"lambda": lam})))
         res = classify(h, 2.0)
         assert abs(res.k**2 - lam * lam) / (lam * lam) <= 1e-6
-
-    def test_measured_curvature_is_reused(self):
-        h = make_family(FamilySpec("cos-k", {"k": 0.7}))
-        for T in (0.4, 2.0):
-            assert classify(h, T, curvature=window_curvature(h, T)) == classify(h, T)
-        for est in (window_curvature(h, 0.4), estimate_kappa(h, levels=5)):
-            with pytest.raises(DomainError, match="curvature ratio table"):
-                classify(h, 2.0, curvature=est)
 
     def test_window_validation(self):
         with pytest.raises(DomainError):

@@ -314,7 +314,7 @@ class TestExitCodes:
          "RangeOverflowError: defect at t = 1e+308, u = 1e+308 needs t + u and t - u finite"),
     ], ids=["certify-freq", "report-freq", "certify-lambda", "defect-xy", "defect-x-over-y",
             "defect-t-plus-u"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_parameter_powers_answer_with_a_message(self, argv, message, capsys):
         # freq^3 and lambda^3 in H''' once raised OverflowError; they are inf now, and the
         # NaN they leave fails the evenness hypothesis, the finite-answer check or the bound K.
@@ -335,7 +335,7 @@ class TestExitCodes:
         (["classify", "--family", "noisy-cosh,freq=1e308"], None),
         (["classify", "--family", "noisy-cosh,mode=trig,freq=1e308"], None),
     ], ids=lambda v: v[0] + "-" + v[2] if isinstance(v, list) else None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_nan_is_not_an_answer(self, argv, leaf, capsys):
         code, report = run(argv)
         if leaf is None:  # classify refuses the handle as near no branch
@@ -345,6 +345,15 @@ class TestExitCodes:
             assert code == 2 and report.results is None and report.inputs == {}
             error = report.diagnostics["error"]
             assert error == f"DomainError: results.{leaf} = nan is not an answer"
+
+    @pytest.mark.parametrize("argv, leaf, value", [
+        (["eval", "--x", "1e300"], "J", 5e299),
+        (["chebyshev", "--x", "1e200", "--n", "1"], "via_identity", 5e199),
+    ], ids=["eval", "chebyshev"])
+    def test_j_answers_past_the_square_root_of_dbl_max(self, argv, leaf, value, capsys):
+        # (x - 1)^2 overflows past 1.34e154; J ~ x/2 does not
+        code, report = run(argv)
+        assert code == 0 and report.results[leaf] == value
 
     def test_too_deep_ratio_table_names_its_flags(self, capsys):
         code, report = run(["calibrate", "--family", "cosh", "--levels", "2000"])
@@ -623,19 +632,12 @@ class TestReports:
         assert report.results["certificate"]["inputs"]["epsilon"] == epsilon
 
     @pytest.mark.parametrize("T, step", [(0.4, 0.01), (2.0, 0.1)])
-    def test_report_estimates_the_curvature_once(self, monkeypatch, capsys, T, step):
-        # classify and certify take the curvature the report prints, at T < 0.5 too, where
+    def test_report_prints_the_curvature_its_stages_use(self, capsys, T, step):
+        # classify and certify measure the curvature the report prints, at T < 0.5 too, where
         # its h0 = min(0.25, T/2) is below 0.25
-        from reccost import calibration
-
-        calls = []
-        estimate = calibration.estimate_kappa
-        monkeypatch.setattr(calibration, "estimate_kappa",
-                            lambda *a, **k: calls.append(a) or estimate(*a, **k))
-        monkeypatch.setattr("reccost.stability.estimate_kappa", calibration.estimate_kappa)
         code, report = run(["report", "--family", "cosh-lambda,lambda=2", "--T", str(T),
                             "--step", str(step)])
-        assert code == 0 and len(calls) == 1
+        assert code == 0
         kappa = report.results["curvature"]["kappa"]
         assert kappa == report.results["certificate"]["inputs"]["a"]
         assert kappa == report.results["classification"]["kappa_used"]
@@ -805,6 +807,23 @@ class TestModuleInvocation:
             text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["classify", "--family", "quadlog", "--window-T", "350"], 1),
+        (["sup-defect", "--family", "noisy-cosh,freq=1e308"], 2),
+        (["report", "--family", "cosh-lambda,lambda=100", "--T", "3", "--step", "0.5"], 2),
+        (["identities", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 2),
+        (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e300"], 2),
+        (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e-320"], 2),
+        (["certify", "--family", "noisy-cosh,amplitude=1e300", "--T", "2", "--step", "0.5"], 2),
+    ], ids=["classify", "sup-defect", "report", "identities", "certify-a-huge", "certify-a-tiny",
+            "certify-amplitude"])
+    def test_overflow_warnings_stay_off_stderr(self, argv, code):
+        # each run answers or exits 2 with a message; numpy's RuntimeWarnings once followed it
+        proc = subprocess.run([sys.executable, "-m", "reccost", *argv], capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert proc.stdout.startswith(f"reccost {argv[0]}: ")
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, code", [

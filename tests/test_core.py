@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from reccost import (
 )
 
 PHI = 1.6180339887498949
+DBL_MAX = sys.float_info.max
 
 
 class TestCanonicalCost:
@@ -52,6 +55,19 @@ class TestCanonicalCost:
             assert j >= 0.0
             if j < 1e-30:
                 assert abs(float(x) - 1.0) < 1e-15
+
+    def test_answers_up_to_dbl_max(self, rng):
+        # (x - 1)^2 overflows past sqrt(DBL_MAX) ~ 1.34e154; J ~ x/2 does not
+        big = np.exp(rng.uniform(math.log(1e150), math.log(DBL_MAX), size=2000)).tolist()
+        for x in big + [DBL_MAX]:
+            j, exact = canonical_cost(x), (Fraction(x) - 1) ** 2 / (2 * Fraction(x))
+            assert abs(Fraction(j) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+    def test_below_the_overflow_it_is_the_square_form(self, rng):
+        small = np.exp(rng.uniform(math.log(1e-300), math.log(1.34e154), size=10_000)).tolist()
+        for x in small:
+            u = x - 1.0
+            assert canonical_cost(x) == (u * u) / (2.0 * x)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_reciprocity_property(self, x):
