@@ -15,6 +15,15 @@ printout and the JSON file.  The report is an ``argparse.Namespace`` whose
 Exit codes: 0 = ok, 1 = verification-failed (a negative mathematical verdict
 from certify/classify), 2 = input-error (any toolkit error that reaches run).
 
+``main`` is the process entry, of ``python -m reccost`` and of the ``reccost``
+script alike: it turns the cyclic garbage collector off before any handler
+imports numpy, calls ``run``, flushes stdout and stderr (a closed pipe is
+ignored) and ends the process with ``os._exit`` and the exit code, so the
+interpreter's teardown, which would only free what the process is about to
+drop, is skipped.  An exception that escapes ``run`` still propagates with
+its traceback.  ``run`` is the in-process entry: it keeps the collector and
+returns the exit code and the report.
+
 Function sources: --family SPEC (e.g. "cosh", "cosh-lambda,lambda=2",
 "family=noisy-cosh,amplitude=1e-3,mode=sine,freq=5"; a key the family does not
 take is an input error) or --input PATH, whose header names its coordinates.
@@ -41,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -48,7 +58,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import core
 from .core import LOG_LINE, POSITIVE_RATIOS
@@ -525,13 +535,17 @@ def run(argv) -> tuple[int, argparse.Namespace]:
     return _EXIT[report.status], report
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> NoReturn:
+    """The process entry of ``python -m reccost`` and the ``reccost`` script: runs one
+    invocation with the cyclic GC off and ends the process at its report."""
+    gc.disable()  # before a handler imports numpy, whose import would trigger collections
     code, _ = run(sys.argv[1:] if argv is None else argv)
-    try:
-        sys.stdout.flush()  # a piped stdout is block-buffered, so a closed pipe shows here
-    except BrokenPipeError:  # as Python's signal docs advise: quiet the flush at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    raise SystemExit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()  # a piped stdout is block-buffered, so a closed pipe shows here
+        except BrokenPipeError:
+            pass
+    os._exit(code)  # the report is written and flushed; interpreter teardown is skipped
 
 
 if __name__ == "__main__":

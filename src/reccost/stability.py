@@ -146,7 +146,8 @@ def certify(
     """Build a stability certificate for a log-line handle on [-T, T].
 
     Checks the hypotheses (even, H(0) = 1 within 1e-6, a > 0), measures
-    eps, B, K on grids, picks h (optimal_h unless h_choice is given), and
+    eps, B, K on grids, picks h (optimal_h unless h_choice is given), refuses
+    an a that leaves delta/a or cosh(sqrt(a) t) on the window not finite, and
     sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
     envelope.  a defaults to the kappa of window_curvature(h, T)
     (h0 = min(0.25, T/2)), which certify measures itself; an a given instead
@@ -188,7 +189,18 @@ def certify(
     delta = delta_of_h(epsilon, B, K, h_used)
 
     envelope = EnvelopeSpec(scale=delta / a, rate=math.sqrt(a))
+    if not math.isfinite(envelope.scale):
+        raise PreconditionError(
+            f"curvature a = {a!r} leaves the envelope scale delta/a = {envelope.scale!r} "
+            f"(delta = {delta!r}) not finite")
     ts = _sweep_grid(axis, T - h_used)
+    edge = float(ts[-1])  # the window's outermost node
+    try:  # the branch and the envelope both grow as cosh(sqrt(a) |t|)
+        math.cosh(envelope.rate * edge)
+    except OverflowError:
+        raise PreconditionError(
+            f"curvature a = {a!r}: cosh(sqrt(a) t) overflows on the window |t| <= {edge!r}"
+        ) from None
     k = (axis.size - ts.size) // 2  # the window is the middle of the symmetric axis
     ts, window, _, env, err = _sweep(ts, vals[k: k + ts.size], envelope)
     min_margin = float(np.min(env - err))

@@ -808,22 +808,26 @@ class TestModuleInvocation:
         )
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("argv, code", [
-        (["classify", "--family", "quadlog", "--window-T", "350"], 1),
-        (["sup-defect", "--family", "noisy-cosh,freq=1e308"], 2),
-        (["report", "--family", "cosh-lambda,lambda=100", "--T", "3", "--step", "0.5"], 2),
-        (["identities", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 2),
-        (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e300"], 2),
-        (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e-320"], 2),
-        (["certify", "--family", "noisy-cosh,amplitude=1e300", "--T", "2", "--step", "0.5"], 2),
+    @pytest.mark.parametrize("argv, code, message", [
+        (["classify", "--family", "quadlog", "--window-T", "350"], 1, ""),
+        (["sup-defect", "--family", "noisy-cosh,freq=1e308"], 2, ""),
+        (["report", "--family", "cosh-lambda,lambda=100", "--T", "3", "--step", "0.5"], 2, ""),
+        (["identities", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 2, ""),
+        (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e300"], 2,
+         "PreconditionError: curvature a = 1e+300: cosh(sqrt(a) t) overflows on the window"),
+        (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e-320"], 2,
+         "PreconditionError: curvature a = 1e-320 leaves the envelope scale delta/a = inf"),
+        (["certify", "--family", "noisy-cosh,amplitude=1e300", "--T", "2", "--step", "0.5"], 2,
+         ""),
     ], ids=["classify", "sup-defect", "report", "identities", "certify-a-huge", "certify-a-tiny",
             "certify-amplitude"])
-    def test_overflow_warnings_stay_off_stderr(self, argv, code):
+    def test_overflow_warnings_stay_off_stderr(self, argv, code, message):
         # each run answers or exits 2 with a message; numpy's RuntimeWarnings once followed it
         proc = subprocess.run([sys.executable, "-m", "reccost", *argv], capture_output=True,
                               text=True)
         assert (proc.returncode, proc.stderr) == (code, "")
         assert proc.stdout.startswith(f"reccost {argv[0]}: ")
+        assert message in proc.stdout  # an --a that overflows is refused by name
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, code", [
@@ -844,3 +848,34 @@ class TestModuleInvocation:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(), err) == (code, b"")
+
+    @pytest.mark.parametrize("argv, last", [
+        (["certify", "--family", "cosh", "--T", "2", "--step", "0.01"],
+         "  envelope.form = cosh-branch"),
+        (["classify", "--input", "x" * 10_000], "x" * 10_000 + "'"),  # a 20 KB summary
+    ], ids=["certify", "long-summary"])
+    def test_the_fast_exit_loses_no_output(self, tmp_path, capsys, argv, last):
+        # stdout to a file is block-buffered, and the process ends by os._exit, which flushes
+        # nothing: every byte must already be out
+        json_out, csv_out = tmp_path / "process.json", tmp_path / "process.csv"
+        json_in, csv_in = tmp_path / "in-process.json", tmp_path / "in-process.csv"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open(tmp_path / "stdout.txt", "wb") as out:
+            proc = subprocess.run([sys.executable, "-m", "reccost", *argv, "--json", json_out,
+                                   "--plot-csv", csv_out], env=env, stdout=out,
+                                  stderr=subprocess.PIPE)
+        code, report = run([*argv, "--json", str(json_in), "--plot-csv", str(csv_in)])
+        printed = capsys.readouterr().out
+        assert (proc.returncode, proc.stderr) == (code, b"")
+        assert json_out.read_bytes() == json_in.read_bytes()
+        stdout = (tmp_path / "stdout.txt").read_text(encoding="utf-8")
+        assert stdout == printed and stdout.endswith(last + "\n")
+        if report.results is None:  # a refused input writes no plot
+            assert not csv_out.exists()
+            return
+        cosh = fixtures.make_family(fixtures.parse_family_spec("cosh"), LOG_LINE)
+        nodes = stability.certify(cosh, 2.0, 0.01).grid
+        rows = csv_out.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 1 + nodes.size  # the header, then one row per window node
+        assert [float(row.split(",")[0]) for row in rows[1:]] == nodes.tolist()
+        assert csv_out.read_bytes() == csv_in.read_bytes()

@@ -1,10 +1,12 @@
 """What a cold process imports: ``import reccost``, the scalar subcommands and
 every input the CLI refuses before it needs an array load no numpy module,
 ``eval`` and ``golden`` load neither ``geometry`` nor ``dataclasses``, and no
-run loads scipy, sample tables included.  Each probe runs in a fresh
-interpreter, because an import made anywhere in the test process would mask
-the check.  Also the package's lazily resolved names."""
+run loads scipy, sample tables included.  A run with the cyclic GC off, as
+``cli.main`` makes it, leaves as much garbage on a fine grid as on a coarse one.
+Each probe runs in a fresh interpreter, because an import made anywhere in the
+test process would mask the check.  Also the package's lazily resolved names."""
 
+import re
 import subprocess
 import sys
 
@@ -21,11 +23,9 @@ print("modules:" + ",".join(sorted(sys.modules)))
 """
 
 MAIN = """
-from reccost.cli import main
-try:
-    main({argv!r})
-except SystemExit as exc:
-    print("exit-code:", exc.code)
+from reccost.cli import run
+code, _ = run({argv!r})  # main would end the process before the module list is printed
+print("exit-code:", code)
 """
 
 
@@ -112,6 +112,30 @@ def test_table_run_loads_no_scipy(tmp_path, write):
     assert "exit-code: 0" in out
     assert "branch = Cosh" in out
     assert packages == ["numpy"]
+
+
+GC_OFF = """
+import gc
+gc.disable()  # as cli.main does: a cold run leaves its garbage cycles uncollected
+from reccost.cli import run
+for argv in {commands!r}:
+    print("exit-code:", run(argv)[0])
+print("unreachable:", gc.collect())
+"""
+
+
+def test_a_run_without_the_collector_leaves_no_cycle_per_sweep_block():
+    # cli.main runs with the cyclic GC off, so memory stays bounded only if no sweep block
+    # or pair leaves a reference cycle: the garbage must not grow with the grid
+    found = []
+    for step in ("0.1", "0.002"):  # one sweep block, then dozens
+        commands = [["report", "--family", "noisy-cosh,mode=trig", "--step", step],
+                    ["classify", "--family", "quadlog", "--window-T", "350"],
+                    ["sup-defect", "--family", "noisy-cosh,freq=1e308", "--step", step]]
+        out, _, _ = probe(GC_OFF.format(commands=commands))
+        assert re.findall(r"exit-code: (\d)", out) == ["1", "1", "2"]
+        found.append(int(re.search(r"unreachable: (\d+)", out).group(1)))
+    assert found[0] == found[1]
 
 
 # the names reccost exported when its __init__ imported every submodule eagerly

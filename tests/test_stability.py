@@ -189,6 +189,19 @@ class TestCertify:
         with pytest.raises(PreconditionError):
             certify(h, 2.0, 0.05)
 
+    @pytest.mark.parametrize("a, message", [
+        (1e-320, r"curvature a = 1e-320 leaves the envelope scale delta/a = inf"),
+        (1e300, r"curvature a = 1e\+300: cosh\(sqrt\(a\) t\) overflows on the window \|t\| <= 1.5"),
+    ], ids=["tiny", "huge"])
+    def test_curvature_that_overflows_the_envelope_is_refused(self, a, message):
+        with pytest.raises(PreconditionError, match=message):
+            certify(COSH_LOG, 2.0, 0.5, a=a)
+
+    def test_largest_curvature_the_window_holds_is_certified(self):
+        # sqrt(a) * 1.5 = 709.5 sits just below cosh's overflow at 710.48
+        cert = certify(COSH_LOG, 2.0, 0.5, a=473.0**2)
+        assert math.isfinite(cert.max_observed_error) and not cert.verified
+
     def test_envelope_shape(self):
         cert = certify(COSH_LOG, 2.0, 0.05)
         ts, _, _, env, _ = certificate_sweep(cert)
