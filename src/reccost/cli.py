@@ -5,12 +5,14 @@ human-readable summary, optionally writes the full report as JSON
 (--json PATH) and plot-ready CSV (--plot-csv PATH, certify/classify only).
 
 Each subcommand is declared once, in ``build_parser``, which sets its handler
-as the parse's ``handler`` default.  One path leads from a result to its
-report: a handler returns the library's records (frozen dataclasses and named
-tuples) as they are, or the fields of a record that a section shows
-(``_pick``), and ``_py`` alone turns them into plain JSON-able Python for the
-printout and the JSON file.  The report is an ``argparse.Namespace`` whose
-``vars()`` is the JSON object.
+as the parse's ``handler`` default.  A run builds the subcommand its first
+argument names alone, or the whole parser where that names none (--help, a
+typo), so its parse, help and errors are the whole parser's.  One path leads
+from a result to its report: a handler returns the library's records (frozen
+dataclasses and named tuples) as they are, or the fields of a record that a
+section shows (``_pick``), and ``_py`` alone turns them into plain JSON-able
+Python for the printout and the JSON file.  The report is an
+``argparse.Namespace`` whose ``vars()`` is the JSON object.
 
 Exit codes: 0 = ok, 1 = verification-failed (a negative mathematical verdict
 from certify/classify), 2 = input-error (any toolkit error that reaches run).
@@ -272,10 +274,23 @@ def _cmd_sup_defect(ns):
     return _pick(report, _DEFECT), diag, STATUS_OK, None
 
 
+def _identities(handle, ns):
+    """identity_report, or a RangeOverflowError naming the handle and max |G| where a violation
+    is not finite though G is on every node of [-2T, 2T] (H^2 or H(t+u) H(t-u) overflows)."""
+    from . import dalembert
+    ids = dalembert.identity_report(handle, ns.T, ns.step)
+    if not all(map(math.isfinite, vars(ids).values())):
+        nodes = dalembert._sweep(handle, ns.T, ns.step, "identity_report")[2].tolist()
+        if all(map(math.isfinite, nodes)):
+            raise RangeOverflowError(
+                f"{handle.name}: identity_report overflows double precision, with max |G| = "
+                f"{max(map(abs, nodes)):.17g} on [-2T, 2T] = [{-2 * ns.T:g}, {2 * ns.T:g}]")
+    return ids
+
+
 def _cmd_identities(ns):
     handle, diag = _grid_source(ns, LOG_LINE)
-    from . import dalembert
-    return dalembert.identity_report(handle, ns.T, ns.step), diag, STATUS_OK, None
+    return _identities(handle, ns), diag, STATUS_OK, None
 
 
 def _cmd_calibrate(ns):
@@ -336,11 +351,12 @@ def _cmd_golden(ns):
 def _cmd_report(ns):
     handle, diag = _grid_source(ns, LOG_LINE)
     from . import calibration, dalembert, stability
-    sections = {
-        "sup_defect": _pick(defect := dalembert.sup_defect(handle, ns.T, ns.step), _DEFECT),
-        "identities": dalembert.identity_report(handle, ns.T, ns.step),
-        "curvature": _pick(calibration.window_curvature(handle, ns.T), _CURVATURE),
-    }
+    sections = {"sup_defect": _pick(defect := dalembert.sup_defect(handle, ns.T, ns.step), _DEFECT)}
+    try:
+        sections["identities"] = _identities(handle, ns)
+    except RangeOverflowError as exc:  # a finite G whose identities overflow
+        sections["identities"] = {"error": str(exc)}
+    sections["curvature"] = _pick(calibration.window_curvature(handle, ns.T), _CURVATURE)
     try:
         cls = calibration.classify(handle, window_T=ns.T)
     except (ClassificationError, PrecisionError, RangeOverflowError) as exc:
@@ -366,8 +382,14 @@ def _add_source(sp):
     sp.add_argument("--input", help="CSV sample table (header 't,H' or 'x,F')")
 
 
+_UNBUILT = argparse.Namespace(add_argument=lambda *args, **kwargs: None)
+
+
 def _command(sub, name: str, help_text: str, handler):
-    """A subcommand whose parse leaves its handler in ``ns.handler``."""
+    """A subcommand whose parse leaves its handler in ``ns.handler``, or where the parser is
+    built for another subcommand alone (``sub.only``), a stand-in that drops its arguments."""
+    if sub.only not in (None, name):
+        return _UNBUILT
     sp = sub.add_parser(name, help=help_text)
     sp.set_defaults(handler=handler)
     return sp
@@ -398,13 +420,16 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; given the name of one, the parser of that one alone,
+    which parses its argv, prints its --help and words its errors as the whole parser does."""
     parser = _Parser(
         prog="reccost",
         description="Verification toolkit for the canonical reciprocal cost "
         "J(x) = (x + 1/x)/2 - 1 and d'Alembert-type functional equations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.only = command
 
     sp = _command(sub, "eval", "evaluate J and its log forms at a point", _cmd_eval)
     sp.add_argument("--x", type=float, required=True)
@@ -459,6 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_grid_command(sub, "report", "full verification suite on one input", _cmd_report)
 
+    if not sub.choices:  # command names no subcommand
+        return build_parser()
     for sp in sub.choices.values():
         sp.add_argument("--json", help="write the run report as JSON to this path")
     return parser
@@ -498,7 +525,8 @@ def run(argv) -> tuple[int, argparse.Namespace]:
     """Execute one CLI invocation; returns (exit_code, report)."""
     ns = argparse.Namespace(command="", json=None)  # what a failed parse leaves
     try:
-        ns = build_parser().parse_args(list(argv))
+        argv = list(argv)
+        ns = build_parser(argv[0] if argv else None).parse_args(argv)
         with warnings.catch_warnings():  # numpy's overflow notes; a non-finite result is refused
             warnings.simplefilter("ignore", RuntimeWarning)
             results, diagnostics, status, plot_rows = ns.handler(ns)

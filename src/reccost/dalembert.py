@@ -16,22 +16,22 @@ Suprema are reported over explicit uniform grids, never over the continuum;
 every report carries the grid spec so certificates are explicit about the
 discretization.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
 node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, reduces
-the n x n tables in blocks written into two buffers allocated once (memory
-O(n) plus two blocks: 1.2 MB traced at T = 2, step 0.001), and its max
-reductions are order-independent, so sweeps are deterministic.  Both sweeps
-round every operation commutatively, with the doublings exact: the defect
-forms (2 G(t)) G(u) + (2 G(t) + 2 G(u)), the identities G+ G- + (G+ + G-) -
-(q(t) + q(u)) and (G+ - G-)^2 - 4 (q(t) q(u)).  So where G equals its even
-part E = (nodes + nodes[::-1]) / 2, which is bitwise even (mirrored entries
-add the same two numbers), the tables are bitwise invariant under t <-> u,
-t -> -t and u -> -u, and the sweeps reduce the triangle j >= i of the
-quadrant t, u <= 0, which holds the first NaN, else first max (pairs a block
-holds below the diagonal mirror earlier ones of it).  Any other G is within
-omega of E: a forward error bound (Higham, Accuracy and Stability of
-Numerical Algorithms, 3.1) gives each score a rho >= |fl score(G) - fl
-score(E)|, so no pair whose E score is below theta = max_E - 2 rho holds G's
-max.  The sweeps reduce E's triangle, then score G on the 8 images under the
-three maps of the box of the pairs reaching theta in each block, or, where
+the n x n tables in blocks of 2^15 elements written into two 256 KB buffers
+allocated once (memory O(n) plus two blocks: 0.8 MB traced at T = 2, step
+0.001), and its max reductions are order-independent, so sweeps are
+deterministic.  Both sweeps round every operation commutatively, with the
+doublings exact: the defect forms (2 G(t)) G(u) + (2 G(t) + 2 G(u)), the
+identities G+ G- + (G+ + G-) - (q(t) + q(u)) and (G+ - G-)^2 - 4 (q(t) q(u)).
+So where G equals its even part E = (nodes + nodes[::-1]) / 2, which is
+bitwise even (mirrored entries add the same two numbers), the tables are
+bitwise invariant under t <-> u, t -> -t and u -> -u, and the sweeps reduce
+the triangle j >= i of the quadrant t, u <= 0, which holds the first NaN, else
+first max (pairs a block holds below the diagonal mirror earlier ones of it).
+Any other G is within omega of E: a forward error bound (Higham, Accuracy and
+Stability of Numerical Algorithms, 3.1) gives each score a rho >= |fl score(G)
+- fl score(E)|, so no pair whose E score is below theta = max_E - 2 rho holds
+G's max.  The sweeps reduce E's triangle, then score G on the 8 images under
+the three maps of the box of the pairs reaching theta in each block, or, where
 rho is not finite or too many blocks reach theta, the whole table.
 """
 
@@ -88,20 +88,20 @@ class IdentityViolations:
     evenness: float
 
 
-_BLOCK_ELEMS = 1 << 16  # elements per block: 512 KB of float64, so the buffers stay in cache
+_BLOCK_ELEMS = 1 << 15  # elements per block: 256 KB of float64, so the buffers stay in cache
 
 
 def _kernel(gs, gd, gt, gu, out=None, cross=None):
-    """Delta from G(t+u), G(t-u), G(t), G(u), gt broadcasting down and gu across, into out;
-    cross = (2 G(t)) G(u) + (2 G(t) + 2 G(u)) into cross.  Both are new arrays where not given.
-    The doublings are exact and the three rounded operations commutative, so Delta is bitwise
-    symmetric in t <-> u wherever G(t - u) = G(u - t) and 2 G(t) does not overflow."""
+    """Delta from G(t+u), G(t-u) (tables, or broadcasting to one) and G(t), G(u) (vectors of
+    the rows and columns), into out; cross = (2 G(t)) G(u) + (2 G(t) + 2 G(u)) into cross.  Both
+    are new arrays where not given.  The doublings are exact and the three rounded operations
+    commutative (einsum's outer product rounds as multiply does, but gives +0 for a -0 product,
+    which no sum here can tell), so Delta is bitwise symmetric in t <-> u wherever
+    G(t - u) = G(u - t) and 2 G(t) does not overflow."""
     two_gt, two_gu = 2.0 * gt, 2.0 * gu
-    cross = np.multiply(two_gt, gu, out=cross)
-    cross += np.add(two_gt, two_gu, out=out)  # out as scratch
-    out = np.add(gs, gd, out=out)
-    out -= cross
-    return out
+    cross = np.einsum("i,j->ij", two_gt, gu, out=cross)
+    cross += np.add(two_gt[:, None], two_gu, out=out)  # out as scratch
+    return np.subtract(np.add(gs, gd, out=out), cross, out=out)
 
 
 def _sweep(h: FunctionHandle, T: float, step: float, op: str):
@@ -148,13 +148,13 @@ def _tables(nodes: np.ndarray, n: int):
 
 def _scored(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores=_kernel, views=None):
     """(rows, cols, scores(G(t + u), G(t - u), a(t), a(u), out, cross)) per block of the tables of
-    G on nodes, a on the axis (by default Delta, a = G): row blocks of the triangle j >= i of the
-    quadrant t, u <= 0, or of the whole table; out and cross are views(rows, cols), by default of
-    two buffers allocated here."""
+    G on nodes, a on the axis as vectors of the block's rows and columns (by default Delta,
+    a = G): row blocks of the triangle j >= i of the quadrant t, u <= 0, or of the whole table;
+    out and cross are views(rows, cols), by default of two buffers allocated here."""
     n = a.size
     (sums, diffs), views = _tables(nodes, n), views or _buffers(n)
     for r, c in _blocks(n // 2 + 1 if triangle else n, triangle):
-        yield r, c, scores(sums[r, c], diffs[r, c], a[r, None], a[c], *views(r, c))
+        yield r, c, scores(sums[r, c], diffs[r, c], a[r], a[c], *views(r, c))
 
 
 def _first_max(x: np.ndarray, i0: int, j0: int):
@@ -182,13 +182,14 @@ def _suprema(h: FunctionHandle, T: float, step: float, op: str, aux, scores, bou
 
 def _even_part(nodes: np.ndarray, e: np.ndarray, a: np.ndarray, aux, scores, bounds, views):
     """_suprema's picks through the even part e = E, or None where rho = bounds(max |G - E|, max |G|,
-    max |a - a_E|, max(|a|, |a_E|)) is not finite or the blocks reaching theta outgrow 4 blocks."""
+    max |a - a_E|, max(|a|, |a_E|)) is not finite or the blocks reaching theta hold over 2^18
+    pairs (four rows, where a row is wider)."""
     n, m = a.size, a.size // 2
     ae = aux(e[m: m + n])
     rho = np.array(bounds(*(float(np.max(np.abs(x))) for x in (nodes - e, nodes, a - ae, [a, ae]))))
     if not np.all(np.isfinite(rho)):
         return None
-    kept, top, budget = [], np.full(rho.size, -np.inf), 4 * max(_BLOCK_ELEMS, m + 1)
+    kept, top, budget = [], np.full(rho.size, -np.inf), 4 * max(2 * _BLOCK_ELEMS, m + 1)
     for r, c, xs in _scored(e, ae, True, scores, views):
         block = np.array([x.max() for x in xs])
         top = np.maximum(top, block)
@@ -201,12 +202,12 @@ def _even_part(nodes: np.ndarray, e: np.ndarray, a: np.ndarray, aux, scores, bou
     picks = []
     for r, c, _ in kept:
         hit = np.logical_or.reduce([x >= t for x, t in zip(
-            scores(se[r, c], de[r, c], ae[r, None], ae[c], *views(r, c)), theta)])
+            scores(se[r, c], de[r, c], ae[r], ae[c], *views(r, c)), theta)])
         i, j = np.flatnonzero(hit.any(axis=1)) + r.start, np.flatnonzero(hit.any(axis=0)) + c.start
         rows, cols = [(slice(k[0], k[-1] + 1), slice(n - 1 - k[-1], n - k[0])) for k in (i, j)]
         for X, Y in itertools.chain(itertools.product(rows, cols), itertools.product(cols, rows)):
             picks.append([_first_max(x, X.start, Y.start) for x in scores(
-                sums[X, Y], diffs[X, Y], a[X, None], a[Y], *views(X, Y))])
+                sums[X, Y], diffs[X, Y], a[X], a[Y], *views(X, Y))])
     return [max(p, key=lambda v: (v[0], -v[1], -v[2])) for p in zip(*picks)]
 
 
@@ -220,17 +221,17 @@ def _identity_scores(s, d, qt, qu, product, square):
     # s d + (s + d) - (q(t) + q(u)) and (s - d)^2 - 4 (q(t) q(u)), symmetric in s <-> d, t <-> u
     np.multiply(s, d, out=product)
     product += np.add(s, d, out=square)
-    product -= np.add(qt, qu, out=square)
+    product -= np.add(qt[:, None], qu, out=square)
     np.square(np.subtract(s, d, out=square), out=square)
     yield np.abs(product, out=product)
-    square -= np.multiply(np.multiply(qt, qu, out=product), 4.0, out=product)
+    square -= np.multiply(np.einsum("i,j->ij", qt, qu, out=product), 4.0, out=product)
     yield np.abs(square, out=square)
 
 
 def defect_grid(h: FunctionHandle, T: float, step: float):
     """(step, axis, Delta) with Delta[i, j] = Delta_H(axis[i], axis[j]) on the grid of [-T, T]."""
     actual_step, axis, nodes, g = _sweep(h, T, step, "defect_grid")
-    return actual_step, axis, _kernel(*_tables(nodes, axis.size), g[:, None], g)
+    return actual_step, axis, _kernel(*_tables(nodes, axis.size), g, g)
 
 
 def defect_log(h: FunctionHandle, t: float, u: float) -> float:
@@ -241,7 +242,7 @@ def defect_log(h: FunctionHandle, t: float, u: float) -> float:
     if not (math.isfinite(s) and math.isfinite(d)):
         raise RangeOverflowError(f"defect at t = {t!r}, u = {u!r} needs t + u and t - u finite, "
                                  f"got {s!r} and {d!r}")
-    return float(_kernel(*h.excess(np.array([s, d, t, u]))))
+    return _kernel(*h.excess(np.array([s, d, t, u]))[:, None]).item()
 
 
 def defect_ratio(f: FunctionHandle, x: float, y: float) -> float:
@@ -252,7 +253,7 @@ def defect_ratio(f: FunctionHandle, x: float, y: float) -> float:
     if not (0.0 < p < math.inf and 0.0 < q < math.inf):
         raise RangeOverflowError(f"defect at x = {x!r}, y = {y!r} needs x*y and x/y finite and "
                                  f"positive, got {p!r} and {q!r}")
-    return float(_kernel(*f.excess(np.array([p, q, x, y]))))
+    return _kernel(*f.excess(np.array([p, q, x, y]))[:, None]).item()
 
 
 def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
@@ -268,7 +269,7 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
         lambda s, d, gt, gu, out, cross: (np.abs(_kernel(s, d, gt, gu, out, cross), out=out),),
         lambda w, big, *_: (_rho(w * (6.0 + 4.0 * big), 6.0 * big + 2.0 * big * big, 3),))
     n = axis.size  # Delta with its sign, from the same roundings as the sweep
-    delta = float(_kernel(nodes[i + j], nodes[n - 1 + i - j], g[i], g[j]))
+    delta = _kernel(*np.array([nodes[i + j], nodes[n - 1 + i - j], g[i], g[j]])[:, None]).item()
     worst = DefectSample(float(axis[i]), float(axis[j]), delta)
     return DefectReport(abs(delta), worst, float(T), actual_step, count=n**2)
 

@@ -155,8 +155,9 @@ def _powerlaw_excess(lam: float):
     def via_w(k):
         def g(t):
             w = np.exp(lam * t)
-            if k == 0:
-                return (w - 1.0) ** 2 / (2.0 * w)
+            if k == 0:  # (W - 1)^2 overflows from W = 2^512 on, where G rounds to W / 2
+                square = (w - 1.0) ** 2
+                return np.where(np.isinf(square), 0.5 * w, square / (2.0 * w))
             return 0.5 * _pow(lam, k) * (w - 1.0 / w if k % 2 else w + 1.0 / w)
 
         return g

@@ -13,10 +13,16 @@ import pytest
 
 from reccost import (InputError, LOG_LINE, POSITIVE_RATIOS, calibration, core, dalembert, fixtures,
                      geometry, grids, handles, stability)
+from reccost import cli
 from reccost.cli import _py, build_parser, load_samples, run
 
-# the parser's subcommands, in declaration order
-COMMANDS = list(next(a.choices for a in build_parser()._actions if a.dest == "command"))
+
+def subcommands(parser):
+    """The names of the subcommands parser has built, in declaration order."""
+    return list(next(a.choices for a in parser._actions if a.dest == "command"))
+
+
+COMMANDS = subcommands(build_parser())
 
 # one passing run of each subcommand
 EXAMPLES = {argv[0]: argv for argv in [
@@ -652,6 +658,22 @@ class TestReports:
         assert report.results["classification"]["classified"] is False
         assert "exceeds 700" in report.results["classification"]["reason"]
 
+    @pytest.mark.parametrize("family, T", [("cosh-lambda,lambda=100", "3"),
+                                           ("powerlaw-w,lambda=170", "2")])
+    def test_report_records_an_identity_overflow(self, family, T, capsys):
+        # G is finite on every node, but H(t+u) H(t-u) and H^2 overflow: identities refuses the
+        # input, and report records its message as the section and runs the others
+        grid = ["--family", family, "--T", T, "--step", "0.5"]
+        code, ids = run(["identities", *grid])
+        assert code == 2 and ids.diagnostics["error"].startswith("RangeOverflowError: ")
+        code, report = run(["report", *grid])
+        assert code == 1 and report.status == "verification-failed"
+        error = ids.diagnostics["error"].removeprefix("RangeOverflowError: ")
+        assert report.results["identities"] == {"error": error}
+        assert list(report.results) == ["sup_defect", "identities", "curvature",
+                                        "classification", "certificate"]
+        assert math.isfinite(report.results["sup_defect"]["epsilon"])
+
     def test_report_sections_match_single_commands(self, capsys):
         source = ["--family", "cosh-lambda,lambda=2"]
         grid = source + ["--T", "2", "--step", "0.1"]
@@ -783,6 +805,43 @@ def test_the_subcommands_are_named_alike_everywhere():
     assert list(EXAMPLES) == COMMANDS
 
 
+def parsed(parser, argv, capsys):
+    """What parsing argv leaves (its namespace but the handler, argparse's error message, or
+    --help's exit code) and what it printed."""
+    try:
+        got = {k: v for k, v in vars(parser.parse_args(argv)).items() if k != "handler"}
+    except InputError as exc:
+        got = str(exc)
+    except SystemExit as exc:
+        got = exc.code
+    return got, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_parser_of_one_subcommand_parses_as_the_whole_one(command, capsys):
+    one, whole = build_parser(command), build_parser()
+    assert subcommands(one) == [command] and subcommands(whole) == COMMANDS
+    for argv in ([*EXAMPLES[command]], [command], [command, "--help"], [command, "--frobnicate"],
+                 [command, "--json"], [*EXAMPLES[command], "--T", "x"], [command, "report"]):
+        assert parsed(one, argv, capsys) == parsed(whole, argv, capsys)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (EXAMPLES["report"], ["report"]),
+    (["eval", "--x", "2", "--frobnicate"], ["eval"]),
+    (["--help"], ["--help", None]),
+    (["no-such-command"], ["no-such-command", None]),
+    ([], [None]),
+], ids=["report", "parse-error", "help", "unknown-command", "empty"])
+def test_a_run_builds_the_parser_of_the_subcommand_it_names(argv, built, monkeypatch, capsys):
+    # any other first argument builds the whole parser, for --help and argparse's messages
+    calls, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: calls.append(command)
+                        or build(command))
+    run(argv)
+    assert calls == built
+
+
 def test_py_turns_named_tuples_into_dicts_in_field_order():
     out = _py([core.GoldenResult(phi=1.5, iterations=3, cost_at_phi=np.float64(0.25))])
     assert out == [{"phi": 1.5, "iterations": 3, "cost_at_phi": 0.25}]
@@ -811,23 +870,31 @@ class TestModuleInvocation:
     @pytest.mark.parametrize("argv, code, message", [
         (["classify", "--family", "quadlog", "--window-T", "350"], 1, ""),
         (["sup-defect", "--family", "noisy-cosh,freq=1e308"], 2, ""),
-        (["report", "--family", "cosh-lambda,lambda=100", "--T", "3", "--step", "0.5"], 2, ""),
-        (["identities", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 2, ""),
+        (["report", "--family", "cosh-lambda,lambda=100", "--T", "3", "--step", "0.5"], 1,
+         "identities.error = cosh-lambda(100): identity_report overflows double precision"),
+        (["identities", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 2,
+         "RangeOverflowError: powerlaw-w(170): identity_report overflows double precision, "
+         "with max |G| = 1.045244036805178e+295 on [-2T, 2T] = [-4, 4]"),
+        (["identities", "--family", "cosh-lambda,lambda=100", "--T", "3", "--step", "0.5"], 2,
+         "RangeOverflowError: cosh-lambda(100): identity_report overflows double precision, "
+         "with max |G| = 1.8865101504649698e+260 on [-2T, 2T] = [-6, 6]"),
+        (["report", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 1,
+         "identities.error = powerlaw-w(170): identity_report overflows double precision"),
         (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e300"], 2,
          "PreconditionError: curvature a = 1e+300: cosh(sqrt(a) t) overflows on the window"),
         (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e-320"], 2,
          "PreconditionError: curvature a = 1e-320 leaves the envelope scale delta/a = inf"),
         (["certify", "--family", "noisy-cosh,amplitude=1e300", "--T", "2", "--step", "0.5"], 2,
          ""),
-    ], ids=["classify", "sup-defect", "report", "identities", "certify-a-huge", "certify-a-tiny",
-            "certify-amplitude"])
+    ], ids=["classify", "sup-defect", "report", "identities", "identities-cosh-lambda",
+            "report-powerlaw-w", "certify-a-huge", "certify-a-tiny", "certify-amplitude"])
     def test_overflow_warnings_stay_off_stderr(self, argv, code, message):
         # each run answers or exits 2 with a message; numpy's RuntimeWarnings once followed it
         proc = subprocess.run([sys.executable, "-m", "reccost", *argv], capture_output=True,
                               text=True)
         assert (proc.returncode, proc.stderr) == (code, "")
         assert proc.stdout.startswith(f"reccost {argv[0]}: ")
-        assert message in proc.stdout  # an --a that overflows is refused by name
+        assert message in proc.stdout  # an --a or identities that overflow are named
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, code", [

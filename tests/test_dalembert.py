@@ -25,7 +25,7 @@ from reccost import (
     sup_defect,
 )
 from reccost import dalembert
-from reccost.dalembert import _BLOCK_ELEMS, _blocks, _sweep, defect_grid
+from reccost.dalembert import _BLOCK_ELEMS, _blocks, _scored, _sweep, defect_grid
 from reccost.grids import symmetric_grid
 from reccost.handles import from_excess
 
@@ -194,18 +194,27 @@ class TestNodeSweep:
         assert sizes == [2 * n - 1] * 2
 
 
+def table_expressions(nodes, g):
+    """The whole n x n tables of Delta and of the product and difference-square violations from
+    G on the 2n - 1 nodes and on the axis, by broadcast expressions with the sweeps' operation
+    order."""
+    n = g.size
+    sums, diffs = sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
+    gt = g[:, None]
+    delta = (sums + diffs) - ((2.0 * gt) * g + (2.0 * gt + 2.0 * g))
+    q = g * (g + 2.0)
+    product = sums * diffs + (sums + diffs) - (q[:, None] + q)
+    square = (sums - diffs) * (sums - diffs) - 4.0 * np.outer(q, q)
+    return delta, product, square
+
+
 def full_tables(h, T, step):
     """sup_defect's (epsilon, t, u, delta) and identity_report's four fields, each reduced over
     whole n x n tables by one expression, with the sweeps' operation order."""
     _, axis, nodes, g = _sweep(h, T, step, "full tables")
-    n = axis.size
-    sums, diffs = sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
-    gt = g[:, None]
-    delta = (sums + diffs) - ((2.0 * gt) * g + (2.0 * gt + 2.0 * g))
+    delta, product, square = table_expressions(nodes, g)
     i, j = divmod(int(np.argmax(np.abs(delta))), axis.size)
     q = g * (g + 2.0)
-    product = sums * diffs + (sums + diffs) - (q[:, None] + q)
-    square = (sums - diffs) * (sums - diffs) - 4.0 * np.outer(q, q)
     violations = (product, square, nodes[::2] - 2.0 * q, g[::-1] - g)
     return ((abs(delta[i, j]), axis[i], axis[j], delta[i, j]),
             tuple(float(np.max(np.abs(v))) for v in violations))
@@ -238,7 +247,7 @@ def assert_same(got, want):
 class TestRowBlocks:
     """Sweeps larger than one row block equal reductions over the whole n x n matrix."""
 
-    T, STEP = 2.0, 0.005  # n = 801: a whole table is nine blocks of 81 rows and a tenth of 72
+    T, STEP = 2.0, 0.005  # n = 801: a whole table is 20 blocks of 40 rows and a 21st of 1
 
     def test_grid_spans_several_blocks_and_a_partial_one(self):
         n = symmetric_grid(self.T, self.STEP)[1].size
@@ -271,7 +280,7 @@ class TestRowBlocks:
         assert (rep.argmax.t, rep.argmax.u, rep.epsilon) == (-self.T, -self.T, self.T**4 / 2)
 
     def test_nan_node_propagates(self):
-        # G(3) first enters the sweep at t = 1 (row 600, the eighth block), after finite blocks
+        # G(3) first enters the sweep at t = 1 (row 600, the 16th block), after finite blocks
         def poisoned(t):
             return np.where(np.abs(t - 3.0) < 1e-3, np.nan, np.cosh(t) + 1e-3 * np.sin(5.0 * t))
 
@@ -299,7 +308,7 @@ class TestRowBlocks:
         finally:
             if own:
                 tracemalloc.stop()
-        assert peak < 50 * 2**20
+        assert peak < 2**20  # two 256 KB block buffers and O(n) vectors, n = 4001
 
 
 EVEN_SPECS = st.one_of(
@@ -335,11 +344,13 @@ class TestMirrorFold:
             assert_same(fields(h, T, T / m), full_tables(h, T, T / m))
 
     def test_several_blocks_of_the_quadrant(self, monkeypatch):
-        # n = 801: the 401-wide quadrant's triangle takes 163 whole rows, then the 238 rows left
-        # from the diagonal on (238^2 fits one block)
+        # n = 801: the 401-wide quadrant's triangle takes 81 whole rows, then blocks from the
+        # diagonal on, of 102, 150 and the last 68 rows (68^2 fits one block)
         T, step = 2.0, 0.005
-        assert list(_blocks(401, True)) == [(slice(0, 163), slice(0, 401)),
-                                            (slice(163, 401), slice(163, 401))]
+        assert list(_blocks(401, True)) == [(slice(0, 81), slice(0, 401)),
+                                            (slice(81, 183), slice(81, 401)),
+                                            (slice(183, 333), slice(183, 401)),
+                                            (slice(333, 401), slice(333, 401))]
         tables = []  # (width, triangle) of the tables each sweep reduces
         monkeypatch.setattr(dalembert, "_blocks",
                             lambda w, tri: tables.append((w, tri)) or _blocks(w, tri))
@@ -372,8 +383,7 @@ class TestMirrorFold:
         pairs = []
         kernel, blocks = dalembert._kernel, dalembert._blocks
         monkeypatch.setattr(dalembert, "_kernel",
-                            lambda gs, *a, **k: pairs.append(np.broadcast(gs, *a).size)
-                            or kernel(gs, *a, **k))
+                            lambda gs, *a, **k: pairs.append(gs.size) or kernel(gs, *a, **k))
         sup_defect(COSH_LOG, 2.0, 0.001)
         assert sum(pairs) <= 0.55 * 2001**2
         pairs.clear()
@@ -548,14 +558,13 @@ class TestTableCost:
     def test_sweeps_reduce_about_half_the_quadrant(self, sweep, scores, monkeypatch):
         assert path(self.TABLE, 2.0, 0.001) == "even part"
         pairs, inner = [], getattr(dalembert, scores)
-        monkeypatch.setattr(dalembert, scores, lambda s, *a: pairs.append(
-            np.broadcast(s, *a[:3]).size) or inner(s, *a))
+        monkeypatch.setattr(dalembert, scores, lambda s, *a: pairs.append(s.size) or inner(s, *a))
         sweep(self.TABLE, 2.0, 0.001)
         assert sum(pairs) <= 0.6 * 2001**2
 
     @pytest.mark.parametrize("sweep", [sup_defect, identity_report], ids=lambda f: f.__name__)
     def test_peak_memory(self, sweep):
-        # two 512 KB block buffers and O(n) vectors of the 4001 nodes
+        # two 256 KB block buffers and O(n) vectors of the 4001 nodes
         own = not tracemalloc.is_tracing()
         if own:
             tracemalloc.start()
@@ -568,6 +577,36 @@ class TestTableCost:
             if own:
                 tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -1.5,
+                  1e154, -1e200, 1e300, np.inf, -np.inf, np.nan])
+
+
+class TestEdgeValues:
+    """Each block's scores equal the whole tables' broadcast expressions under == (a NaN matching
+    a NaN) on nodes of signed zeros, subnormals, huge values, infinities and NaNs: the outer
+    products round as multiply does, and the +0 that einsum gives for a -0 product compares
+    equal to it."""
+
+    @pytest.mark.parametrize("triangle", [False, True], ids=["whole", "triangle"])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_block_scores_equal_table_expressions(self, seed, triangle, monkeypatch):
+        nodes = np.random.default_rng(seed).choice(EDGES, 2 * 9 - 1)
+        g = nodes[4: 13]
+        delta, product, square = table_expressions(nodes, g)
+        monkeypatch.setattr(dalembert, "_BLOCK_ELEMS", 20)  # several blocks of each table
+        cases = [(lambda *a: (dalembert._kernel(*a),), g, [delta]),
+                 (dalembert._identity_scores, g * (g + 2.0), [np.abs(product), np.abs(square)])]
+        for scores, a, wants in cases:
+            rows = 0
+            for r, c, xs in _scored(nodes, a, triangle, scores):
+                # each score is compared as it is yielded: the next one may reuse its buffer
+                for x, want in zip(xs, wants, strict=True):
+                    assert np.array_equal(x, want[r, c], equal_nan=True), (r, c, x, want[r, c])
+                rows += r.stop - r.start
+            assert rows == (5 if triangle else 9)
 
 
 class TestDefectGrid:

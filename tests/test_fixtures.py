@@ -48,6 +48,14 @@ class TestMakeFamily:
         xs = np.exp(np.linspace(-3, 3, 241))
         assert np.max(np.abs(fw(xs) - fl(xs))) <= 1e-12 * math.cosh(3 * lam)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_powerlaw_stays_finite_where_its_square_overflows(self):
+        # (W - 1)^2 overflows from W = 2^512 on; G = W / 2 to within rounding up to W = 2^1023
+        fw = make_family(FamilySpec("powerlaw-w", {"lambda": 170.0}), domain=LOG_LINE)
+        fl = make_family(FamilySpec("cosh-lambda", {"lambda": 170.0}), domain=LOG_LINE)
+        ts = np.array([1.0, 2.0, 2.5, 4.0])  # W = e^170, e^340 > 2^512, e^425, e^680
+        assert np.all(np.abs(fw(ts) / fl(ts) - 1.0) <= 1e-12)
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_cosh_lambda_solves_composition_law(self, lam, rng):
         f = make_family(FamilySpec("cosh-lambda", {"lambda": lam}))
