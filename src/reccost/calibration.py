@@ -174,9 +174,19 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
 
 
 def window_curvature(h: FunctionHandle, window_T: float) -> CurvatureEstimate:
-    """estimate_kappa(h, h0 = min(0.25, window_T/2)) at 6 levels: the curvature that
-    classify, certify and report each measure on [-window_T, window_T]."""
-    return estimate_kappa(h, h0=min(0.25, 0.5 * window_T))
+    """estimate_kappa(h, h0) at 6 levels, the curvature that classify, certify and report each
+    measure on [-window_T, window_T].  h0 = min(0.25, window_T/2) halves, at most 64 times, while
+    the ladder is out of Richardson's small-step regime: some step s has |q(s)| s^2 = 2 |G_sym(s)|
+    > 1, and the smallest step's value is below the largest's (it decays toward G(0) = 0).  A NaN
+    ends the halving, as does a next ladder whose smallest step has a subnormal square."""
+    est = estimate_kappa(h, h0=min(0.25, 0.5 * window_T))
+    for _ in range(64):
+        s, q = np.array(est.ratio_table).T
+        v = np.abs(q) * (s * s)
+        if not (np.max(v) > 1.0 and v[-1] < v[0] and 0.25 * s[-1]**2 >= np.finfo(float).tiny):
+            break
+        est = estimate_kappa(h, h0=0.5 * s[0])
+    return est
 
 
 def classify(

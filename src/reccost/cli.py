@@ -274,23 +274,10 @@ def _cmd_sup_defect(ns):
     return _pick(report, _DEFECT), diag, STATUS_OK, None
 
 
-def _identities(handle, ns):
-    """identity_report, or a RangeOverflowError naming the handle and max |G| where a violation
-    is not finite though G is on every node of [-2T, 2T] (H^2 or H(t+u) H(t-u) overflows)."""
-    from . import dalembert
-    ids = dalembert.identity_report(handle, ns.T, ns.step)
-    if not all(map(math.isfinite, vars(ids).values())):
-        nodes = dalembert._sweep(handle, ns.T, ns.step, "identity_report")[2].tolist()
-        if all(map(math.isfinite, nodes)):
-            raise RangeOverflowError(
-                f"{handle.name}: identity_report overflows double precision, with max |G| = "
-                f"{max(map(abs, nodes)):.17g} on [-2T, 2T] = [{-2 * ns.T:g}, {2 * ns.T:g}]")
-    return ids
-
-
 def _cmd_identities(ns):
     handle, diag = _grid_source(ns, LOG_LINE)
-    return _identities(handle, ns), diag, STATUS_OK, None
+    from . import dalembert
+    return dalembert.identity_report(handle, ns.T, ns.step), diag, STATUS_OK, None
 
 
 def _cmd_calibrate(ns):
@@ -333,7 +320,7 @@ def _certify_common(ns, ratio: bool):
 
 def _cmd_distance(ns):
     from . import geometry
-    return geometry.distance(ns.x, ns.y, ns.tol), {}, STATUS_OK, None
+    return geometry.distance(ns.x, ns.y), {}, STATUS_OK, None
 
 
 def _cmd_chebyshev(ns):
@@ -353,7 +340,7 @@ def _cmd_report(ns):
     from . import calibration, dalembert, stability
     sections = {"sup_defect": _pick(defect := dalembert.sup_defect(handle, ns.T, ns.step), _DEFECT)}
     try:
-        sections["identities"] = _identities(handle, ns)
+        sections["identities"] = dalembert.identity_report(handle, ns.T, ns.step)
     except RangeOverflowError as exc:  # a finite G whose identities overflow
         sections["identities"] = {"error": str(exc)}
     sections["curvature"] = _pick(calibration.window_curvature(handle, ns.T), _CURVATURE)
@@ -471,7 +458,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sp = _command(sub, "distance", "geodesic distance of the Hessian metric", _cmd_distance)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--y", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
 
     sp = _command(sub, "chebyshev", "Chebyshev identity check for J(x^n)", _cmd_chebyshev)
     sp.add_argument("--x", type=float, required=True)

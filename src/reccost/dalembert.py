@@ -277,7 +277,8 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
 def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolations:
     """Grid suprema of the four identity violations; see IdentityViolations.
 
-    Evaluated in G = H - 1, where H^2 - 1 = G (G + 2).
+    Evaluated in G = H - 1, where H^2 - 1 = G (G + 2).  Where G is finite on every node of
+    [-2T, 2T] but a violation is not (H^2 or H(t+u) H(t-u) overflows), raises RangeOverflowError.
     """
     # with wq = max |q_G - q_E|, Q = max |q|, and |(s - d)_G^2 - (s - d)_E^2| <= 2 omega 4 M
     _, _, nodes, g, (product, square) = _suprema(
@@ -285,12 +286,14 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
         lambda w, big, wq, mq: (
             _rho(w * (2.0 + 2.0 * big) + 2.0 * wq, big * big + 2.0 * (big + mq), 3),
             _rho(8.0 * (big * w + mq * wq), 4.0 * (big * big + mq * mq), 4)))
-    return IdentityViolations(
-        product_identity=float(product[0]),
-        difference_square=float(square[0]),
-        double_angle=float(np.max(np.abs(nodes[::2] - 2.0 * (g * (g + 2.0))))),
-        evenness=float(np.max(np.abs(g[::-1] - g))),
-    )
+    ids = IdentityViolations(float(product[0]), float(square[0]),
+                             float(np.max(np.abs(nodes[::2] - 2.0 * (g * (g + 2.0))))),
+                             float(np.max(np.abs(g[::-1] - g))))
+    if not all(map(math.isfinite, vars(ids).values())) and np.all(np.isfinite(nodes)):
+        raise RangeOverflowError(
+            f"{h.name}: identity_report overflows double precision, with max |G| = "
+            f"{float(np.max(np.abs(nodes))):.17g} on [-2T, 2T] = [{-2 * T:g}, {2 * T:g}]")
+    return ids
 
 
 def ode_residual(h: FunctionHandle, a: float, T: float, step: float, fd_h: float) -> float:

@@ -145,7 +145,7 @@ def _arc_length(x: float, y: float) -> tuple[float, float, int, float]:
     return i_hi - i_lo, eps * (abs(i_hi) + abs(i_lo)) + slack, n_hi + n_lo, hi - lo
 
 
-def distance(x: float, y: float, tol: float) -> DistanceResult:
+def distance(x: float, y: float, tol: float = 1e-10) -> DistanceResult:
     """Geodesic distance d_J(x, y); symmetric in its arguments, zero at x = y.
 
     The value is accurate to abs_error_estimate whatever tol is; tol must be

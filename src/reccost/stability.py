@@ -149,10 +149,9 @@ def certify(
     eps, B, K on grids, picks h (optimal_h unless h_choice is given), refuses
     an a that leaves delta/a or cosh(sqrt(a) t) on the window not finite, and
     sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
-    envelope.  a defaults to the kappa of window_curvature(h, T)
-    (h0 = min(0.25, T/2)), which certify measures itself; an a given instead
-    certifies against the branch cosh(sqrt(a) t).  defect, sup_defect(h, T, step),
-    saves that sweep if the caller has it.
+    envelope.  a defaults to the kappa of window_curvature(h, T), which certify measures
+    itself; an a given instead certifies against the branch cosh(sqrt(a) t).  defect,
+    sup_defect(h, T, step), saves that sweep if the caller has it.
     """
     require_domain(h, LOG_LINE, "certify")
     if not (T > 0 and math.isfinite(T)):
@@ -243,7 +242,7 @@ def certify_ratio(
     """Certificate for a positive-ratio handle over x in (e^-(T-h), e^(T-h)).
 
     Lifts to log coordinates and certifies there (a defaults to the lift's
-    window_curvature, h0 = min(0.25, T/2)); the envelope in x reads
+    window_curvature); the envelope in x reads
     (delta/a)(cosh(sqrt(a) |ln x|) - 1).  When a is within 1e-10 of 1 the
     envelope is reported in the simplified form delta * J(x).
     """

@@ -24,10 +24,11 @@ from reccost import (
     estimate_kappa,
     lift_to_log,
     make_family,
+    parse_family_spec,
     quad_ratio,
     sample_table,
 )
-from reccost.calibration import minimize_scalar
+from reccost.calibration import minimize_scalar, window_curvature
 from reccost.fixtures import FAMILIES, PERTURB_MODES
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
@@ -194,6 +195,47 @@ class TestEstimateKappa:
         assert (type(est.kappa), type(est.uncertainty)) == (float, float)
         assert (type(est.levels), type(est.noise_limited)) == (int, bool)
         assert {type(v) for row in est.ratio_table for v in row} == {float}
+
+
+class TestWindowCurvature:
+    """window_curvature halves h0 until its ladder decays toward G(0) = 0 with every
+    |q(s)| s^2 = 2 |G_sym(s)| at most 1, where Richardson extrapolation holds."""
+
+    @pytest.mark.parametrize("spec, T, kappa", [
+        ("cosh-lambda,lambda=10", 2.0, 100.0),
+        ("cosh-lambda,lambda=100", 3.0, 1e4),
+        ("powerlaw-w,lambda=170", 2.0, 28900.0),
+        ("cos-k,k=30", 2.0, -900.0),
+        (f"cos-k,k={8 * math.pi!r}", 2.0, -64 * math.pi**2),  # q(0.25) aliases to about 0
+    ], ids=["cosh-10", "cosh-100", "powerlaw-w-170", "cos-30", "cos-8pi"])
+    def test_steep_handles_give_their_curvature(self, spec, T, kappa):
+        est = window_curvature(make_family(parse_family_spec(spec), domain=LOG_LINE), T)
+        assert abs(est.kappa - kappa) <= 1e-9 * abs(kappa)
+
+    @pytest.mark.parametrize("spec", ["cosh-lambda,lambda=2", "zero"])
+    def test_a_handle_in_regime_costs_one_ladder(self, spec, monkeypatch):
+        # zero's ladder does not decay (G = -1), so it keeps h0 = 0.25 and its estimate
+        h = make_family(parse_family_spec(spec), domain=LOG_LINE)
+        calls = []
+        evaluate = FunctionHandle._eval
+        monkeypatch.setattr(FunctionHandle, "_eval",
+                            lambda self, z, order: calls.append(z) or evaluate(self, z, order))
+        assert window_curvature(h, 2.0) == estimate_kappa(h, h0=0.25)
+        assert len(calls) == 4  # two for window_curvature's ladder, two for estimate_kappa's
+
+    def test_nan_ends_the_halving(self):
+        h = analytic(LOG_LINE, "cosh(30 t), NaN at 2^-6",
+                     (lambda t: np.where(np.abs(t) == 2.0**-6, np.nan, np.cosh(30.0 * t)),))
+        est = window_curvature(h, 2.0)
+        assert est.ratio_table[0][0] == 0.25 and math.isnan(est.ratio_table[-2][1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_halving_keeps_a_ladder_estimate_kappa_takes(self):
+        # from h0 = 5e-151 the ladder of cosh(4e152 t) reaches its regime only at steps whose
+        # squares are subnormal, so the halving stops at the last ladder estimate_kappa takes
+        h = make_family(parse_family_spec("cosh-lambda,lambda=4e152"), domain=LOG_LINE)
+        s = window_curvature(h, 1e-150).ratio_table[-1][0]
+        assert s * s >= np.finfo(float).tiny > (0.5 * s) ** 2
 
 
 class TestClassify:

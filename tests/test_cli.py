@@ -34,7 +34,7 @@ EXAMPLES = {argv[0]: argv for argv in [
     ["classify", "--family", "cosh-lambda,lambda=2"],
     ["certify", "--family", "cosh", "--T", "2", "--step", "0.05"],
     ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
-    ["distance", "--x", "1", "--y", "3", "--tol", "1e-10"],
+    ["distance", "--x", "1", "--y", "3"],
     ["chebyshev", "--x", "2", "--n", "5"],
     ["golden", "--x0", "1", "--tol", "1e-12", "--max-iter", "200"],
     ["report", "--family", "cosh", "--T", "2", "--step", "0.1"],
@@ -167,7 +167,7 @@ class TestExitCodes:
         ["classify", "--family", "cosh-lambda,lambda=2"],
         ["certify", "--family", "cosh", "--T", "2", "--step", "0.05"],
         ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
-        ["distance", "--x", "1", "--y", "2.718281828459045", "--tol", "1e-10"],
+        ["distance", "--x", "1", "--y", "2.718281828459045"],
         ["chebyshev", "--x", "2", "--n", "3"],
         ["golden", "--x0", "1", "--tol", "1e-12", "--max-iter", "200"],
         ["report", "--family", "cosh", "--T", "2", "--step", "0.1"],
@@ -674,6 +674,18 @@ class TestReports:
                                         "classification", "certificate"]
         assert math.isfinite(report.results["sup_defect"]["epsilon"])
 
+    def test_report_keeps_a_ladder_that_does_not_decay(self, capsys):
+        # zero's G = -1 at every step: window_curvature keeps h0 = 0.25 and its estimate
+        code, report = run(["report", "--family", "zero", "--T", "2", "--step", "0.5"])
+        assert code == 0
+        assert report.results["curvature"] == {"kappa": -160.0, "uncertainty": 128.0,
+                                               "levels": 2, "noise_limited": True}
+
+    def test_classify_finds_a_fast_cos_branch(self, capsys):
+        code, report = run(["classify", "--family", "cos-k,k=30", "--window-T", "2"])
+        assert code == 0 and report.results["branch"] == "Cos"
+        assert abs(report.results["k"] - 30.0) <= 1e-9 * 30.0
+
     def test_report_sections_match_single_commands(self, capsys):
         source = ["--family", "cosh-lambda,lambda=2"]
         grid = source + ["--T", "2", "--step", "0.1"]
@@ -866,6 +878,13 @@ class TestModuleInvocation:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_distance_refuses_tol(self):
+        # distance's value holds whatever tol is, so the command takes no --tol
+        proc = subprocess.run([sys.executable, "-m", "reccost", "distance", "--x", "1", "--y", "3",
+                               "--tol", "1e-10"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert "InputError: unrecognized arguments: --tol 1e-10" in proc.stdout
 
     @pytest.mark.parametrize("argv, code, message", [
         (["classify", "--family", "quadlog", "--window-T", "350"], 1, ""),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from reccost import (
     POSITIVE_RATIOS,
     DomainError,
     FamilySpec,
+    RangeOverflowError,
     analytic,
     defect_log,
     defect_ratio,
@@ -231,10 +233,15 @@ def path(h, T, step):
     return "fold" if not taken else "whole table" if taken[0] is None else "even part"
 
 
+def defect_fields(h, T, step):
+    rep = sup_defect(h, T, step)
+    return rep.epsilon, rep.argmax.t, rep.argmax.u, rep.argmax.delta
+
+
 def fields(h, T, step):
     """The same fields from sup_defect and identity_report."""
-    rep, ids = sup_defect(h, T, step), identity_report(h, T, step)
-    return ((rep.epsilon, rep.argmax.t, rep.argmax.u, rep.argmax.delta),
+    ids = identity_report(h, T, step)
+    return (defect_fields(h, T, step),
             (ids.product_identity, ids.difference_square, ids.double_angle, ids.evenness))
 
 
@@ -242,6 +249,42 @@ def assert_same(got, want):
     """== on every field of fields() and full_tables(), where a NaN matches only a NaN."""
     for g, w in zip(got[0] + got[1], want[0] + want[1]):
         assert g == w or (math.isnan(g) and math.isnan(w)), (got, want)
+
+
+def assert_identities_refused(h, T, step):
+    """sup_defect's fields equal full_tables'; G is finite on every node but an identity field
+    of full_tables is not, and identity_report refuses it.  Returns sup_defect's fields."""
+    want, got = full_tables(h, T, step), defect_fields(h, T, step)
+    assert_same((got, ()), (want[0], ()))
+    assert np.all(np.isfinite(_sweep(h, T, step, "nodes")[2]))
+    assert not all(map(math.isfinite, want[1]))
+    prefix = f"{h.name}: identity_report overflows double precision, with max |G| = "
+    with pytest.raises(RangeOverflowError, match="^" + re.escape(prefix)):
+        identity_report(h, T, step)
+    return got
+
+
+class TestIdentityOverflow:
+    """identity_report refuses a G finite on every node of [-2T, 2T] whose violations overflow,
+    and answers NaN fields where a node of G is NaN."""
+
+    @pytest.mark.parametrize("spec, T, message", [
+        ("cosh-lambda,lambda=100", 3.0, "cosh-lambda(100): identity_report overflows double "
+         "precision, with max |G| = 1.8865101504649698e+260 on [-2T, 2T] = [-6, 6]"),
+        ("powerlaw-w,lambda=170", 2.0, "powerlaw-w(170): identity_report overflows double "
+         "precision, with max |G| = 1.045244036805178e+295 on [-2T, 2T] = [-4, 4]"),
+    ], ids=["cosh-lambda", "powerlaw-w"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_g_whose_violations_overflow_is_refused(self, spec, T, message):
+        h = make_family(parse_family_spec(spec), domain=LOG_LINE)
+        with pytest.raises(RangeOverflowError) as info:
+            identity_report(h, T, 0.5)
+        assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_nodes_give_nan_fields(self):
+        h = make_family(parse_family_spec("noisy-cosh,freq=1e308"), domain=LOG_LINE)
+        assert all(map(math.isnan, vars(identity_report(h, 2.0, 0.05)).values()))
 
 
 class TestRowBlocks:
@@ -425,14 +468,18 @@ class TestMirrorFold:
         assert got == want
         assert got[0][1:3] == (0.5, -1.0) and got[0][0] > 9e-4 and got[1][0] > 9e-4
 
-    @pytest.mark.parametrize("T, fns", [
-        (400.0, (np.cosh,)),  # G(800) = inf and 2 G(t) G(u) = inf: NaN at the corners
-        (2.0, (lambda t: 1.0 + 1e300 * ((t * t) * (t * t)),)),  # 2 G(t) G(u) = inf: Delta = -inf
+    @pytest.mark.parametrize("T, fns, refused", [
+        (400.0, (np.cosh,), False),  # G(800) = inf and 2 G(t) G(u) = inf: NaN at the corners
+        # 2 G(t) G(u) = inf: Delta = -inf, and on finite G identity_report refuses its overflow
+        (2.0, (lambda t: 1.0 + 1e300 * ((t * t) * (t * t)),), True),
     ], ids=["nan", "inf"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflow(self, T, fns):
+    def test_overflow(self, T, fns, refused):
         h = analytic(LOG_LINE, "overflowing", fns)
         assert path(h, T, T / 10) == "fold"
+        if refused:
+            assert not math.isfinite(assert_identities_refused(h, T, T / 10)[0])
+            return
         got, want = fields(h, T, T / 10), full_tables(h, T, T / 10)
         assert not math.isfinite(got[0][0])
         assert_same(got, want)
@@ -447,29 +494,32 @@ class TestMirrorFold:
         _, _, delta = defect_grid(h, 1.0, 0.25)
         assert math.isnan(delta[2, 0]) and delta[0, 2] == -math.inf
         assert path(h, 1.0, 0.25) == "whole table"
-        got = fields(h, 1.0, 0.25)
-        assert_same(got, full_tables(h, 1.0, 0.25))
-        assert math.isnan(got[0][0]) and got[0][1:3] == (-0.5, -1.0)
+        got = assert_identities_refused(h, 1.0, 0.25)
+        assert math.isnan(got[0]) and got[1:3] == (-0.5, -1.0)
 
-    @pytest.mark.parametrize("h, T, step, taken", [
-        # bitwise even, but G = 1.5e308 beyond T: 2 G overflows off the axis only
+    @pytest.mark.parametrize("h, T, step, taken, refused", [
+        # bitwise even, but G = 1.5e308 beyond T: 2 G overflows off the axis only, and the
+        # identities of that finite G overflow
         (analytic(LOG_LINE, "even, 2 G overflows beyond T",
                   (lambda t: np.where(np.abs(t) > 1.0, 1.5e308, np.cosh(t)),)),
-         1.0, 0.1, "whole table"),
+         1.0, 0.1, "whole table", True),
         # G = -0.0 on t < 0 and +0.0 on t >= 0 near the origin: mirrored zeros compare equal
         (from_excess(LOG_LINE, "signed zeros near 0", (lambda t: np.where(
             np.abs(t) < 0.5, np.copysign(0.0, t), 0.5 * t * t),), (-700.0, 700.0)),
-         1.0, 0.1, "fold"),
-        (analytic(LOG_LINE, "cosh", (np.cosh,)), 400.0, 40.0, "fold"),  # G(+-800) = inf
+         1.0, 0.1, "fold", False),
+        (analytic(LOG_LINE, "cosh", (np.cosh,)), 400.0, 40.0, "fold", False),  # G(+-800) = inf
         (analytic(LOG_LINE, "cosh with NaN at 1.5", (lambda t: np.where(
-            np.abs(t - 1.5) < 1e-9, np.nan, np.cosh(t)),)), 1.0, 0.1, "whole table"),
+            np.abs(t - 1.5) < 1e-9, np.nan, np.cosh(t)),)), 1.0, 0.1, "whole table", False),
     ], ids=["2G-overflows-beyond-T", "signed-zeros", "even-infs", "nan-node"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_even_part_equal_to_g_is_the_one_criterion(self, h, T, step, taken):
+    def test_even_part_equal_to_g_is_the_one_criterion(self, h, T, step, taken, refused):
         # the sweeps fold exactly where E = (nodes + nodes[::-1]) / 2 equals G: G bitwise even
         # and 2 G finite wherever G is, since x + x overflows to inf != x and NaN != NaN
         assert path(h, T, step) == taken
-        assert_same(fields(h, T, step), full_tables(h, T, step))
+        if refused:
+            assert_identities_refused(h, T, step)
+        else:
+            assert_same(fields(h, T, step), full_tables(h, T, step))
 
     def test_defect_grid_keeps_the_whole_table(self):
         _, axis, delta = defect_grid(COSH_LOG, 1.0, 0.1)
