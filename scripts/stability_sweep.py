@@ -3,7 +3,8 @@
 
 For cosh + eta * t^4 (or the sine mode) this prints how the measured defect,
 the chosen step h, delta(h) and the worst envelope margin respond to eta.
-The defect should scale linearly in eta while every certificate stays sound.
+The defect should scale linearly in eta; each row prints the certificate's
+verdict and its worst envelope margin.
 
     python scripts/stability_sweep.py
     python scripts/stability_sweep.py --mode sine --freq 5 --T 1.5 --csv sweep.csv

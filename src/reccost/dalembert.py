@@ -12,9 +12,9 @@ kernel in the excess G(t) = H(t) - 1 = F(e^t) that every handle stores:
 
 which keeps the precision of G near t = 0 instead of cancelling 1s in H.
 
-Suprema are reported over explicit uniform grids, never over the continuum;
-every report carries the grid spec so certificates are explicit about the
-discretization.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
+Suprema are reported over explicit uniform grids, never over the continuum, with
+the grid spec; one that overflows where G is finite on every node raises
+RangeOverflowError.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
 node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, reduces
 the n x n tables in blocks of 2^15 elements written into two 256 KB buffers
 allocated once (memory O(n) plus two blocks: 0.8 MB traced at T = 2, step
@@ -167,7 +167,8 @@ def _suprema(h: FunctionHandle, T: float, step: float, op: str, aux, scores, bou
     """(step, axis, nodes, G on the axis, picks): per score, (|score|, i, j) at its first NaN, else
     first max, in row-major order over the whole table.  scores(G(t + u), G(t - u), a(t), a(u),
     out, cross), a = aux(G on the axis), yields each |score| block in out or cross in turn.
-    Where the even part E is G they are its triangle's, else E's (_even_part) or the table's."""
+    Where the even part E is G they are its triangle's, else E's (_even_part) or the table's.
+    A pick that is not finite, where G is finite on every node, raises RangeOverflowError."""
     actual_step, axis, nodes, g = _sweep(h, T, step, op)
     e = (nodes + nodes[::-1]) * 0.5  # bitwise even: mirrored entries add the same two numbers
     a, views = aux(g), _buffers(axis.size)
@@ -177,6 +178,9 @@ def _suprema(h: FunctionHandle, T: float, step: float, op: str, aux, scores, bou
         picks = [p[int(np.argmax([v for v, _, _ in p]))] for p in zip(*(
             [_first_max(x, r.start, c.start) for x in xs]
             for r, c, xs in _scored(nodes, a, fold, scores, views)))]
+    if not all(math.isfinite(v) for v, _, _ in picks) and np.all(np.isfinite(nodes)):
+        raise RangeOverflowError(f"{h.name}: {op} overflows double precision, with max |G| = "
+                                 f"{abs(nodes).max():.17g} on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
     return actual_step, axis, nodes, g, picks
 
 
@@ -259,9 +263,9 @@ def defect_ratio(f: FunctionHandle, x: float, y: float) -> float:
 def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     """Max of |Delta_H| over the inclusive uniform grid {-T, ..., T}^2.
 
-    Requires h evaluable on [-2T, 2T] since t + u reaches 2T at the corners.
-    Ties at the max resolve to the first point in row-major order, so the
-    report is deterministic.
+    Requires h evaluable on [-2T, 2T], which t + u reaches at the corners.  Ties at the max
+    resolve to the first point in row-major order, so the report is deterministic.  Where G is
+    finite on every node of [-2T, 2T] but Delta overflows, raises RangeOverflowError.
     """
     # |Delta_G - Delta_E| <= 2 omega + 2 (2 M omega) + 4 omega; the terms sum to 6 M + 2 M^2
     actual_step, axis, nodes, g, [(_, i, j)] = _suprema(
@@ -286,14 +290,9 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
         lambda w, big, wq, mq: (
             _rho(w * (2.0 + 2.0 * big) + 2.0 * wq, big * big + 2.0 * (big + mq), 3),
             _rho(8.0 * (big * w + mq * wq), 4.0 * (big * big + mq * mq), 4)))
-    ids = IdentityViolations(float(product[0]), float(square[0]),
-                             float(np.max(np.abs(nodes[::2] - 2.0 * (g * (g + 2.0))))),
-                             float(np.max(np.abs(g[::-1] - g))))
-    if not all(map(math.isfinite, vars(ids).values())) and np.all(np.isfinite(nodes)):
-        raise RangeOverflowError(
-            f"{h.name}: identity_report overflows double precision, with max |G| = "
-            f"{float(np.max(np.abs(nodes))):.17g} on [-2T, 2T] = [{-2 * T:g}, {2 * T:g}]")
-    return ids
+    return IdentityViolations(float(product[0]), float(square[0]),
+                              float(np.max(np.abs(nodes[::2] - 2.0 * (g * (g + 2.0))))),
+                              float(np.max(np.abs(g[::-1] - g))))
 
 
 def ode_residual(h: FunctionHandle, a: float, T: float, step: float, fd_h: float) -> float:

@@ -903,17 +903,21 @@ class TestModuleInvocation:
          "PreconditionError: curvature a = 1e+300: cosh(sqrt(a) t) overflows on the window"),
         (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e-320"], 2,
          "PreconditionError: curvature a = 1e-320 leaves the envelope scale delta/a = inf"),
-        (["certify", "--family", "noisy-cosh,amplitude=1e300", "--T", "2", "--step", "0.5"], 2,
-         ""),
+        *[([cmd, "--family", "noisy-cosh,amplitude=1e300", "--T", "2", "--step", "0.5"], 2,
+           "RangeOverflowError: noisy-cosh(1,sine,1e+300): sup_defect overflows double precision, "
+           "with max |G| = 1.8390715290764525e+300 on [-2T, 2T] = [-4, 4]")
+          for cmd in ("certify", "sup-defect", "report")],
     ], ids=["classify", "sup-defect", "report", "identities", "identities-cosh-lambda",
-            "report-powerlaw-w", "certify-a-huge", "certify-a-tiny", "certify-amplitude"])
+            "report-powerlaw-w", "certify-a-huge", "certify-a-tiny", "certify-amplitude",
+            "sup-defect-amplitude", "report-amplitude"])
     def test_overflow_warnings_stay_off_stderr(self, argv, code, message):
-        # each run answers or exits 2 with a message; numpy's RuntimeWarnings once followed it
+        # each run answers or exits 2 with a message; numpy's RuntimeWarnings once followed it;
+        # report needs sup_defect's epsilon for its certificate, so its refusal ends the run
         proc = subprocess.run([sys.executable, "-m", "reccost", *argv], capture_output=True,
                               text=True)
         assert (proc.returncode, proc.stderr) == (code, "")
         assert proc.stdout.startswith(f"reccost {argv[0]}: ")
-        assert message in proc.stdout  # an --a or identities that overflow are named
+        assert message in proc.stdout  # an --a, a defect or identities that overflow are named
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, code", [

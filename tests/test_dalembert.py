@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import tracemalloc
@@ -225,9 +226,9 @@ def full_tables(h, T, step):
 def path(h, T, step):
     """The reduction sup_defect takes: "fold" (the triangle of G's own tables) where the even
     part E is G, else "even part" (E's triangle, then G on the images of what it cannot rule out)
-    or "whole table"."""
+    or "whole table".  It is taken before any overflow is refused."""
     taken, even_part = [], dalembert._even_part
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, contextlib.suppress(RangeOverflowError):
         mp.setattr(dalembert, "_even_part", lambda *a: taken.append(even_part(*a)) or taken[-1])
         sup_defect(h, T, step)
     return "fold" if not taken else "whole table" if taken[0] is None else "even part"
@@ -238,11 +239,14 @@ def defect_fields(h, T, step):
     return rep.epsilon, rep.argmax.t, rep.argmax.u, rep.argmax.delta
 
 
+def identity_fields(h, T, step):
+    ids = identity_report(h, T, step)
+    return ids.product_identity, ids.difference_square, ids.double_angle, ids.evenness
+
+
 def fields(h, T, step):
     """The same fields from sup_defect and identity_report."""
-    ids = identity_report(h, T, step)
-    return (defect_fields(h, T, step),
-            (ids.product_identity, ids.difference_square, ids.double_angle, ids.evenness))
+    return defect_fields(h, T, step), identity_fields(h, T, step)
 
 
 def assert_same(got, want):
@@ -251,34 +255,45 @@ def assert_same(got, want):
         assert g == w or (math.isnan(g) and math.isnan(w)), (got, want)
 
 
-def assert_identities_refused(h, T, step):
-    """sup_defect's fields equal full_tables'; G is finite on every node but an identity field
-    of full_tables is not, and identity_report refuses it.  Returns sup_defect's fields."""
-    want, got = full_tables(h, T, step), defect_fields(h, T, step)
-    assert_same((got, ()), (want[0], ()))
-    assert np.all(np.isfinite(_sweep(h, T, step, "nodes")[2]))
-    assert not all(map(math.isfinite, want[1]))
-    prefix = f"{h.name}: identity_report overflows double precision, with max |G| = "
-    with pytest.raises(RangeOverflowError, match="^" + re.escape(prefix)):
-        identity_report(h, T, step)
-    return got
+def assert_same_or_refused(h, T, step):
+    """Each sweep refuses by name exactly where G is finite on every node but a field of
+    full_tables' for that sweep is not; otherwise its fields equal full_tables'.  Returns the
+    names of the sweeps that refused."""
+    want, refused = full_tables(h, T, step), []
+    finite = bool(np.all(np.isfinite(_sweep(h, T, step, "nodes")[2])))
+    for sweep, read, expected in ((sup_defect, defect_fields, want[0]),
+                                  (identity_report, identity_fields, want[1])):
+        if finite and not all(map(math.isfinite, expected)):
+            prefix = f"{h.name}: {sweep.__name__} overflows double precision, with max |G| = "
+            with pytest.raises(RangeOverflowError, match="^" + re.escape(prefix)):
+                sweep(h, T, step)
+            refused.append(sweep.__name__)
+        else:
+            assert_same((read(h, T, step), ()), (expected, ()))
+    return refused
 
 
 class TestIdentityOverflow:
-    """identity_report refuses a G finite on every node of [-2T, 2T] whose violations overflow,
-    and answers NaN fields where a node of G is NaN."""
+    """identity_report, and sup_defect too, refuse a G finite on every node of [-2T, 2T] whose
+    violations or defect overflow; identity_report answers NaN fields where a node of G is NaN."""
 
-    @pytest.mark.parametrize("spec, T, message", [
-        ("cosh-lambda,lambda=100", 3.0, "cosh-lambda(100): identity_report overflows double "
-         "precision, with max |G| = 1.8865101504649698e+260 on [-2T, 2T] = [-6, 6]"),
-        ("powerlaw-w,lambda=170", 2.0, "powerlaw-w(170): identity_report overflows double "
-         "precision, with max |G| = 1.045244036805178e+295 on [-2T, 2T] = [-4, 4]"),
-    ], ids=["cosh-lambda", "powerlaw-w"])
+    @pytest.mark.parametrize("sweep, spec, T, message", [
+        (identity_report, "cosh-lambda,lambda=100", 3.0, "cosh-lambda(100): identity_report "
+         "overflows double precision, with max |G| = 1.8865101504649698e+260 on [-2T, 2T] = "
+         "[-6, 6]"),
+        (identity_report, "powerlaw-w,lambda=170", 2.0, "powerlaw-w(170): identity_report "
+         "overflows double precision, with max |G| = 1.045244036805178e+295 on [-2T, 2T] = "
+         "[-4, 4]"),
+        # 2 G(t) G(u) overflows: there is no epsilon to report
+        (sup_defect, "noisy-cosh,amplitude=1e300", 2.0, "noisy-cosh(1,sine,1e+300): sup_defect "
+         "overflows double precision, with max |G| = 1.8390715290764525e+300 on [-2T, 2T] = "
+         "[-4, 4]"),
+    ], ids=["cosh-lambda", "powerlaw-w", "sup-defect-noisy-cosh"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_finite_g_whose_violations_overflow_is_refused(self, spec, T, message):
+    def test_finite_g_whose_violations_overflow_is_refused(self, sweep, spec, T, message):
         h = make_family(parse_family_spec(spec), domain=LOG_LINE)
         with pytest.raises(RangeOverflowError) as info:
-            identity_report(h, T, 0.5)
+            sweep(h, T, 0.5)
         assert str(info.value) == message
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -469,57 +484,50 @@ class TestMirrorFold:
         assert got[0][1:3] == (0.5, -1.0) and got[0][0] > 9e-4 and got[1][0] > 9e-4
 
     @pytest.mark.parametrize("T, fns, refused", [
-        (400.0, (np.cosh,), False),  # G(800) = inf and 2 G(t) G(u) = inf: NaN at the corners
-        # 2 G(t) G(u) = inf: Delta = -inf, and on finite G identity_report refuses its overflow
-        (2.0, (lambda t: 1.0 + 1e300 * ((t * t) * (t * t)),), True),
+        # G(800) = inf and 2 G(t) G(u) = inf: NaN at the corners, which the sweeps report
+        (400.0, (np.cosh,), []),
+        # 2 G(t) G(u) = inf: Delta = -inf, and on finite G both sweeps refuse their overflow
+        (2.0, (lambda t: 1.0 + 1e300 * ((t * t) * (t * t)),), ["sup_defect", "identity_report"]),
     ], ids=["nan", "inf"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow(self, T, fns, refused):
         h = analytic(LOG_LINE, "overflowing", fns)
         assert path(h, T, T / 10) == "fold"
-        if refused:
-            assert not math.isfinite(assert_identities_refused(h, T, T / 10)[0])
-            return
-        got, want = fields(h, T, T / 10), full_tables(h, T, T / 10)
-        assert not math.isfinite(got[0][0])
-        assert_same(got, want)
+        assert assert_same_or_refused(h, T, T / 10) == refused
+        assert not all(map(math.isfinite, full_tables(h, T, T / 10)[0]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_doubling_takes_the_whole_table(self):
         # G(+-0.5) = 1.5e308, G = -0.5 elsewhere: (2 G(-0.5)) G(-1) = -inf makes Delta(-0.5, -1)
         # NaN, but (2 G(-1)) G(-0.5) is finite and Delta(-1, -0.5) = -inf, which the triangle
-        # would report
+        # would report; G is finite on every node, so both sweeps refuse
         h = analytic(LOG_LINE, "even, 2 G overflows",
                      (lambda t: np.where(np.abs(t) == 0.5, 1.5e308, 0.5),))
         _, _, delta = defect_grid(h, 1.0, 0.25)
         assert math.isnan(delta[2, 0]) and delta[0, 2] == -math.inf
         assert path(h, 1.0, 0.25) == "whole table"
-        got = assert_identities_refused(h, 1.0, 0.25)
-        assert math.isnan(got[0]) and got[1:3] == (-0.5, -1.0)
+        assert assert_same_or_refused(h, 1.0, 0.25) == ["sup_defect", "identity_report"]
 
     @pytest.mark.parametrize("h, T, step, taken, refused", [
         # bitwise even, but G = 1.5e308 beyond T: 2 G overflows off the axis only, and the
         # identities of that finite G overflow
         (analytic(LOG_LINE, "even, 2 G overflows beyond T",
                   (lambda t: np.where(np.abs(t) > 1.0, 1.5e308, np.cosh(t)),)),
-         1.0, 0.1, "whole table", True),
+         1.0, 0.1, "whole table", ["identity_report"]),
         # G = -0.0 on t < 0 and +0.0 on t >= 0 near the origin: mirrored zeros compare equal
         (from_excess(LOG_LINE, "signed zeros near 0", (lambda t: np.where(
             np.abs(t) < 0.5, np.copysign(0.0, t), 0.5 * t * t),), (-700.0, 700.0)),
-         1.0, 0.1, "fold", False),
-        (analytic(LOG_LINE, "cosh", (np.cosh,)), 400.0, 40.0, "fold", False),  # G(+-800) = inf
+         1.0, 0.1, "fold", []),
+        (analytic(LOG_LINE, "cosh", (np.cosh,)), 400.0, 40.0, "fold", []),  # G(+-800) = inf
         (analytic(LOG_LINE, "cosh with NaN at 1.5", (lambda t: np.where(
-            np.abs(t - 1.5) < 1e-9, np.nan, np.cosh(t)),)), 1.0, 0.1, "whole table", False),
+            np.abs(t - 1.5) < 1e-9, np.nan, np.cosh(t)),)), 1.0, 0.1, "whole table", []),
     ], ids=["2G-overflows-beyond-T", "signed-zeros", "even-infs", "nan-node"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_even_part_equal_to_g_is_the_one_criterion(self, h, T, step, taken, refused):
         # the sweeps fold exactly where E = (nodes + nodes[::-1]) / 2 equals G: G bitwise even
         # and 2 G finite wherever G is, since x + x overflows to inf != x and NaN != NaN
         assert path(h, T, step) == taken
-        if refused:
-            assert_identities_refused(h, T, step)
-        else:
-            assert_same(fields(h, T, step), full_tables(h, T, step))
+        assert assert_same_or_refused(h, T, step) == refused
 
     def test_defect_grid_keeps_the_whole_table(self):
         _, axis, delta = defect_grid(COSH_LOG, 1.0, 0.1)

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import sys
@@ -22,6 +23,7 @@ def load_script(name):
 report_diff = load_script("report_diff")
 readme_reports = load_script("readme_reports")
 defect_landscape = load_script("defect_landscape")
+stability_sweep = load_script("stability_sweep")
 
 
 def write(tmp_path, name, obj):
@@ -118,3 +120,16 @@ class TestDefectLandscape:
         want = (f"{t:.17g},{u:.17g},{delta[i, j]:.17g}" for i, t in enumerate(axis)
                 for j, u in enumerate(axis))
         assert all(got == w for got, w in zip(rows[1:], want))
+
+
+class TestStabilitySweep:
+    def test_poly4_defect_scales_linearly_in_eta(self, tmp_path, monkeypatch, capsys):
+        # the defect of cosh + eta t^4 on [-1, 1] is about 9.8 eta for every default eta
+        out = tmp_path / "sweep.csv"
+        monkeypatch.setattr(sys, "argv", ["stability_sweep.py", "--csv", str(out)])
+        stability_sweep.main()
+        assert f"wrote {out}" in capsys.readouterr().out
+        with out.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["eta"]) for r in rows] == [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
+        assert all(9.0 <= float(r["epsilon"]) / float(r["eta"]) <= 11.0 for r in rows)
