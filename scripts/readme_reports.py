@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Write the --json reports of the README command-line examples into OUTDIR.
 
-There is one example per subcommand, plus certify on a table: thirteen in
-all.  OUTDIR receives samples.csv (cosh on 1001 nodes of [-2.5, 2.5], the
-input of the two table examples) and one report per example, NAME.json.
+There is one example per subcommand, plus certify and certify-ratio on a
+table: fourteen in all.  OUTDIR receives samples.csv (cosh on 1001 nodes of
+[-2.5, 2.5], the input of the three table examples) and one report per
+example, NAME.json.
 The reports come from reccost.cli.run of whichever reccost PYTHONPATH points
 at, so two checkouts can be compared report by report with report_diff.py:
 
@@ -34,6 +35,8 @@ EXAMPLES = {
     "identities": ["identities", "--family", "cosh", "--T", "2", "--step", "0.05"],
     "calibrate": ["calibrate", "--family", "cosh-lambda,lambda=2"],
     "cert-ratio": ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
+    # the table projected to ratios and lifted back: the path of a ratio view
+    "cert-ratio-table": ["certify-ratio", "--input", "samples.csv", "--T", "1.2", "--step", "0.05"],
     "distance": ["distance", "--x", "1", "--y", "1e4"],
     "chebyshev": ["chebyshev", "--x", "2", "--n", "8"],
     "golden": ["golden"],

@@ -173,13 +173,21 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
                              levels=used, noise_limited=used < levels)
 
 
+def _window_h0(window_T: float) -> float:
+    """First ladder step min(0.25, T/2); refuses a T whose 6th step (/32) has a subnormal square."""
+    h0 = min(0.25, 0.5 * window_T)
+    if (h0 / 32.0) ** 2 < np.finfo(float).tiny:
+        raise DomainError(f"window T = {window_T!r} is too narrow for a curvature ladder")
+    return h0
+
+
 def window_curvature(h: FunctionHandle, window_T: float) -> CurvatureEstimate:
     """estimate_kappa(h, h0) at 6 levels, the curvature that classify, certify and report each
     measure on [-window_T, window_T].  h0 = min(0.25, window_T/2) halves, at most 64 times, while
     the ladder is out of Richardson's small-step regime: some step s has |q(s)| s^2 = 2 |G_sym(s)|
     > 1, and the smallest step's value is below the largest's (it decays toward G(0) = 0).  A NaN
     ends the halving, as does a next ladder whose smallest step has a subnormal square."""
-    est = estimate_kappa(h, h0=min(0.25, 0.5 * window_T))
+    est = estimate_kappa(h, h0=_window_h0(window_T))
     for _ in range(64):
         s, q = np.array(est.ratio_table).T
         v = np.abs(q) * (s * s)
@@ -219,6 +227,7 @@ def classify(
         raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the default "
                                  "residual_tol 1e-6 cosh(window_T) would overflow")
     accept = residual_tol if residual_tol is not None else 1e-6 * math.cosh(window_T)
+    _window_h0(window_T)  # a window too narrow for its curvature is refused before its grid
     step = window_T / 100.0 if residual_grid_step is None else residual_grid_step
     grid = symmetric_grid(window_T, step)[1]
     vals = h(grid)

@@ -178,10 +178,16 @@ def _suprema(h: FunctionHandle, T: float, step: float, op: str, aux, scores, bou
         picks = [p[int(np.argmax([v for v, _, _ in p]))] for p in zip(*(
             [_first_max(x, r.start, c.start) for x in xs]
             for r, c, xs in _scored(nodes, a, fold, scores, views)))]
-    if not all(math.isfinite(v) for v, _, _ in picks) and np.all(np.isfinite(nodes)):
-        raise RangeOverflowError(f"{h.name}: {op} overflows double precision, with max |G| = "
-                                 f"{abs(nodes).max():.17g} on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
+    _finite(h, op, [v for v, _, _ in picks], nodes, f" on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
     return actual_step, axis, nodes, g, picks
+
+
+def _finite(h: FunctionHandle, op: str, value, g: np.ndarray, where: str = ""):
+    """value, or RangeOverflowError where it is not finite though every G it is formed from is."""
+    if not np.all(np.isfinite(value)) and np.all(np.isfinite(g)):
+        raise RangeOverflowError(f"{h.name}: {op} overflows double precision, with max |G| = "
+                                 f"{abs(g).max():.17g}{where}")
+    return value
 
 
 def _even_part(nodes: np.ndarray, e: np.ndarray, a: np.ndarray, aux, scores, bounds, views):
@@ -239,25 +245,27 @@ def defect_grid(h: FunctionHandle, T: float, step: float):
 
 
 def defect_log(h: FunctionHandle, t: float, u: float) -> float:
-    """Delta_H(t, u) = H(t+u) + H(t-u) - 2 H(t) H(u)."""
+    """Delta_H(t, u) = H(t+u) + H(t-u) - 2 H(t) H(u); an overflow is refused as a sweep's is."""
     require_domain(h, LOG_LINE, "defect_log")
     t, u = validate_log_coord(t), validate_log_coord(u)
     s, d = t + u, t - u
     if not (math.isfinite(s) and math.isfinite(d)):
         raise RangeOverflowError(f"defect at t = {t!r}, u = {u!r} needs t + u and t - u finite, "
                                  f"got {s!r} and {d!r}")
-    return _kernel(*h.excess(np.array([s, d, t, u]))[:, None]).item()
+    g = h.excess(np.array([s, d, t, u]))
+    return _finite(h, "defect_log", _kernel(*g[:, None]).item(), g)
 
 
 def defect_ratio(f: FunctionHandle, x: float, y: float) -> float:
-    """Composition-law defect F(xy) + F(x/y) - 2 F(x) F(y) - 2 F(x) - 2 F(y)."""
+    """Composition-law defect F(xy) + F(x/y) - 2 F(x) F(y) - 2 F(x) - 2 F(y), as defect_log's."""
     require_domain(f, POSITIVE_RATIOS, "defect_ratio")
     x, y = validate_positive_ratio(x), validate_positive_ratio(y)
     p, q = x * y, x / y
     if not (0.0 < p < math.inf and 0.0 < q < math.inf):
         raise RangeOverflowError(f"defect at x = {x!r}, y = {y!r} needs x*y and x/y finite and "
                                  f"positive, got {p!r} and {q!r}")
-    return _kernel(*f.excess(np.array([p, q, x, y]))[:, None]).item()
+    g = f.excess(np.array([p, q, x, y]))
+    return _finite(f, "defect_ratio", _kernel(*g[:, None]).item(), g)
 
 
 def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:

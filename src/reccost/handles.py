@@ -10,11 +10,11 @@ domain tag only says how callers address the handle:
     log-line         h(t) = G(t) + 1, derivatives G^(k)(t)
     positive-ratios  f(x) = G(ln x), derivatives by the chain rule below
 
-so ``lift_to_log`` and ``to_ratio`` are coordinate changes that retag the
-same stack; the lift is exact, ``H(t) = G(t) + 1`` with no round trip
-through ``exp``/``log``.  Each handle also carries the interval on which it
-may be evaluated.  Handles are immutable after construction and safe to
-share across concurrent callers.
+Each handle also carries its support, the t-interval on which the stack may be
+read, in t for both domains: a ratio query x is checked by ln x.  So
+``lift_to_log`` and ``to_ratio`` retag the same stack and support, exactly:
+``H(t) = G(t) + 1`` with no ``exp``/``log`` of either.  Handles are immutable
+after construction and safe to share across concurrent callers.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ import numpy as np
 from .core import LOG_LINE, POSITIVE_RATIOS
 from .errors import DomainError
 
-# exp() overflows just above 709.78; lifted handles stay clear of it
-_EXP_MAX = 709.0
-
 # With D = x d/dx = d/dt:  x^k F^(k) = sum_j s(k, j) G^(j)  (signed Stirling
 # numbers of the first kind) and G^(k) = sum_j S(k, j) x^j F^(j) (second
 # kind), j = 1..k.  These two tables are the whole log <-> ratio chain rule.
@@ -43,8 +40,8 @@ class FunctionHandle:
     """A log-line excess stack plus the domain it is addressed in and its support.
 
     ``fns[k]`` is the k-th t-derivative of G = H - 1; all accept and return
-    numpy arrays.  ``support`` is the closed interval of evaluable abscissas
-    (in t for log-line handles, in x for positive-ratio handles).
+    numpy arrays.  ``support`` is the closed t-interval on which the stack may
+    be read, for both domains: a positive-ratio handle takes x with ln x in it.
     """
 
     domain: str
@@ -57,28 +54,21 @@ class FunctionHandle:
         """The highest derivative available: the stack's depth, at most 3 on positive ratios."""
         return len(self.fns) - 1 if self.domain == LOG_LINE else min(len(self.fns) - 1, 3)
 
-    def _check(self, arr: np.ndarray) -> None:
-        if arr.size == 0:
-            return
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"{self.name}: non-finite abscissa")
-        if self.domain == POSITIVE_RATIOS and float(np.min(arr)) <= 0.0:
-            raise DomainError(f"{self.name}: positive-ratio handles require x > 0")
-        lo, hi = self.support
-        if float(np.min(arr)) < lo or float(np.max(arr)) > hi:
-            raise DomainError(
-                f"{self.name}: abscissa outside evaluable range [{lo:.6g}, {hi:.6g}]"
-            )
-
     def _eval(self, z, order: int):
         arr = np.asarray(z, dtype=float)
-        self._check(arr)
-        if self.domain == LOG_LINE:
-            out = self.fns[order](arr)
-        elif order == 0:
-            out = self.fns[0](np.log(arr))
+        ratio = self.domain == POSITIVE_RATIOS
+        if arr.size and not np.all(np.isfinite(arr)):
+            raise DomainError(f"{self.name}: non-finite abscissa")
+        if arr.size and ratio and float(np.min(arr)) <= 0.0:
+            raise DomainError(f"{self.name}: positive-ratio handles require x > 0")
+        t = np.log(arr) if ratio else arr
+        lo, hi = self.support
+        if arr.size and (float(np.min(t)) < lo or float(np.max(t)) > hi):
+            raise DomainError(f"{self.name}: {'ln x' if ratio else 'abscissa'} outside "
+                              f"evaluable range [{lo:.6g}, {hi:.6g}]")
+        if not ratio or order == 0:
+            out = self.fns[order](t)
         else:
-            t = np.log(arr)
             coeffs = _RATIO_FROM_LOG[order - 1]
             out = sum(c * self.fns[j](t) for j, c in enumerate(coeffs, 1)) / arr**order
         out = np.asarray(out, dtype=float)
@@ -101,6 +91,7 @@ class FunctionHandle:
         return self._eval(z, order)
 
     def evaluable_on(self, lo: float, hi: float) -> bool:
+        """Whether the stack may be read on the t-interval [lo, hi], whatever the domain."""
         return self.support[0] <= lo and hi <= self.support[1]
 
 
@@ -109,18 +100,6 @@ def require_domain(h: FunctionHandle, domain: str, op: str) -> None:
     if h.domain != domain:
         noun = "log-line" if domain == LOG_LINE else "positive-ratio"
         raise DomainError(f"{op} needs a {noun} handle, got {h.domain}")
-
-
-def _handle(domain, name, fns, support) -> FunctionHandle:
-    return FunctionHandle(domain, name, (float(support[0]), float(support[1])), tuple(fns))
-
-
-def _x_support(t_lo: float, t_hi: float) -> tuple[float, float]:
-    return math.exp(max(t_lo, -_EXP_MAX + 1.0)), math.exp(min(t_hi, _EXP_MAX - 1.0))
-
-
-def _t_support(x_lo: float, x_hi: float) -> tuple[float, float]:
-    return max(math.log(x_lo), -_EXP_MAX), min(math.log(x_hi), _EXP_MAX)
 
 
 def _excess_of_ratio(fns, k: int) -> Callable:
@@ -136,9 +115,8 @@ def _excess_of_ratio(fns, k: int) -> Callable:
 
 
 def from_excess(domain: str, name: str, fns, t_support) -> FunctionHandle:
-    """Builtin handle from a log-line excess stack (G, G', ...) on the t-interval t_support."""
-    support = tuple(t_support) if domain == LOG_LINE else _x_support(*t_support)
-    return _handle(domain, name, fns, support)
+    """The one constructor: the excess stack (G, G', ...) on the t-interval t_support."""
+    return FunctionHandle(domain, name, (float(t_support[0]), float(t_support[1])), tuple(fns))
 
 
 def analytic(
@@ -151,19 +129,19 @@ def analytic(
 
     The callables and the support are given in the handle's own domain (H and
     its t-derivatives, or F and its x-derivatives); they are converted to the
-    excess stack once, here.
+    excess stack and its t-support once, here.  An x-support's upper edge is
+    capped at DBL_MAX, so the stack never reads F at x = inf.
     """
     if domain not in (LOG_LINE, POSITIVE_RATIOS):
         raise DomainError(f"unknown domain tag {domain!r}")
-    lo, hi = float(support[0]), float(support[1])
-    if domain == POSITIVE_RATIOS and not lo > 0.0:
+    if domain == POSITIVE_RATIOS and not float(support[0]) > 0.0:
         raise DomainError("positive-ratio support must have a positive lower edge")
     if domain == LOG_LINE:
         h0 = fns[0]
         gfns = (lambda t: np.asarray(h0(t), dtype=float) - 1.0,) + tuple(fns[1:])
-    else:
-        gfns = tuple(_excess_of_ratio(fns, k) for k in range(min(len(fns), 4)))
-    return _handle(domain, name, gfns, (lo, hi))
+        return from_excess(domain, name, gfns, support)
+    gfns = tuple(_excess_of_ratio(fns, k) for k in range(min(len(fns), 4)))
+    return from_excess(domain, name, gfns, np.log(np.minimum(support, np.finfo(float).max)))
 
 
 def _gtsv(dl: list, d: list, du: list, b: list) -> list:
@@ -249,7 +227,8 @@ def sample_table(domain: str, xs, ys, name: str = "table") -> FunctionHandle:
     Its values are those of ``scipy.interpolate.CubicSpline(xs, ys)`` (see
     ``_cubic_spline``), built in O(n) Python without scipy: 0.5 ms at 811
     rows and 54 ms at 1e5 (scipy: 0.6 ms and 8 ms, after a 0.5 s import).
-    Queries outside [xs[0], xs[-1]] are a domain error, never extrapolated.
+    Queries outside [xs[0], xs[-1]] are a domain error, never extrapolated: the
+    support is that interval, or for a ratio table [ln xs[0], ln xs[-1]] in t.
     The handle carries the interpolant's exact stack (G, G', G'', G'''), so
     its capability is 3.  On the log line G''' is piecewise constant; a
     positive-ratio table's stack is the chain rule of its x-spline.
@@ -270,20 +249,20 @@ def sample_table(domain: str, xs, ys, name: str = "table") -> FunctionHandle:
     # interpolation is linear in the data, so the spline of ys - 1 is G = spline(ys) - 1
     stack = _cubic_spline(xs, ys - 1.0 if domain == LOG_LINE else ys)
     fns = stack if domain == LOG_LINE else tuple(_excess_of_ratio(stack, k) for k in range(4))
-    return _handle(domain, name, fns, (xs[0], xs[-1]))
+    ends = xs[[0, -1]]
+    return from_excess(domain, name, fns, ends if domain == LOG_LINE else np.log(ends))
 
 
 def lift_to_log(f: FunctionHandle) -> FunctionHandle:
     """Log-coordinate view H(t) = f(e^t) + 1 = G(t) + 1 of a positive-ratio handle.
 
-    A retag of the same excess stack, so every derivative carries over.
+    A retag of the same excess stack and t-support, so every derivative carries over.
     """
     require_domain(f, POSITIVE_RATIOS, "lift_to_log")
-    return replace(f, domain=LOG_LINE, name=f"lift({f.name})", support=_t_support(*f.support))
+    return replace(f, domain=LOG_LINE, name=f"lift({f.name})")
 
 
 def to_ratio(h: FunctionHandle) -> FunctionHandle:
-    """Positive-ratio view F(x) = h(ln x) - 1 = G(ln x) of a log-line handle."""
+    """Positive-ratio view F(x) = h(ln x) - 1 of a log-line handle: lift_to_log's inverse."""
     require_domain(h, LOG_LINE, "to_ratio")
-    return replace(h, domain=POSITIVE_RATIOS, name=f"ratio({h.name})",
-                   support=_x_support(*h.support))
+    return replace(h, domain=POSITIVE_RATIOS, name=f"ratio({h.name})")

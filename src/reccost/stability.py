@@ -29,7 +29,7 @@ import numpy as np
 from .calibration import BRANCH_COSH, branch_values, window_curvature
 from .calibration import estimate_kappa  # noqa: F401  (bench/tracer.py wraps this name)
 from .dalembert import DefectReport, sup_defect
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, RangeOverflowError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log, require_domain
 
@@ -104,6 +104,8 @@ def _check_bounds(epsilon: float, B: float, K: float) -> None:
     for nm, v in (("epsilon", epsilon), ("B", B), ("K", K)):
         if not (float(v) >= 0.0 and math.isfinite(float(v))):
             raise DomainError(f"{nm} must be >= 0 and finite, got {v}")
+    if math.isinf((1.0 + float(B)) * float(K)):  # delta's remainder (1 + B) K h / 3
+        raise PreconditionError(f"(1 + B) K overflows, with B = {float(B)!r} and K = {float(K)!r}")
 
 
 def delta_of_h(epsilon: float, B: float, K: float, h: float) -> float:
@@ -239,14 +241,15 @@ def certify_ratio(
     h_choice: float | None = None,
     a: float | None = None,
 ) -> StabilityCertificate:
-    """Certificate for a positive-ratio handle over x in (e^-(T-h), e^(T-h)).
+    """Certificate for a positive-ratio handle over x in (e^-(T-h), e^(T-h)), with e^T finite.
 
-    Lifts to log coordinates and certifies there (a defaults to the lift's
-    window_curvature); the envelope in x reads
-    (delta/a)(cosh(sqrt(a) |ln x|) - 1).  When a is within 1e-10 of 1 the
-    envelope is reported in the simplified form delta * J(x).
+    Lifts to log coordinates and certifies there (a defaults to the lift's window_curvature);
+    the envelope in x reads (delta/a)(cosh(sqrt(a) |ln x|) - 1).  When a is within 1e-10 of 1
+    the envelope is reported in the simplified form delta * J(x).
     """
     require_domain(f, POSITIVE_RATIOS, "certify_ratio")
+    if T > math.log(np.finfo(float).max):  # the window's x = e^(T - h) may not overflow
+        raise RangeOverflowError(f"certify_ratio needs e^T finite, got T = {T!r}")
     cert = certify(lift_to_log(f), T, step, h_choice=h_choice, a=a)
     if abs(cert.inputs.a - 1.0) <= _SIMPLIFIED_A_TOL:
         cert = replace(cert, envelope=replace(cert.envelope, form=ENVELOPE_DELTA_TIMES_J))

@@ -238,6 +238,18 @@ class TestWindowCurvature:
         assert s * s >= np.finfo(float).tiny > (0.5 * s) ** 2
 
 
+    @pytest.mark.parametrize("T", [1e-300, 5e-324, 9e-153])
+    def test_a_window_too_narrow_for_its_ladder_is_refused_by_its_t(self, T):
+        # the deepest step of the first ladder, T/64, has a subnormal square; estimate_kappa
+        # would name an h0 and levels the caller never gave, and T = 5e-324 an h0 of 0.0
+        h = make_family(parse_family_spec("cosh"), domain=LOG_LINE)
+        message = f"window T = {T!r} is too narrow for a curvature ladder"
+        for call in (window_curvature, classify):
+            with pytest.raises(DomainError) as info:
+                call(h, T)
+            assert str(info.value) == message
+
+
 class TestClassify:
     def test_cosh_branch(self):
         h = make_family(FamilySpec("cosh-lambda", {"lambda": 2.0}), domain=LOG_LINE)

@@ -463,6 +463,21 @@ class TestTableWorkflows:
         assert report.diagnostics["notes"] == [
             "source projected to ratio coordinates (F = H(ln x) - 1)"]
 
+    @pytest.mark.parametrize("half", [0.05, 0.15, 0.25, 0.4])
+    def test_certify_ratio_of_a_log_table_is_certify(self, half, tmp_path, capsys):
+        # the projection and certify_ratio's lift retag one t-support, so the ratio command
+        # reads the table on the same [-2T, 2T] as certify; its ends once drifted by an ulp
+        ts = np.linspace(-half, half, 101)
+        ts = 0.5 * (ts - ts[::-1])  # bitwise symmetric
+        path = tmp_path / "cosh.csv"
+        path.write_text("t,H\n" + "".join(f"{float(t)!r},{math.cosh(float(t))!r}\n" for t in ts),
+                        encoding="utf-8")
+        flags = ["--input", str(path), "--T", repr(half / 2), "--step", repr(half / 50)]
+        code, log = run(["certify", *flags])
+        assert (code, log.results["verified"]) == (0, True)
+        code, ratio = run(["certify-ratio", *flags])
+        assert code == 0 and ratio.results == log.results
+
 
 class TestDefectCoordinates:
     """defect answers in the equation its coordinate pair names, whatever the source."""
@@ -490,6 +505,11 @@ class TestDefectCoordinates:
         code, report = run(["defect", "--input", path, "--t", "1", "--u", "0.5"])
         assert code == 0 and report.diagnostics == {}
         assert report.results["delta"] == dalembert.defect_log(load_samples(path), 1.0, 0.5)
+
+    def test_a_ratio_view_answers_every_x_whose_log_is_in_the_support(self, capsys):
+        # quadlog's support is |t| <= 1e150; x was once clamped to [e^-708, e^708]
+        code, report = run(["defect", "--family", "quadlog", "--x", "1e308", "--y", "1"])
+        assert (code, report.results) == (0, {"delta": 0.0})
 
     def test_a_ratio_table_answers_log_coordinates_through_lift_to_log(self, tmp_path, capsys):
         path = write_cosh_ratio_csv(tmp_path / "j.csv")
@@ -907,9 +927,24 @@ class TestModuleInvocation:
            "RangeOverflowError: noisy-cosh(1,sine,1e+300): sup_defect overflows double precision, "
            "with max |G| = 1.8390715290764525e+300 on [-2T, 2T] = [-4, 4]")
           for cmd in ("certify", "sup-defect", "report")],
+        (["defect", "--family", "noisy-cosh,amplitude=1e300", "--t", "1", "--u", "1"], 2,
+         "RangeOverflowError: noisy-cosh(1,sine,1e+300): defect_log overflows double precision, "
+         "with max |G| = 1.8390715290764525e+300"),
+        (["defect", "--family", "noisy-cosh,amplitude=1e300", "--x", "2", "--y", "3"], 2,
+         "RangeOverflowError: noisy-cosh(1,sine,1e+300): defect_ratio overflows double "
+         "precision, with max |G| = 1.9479239466377269e+300"),
+        (["certify", "--family", "cosh-lambda,lambda=350", "--T", "1", "--step", "0.25"], 2,
+         "PreconditionError: (1 + B) K overflows, with B = "
+         "5.035454435140399e+151 and K = 2.158951089066446e+159"),
+        (["report", "--family", "cosh-lambda,lambda=350", "--T", "1", "--step", "0.25"], 1,
+         "certificate.error = (1 + B) K overflows, with B = 5.035454435140399e+151"),
+        # quadlog reads on |t| <= 1e150, but the window's x = e^(T - h) would overflow
+        (["certify-ratio", "--family", "quadlog", "--T", "800", "--step", "100", "--h", "1",
+          "--a", "1e-6"], 2, "RangeOverflowError: certify_ratio needs e^T finite, got T = 800.0"),
     ], ids=["classify", "sup-defect", "report", "identities", "identities-cosh-lambda",
             "report-powerlaw-w", "certify-a-huge", "certify-a-tiny", "certify-amplitude",
-            "sup-defect-amplitude", "report-amplitude"])
+            "sup-defect-amplitude", "report-amplitude", "defect-t-u-amplitude",
+            "defect-x-y-amplitude", "certify-b-k", "report-b-k", "certify-ratio-window"])
     def test_overflow_warnings_stay_off_stderr(self, argv, code, message):
         # each run answers or exits 2 with a message; numpy's RuntimeWarnings once followed it;
         # report needs sup_defect's epsilon for its certificate, so its refusal ends the run
@@ -918,6 +953,18 @@ class TestModuleInvocation:
         assert (proc.returncode, proc.stderr) == (code, "")
         assert proc.stdout.startswith(f"reccost {argv[0]}: ")
         assert message in proc.stdout  # an --a, a defect or identities that overflow are named
+
+    @pytest.mark.parametrize("argv, T", [
+        (["classify", "--family", "cosh", "--window-T", "1e-300"], "1e-300"),
+        (["certify", "--family", "cosh", "--T", "5e-324", "--step", "5e-324"], "5e-324"),
+        (["classify", "--family", "cosh", "--window-T", "5e-324"], "5e-324"),
+    ], ids=["classify", "certify", "classify-smallest"])
+    def test_a_narrow_window_is_refused_by_the_half_width_given(self, argv, T):
+        proc = subprocess.run([sys.executable, "-m", "reccost", *argv], capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert f"DomainError: window T = {T} is too narrow for a curvature ladder" in proc.stdout
+        assert not re.search(r"h0|levels|0\.0\b", proc.stdout)
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, code", [

@@ -296,6 +296,29 @@ class TestIdentityOverflow:
             sweep(h, T, 0.5)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("defect, domain, z, message", [
+        (defect_log, LOG_LINE, (1.0, 1.0), "defect_log overflows double precision, with max |G| = "
+         "1.8390715290764525e+300"),
+        (defect_ratio, POSITIVE_RATIOS, (2.0, 3.0), "defect_ratio overflows double precision, "
+         "with max |G| = 1.9479239466377269e+300"),
+    ], ids=["log", "ratio"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_pointwise_defect_refuses_by_the_sweeps_rule(self, defect, domain, z, message):
+        # all four G values are finite; 2 G(t) G(u) is not
+        h = make_family(parse_family_spec("noisy-cosh,amplitude=1e300"), domain)
+        with pytest.raises(RangeOverflowError) as info:
+            defect(h, *z)
+        assert str(info.value) == "noisy-cosh(1,sine,1e+300): " + message
+
+    @pytest.mark.parametrize("defect, domain, z", [(defect_log, LOG_LINE, (1.0, 1.0)),
+                                                   (defect_ratio, POSITIVE_RATIOS, (8.0, 8.0))],
+                             ids=["log", "ratio"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_pointwise_defect_of_nan_g_stays_nan(self, defect, domain, z):
+        # G(t + u) = a (1 - cos(inf)) is NaN: the CLI's finite-answer check refuses it
+        h = make_family(parse_family_spec("noisy-cosh,freq=1e308"), domain)
+        assert math.isnan(defect(h, *z))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_nodes_give_nan_fields(self):
         h = make_family(parse_family_spec("noisy-cosh,freq=1e308"), domain=LOG_LINE)

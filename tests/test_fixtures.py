@@ -21,7 +21,9 @@ from reccost import (
     perturb,
     quadlog_defect_oracle,
     sup_defect,
+    to_ratio,
 )
+from reccost.core import COSH_T_MAX
 
 
 class TestMakeFamily:
@@ -222,45 +224,46 @@ PARAMS = {
 VALUES = {"lambda": "2", "k": "2", "amplitude": "1e-3", "freq": "5", "mode": "sine", "seed": "3"}
 TYPED = {"lambda": 2.0, "k": 2.0, "amplitude": 1e-3, "freq": 5.0, "mode": "sine", "seed": 3}
 
-# name and sha256 prefix of (support, H or F and derivatives 1..3 on TS) of handles built
-# before the family table existed; the table must rebuild them bit for bit
+# name and sha256 prefix of (H or F and derivatives 1..3 on TS) of handles built before the
+# family table existed; the table must rebuild them bit for bit, and the other domain's view
+# of each must have its twin's stack
 TS = np.linspace(-2.0, 2.0, 41)
 PINNED = [
-    ("cosh-lambda", LOG_LINE, "cosh-lambda(1)", "682b6f452d423743"),
-    ("cosh-lambda", POSITIVE_RATIOS, "cosh-lambda(1)", "5f3267cbf33f1732"),
-    ("cos-k", LOG_LINE, "cos-k(1)", "c7d642e4520de4e7"),
-    ("cos-k", POSITIVE_RATIOS, "cos-k(1)", "3ee7c50662f66752"),
-    ("constant-one", LOG_LINE, "constant-one", "d322724437df0d62"),
-    ("constant-one", POSITIVE_RATIOS, "constant-one", "14907fc809fb074c"),
-    ("zero", LOG_LINE, "zero", "b40e6c2daa8a1630"),
-    ("zero", POSITIVE_RATIOS, "zero", "a43c65c98e06b8ae"),
-    ("quadlog", LOG_LINE, "quadlog", "8ae116d0943c7d6e"),
-    ("quadlog", POSITIVE_RATIOS, "quadlog", "f6da8a122c89ffcc"),
-    ("noisy-cosh", LOG_LINE, "noisy-cosh(1,sine,0.001)", "84f7ace69bbbd52c"),
-    ("noisy-cosh", POSITIVE_RATIOS, "noisy-cosh(1,sine,0.001)", "1b1d42b5d3a20234"),
-    ("powerlaw-w", LOG_LINE, "powerlaw-w(1)", "8768a0b561a75b29"),
-    ("powerlaw-w", POSITIVE_RATIOS, "powerlaw-w(1)", "1e57cf0e9d3e8ac6"),
-    ("cosh-lambda,lambda=2", LOG_LINE, "cosh-lambda(2)", "a2badc9c80126a03"),
-    ("cosh-lambda,lambda=2", POSITIVE_RATIOS, "cosh-lambda(2)", "6b964a945ab9d431"),
-    ("cos,k=0.7", LOG_LINE, "cos-k(0.7)", "94e4f5330c2e171e"),
-    ("cos,k=0.7", POSITIVE_RATIOS, "cos-k(0.7)", "c0056d2cc0188ab8"),
+    ("cosh-lambda", LOG_LINE, "cosh-lambda(1)", "1ae0e9563ce32251"),
+    ("cosh-lambda", POSITIVE_RATIOS, "cosh-lambda(1)", "fb4934dfa912b52f"),
+    ("cos-k", LOG_LINE, "cos-k(1)", "d929b0c298134099"),
+    ("cos-k", POSITIVE_RATIOS, "cos-k(1)", "2e0177bdb165e6cd"),
+    ("constant-one", LOG_LINE, "constant-one", "364bf864b3b12a79"),
+    ("constant-one", POSITIVE_RATIOS, "constant-one", "2c7663e809c9827d"),
+    ("zero", LOG_LINE, "zero", "2c7663e809c9827d"),
+    ("zero", POSITIVE_RATIOS, "zero", "328666381097529b"),
+    ("quadlog", LOG_LINE, "quadlog", "89dd045eb5333739"),
+    ("quadlog", POSITIVE_RATIOS, "quadlog", "a23644cbb61bdf57"),
+    ("noisy-cosh", LOG_LINE, "noisy-cosh(1,sine,0.001)", "deb4fda555938584"),
+    ("noisy-cosh", POSITIVE_RATIOS, "noisy-cosh(1,sine,0.001)", "6fb420d076265276"),
+    ("powerlaw-w", LOG_LINE, "powerlaw-w(1)", "9727c0d5451010d8"),
+    ("powerlaw-w", POSITIVE_RATIOS, "powerlaw-w(1)", "bd4590ba7040c325"),
+    ("cosh-lambda,lambda=2", LOG_LINE, "cosh-lambda(2)", "2741088c17376f6e"),
+    ("cosh-lambda,lambda=2", POSITIVE_RATIOS, "cosh-lambda(2)", "74e5b92ace48a489"),
+    ("cos,k=0.7", LOG_LINE, "cos-k(0.7)", "7b2e24ba817cb7ba"),
+    ("cos,k=0.7", POSITIVE_RATIOS, "cos-k(0.7)", "3edfa6386c550563"),
     ("noisy-cosh,mode=poly4,amplitude=0.01", LOG_LINE,
-     "noisy-cosh(1,poly4,0.01)", "29d5f117c115e041"),
+     "noisy-cosh(1,poly4,0.01)", "4db837ce413c43c4"),
     ("noisy-cosh,mode=poly4,amplitude=0.01", POSITIVE_RATIOS,
-     "noisy-cosh(1,poly4,0.01)", "54e02ed37b4a2810"),
+     "noisy-cosh(1,poly4,0.01)", "39fa448932bc4173"),
     ("noisy-cosh,mode=trig,seed=7,freq=2", LOG_LINE,
-     "noisy-cosh(1,trig,0.001)", "c54be195e0d8ac9d"),
+     "noisy-cosh(1,trig,0.001)", "462df319e67d95e8"),
     ("noisy-cosh,mode=trig,seed=7,freq=2", POSITIVE_RATIOS,
-     "noisy-cosh(1,trig,0.001)", "d33be0562cb41740"),
-    ("powerlaw-w,lambda=0.5", LOG_LINE, "powerlaw-w(0.5)", "f65313a692252628"),
-    ("powerlaw-w,lambda=0.5", POSITIVE_RATIOS, "powerlaw-w(0.5)", "9a0d282899450d56"),
+     "noisy-cosh(1,trig,0.001)", "3b01e07207fbe337"),
+    ("powerlaw-w,lambda=0.5", LOG_LINE, "powerlaw-w(0.5)", "7052493f37fee33b"),
+    ("powerlaw-w,lambda=0.5", POSITIVE_RATIOS, "powerlaw-w(0.5)", "a58df5fb01ade37f"),
 ]
 
 
 def digest(h) -> str:
     z = TS if h.domain == LOG_LINE else np.exp(TS)
     stack = np.stack([h(z)] + [h.derivative(z, k) for k in (1, 2, 3)])
-    return hashlib.sha256(np.array(h.support).tobytes() + stack.tobytes()).hexdigest()[:16]
+    return hashlib.sha256(stack.tobytes()).hexdigest()[:16]
 
 
 class TestFamilyTable:
@@ -307,6 +310,19 @@ class TestFamilyTable:
         h = make_family(parse_family_spec(spec), domain)
         assert h.name == name
         assert digest(h) == pinned
+        view = to_ratio(h) if domain == LOG_LINE else lift_to_log(h)
+        twin = next(d for s, dom, _, d in PINNED if s == spec and dom != domain)
+        assert digest(view) == twin
+
+    @pytest.mark.parametrize("spec, domain", [row[:2] for row in PINNED],
+                             ids=[f"{s}-{d}" for s, d, _, _ in PINNED])
+    def test_support_is_the_t_interval_in_both_domains(self, spec, domain):
+        parsed = parse_family_spec(spec)
+        h = make_family(parsed, domain)
+        # cosh(lambda t) stays finite on |t| <= 700 / lambda (lambda = 1 by default)
+        t_max = (COSH_T_MAX / parsed.params.get("lambda", 1.0)
+                 if "lambda" in PARAMS[parsed.family] else 1e150)
+        assert h.support == (-t_max, t_max)
 
     @pytest.mark.parametrize("mode", ["poly4", "sine", "trig"])
     def test_noisy_cosh_is_perturbed_cosh(self, mode):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +14,12 @@ from reccost import (
     analytic,
     lift_to_log,
     make_family,
+    parse_family_spec,
     sample_table,
     to_ratio,
 )
 from reccost.handles import _LOG_FROM_RATIO
+from test_fixtures import PINNED
 
 
 def cosh_table(lo=-2.0, hi=2.0, n=81, domain=LOG_LINE):
@@ -299,3 +302,62 @@ def test_an_empty_array_evaluates_to_an_empty_array(make):
     empty = np.array([])
     for out in (h(empty), h.excess(empty), h.derivative(empty, 1)):
         assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (0,)
+
+
+def symmetric_table(domain, half, n=101):
+    """cosh as a t,H table, or J as an x,F table at x = e^t, on n bitwise-symmetric t nodes."""
+    ts = np.linspace(-half, half, n)
+    ts = 0.5 * (ts - ts[::-1])
+    if domain == LOG_LINE:
+        return sample_table(domain, ts, np.cosh(ts), name=f"cosh on [-{half}, {half}]")
+    return sample_table(domain, np.exp(ts), np.cosh(ts) - 1.0, name=f"J on [e^-{half}, e^{half}]")
+
+
+ROUND_TRIPS = [(f"{s}-{d}", lambda s=s, d=d: make_family(parse_family_spec(s), d))
+               for s, d, _, _ in PINNED] + [
+    (f"table-{d}-{half}", lambda d=d, half=half: symmetric_table(d, half))
+    for d in (LOG_LINE, POSITIVE_RATIOS) for half in (0.05, 0.15, 0.25, 0.4, 2.5)]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ROUND_TRIPS], ids=[i for i, _ in ROUND_TRIPS])
+def test_a_round_trip_through_the_other_domain_is_exact(make):
+    # the support is the stack's t-interval in both domains, so a retag and its inverse
+    # give back the same support: no exp/log of it, and no drift by an ulp
+    h = make()
+    back = to_ratio(lift_to_log(h)) if h.domain == POSITIVE_RATIOS else lift_to_log(to_ratio(h))
+    assert (back.domain, back.support) == (h.domain, h.support)
+    lo, hi = max(h.support[0], -2.0), min(h.support[1], 2.0)
+    ts = np.linspace(lo, hi, 41)
+    z = ts if h.domain == LOG_LINE else np.exp(ts[1:-1])  # e^(ln x) may round past an edge
+    assert np.array_equal(back(z), h(z))
+    for k in (1, 2, 3):
+        assert np.array_equal(back.derivative(z, k), h.derivative(z, k))
+
+
+class TestSupportInT:
+    def test_a_ratio_table_reads_its_support_in_t(self):
+        f = symmetric_table(POSITIVE_RATIOS, 0.25)
+        xs = np.exp(np.linspace(-0.25, 0.25, 101))
+        assert f.support == tuple(np.log(xs[[0, -1]]))
+        assert f.evaluable_on(-0.2, 0.2) and not f.evaluable_on(-0.2, 0.3)
+        assert np.array_equal(f(xs[[0, -1]]), [f(xs[0]), f(xs[-1])])  # its end rows answer
+
+    def test_an_analytic_ratio_support_is_converted_once(self):
+        f = analytic(POSITIVE_RATIOS, "ln", (np.log,), support=(math.exp(-3.0), math.inf))
+        top = math.log(np.finfo(float).max)  # the infinite edge is capped at log(DBL_MAX)
+        assert f.support == (float(np.log(math.exp(-3.0))), top)
+        assert lift_to_log(f).support == f.support
+        assert lift_to_log(f)(top) == math.log(math.exp(top)) + 1.0  # F is never read at x = inf
+
+    def test_a_ratio_view_answers_every_x_whose_log_is_in_the_support(self):
+        f = make_family(parse_family_spec("quadlog"))  # support [-1e150, 1e150] in t
+        for x in (5e-324, 1e308, np.finfo(float).max):
+            assert f(x) == 0.5 * math.log(x) ** 2
+
+    def test_a_ratio_refusal_names_the_coordinate_of_its_range(self):
+        f = symmetric_table(POSITIVE_RATIOS, 0.25)
+        refusal = "ln x outside evaluable range [-0.25, 0.25]"
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            f(2.0)
+        with pytest.raises(DomainError, match=re.escape("abscissa outside evaluable range [-0.25")):
+            lift_to_log(f)(0.5)

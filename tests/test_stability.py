@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from reccost import (
     DomainError,
     FamilySpec,
     PreconditionError,
+    RangeOverflowError,
     analytic,
     certify,
     certify_ratio,
@@ -73,6 +75,15 @@ class TestDeltaOfH:
             delta_of_h(-1.0, 1.0, 3.0, 0.1)
         with pytest.raises(DomainError):  # h^2 underflows
             delta_of_h(0.0, 1.0, 3.0, 1e-300)
+
+    @pytest.mark.parametrize("call", [lambda: delta_of_h(1e-3, 1e160, 1e160, 0.5),
+                                      lambda: optimal_h(1e-3, 1e160, 1e160, 1.0)],
+                             ids=["delta_of_h", "optimal_h"])
+    def test_an_overflowing_remainder_is_refused_by_b_and_k(self, call):
+        # (1 + B) K = inf once gave optimal_h's h = 0, refused as a bad h
+        with pytest.raises(PreconditionError, match=re.escape(
+                "(1 + B) K overflows, with B = 1e+160 and K = 1e+160")):
+            call()
 
 
 class TestOptimalH:
@@ -197,6 +208,13 @@ class TestCertify:
         with pytest.raises(PreconditionError, match=message):
             certify(COSH_LOG, 2.0, 0.5, a=a)
 
+    def test_an_overflowing_remainder_is_refused_by_b_and_k(self):
+        h = make_family(FamilySpec("cosh-lambda", {"lambda": 350.0}), domain=LOG_LINE)
+        with pytest.raises(PreconditionError, match=re.escape(
+                "(1 + B) K overflows, with B = 5.035454435140399e+151 and "
+                "K = 2.158951089066446e+159")):
+            certify(h, 1.0, 0.25)
+
     def test_largest_curvature_the_window_holds_is_certified(self):
         # sqrt(a) * 1.5 = 709.5 sits just below cosh's overflow at 710.48
         cert = certify(COSH_LOG, 2.0, 0.5, a=473.0**2)
@@ -295,6 +313,12 @@ class TestCertifyRatio:
         f = make_family(FamilySpec("quadlog"))
         cert = certify_ratio(f, 2.0, 0.05)
         assert cert.max_envelope_margin >= 0.0 or not cert.verified
+
+    def test_a_window_whose_x_overflows_is_refused(self):
+        f = make_family(FamilySpec("quadlog"))  # evaluable on |t| <= 1e150
+        with pytest.raises(RangeOverflowError, match=re.escape(
+                "certify_ratio needs e^T finite, got T = 710.0")):
+            certify_ratio(f, 710.0, 71.0, h_choice=1.0, a=1e-6)
 
     def test_rejects_log_handle(self):
         with pytest.raises(DomainError):
