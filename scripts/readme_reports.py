@@ -2,9 +2,9 @@
 """Write the --json reports of the README command-line examples into OUTDIR.
 
 There is one example per subcommand, plus certify and certify-ratio on a
-table: fourteen in all.  OUTDIR receives samples.csv (cosh on 1001 nodes of
-[-2.5, 2.5], the input of the three table examples) and one report per
-example, NAME.json.
+table and calibrate on a steep family: fifteen in all.  OUTDIR receives
+samples.csv (cosh on 1001 nodes of [-2.5, 2.5], the input of the three table
+examples) and one report per example, NAME.json.
 The reports come from reccost.cli.run of whichever reccost PYTHONPATH points
 at, so two checkouts can be compared report by report with report_diff.py:
 
@@ -34,6 +34,8 @@ EXAMPLES = {
     "defect": ["defect", "--family", "cosh", "--x", "2", "--y", "3"],
     "identities": ["identities", "--family", "cosh", "--T", "2", "--step", "0.05"],
     "calibrate": ["calibrate", "--family", "cosh-lambda,lambda=2"],
+    # a steep family: the ladder from h0 = 0.25 is out of regime, so h0 halves
+    "calibrate-steep": ["calibrate", "--family", "cosh-lambda,lambda=100"],
     "cert-ratio": ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
     # the table projected to ratios and lifted back: the path of a ratio view
     "cert-ratio-table": ["certify-ratio", "--input", "samples.csv", "--T", "1.2", "--step", "0.05"],

@@ -131,12 +131,14 @@ def quad_ratio(h: FunctionHandle, step) -> float | np.ndarray:
 def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> CurvatureEstimate:
     """Richardson-extrapolated log-curvature from the ratio table q(h0 * 2^-k).
 
-    q(h) has an even-power error expansion q = kappa + c2 h^2 + c4 h^4 + ...
-    for smooth handles, so Neville elimination with factors 4^j applies.  q is
-    formed from the stored excess G = H - 1, so each entry carries G's
-    relative error and none is amplified by 1/h^2; an exact handle gives kappa
-    to the last bit at any h0.  The uncertainty is the change between the last
-    two extrapolants.  The whole ladder is one quad_ratio call: two handle evaluations.
+    q(h) = kappa + c2 h^2 + c4 h^4 + ... for smooth handles, so Neville elimination with
+    factors 4^j applies once h is small.  While some step s has |q(s)| s^2 = 2 |G_sym(s)| > 1
+    and the smallest step's value is below the largest's, h0 halves, at most 64 times, unless
+    a NaN or a next smallest step with a subnormal square ends it; ratio_table holds the steps
+    used.  q is formed from the stored excess G = H - 1, so it keeps G's relative error: an
+    exact handle gives kappa to the last bit at any h0.  The uncertainty is the change between
+    the last two extrapolants.  Each ladder is one quad_ratio call: two handle evaluations.  A
+    kappa that is not finite with no NaN in the table is a RangeOverflowError.
     """
     if not (h0 > 0.0 and math.isfinite(h0)):
         raise ParameterError(f"h0 must be positive and finite, got {h0}")
@@ -147,8 +149,15 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
     if deepest * deepest < np.finfo(float).tiny:  # quad_ratio would refuse the last step
         raise ParameterError(f"h0 * 2^-(levels - 1) = {deepest:g} for h0 = {h0:g}, levels = "
                              f"{levels}: its square underflows; raise h0 or lower levels")
-    steps = [h0 * 2.0 ** (-k) for k in range(levels)]
-    qs = quad_ratio(h, steps).tolist()  # Python floats, as every field must be
+    s = h0 * 2.0 ** -np.arange(levels)
+    q = quad_ratio(h, s)
+    for _ in range(64):
+        v = np.abs(q) * (s * s)
+        if not (np.max(v) > 1.0 and v[-1] < v[0] and 0.25 * s[-1]**2 >= np.finfo(float).tiny):
+            break
+        s = 0.5 * s
+        q = quad_ratio(h, s)
+    steps, qs = s.tolist(), q.tolist()  # Python floats, as every field must be
 
     diag: list[float] = []
     prev: list[float] = []
@@ -161,7 +170,7 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
         prev = cur
 
     unc = [abs(diag[k] - diag[k - 1]) for k in range(1, len(diag))]
-    table = tuple((float(s), float(q)) for s, q in zip(steps, qs))
+    table = tuple(zip(steps, qs))
     floor = 1e-14 * (1.0 + max(abs(d) for d in diag))
     used = levels
     for i in range(1, len(unc)):
@@ -169,6 +178,9 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
             # extrapolants started diverging: noise-dominated beyond level i
             used = i + 1
             break
+    if not math.isfinite(diag[used - 1]) and not np.isnan(qs).any():
+        raise RangeOverflowError(f"{h.name}: estimate_kappa overflows, kappa = {diag[used - 1]!r}, "
+                                 f"on the ladder from h0 = {steps[0]!r}")
     return CurvatureEstimate(kappa=diag[used - 1], uncertainty=unc[used - 2], ratio_table=table,
                              levels=used, noise_limited=used < levels)
 
@@ -182,19 +194,9 @@ def _window_h0(window_T: float) -> float:
 
 
 def window_curvature(h: FunctionHandle, window_T: float) -> CurvatureEstimate:
-    """estimate_kappa(h, h0) at 6 levels, the curvature that classify, certify and report each
-    measure on [-window_T, window_T].  h0 = min(0.25, window_T/2) halves, at most 64 times, while
-    the ladder is out of Richardson's small-step regime: some step s has |q(s)| s^2 = 2 |G_sym(s)|
-    > 1, and the smallest step's value is below the largest's (it decays toward G(0) = 0).  A NaN
-    ends the halving, as does a next ladder whose smallest step has a subnormal square."""
-    est = estimate_kappa(h, h0=_window_h0(window_T))
-    for _ in range(64):
-        s, q = np.array(est.ratio_table).T
-        v = np.abs(q) * (s * s)
-        if not (np.max(v) > 1.0 and v[-1] < v[0] and 0.25 * s[-1]**2 >= np.finfo(float).tiny):
-            break
-        est = estimate_kappa(h, h0=0.5 * s[0])
-    return est
+    """estimate_kappa(h, h0) at 6 levels from h0 = min(0.25, window_T/2): the curvature that
+    classify, certify and report each measure on [-window_T, window_T]."""
+    return estimate_kappa(h, h0=_window_h0(window_T))
 
 
 def classify(

@@ -178,7 +178,7 @@ def _perturbation_fns(p: Mapping):
         )
     if p["mode"] == "sine":
         return (
-            lambda t: a * (1.0 - np.cos(f * t)),
+            lambda t: 2.0 * a * np.sin(0.5 * (f * t)) ** 2,  # a (1 - cos f t), uncancelled
             lambda t: a * f * np.sin(f * t),
             lambda t: a * f * f * np.cos(f * t),
             lambda t: -a * _pow(f, 3) * np.sin(f * t),
@@ -195,7 +195,7 @@ def _perturbation_fns(p: Mapping):
         return lambda t: sign * a * np.sum(
             w * wave(np.outer(js, np.ravel(t))), axis=0).reshape(np.shape(t))
 
-    return (term(0, 1.0, lambda z: 1.0 - np.cos(z)), term(1, 1.0, np.sin),
+    return (term(0, 1.0, lambda z: 2.0 * np.sin(0.5 * z) ** 2), term(1, 1.0, np.sin),
             term(2, 1.0, np.cos), term(3, -1.0, np.sin))
 
 

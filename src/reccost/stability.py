@@ -89,7 +89,8 @@ def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
     cubic interpolant's, constant on each piece: H'' is Lipschitz with
     constant sup |6 c0| over the pieces, which is all the paper's remainder
     needs (H''' bounded, not continuous).  Both bounds are grid suprema, not
-    enclosures, until validated enclosures land (ROADMAP item 5).
+    enclosures, until validated enclosures land (ROADMAP item 5).  A B or K that is not
+    finite, from an H or H''' that overflows, is a PreconditionError.
     """
     require_domain(h, LOG_LINE, "estimate_bounds")
     if not (T > 0 and math.isfinite(T)):
@@ -97,7 +98,10 @@ def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
     if h.deriv_order < 3:
         raise DomainError(f"{h.name}: K needs H''', but the handle stops at order {h.deriv_order}")
     _, grid = symmetric_grid(T, T / 1000.0)
-    return float(np.max(np.abs(h(grid)))), float(np.max(np.abs(h.derivative(grid, 3))))
+    B, K = float(np.max(np.abs(h(grid)))), float(np.max(np.abs(h.derivative(grid, 3))))
+    if not (math.isfinite(B) and math.isfinite(K)):
+        raise PreconditionError(f"{h.name}: the bounds B = {B!r} and K = {K!r} must be finite")
+    return B, K
 
 
 def _check_bounds(epsilon: float, B: float, K: float) -> None:

@@ -187,6 +187,28 @@ class TestEstimateKappa:
             one = quad_ratio(h, s)
             assert type(one) is float and np.float64(one).tobytes() == q.tobytes()
 
+    def test_a_ladder_out_of_regime_halves_its_h0(self):
+        # from h0 = 0.25, 2 |G_sym(s)| > 1 on cosh(100 t)'s ladder; it once gave 8462 +- 1.6e6
+        est = estimate_kappa(make_family(parse_family_spec("cosh-lambda,lambda=100"), LOG_LINE),
+                             h0=0.25)
+        assert est.ratio_table[0][0] < 0.25
+        assert abs(est.kappa - 1e4) <= 1e-9
+
+    @pytest.mark.parametrize("h0", [0.25, 1e-2, 1e-4, 1e-6, 1e-7])
+    def test_noisy_cosh_to_the_ulp_at_every_h0(self, h0):
+        # the sine perturbation is formed as 2 a sin^2(f t / 2): a (1 - cos f t) cancelled to
+        # noise at small steps and left 1.0249430106199122 at 2 levels from h0 = 1e-7
+        est = estimate_kappa(make_family(parse_family_spec("noisy-cosh"), LOG_LINE), h0=h0)
+        assert abs(est.kappa - 1.025) <= np.spacing(1.025) and est.levels == 6
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_kappa_is_refused_by_name(self):
+        # the halving ends on a ladder whose q overflows; its kappa is no answer
+        h = analytic(LOG_LINE, "1e300 cosh(t/10)", (lambda t: 1e300 * np.cosh(0.1 * t),))
+        with pytest.raises(RangeOverflowError, match=r"^1e300 cosh\(t/10\): estimate_kappa "
+                           r"overflows, kappa = nan, on the ladder from h0 = 0\.001953125$"):
+            estimate_kappa(h)
+
     @pytest.mark.parametrize("h", [COSH_LOG, NOISY_TRIG, TABLE, CONST_ONE, signed_ripple()],
                              ids=["cosh", "noisy", "table", "constant-one", "noise-limited"])
     def test_fields_are_python_scalars(self, h):
@@ -198,8 +220,9 @@ class TestEstimateKappa:
 
 
 class TestWindowCurvature:
-    """window_curvature halves h0 until its ladder decays toward G(0) = 0 with every
-    |q(s)| s^2 = 2 |G_sym(s)| at most 1, where Richardson extrapolation holds."""
+    """window_curvature is estimate_kappa from the window's h0, which halves until its ladder
+    decays toward G(0) = 0 with every |q(s)| s^2 = 2 |G_sym(s)| at most 1, where Richardson
+    extrapolation holds."""
 
     @pytest.mark.parametrize("spec, T, kappa", [
         ("cosh-lambda,lambda=10", 2.0, 100.0),
@@ -209,8 +232,18 @@ class TestWindowCurvature:
         (f"cos-k,k={8 * math.pi!r}", 2.0, -64 * math.pi**2),  # q(0.25) aliases to about 0
     ], ids=["cosh-10", "cosh-100", "powerlaw-w-170", "cos-30", "cos-8pi"])
     def test_steep_handles_give_their_curvature(self, spec, T, kappa):
-        est = window_curvature(make_family(parse_family_spec(spec), domain=LOG_LINE), T)
+        h = make_family(parse_family_spec(spec), domain=LOG_LINE)
+        est = window_curvature(h, T)
         assert abs(est.kappa - kappa) <= 1e-9 * abs(kappa)
+        assert estimate_kappa(h) == est  # calibrate's default h0 is the window's, 0.25
+
+    @pytest.mark.parametrize("amplitude", [1e6, 1e14, 1e20])
+    def test_noisy_cosh_keeps_its_curvature_at_every_amplitude(self, amplitude):
+        # the halving reaches steps where a (1 - cos f t) cancelled: relative errors 2.5e-9,
+        # 5.3e-2 and 1.0 at these amplitudes
+        h = make_family(parse_family_spec(f"noisy-cosh,amplitude={amplitude!r}"), LOG_LINE)
+        kappa = 1.0 + 25.0 * amplitude
+        assert abs(window_curvature(h, 2.0).kappa - kappa) <= 4e-16 * kappa
 
     @pytest.mark.parametrize("spec", ["cosh-lambda,lambda=2", "zero"])
     def test_a_handle_in_regime_costs_one_ladder(self, spec, monkeypatch):

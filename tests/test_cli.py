@@ -311,7 +311,8 @@ class TestExitCodes:
         (["report", "--family", "noisy-cosh,freq=1e308"],
          "DomainError: results.sup_defect.epsilon = nan"),
         (["certify", "--family", "cosh-lambda,lambda=1e103", "--T", "1e-104", "--step", "1e-105"],
-         "DomainError: K must be >= 0 and finite, got nan"),
+         "PreconditionError: cosh-lambda(1e+103): the bounds B = 1.0050041680558035 and K = nan "
+         "must be finite"),
         (["defect", "--family", "cosh", "--x", "1e300", "--y", "1e300"],
          "RangeOverflowError: defect at x = 1e+300, y = 1e+300 needs x*y and x/y"),
         (["defect", "--family", "cosh", "--x", "1e-300", "--y", "1e300"],
@@ -720,6 +721,27 @@ class TestReports:
         assert list(report["certificate"]) + ["envelope"] == list(cert)
         assert report["certificate"] == {k: cert[k] for k in report["certificate"]}
 
+    @pytest.mark.parametrize("spec", [
+        "cosh", "cosh-lambda,lambda=10", "cosh-lambda,lambda=100", "powerlaw-w,lambda=170",
+        "cos-k,k=30", f"cos-k,k={8 * math.pi!r}", "noisy-cosh,amplitude=1e20",
+        "noisy-cosh,mode=trig", "quadlog", "zero", "constant-one"])
+    def test_calibrate_answers_what_report_answers(self, spec, capsys):
+        # one ladder rule, and one first step: calibrate's default h0 is report's at T = 2
+        cal = run(["calibrate", "--family", spec])[1].results
+        report = run(["report", "--family", spec, "--T", "2", "--step", "0.5"])[1].results
+        assert report["curvature"] == {k: cal[k] for k in report["curvature"]}
+
+    def test_report_records_bounds_that_are_not_finite(self, capsys):
+        # K reads -a f^3 sin(f t), whose f^3 overflows; the certificate refuses, the rest stands
+        code, report = run(["report", "--family", "noisy-cosh,freq=1e200", "--T", "2",
+                            "--step", "0.5"])
+        assert code == 1
+        assert list(report.results) == ["sup_defect", "identities", "curvature",
+                                        "classification", "certificate"]
+        assert report.results["certificate"] == {"error": (
+            "noisy-cosh(1,sine,0.001): the bounds B = 3.7630250825045457 and K = nan "
+            "must be finite")}
+
     def test_classify_plot_csv_uses_fitted_branch(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         for step in (None, 0.3):  # the t column is classify's own residual grid
@@ -932,19 +954,25 @@ class TestModuleInvocation:
          "with max |G| = 1.8390715290764525e+300"),
         (["defect", "--family", "noisy-cosh,amplitude=1e300", "--x", "2", "--y", "3"], 2,
          "RangeOverflowError: noisy-cosh(1,sine,1e+300): defect_ratio overflows double "
-         "precision, with max |G| = 1.9479239466377269e+300"),
+         "precision, with max |G| = 1.9479239466377266e+300"),
         (["certify", "--family", "cosh-lambda,lambda=350", "--T", "1", "--step", "0.25"], 2,
          "PreconditionError: (1 + B) K overflows, with B = "
          "5.035454435140399e+151 and K = 2.158951089066446e+159"),
         (["report", "--family", "cosh-lambda,lambda=350", "--T", "1", "--step", "0.25"], 1,
          "certificate.error = (1 + B) K overflows, with B = 5.035454435140399e+151"),
+        (["certify", "--family", "noisy-cosh,freq=1e200", "--T", "2", "--step", "0.5"], 2,
+         "PreconditionError: noisy-cosh(1,sine,0.001): the bounds B = 3.7630250825045457 and "
+         "K = nan must be finite"),
+        (["report", "--family", "noisy-cosh,freq=1e200", "--T", "2", "--step", "0.5"], 1,
+         "certificate.error = noisy-cosh(1,sine,0.001): the bounds B = 3.7630250825045457"),
         # quadlog reads on |t| <= 1e150, but the window's x = e^(T - h) would overflow
         (["certify-ratio", "--family", "quadlog", "--T", "800", "--step", "100", "--h", "1",
           "--a", "1e-6"], 2, "RangeOverflowError: certify_ratio needs e^T finite, got T = 800.0"),
     ], ids=["classify", "sup-defect", "report", "identities", "identities-cosh-lambda",
             "report-powerlaw-w", "certify-a-huge", "certify-a-tiny", "certify-amplitude",
             "sup-defect-amplitude", "report-amplitude", "defect-t-u-amplitude",
-            "defect-x-y-amplitude", "certify-b-k", "report-b-k", "certify-ratio-window"])
+            "defect-x-y-amplitude", "certify-b-k", "report-b-k", "certify-k-nan", "report-k-nan",
+            "certify-ratio-window"])
     def test_overflow_warnings_stay_off_stderr(self, argv, code, message):
         # each run answers or exits 2 with a message; numpy's RuntimeWarnings once followed it;
         # report needs sup_defect's epsilon for its certificate, so its refusal ends the run
@@ -953,6 +981,20 @@ class TestModuleInvocation:
         assert (proc.returncode, proc.stderr) == (code, "")
         assert proc.stdout.startswith(f"reccost {argv[0]}: ")
         assert message in proc.stdout  # an --a, a defect or identities that overflow are named
+
+    @pytest.mark.parametrize("flags, h0", [([], "0.001953125"), (["--h0", "0.01"], "0.0025")],
+                             ids=["default-h0", "h0"])
+    def test_calibrate_refuses_a_kappa_that_overflows(self, tmp_path, flags, h0):
+        # 1e300 cosh(t / 10): the halving ends where q overflows; the default h0 once answered
+        # kappa = 1.61e302 from a ladder out of regime
+        rows = "".join(f"{t / 10!r},{1e300 * math.cosh(t / 10)!r}\n" for t in range(-30, 31))
+        (tmp_path / "big.csv").write_text("t,H\n" + rows, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "reccost", "calibrate", "--input",
+                               str(tmp_path / "big.csv"), *flags], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout == ("reccost calibrate: input-error\n  RangeOverflowError: big.csv: "
+                               "estimate_kappa overflows, kappa = nan, on the ladder from "
+                               f"h0 = {h0}\n")
 
     @pytest.mark.parametrize("argv, T", [
         (["classify", "--family", "cosh", "--window-T", "1e-300"], "1e-300"),

@@ -300,7 +300,7 @@ class TestIdentityOverflow:
         (defect_log, LOG_LINE, (1.0, 1.0), "defect_log overflows double precision, with max |G| = "
          "1.8390715290764525e+300"),
         (defect_ratio, POSITIVE_RATIOS, (2.0, 3.0), "defect_ratio overflows double precision, "
-         "with max |G| = 1.9479239466377269e+300"),
+         "with max |G| = 1.9479239466377266e+300"),
     ], ids=["log", "ratio"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_pointwise_defect_refuses_by_the_sweeps_rule(self, defect, domain, z, message):

@@ -19,6 +19,7 @@ from reccost import (
     lift_to_log,
     make_family,
     optimal_h,
+    parse_family_spec,
     perturb,
     sample_table,
     sup_defect,
@@ -60,6 +61,19 @@ class TestEstimateBounds:
         h = analytic(LOG_LINE, "cosh", (np.cosh,))
         with pytest.raises(DomainError, match="K needs H'''"):
             estimate_bounds(h, 2.0)
+
+    @pytest.mark.parametrize("spec, T, message", [
+        ("noisy-cosh,freq=1e200", 2.0, "noisy-cosh(1,sine,0.001): the bounds "
+         "B = 3.7630250825045457 and K = nan must be finite"),
+        ("cosh-lambda,lambda=1e103", 1e-104, "cosh-lambda(1e+103): the bounds "
+         "B = 1.0050041680558035 and K = nan must be finite"),
+    ], ids=["freq", "lambda"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bounds_that_are_not_finite_are_refused_by_name(self, spec, T, message):
+        # K reads f^3 sin(f t) or lambda^3 sinh(lambda t), whose power overflows to inf
+        with pytest.raises(PreconditionError) as info:
+            estimate_bounds(make_family(parse_family_spec(spec), LOG_LINE), T)
+        assert str(info.value) == message
 
 
 class TestDeltaOfH:
