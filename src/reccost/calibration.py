@@ -208,8 +208,8 @@ def classify(
 ) -> BranchClassification:
     """Classify a normalized handle into its unique solution branch.
 
-    Requires h(0) within const_tol of 0 (Zero) or of 1.  Otherwise a finite
-    curvature, window_curvature(h, window_T), selects the branch:
+    Requires h(0) within const_tol of 0 (Zero) or of 1.  Otherwise a finite curvature,
+    window_curvature(h, window_T) (RangeOverflowError if it overflows), selects the branch:
     ConstantOne when |kappa| <= const_tol, else Cos or Cosh by its sign, with k
     refined by a least-squares fit on the window, Gauss-Newton (minimize_scalar)
     from sqrt(|kappa|), because sampled data make the purely local limit noisy

@@ -178,7 +178,7 @@ def _perturbation_fns(p: Mapping):
         )
     if p["mode"] == "sine":
         return (
-            lambda t: 2.0 * a * np.sin(0.5 * (f * t)) ** 2,  # a (1 - cos f t), uncancelled
+            lambda t: a * (2.0 * np.sin(0.5 * (f * t)) ** 2),  # a (1 - cos f t), uncancelled
             lambda t: a * f * np.sin(f * t),
             lambda t: a * f * f * np.cos(f * t),
             lambda t: -a * _pow(f, 3) * np.sin(f * t),
@@ -189,13 +189,13 @@ def _perturbation_fns(p: Mapping):
     c = raw / raw.sum()
     js = f * np.arange(1, 6)
 
-    def term(power, sign, wave):
-        # sign * a * sum_j c_j js_j^power wave(js_j t)
+    def term(power, scale, wave):
+        # scale * (a * sum_j c_j js_j^power wave(js_j t)): scaled last, as 2a may overflow
         w = (c * js**power)[:, None]
-        return lambda t: sign * a * np.sum(
-            w * wave(np.outer(js, np.ravel(t))), axis=0).reshape(np.shape(t))
+        return lambda t: scale * (a * np.sum(
+            w * wave(np.outer(js, np.ravel(t))), axis=0).reshape(np.shape(t)))
 
-    return (term(0, 1.0, lambda z: 2.0 * np.sin(0.5 * z) ** 2), term(1, 1.0, np.sin),
+    return (term(0, 2.0, lambda z: np.sin(0.5 * z) ** 2), term(1, 1.0, np.sin),
             term(2, 1.0, np.cos), term(3, -1.0, np.sin))
 
 

@@ -968,11 +968,15 @@ class TestModuleInvocation:
         # quadlog reads on |t| <= 1e150, but the window's x = e^(T - h) would overflow
         (["certify-ratio", "--family", "quadlog", "--T", "800", "--step", "100", "--h", "1",
           "--a", "1e-6"], 2, "RangeOverflowError: certify_ratio needs e^T finite, got T = 800.0"),
+        # every q is about a f^2 = 1.25e309 = inf: the curvature overflows, as calibrate's does
+        (["classify", "--family", "noisy-cosh,amplitude=5e307", "--window-T", "2"], 2,
+         "RangeOverflowError: noisy-cosh(1,sine,5e+307): estimate_kappa overflows, kappa = nan, "
+         "on the ladder from h0 = 0.25"),
     ], ids=["classify", "sup-defect", "report", "identities", "identities-cosh-lambda",
             "report-powerlaw-w", "certify-a-huge", "certify-a-tiny", "certify-amplitude",
             "sup-defect-amplitude", "report-amplitude", "defect-t-u-amplitude",
             "defect-x-y-amplitude", "certify-b-k", "report-b-k", "certify-k-nan", "report-k-nan",
-            "certify-ratio-window"])
+            "certify-ratio-window", "classify-kappa"])
     def test_overflow_warnings_stay_off_stderr(self, argv, code, message):
         # each run answers or exits 2 with a message; numpy's RuntimeWarnings once followed it;
         # report needs sup_defect's epsilon for its certificate, so its refusal ends the run

@@ -170,6 +170,15 @@ class TestPerturb:
         want = 0.5 * p.derivative(0.0, 2) * t * t
         assert abs(p.excess(t) - want) <= 4 * np.spacing(want)
 
+    @pytest.mark.parametrize("mode", ["sine", "trig"])
+    def test_a_largest_amplitude_keeps_its_value(self, mode):
+        # the amplitude scales last: 2a overflows from a = DBL_MAX / 2, and 2a sin^2(0) was NaN
+        big, unit = (perturb(make_family(FamilySpec("constant-one")), mode, a, freq=5.0)
+                     for a in (1e308, 1.0))
+        assert big.excess(0.0) == 0.0 and big(0.0) == 1.0
+        g = big.excess(0.01)
+        assert abs(g - 1e308 * unit.excess(0.01)) <= 2 * np.spacing(g)
+
     def test_derivatives_exposed(self):
         p = perturb(self.base(), "poly4", 1e-2)
         assert abs(p.derivative(1.0, 3) - (math.sinh(1.0) + 24.0 * 1e-2)) <= 1e-12
