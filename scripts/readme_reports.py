@@ -2,7 +2,7 @@
 """Write the --json reports of the README command-line examples into OUTDIR.
 
 There is one example per subcommand, plus certify and certify-ratio on a
-table and calibrate on a steep family: fifteen in all.  OUTDIR receives
+table and calibrate on two steep families: sixteen in all.  OUTDIR receives
 samples.csv (cosh on 1001 nodes of [-2.5, 2.5], the input of the three table
 examples) and one report per example, NAME.json.
 The reports come from reccost.cli.run of whichever reccost PYTHONPATH points
@@ -36,6 +36,8 @@ EXAMPLES = {
     "calibrate": ["calibrate", "--family", "cosh-lambda,lambda=2"],
     # a steep family: the ladder from h0 = 0.25 is out of regime, so h0 halves
     "calibrate-steep": ["calibrate", "--family", "cosh-lambda,lambda=100"],
+    # evaluable on [-7e-4, 7e-4] alone: the ladder starts at that reach, not at h0 = 0.25
+    "calibrate-support": ["calibrate", "--family", "cosh-lambda,lambda=1e6"],
     "cert-ratio": ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
     # the table projected to ratios and lifted back: the path of a ratio view
     "cert-ratio-table": ["certify-ratio", "--input", "samples.csv", "--T", "1.2", "--step", "0.05"],

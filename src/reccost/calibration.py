@@ -132,7 +132,9 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
     """Richardson-extrapolated log-curvature from the ratio table q(h0 * 2^-k).
 
     q(h) = kappa + c2 h^2 + c4 h^4 + ... for smooth handles, so Neville elimination with
-    factors 4^j applies once h is small.  While some step s has |q(s)| s^2 = 2 |G_sym(s)| > 1
+    factors 4^j applies once h is small.  The ladder starts at min(h0, reach), the reach
+    min(-support[0], support[1]) of a support about 0, so a steep handle's first ladder is
+    read, not refused.  While some step s has |q(s)| s^2 = 2 |G_sym(s)| > 1
     and the smallest step's value is below the largest's, h0 halves, at most 64 times, unless
     a NaN or a next smallest step with a subnormal square ends it; ratio_table holds the steps
     used.  q is formed from the stored excess G = H - 1, so it keeps G's relative error: an
@@ -142,6 +144,8 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
     """
     if not (h0 > 0.0 and math.isfinite(h0)):
         raise ParameterError(f"h0 must be positive and finite, got {h0}")
+    if (reach := min(-h.support[0], h.support[1])) > 0.0:
+        h0 = min(h0, reach)
     levels = int(levels)
     if levels < 2:
         raise ParameterError(f"levels must be >= 2, got {levels}")

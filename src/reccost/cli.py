@@ -4,15 +4,18 @@ Subcommands map one-to-one onto library operations; each invocation prints a
 human-readable summary, optionally writes the full report as JSON
 (--json PATH) and plot-ready CSV (--plot-csv PATH, certify/classify only).
 
-Each subcommand is declared once, in ``build_parser``, which sets its handler
-as the parse's ``handler`` default.  A run builds the subcommand its first
-argument names alone, or the whole parser where that names none (--help, a
-typo), so its parse, help and errors are the whole parser's.  One path leads
-from a result to its report: a handler returns the library's records (frozen
-dataclasses and named tuples) as they are, or the fields of a record that a
-section shows (``_pick``), and ``_py`` alone turns them into plain JSON-able
-Python for the printout and the JSON file.  The report is an
-``argparse.Namespace`` whose ``vars()`` is the JSON object.
+Each subcommand is one row of ``_COMMANDS``: its help, its handler and its
+flags with their ``add_argument`` keywords, in the order --help lists them.
+``build_parser`` adds the row that a run's first argument names, or every row
+where that names none (--help, a typo), so a run's parse, help and errors are
+the whole parser's; the parse leaves the row's handler in ``ns.handler``.  One
+path leads from a result to its report: a handler returns the library's
+records (frozen dataclasses and named tuples) as they are, or the fields of a
+record that a section shows (``_pick``), and ``_py`` alone turns them into
+plain JSON-able Python for the printout and the JSON file.  In the same walk
+it refuses a NaN or infinite result by its path (``results.kappa = nan is not
+an answer``).  The report is an ``argparse.Namespace`` whose ``vars()`` is the
+JSON object.
 
 Exit codes: 0 = ok, 1 = verification-failed (a negative mathematical verdict
 from certify/classify), 2 = input-error (any toolkit error that reaches run).
@@ -85,22 +88,26 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _py(obj):
+def _py(obj, path: str = ""):
     """Coerce records (frozen dataclasses, read through ``vars``; named tuples) and numpy
-    values into plain JSON-able Python."""
+    values into plain JSON-able Python.  Given the path of obj in a report, a NaN or infinite
+    float is a DomainError that names where it lies."""
     if type(obj) in (float, int, str, bool, type(None)):  # np.float64 subclasses float
+        if path and type(obj) is float and not math.isfinite(obj):
+            raise DomainError(f"{path} = {obj!r} is not an answer")
         return obj
     if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
+        return {k: _py(v, path and f"{path}.{k}") for k, v in obj.items()}
     if isinstance(obj, tuple) and hasattr(obj, "_asdict"):  # a named tuple, before plain tuples
-        return _py(obj._asdict())
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
+        return _py(obj._asdict(), path)
+    if isinstance(obj, (list, tuple)):  # a finite float needs no path
+        return [v if type(v) is float and (not path or math.isfinite(v))
+                else _py(v, path and f"{path}[{i}]") for i, v in enumerate(obj)]
     if hasattr(obj, "__dataclass_fields__") and not isinstance(obj, type):
-        return _py(vars(obj))  # a frozen dataclass's __dict__ is its fields, in order
+        return _py(vars(obj), path)  # a frozen dataclass's __dict__ is its fields, in order
     np = sys.modules.get("numpy")  # a numpy value exists only once numpy is imported
     if np is not None and isinstance(obj, (np.ndarray, np.generic)):
-        return _py(obj.tolist())  # numpy scalars become float, int or bool
+        return _py(obj.tolist(), path)  # numpy scalars become float, int or bool
     return obj
 
 
@@ -361,38 +368,48 @@ def _cmd_report(ns):
 
 
 # --------------------------------------------------------------------------
-# parser
+# parser: each subcommand is one row of _COMMANDS, name: (help, handler, arguments),
+# where arguments are (flag, add_argument keywords) pairs in the order --help lists them
 
 
-def _add_source(sp):
-    sp.add_argument("--family", help="builtin family spec, e.g. cosh-lambda,lambda=2")
-    sp.add_argument("--input", help="CSV sample table (header 't,H' or 'x,F')")
+_SOURCE = (("--family", {"help": "builtin family spec, e.g. cosh-lambda,lambda=2"}),
+           ("--input", {"help": "CSV sample table (header 't,H' or 'x,F')"}))
+_GRID = _SOURCE + (("--T", {"type": float, "default": 2.0}),
+                   ("--step", {"type": float, "default": 0.05}))
+_PLOT = (("--plot-csv", {"help": "write (t,H,branch,envelope,error) rows to this path"}),)
+_CERTIFY = _GRID + (("--h", {"type": float, "help": "step h (default: optimal)"}),
+                    ("--a", {"type": float, "help": "curvature override"})) + _PLOT
+_X = ("--x", {"type": float, "required": True})
 
-
-_UNBUILT = argparse.Namespace(add_argument=lambda *args, **kwargs: None)
-
-
-def _command(sub, name: str, help_text: str, handler):
-    """A subcommand whose parse leaves its handler in ``ns.handler``, or where the parser is
-    built for another subcommand alone (``sub.only``), a stand-in that drops its arguments."""
-    if sub.only not in (None, name):
-        return _UNBUILT
-    sp = sub.add_parser(name, help=help_text)
-    sp.set_defaults(handler=handler)
-    return sp
-
-
-def _add_grid_command(sub, name: str, help_text: str, handler):
-    """A subcommand that reads a function source and sweeps [-T, T] at --step."""
-    sp = _command(sub, name, help_text, handler)
-    _add_source(sp)
-    sp.add_argument("--T", type=float, default=2.0)
-    sp.add_argument("--step", type=float, default=0.05)
-    return sp
-
-
-def _add_plot(sp):
-    sp.add_argument("--plot-csv", help="write (t,H,branch,envelope,error) rows to this path")
+_COMMANDS = {
+    "eval": ("evaluate J and its log forms at a point", _cmd_eval, (_X,)),
+    "defect": ("pointwise defect of the functional equation", _cmd_defect,
+               _SOURCE + tuple((f"--{name}", {"type": float}) for name in "tuxy")),
+    "sup-defect": ("grid supremum of the defect", _cmd_sup_defect, _GRID),
+    "identities": ("violations of the solution identities", _cmd_identities, _GRID),
+    "calibrate": ("extrapolated log-curvature estimate", _cmd_calibrate,
+                  _SOURCE + (("--h0", {"type": float, "default": 0.25}),
+                             ("--levels", {"type": int, "default": 6}))),
+    "classify": ("classify into the solution branch", _cmd_classify,
+                 _SOURCE + (("--window-T", {"type": float, "default": 2.0}),
+                            ("--const-tol", {"type": float, "default": 1e-8}),
+                            ("--residual-step", {"type": float}),
+                            ("--residual-tol", {"type": float})) + _PLOT),
+    "certify": ("stability certificate in log coordinates",
+                functools.partial(_certify_common, ratio=False), _CERTIFY),
+    "certify-ratio": ("stability certificate on positive ratios",
+                      functools.partial(_certify_common, ratio=True), _CERTIFY),
+    "distance": ("geodesic distance of the Hessian metric", _cmd_distance,
+                 (_X, ("--y", {"type": float, "required": True}))),
+    "chebyshev": ("Chebyshev identity check for J(x^n)", _cmd_chebyshev,
+                  (_X, ("--n", {"type": int, "required": True}))),
+    "golden": ("golden-ratio fixed point of x -> 1 + 1/x", _cmd_golden,
+               (("--x0", {"type": float, "default": 1.0}),
+                ("--tol", {"type": float, "default": 1e-12}),
+                ("--max-iter", {"type": int, "default": 200}))),
+    "report": ("full verification suite on one input", _cmd_report, _GRID),
+}
+_JSON = ("--json", {"help": "write the run report as JSON to this path"})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -416,82 +433,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "J(x) = (x + 1/x)/2 - 1 and d'Alembert-type functional equations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.only = command
-
-    sp = _command(sub, "eval", "evaluate J and its log forms at a point", _cmd_eval)
-    sp.add_argument("--x", type=float, required=True)
-
-    sp = _command(sub, "defect", "pointwise defect of the functional equation", _cmd_defect)
-    _add_source(sp)
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--u", type=float)
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--y", type=float)
-
-    _add_grid_command(sub, "sup-defect", "grid supremum of the defect", _cmd_sup_defect)
-    _add_grid_command(sub, "identities", "violations of the solution identities",
-                      _cmd_identities)
-
-    sp = _command(sub, "calibrate", "extrapolated log-curvature estimate", _cmd_calibrate)
-    _add_source(sp)
-    sp.add_argument("--h0", type=float, default=0.25)
-    sp.add_argument("--levels", type=int, default=6)
-
-    sp = _command(sub, "classify", "classify into the solution branch", _cmd_classify)
-    _add_source(sp)
-    sp.add_argument("--window-T", dest="window_T", type=float, default=2.0)
-    sp.add_argument("--const-tol", dest="const_tol", type=float, default=1e-8)
-    sp.add_argument("--residual-step", dest="residual_step", type=float, default=None)
-    sp.add_argument("--residual-tol", dest="residual_tol", type=float, default=None)
-    _add_plot(sp)
-
-    for name, help_text, ratio in (
-        ("certify", "stability certificate in log coordinates", False),
-        ("certify-ratio", "stability certificate on positive ratios", True),
-    ):
-        sp = _add_grid_command(sub, name, help_text,
-                               functools.partial(_certify_common, ratio=ratio))
-        sp.add_argument("--h", type=float, default=None, help="step h (default: optimal)")
-        sp.add_argument("--a", type=float, default=None, help="curvature override")
-        _add_plot(sp)
-
-    sp = _command(sub, "distance", "geodesic distance of the Hessian metric", _cmd_distance)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--y", type=float, required=True)
-
-    sp = _command(sub, "chebyshev", "Chebyshev identity check for J(x^n)", _cmd_chebyshev)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = _command(sub, "golden", "golden-ratio fixed point of x -> 1 + 1/x", _cmd_golden)
-    sp.add_argument("--x0", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=200)
-
-    _add_grid_command(sub, "report", "full verification suite on one input", _cmd_report)
-
-    if not sub.choices:  # command names no subcommand
-        return build_parser()
-    for sp in sub.choices.values():
-        sp.add_argument("--json", help="write the run report as JSON to this path")
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, handler, arguments = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
+        for flag, keywords in (*arguments, _JSON):
+            sp.add_argument(flag, **keywords)
     return parser
 
 
 # --------------------------------------------------------------------------
 # driver
-
-
-def _require_finite(value, path: str) -> None:
-    """Raise DomainError at the first NaN or infinite leaf of a _py result."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, f"{path}.{key}")
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            if not (type(item) is float and math.isfinite(item)):  # a finite float needs no path
-                _require_finite(item, f"{path}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"{path} = {value!r} is not an answer")
 
 
 def _write(path: str, lines) -> None:
@@ -516,8 +468,7 @@ def run(argv) -> tuple[int, argparse.Namespace]:
         with warnings.catch_warnings():  # numpy's overflow notes; a non-finite result is refused
             warnings.simplefilter("ignore", RuntimeWarning)
             results, diagnostics, status, plot_rows = ns.handler(ns)
-        results = _py(results)
-        _require_finite(results, "results")
+        results = _py(results, "results")
         inputs = {key.replace("_", "-"): value for key, value in vars(ns).items()
                   if value is not None and key not in ("command", "handler", "json", "plot_csv")}
         if getattr(ns, "plot_csv", None) and plot_rows is not None:

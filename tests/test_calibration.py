@@ -194,6 +194,14 @@ class TestEstimateKappa:
         assert est.ratio_table[0][0] < 0.25
         assert abs(est.kappa - 1e4) <= 1e-9
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_the_ladder_starts_inside_the_support(self):
+        # cosh(1e6 t) is evaluable on [-7e-4, 7e-4]; h0 = 0.25 is cut to that reach and halves
+        est = estimate_kappa(make_family(parse_family_spec("cosh-lambda,lambda=1e6"), LOG_LINE),
+                             h0=0.25)
+        assert est.ratio_table[0][0] == 7e-4 / 1024
+        assert abs(est.kappa - 1e12) <= 1e-12 * 1e12 and est.levels == 6
+
     @pytest.mark.parametrize("h0", [0.25, 1e-2, 1e-4, 1e-6, 1e-7])
     def test_noisy_cosh_to_the_ulp_at_every_h0(self, h0):
         # the sine perturbation is formed as 2 a sin^2(f t / 2): a (1 - cos f t) cancelled to

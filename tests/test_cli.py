@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reccost import (InputError, LOG_LINE, POSITIVE_RATIOS, calibration, core, dalembert, fixtures,
-                     geometry, grids, handles, stability)
+from reccost import (DomainError, InputError, LOG_LINE, POSITIVE_RATIOS, calibration, core,
+                     dalembert, fixtures, geometry, grids, handles, stability)
 from reccost import cli
 from reccost.cli import _py, build_parser, load_samples, run
 
@@ -731,6 +731,17 @@ class TestReports:
         report = run(["report", "--family", spec, "--T", "2", "--step", "0.5"])[1].results
         assert report["curvature"] == {k: cal[k] for k in report["curvature"]}
 
+    @pytest.mark.parametrize("spec, kappa, reach", [
+        ("cosh-lambda,lambda=1e6", 1e12, 7e-4), ("powerlaw-w,lambda=1e3", 1e6, 7e-4),
+        ("powerlaw-w,lambda=1e4", 1e8, 7e-2)])
+    def test_calibrate_starts_its_ladder_inside_the_support(self, spec, kappa, reach, capsys):
+        # these are evaluable on [-700/lambda, 700/lambda] alone: a first ladder from the
+        # default h0 = 0.25 beyond it was refused before it was measured
+        code, report = run(["calibrate", "--family", spec])
+        assert code == 0
+        assert abs(report.results["kappa"] - kappa) <= 1e-12 * kappa
+        assert report.results["ratio_table"][0][0] <= reach
+
     def test_report_records_bounds_that_are_not_finite(self, capsys):
         # K reads -a f^3 sin(f t), whose f^3 overflows; the certificate refuses, the rest stands
         code, report = run(["report", "--family", "noisy-cosh,freq=1e200", "--T", "2",
@@ -883,8 +894,8 @@ def test_the_parser_of_one_subcommand_parses_as_the_whole_one(command, capsys):
 @pytest.mark.parametrize("argv, built", [
     (EXAMPLES["report"], ["report"]),
     (["eval", "--x", "2", "--frobnicate"], ["eval"]),
-    (["--help"], ["--help", None]),
-    (["no-such-command"], ["no-such-command", None]),
+    (["--help"], ["--help"]),
+    (["no-such-command"], ["no-such-command"]),
     ([], [None]),
 ], ids=["report", "parse-error", "help", "unknown-command", "empty"])
 def test_a_run_builds_the_parser_of_the_subcommand_it_names(argv, built, monkeypatch, capsys):
@@ -896,11 +907,28 @@ def test_a_run_builds_the_parser_of_the_subcommand_it_names(argv, built, monkeyp
     assert calls == built
 
 
+@pytest.mark.parametrize("first", ["--help", "no-such-command"])
+def test_any_other_first_argument_builds_the_whole_parser(first):
+    assert subcommands(build_parser(first)) == COMMANDS
+
+
 def test_py_turns_named_tuples_into_dicts_in_field_order():
     out = _py([core.GoldenResult(phi=1.5, iterations=3, cost_at_phi=np.float64(0.25))])
     assert out == [{"phi": 1.5, "iterations": 3, "cost_at_phi": 0.25}]
     assert list(out[0]) == ["phi", "iterations", "cost_at_phi"]
     assert type(out[0]["cost_at_phi"]) is float
+
+
+@pytest.mark.parametrize("results, message", [
+    ({"x": [core.GoldenResult(1.5, 3, 0.25), core.GoldenResult(math.nan, 3, 0.25)]},
+     "results.x[1].phi = nan is not an answer"),
+    ({"y": np.array([1.0, np.inf])}, "results.y[1] = inf is not an answer"),
+], ids=["named-tuple-in-list", "array"])
+def test_py_refuses_a_leaf_that_is_not_finite_by_its_path(results, message):
+    with pytest.raises(DomainError) as info:
+        _py(results, "results")
+    assert str(info.value) == message
+    assert _py(results, "") == _py(results)  # with no path, as for diagnostics, nothing is checked
 
 
 class TestModuleInvocation:
