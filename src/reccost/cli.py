@@ -47,6 +47,7 @@ numpy, and ``eval`` and ``golden`` load neither ``geometry`` nor
 Every check that needs no array runs before a numpy-backed module loads: the
 grid flags, then the function source (a table is parsed before ``handles``
 loads), and only then does a handler import the library module it calls.
+The one exception is a --family spec: ``fixtures`` checks it after numpy loads.
 Handlers call through module attributes (``handles.sample_table``), so
 patches are seen.
 """

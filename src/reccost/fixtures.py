@@ -3,6 +3,8 @@
 Each family is written once, as its log-line excess stack
 G(t) = h(t) - 1 with analytic derivatives to order 3; the positive-ratio
 form F(x) = G(ln x) is the same stack viewed through handles.from_excess.
+Every circular stack, cos-k's and the sine and trig perturbations', is one
+call of ``_trig_sum``, the stack of a * sum_j c_j (1 - cos js_j t).
 
     cosh-lambda   G(t) = 2 sinh^2(lambda t / 2)      exact solution branch
     cos-k         G(t) = -2 sin^2(k t / 2)           oscillatory solution branch
@@ -53,7 +55,7 @@ _NONNEGATIVE = ("amplitude", "seed")  # every other number must be > 0
 _TABLE = {
     "cosh-lambda": (POSITIVE_RATIOS, {"lambda": 1.0}, "cosh-lambda({lambda:g})",
                     lambda p: _cosh_excess(p["lambda"])),
-    "cos-k": (LOG_LINE, {"k": 1.0}, "cos-k({k:g})", lambda p: _cos_excess(p["k"])),
+    "cos-k": (LOG_LINE, {"k": 1.0}, "cos-k({k:g})", lambda p: _trig_sum(-1.0, [1.0], [p["k"]])),
     "constant-one": (LOG_LINE, {}, "constant-one", lambda p: _constant_excess(0.0)),
     "zero": (LOG_LINE, {}, "zero", lambda p: _constant_excess(-1.0)),
     "quadlog": (POSITIVE_RATIOS, {}, "quadlog", lambda p: _QUADLOG_EXCESS),
@@ -128,13 +130,18 @@ def _cosh_excess(lam: float):
     )
 
 
-def _cos_excess(k: float):
-    return (
-        lambda t: -2.0 * np.sin(0.5 * k * t) ** 2,
-        lambda t: -k * np.sin(k * t),
-        lambda t: -k * k * np.cos(k * t),
-        lambda t: _pow(k, 3) * np.sin(k * t),
-    )
+def _trig_sum(a: float, c, js):
+    """The stack of G(t) = a * sum_j c_j (1 - cos js_j t), every circular excess: order k
+    is a * sum_j c_j js_j^k wave(js_j t), scaled by a last (2a may overflow)."""
+
+    def term(power, scale, wave):
+        with np.errstate(over="ignore"):  # a coefficient past the double range is inf
+            w = (c * np.power(js, power))[:, None]
+        return lambda t: scale * (a * np.sum(
+            w * wave(np.outer(js, np.ravel(t))), axis=0).reshape(np.shape(t)))
+
+    return (term(0, 2.0, lambda z: np.sin(0.5 * z) ** 2), term(1, 1.0, np.sin),
+            term(2, 1.0, np.cos), term(3, -1.0, np.sin))
 
 
 def _constant_excess(value: float):
@@ -177,26 +184,10 @@ def _perturbation_fns(p: Mapping):
             lambda t: 24.0 * a * t,
         )
     if p["mode"] == "sine":
-        return (
-            lambda t: a * (2.0 * np.sin(0.5 * (f * t)) ** 2),  # a (1 - cos f t), uncancelled
-            lambda t: a * f * np.sin(f * t),
-            lambda t: a * f * f * np.cos(f * t),
-            lambda t: -a * _pow(f, 3) * np.sin(f * t),
-        )
+        return _trig_sum(a, [1.0], [f])
     # trig: a seeded random even trig sum, coefficients fixed at construction
-    rng = np.random.default_rng(p["seed"])
-    raw = rng.random(5)
-    c = raw / raw.sum()
-    js = f * np.arange(1, 6)
-
-    def term(power, scale, wave):
-        # scale * (a * sum_j c_j js_j^power wave(js_j t)): scaled last, as 2a may overflow
-        w = (c * js**power)[:, None]
-        return lambda t: scale * (a * np.sum(
-            w * wave(np.outer(js, np.ravel(t))), axis=0).reshape(np.shape(t)))
-
-    return (term(0, 2.0, lambda z: np.sin(0.5 * z) ** 2), term(1, 1.0, np.sin),
-            term(2, 1.0, np.cos), term(3, -1.0, np.sin))
+    raw = np.random.default_rng(p["seed"]).random(5)
+    return _trig_sum(a, raw / raw.sum(), f * np.arange(1, 6))
 
 
 def _sum_fns(base_fns, pert_fns, order: int):

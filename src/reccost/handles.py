@@ -246,11 +246,10 @@ def sample_table(domain: str, xs, ys, name: str = "table") -> FunctionHandle:
     if domain == POSITIVE_RATIOS and xs[0] <= 0.0:
         raise DomainError("positive-ratio table needs abscissas > 0")
     xs = xs.copy()  # the pieces look up their abscissas here; the coefficients are new arrays
+    if domain == POSITIVE_RATIOS:
+        return analytic(domain, name, _cubic_spline(xs, ys), xs[[0, -1]])
     # interpolation is linear in the data, so the spline of ys - 1 is G = spline(ys) - 1
-    stack = _cubic_spline(xs, ys - 1.0 if domain == LOG_LINE else ys)
-    fns = stack if domain == LOG_LINE else tuple(_excess_of_ratio(stack, k) for k in range(4))
-    ends = xs[[0, -1]]
-    return from_excess(domain, name, fns, ends if domain == LOG_LINE else np.log(ends))
+    return from_excess(domain, name, _cubic_spline(xs, ys - 1.0), xs[[0, -1]])
 
 
 def lift_to_log(f: FunctionHandle) -> FunctionHandle:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,15 @@ class TestMakeFamily:
     def test_parameter_errors(self, spec):
         with pytest.raises(ParameterError):
             make_family(spec)
+
+    @pytest.mark.parametrize("spec", ["cosh-lambda,lambda=1e103", "cos-k,k=1e103",
+                                      "noisy-cosh,freq=1e103", "noisy-cosh,mode=trig,freq=1e103"])
+    def test_construction_is_warning_free(self, spec):
+        # a derivative's coefficient past the double range is inf, without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for domain in (LOG_LINE, POSITIVE_RATIOS):
+                make_family(parse_family_spec(spec), domain)
 
 
 class TestQuadlogDefectOracle:
@@ -257,7 +267,7 @@ PINNED = [
     ("zero", POSITIVE_RATIOS, "zero", "328666381097529b"),
     ("quadlog", LOG_LINE, "quadlog", "89dd045eb5333739"),
     ("quadlog", POSITIVE_RATIOS, "quadlog", "a23644cbb61bdf57"),
-    ("noisy-cosh", LOG_LINE, "noisy-cosh(1,sine,0.001)", "deb4fda555938584"),
+    ("noisy-cosh", LOG_LINE, "noisy-cosh(1,sine,0.001)", "54ec1d5eccc29ee5"),
     ("noisy-cosh", POSITIVE_RATIOS, "noisy-cosh(1,sine,0.001)", "d305b0dc6a9c79f0"),
     ("powerlaw-w", LOG_LINE, "powerlaw-w(1)", "9727c0d5451010d8"),
     ("powerlaw-w", POSITIVE_RATIOS, "powerlaw-w(1)", "bd4590ba7040c325"),
@@ -352,3 +362,48 @@ class TestFamilyTable:
         assert np.array_equal(perturbed(TS), noisy(TS))
         for k in (1, 2, 3):
             assert np.array_equal(perturbed.derivative(TS, k), noisy.derivative(TS, k))
+
+
+# each circular or hyperbolic stack as its terms (a, c, s, hyperbolic): G is the sum of
+# a c (cosh(s t) - 1) over hyperbolic terms and a c (1 - cos(s t)) over circular ones
+_RAW = np.random.default_rng(7).random(5)
+TERMS = {
+    "cosh-lambda,lambda=0.5": [(1.0, 1.0, 0.5, True)],
+    "cosh-lambda,lambda=2": [(1.0, 1.0, 2.0, True)],
+    "cosh-lambda,lambda=30": [(1.0, 1.0, 30.0, True)],
+    "cos-k,k=1": [(-1.0, 1.0, 1.0, False)],
+    "cos-k,k=30": [(-1.0, 1.0, 30.0, False)],
+    "noisy-cosh,amplitude=1e-3,freq=5": [(1.0, 1.0, 1.0, True), (1e-3, 1.0, 5.0, False)],
+    "noisy-cosh,amplitude=1e-3,freq=62.83185307179586": [
+        (1.0, 1.0, 1.0, True), (1e-3, 1.0, 62.83185307179586, False)],
+    "noisy-cosh,amplitude=0.37,freq=7.3": [(1.0, 1.0, 1.0, True), (0.37, 1.0, 7.3, False)],
+    "noisy-cosh,mode=trig,seed=7,freq=2,amplitude=0.01": [(1.0, 1.0, 1.0, True)] + [
+        (0.01, c, s, False) for c, s in zip(_RAW / _RAW.sum(), 2.0 * np.arange(1, 6))],
+}
+
+
+@pytest.mark.parametrize("spec", TERMS)
+def test_stacks_match_50_digit_values(spec):
+    """Orders 0-3 at 60 seeded t lie within 4 eps * sum |a c s^k| w (1 + |s t|) of the
+    50-digit value, w = cosh(s t) for a hyperbolic term and 1 for a circular one; the
+    last factor covers the rounding of s t."""
+    mpmath = pytest.importorskip("mpmath")
+    h = make_family(parse_family_spec(spec), LOG_LINE)
+    end = min(h.support[1], 4.0)
+    ts = np.random.default_rng(0).uniform(-end, end, 60)
+    eps = np.finfo(float).eps
+    for k in range(4):
+        got = h.excess(ts) if k == 0 else h.derivative(ts, k)
+        for t, value in zip(ts, got):
+            exact, bound = mpmath.mpf(0), 0.0
+            with mpmath.workdps(50):
+                for a, c, s, hyperbolic in TERMS[spec]:
+                    z = mpmath.mpf(s) * mpmath.mpf(t)
+                    if hyperbolic:
+                        wave = mpmath.cosh(z) - 1 if k == 0 else (mpmath.cosh, mpmath.sinh)[k % 2](z)
+                    else:
+                        wave = (1 - mpmath.cos(z), mpmath.sin(z), mpmath.cos(z), -mpmath.sin(z))[k]
+                    exact += mpmath.mpf(a) * mpmath.mpf(c) * mpmath.mpf(s) ** k * wave
+                    w = math.cosh(s * t) if hyperbolic else 1.0
+                    bound += 4 * eps * abs(a * c * s**k) * w * (1 + abs(s * t))
+                assert abs(mpmath.mpf(value) - exact) <= bound, (k, t)

@@ -1,16 +1,21 @@
 """No module of the package reads another's private names: neither
 ``from .x import _name`` nor ``<reccost module>._name``.  A decision a module
 makes stays behind its public functions, so no other module re-decides it.
-``scripts/`` is left out: ``defect_landscape.py`` streams the defect table
-through ``dalembert``'s block loop, which has no public streaming form."""
+The scripts under ``scripts/`` read none either, but for one exception:
+``defect_landscape.py`` streams the defect table through ``dalembert``'s
+block loop, which has no public streaming form."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "reccost"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "reccost"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+STREAMING = {"defect_landscape.py": ["from reccost.dalembert import _scored",
+                                     "from reccost.dalembert import _sweep"]}
 
 
 def private(name: str) -> bool:
@@ -43,6 +48,12 @@ def private_reads(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_reads_another_modules_privates(module):
     assert private_reads((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_no_script_reads_privates_but_the_defect_stream(script):
+    found = private_reads((ROOT / "scripts" / script).read_text(encoding="utf-8"))
+    assert [line.split(": ", 1)[1] for line in found] == STREAMING.get(script, [])
 
 
 def test_both_forms_are_found():
