@@ -17,10 +17,15 @@ the grid spec; one that overflows where G is finite on every node raises
 RangeOverflowError.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
 node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, reduces
 the n x n tables in blocks of 2^15 elements written into two 256 KB buffers
-allocated once (memory O(n) plus two blocks: 0.8 MB traced at T = 2, step
+allocated once (memory O(n) plus two blocks: 0.83 MB traced at T = 2, step
 0.001), and its max reductions are order-independent, so sweeps are
-deterministic.  Both sweeps round every operation commutatively, with the
-doublings exact: the defect forms (2 G(t)) G(u) + (2 G(t) + 2 G(u)), the
+deterministic.  A block's outer terms, (k a(t)) a(u) and k a(t) + k a(u) (a = G,
+k = 2 for the defect; a = q, k = 1 for the identities), are two BLAS products
+of rank-2 factors built once per table (_factors): each entry is one product
+plus an exact term, so it is rounded once, as multiply and add round it.  Each
+takes 14 us on a 16 x 2001 block, where einsum took 24 us and the broadcast
+add 45 us (2 shared vCPUs).  Both sweeps round every operation commutatively,
+with the doublings exact: the defect forms (2 G(t)) G(u) + (2 G(t) + 2 G(u)), the
 identities G+ G- + (G+ + G-) - (q(t) + q(u)) and (G+ - G-)^2 - 4 (q(t) q(u)).
 So where G equals its even part E = (nodes + nodes[::-1]) / 2, which is
 bitwise even (mirrored entries add the same two numbers), the tables are
@@ -91,17 +96,38 @@ class IdentityViolations:
 _BLOCK_ELEMS = 1 << 15  # elements per block: 256 KB of float64, so the buffers stay in cache
 
 
-def _kernel(gs, gd, gt, gu, out=None, cross=None):
-    """Delta from G(t+u), G(t-u) (tables, or broadcasting to one) and G(t), G(u) (vectors of
-    the rows and columns), into out; cross = (2 G(t)) G(u) + (2 G(t) + 2 G(u)) into cross.  Both
-    are new arrays where not given.  The doublings are exact and the three rounded operations
-    commutative (einsum's outer product rounds as multiply does, but gives +0 for a -0 product,
-    which no sum here can tell), so Delta is bitwise symmetric in t <-> u wherever
-    G(t - u) = G(u - t) and 2 G(t) does not overflow."""
-    two_gt, two_gu = 2.0 * gt, 2.0 * gu
-    cross = np.einsum("i,j->ij", two_gt, gu, out=cross)
-    cross += np.add(two_gt[:, None], two_gu, out=out)  # out as scratch
-    return np.subtract(np.add(gs, gd, out=out), cross, out=out)
+def _kernel(gs, gd, left, times, plus, out=None, cross=None):
+    """Delta from G(t+u), G(t-u) (tables, or broadcasting to one) and _factors(G, 2) of the rows
+    and columns, into out; cross = (2 G(t)) G(u) + (2 G(t) + 2 G(u)) into cross.  Both are new
+    arrays where not given.  G(t+u) is staged in out, so the reversed-stride G(t-u) view is added
+    into a contiguous block.  The doublings are exact and the three rounded operations
+    commutative (each product holds one rounded term and an exact one, so it rounds as multiply
+    and add do, but gives +0 for a -0 product, which no sum here can tell), so Delta is bitwise
+    symmetric in t <-> u wherever G(t - u) = G(u - t) and 2 G(t) does not overflow."""
+    cross = np.matmul(left, times, out=cross)
+    out = np.matmul(left, plus, out=out)
+    cross += out  # out as scratch
+    np.copyto(out, gs)
+    out += gd
+    out -= cross
+    return out
+
+
+def _factors(a: np.ndarray, k: float):
+    """A function of a block's (rows, cols) giving the rank-2 factors of its outer terms, built
+    once per table from a on the axis: left[rows] of left = [k a, 1] (n x 2), and times[:, cols]
+    and plus[:, cols] of times = [a; 0] and plus = [1; k a] (2 x n).  left @ times is
+    (k a(t)) a(u) + 1 0 and left @ plus is (k a(t)) 1 + 1 (k a(u)): one rounded term and an exact
+    one, so each entry is rounded once, as np.multiply and np.add round it, whatever the BLAS
+    kernel's order, FMA or threads."""
+    ka, one = k * a, np.ones_like(a)
+    left, times, plus = np.stack([ka, one], 1), np.stack([a, np.zeros_like(a)]), np.stack([one, ka])
+    return lambda r, c: (left[r], times[:, c], plus[:, c])
+
+
+def _delta(gs, gd, gt, gu) -> float:
+    """Delta at one pair from G(t + u), G(t - u), G(t) and G(u), by the sweeps' kernel."""
+    return _kernel(gs, gd, *_factors(np.array([gt, gu]), 2.0)(slice(0, 1), slice(1, 2))).item()
 
 
 def _sweep(h: FunctionHandle, T: float, step: float, op: str):
@@ -146,15 +172,18 @@ def _tables(nodes: np.ndarray, n: int):
     return sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
 
 
-def _scored(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores=_kernel, views=None):
-    """(rows, cols, scores(G(t + u), G(t - u), a(t), a(u), out, cross)) per block of the tables of
-    G on nodes, a on the axis as vectors of the block's rows and columns (by default Delta,
-    a = G): row blocks of the triangle j >= i of the quadrant t, u <= 0, or of the whole table;
-    out and cross are views(rows, cols), by default of two buffers allocated here."""
+def _scored(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores=_kernel, views=None,
+            k: float = 2.0):
+    """(rows, cols, scores(G(t + u), G(t - u), left, times, plus, out, cross)) per block of the
+    tables of G on nodes, with the factors _factors(a, k) of a on the axis for the block's rows
+    and columns (by default Delta, a = G, k = 2): row blocks of the triangle j >= i of the
+    quadrant t, u <= 0, or of the whole table; out and cross are views(rows, cols), by default of
+    two buffers allocated here."""
     n = a.size
-    (sums, diffs), views = _tables(nodes, n), views or _buffers(n)
-    for r, c in _blocks(n // 2 + 1 if triangle else n, triangle):
-        yield r, c, scores(sums[r, c], diffs[r, c], a[r], a[c], *views(r, c))
+    w = n // 2 + 1 if triangle else n
+    (sums, diffs), views, outer = _tables(nodes, n), views or _buffers(n), _factors(a[:w], k)
+    for r, c in _blocks(w, triangle):
+        yield r, c, scores(sums[r, c], diffs[r, c], *outer(r, c), *views(r, c))
 
 
 def _first_max(x: np.ndarray, i0: int, j0: int):
@@ -163,21 +192,22 @@ def _first_max(x: np.ndarray, i0: int, j0: int):
     return x[i, j], i0 + i, j0 + j
 
 
-def _suprema(h: FunctionHandle, T: float, step: float, op: str, aux, scores, bounds):
+def _suprema(h: FunctionHandle, T: float, step: float, op: str, aux, k: float, scores, bounds):
     """(step, axis, nodes, G on the axis, picks): per score, (|score|, i, j) at its first NaN, else
-    first max, in row-major order over the whole table.  scores(G(t + u), G(t - u), a(t), a(u),
-    out, cross), a = aux(G on the axis), yields each |score| block in out or cross in turn.
+    first max, in row-major order over the whole table.  scores(G(t + u), G(t - u), left, times,
+    plus, out, cross), with _factors(a, k) of a = aux(G on the axis), yields each |score| block in
+    out or cross in turn.
     Where the even part E is G they are its triangle's, else E's (_even_part) or the table's.
     A pick that is not finite, where G is finite on every node, raises RangeOverflowError."""
     actual_step, axis, nodes, g = _sweep(h, T, step, op)
     e = (nodes + nodes[::-1]) * 0.5  # bitwise even: mirrored entries add the same two numbers
     a, views = aux(g), _buffers(axis.size)
     fold = np.array_equal(e, nodes)  # G bitwise even, 2 G finite: x + x overflows, NaN != NaN
-    picks = None if fold else _even_part(nodes, e, a, aux, scores, bounds, views)
+    picks = None if fold else _even_part(nodes, e, a, aux, k, scores, bounds, views)
     if picks is None:  # the first pick of the first block that holds the largest
         picks = [p[int(np.argmax([v for v, _, _ in p]))] for p in zip(*(
             [_first_max(x, r.start, c.start) for x in xs]
-            for r, c, xs in _scored(nodes, a, fold, scores, views)))]
+            for r, c, xs in _scored(nodes, a, fold, scores, views, k)))]
     _finite(h, op, [v for v, _, _ in picks], nodes, f" on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
     return actual_step, axis, nodes, g, picks
 
@@ -190,7 +220,8 @@ def _finite(h: FunctionHandle, op: str, value, g: np.ndarray, where: str = ""):
     return value
 
 
-def _even_part(nodes: np.ndarray, e: np.ndarray, a: np.ndarray, aux, scores, bounds, views):
+def _even_part(nodes: np.ndarray, e: np.ndarray, a: np.ndarray, aux, k: float, scores, bounds,
+               views):
     """_suprema's picks through the even part e = E, or None where rho = bounds(max |G - E|, max |G|,
     max |a - a_E|, max(|a|, |a_E|)) is not finite or the blocks reaching theta hold over 2^18
     pairs (four rows, where a row is wider)."""
@@ -200,7 +231,7 @@ def _even_part(nodes: np.ndarray, e: np.ndarray, a: np.ndarray, aux, scores, bou
     if not np.all(np.isfinite(rho)):
         return None
     kept, top, budget = [], np.full(rho.size, -np.inf), 4 * max(2 * _BLOCK_ELEMS, m + 1)
-    for r, c, xs in _scored(e, ae, True, scores, views):
+    for r, c, xs in _scored(e, ae, True, scores, views, k):
         block = np.array([x.max() for x in xs])
         top = np.maximum(top, block)
         # theta only rises, so a block it drops now it drops at the end
@@ -209,15 +240,15 @@ def _even_part(nodes: np.ndarray, e: np.ndarray, a: np.ndarray, aux, scores, bou
         if sum((i.stop - i.start) * (j.stop - j.start) for i, j, _ in kept) > budget:
             return None
     (se, de), (sums, diffs) = _tables(e, n), _tables(nodes, n)
-    picks = []
+    outer_e, outer, picks = _factors(ae[: m + 1], k), _factors(a, k), []
     for r, c, _ in kept:
         hit = np.logical_or.reduce([x >= t for x, t in zip(
-            scores(se[r, c], de[r, c], ae[r], ae[c], *views(r, c)), theta)])
+            scores(se[r, c], de[r, c], *outer_e(r, c), *views(r, c)), theta)])
         i, j = np.flatnonzero(hit.any(axis=1)) + r.start, np.flatnonzero(hit.any(axis=0)) + c.start
         rows, cols = [(slice(k[0], k[-1] + 1), slice(n - 1 - k[-1], n - k[0])) for k in (i, j)]
         for X, Y in itertools.chain(itertools.product(rows, cols), itertools.product(cols, rows)):
             picks.append([_first_max(x, X.start, Y.start) for x in scores(
-                sums[X, Y], diffs[X, Y], a[X], a[Y], *views(X, Y))])
+                sums[X, Y], diffs[X, Y], *outer(X, Y), *views(X, Y))])
     return [max(p, key=lambda v: (v[0], -v[1], -v[2])) for p in zip(*picks)]
 
 
@@ -227,21 +258,23 @@ def _rho(spread: float, size: float, k: int) -> float:
     return (spread + k * 2.0**-54 * (4.0 * size)) * (1.0 + 2.0**-40) + 2.0**-1060
 
 
-def _identity_scores(s, d, qt, qu, product, square):
-    # s d + (s + d) - (q(t) + q(u)) and (s - d)^2 - 4 (q(t) q(u)), symmetric in s <-> d, t <-> u
+def _identity_scores(s, d, left, times, plus, product, square):
+    # s d + (s + d) - (q(t) + q(u)) and (s - d)^2 - 4 (q(t) q(u)), symmetric in s <-> d, t <-> u,
+    # from _factors(q, 1)
     np.multiply(s, d, out=product)
     product += np.add(s, d, out=square)
-    product -= np.add(qt[:, None], qu, out=square)
+    product -= np.matmul(left, plus, out=square)
     np.square(np.subtract(s, d, out=square), out=square)
     yield np.abs(product, out=product)
-    square -= np.multiply(np.einsum("i,j->ij", qt, qu, out=product), 4.0, out=product)
+    square -= np.multiply(np.matmul(left, times, out=product), 4.0, out=product)
     yield np.abs(square, out=square)
 
 
 def defect_grid(h: FunctionHandle, T: float, step: float):
     """(step, axis, Delta) with Delta[i, j] = Delta_H(axis[i], axis[j]) on the grid of [-T, T]."""
     actual_step, axis, nodes, g = _sweep(h, T, step, "defect_grid")
-    return actual_step, axis, _kernel(*_tables(nodes, axis.size), g, g)
+    every = slice(None)
+    return actual_step, axis, _kernel(*_tables(nodes, axis.size), *_factors(g, 2.0)(every, every))
 
 
 def defect_log(h: FunctionHandle, t: float, u: float) -> float:
@@ -253,7 +286,7 @@ def defect_log(h: FunctionHandle, t: float, u: float) -> float:
         raise RangeOverflowError(f"defect at t = {t!r}, u = {u!r} needs t + u and t - u finite, "
                                  f"got {s!r} and {d!r}")
     g = h.excess(np.array([s, d, t, u]))
-    return _finite(h, "defect_log", _kernel(*g[:, None]).item(), g)
+    return _finite(h, "defect_log", _delta(*g), g)
 
 
 def defect_ratio(f: FunctionHandle, x: float, y: float) -> float:
@@ -265,7 +298,7 @@ def defect_ratio(f: FunctionHandle, x: float, y: float) -> float:
         raise RangeOverflowError(f"defect at x = {x!r}, y = {y!r} needs x*y and x/y finite and "
                                  f"positive, got {p!r} and {q!r}")
     g = f.excess(np.array([p, q, x, y]))
-    return _finite(f, "defect_ratio", _kernel(*g[:, None]).item(), g)
+    return _finite(f, "defect_ratio", _delta(*g), g)
 
 
 def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
@@ -277,11 +310,11 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     """
     # |Delta_G - Delta_E| <= 2 omega + 2 (2 M omega) + 4 omega; the terms sum to 6 M + 2 M^2
     actual_step, axis, nodes, g, [(_, i, j)] = _suprema(
-        h, T, step, "sup_defect", lambda g: g,
-        lambda s, d, gt, gu, out, cross: (np.abs(_kernel(s, d, gt, gu, out, cross), out=out),),
+        h, T, step, "sup_defect", lambda g: g, 2.0,
+        lambda *block: (np.abs(delta := _kernel(*block), out=delta),),
         lambda w, big, *_: (_rho(w * (6.0 + 4.0 * big), 6.0 * big + 2.0 * big * big, 3),))
     n = axis.size  # Delta with its sign, from the same roundings as the sweep
-    delta = _kernel(*np.array([nodes[i + j], nodes[n - 1 + i - j], g[i], g[j]])[:, None]).item()
+    delta = _delta(nodes[i + j], nodes[n - 1 + i - j], g[i], g[j])
     worst = DefectSample(float(axis[i]), float(axis[j]), delta)
     return DefectReport(abs(delta), worst, float(T), actual_step, count=n**2)
 
@@ -294,7 +327,7 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
     """
     # with wq = max |q_G - q_E|, Q = max |q|, and |(s - d)_G^2 - (s - d)_E^2| <= 2 omega 4 M
     _, _, nodes, g, (product, square) = _suprema(
-        h, T, step, "identity_report", lambda g: g * (g + 2.0), _identity_scores,
+        h, T, step, "identity_report", lambda g: g * (g + 2.0), 1.0, _identity_scores,
         lambda w, big, wq, mq: (
             _rho(w * (2.0 + 2.0 * big) + 2.0 * wq, big * big + 2.0 * (big + mq), 3),
             _rho(8.0 * (big * w + mq * wq), 4.0 * (big * big + mq * mq), 4)))
