@@ -16,10 +16,16 @@ Suprema are reported over explicit uniform grids, never over the continuum, with
 the grid spec; one that overflows where G is finite on every node raises
 RangeOverflowError.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
 node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, reduces
-the n x n tables in blocks of 2^15 elements written into two 256 KB buffers
-allocated once (memory O(n) plus two blocks: 0.83 MB traced at T = 2, step
-0.001), and its max reductions are order-independent, so sweeps are
-deterministic.  A block's outer terms, (k a(t)) a(u) and k a(t) + k a(u) (a = G,
+the n x n tables in blocks of 2^16 / 3 elements written into three buffers that
+share 512 KB, allocated once (memory O(n) plus three blocks: 0.84 MB traced at
+T = 2, step 0.001, 0.87 MB for the identities), and its max reductions are
+order-independent, so sweeps are deterministic.  Each block copies its two
+windows, G(t + u) and G(t - u), into buffers before any arithmetic: numpy
+buffers a ufunc over the window views, and G(t - u) is read from a reversed
+copy of the nodes, so its rows run forward.  On a 16 x 2001 block the two
+copies take 7 us each and an add of the copies 20 us, where the add of the two
+views took 40 us (the reversed one alone copies in 14 us).  A block's outer
+terms, (k a(t)) a(u) and k a(t) + k a(u) (a = G,
 k = 2 for the defect; a = q, k = 1 for the identities), are two BLAS products
 of rank-2 factors built once per table (_factors): each entry is one product
 plus an exact term, so it is rounded once, as multiply and add round it.  Each
@@ -93,21 +99,25 @@ class IdentityViolations:
     evenness: float
 
 
-_BLOCK_ELEMS = 1 << 15  # elements per block: 256 KB of float64, so the buffers stay in cache
+_BLOCK_ELEMS = (1 << 16) // 3  # elements per block: three buffers of float64 in 512 KB of cache
 
 
-def _kernel(gs, gd, left, times, plus, out=None, cross=None):
+def _kernel(gs, gd, left, times, plus, out=None, cross=None, stage=None):
     """Delta from G(t+u), G(t-u) (tables, or broadcasting to one) and _factors(G, 2) of the rows
     and columns, into out; cross = (2 G(t)) G(u) + (2 G(t) + 2 G(u)) into cross.  Both are new
-    arrays where not given.  G(t+u) is staged in out, so the reversed-stride G(t-u) view is added
-    into a contiguous block.  The doublings are exact and the three rounded operations
-    commutative (each product holds one rounded term and an exact one, so it rounds as multiply
-    and add do, but gives +0 for a -0 product, which no sum here can tell), so Delta is bitwise
-    symmetric in t <-> u wherever G(t - u) = G(u - t) and 2 G(t) does not overflow."""
+    arrays where not given.  G(t+u) is copied into out and, where stage is given, G(t-u) into
+    stage, so the add reads two contiguous blocks, not the window views, which numpy buffers.
+    The doublings are exact and the three rounded operations commutative (each product holds one
+    rounded term and an exact one, so it rounds as multiply and add do, but gives +0 for a -0
+    product, which no sum here can tell), so Delta is bitwise symmetric in t <-> u wherever
+    G(t - u) = G(u - t) and 2 G(t) does not overflow."""
     cross = np.matmul(left, times, out=cross)
     out = np.matmul(left, plus, out=out)
     cross += out  # out as scratch
     np.copyto(out, gs)
+    if stage is not None:
+        np.copyto(stage, gd)
+        gd = stage
     out += gd
     out -= cross
     return out
@@ -155,9 +165,9 @@ def _blocks(w: int, triangle: bool):
 
 
 def _buffers(w: int):
-    """A function of a block's (rows, cols) giving two views of its shape into two buffers
+    """A function of a block's (rows, cols) giving three views of its shape into three buffers
     allocated once, large enough for any block of a w-wide table."""
-    flat = np.empty(max(_BLOCK_ELEMS, w)), np.empty(max(_BLOCK_ELEMS, w))
+    flat = tuple(np.empty(max(_BLOCK_ELEMS, w)) for _ in range(3))
 
     def views(r: slice, c: slice):
         shape = (r.stop - r.start, c.stop - c.start)
@@ -168,17 +178,18 @@ def _buffers(w: int):
 
 def _tables(nodes: np.ndarray, n: int):
     """The n x n tables of G(t + u) and G(t - u) on the grid, as views of G on its nodes:
-    t_i + u_j is node i + j, t_i - u_j node n - 1 + i - j."""
-    return sliding_window_view(nodes, n), sliding_window_view(nodes[::-1], n)[::-1]
+    t_i + u_j is node i + j, t_i - u_j node n - 1 + i - j, read from a reversed copy of the
+    nodes so that its rows, like G(t + u)'s, run forward in memory."""
+    return sliding_window_view(nodes, n), sliding_window_view(nodes[::-1].copy(), n)[::-1]
 
 
 def _scored(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores=_kernel, views=None,
             k: float = 2.0):
-    """(rows, cols, scores(G(t + u), G(t - u), left, times, plus, out, cross)) per block of the
-    tables of G on nodes, with the factors _factors(a, k) of a on the axis for the block's rows
-    and columns (by default Delta, a = G, k = 2): row blocks of the triangle j >= i of the
-    quadrant t, u <= 0, or of the whole table; out and cross are views(rows, cols), by default of
-    two buffers allocated here."""
+    """(rows, cols, scores(G(t + u), G(t - u), left, times, plus, *views(rows, cols))) per block
+    of the tables of G on nodes, with the factors _factors(a, k) of a on the axis for the block's
+    rows and columns (by default Delta, a = G, k = 2): row blocks of the triangle j >= i of the
+    quadrant t, u <= 0, or of the whole table; views gives three blocks, by default of three
+    buffers allocated here."""
     n = a.size
     w = n // 2 + 1 if triangle else n
     (sums, diffs), views, outer = _tables(nodes, n), views or _buffers(n), _factors(a[:w], k)
@@ -195,8 +206,8 @@ def _first_max(x: np.ndarray, i0: int, j0: int):
 def _suprema(h: FunctionHandle, T: float, step: float, op: str, aux, k: float, scores, bounds):
     """(step, axis, nodes, G on the axis, picks): per score, (|score|, i, j) at its first NaN, else
     first max, in row-major order over the whole table.  scores(G(t + u), G(t - u), left, times,
-    plus, out, cross), with _factors(a, k) of a = aux(G on the axis), yields each |score| block in
-    out or cross in turn.
+    plus, *three buffer blocks), with _factors(a, k) of a = aux(G on the axis), yields each
+    |score| block in one of the buffers in turn.
     Where the even part E is G they are its triangle's, else E's (_even_part) or the table's.
     A pick that is not finite, where G is finite on every node, raises RangeOverflowError."""
     actual_step, axis, nodes, g = _sweep(h, T, step, op)
@@ -230,7 +241,7 @@ def _even_part(nodes: np.ndarray, e: np.ndarray, a: np.ndarray, aux, k: float, s
     rho = np.array(bounds(*(float(np.max(np.abs(x))) for x in (nodes - e, nodes, a - ae, [a, ae]))))
     if not np.all(np.isfinite(rho)):
         return None
-    kept, top, budget = [], np.full(rho.size, -np.inf), 4 * max(2 * _BLOCK_ELEMS, m + 1)
+    kept, top, budget = [], np.full(rho.size, -np.inf), 4 * max(3 * _BLOCK_ELEMS, m + 1)
     for r, c, xs in _scored(e, ae, True, scores, views, k):
         block = np.array([x.max() for x in xs])
         top = np.maximum(top, block)
@@ -258,16 +269,20 @@ def _rho(spread: float, size: float, k: int) -> float:
     return (spread + k * 2.0**-54 * (4.0 * size)) * (1.0 + 2.0**-40) + 2.0**-1060
 
 
-def _identity_scores(s, d, left, times, plus, product, square):
+def _identity_scores(s, d, left, times, plus, a, b, c):
     # s d + (s + d) - (q(t) + q(u)) and (s - d)^2 - 4 (q(t) q(u)), symmetric in s <-> d, t <-> u,
-    # from _factors(q, 1)
-    np.multiply(s, d, out=product)
-    product += np.add(s, d, out=square)
-    product -= np.matmul(left, plus, out=square)
-    np.square(np.subtract(s, d, out=square), out=square)
-    yield np.abs(product, out=product)
-    square -= np.multiply(np.matmul(left, times, out=product), 4.0, out=product)
-    yield np.abs(square, out=square)
+    # from _factors(q, 1); s and d are copied into a and b first, so that no pass reads the
+    # window views, and d again where s + d has used b
+    np.copyto(a, s)
+    np.copyto(b, d)
+    np.multiply(a, b, out=c)
+    c += np.add(a, b, out=b)
+    c -= np.matmul(left, plus, out=b)
+    yield np.abs(c, out=c)
+    np.copyto(b, d)
+    np.square(np.subtract(a, b, out=a), out=a)
+    a -= np.multiply(np.matmul(left, times, out=b), 4.0, out=b)
+    yield np.abs(a, out=a)
 
 
 def defect_grid(h: FunctionHandle, T: float, step: float):

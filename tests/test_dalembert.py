@@ -331,7 +331,7 @@ class TestIdentityOverflow:
 class TestRowBlocks:
     """Sweeps larger than one row block equal reductions over the whole n x n matrix."""
 
-    T, STEP = 2.0, 0.005  # n = 801: a whole table is 20 blocks of 40 rows and a 21st of 1
+    T, STEP = 2.0, 0.005  # n = 801: a whole table is 29 blocks of 27 rows and a 30th of 18
 
     def test_grid_spans_several_blocks_and_a_partial_one(self):
         n = symmetric_grid(self.T, self.STEP)[1].size
@@ -348,6 +348,17 @@ class TestRowBlocks:
         ids = identity_report(h, self.T, self.STEP)
         full = full_tables(h, self.T, self.STEP)[1]
         assert (ids.product_identity, ids.difference_square) == full[:2]
+
+    def test_difference_rows_run_forward(self):
+        # G(t - u) is read from a reversed copy of the nodes, so a block's rows copy and add at
+        # forward stride: on the whole-table path (an exact-cosh table of 8001 rows, T = 2, step
+        # 0.001), staging both windows from reversed rows cost sup_defect and identity_report
+        # 1.06x and 1.09x what reading the window views directly cost, and from forward rows
+        # 1.02x and 1.05x
+        nodes = np.random.default_rng(3).standard_normal(2 * 7 - 1)
+        diffs = dalembert._tables(nodes, 7)[1]
+        assert diffs.strides[1] > 0
+        assert np.array_equal(diffs, sliding_window_view(nodes[::-1], 7)[::-1])
 
     def test_tie_across_blocks_resolves_to_the_earlier_row(self):
         # quadlog's corner defect -T^4/2 is attained in the first and the last row; a bump at
@@ -392,7 +403,8 @@ class TestRowBlocks:
         finally:
             if own:
                 tracemalloc.stop()
-        # two 256 KB block buffers, and O(n) vectors and factors, n = 4001: 0.83 MiB traced
+        # three block buffers sharing 512 KB, and O(n) vectors and factors, n = 4001: 0.84 MiB
+        # traced for sup_defect, 0.87 MiB for identity_report
         assert peak < 2**20
 
 
@@ -429,13 +441,14 @@ class TestMirrorFold:
             assert_same(fields(h, T, T / m), full_tables(h, T, T / m))
 
     def test_several_blocks_of_the_quadrant(self, monkeypatch):
-        # n = 801: the 401-wide quadrant's triangle takes 81 whole rows, then blocks from the
-        # diagonal on, of 102, 150 and the last 68 rows (68^2 fits one block)
+        # n = 801: the 401-wide quadrant's triangle takes 54 whole rows, then blocks from the
+        # diagonal on, of 62, 76, 104 and the last 105 rows (105^2 fits one block)
         T, step = 2.0, 0.005
-        assert list(_blocks(401, True)) == [(slice(0, 81), slice(0, 401)),
-                                            (slice(81, 183), slice(81, 401)),
-                                            (slice(183, 333), slice(183, 401)),
-                                            (slice(333, 401), slice(333, 401))]
+        assert list(_blocks(401, True)) == [(slice(0, 54), slice(0, 401)),
+                                            (slice(54, 116), slice(54, 401)),
+                                            (slice(116, 192), slice(116, 401)),
+                                            (slice(192, 296), slice(192, 401)),
+                                            (slice(296, 401), slice(296, 401))]
         tables = []  # (width, triangle) of the tables each sweep reduces
         monkeypatch.setattr(dalembert, "_blocks",
                             lambda w, tri: tables.append((w, tri)) or _blocks(w, tri))
@@ -631,7 +644,7 @@ class TestEvenPart:
 
 class TestTableCost:
     """A fine-grid table, 811 rows of a noisy cosh at T = 2, step 0.001, is not bitwise even,
-    yet each sweep reduces about the triangle of the quadrant, in two block buffers."""
+    yet each sweep reduces about the triangle of the quadrant, in three block buffers."""
 
     TS = np.linspace(-4.05, 4.05, 811)
     TABLE = sample_table(LOG_LINE, TS, make_family(parse_family_spec(
@@ -649,8 +662,9 @@ class TestTableCost:
 
     @pytest.mark.parametrize("sweep", [sup_defect, identity_report], ids=lambda f: f.__name__)
     def test_peak_memory(self, sweep):
-        # two 256 KB block buffers, and O(n) vectors and factors of the 4001 nodes: 1.15 MiB
-        # traced for identity_report, which holds G's factors and E's
+        # three block buffers sharing 512 KB, and O(n) vectors and factors of the 4001 nodes:
+        # 1.13 MiB traced for sup_defect, 1.22 MiB for identity_report, which holds G's factors
+        # and E's
         own = not tracemalloc.is_tracing()
         if own:
             tracemalloc.start()
@@ -674,7 +688,8 @@ class TestEdgeValues:
     a NaN) on nodes of signed zeros, subnormals, huge values, infinities and NaNs, in blocks of
     several rows, of one row and of one column: the rank-2 products round as multiply and add
     do, the +0 they give for a -0 product compares equal to it, and none reads the NaN that
-    fills both buffers before each block."""
+    fills all three buffers before each block, so a kernel that reads a window's copy before it
+    makes it fails."""
 
     BLOCKS = {  # (w, triangle) -> (rows, cols) of the blocks _scored reduces
         "rows": _blocks,  # of 20 elements: 2 or 4 rows, then 1
@@ -694,6 +709,7 @@ class TestEdgeValues:
         monkeypatch.setattr(dalembert, "_BLOCK_ELEMS", 20)
         monkeypatch.setattr(dalembert, "_blocks", self.BLOCKS[shape])
         views = dalembert._buffers(9)
+        assert len(views(slice(0, 2), slice(0, 9))) == 3  # the stage buffer is filled too
 
         def dirty(r, c):  # a product that reads its output (BLAS beta != 0) reads NaN
             xs = views(r, c)
