@@ -32,6 +32,7 @@ BRANCH_COS = "Cos"
 BRANCH_COSH = "Cosh"
 
 _FIT_MAX_STEPS = 100
+_LADDER_LEVELS = 6
 
 
 class ScalarFit(NamedTuple):
@@ -83,10 +84,10 @@ def branch_values(branch: str, k: float | None, t):
 class CurvatureEstimate:
     """Extrapolated log-curvature with its uncertainty and the raw ratio table.
 
-    ratio_table holds (h, q(h)) pairs on a decreasing geometric sequence of
-    steps; levels is the extrapolation depth actually used; noise_limited is
-    set when the extrapolants stopped improving before the requested depth
-    (round-off dominated), in which case the best stable level is returned.
+    ratio_table holds the six (h, q(h)) pairs of the ladder, steps halving;
+    levels is the extrapolation depth used, 6 unless noise_limited is set:
+    the extrapolants stopped improving before the sixth (round-off
+    dominated), and the best stable level is returned.
     """
 
     kappa: float
@@ -128,32 +129,36 @@ def quad_ratio(h: FunctionHandle, step) -> float | np.ndarray:
     return float(q[0]) if np.ndim(step) == 0 else q
 
 
-def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> CurvatureEstimate:
-    """Richardson-extrapolated log-curvature from the ratio table q(h0 * 2^-k).
+def _ladder_start(h: FunctionHandle, window_T: float | None) -> float:
+    """estimate_kappa's first step, min(0.25, window_T/2, reach); refuses, by name, a window or
+    a support whose bound on it leaves the 6th step, h0/32, a subnormal square."""
+    reach = min(-h.support[0], h.support[1])
+    half = math.inf if window_T is None else 0.5 * window_T
+    for bound, what in ((half, f"window T = {window_T!r}"),
+                        (reach, f"{h.name}: the support {list(h.support)}, of reach {reach!r},")):
+        if not (bound > 0.0 and (bound / 32.0) ** 2 >= np.finfo(float).tiny):
+            raise DomainError(f"{what} is too narrow for a curvature ladder")
+    return min(0.25, half, reach)
+
+
+def estimate_kappa(h: FunctionHandle, *, window_T: float | None = None) -> CurvatureEstimate:
+    """Richardson-extrapolated log-curvature from the six-step ratio table q(h0 * 2^-k).
 
     q(h) = kappa + c2 h^2 + c4 h^4 + ... for smooth handles, so Neville elimination with
-    factors 4^j applies once h is small.  The ladder starts at min(h0, reach), the reach
-    min(-support[0], support[1]) of a support about 0, so a steep handle's first ladder is
-    read, not refused.  While some step s has |q(s)| s^2 = 2 |G_sym(s)| > 1
+    factors 4^j applies once h is small.  The ladder starts at h0 = min(0.25, reach), the reach
+    of a support [lo, hi] about 0 being min(-lo, hi), so a steep handle's first ladder is read,
+    not refused.  Given a window [-window_T, window_T], keyword only, it starts at
+    min(0.25, window_T/2, reach): the curvature that classify, certify and report measure.  A
+    window or a support whose 6th step h0/32 has a subnormal square is a DomainError that names
+    it.  While some step s has |q(s)| s^2 = 2 |G_sym(s)| > 1
     and the smallest step's value is below the largest's, h0 halves, at most 64 times, unless
     a NaN or a next smallest step with a subnormal square ends it; ratio_table holds the steps
     used.  q is formed from the stored excess G = H - 1, so it keeps G's relative error: an
-    exact handle gives kappa to the last bit at any h0.  The uncertainty is the change between
+    exact handle gives kappa to the last bit from any h0.  The uncertainty is the change between
     the last two extrapolants.  Each ladder is one quad_ratio call: two handle evaluations.  A
     kappa that is not finite with no NaN in the table is a RangeOverflowError.
     """
-    if not (h0 > 0.0 and math.isfinite(h0)):
-        raise ParameterError(f"h0 must be positive and finite, got {h0}")
-    if (reach := min(-h.support[0], h.support[1])) > 0.0:
-        h0 = min(h0, reach)
-    levels = int(levels)
-    if levels < 2:
-        raise ParameterError(f"levels must be >= 2, got {levels}")
-    deepest = h0 * 2.0 ** (1 - levels)
-    if deepest * deepest < np.finfo(float).tiny:  # quad_ratio would refuse the last step
-        raise ParameterError(f"h0 * 2^-(levels - 1) = {deepest:g} for h0 = {h0:g}, levels = "
-                             f"{levels}: its square underflows; raise h0 or lower levels")
-    s = h0 * 2.0 ** -np.arange(levels)
+    s = _ladder_start(h, window_T) * 2.0 ** -np.arange(_LADDER_LEVELS)
     q = quad_ratio(h, s)
     for _ in range(64):
         v = np.abs(q) * (s * s)
@@ -176,7 +181,7 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
     unc = [abs(diag[k] - diag[k - 1]) for k in range(1, len(diag))]
     table = tuple(zip(steps, qs))
     floor = 1e-14 * (1.0 + max(abs(d) for d in diag))
-    used = levels
+    used = _LADDER_LEVELS
     for i in range(1, len(unc)):
         if unc[i] > unc[i - 1] and unc[i] > floor:
             # extrapolants started diverging: noise-dominated beyond level i
@@ -186,21 +191,7 @@ def estimate_kappa(h: FunctionHandle, h0: float = 0.25, levels: int = 6) -> Curv
         raise RangeOverflowError(f"{h.name}: estimate_kappa overflows, kappa = {diag[used - 1]!r}, "
                                  f"on the ladder from h0 = {steps[0]!r}")
     return CurvatureEstimate(kappa=diag[used - 1], uncertainty=unc[used - 2], ratio_table=table,
-                             levels=used, noise_limited=used < levels)
-
-
-def _window_h0(window_T: float) -> float:
-    """First ladder step min(0.25, T/2); refuses a T whose 6th step (/32) has a subnormal square."""
-    h0 = min(0.25, 0.5 * window_T)
-    if (h0 / 32.0) ** 2 < np.finfo(float).tiny:
-        raise DomainError(f"window T = {window_T!r} is too narrow for a curvature ladder")
-    return h0
-
-
-def window_curvature(h: FunctionHandle, window_T: float) -> CurvatureEstimate:
-    """estimate_kappa(h, h0) at 6 levels from h0 = min(0.25, window_T/2): the curvature that
-    classify, certify and report each measure on [-window_T, window_T]."""
-    return estimate_kappa(h, h0=_window_h0(window_T))
+                             levels=used, noise_limited=used < _LADDER_LEVELS)
 
 
 def classify(
@@ -212,11 +203,12 @@ def classify(
 ) -> BranchClassification:
     """Classify a normalized handle into its unique solution branch.
 
-    Requires h(0) within const_tol of 0 (Zero) or of 1.  Otherwise a finite curvature,
-    window_curvature(h, window_T) (RangeOverflowError if it overflows), selects the branch:
-    ConstantOne when |kappa| <= const_tol, else Cos or Cosh by its sign, with k
-    refined by a least-squares fit on the window, Gauss-Newton (minimize_scalar)
-    from sqrt(|kappa|), because sampled data make the purely local limit noisy
+    A window, or a support, too narrow for estimate_kappa's ladder is refused before the
+    window is read.  Requires h(0) within const_tol of 0 (Zero) or of 1.  Otherwise a finite
+    curvature, estimate_kappa(h, window_T=window_T) (RangeOverflowError if it overflows),
+    selects the branch: ConstantOne when |kappa| <= const_tol, else Cos or Cosh by its sign,
+    with k refined by a least-squares fit on the window, Gauss-Newton (minimize_scalar) from
+    sqrt(|kappa|), because sampled data make the purely local limit noisy
     while the global fit is well conditioned.  One rule accepts every branch:
     the sup residual |H - branch| on the nodes of [-window_T, window_T] at
     residual_grid_step (window_T / 100 if None) must be <= const_tol for Zero and
@@ -233,7 +225,7 @@ def classify(
         raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the default "
                                  "residual_tol 1e-6 cosh(window_T) would overflow")
     accept = residual_tol if residual_tol is not None else 1e-6 * math.cosh(window_T)
-    _window_h0(window_T)  # a window too narrow for its curvature is refused before its grid
+    _ladder_start(h, window_T)  # a window or support too narrow for the ladder, before the grid
     step = window_T / 100.0 if residual_grid_step is None else residual_grid_step
     grid = symmetric_grid(window_T, step)[1]
     vals = h(grid)
@@ -247,7 +239,7 @@ def classify(
             "only normalized handles are classified"
         )
     else:
-        est = window_curvature(h, window_T)
+        est = estimate_kappa(h, window_T=window_T)
         kappa, threshold = est.kappa, accept
         if not math.isfinite(kappa):
             raise ClassificationError(f"curvature estimate {kappa!r} is not finite; "

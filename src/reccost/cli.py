@@ -120,10 +120,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _ends(value, gap: str) -> list:
-    # a list of more than ten is shown as its first and last five around gap;
+def _ends(value) -> list:
+    # a list of more than ten is shown as its first and last five around "...";
     # --json keeps every entry
-    return list(value) if len(value) <= 10 else [*value[:5], gap, *value[-5:]]
+    return list(value) if len(value) <= 10 else [*value[:5], "...", *value[-5:]]
 
 
 def _print_results(results: dict, prefix: str = "") -> None:
@@ -132,11 +132,11 @@ def _print_results(results: dict, prefix: str = "") -> None:
         if isinstance(value, dict):
             _print_results(value, prefix=f"{label}.")
         elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
-            for row in _ends(value, f"... ({len(value)} rows)"):
-                print(f"  {label}: " + (row if isinstance(row, str) else ", ".join(map(_fmt, row))))
+            for row in value:
+                print(f"  {label}: " + ", ".join(map(_fmt, row)))
         elif isinstance(value, (list, tuple)):
             count = f" ({len(value)} entries)" if len(value) > 10 else ""
-            print(f"  {label} = [" + ", ".join(map(_fmt, _ends(value, "..."))) + "]" + count)
+            print(f"  {label} = [" + ", ".join(map(_fmt, _ends(value))) + "]" + count)
         else:
             print(f"  {label} = {_fmt(value)}")
 
@@ -291,9 +291,7 @@ def _cmd_identities(ns):
 def _cmd_calibrate(ns):
     handle, diag = _load_handle(ns, LOG_LINE)
     from . import calibration
-    est = calibration.estimate_kappa(handle, h0=ns.h0, levels=ns.levels)
-    if est.noise_limited:
-        diag["warnings"] = ["ratio table became round-off dominated before the requested depth"]
+    est = calibration.estimate_kappa(handle)
     return _pick(est, _CURVATURE + ("ratio_table",)), diag, STATUS_OK, None
 
 
@@ -351,7 +349,7 @@ def _cmd_report(ns):
         sections["identities"] = dalembert.identity_report(handle, ns.T, ns.step)
     except RangeOverflowError as exc:  # a finite G whose identities overflow
         sections["identities"] = {"error": str(exc)}
-    sections["curvature"] = _pick(calibration.window_curvature(handle, ns.T), _CURVATURE)
+    sections["curvature"] = _pick(calibration.estimate_kappa(handle, window_T=ns.T), _CURVATURE)
     try:
         cls = calibration.classify(handle, window_T=ns.T)
     except (ClassificationError, PrecisionError, RangeOverflowError) as exc:
@@ -388,9 +386,7 @@ _COMMANDS = {
                _SOURCE + tuple((f"--{name}", {"type": float}) for name in "tuxy")),
     "sup-defect": ("grid supremum of the defect", _cmd_sup_defect, _GRID),
     "identities": ("violations of the solution identities", _cmd_identities, _GRID),
-    "calibrate": ("extrapolated log-curvature estimate", _cmd_calibrate,
-                  _SOURCE + (("--h0", {"type": float, "default": 0.25}),
-                             ("--levels", {"type": int, "default": 6}))),
+    "calibrate": ("extrapolated log-curvature estimate", _cmd_calibrate, _SOURCE),
     "classify": ("classify into the solution branch", _cmd_classify,
                  _SOURCE + (("--window-T", {"type": float, "default": 2.0}),
                             ("--const-tol", {"type": float, "default": 1e-8}),

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibration import BRANCH_COSH, branch_values, window_curvature
-from .calibration import estimate_kappa  # noqa: F401  (bench/tracer.py wraps this name)
+from .calibration import BRANCH_COSH, branch_values, estimate_kappa
 from .dalembert import DefectReport, sup_defect
 from .errors import DomainError, PreconditionError, RangeOverflowError
 from .grids import symmetric_grid
@@ -155,8 +154,8 @@ def certify(
     eps, B, K on grids, picks h (optimal_h unless h_choice is given), refuses
     an a that leaves delta/a or cosh(sqrt(a) t) on the window not finite, and
     sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
-    envelope.  a defaults to the kappa of window_curvature(h, T), which certify measures
-    itself; an a given instead certifies against the branch cosh(sqrt(a) t).  defect,
+    envelope.  a defaults to the kappa of estimate_kappa(h, window_T=T), which certify
+    measures itself; an a given instead certifies against the branch cosh(sqrt(a) t).  defect,
     sup_defect(h, T, step), saves that sweep if the caller has it.
     """
     require_domain(h, LOG_LINE, "certify")
@@ -183,7 +182,7 @@ def certify(
         )
 
     if a is None:
-        a = window_curvature(h, T).kappa
+        a = estimate_kappa(h, window_T=T).kappa
     a = float(a)
     if not (a > 0.0 and math.isfinite(a)):
         raise PreconditionError(f"curvature a = {a!r} violates the hypothesis a > 0")
@@ -247,9 +246,9 @@ def certify_ratio(
 ) -> StabilityCertificate:
     """Certificate for a positive-ratio handle over x in (e^-(T-h), e^(T-h)), with e^T finite.
 
-    Lifts to log coordinates and certifies there (a defaults to the lift's window_curvature);
-    the envelope in x reads (delta/a)(cosh(sqrt(a) |ln x|) - 1).  When a is within 1e-10 of 1
-    the envelope is reported in the simplified form delta * J(x).
+    Lifts to log coordinates and certifies there (a defaults to the lift's curvature on the
+    window, as certify's does); the envelope in x reads (delta/a)(cosh(sqrt(a) |ln x|) - 1).
+    When a is within 1e-10 of 1 the envelope is reported in the simplified form delta * J(x).
     """
     require_domain(f, POSITIVE_RATIOS, "certify_ratio")
     if T > math.log(np.finfo(float).max):  # the window's x = e^(T - h) may not overflow

@@ -16,7 +16,6 @@ from reccost import (
     FunctionHandle,
     LOG_LINE,
     POSITIVE_RATIOS,
-    ParameterError,
     PrecisionError,
     RangeOverflowError,
     analytic,
@@ -28,7 +27,7 @@ from reccost import (
     quad_ratio,
     sample_table,
 )
-from reccost.calibration import minimize_scalar, window_curvature
+from reccost.calibration import minimize_scalar
 from reccost.fixtures import FAMILIES, PERTURB_MODES
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
@@ -109,9 +108,10 @@ class TestEstimateKappa:
     @pytest.mark.parametrize("h0", [0.25, 1e-5, 1e-9])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_exact_cosh_to_the_last_bit(self, lam, h0):
-        # q is formed from the stored excess G, so no 1 cancels at any step
+        # q is formed from the stored excess G, so no 1 cancels at any step; the window
+        # [-2 h0, 2 h0] starts the ladder at h0
         est = estimate_kappa(make_family(FamilySpec("cosh-lambda", {"lambda": lam}), LOG_LINE),
-                             h0=h0)
+                             window_T=2 * h0)
         assert abs(est.kappa - lam * lam) <= np.finfo(float).eps * lam * lam
         assert not est.noise_limited and est.levels == 6
 
@@ -126,7 +126,7 @@ class TestEstimateKappa:
         assert abs(est.kappa - (-0.49)) <= 1e-8
 
     def test_ratio_table_structure(self):
-        est = estimate_kappa(COSH_LOG, h0=0.25, levels=6)
+        est = estimate_kappa(COSH_LOG)
         hs = [row[0] for row in est.ratio_table]
         assert hs == [0.25 * 2.0**-k for k in range(6)]
         assert all(h1 < h0 for h0, h1 in zip(hs, hs[1:]))
@@ -154,17 +154,29 @@ class TestEstimateKappa:
         assert est.levels < 6
         assert est.uncertainty > 0.0
 
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            estimate_kappa(COSH_LOG, h0=-0.1)
-        with pytest.raises(ParameterError):
-            estimate_kappa(COSH_LOG, levels=1)
+    def test_the_window_is_keyword_only(self):
+        # a positional 0.1 was once read as h0; it may not be read as a window either
+        with pytest.raises(TypeError):
+            estimate_kappa(COSH_LOG, 0.1)
+        for knob in ("h0", "levels"):
+            with pytest.raises(TypeError):
+                estimate_kappa(COSH_LOG, **{knob: 6})
 
-    @pytest.mark.parametrize("h0, levels", [(0.25, 2000), (1e-300, 2)])
-    def test_underflowing_table_is_refused_up_front(self, h0, levels):
-        # the message names the inputs, not the step at which quad_ratio would fail
-        with pytest.raises(ParameterError, match=r"h0 \* 2\^-\(levels - 1\)"):
-            estimate_kappa(COSH_LOG, h0=h0, levels=levels)
+    @pytest.mark.parametrize("h, support, reach", [
+        (make_family(parse_family_spec("cosh-lambda,lambda=1e300"), LOG_LINE),
+         "[-7e-298, 7e-298]", "7e-298"),
+        (sample_table(LOG_LINE, np.linspace(0.5, 4.0, 351), np.cosh(np.linspace(0.5, 4.0, 351))),
+         "[0.5, 4.0]", "-0.5"),
+    ], ids=["steep", "off-origin"])
+    def test_a_support_too_narrow_for_a_ladder_is_refused_by_its_reach(self, h, support, reach):
+        # the 6th step of a ladder from that reach has a subnormal square, or there is no ladder
+        # about 0 at all; the message names the support, not the step quad_ratio would refuse
+        message = f"{h.name}: the support {support}, of reach {reach}, is too narrow for a " \
+            "curvature ladder"
+        for call in (lambda: estimate_kappa(h), lambda: estimate_kappa(h, window_T=2.0)):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("h", [COSH_LOG, NOISY_TRIG, TABLE], ids=["cosh", "noisy", "table"])
     def test_a_ladder_costs_two_evaluations(self, h, monkeypatch):
@@ -173,13 +185,13 @@ class TestEstimateKappa:
         evaluate = FunctionHandle._eval
         monkeypatch.setattr(FunctionHandle, "_eval",
                             lambda self, z, order: calls.append(z) or evaluate(self, z, order))
-        estimate_kappa(h, levels=6)
+        estimate_kappa(h)
         assert len(calls) <= 2
 
     @given(ladder_handles(), st.floats(min_value=1e-4, max_value=0.25))
     def test_ratio_table_is_quad_ratio_of_the_ladder(self, h, h0):
         ladder = [h0 * 2.0**-k for k in range(6)]
-        est = estimate_kappa(h, h0=h0)
+        est = estimate_kappa(h, window_T=2 * h0)
         assert [s for s, _ in est.ratio_table] == ladder
         qs = quad_ratio(h, ladder)
         assert np.array([q for _, q in est.ratio_table]).tobytes() == qs.tobytes()
@@ -189,16 +201,14 @@ class TestEstimateKappa:
 
     def test_a_ladder_out_of_regime_halves_its_h0(self):
         # from h0 = 0.25, 2 |G_sym(s)| > 1 on cosh(100 t)'s ladder; it once gave 8462 +- 1.6e6
-        est = estimate_kappa(make_family(parse_family_spec("cosh-lambda,lambda=100"), LOG_LINE),
-                             h0=0.25)
+        est = estimate_kappa(make_family(parse_family_spec("cosh-lambda,lambda=100"), LOG_LINE))
         assert est.ratio_table[0][0] < 0.25
         assert abs(est.kappa - 1e4) <= 1e-9
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_the_ladder_starts_inside_the_support(self):
         # cosh(1e6 t) is evaluable on [-7e-4, 7e-4]; h0 = 0.25 is cut to that reach and halves
-        est = estimate_kappa(make_family(parse_family_spec("cosh-lambda,lambda=1e6"), LOG_LINE),
-                             h0=0.25)
+        est = estimate_kappa(make_family(parse_family_spec("cosh-lambda,lambda=1e6"), LOG_LINE))
         assert est.ratio_table[0][0] == 7e-4 / 1024
         assert abs(est.kappa - 1e12) <= 1e-12 * 1e12 and est.levels == 6
 
@@ -206,7 +216,8 @@ class TestEstimateKappa:
     def test_noisy_cosh_to_the_ulp_at_every_h0(self, h0):
         # the sine perturbation is formed as 2 a sin^2(f t / 2): a (1 - cos f t) cancelled to
         # noise at small steps and left 1.0249430106199122 at 2 levels from h0 = 1e-7
-        est = estimate_kappa(make_family(parse_family_spec("noisy-cosh"), LOG_LINE), h0=h0)
+        est = estimate_kappa(make_family(parse_family_spec("noisy-cosh"), LOG_LINE),
+                             window_T=2 * h0)
         assert abs(est.kappa - 1.025) <= np.spacing(1.025) and est.levels == 6
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -228,7 +239,7 @@ class TestEstimateKappa:
 
 
 class TestWindowCurvature:
-    """window_curvature is estimate_kappa from the window's h0, which halves until its ladder
+    """estimate_kappa on a window starts from min(0.25, T/2), and halves until its ladder
     decays toward G(0) = 0 with every |q(s)| s^2 = 2 |G_sym(s)| at most 1, where Richardson
     extrapolation holds."""
 
@@ -241,9 +252,9 @@ class TestWindowCurvature:
     ], ids=["cosh-10", "cosh-100", "powerlaw-w-170", "cos-30", "cos-8pi"])
     def test_steep_handles_give_their_curvature(self, spec, T, kappa):
         h = make_family(parse_family_spec(spec), domain=LOG_LINE)
-        est = window_curvature(h, T)
+        est = estimate_kappa(h, window_T=T)
         assert abs(est.kappa - kappa) <= 1e-9 * abs(kappa)
-        assert estimate_kappa(h) == est  # calibrate's default h0 is the window's, 0.25
+        assert estimate_kappa(h) == est  # calibrate's h0 is the window's, 0.25
 
     @pytest.mark.parametrize("amplitude", [1e6, 1e14, 1e20])
     def test_noisy_cosh_keeps_its_curvature_at_every_amplitude(self, amplitude):
@@ -251,7 +262,7 @@ class TestWindowCurvature:
         # 5.3e-2 and 1.0 at these amplitudes
         h = make_family(parse_family_spec(f"noisy-cosh,amplitude={amplitude!r}"), LOG_LINE)
         kappa = 1.0 + 25.0 * amplitude
-        assert abs(window_curvature(h, 2.0).kappa - kappa) <= 4e-16 * kappa
+        assert abs(estimate_kappa(h, window_T=2.0).kappa - kappa) <= 4e-16 * kappa
 
     @pytest.mark.parametrize("spec", ["cosh-lambda,lambda=2", "zero"])
     def test_a_handle_in_regime_costs_one_ladder(self, spec, monkeypatch):
@@ -261,13 +272,13 @@ class TestWindowCurvature:
         evaluate = FunctionHandle._eval
         monkeypatch.setattr(FunctionHandle, "_eval",
                             lambda self, z, order: calls.append(z) or evaluate(self, z, order))
-        assert window_curvature(h, 2.0) == estimate_kappa(h, h0=0.25)
-        assert len(calls) == 4  # two for window_curvature's ladder, two for estimate_kappa's
+        assert estimate_kappa(h, window_T=2.0) == estimate_kappa(h)
+        assert len(calls) == 4  # two for each ladder, on the window and off it
 
     def test_nan_ends_the_halving(self):
         h = analytic(LOG_LINE, "cosh(30 t), NaN at 2^-6",
                      (lambda t: np.where(np.abs(t) == 2.0**-6, np.nan, np.cosh(30.0 * t)),))
-        est = window_curvature(h, 2.0)
+        est = estimate_kappa(h, window_T=2.0)
         assert est.ratio_table[0][0] == 0.25 and math.isnan(est.ratio_table[-2][1])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -275,19 +286,19 @@ class TestWindowCurvature:
         # from h0 = 5e-151 the ladder of cosh(4e152 t) reaches its regime only at steps whose
         # squares are subnormal, so the halving stops at the last ladder estimate_kappa takes
         h = make_family(parse_family_spec("cosh-lambda,lambda=4e152"), domain=LOG_LINE)
-        s = window_curvature(h, 1e-150).ratio_table[-1][0]
+        s = estimate_kappa(h, window_T=1e-150).ratio_table[-1][0]
         assert s * s >= np.finfo(float).tiny > (0.5 * s) ** 2
 
 
     @pytest.mark.parametrize("T", [1e-300, 5e-324, 9e-153])
     def test_a_window_too_narrow_for_its_ladder_is_refused_by_its_t(self, T):
-        # the deepest step of the first ladder, T/64, has a subnormal square; estimate_kappa
-        # would name an h0 and levels the caller never gave, and T = 5e-324 an h0 of 0.0
+        # the deepest step of the first ladder, T/64, has a subnormal square; the message names
+        # the T the caller gave, not a step or an h0 (of 0.0 at T = 5e-324)
         h = make_family(parse_family_spec("cosh"), domain=LOG_LINE)
         message = f"window T = {T!r} is too narrow for a curvature ladder"
-        for call in (window_curvature, classify):
+        for call in (lambda: estimate_kappa(h, window_T=T), lambda: classify(h, T)):
             with pytest.raises(DomainError) as info:
-                call(h, T)
+                call()
             assert str(info.value) == message
 
 

@@ -24,7 +24,7 @@ from reccost import (
     sample_table,
     sup_defect,
 )
-from reccost.calibration import window_curvature
+from reccost.calibration import estimate_kappa
 from reccost.grids import symmetric_grid
 from reccost.stability import ENVELOPE_COSH_BRANCH, ENVELOPE_DELTA_TIMES_J, certificate_sweep
 
@@ -266,10 +266,10 @@ class TestCertify:
                 certify(pert, T, step, defect=rep)
 
     def test_measured_kappa_as_a_matches_default(self):
-        # report measures window_curvature once and hands its kappa to certify as a
+        # report measures the window's curvature once and hands its kappa to certify as a
         pert = perturb(COSH_LOG, "poly4", 1e-4)
         for T in (0.4, 2.0):
-            measured = window_curvature(pert, T)
+            measured = estimate_kappa(pert, window_T=T)
             assert certify(pert, T, 0.05, a=measured.kappa) == certify(pert, T, 0.05)
 
     def test_certify_sampled_cosh_table(self):
