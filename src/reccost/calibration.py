@@ -21,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import COSH_T_MAX
-from .errors import (ClassificationError, DomainError, ParameterError, PrecisionError,
-                     RangeOverflowError)
+from .errors import ClassificationError, DomainError, PrecisionError, RangeOverflowError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, FunctionHandle, require_domain
 
@@ -32,6 +31,7 @@ BRANCH_COS = "Cos"
 BRANCH_COSH = "Cosh"
 
 _FIT_MAX_STEPS = 100
+_CONST_TOL = 1e-8  # classify's tolerance for H(0) and for kappa = 0
 _LADDER_LEVELS = 6
 
 
@@ -136,7 +136,8 @@ def _ladder_start(h: FunctionHandle, window_T: float | None) -> float:
     half = math.inf if window_T is None else 0.5 * window_T
     for bound, what in ((half, f"window T = {window_T!r}"),
                         (reach, f"{h.name}: the support {list(h.support)}, of reach {reach!r},")):
-        if not (bound > 0.0 and (bound / 32.0) ** 2 >= np.finfo(float).tiny):
+        # min(bound, 1) squares no float above 1, so no reach overflows the test
+        if not (bound > 0.0 and (min(bound, 1.0) / 32.0) ** 2 >= np.finfo(float).tiny):
             raise DomainError(f"{what} is too narrow for a curvature ladder")
     return min(0.25, half, reach)
 
@@ -194,62 +195,51 @@ def estimate_kappa(h: FunctionHandle, *, window_T: float | None = None) -> Curva
                              levels=used, noise_limited=used < _LADDER_LEVELS)
 
 
-def classify(
-    h: FunctionHandle,
-    window_T: float,
-    const_tol: float = 1e-8,
-    residual_grid_step: float | None = None,
-    residual_tol: float | None = None,
-) -> BranchClassification:
+def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
     """Classify a normalized handle into its unique solution branch.
 
     A window, or a support, too narrow for estimate_kappa's ladder is refused before the
-    window is read.  Requires h(0) within const_tol of 0 (Zero) or of 1.  Otherwise a finite
-    curvature, estimate_kappa(h, window_T=window_T) (RangeOverflowError if it overflows),
-    selects the branch: ConstantOne when |kappa| <= const_tol, else Cos or Cosh by its sign,
+    window is read, and so is a window_T past COSH_T_MAX, where the threshold 1e-6 cosh(window_T)
+    would overflow.  Requires h(0) within _CONST_TOL = 1e-8 of 0 (Zero) or of 1.  Otherwise a
+    finite curvature, estimate_kappa(h, window_T=window_T) (RangeOverflowError if it overflows),
+    selects the branch: ConstantOne when |kappa| <= _CONST_TOL, else Cos or Cosh by its sign,
     with k refined by a least-squares fit on the window, Gauss-Newton (minimize_scalar) from
     sqrt(|kappa|), because sampled data make the purely local limit noisy
     while the global fit is well conditioned.  One rule accepts every branch:
-    the sup residual |H - branch| on the nodes of [-window_T, window_T] at
-    residual_grid_step (window_T / 100 if None) must be <= const_tol for Zero and
-    residual_tol (default 1e-6 * cosh(window_T)) for the others; any other
+    the sup residual |H - branch| on the nodes of [-window_T, window_T] at step window_T / 100
+    must be <= _CONST_TOL for Zero and 1e-6 cosh(window_T) for the others; any other
     residual, NaN included, raises ClassificationError (not near any branch).
     """
     require_domain(h, LOG_LINE, "classify")
     if not (window_T > 0 and math.isfinite(window_T)):
         raise DomainError(f"window_T must be positive and finite, got {window_T}")
-    if not all(math.isfinite(v) and v >= 0 for v in (const_tol, residual_tol) if v is not None):
-        raise ParameterError(f"const_tol and residual_tol must be finite and >= 0, got "
-                             f"{const_tol}, {residual_tol}")
-    if residual_tol is None and window_T > COSH_T_MAX:
-        raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the default "
-                                 "residual_tol 1e-6 cosh(window_T) would overflow")
-    accept = residual_tol if residual_tol is not None else 1e-6 * math.cosh(window_T)
+    if window_T > COSH_T_MAX:
+        raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the "
+                                 "residual threshold 1e-6 cosh(window_T) would overflow")
     _ladder_start(h, window_T)  # a window or support too narrow for the ladder, before the grid
-    step = window_T / 100.0 if residual_grid_step is None else residual_grid_step
-    grid = symmetric_grid(window_T, step)[1]
+    grid = symmetric_grid(window_T, window_T / 100.0)[1]
     vals = h(grid)
     h_at_0 = float(vals[grid.size // 2])  # the symmetric grid has t = 0 in its middle
 
-    if abs(h_at_0) <= const_tol:
-        branch, k, kappa, threshold = BRANCH_ZERO, None, 0.0, const_tol
-    elif not abs(h_at_0 - 1.0) <= const_tol:
+    if abs(h_at_0) <= _CONST_TOL:
+        branch, k, kappa, threshold = BRANCH_ZERO, None, 0.0, _CONST_TOL
+    elif not abs(h_at_0 - 1.0) <= _CONST_TOL:
         raise ClassificationError(
-            f"H(0) = {h_at_0!r} is near neither 0 nor 1 (tolerance {const_tol:g}); "
+            f"H(0) = {h_at_0!r} is near neither 0 nor 1 (tolerance {_CONST_TOL:g}); "
             "only normalized handles are classified"
         )
     else:
         est = estimate_kappa(h, window_T=window_T)
-        kappa, threshold = est.kappa, accept
+        kappa, threshold = est.kappa, 1e-6 * math.cosh(window_T)
         if not math.isfinite(kappa):
             raise ClassificationError(f"curvature estimate {kappa!r} is not finite; "
                                       "cannot pick a branch")
-        if est.noise_limited and est.uncertainty > max(abs(kappa), const_tol):
+        if est.noise_limited and est.uncertainty > max(abs(kappa), _CONST_TOL):
             raise PrecisionError(
                 f"curvature estimate {kappa:.3e} +- {est.uncertainty:.3e} is round-off "
                 "dominated; cannot pick a branch"
             )
-        if abs(kappa) <= const_tol:
+        if abs(kappa) <= _CONST_TOL:
             branch, k = BRANCH_CONSTANT_ONE, None
         else:
             branch = BRANCH_COSH if kappa > 0 else BRANCH_COS

@@ -19,6 +19,9 @@ JSON object.
 
 Exit codes: 0 = ok, 1 = verification-failed (a negative mathematical verdict
 from certify/classify), 2 = input-error (any toolkit error that reaches run).
+A flag is read by its whole name only, so an abbreviated, misspelt or removed
+flag is an input error.  The verdicts take no tuning flag: certify uses the h
+that minimizes delta(h), and classify its own tolerances and residual grid.
 
 ``main`` is the process entry, of ``python -m reccost`` and of the ``reccost``
 script alike: it turns the cyclic garbage collector off before any handler
@@ -299,9 +302,7 @@ def _cmd_classify(ns):
     handle, diag = _load_handle(ns, LOG_LINE)
     from . import calibration
     try:
-        result = calibration.classify(handle, window_T=ns.window_T, const_tol=ns.const_tol,
-                                      residual_grid_step=ns.residual_step,
-                                      residual_tol=ns.residual_tol)
+        result = calibration.classify(handle, window_T=ns.window_T)
     except ClassificationError as exc:
         return _classification_section(exc), diag, STATUS_FAILED, None
     plot = None
@@ -315,7 +316,7 @@ def _certify_common(ns, ratio: bool):
     handle, diag = _grid_source(ns, POSITIVE_RATIOS if ratio else LOG_LINE)
     from . import stability
     fn = stability.certify_ratio if ratio else stability.certify
-    cert = fn(handle, ns.T, ns.step, h_choice=ns.h, a=ns.a)
+    cert = fn(handle, ns.T, ns.step, a=ns.a)
     if ratio:
         half = cert.inputs.T - cert.inputs.h
         diag["x_window"] = [math.exp(-half), math.exp(half)]
@@ -376,8 +377,7 @@ _SOURCE = (("--family", {"help": "builtin family spec, e.g. cosh-lambda,lambda=2
 _GRID = _SOURCE + (("--T", {"type": float, "default": 2.0}),
                    ("--step", {"type": float, "default": 0.05}))
 _PLOT = (("--plot-csv", {"help": "write (t,H,branch,envelope,error) rows to this path"}),)
-_CERTIFY = _GRID + (("--h", {"type": float, "help": "step h (default: optimal)"}),
-                    ("--a", {"type": float, "help": "curvature override"})) + _PLOT
+_CERTIFY = _GRID + (("--a", {"type": float, "help": "curvature override"}),) + _PLOT
 _X = ("--x", {"type": float, "required": True})
 
 _COMMANDS = {
@@ -388,10 +388,7 @@ _COMMANDS = {
     "identities": ("violations of the solution identities", _cmd_identities, _GRID),
     "calibrate": ("extrapolated log-curvature estimate", _cmd_calibrate, _SOURCE),
     "classify": ("classify into the solution branch", _cmd_classify,
-                 _SOURCE + (("--window-T", {"type": float, "default": 2.0}),
-                            ("--const-tol", {"type": float, "default": 1e-8}),
-                            ("--residual-step", {"type": float}),
-                            ("--residual-tol", {"type": float})) + _PLOT),
+                 _SOURCE + (("--window-T", {"type": float, "default": 2.0}),) + _PLOT),
     "certify": ("stability certificate in log coordinates",
                 functools.partial(_certify_common, ratio=False), _CERTIFY),
     "certify-ratio": ("stability certificate on positive ratios",
@@ -410,11 +407,13 @@ _JSON = ("--json", {"help": "write the run report as JSON to this path"})
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose parse errors raise InputError, and that reads every
-    negative float literal (-1e308, -.5, -inf) as a value, not as an option."""
+    """An argument parser whose parse errors raise InputError, that reads every negative
+    float literal (-1e308, -.5, -inf) as a value, not as an option, and that reads no
+    abbreviation of a flag (--window is not --window-T), so a misspelt or removed flag is
+    refused.  Its subparsers are of its class, so they read none either."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):

@@ -14,7 +14,8 @@ class RangeOverflowError(DomainError):
 
 
 class ParameterError(ReccostError):
-    """A structural parameter (family spec, iteration budget, level count) is out of range."""
+    """A structural parameter (family spec, iteration budget or tolerance, term count) is out
+    of range."""
 
 
 class ConvergenceError(ReccostError):

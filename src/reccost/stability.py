@@ -10,8 +10,8 @@ for every 0 < h <= T and |t| <= T - h, with
     delta(h) = eps/h^2 + (1 + B) K h / 3,
     eps = sup |Delta_H| on [-T, T]^2,  B = sup |H|,  K = sup |H'''|.
 
-certify() estimates every ingredient on explicit grids, picks h (or takes a
-user choice), sweeps the window and reports a verified/failed verdict with
+certify() estimates every ingredient on explicit grids, picks the h that
+minimizes delta(h), sweeps the window and reports a verified/failed verdict with
 margins.  The certificate keeps the window it judged, its nodes and H on
 them, so certificate_sweep() reads the verdict's own sweep back without
 evaluating H again.  Hypothesis violations (not even, H(0) != 1, a <= 0) are
@@ -140,18 +140,12 @@ def optimal_h(epsilon: float, B: float, K: float, T: float) -> float:
     return min(float(T), (6.0 * epsilon / c) ** (1.0 / 3.0))
 
 
-def certify(
-    h: FunctionHandle,
-    T: float,
-    step: float,
-    h_choice: float | None = None,
-    a: float | None = None,
-    defect: DefectReport | None = None,
-) -> StabilityCertificate:
+def certify(h: FunctionHandle, T: float, step: float, a: float | None = None,
+            defect: DefectReport | None = None) -> StabilityCertificate:
     """Build a stability certificate for a log-line handle on [-T, T].
 
     Checks the hypotheses (even, H(0) = 1 within 1e-6, a > 0), measures
-    eps, B, K on grids, picks h (optimal_h unless h_choice is given), refuses
+    eps, B, K on grids, takes h = optimal_h(eps, B, K, T), refuses
     an a that leaves delta/a or cosh(sqrt(a) t) on the window not finite, and
     sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
     envelope.  a defaults to the kappa of estimate_kappa(h, window_T=T), which certify
@@ -161,8 +155,6 @@ def certify(
     require_domain(h, LOG_LINE, "certify")
     if not (T > 0 and math.isfinite(T)):
         raise DomainError(f"T must be positive and finite, got {T}")
-    if h_choice is not None and not (0.0 < float(h_choice) <= T):
-        raise DomainError(f"h_choice must satisfy 0 < h <= T, got {h_choice}")
     if not h.evaluable_on(-2.0 * T, 2.0 * T):
         raise DomainError(f"{h.name}: certify needs evaluability on [-2T, 2T]")
 
@@ -189,7 +181,7 @@ def certify(
 
     B, K = estimate_bounds(h, T)  # a handle without H''' is refused before the sweep
     epsilon = (sup_defect(h, T, step) if defect is None else defect).epsilon
-    h_used = optimal_h(epsilon, B, K, T) if h_choice is None else float(h_choice)
+    h_used = optimal_h(epsilon, B, K, T)
     delta = delta_of_h(epsilon, B, K, h_used)
 
     envelope = EnvelopeSpec(scale=delta / a, rate=math.sqrt(a))
@@ -237,23 +229,19 @@ def certificate_sweep(cert: StabilityCertificate):
     return _sweep(cert.grid, cert.values, cert.envelope)
 
 
-def certify_ratio(
-    f: FunctionHandle,
-    T: float,
-    step: float,
-    h_choice: float | None = None,
-    a: float | None = None,
-) -> StabilityCertificate:
+def certify_ratio(f: FunctionHandle, T: float, step: float,
+                  a: float | None = None) -> StabilityCertificate:
     """Certificate for a positive-ratio handle over x in (e^-(T-h), e^(T-h)), with e^T finite.
 
-    Lifts to log coordinates and certifies there (a defaults to the lift's curvature on the
-    window, as certify's does); the envelope in x reads (delta/a)(cosh(sqrt(a) |ln x|) - 1).
-    When a is within 1e-10 of 1 the envelope is reported in the simplified form delta * J(x).
+    Lifts to log coordinates and certifies there, h being optimal_h's as in certify (a defaults
+    to the lift's curvature on the window, as certify's does); the envelope in x reads
+    (delta/a)(cosh(sqrt(a) |ln x|) - 1).  When a is within 1e-10 of 1 the envelope is reported
+    in the simplified form delta * J(x).
     """
     require_domain(f, POSITIVE_RATIOS, "certify_ratio")
     if T > math.log(np.finfo(float).max):  # the window's x = e^(T - h) may not overflow
         raise RangeOverflowError(f"certify_ratio needs e^T finite, got T = {T!r}")
-    cert = certify(lift_to_log(f), T, step, h_choice=h_choice, a=a)
+    cert = certify(lift_to_log(f), T, step, a=a)
     if abs(cert.inputs.a - 1.0) <= _SIMPLIFIED_A_TOL:
         cert = replace(cert, envelope=replace(cert.envelope, form=ENVELOPE_DELTA_TIMES_J))
     return cert

@@ -387,11 +387,11 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify(COSH_LOG, -1.0)
 
-    def test_explicit_tolerance_keeps_the_overflow_guard(self):
-        # cosh(1.3 k0 window_T) at the fit bracket's top overflows
+    def test_a_window_too_wide_for_the_fit_is_refused(self):
+        # cosh(1.3 k0 window_T) at the fit bracket's top overflows, below COSH_T_MAX too
         quadlog = make_family(FamilySpec("quadlog"), domain=LOG_LINE)
-        with pytest.raises(RangeOverflowError, match="window_T"):
-            classify(quadlog, 800.0, residual_tol=1.0)
+        with pytest.raises(RangeOverflowError, match="window_T = 700 is too wide for the fit"):
+            classify(quadlog, 700.0)
 
 
 class TestMinimizeScalar:

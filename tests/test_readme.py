@@ -20,3 +20,13 @@ def test_quick_tour_runs_and_states_its_epsilon():
     want = re.search(r"epsilon ~ ([0-9.]+e-?[0-9]+)", comment).group(1)
     digits = len(want.split("e")[0].partition(".")[2])
     assert f"{eval(expr, namespace).epsilon:.{digits}e}" == want
+
+
+def test_every_flag_the_readme_names_is_declared():
+    # a flag the CLI no longer declares would send a reader to an input error
+    from reccost.cli import _COMMANDS
+    declared = {flag for _, _, arguments in _COMMANDS.values() for flag, _ in arguments}
+    named = {flag for line in README.read_text(encoding="utf-8").splitlines()
+             if not re.search(r"\bpip\b|python scripts/", line)
+             for flag in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", line)}
+    assert named - declared - {"--json"} == set()

@@ -1,12 +1,14 @@
 """The soundness ledger: ROADMAP's reproducers, each as the property a sound answer has.
 
 A `verified` certificate claims |H(t) - cosh(sqrt(a) t)| <= (delta/a) (cosh(sqrt(a) |t|) - 1)
-on its whole window |t| <= T - h.  Each certificate test runs a reproducer as the CLI runs it
-and, where the answer is `verified`, checks that the claim is not vacuous and holds off the
-grid: the window has a node t != 0, delta/a < 1, so that the envelope lies below the branch's
-own excess cosh(sqrt(a) t) - 1, and the envelope holds on a grid 20x finer than the
-certificate's.  A `not verified` answer, or a refusal, asserts nothing, because a sound method
-may rightly refuse these inputs.  Other answers are checked by their own claims:
++ floor on its whole window |t| <= T - h, floor being 0 for a certificate that reports none.
+Each certificate test runs a reproducer as the CLI runs it and, where the answer is `verified`,
+checks that the claim is not vacuous and holds off the grid: the window has a node t != 0,
+delta/a < 1, so that the envelope lies below the branch's own excess cosh(sqrt(a) t) - 1, and
+the envelope holds on a grid 20x finer than the certificate's.  A `not verified` answer, or a
+refusal, asserts nothing, because a sound method may rightly refuse these inputs; item 3's
+tables, which a sound method must verify, are the exception.  Other answers are checked by
+their own claims:
 
 - an accepted branch's sup residual on its window is at most 1e-6 sup |branch| there;
 - a certificate's K bounds |H'''| on a grid 20x finer than the one that measured it;
@@ -22,19 +24,25 @@ import numpy as np
 import pytest
 
 from reccost import LOG_LINE, make_family, parse_family_spec
-from reccost.cli import run
+from reccost.cli import load_samples, run
 
 
-def assert_sound(argv, spec, step):
-    """Run argv; where its certificate is verified, check its claim on the handle of spec."""
+def family(spec):
+    return make_family(parse_family_spec(spec), domain=LOG_LINE)
+
+
+def assert_sound(argv, handle, step, must_verify=False):
+    """Run argv; where its certificate is verified, check its claim on handle.  With
+    must_verify, a certificate that is not verified fails too."""
     _, report = run(argv)
     results = report.results or {}
     cert = results.get("certificate", results)  # report's section, or certify's results
     if not cert.get("verified"):
+        assert not must_verify, ("not verified: margin "
+                                 f"{cert.get('max_envelope_margin', report.diagnostics)!r}")
         return
     T, h, a = (cert["inputs"][k] for k in ("T", "h", "a"))
-    scale, rate = cert["delta"] / a, np.sqrt(a)
-    handle = make_family(parse_family_spec(spec), domain=LOG_LINE)
+    scale, rate, floor = cert["delta"] / a, np.sqrt(a), cert.get("floor", 0.0)
     nodes = np.linspace(-T, T, 2 * round(T / step) + 1)
     window = nodes[np.abs(nodes) <= T - h]
     assert np.any(window != 0.0), f"the window {window} has no node t != 0"
@@ -42,7 +50,7 @@ def assert_sound(argv, spec, step):
     assert scale < 1.0, f"delta/a = {scale:.3g}: the envelope lies above the branch's excess"
     fine = np.arange(-(k := int((T - h) / (step / 20))), k + 1) * (step / 20)
     error = np.abs(handle(fine) - np.cosh(rate * fine))
-    broken = error > scale * (np.cosh(rate * np.abs(fine)) - 1.0)
+    broken = error > scale * (np.cosh(rate * np.abs(fine)) - 1.0) + floor
     assert not np.any(broken), (f"the envelope breaks at {np.count_nonzero(broken)} of "
                                 f"{fine.size} points of a 20x finer grid")
 
@@ -59,7 +67,7 @@ def assert_branch_sound(argv, spec, T):
         branch = (np.cosh if results["branch"] == "Cosh" else np.cos)(results["k"] * nodes)
     else:  # ConstantOne or Zero
         branch = np.full_like(nodes, float(results["branch"] == "ConstantOne"))
-    handle = make_family(parse_family_spec(spec), domain=LOG_LINE)
+    handle = family(spec)
     residual, size = np.max(np.abs(handle(nodes) - branch)), np.max(np.abs(branch))
     assert residual <= 1e-6 * size, (f"{results['branch']}(k={results['k']}) is accepted with "
                                      f"residual {residual:.3g}, on a branch of sup {size:.3g}")
@@ -72,13 +80,13 @@ ALIASED = "noisy-cosh,amplitude=1e-3,mode=sine,freq=62.83185307179586"
                    "the sine, so the grid epsilon aliases; item 9: a = 1 is not H''(0) = 4.95")
 def test_reproducer_a_aliased_sine():
     assert_sound(["certify", "--family", ALIASED, "--T", "2", "--step", "0.1", "--a", "1"],
-                 ALIASED, 0.1)
+                 family(ALIASED), 0.1)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP items 2a and 9: h = T leaves only t = 0 in the "
                    "window, and a vacuous window is reported as a pass")
 def test_reproducer_b_vacuous_window():
-    assert_sound(["report", "--family", "quadlog", "--T", "50"], "quadlog", 0.05)
+    assert_sound(["report", "--family", "quadlog", "--T", "50"], family("quadlog"), 0.05)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP items 2a and 18: classify accepts Cosh(k=0.7) "
@@ -91,7 +99,7 @@ def test_reproducer_b_classify_accepts_a_far_branch():
                    "envelope lies above the branch's own excess")
 def test_reproducer_c_vacuous_envelope():
     assert_sound(["certify", "--family", "cosh-lambda,lambda=10", "--T", "2", "--step", "0.005"],
-                 "cosh-lambda,lambda=10", 0.005)
+                 family("cosh-lambda,lambda=10"), 0.005)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP items 2a and 9: delta/a = 1.2e233 and 3.6e289, "
@@ -100,7 +108,7 @@ def test_reproducer_c_vacuous_envelope():
                                      ("powerlaw-w,lambda=170", "2")],
                          ids=["cosh-lambda-100", "powerlaw-w-170"])
 def test_steep_reports_vacuous_envelope(spec, T):
-    assert_sound(["report", "--family", spec, "--T", T, "--step", "0.5"], spec, 0.5)
+    assert_sound(["report", "--family", spec, "--T", T, "--step", "0.5"], family(spec), 0.5)
 
 
 FAST_SINE = "noisy-cosh,amplitude=1e-9,mode=sine,freq=1570.7963267948965"  # freq = pi / 0.002
@@ -128,3 +136,30 @@ def test_calibrate_cos_k_answers_minus_k_squared(k):
     _, report = run(["calibrate", "--family", f"cos-k,k={k}"])
     kappa, want = report.results["kappa"], -float(k) ** 2
     assert abs(kappa - want) <= 1e-6 * abs(want), f"kappa = {kappa!r}, not -k^2 = {want!r}"
+
+
+def write_item_3_table(path, values):
+    """A t,H table of values(t) on 811 bitwise-symmetric nodes of [-4.05, 4.05], step 0.01."""
+    half = np.arange(406) * 0.01
+    ts = np.concatenate([-half[:0:-1], half])
+    rows = "".join(f"{t!r},{v!r}\n" for t, v in zip(ts.tolist(), values(ts).tolist()))
+    path.write_text("t,H\n" + rows, encoding="utf-8")
+    return str(path)
+
+
+def cosh_five_ulps_at_0(ts):
+    return np.where(ts == 0.0, 1.0 + 5 * np.finfo(float).eps, np.cosh(ts))
+
+
+def cosh_plus_cos_3t(ts):
+    return np.cosh(ts) + 1e-12 * np.cos(3.0 * ts)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("values", [cosh_five_ulps_at_0, cosh_plus_cos_3t],
+                         ids=["cosh-five-ulps-at-0", "cosh-plus-1e-12-cos-3t"])
+def test_item_3_table_verifies(values, tmp_path):
+    # H(0) != 1 by 5 ulps or by 1e-12, where the envelope is 0: margins -1.11e-15 and -1.00e-12
+    path = write_item_3_table(tmp_path / "table.csv", values)
+    assert_sound(["certify", "--input", path, "--T", "2", "--step", "0.01"], load_samples(path),
+                 0.01, must_verify=True)

@@ -159,23 +159,24 @@ class TestCertify:
         assert cert.max_envelope_margin >= 0.0
         assert cert.inputs.epsilon > 0.0
 
-    def test_user_h_choice_respected(self):
-        cert = certify(COSH_LOG, 2.0, 0.05, h_choice=0.5)
-        assert cert.inputs.h == 0.5
-        assert cert.verified
-        with pytest.raises(DomainError):
-            certify(COSH_LOG, 2.0, 0.05, h_choice=2.5)
+    def test_h_is_optimal_h(self):
+        # h is not a knob: certify takes the h that minimizes delta(h) on its own bounds
+        i = certify(COSH_LOG, 2.0, 0.05).inputs
+        assert i.h == optimal_h(i.epsilon, i.B, i.K, i.T)
 
-    @pytest.mark.parametrize("handle, kwargs, message", [
-        (COSH_LOG, {"h_choice": 5.0}, "h_choice must satisfy 0 < h <= T"),
-        (analytic(LOG_LINE, "cosh", (np.cosh,)), {}, "K needs H'''"),
-    ], ids=["h-choice", "no-third-derivative"])
-    def test_refusals_come_before_the_defect_sweep(self, handle, kwargs, message, monkeypatch):
+    @pytest.mark.parametrize("handle, kwargs, error, message", [
+        (analytic(LOG_LINE, "cosh", (np.cosh,)), {}, DomainError, "K needs H'''"),
+        (COSH_LOG, {"a": -1.0}, PreconditionError, "violates the hypothesis a > 0"),
+        (analytic(LOG_LINE, "2cosh", (lambda t: 2.0 * np.cosh(t),)), {}, PreconditionError,
+         r"violates the normalization H\(0\) = 1"),
+    ], ids=["no-third-derivative", "nonpositive-a", "not-normalized"])
+    def test_refusals_come_before_the_defect_sweep(self, handle, kwargs, error, message,
+                                                   monkeypatch):
         def no_sweep(*args):
             raise AssertionError("certify swept the defect before refusing")
 
         monkeypatch.setattr("reccost.stability.sup_defect", no_sweep)
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(error, match=message):
             certify(handle, 2.0, 0.0002, **kwargs)
 
     def test_curvature_override_changes_branch(self):
@@ -332,7 +333,13 @@ class TestCertifyRatio:
         f = make_family(FamilySpec("quadlog"))  # evaluable on |t| <= 1e150
         with pytest.raises(RangeOverflowError, match=re.escape(
                 "certify_ratio needs e^T finite, got T = 710.0")):
-            certify_ratio(f, 710.0, 71.0, h_choice=1.0, a=1e-6)
+            certify_ratio(f, 710.0, 71.0, a=1e-6)
+
+    def test_h_is_optimal_h(self):
+        # as in certify, h minimizes delta(h) on the lifted handle's bounds
+        f = make_family(FamilySpec("cosh-lambda", {"lambda": 1.2}))
+        i = certify_ratio(f, 2.0, 0.05).inputs
+        assert i.h == optimal_h(i.epsilon, i.B, i.K, i.T)
 
     def test_rejects_log_handle(self):
         with pytest.raises(DomainError):
