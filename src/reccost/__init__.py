@@ -18,9 +18,8 @@ _EXPORTS = {
              "validate_positive_ratio"),
     "dalembert": ("DefectReport", "DefectSample", "IdentityViolations", "defect_log",
                   "defect_ratio", "identity_report", "ode_residual", "sup_defect"),
-    "errors": ("ClassificationError", "ConvergenceError", "DomainError", "InputError",
-               "ParameterError", "PrecisionError", "PreconditionError", "RangeOverflowError",
-               "ReccostError"),
+    "errors": ("ClassificationError", "DomainError", "InputError", "ParameterError",
+               "PrecisionError", "PreconditionError", "RangeOverflowError", "ReccostError"),
     "fixtures": ("FAMILIES", "FamilySpec", "family_spec_text", "make_family",
                  "parse_family_spec", "perturb", "quadlog_defect_oracle"),
     "geometry": ("ChebyshevCheck", "DistanceResult", "chebyshev_cost", "chebyshev_sequence",

@@ -339,7 +339,7 @@ def _cmd_chebyshev(ns):
 
 
 def _cmd_golden(ns):
-    return core.golden_fixed_point(ns.x0, ns.tol, ns.max_iter), {}, STATUS_OK, None
+    return core.golden_fixed_point(ns.x0), {}, STATUS_OK, None
 
 
 def _cmd_report(ns):
@@ -398,9 +398,7 @@ _COMMANDS = {
     "chebyshev": ("Chebyshev identity check for J(x^n)", _cmd_chebyshev,
                   (_X, ("--n", {"type": int, "required": True}))),
     "golden": ("golden-ratio fixed point of x -> 1 + 1/x", _cmd_golden,
-               (("--x0", {"type": float, "default": 1.0}),
-                ("--tol", {"type": float, "default": 1e-12}),
-                ("--max-iter", {"type": int, "default": 200}))),
+               (("--x0", {"type": float, "default": 1.0}),)),
     "report": ("full verification suite on one input", _cmd_report, _GRID),
 }
 _JSON = ("--json", {"help": "write the run report as JSON to this path"})

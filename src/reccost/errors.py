@@ -14,12 +14,7 @@ class RangeOverflowError(DomainError):
 
 
 class ParameterError(ReccostError):
-    """A structural parameter (family spec, iteration budget or tolerance, term count) is out
-    of range."""
-
-
-class ConvergenceError(ReccostError):
-    """An iteration exhausted its budget before reaching tolerance."""
+    """A structural parameter (family spec, term count) is out of range."""
 
 
 class PrecisionError(ReccostError):

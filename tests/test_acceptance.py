@@ -145,7 +145,7 @@ def test_criterion_09_chebyshev():
 
 
 def test_criterion_10_golden_ratio():
-    phi, iters, cost = golden_fixed_point(1.0, 1e-12, 200)
+    phi, iters, cost = golden_fixed_point(1.0)
     assert abs(phi - 1.6180339887498949) <= 1e-12
     assert abs(cost - (phi - 1.5)) <= 1e-12
     _pass(10, f"phi = {phi!r} after {iters} iterations; J(phi) - (phi - 3/2) = "

@@ -36,7 +36,7 @@ EXAMPLES = {argv[0]: argv for argv in [
     ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
     ["distance", "--x", "1", "--y", "3"],
     ["chebyshev", "--x", "2", "--n", "5"],
-    ["golden", "--x0", "1", "--tol", "1e-12", "--max-iter", "200"],
+    ["golden", "--x0", "1"],
     ["report", "--family", "cosh", "--T", "2", "--step", "0.1"],
 ]}
 
@@ -169,7 +169,7 @@ class TestExitCodes:
         ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
         ["distance", "--x", "1", "--y", "2.718281828459045"],
         ["chebyshev", "--x", "2", "--n", "3"],
-        ["golden", "--x0", "1", "--tol", "1e-12", "--max-iter", "200"],
+        ["golden", "--x0", "1"],
         ["report", "--family", "cosh", "--T", "2", "--step", "0.1"],
         ["--help"],
     ]
@@ -190,7 +190,7 @@ class TestExitCodes:
         ["certify-ratio", "--family", "cosh", "--T", "-1"],
         ["distance", "--x", "0", "--y", "2"],
         ["chebyshev", "--x", "2", "--n", "-3"],
-        ["golden", "--x0", "10", "--tol", "1e-15", "--max-iter", "3"],
+        ["golden", "--x0", "0"],
         ["report", "--family", "cosh", "--T", "-2"],
         ["eval"],  # missing required flag
         ["no-such-command"],
@@ -373,12 +373,16 @@ class TestExitCodes:
          "unrecognized arguments: --residual-step 1e-9"),
         (["classify", "--residual-tol", "1e300", "--family", "quadlog"],
          "unrecognized arguments: --residual-tol 1e300"),
+        # golden answers at its exact fixed point: no tolerance, no budget
+        (["golden", "--tol", "1e-12"], "unrecognized arguments: --tol 1e-12"),
+        (["golden", "--max-iter", "200"], "unrecognized arguments: --max-iter 200"),
         # a flag is read by its whole name only: --h was once read as --help
         (["classify", "--window", "1", "--family", "cosh"], "unrecognized arguments: --window 1"),
         (["classify", "--fam", "cosh"], "unrecognized arguments: --fam cosh"),
     ], ids=["missing", "unknown-flag", "unknown-command", "bad-int", "removed-h0",
             "removed-levels", "removed-h", "removed-const-tol", "removed-residual-step",
-            "removed-residual-tol", "abbreviated-window-T", "abbreviated-family"])
+            "removed-residual-tol", "removed-tol", "removed-max-iter", "abbreviated-window-T",
+            "abbreviated-family"])
     def test_parse_errors_carry_argparse_message(self, argv, message, capsys):
         code, report = run(argv)
         assert code == 2 and report.status == "input-error" and report.command == ""
@@ -840,7 +844,7 @@ _COSH = fixtures.make_family(fixtures.FamilySpec("cosh-lambda"), LOG_LINE)
     lambda: geometry.distance(1.0, 3.0, 1e-10),
     lambda: geometry.chebyshev_cost(2.0, 5),
     lambda: core.log_forms(0.5),
-    lambda: core.golden_fixed_point(1.0, 1e-12, 200),
+    lambda: core.golden_fixed_point(1.0),
 ], ids=["DefectReport", "IdentityViolations", "CurvatureEstimate", "BranchClassification",
         "StabilityInputs", "EnvelopeSpec", "DistanceResult", "ChebyshevCheck", "LogForms",
         "GoldenResult"])

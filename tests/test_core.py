@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import cosh_series
 from reccost import (
-    ConvergenceError,
     DomainError,
-    ParameterError,
     RangeOverflowError,
     am_gm_decomposition,
     bregman_divergence,
@@ -148,33 +146,38 @@ class TestBregman:
 
 
 class TestGoldenFixedPoint:
+    """The answer is the iteration's exact fixed point, (1 + sqrt 5)/2 to the bit."""
+
+    @staticmethod
+    def assert_exact(x0):
+        phi, iters, cost = golden_fixed_point(x0)
+        assert phi == (1 + math.sqrt(5)) / 2, x0
+        assert iters <= 41, x0
+        assert cost == canonical_cost(phi)
+
     def test_stationary_start(self):
-        phi, iters, cost = golden_fixed_point(PHI, 1e-12, 200)
-        assert iters <= 1
-        assert abs(phi - PHI) <= 1e-12
+        phi, iters, cost = golden_fixed_point(PHI)
+        assert (phi, iters) == (PHI, 1)
         assert abs(cost - 0.1180339887498949) <= 1e-10
 
     @pytest.mark.parametrize("x0", [1.0, 10.0])
     def test_converges(self, x0):
-        phi, iters, cost = golden_fixed_point(x0, 1e-12, 200)
-        assert iters < 200
-        assert abs(phi - PHI) <= 1e-12
-        assert abs(phi * phi - phi - 1.0) <= 10 * 1e-12
-        assert cost == canonical_cost(phi)
+        self.assert_exact(x0)
+        assert golden_fixed_point(x0).iterations == 39
 
-    @given(st.floats(min_value=1e-3, max_value=1e3))
-    def test_converges_from_anywhere(self, x0):
-        phi, _, _ = golden_fixed_point(x0, 1e-10, 500)
-        assert abs(phi * phi - phi - 1.0) <= 10 * 1e-10
+    def test_exact_within_20000_ulps_of_phi(self):
+        bits = np.float64(PHI).view(np.int64)
+        for x0 in np.arange(bits - 20000, bits + 20001).view(np.float64):
+            self.assert_exact(float(x0))
 
-    def test_nonconvergence_signalled(self):
-        with pytest.raises(ConvergenceError):
-            golden_fixed_point(10.0, 1e-15, 3)
+    # uniform over the bit patterns of the positive finite doubles: log-uniform, subnormals too
+    @given(st.integers(1, np.float64(DBL_MAX).view(np.int64))
+           .map(lambda bits: float(np.int64(bits).view(np.float64))))
+    @example(5e-324)
+    @example(DBL_MAX)
+    def test_exact_from_every_positive_double(self, x0):
+        self.assert_exact(x0)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            golden_fixed_point(-1.0, 1e-12, 10)
-        with pytest.raises(ParameterError):
-            golden_fixed_point(1.0, 0.0, 10)
-        with pytest.raises(ParameterError):
-            golden_fixed_point(1.0, 1e-12, 0)
+            golden_fixed_point(-1.0)
