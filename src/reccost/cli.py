@@ -345,12 +345,8 @@ def _cmd_golden(ns):
 def _cmd_report(ns):
     handle, diag = _grid_source(ns, LOG_LINE)
     from . import calibration, dalembert, stability
-    sections = {"sup_defect": _pick(defect := dalembert.sup_defect(handle, ns.T, ns.step), _DEFECT)}
-    try:
-        sections["identities"] = dalembert.identity_report(handle, ns.T, ns.step)
-    except RangeOverflowError as exc:  # a finite G whose identities overflow
-        sections["identities"] = {"error": str(exc)}
-    sections["curvature"] = _pick(calibration.estimate_kappa(handle, window_T=ns.T), _CURVATURE)
+    sections = {"sup_defect": _pick(defect := dalembert.sup_defect(handle, ns.T, ns.step), _DEFECT),
+                "curvature": _pick(calibration.estimate_kappa(handle, window_T=ns.T), _CURVATURE)}
     try:
         cls = calibration.classify(handle, window_T=ns.T)
     except (ClassificationError, PrecisionError, RangeOverflowError) as exc:

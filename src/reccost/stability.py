@@ -15,8 +15,9 @@ minimizes delta(h), sweeps the window and reports a verified/failed verdict with
 margins.  The certificate keeps the window it judged, its nodes and H on
 them, so certificate_sweep() reads the verdict's own sweep back without
 evaluating H again.  Hypothesis violations (not even, H(0) != 1, a <= 0) are
-errors, not warnings; the verdict is still judged only at the window's nodes,
-and a is taken as H''(0) unchecked.
+errors, not warnings; the verdict is still judged only at the window's nodes.
+certify takes a from estimate_kappa(h, window_T=T).kappa, or from the caller's
+a (the CLI's --a); the bound assumes that a equals H''(0) and does not check it.
 """
 
 from __future__ import annotations

@@ -644,18 +644,20 @@ class TestReports:
     def test_report_command_sections(self, capsys):
         code, report = run(["report", "--family", "cosh", "--T", "2", "--step", "0.1"])
         assert code == 0
-        for section in ("sup_defect", "identities", "curvature", "classification", "certificate"):
-            assert section in report.results
+        assert list(report.results) == ["sup_defect", "curvature", "classification",
+                                        "certificate"]
         assert report.results["classification"]["branch"] == "Cosh"
         assert report.results["certificate"]["verified"] is True
 
     def test_report_sweeps_the_defect_once(self, monkeypatch, capsys):
-        # certify reuses the sup_defect report that the report command already has
+        # certify reuses the sup_defect report that the report command already has, and no
+        # verdict reads the identities, so report runs no identity sweep
         from reccost import dalembert
 
         calls = []
         sweep = dalembert.sup_defect
         monkeypatch.setattr(dalembert, "sup_defect", lambda *a: calls.append(a) or sweep(*a))
+        monkeypatch.setattr(dalembert, "identity_report", lambda *a: pytest.fail("swept"))
         monkeypatch.setattr("reccost.stability.sup_defect", dalembert.sup_defect)
         code, report = run(["report", "--family", "cosh", "--T", "2", "--step", "0.1"])
         assert code == 0 and len(calls) == 1
@@ -677,7 +679,7 @@ class TestReports:
         # past COSH_T_MAX classify refuses its default threshold; the other sections still run
         code, report = run(["report", "--family", "quadlog", "--T", "705", "--step", "5"])
         assert code == 1 and report.status == "verification-failed"
-        for section in ("sup_defect", "identities", "curvature", "certificate"):
+        for section in ("sup_defect", "curvature", "certificate"):
             assert "error" not in report.results[section]
         assert report.results["sup_defect"]["epsilon"] == 123516925312.5
         assert report.results["classification"]["classified"] is False
@@ -687,16 +689,14 @@ class TestReports:
                                            ("powerlaw-w,lambda=170", "2")])
     def test_report_records_an_identity_overflow(self, family, T, capsys):
         # G is finite on every node, but H(t+u) H(t-u) and H^2 overflow: identities refuses the
-        # input, and report records its message as the section and runs the others
+        # input, and report, which runs no identity sweep, answers with its four sections
         grid = ["--family", family, "--T", T, "--step", "0.5"]
         code, ids = run(["identities", *grid])
         assert code == 2 and ids.diagnostics["error"].startswith("RangeOverflowError: ")
         code, report = run(["report", *grid])
         assert code == 1 and report.status == "verification-failed"
-        error = ids.diagnostics["error"].removeprefix("RangeOverflowError: ")
-        assert report.results["identities"] == {"error": error}
-        assert list(report.results) == ["sup_defect", "identities", "curvature",
-                                        "classification", "certificate"]
+        assert list(report.results) == ["sup_defect", "curvature", "classification",
+                                        "certificate"]
         assert math.isfinite(report.results["sup_defect"]["epsilon"])
 
     def test_report_keeps_a_ladder_that_does_not_decay(self, capsys):
@@ -718,7 +718,6 @@ class TestReports:
         cal = run(["calibrate"] + source)[1].results
         cert = run(["certify"] + grid)[1].results
         assert report["sup_defect"] == run(["sup-defect"] + grid)[1].results
-        assert report["identities"] == run(["identities"] + grid)[1].results
         assert list(report["curvature"]) + ["ratio_table"] == list(cal)
         assert report["curvature"] == {k: cal[k] for k in report["curvature"]}
         assert report["classification"] == run(["classify", "--window-T", "2"] + source)[1].results
@@ -751,8 +750,8 @@ class TestReports:
         code, report = run(["report", "--family", "noisy-cosh,freq=1e200", "--T", "2",
                             "--step", "0.5"])
         assert code == 1
-        assert list(report.results) == ["sup_defect", "identities", "curvature",
-                                        "classification", "certificate"]
+        assert list(report.results) == ["sup_defect", "curvature", "classification",
+                                        "certificate"]
         assert report.results["certificate"] == {"error": (
             "noisy-cosh(1,sine,0.001): the bounds B = 3.7630250825045457 and K = nan "
             "must be finite")}
@@ -959,7 +958,7 @@ class TestModuleInvocation:
         (["classify", "--family", "quadlog", "--window-T", "350"], 1, ""),
         (["sup-defect", "--family", "noisy-cosh,freq=1e308"], 2, ""),
         (["report", "--family", "cosh-lambda,lambda=100", "--T", "3", "--step", "0.5"], 1,
-         "identities.error = cosh-lambda(100): identity_report overflows double precision"),
+         "classification.reason = not near any branch: sup residual 4.810e+111 vs Cosh(k=100)"),
         (["identities", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 2,
          "RangeOverflowError: powerlaw-w(170): identity_report overflows double precision, "
          "with max |G| = 1.045244036805178e+295 on [-2T, 2T] = [-4, 4]"),
@@ -967,7 +966,7 @@ class TestModuleInvocation:
          "RangeOverflowError: cosh-lambda(100): identity_report overflows double precision, "
          "with max |G| = 1.8865101504649698e+260 on [-2T, 2T] = [-6, 6]"),
         (["report", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 1,
-         "identities.error = powerlaw-w(170): identity_report overflows double precision"),
+         "classification.reason = not near any branch: sup residual 6.611e+122 vs Cosh(k=170)"),
         (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e300"], 2,
          "PreconditionError: curvature a = 1e+300: cosh(sqrt(a) t) overflows on the window"),
         (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e-320"], 2,

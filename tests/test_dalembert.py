@@ -816,6 +816,30 @@ class TestIdentityReport:
             )
             assert defect_ok == ids_ok, h.name
 
+    @pytest.mark.parametrize("T, step", [(0.5, 0.01), (1.0, 0.02), (2.0, 0.05), (2.0, 0.1)])
+    @pytest.mark.parametrize("spec", [
+        "cosh", "cosh-lambda,lambda=2", "cos-k,k=3", "quadlog", "constant-one",
+        "powerlaw-w,lambda=1.5", "noisy-cosh,amplitude=1e-3,mode=sine,freq=5",
+        "noisy-cosh,amplitude=1e-6,mode=trig", "noisy-cosh,amplitude=1e-3,mode=poly4",
+        "noisy-cosh,amplitude=1e-3,mode=sine,freq=62.83185307179586"])
+    def test_defect_bounds_the_identities(self, spec, T, step):
+        # with H(0) = 1 each violation is a combination of defects Delta(p, q): double angle
+        # Delta(t, t), evenness Delta(0, u), product (Delta(t, t) + Delta(u, u)
+        # - Delta(t + u, t - u)) / 2, whose pair lies in [-2T, 2T]^2, and difference square
+        # 4 H(t) H(u) Delta(t, u) + Delta(t, u)^2 - 4 product; T / step is an integer, so the
+        # grid of [-2T, 2T] holds every t + u and t - u.  ulp is one ulp of M^2 + 4 M + 1, with
+        # M = max |G| on the nodes of [-4T, 4T], and b = max |H| on the window
+        h = make_family(parse_family_spec(spec), domain=LOG_LINE)
+        ids = identity_report(h, T, step)
+        eps, eps_2t = sup_defect(h, T, step).epsilon, sup_defect(h, 2.0 * T, step).epsilon
+        big = float(np.max(np.abs(h.excess(symmetric_grid(4.0 * T, step)[1]))))
+        ulp = float(np.spacing(big * big + 4.0 * big + 1.0))
+        b = float(np.max(np.abs(h(symmetric_grid(T, step)[1]))))
+        assert ids.double_angle <= eps + 8.0 * ulp
+        assert ids.evenness <= eps + 8.0 * ulp
+        assert ids.product_identity <= 1.5 * eps_2t + 8.0 * ulp
+        assert ids.difference_square <= 4.0 * b * b * eps + eps * eps + 6.0 * eps_2t + 16.0 * ulp
+
 
 class TestInvariants:
     RATIO_FIXTURES = [
