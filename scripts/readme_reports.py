@@ -34,9 +34,9 @@ EXAMPLES = {
     "defect": ["defect", "--family", "cosh", "--x", "2", "--y", "3"],
     "identities": ["identities", "--family", "cosh", "--T", "2", "--step", "0.05"],
     "calibrate": ["calibrate", "--family", "cosh-lambda,lambda=2"],
-    # a steep family: the ladder from h0 = 0.25 is out of regime, so h0 halves
+    # a steep family: H''(0) = 1e4, which a Richardson ladder from h0 = 0.25 once misread
     "calibrate-steep": ["calibrate", "--family", "cosh-lambda,lambda=100"],
-    # evaluable on [-7e-4, 7e-4] alone: the ladder starts at that reach, not at h0 = 0.25
+    # evaluable on [-7e-4, 7e-4] alone, but its H''(0) = 1e12 is read at t = 0 all the same
     "calibrate-support": ["calibrate", "--family", "cosh-lambda,lambda=1e6"],
     "cert-ratio": ["certify-ratio", "--family", "cosh", "--T", "2", "--step", "0.05"],
     # the table projected to ratios and lifted back: the path of a ratio view

@@ -10,8 +10,7 @@ import importlib
 
 _EXPORTS = {
     "calibration": ("BRANCH_CONSTANT_ONE", "BRANCH_COS", "BRANCH_COSH", "BRANCH_ZERO",
-                    "BranchClassification", "CurvatureEstimate", "classify",
-                    "estimate_kappa", "quad_ratio"),
+                    "BranchClassification", "classify", "estimate_kappa"),
     "core": ("AmGmDecomposition", "GoldenResult", "LOG_LINE", "LogForms", "POSITIVE_RATIOS",
              "am_gm_decomposition", "bregman_divergence", "canonical_cost",
              "golden_fixed_point", "log_forms", "validate_log_coord",

@@ -71,8 +71,8 @@ from typing import TYPE_CHECKING, NoReturn
 
 from . import core
 from .core import LOG_LINE, POSITIVE_RATIOS
-from .errors import (ClassificationError, DomainError, InputError, PrecisionError,
-                     PreconditionError, RangeOverflowError, ReccostError)
+from .errors import (ClassificationError, DomainError, InputError, PreconditionError,
+                     RangeOverflowError, ReccostError)
 
 if TYPE_CHECKING:
     from .handles import FunctionHandle
@@ -134,9 +134,6 @@ def _print_results(results: dict, prefix: str = "") -> None:
         label = f"{prefix}{key}"
         if isinstance(value, dict):
             _print_results(value, prefix=f"{label}.")
-        elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
-            for row in value:
-                print(f"  {label}: " + ", ".join(map(_fmt, row)))
         elif isinstance(value, (list, tuple)):
             count = f" ({len(value)} entries)" if len(value) > 10 else ""
             print(f"  {label} = [" + ", ".join(map(_fmt, _ends(value))) + "]" + count)
@@ -226,7 +223,6 @@ def _load_handle(ns, target: str):
 # single-stage commands and report
 
 _DEFECT = ("epsilon", "argmax", "count")
-_CURVATURE = ("kappa", "uncertainty", "levels", "noise_limited")
 _CERTIFICATE = ("verified", "delta", "max_observed_error", "max_envelope_margin", "inputs")
 _CLASSIFICATION = ("branch", "k", "residual", "kappa_used")
 
@@ -294,8 +290,7 @@ def _cmd_identities(ns):
 def _cmd_calibrate(ns):
     handle, diag = _load_handle(ns, LOG_LINE)
     from . import calibration
-    est = calibration.estimate_kappa(handle)
-    return _pick(est, _CURVATURE + ("ratio_table",)), diag, STATUS_OK, None
+    return {"kappa": calibration.estimate_kappa(handle)}, diag, STATUS_OK, None
 
 
 def _cmd_classify(ns):
@@ -346,10 +341,10 @@ def _cmd_report(ns):
     handle, diag = _grid_source(ns, LOG_LINE)
     from . import calibration, dalembert, stability
     sections = {"sup_defect": _pick(defect := dalembert.sup_defect(handle, ns.T, ns.step), _DEFECT),
-                "curvature": _pick(calibration.estimate_kappa(handle, window_T=ns.T), _CURVATURE)}
+                "curvature": {"kappa": calibration.estimate_kappa(handle)}}
     try:
         cls = calibration.classify(handle, window_T=ns.T)
-    except (ClassificationError, PrecisionError, RangeOverflowError) as exc:
+    except (ClassificationError, RangeOverflowError) as exc:
         cls = exc
     sections["classification"] = _classification_section(cls)
     failed = isinstance(cls, (ClassificationError, RangeOverflowError))
@@ -382,7 +377,7 @@ _COMMANDS = {
                _SOURCE + tuple((f"--{name}", {"type": float}) for name in "tuxy")),
     "sup-defect": ("grid supremum of the defect", _cmd_sup_defect, _GRID),
     "identities": ("violations of the solution identities", _cmd_identities, _GRID),
-    "calibrate": ("extrapolated log-curvature estimate", _cmd_calibrate, _SOURCE),
+    "calibrate": ("log-curvature H''(0) from the handle's stack", _cmd_calibrate, _SOURCE),
     "classify": ("classify into the solution branch", _cmd_classify,
                  _SOURCE + (("--window-T", {"type": float, "default": 2.0}),) + _PLOT),
     "certify": ("stability certificate in log coordinates",

@@ -16,8 +16,9 @@ margins.  The certificate keeps the window it judged, its nodes and H on
 them, so certificate_sweep() reads the verdict's own sweep back without
 evaluating H again.  Hypothesis violations (not even, H(0) != 1, a <= 0) are
 errors, not warnings; the verdict is still judged only at the window's nodes.
-certify takes a from estimate_kappa(h, window_T=T).kappa, or from the caller's
-a (the CLI's --a); the bound assumes that a equals H''(0) and does not check it.
+certify takes a = H''(0) from the handle's own stack (estimate_kappa), or the
+caller's a (the CLI's --a); the bound assumes that a equals H''(0) and does not
+check a caller's a.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ def certify(h: FunctionHandle, T: float, step: float, a: float | None = None,
     eps, B, K on grids, takes h = optimal_h(eps, B, K, T), refuses
     an a that leaves delta/a or cosh(sqrt(a) t) on the window not finite, and
     sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
-    envelope.  a defaults to the kappa of estimate_kappa(h, window_T=T), which certify
-    measures itself; an a given instead certifies against the branch cosh(sqrt(a) t).  defect,
-    sup_defect(h, T, step), saves that sweep if the caller has it.
+    envelope.  a defaults to estimate_kappa(h) = H''(0), read after the bounds, so a stack
+    without H''' is refused by K; an a given instead certifies against the branch
+    cosh(sqrt(a) t).  defect, sup_defect(h, T, step), saves that sweep if the caller has it.
     """
     require_domain(h, LOG_LINE, "certify")
     if not (T > 0 and math.isfinite(T)):
@@ -174,13 +175,10 @@ def certify(h: FunctionHandle, T: float, step: float, a: float | None = None,
             f"handle is not even: sup|H(-t) - H(t)| = {even_dev:.3e} on the grid"
         )
 
-    if a is None:
-        a = estimate_kappa(h, window_T=T).kappa
-    a = float(a)
+    B, K = estimate_bounds(h, T)  # a handle without H''' is refused before the sweep
+    a = float(estimate_kappa(h) if a is None else a)
     if not (a > 0.0 and math.isfinite(a)):
         raise PreconditionError(f"curvature a = {a!r} violates the hypothesis a > 0")
-
-    B, K = estimate_bounds(h, T)  # a handle without H''' is refused before the sweep
     epsilon = (sup_defect(h, T, step) if defect is None else defect).epsilon
     h_used = optimal_h(epsilon, B, K, T)
     delta = delta_of_h(epsilon, B, K, h_used)
@@ -235,7 +233,7 @@ def certify_ratio(f: FunctionHandle, T: float, step: float,
     """Certificate for a positive-ratio handle over x in (e^-(T-h), e^(T-h)), with e^T finite.
 
     Lifts to log coordinates and certifies there, h being optimal_h's as in certify (a defaults
-    to the lift's curvature on the window, as certify's does); the envelope in x reads
+    to the lift's H''(0), as certify's does); the envelope in x reads
     (delta/a)(cosh(sqrt(a) |ln x|) - 1).  When a is within 1e-10 of 1 the envelope is reported
     in the simplified form delta * J(x).
     """

@@ -68,10 +68,8 @@ def test_criterion_02_counterexample_closed_form():
 def test_criterion_03_calibration_recovery():
     for lam in (0.5, 1.0, 2.0):
         h = lift_to_log(make_family(FamilySpec("cosh-lambda", {"lambda": lam})))
-        est = estimate_kappa(h)
-        assert abs(est.kappa - lam * lam) <= 1e-8 * lam * lam, lam
-    est = estimate_kappa(make_family(FamilySpec("cos-k", {"k": 0.7})))
-    assert abs(est.kappa - (-0.49)) <= 1e-8
+        assert abs(estimate_kappa(h) - lam * lam) <= 1e-8 * lam * lam, lam
+    assert abs(estimate_kappa(make_family(FamilySpec("cos-k", {"k": 0.7}))) - (-0.49)) <= 1e-8
     _pass(3, "kappa(F_lambda) = lambda^2 (rel 1e-8) and kappa(cos 0.7t) = -0.49 +- 1e-8")
 
 

@@ -16,19 +16,19 @@ from reccost import (
     FunctionHandle,
     LOG_LINE,
     POSITIVE_RATIOS,
-    PrecisionError,
+    PreconditionError,
     RangeOverflowError,
     analytic,
+    certify,
     classify,
     estimate_kappa,
     lift_to_log,
     make_family,
     parse_family_spec,
-    quad_ratio,
     sample_table,
 )
 from reccost.calibration import minimize_scalar
-from reccost.fixtures import FAMILIES, PERTURB_MODES
+from reccost.fixtures import _TABLE, FAMILIES, PERTURB_MODES
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
 CONST_ONE = make_family(FamilySpec("constant-one"))
@@ -39,7 +39,7 @@ TABLE = sample_table(LOG_LINE, TS, NOISY_TRIG(TS))
 LAMBDA = st.floats(min_value=0.3, max_value=3.0)
 FAMILY_PARAMS = {
     "cosh-lambda": {"lambda": LAMBDA},
-    "cos-k": {"k": LAMBDA},
+    "cos-k": {"k": st.floats(min_value=0.3, max_value=1e4)},
     "noisy-cosh": {"lambda": LAMBDA, "amplitude": st.floats(min_value=0.0, max_value=1e-2),
                    "freq": st.floats(min_value=0.1, max_value=50.0),
                    "mode": st.sampled_from(PERTURB_MODES), "seed": st.integers(0, 99)},
@@ -47,259 +47,203 @@ FAMILY_PARAMS = {
 }
 
 
-@st.composite
-def ladder_handles(draw):
-    """A builtin family with drawn parameters, or its sample table in t,H or in x,F, lifted."""
-    fam = draw(st.sampled_from(FAMILIES))
-    spec = FamilySpec(fam, draw(st.fixed_dictionaries(FAMILY_PARAMS.get(fam, {}))))
-    source = draw(st.sampled_from(["family", "t,H", "x,F"]))
-    if source == "family":
-        return make_family(spec, LOG_LINE)
-    if source == "t,H":
-        return sample_table(LOG_LINE, TS, make_family(spec, LOG_LINE)(TS))
-    xs = np.exp(TS)
-    return lift_to_log(sample_table(POSITIVE_RATIOS, xs, make_family(spec, POSITIVE_RATIOS)(xs)))
+def _perturbation_curvature(p):
+    """G''(0) of noisy-cosh's perturbation: a sum_j c_j js_j^2 for the circular modes."""
+    if p["mode"] == "poly4":
+        return 0.0
+    js = p["freq"] * np.arange(1, 6 if p["mode"] == "trig" else 2)
+    raw = np.random.default_rng(p["seed"]).random(5)
+    c = raw / raw.sum() if p["mode"] == "trig" else np.ones(1)
+    return p["amplitude"] * float(np.sum(c * js * js))
+
+
+# each builtin's H''(0) in closed form, from all its parameters
+CLOSED_FORM = {
+    "cosh-lambda": lambda p: p["lambda"] ** 2,
+    "powerlaw-w": lambda p: p["lambda"] ** 2,
+    "cos-k": lambda p: -p["k"] ** 2,
+    "quadlog": lambda p: 1.0,
+    "constant-one": lambda p: 0.0,
+    "zero": lambda p: 0.0,
+    "noisy-cosh": lambda p: p["lambda"] ** 2 + _perturbation_curvature(p),
+}
 
 
 def signed_ripple(amp=1e-8, freq=40.0):
-    # even, H(0)=1, but the ratio table oscillates in sign: round-off analog
+    # even, H(0) = 1 and H''(0) = 1 + 2 amp: cosh(t) plus a ripple amp t^2 cos(freq t)
     return analytic(
         LOG_LINE,
         "unit+ripple",
-        (lambda t: 1.0 + amp * t * t * np.cos(freq * t),),
+        (lambda t: np.cosh(t) + amp * t * t * np.cos(freq * t),
+         lambda t: np.sinh(t) + amp * (2 * t * np.cos(freq * t) - freq * t * t * np.sin(freq * t)),
+         lambda t: np.cosh(t) + amp * ((2 - (freq * t) ** 2) * np.cos(freq * t)
+                                       - 4 * freq * t * np.sin(freq * t))),
         support=(-700.0, 700.0),
     )
 
 
-class TestQuadRatio:
-    def test_cosh_at_tenth(self):
-        expected = 2.0 * (math.cosh(0.1) - 1.0) / 0.01
-        assert abs(quad_ratio(COSH_LOG, 0.1) - expected) <= 1e-13
-        assert abs(expected - 1.0008336111) <= 1e-9
-
-    def test_constant_one(self):
-        assert quad_ratio(CONST_ONE, 0.1) == 0.0
-
-    def test_cos_two(self):
-        h = make_family(FamilySpec("cos-k", {"k": 2.0}))
-        expected = 2.0 * (math.cos(0.2) - 1.0) / 0.01
-        assert abs(quad_ratio(h, 0.1) - expected) <= 1e-13
-        assert abs(expected - (-3.9867)) <= 1e-4
-
-    def test_negative_step_symmetrized(self):
-        assert quad_ratio(COSH_LOG, -0.1) == quad_ratio(COSH_LOG, 0.1)
-
-    def test_step_validation(self):
-        with pytest.raises(DomainError):
-            quad_ratio(COSH_LOG, 0.0)
-        with pytest.raises(DomainError):  # step^2 underflows
-            quad_ratio(COSH_LOG, -1e-300)
-        with pytest.raises(DomainError, match=r"got \[0\.1, 0\.0\]"):  # one bad step of many
-            quad_ratio(COSH_LOG, [0.1, 0.0])
+@st.composite
+def builtin_specs(draw):
+    """A builtin family with drawn parameters, and all its parameters with their defaults."""
+    fam = draw(st.sampled_from(FAMILIES))
+    given = draw(st.fixed_dictionaries(FAMILY_PARAMS.get(fam, {})))
+    return FamilySpec(fam, given), {**_TABLE[fam][1], **given}
 
 
 class TestEstimateKappa:
+    """estimate_kappa(h) is the handle's own H''(0), read once from its stack at t = 0."""
+
+    @given(builtin_specs())
+    def test_builtins_give_their_closed_form(self, drawn):
+        spec, params = drawn
+        h = make_family(spec, LOG_LINE)
+        kappa, want = estimate_kappa(h), CLOSED_FORM[spec.family](params)
+        assert type(kappa) is float
+        assert np.float64(kappa).tobytes() == np.float64(h.derivative(0.0, 2)).tobytes()
+        assert abs(kappa - want) <= 2 * np.spacing(abs(want))
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_family_recovery(self, lam):
+        # through the lift of the ratio family: its stack carries H''(0) = lambda^2 too
         h = lift_to_log(make_family(FamilySpec("cosh-lambda", {"lambda": lam})))
-        est = estimate_kappa(h)
-        assert abs(est.kappa - lam * lam) <= 1e-8 * lam * lam
+        assert abs(estimate_kappa(h) - lam * lam) <= np.spacing(lam * lam)
 
     @pytest.mark.parametrize("h0", [0.25, 1e-5, 1e-9])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_exact_cosh_to_the_last_bit(self, lam, h0):
-        # q is formed from the stored excess G, so no 1 cancels at any step; the window
-        # [-2 h0, 2 h0] starts the ladder at h0
-        est = estimate_kappa(make_family(FamilySpec("cosh-lambda", {"lambda": lam}), LOG_LINE),
-                             window_T=2 * h0)
-        assert abs(est.kappa - lam * lam) <= np.finfo(float).eps * lam * lam
-        assert not est.noise_limited and est.levels == 6
+        # a ladder once started at h0 = T / 2; classify on [-2 h0, 2 h0] now reads the same bits
+        h = make_family(FamilySpec("cosh-lambda", {"lambda": lam}), LOG_LINE)
+        kappa = estimate_kappa(h)
+        assert abs(kappa - lam * lam) <= np.finfo(float).eps * lam * lam
+        assert np.float64(classify(h, 2 * h0).kappa_used).tobytes() == np.float64(kappa).tobytes()
 
     def test_constant_one_exact(self):
-        est = estimate_kappa(CONST_ONE)
-        assert est.kappa == 0.0
-        assert est.uncertainty == 0.0
-        assert not est.noise_limited
-
-    def test_cos_family(self):
-        est = estimate_kappa(make_family(FamilySpec("cos-k", {"k": 0.7})))
-        assert abs(est.kappa - (-0.49)) <= 1e-8
-
-    def test_ratio_table_structure(self):
-        est = estimate_kappa(COSH_LOG)
-        hs = [row[0] for row in est.ratio_table]
-        assert hs == [0.25 * 2.0**-k for k in range(6)]
-        assert all(h1 < h0 for h0, h1 in zip(hs, hs[1:]))
-
-    def test_extrapolation_order(self):
-        # pre-extrapolation error decays as h^2: log-log slope near 2
-        est = estimate_kappa(COSH_LOG)
-        table = np.array(est.ratio_table)
-        errs = np.abs(table[:, 1] - 1.0)
-        slope = np.polyfit(np.log(table[:, 0]), np.log(errs), 1)[0]
-        assert 1.8 <= slope <= 2.2
-
-    def test_symmetrization_kills_odd_part(self):
-        odd = analytic(
-            LOG_LINE,
-            "cosh+odd",
-            (lambda t: np.cosh(t) + 1e-3 * t**3,),
-            support=(-700.0, 700.0),
-        )
-        assert abs(estimate_kappa(odd).kappa - estimate_kappa(COSH_LOG).kappa) <= 1e-12
-
-    def test_noise_limited_flag(self):
-        est = estimate_kappa(signed_ripple())
-        assert est.noise_limited
-        assert est.levels < 6
-        assert est.uncertainty > 0.0
-
-    def test_the_window_is_keyword_only(self):
-        # a positional 0.1 was once read as h0; it may not be read as a window either
-        with pytest.raises(TypeError):
-            estimate_kappa(COSH_LOG, 0.1)
-        for knob in ("h0", "levels"):
-            with pytest.raises(TypeError):
-                estimate_kappa(COSH_LOG, **{knob: 6})
-
-    @pytest.mark.parametrize("h, support, reach", [
-        (make_family(parse_family_spec("cosh-lambda,lambda=1e300"), LOG_LINE),
-         "[-7e-298, 7e-298]", "7e-298"),
-        (sample_table(LOG_LINE, np.linspace(0.5, 4.0, 351), np.cosh(np.linspace(0.5, 4.0, 351))),
-         "[0.5, 4.0]", "-0.5"),
-    ], ids=["steep", "off-origin"])
-    def test_a_support_too_narrow_for_a_ladder_is_refused_by_its_reach(self, h, support, reach):
-        # the 6th step of a ladder from that reach has a subnormal square, or there is no ladder
-        # about 0 at all; the message names the support, not the step quad_ratio would refuse
-        message = f"{h.name}: the support {support}, of reach {reach}, is too narrow for a " \
-            "curvature ladder"
-        for call in (lambda: estimate_kappa(h), lambda: estimate_kappa(h, window_T=2.0)):
-            with pytest.raises(DomainError) as info:
-                call()
-            assert str(info.value) == message
-
-    @pytest.mark.parametrize("h", [COSH_LOG, NOISY_TRIG, TABLE], ids=["cosh", "noisy", "table"])
-    def test_a_ladder_costs_two_evaluations(self, h, monkeypatch):
-        # one per sign for the whole ladder; one per step and sign took 12
-        calls = []
-        evaluate = FunctionHandle._eval
-        monkeypatch.setattr(FunctionHandle, "_eval",
-                            lambda self, z, order: calls.append(z) or evaluate(self, z, order))
-        estimate_kappa(h)
-        assert len(calls) <= 2
-
-    @given(ladder_handles(), st.floats(min_value=1e-4, max_value=0.25))
-    def test_ratio_table_is_quad_ratio_of_the_ladder(self, h, h0):
-        ladder = [h0 * 2.0**-k for k in range(6)]
-        est = estimate_kappa(h, window_T=2 * h0)
-        assert [s for s, _ in est.ratio_table] == ladder
-        qs = quad_ratio(h, ladder)
-        assert np.array([q for _, q in est.ratio_table]).tobytes() == qs.tobytes()
-        for s, q in zip(ladder, qs):
-            one = quad_ratio(h, s)
-            assert type(one) is float and np.float64(one).tobytes() == q.tobytes()
-
-    def test_a_ladder_out_of_regime_halves_its_h0(self):
-        # from h0 = 0.25, 2 |G_sym(s)| > 1 on cosh(100 t)'s ladder; it once gave 8462 +- 1.6e6
-        est = estimate_kappa(make_family(parse_family_spec("cosh-lambda,lambda=100"), LOG_LINE))
-        assert est.ratio_table[0][0] < 0.25
-        assert abs(est.kappa - 1e4) <= 1e-9
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_the_ladder_starts_inside_the_support(self):
-        # cosh(1e6 t) is evaluable on [-7e-4, 7e-4]; h0 = 0.25 is cut to that reach and halves
-        est = estimate_kappa(make_family(parse_family_spec("cosh-lambda,lambda=1e6"), LOG_LINE))
-        assert est.ratio_table[0][0] == 7e-4 / 1024
-        assert abs(est.kappa - 1e12) <= 1e-12 * 1e12 and est.levels == 6
+        kappa = estimate_kappa(CONST_ONE)
+        assert kappa == 0.0 and type(kappa) is float
 
     @pytest.mark.parametrize("h0", [0.25, 1e-2, 1e-4, 1e-6, 1e-7])
     def test_noisy_cosh_to_the_ulp_at_every_h0(self, h0):
-        # the sine perturbation is formed as 2 a sin^2(f t / 2): a (1 - cos f t) cancelled to
-        # noise at small steps and left 1.0249430106199122 at 2 levels from h0 = 1e-7
-        est = estimate_kappa(make_family(parse_family_spec("noisy-cosh"), LOG_LINE),
-                             window_T=2 * h0)
-        assert abs(est.kappa - 1.025) <= np.spacing(1.025) and est.levels == 6
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_an_overflowing_kappa_is_refused_by_name(self):
-        # the halving ends on a ladder whose q overflows; its kappa is no answer
-        h = analytic(LOG_LINE, "1e300 cosh(t/10)", (lambda t: 1e300 * np.cosh(0.1 * t),))
-        with pytest.raises(RangeOverflowError, match=r"^1e300 cosh\(t/10\): estimate_kappa "
-                           r"overflows, kappa = nan, on the ladder from h0 = 0\.001953125$"):
-            estimate_kappa(h)
+        # the sine perturbation 2 a sin^2(f t / 2) adds a f^2 = 0.025 at t = 0; certify on
+        # [-2 h0, 2 h0] takes that a whatever its window
+        h = make_family(parse_family_spec("noisy-cosh"), LOG_LINE)
+        kappa = estimate_kappa(h)
+        assert abs(kappa - 1.025) <= np.spacing(1.025)
+        assert certify(h, 2 * h0, h0 / 4).inputs.a == kappa
 
     @pytest.mark.parametrize("h", [COSH_LOG, NOISY_TRIG, TABLE, CONST_ONE, signed_ripple()],
-                             ids=["cosh", "noisy", "table", "constant-one", "noise-limited"])
+                             ids=["cosh", "noisy", "table", "constant-one", "ripple"])
     def test_fields_are_python_scalars(self, h):
         # a numpy scalar would print as np.float64(...) in classify's {kappa!r} messages
-        est = estimate_kappa(h)
-        assert (type(est.kappa), type(est.uncertainty)) == (float, float)
-        assert (type(est.levels), type(est.noise_limited)) == (int, bool)
-        assert {type(v) for row in est.ratio_table for v in row} == {float}
+        assert type(estimate_kappa(h)) is float
 
+    @pytest.mark.parametrize("rows", [811, 8001])
+    @pytest.mark.parametrize("sigma, accepted", [(1e-9, True), (1e-7, True), (1e-6, False)])
+    def test_a_noisy_tables_verdicts_do_not_turn_on_its_curvature(self, rows, sigma, accepted):
+        # the interpolant's H''(0) is noise-sensitive (ROADMAP item 7): 0.846 for the
+        # 8001-row table at sigma = 1e-7, where a Richardson ladder read 0.99996; the
+        # verdicts on T = 2 are those the ladder gave, and all read the one curvature
+        ts = np.linspace(-4.05, 4.05, rows)
+        vals = np.cosh(ts) * (1.0 + sigma * np.random.default_rng(0).standard_normal(rows))
+        vals[rows // 2] = 1.0
+        h = sample_table(LOG_LINE, ts, vals)
+        if not accepted:
+            with pytest.raises(ClassificationError, match=r"^not near any branch"):
+                classify(h, 2.0)
+            with pytest.raises(PreconditionError, match=r"^handle is not even"):
+                certify(h, 2.0, 0.05)
+            return
+        res, cert = classify(h, 2.0), certify(h, 2.0, 0.05)
+        assert res.branch == BRANCH_COSH and abs(res.k - 1.0) <= 1e-8
+        assert cert.verified
+        assert res.kappa_used == cert.inputs.a == estimate_kappa(h)
 
-class TestWindowCurvature:
-    """estimate_kappa on a window starts from min(0.25, T/2), and halves until its ladder
-    decays toward G(0) = 0 with every |q(s)| s^2 = 2 |G_sym(s)| at most 1, where Richardson
-    extrapolation holds."""
+    @pytest.mark.parametrize("k", [0.7, 100.0, 1e4])
+    def test_cos_k_at_any_frequency(self, k):
+        # a Richardson ladder from h0 = 0.25 once read cos(1e4 t) as kappa = -8.013
+        assert estimate_kappa(make_family(FamilySpec("cos-k", {"k": k}))) == -(k * k)
 
-    @pytest.mark.parametrize("spec, T, kappa", [
-        ("cosh-lambda,lambda=10", 2.0, 100.0),
-        ("cosh-lambda,lambda=100", 3.0, 1e4),
-        ("powerlaw-w,lambda=170", 2.0, 28900.0),
-        ("cos-k,k=30", 2.0, -900.0),
-        (f"cos-k,k={8 * math.pi!r}", 2.0, -64 * math.pi**2),  # q(0.25) aliases to about 0
+    @pytest.mark.parametrize("spec, kappa", [
+        ("cosh-lambda,lambda=10", 100.0),
+        ("cosh-lambda,lambda=100", 1e4),
+        ("powerlaw-w,lambda=170", 28900.0),
+        ("cos-k,k=30", -900.0),
+        (f"cos-k,k={8 * math.pi!r}", -64 * math.pi**2),
     ], ids=["cosh-10", "cosh-100", "powerlaw-w-170", "cos-30", "cos-8pi"])
-    def test_steep_handles_give_their_curvature(self, spec, T, kappa):
+    def test_steep_handles_give_their_curvature(self, spec, kappa):
         h = make_family(parse_family_spec(spec), domain=LOG_LINE)
-        est = estimate_kappa(h, window_T=T)
-        assert abs(est.kappa - kappa) <= 1e-9 * abs(kappa)
-        assert estimate_kappa(h) == est  # calibrate's h0 is the window's, 0.25
+        assert abs(estimate_kappa(h) - kappa) <= 1e-9 * abs(kappa)
 
     @pytest.mark.parametrize("amplitude", [1e6, 1e14, 1e20])
     def test_noisy_cosh_keeps_its_curvature_at_every_amplitude(self, amplitude):
-        # the halving reaches steps where a (1 - cos f t) cancelled: relative errors 2.5e-9,
-        # 5.3e-2 and 1.0 at these amplitudes
         h = make_family(parse_family_spec(f"noisy-cosh,amplitude={amplitude!r}"), LOG_LINE)
         kappa = 1.0 + 25.0 * amplitude
-        assert abs(estimate_kappa(h, window_T=2.0).kappa - kappa) <= 4e-16 * kappa
+        assert abs(estimate_kappa(h) - kappa) <= 4e-16 * kappa
 
-    @pytest.mark.parametrize("spec", ["cosh-lambda,lambda=2", "zero"])
-    def test_a_handle_in_regime_costs_one_ladder(self, spec, monkeypatch):
-        # zero's ladder does not decay (G = -1), so it keeps h0 = 0.25 and its estimate
-        h = make_family(parse_family_spec(spec), domain=LOG_LINE)
+    @pytest.mark.parametrize("h", [COSH_LOG, NOISY_TRIG, TABLE], ids=["cosh", "noisy", "table"])
+    def test_one_evaluation_of_the_stack_at_zero(self, h, monkeypatch):
         calls = []
         evaluate = FunctionHandle._eval
-        monkeypatch.setattr(FunctionHandle, "_eval",
-                            lambda self, z, order: calls.append(z) or evaluate(self, z, order))
-        assert estimate_kappa(h, window_T=2.0) == estimate_kappa(h)
-        assert len(calls) == 4  # two for each ladder, on the window and off it
+        monkeypatch.setattr(FunctionHandle, "_eval", lambda self, z, order:
+                            calls.append((z, order)) or evaluate(self, z, order))
+        estimate_kappa(h)
+        assert calls == [(0.0, 2)]
 
-    def test_nan_ends_the_halving(self):
-        h = analytic(LOG_LINE, "cosh(30 t), NaN at 2^-6",
-                     (lambda t: np.where(np.abs(t) == 2.0**-6, np.nan, np.cosh(30.0 * t)),))
-        est = estimate_kappa(h, window_T=2.0)
-        assert est.ratio_table[0][0] == 0.25 and math.isnan(est.ratio_table[-2][1])
+    def test_a_table_gives_its_interpolants_curvature(self):
+        # the interpolant's own H''(0), on either header; it is noise-sensitive (ROADMAP item 7)
+        assert estimate_kappa(TABLE) == TABLE.derivative(0.0, 2)
+        ratio = sample_table(POSITIVE_RATIOS, np.exp(TS), NOISY_TRIG(TS) - 1.0)
+        assert estimate_kappa(lift_to_log(ratio)) == lift_to_log(ratio).derivative(0.0, 2)
+
+    def test_the_odd_part_is_read_too(self):
+        # H''(0) of an odd part is 0, so the stack's value is the even part's
+        odd = analytic(LOG_LINE, "cosh+odd", (lambda t: np.cosh(t) + 1e-3 * t**3,
+                                             lambda t: np.sinh(t) + 3e-3 * t * t,
+                                             lambda t: np.cosh(t) + 6e-3 * t))
+        assert estimate_kappa(odd) == 1.0
+
+    def test_it_takes_no_window_or_step(self):
+        with pytest.raises(TypeError):
+            estimate_kappa(COSH_LOG, 0.1)
+        for knob in ("window_T", "h0", "levels"):
+            with pytest.raises(TypeError):
+                estimate_kappa(COSH_LOG, **{knob: 2.0})
+
+    @pytest.mark.parametrize("h, message", [
+        (analytic(LOG_LINE, "value-only", (np.cosh,)),
+         "value-only: derivative of order 2 unavailable (capability 0)"),
+        (make_family(FamilySpec("cosh-lambda")),
+         "estimate_kappa needs a log-line handle, got positive-ratios"),
+        (sample_table(LOG_LINE, np.linspace(0.5, 4.0, 351), np.cosh(np.linspace(0.5, 4.0, 351))),
+         "table: abscissa outside evaluable range [0.5, 4]"),
+    ], ids=["value-only", "ratio", "off-origin"])
+    def test_a_handle_without_h_second_at_zero_is_refused(self, h, message):
+        with pytest.raises(DomainError) as info:
+            estimate_kappa(h)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_an_infinite_curvature_is_refused_by_name(self, sign):
+        h = analytic(LOG_LINE, "steep", (np.cosh, np.sinh, lambda t: sign * np.full_like(t, np.inf)))
+        with pytest.raises(RangeOverflowError) as info:
+            estimate_kappa(h)
+        assert str(info.value) == f"steep: estimate_kappa overflows, H''(0) = {sign * math.inf!r}"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_halving_keeps_a_ladder_estimate_kappa_takes(self):
-        # from h0 = 5e-151 the ladder of cosh(4e152 t) reaches its regime only at steps whose
-        # squares are subnormal, so the halving stops at the last ladder estimate_kappa takes
-        h = make_family(parse_family_spec("cosh-lambda,lambda=4e152"), domain=LOG_LINE)
-        s = estimate_kappa(h, window_T=1e-150).ratio_table[-1][0]
-        assert s * s >= np.finfo(float).tiny > (0.5 * s) ** 2
+    def test_an_overflowing_builtin_is_refused(self):
+        # cosh(1e300 t): lambda^2 overflows; a ladder once refused its support as too narrow
+        h = make_family(parse_family_spec("cosh-lambda,lambda=1e300"), LOG_LINE)
+        with pytest.raises(RangeOverflowError, match=r"H''\(0\) = inf$"):
+            estimate_kappa(h)
 
+    def test_a_nan_is_returned_for_the_caller_to_refuse(self):
+        h = analytic(LOG_LINE, "nan", (np.cosh, np.sinh, lambda t: np.full_like(t, np.nan)))
+        assert math.isnan(estimate_kappa(h))
 
-    @pytest.mark.parametrize("T", [1e-300, 5e-324, 9e-153])
-    def test_a_window_too_narrow_for_its_ladder_is_refused_by_its_t(self, T):
-        # the deepest step of the first ladder, T/64, has a subnormal square; the message names
-        # the T the caller gave, not a step or an h0 (of 0.0 at T = 5e-324)
-        h = make_family(parse_family_spec("cosh"), domain=LOG_LINE)
-        message = f"window T = {T!r} is too narrow for a curvature ladder"
-        for call in (lambda: estimate_kappa(h, window_T=T), lambda: classify(h, T)):
-            with pytest.raises(DomainError) as info:
-                call()
-            assert str(info.value) == message
+    @pytest.mark.parametrize("spec", ["cosh", "cosh-lambda,lambda=2", "noisy-cosh,mode=trig",
+                                      "noisy-cosh,amplitude=1e-3,mode=sine,freq=62.83185307179586"])
+    def test_certify_takes_the_same_curvature(self, spec):
+        h = make_family(parse_family_spec(spec), LOG_LINE)
+        assert certify(h, 2.0, 0.1).inputs.a == estimate_kappa(h)
 
 
 class TestClassify:
@@ -340,19 +284,20 @@ class TestClassify:
         with pytest.raises(ClassificationError):
             classify(h, 2.0)
 
-    @pytest.mark.parametrize("base, nan_at, reason", [
-        (np.cosh, lambda t: t == 1.0, "sup residual nan vs Cosh"),  # a residual-grid node
-        (np.zeros_like, lambda t: t == 1.0, "sup residual nan vs Zero"),
-        (np.cosh, lambda t: (t != 0.0) & (np.abs(t) <= 0.25), "curvature estimate nan"),
-    ], ids=["cosh-node", "zero-node", "curvature-steps"])
-    def test_nan_is_refused(self, base, nan_at, reason):
-        h = analytic(LOG_LINE, "nan", (lambda t: np.where(nan_at(t), np.nan, base(t)),))
+    @pytest.mark.parametrize("fns, reason", [
+        ((lambda t: np.where(t == 1.0, np.nan, np.cosh(t)), np.sinh, np.cosh),
+         "sup residual nan vs Cosh"),  # a residual-grid node
+        ((lambda t: np.where(t == 1.0, np.nan, 0.0),), "sup residual nan vs Zero"),
+        ((np.cosh, np.sinh, lambda t: np.where(t == 0.0, np.nan, np.cosh(t))),
+         r"the curvature H''\(0\) is nan"),
+    ], ids=["cosh-node", "zero-node", "curvature"])
+    def test_nan_is_refused(self, fns, reason):
         with pytest.raises(ClassificationError, match=reason):
-            classify(h, 2.0)
+            classify(analytic(LOG_LINE, "nan", fns), 2.0)
 
-    def test_noise_dominated_raises_precision_error(self):
-        with pytest.raises(PrecisionError):
-            classify(signed_ripple(), 2.0)
+    def test_a_handle_without_h_second_is_refused_by_its_capability(self):
+        with pytest.raises(DomainError, match=r"derivative of order 2 unavailable"):
+            classify(analytic(LOG_LINE, "value-only", (np.cosh,)), 2.0)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_branch_recovery_cosh(self, lam):

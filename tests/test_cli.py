@@ -184,7 +184,7 @@ class TestExitCodes:
         ["defect", "--family", "cosh", "--t", "1", "--y", "1"],  # a mixed coordinate pair
         ["sup-defect", "--family", "cosh", "--step", "-0.1"],
         ["identities", "--family", "cosh", "--T", "0"],
-        ["calibrate", "--family", "cosh-lambda,lambda=1e300"],  # a support too narrow for a ladder
+        ["calibrate", "--family", "cosh-lambda,lambda=1e300"],  # H''(0) = 1e600 overflows
         ["classify", "--family", "no-such-family"],
         ["certify", "--family", "cos-k,k=1"],  # negative curvature hypothesis
         ["certify-ratio", "--family", "cosh", "--T", "-1"],
@@ -295,7 +295,9 @@ class TestExitCodes:
         (["certify", "--family", "noisy-cosh,freq=1e308"],
          "PreconditionError: handle is not even: sup|H(-t) - H(t)| = nan"),
         (["report", "--family", "noisy-cosh,freq=1e308"],
-         "DomainError: results.sup_defect.epsilon = nan"),
+         "RangeOverflowError: noisy-cosh(1,sine,0.001): estimate_kappa overflows, H''(0) = inf"),
+        (["classify", "--family", "noisy-cosh,freq=1e308"],
+         "RangeOverflowError: noisy-cosh(1,sine,0.001): estimate_kappa overflows, H''(0) = inf"),
         (["certify", "--family", "cosh-lambda,lambda=1e103", "--T", "1e-104", "--step", "1e-105"],
          "PreconditionError: cosh-lambda(1e+103): the bounds B = 1.0050041680558035 and K = nan "
          "must be finite"),
@@ -305,12 +307,13 @@ class TestExitCodes:
          "RangeOverflowError: defect at x = 1e-300, y = 1e+300 needs x*y and x/y"),
         (["defect", "--family", "quadlog", "--t", "1e308", "--u", "1e308"],
          "RangeOverflowError: defect at t = 1e+308, u = 1e+308 needs t + u and t - u finite"),
-    ], ids=["certify-freq", "report-freq", "certify-lambda", "defect-xy", "defect-x-over-y",
-            "defect-t-plus-u"])
+    ], ids=["certify-freq", "report-freq", "classify-freq", "certify-lambda", "defect-xy",
+            "defect-x-over-y", "defect-t-plus-u"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_parameter_powers_answer_with_a_message(self, argv, message, capsys):
         # freq^3 and lambda^3 in H''' once raised OverflowError; they are inf now, and the
-        # NaN they leave fails the evenness hypothesis, the finite-answer check or the bound K.
+        # NaN they leave fails the evenness hypothesis or the bound K, and an infinite
+        # H''(0) = amplitude freq^2 is refused as an overflow.
         # A defect whose arguments overflow names its inputs, not the abscissa they give.
         code, report = run(argv)
         assert code == 2 and report.status == "input-error"
@@ -325,7 +328,6 @@ class TestExitCodes:
         (["sup-defect", "--family", "noisy-cosh,amplitude=1e308"], "epsilon"),
         (["calibrate", "--family", "noisy-cosh,mode=trig,freq=1e308"], "kappa"),
         (["report", "--family", "noisy-cosh,mode=trig,freq=1e308"], "sup_defect.epsilon"),
-        (["classify", "--family", "noisy-cosh,freq=1e308"], None),
         (["classify", "--family", "noisy-cosh,mode=trig,freq=1e308"], None),
     ], ids=lambda v: v[0] + "-" + v[2] if isinstance(v, list) else None)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -348,14 +350,13 @@ class TestExitCodes:
         code, report = run(argv)
         assert code == 0 and report.results[leaf] == value
 
-    def test_a_support_too_narrow_for_a_ladder_is_named(self, capsys):
-        # cosh(1e300 t) is evaluable on [-7e-298, 7e-298]: a ladder from that reach would step
-        # to a subnormal square, and the refusal names the support, not a flag
+    def test_an_overflowing_curvature_is_named(self, capsys):
+        # cosh(1e300 t) has H''(0) = 1e600; a ladder once refused its support, [-7e-298, 7e-298],
+        # as too narrow, and the refusal now names the overflow, not a flag
         code, report = run(["calibrate", "--family", "cosh-lambda,lambda=1e300"])
         assert code == 2
         assert report.diagnostics["error"] == (
-            "DomainError: cosh-lambda(1e+300): the support [-7e-298, 7e-298], of reach 7e-298, "
-            "is too narrow for a curvature ladder")
+            "RangeOverflowError: cosh-lambda(1e+300): estimate_kappa overflows, H''(0) = inf")
 
     @pytest.mark.parametrize("argv, message", [
         (["eval"], "the following arguments are required: --x"),
@@ -474,10 +475,24 @@ class TestTableWorkflows:
         assert report.diagnostics["notes"] == [
             "source projected to ratio coordinates (F = H(ln x) - 1)"]
 
-    @pytest.mark.parametrize("half", [0.05, 0.15, 0.25, 0.4])
-    def test_certify_ratio_of_a_log_table_is_certify(self, half, tmp_path, capsys):
+    @pytest.mark.parametrize("write", [write_cosh_csv, write_cosh_ratio_csv], ids=["t,H", "x,F"])
+    def test_calibrate_reads_the_tables_own_curvature(self, write, tmp_path, capsys):
+        # the interpolant's H''(0), on the log line for both headers
+        path = write(tmp_path / "table.csv")
+        table = load_samples(path)
+        if table.domain == POSITIVE_RATIOS:
+            table = handles.lift_to_log(table)
+        code, report = run(["calibrate", "--input", path])
+        assert (code, report.results) == (0, {"kappa": table.derivative(0.0, 2)})
+
+    @pytest.mark.parametrize("half, verified", [(0.05, True), (0.15, True), (0.25, True),
+                                                (0.4, False)], ids=["0.05", "0.15", "0.25", "0.4"])
+    def test_certify_ratio_of_a_log_table_is_certify(self, half, verified, tmp_path, capsys):
         # the projection and certify_ratio's lift retag one t-support, so the ratio command
-        # reads the table on the same [-2T, 2T] as certify; its ends once drifted by an ulp
+        # reads the table on the same [-2T, 2T] as certify; its ends once drifted by an ulp.
+        # At half = 0.4 the sweep step equals the table's spacing, so epsilon is read only at
+        # the spline's knots (ROADMAP item 2): epsilon = 5.3e-16 misses the interpolant's own
+        # defect, and against the branch of its H''(0) = 0.9999947 the error breaks the envelope
         ts = np.linspace(-half, half, 101)
         ts = 0.5 * (ts - ts[::-1])  # bitwise symmetric
         path = tmp_path / "cosh.csv"
@@ -485,9 +500,9 @@ class TestTableWorkflows:
                         encoding="utf-8")
         flags = ["--input", str(path), "--T", repr(half / 2), "--step", repr(half / 50)]
         code, log = run(["certify", *flags])
-        assert (code, log.results["verified"]) == (0, True)
-        code, ratio = run(["certify-ratio", *flags])
-        assert code == 0 and ratio.results == log.results
+        assert (code, log.results["verified"]) == (0 if verified else 1, verified)
+        ratio_code, ratio = run(["certify-ratio", *flags])
+        assert ratio_code == code and ratio.results == log.results
 
 
 class TestDefectCoordinates:
@@ -565,16 +580,6 @@ class TestReports:
         run(["chebyshev", "--x", "2", "--n", "9"])  # ten entries are all printed
         assert "  sequence = [1, 1.25, 2.125, 4.0625, 8.03125, 16.015625, 32.0078125, " \
             "64.00390625, 128.001953125, 256.0009765625]\n" in capsys.readouterr().out
-
-    def test_a_list_of_rows_prints_every_row(self, tmp_path, capsys):
-        # the ratio table, the one list of rows, has the ladder's six
-        out = tmp_path / "r.json"
-        code, report = run(["calibrate", "--family", "cosh", "--json", str(out)])
-        lines = [s for s in capsys.readouterr().out.splitlines() if "ratio_table" in s]
-        table = report.results["ratio_table"]
-        assert code == 0 and len(table) == 6
-        assert lines == [f"  ratio_table: {v:.17g}, {q:.17g}" for v, q in table]
-        assert json.loads(out.read_text(encoding="utf-8"))["results"]["ratio_table"] == table
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_command_writes_json(self, command, tmp_path, capsys):
@@ -666,13 +671,12 @@ class TestReports:
 
     @pytest.mark.parametrize("T, step", [(0.4, 0.01), (2.0, 0.1)])
     def test_report_prints_the_curvature_its_stages_use(self, capsys, T, step):
-        # classify and certify measure the curvature the report prints, at T < 0.5 too, where
-        # its h0 = min(0.25, T/2) is below 0.25
+        # classify and certify use the curvature the report prints, H''(0) = 4, at every T
         code, report = run(["report", "--family", "cosh-lambda,lambda=2", "--T", str(T),
                             "--step", str(step)])
         assert code == 0
         kappa = report.results["curvature"]["kappa"]
-        assert kappa == report.results["certificate"]["inputs"]["a"]
+        assert kappa == 4.0 == report.results["certificate"]["inputs"]["a"]
         assert kappa == report.results["classification"]["kappa_used"]
 
     def test_report_records_a_classify_window_refusal(self, capsys):
@@ -699,12 +703,11 @@ class TestReports:
                                         "certificate"]
         assert math.isfinite(report.results["sup_defect"]["epsilon"])
 
-    def test_report_keeps_a_ladder_that_does_not_decay(self, capsys):
-        # zero's G = -1 at every step: the window's ladder keeps h0 = 0.25 and its estimate
+    def test_report_reads_the_curvature_of_zero_from_its_stack(self, capsys):
+        # zero's G = -1 has G'' = 0; a ladder of 2 G(s) / s^2 once read -160 +- 128 from it
         code, report = run(["report", "--family", "zero", "--T", "2", "--step", "0.5"])
         assert code == 0
-        assert report.results["curvature"] == {"kappa": -160.0, "uncertainty": 128.0,
-                                               "levels": 2, "noise_limited": True}
+        assert report.results["curvature"] == {"kappa": 0.0}
 
     def test_classify_finds_a_fast_cos_branch(self, capsys):
         code, report = run(["classify", "--family", "cos-k,k=30", "--window-T", "2"])
@@ -718,8 +721,7 @@ class TestReports:
         cal = run(["calibrate"] + source)[1].results
         cert = run(["certify"] + grid)[1].results
         assert report["sup_defect"] == run(["sup-defect"] + grid)[1].results
-        assert list(report["curvature"]) + ["ratio_table"] == list(cal)
-        assert report["curvature"] == {k: cal[k] for k in report["curvature"]}
+        assert report["curvature"] == cal == {"kappa": 4.0}
         assert report["classification"] == run(["classify", "--window-T", "2"] + source)[1].results
         assert list(report["certificate"]) + ["envelope"] == list(cert)
         assert report["certificate"] == {k: cert[k] for k in report["certificate"]}
@@ -729,32 +731,39 @@ class TestReports:
         "cos-k,k=30", f"cos-k,k={8 * math.pi!r}", "noisy-cosh,amplitude=1e20",
         "noisy-cosh,mode=trig", "quadlog", "zero", "constant-one"])
     def test_calibrate_answers_what_report_answers(self, spec, capsys):
-        # one ladder rule, and one first step: calibrate's default h0 is report's at T = 2
+        # one number, H''(0), with no step and no window
         cal = run(["calibrate", "--family", spec])[1].results
         report = run(["report", "--family", spec, "--T", "2", "--step", "0.5"])[1].results
-        assert report["curvature"] == {k: cal[k] for k in report["curvature"]}
+        assert report["curvature"] == cal
 
-    @pytest.mark.parametrize("spec, kappa, reach", [
-        ("cosh-lambda,lambda=1e6", 1e12, 7e-4), ("powerlaw-w,lambda=1e3", 1e6, 7e-4),
-        ("powerlaw-w,lambda=1e4", 1e8, 7e-2)])
-    def test_calibrate_starts_its_ladder_inside_the_support(self, spec, kappa, reach, capsys):
-        # these are evaluable on [-700/lambda, 700/lambda] alone: a first ladder from the
-        # default h0 = 0.25 beyond it was refused before it was measured
+    @pytest.mark.parametrize("spec, kappa", [
+        ("cosh-lambda,lambda=1e6", 1e12), ("powerlaw-w,lambda=1e3", 1e6),
+        ("powerlaw-w,lambda=1e4", 1e8)])
+    def test_calibrate_answers_a_family_of_narrow_support(self, spec, kappa, capsys):
+        # these are evaluable on [-700/lambda, 700/lambda] alone: a ladder from h0 = 0.25
+        # beyond it was once refused before it was measured
         code, report = run(["calibrate", "--family", spec])
-        assert code == 0
-        assert abs(report.results["kappa"] - kappa) <= 1e-12 * kappa
-        assert report.results["ratio_table"][0][0] <= reach
+        assert (code, report.results) == (0, {"kappa": kappa})
 
     def test_report_records_bounds_that_are_not_finite(self, capsys):
-        # K reads -a f^3 sin(f t), whose f^3 overflows; the certificate refuses, the rest stands
-        code, report = run(["report", "--family", "noisy-cosh,freq=1e200", "--T", "2",
+        # K reads -a f^3 sin(f t), whose f^3 overflows, while H''(0) = a f^2 = 1e237 is finite;
+        # the certificate refuses, the rest stands
+        code, report = run(["report", "--family", "noisy-cosh,freq=1e120", "--T", "2",
                             "--step", "0.5"])
         assert code == 1
         assert list(report.results) == ["sup_defect", "curvature", "classification",
                                         "certificate"]
         assert report.results["certificate"] == {"error": (
-            "noisy-cosh(1,sine,0.001): the bounds B = 3.7630250825045457 and K = nan "
+            "noisy-cosh(1,sine,0.001): the bounds B = 3.7628249838492027 and K = nan "
             "must be finite")}
+
+    def test_report_refuses_a_curvature_that_overflows(self, capsys):
+        # H''(0) = a f^2 = 1e397 overflows: the curvature section has no answer to record
+        code, report = run(["report", "--family", "noisy-cosh,freq=1e200", "--T", "2",
+                            "--step", "0.5"])
+        assert code == 2 and report.results is None
+        assert report.diagnostics["error"] == ("RangeOverflowError: noisy-cosh(1,sine,0.001): "
+                                               "estimate_kappa overflows, H''(0) = inf")
 
     def test_classify_plot_csv_uses_fitted_branch(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -814,13 +823,11 @@ class TestReports:
         assert "error" in report.results["certificate"]
 
 
-def test_calibrate_reports_when_the_extrapolation_stops_early(capsys):
-    # 1 - cos(50 t) is not resolved by steps h0 2^-k near 0.25: the extrapolants
-    # diverge after the second level; the fields say so, as report's curvature section does
+def test_calibrate_reads_a_fast_perturbation_exactly(capsys):
+    # 1e-3 (1 - cos(50 t)) adds 1e-3 50^2 to H''(0); a ladder of steps 0.25 2^-k did not
+    # resolve it, and stopped its extrapolation after the second level
     code, report = run(["calibrate", "--family", "noisy-cosh,amplitude=1e-3,mode=sine,freq=50"])
-    assert code == 0
-    assert report.results["noise_limited"] and report.results["levels"] == 2
-    assert "warnings" not in report.diagnostics
+    assert (code, report.results, report.diagnostics) == (0, {"kappa": 3.5}, {})
 
 
 def test_py_turns_numpy_values_into_plain_python():
@@ -836,7 +843,6 @@ _COSH = fixtures.make_family(fixtures.FamilySpec("cosh-lambda"), LOG_LINE)
 @pytest.mark.parametrize("make", [
     lambda: dalembert.sup_defect(_COSH, 2.0, 0.1),  # nests a DefectSample
     lambda: dalembert.identity_report(_COSH, 2.0, 0.1),
-    lambda: calibration.estimate_kappa(_COSH),
     lambda: calibration.classify(_COSH, window_T=2.0),
     lambda: stability.certify(_COSH, 2.0, 0.05).inputs,
     lambda: stability.certify(_COSH, 2.0, 0.05).envelope,
@@ -844,7 +850,7 @@ _COSH = fixtures.make_family(fixtures.FamilySpec("cosh-lambda"), LOG_LINE)
     lambda: geometry.chebyshev_cost(2.0, 5),
     lambda: core.log_forms(0.5),
     lambda: core.golden_fixed_point(1.0),
-], ids=["DefectReport", "IdentityViolations", "CurvatureEstimate", "BranchClassification",
+], ids=["DefectReport", "IdentityViolations", "BranchClassification",
         "StabilityInputs", "EnvelopeSpec", "DistanceResult", "ChebyshevCheck", "LogForms",
         "GoldenResult"])
 def test_py_reads_every_record_as_asdict_does(make):
@@ -989,16 +995,15 @@ class TestModuleInvocation:
         (["certify", "--family", "noisy-cosh,freq=1e200", "--T", "2", "--step", "0.5"], 2,
          "PreconditionError: noisy-cosh(1,sine,0.001): the bounds B = 3.7630250825045457 and "
          "K = nan must be finite"),
-        (["report", "--family", "noisy-cosh,freq=1e200", "--T", "2", "--step", "0.5"], 1,
-         "certificate.error = noisy-cosh(1,sine,0.001): the bounds B = 3.7630250825045457"),
+        (["report", "--family", "noisy-cosh,freq=1e120", "--T", "2", "--step", "0.5"], 1,
+         "certificate.error = noisy-cosh(1,sine,0.001): the bounds B = 3.7628249838492027"),
         # quadlog reads on |t| <= 1e150, but the window's x = e^(T - h) would overflow
         (["certify-ratio", "--family", "quadlog", "--T", "800", "--step", "100", "--a", "1e-6"],
          2, "RangeOverflowError: certify_ratio needs e^T finite, got T = 800.0"),
-        # every q is about a f^2 = 1.25e309 = inf: the curvature overflows, as calibrate's does
+        # H''(0) = 1 + a f^2 = 1.25e309 = inf: the curvature overflows, as calibrate's does
         (["classify", "--family", "noisy-cosh,amplitude=5e307", "--window-T", "2"], 2,
-         "RangeOverflowError: noisy-cosh(1,sine,5e+307): estimate_kappa overflows, kappa = nan, "
-         "on the ladder from h0 = 0.25"),
-        # a reach past 4.3e155 once overflowed the ladder's own check, (reach / 32)^2
+         "RangeOverflowError: noisy-cosh(1,sine,5e+307): estimate_kappa overflows, H''(0) = inf"),
+        # a reach past 4.3e155 once overflowed a curvature ladder's own check, (reach / 32)^2
         (["calibrate", "--family", "cosh-lambda,lambda=1e-300"], 0, "  kappa = 0\n"),
         (["classify", "--family", "cosh-lambda,lambda=1e-300"], 0, "  branch = ConstantOne\n"),
         (["certify", "--family", "cosh-lambda,lambda=1e-300"], 2,
@@ -1008,7 +1013,8 @@ class TestModuleInvocation:
         (["report", "--family", "cosh-lambda,lambda=1e-300"], 0,
          "certificate.error = curvature a = 0.0 violates the hypothesis a > 0"),
         (["calibrate", "--family", "powerlaw-w,lambda=1e-200"], 0, "  kappa = 0\n"),
-        (["calibrate", "--family", "noisy-cosh,lambda=1e-200"], 0, "  kappa = 0.02499"),
+        (["calibrate", "--family", "noisy-cosh,lambda=1e-200"], 0,
+         "  kappa = 0.025000000000000001\n"),
     ], ids=["classify", "sup-defect", "report", "identities", "identities-cosh-lambda",
             "report-powerlaw-w", "certify-a-huge", "certify-a-tiny", "certify-amplitude",
             "sup-defect-amplitude", "report-amplitude", "defect-t-u-amplitude",
@@ -1027,28 +1033,34 @@ class TestModuleInvocation:
         assert message in proc.stdout  # an --a, a defect or identities that overflow are named
 
     def test_calibrate_refuses_a_kappa_that_overflows(self, tmp_path):
-        # 1e300 cosh(t / 10): the halving ends where q overflows; a ladder from 0.25 once answered
-        # kappa = 1.61e302 from a ladder out of regime
-        rows = "".join(f"{t / 10!r},{1e300 * math.cosh(t / 10)!r}\n" for t in range(-30, 31))
+        # 1.7e308 cosh(10 t) on [-0.003, 0.003]: every value is finite, but H''(0) = 1.7e310
+        rows = "".join(f"{t / 1000!r},{1.7e308 * math.cosh(t / 100)!r}\n" for t in range(-3, 4))
         (tmp_path / "big.csv").write_text("t,H\n" + rows, encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "reccost", "calibrate", "--input",
                                str(tmp_path / "big.csv")], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (2, "")
         assert proc.stdout == ("reccost calibrate: input-error\n  RangeOverflowError: big.csv: "
-                               "estimate_kappa overflows, kappa = nan, on the ladder from "
-                               "h0 = 0.001953125\n")
+                               "estimate_kappa overflows, H''(0) = inf\n")
 
-    @pytest.mark.parametrize("argv, T", [
-        (["classify", "--family", "cosh", "--window-T", "1e-300"], "1e-300"),
-        (["certify", "--family", "cosh", "--T", "5e-324", "--step", "5e-324"], "5e-324"),
-        (["classify", "--family", "cosh", "--window-T", "5e-324"], "5e-324"),
-    ], ids=["classify", "certify", "classify-smallest"])
-    def test_a_narrow_window_is_refused_by_the_half_width_given(self, argv, T):
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family", "cosh", "--T", "5e-324", "--step", "5e-324"],
+        ["classify", "--family", "cosh", "--window-T", "5e-324"],
+    ], ids=["certify", "classify-smallest"])
+    def test_a_window_without_a_grid_step_is_refused_by_the_grid_builder(self, argv):
+        # a curvature ladder once refused these windows by their T; with H''(0) read from the
+        # stack, the grid's step, which rounds to 0, is what refuses them (ROADMAP item 9)
         proc = subprocess.run([sys.executable, "-m", "reccost", *argv], capture_output=True,
                               text=True)
         assert (proc.returncode, proc.stderr) == (2, "")
-        assert f"DomainError: window T = {T} is too narrow for a curvature ladder" in proc.stdout
-        assert not re.search(r"h0|levels|0\.0\b", proc.stdout)
+        assert proc.stdout.endswith(
+            "DomainError: grid step must satisfy 0 < step <= 5e-324, got 0.0\n")
+
+    def test_a_narrow_window_with_a_grid_is_classified(self):
+        # [-1e-300, 1e-300] has the step 1e-302, too narrow for a curvature ladder once
+        proc = subprocess.run([sys.executable, "-m", "reccost", "classify", "--family", "cosh",
+                               "--window-T", "1e-300"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "  branch = Cosh\n  k = 1\n" in proc.stdout
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, code", [

@@ -12,7 +12,8 @@ their own claims:
 
 - an accepted branch's sup residual on its window is at most 1e-6 sup |branch| there;
 - a certificate's K bounds |H'''| on a grid 20x finer than the one that measured it;
-- the curvature of cos(k t) is -k^2, to 1e-6 relative.
+- the curvature of cos(k t) is -k^2, to 1e-6 relative, and classify accepts cos(k t) as
+  Cos(k).
 
 The checks use only the handle's values and derivatives, and numpy.
 
@@ -125,17 +126,21 @@ def test_item_5b_k_bounds_the_third_derivative():
     assert K >= third, f"K = {K:.5g} is below max |H'''| = {third:.5g} on a 20x finer grid"
 
 
-ITEM_16 = pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the ladder from h0 = 0.25 does "
-                            "not resolve cos(k t) for large k, and its answer exits 0")
-
-
-@pytest.mark.parametrize("k", ["30", *(pytest.param(k, marks=ITEM_16)
-                                       for k in ("100", "300", "1000", "1e4"))])
+@pytest.mark.parametrize("k", ["30", "100", "300", "1000", "1e4"])
 def test_calibrate_cos_k_answers_minus_k_squared(k):
-    # at default flags calibrate answers -0.2819, -2.537, -28.19 and -8.013 for the marked k
+    # a Richardson ladder from h0 = 0.25 once answered -0.2819, -2.537, -28.19 and -8.013 for
+    # k = 100, 300, 1000 and 1e4, with exit 0
     _, report = run(["calibrate", "--family", f"cos-k,k={k}"])
     kappa, want = report.results["kappa"], -float(k) ** 2
     assert abs(kappa - want) <= 1e-6 * abs(want), f"kappa = {kappa!r}, not -k^2 = {want!r}"
+
+
+def test_classify_accepts_an_exact_cos_k():
+    # the same ladder once sent cos(100 t) to the Cosh fit, which refused it with exit 1
+    code, report = run(["classify", "--family", "cos-k,k=100", "--window-T", "1"])
+    assert code == 0, report.results
+    assert report.results["branch"] == "Cos"
+    assert abs(report.results["k"] - 100.0) <= 1e-9
 
 
 def write_item_3_table(path, values):

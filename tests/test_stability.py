@@ -267,11 +267,10 @@ class TestCertify:
                 certify(pert, T, step, defect=rep)
 
     def test_measured_kappa_as_a_matches_default(self):
-        # report measures the window's curvature once and hands its kappa to certify as a
+        # the default a is the curvature that calibrate and report's curvature section read
         pert = perturb(COSH_LOG, "poly4", 1e-4)
         for T in (0.4, 2.0):
-            measured = estimate_kappa(pert, window_T=T)
-            assert certify(pert, T, 0.05, a=measured.kappa) == certify(pert, T, 0.05)
+            assert certify(pert, T, 0.05, a=estimate_kappa(pert)) == certify(pert, T, 0.05)
 
     def test_certify_sampled_cosh_table(self):
         # integer-multiple grid puts t = 0 exactly on a node
@@ -279,8 +278,12 @@ class TestCertify:
         table = sample_table(LOG_LINE, ts, np.cosh(ts))
         cert = certify(table, 1.0, 0.05)
         assert cert.verified
-        assert abs(cert.inputs.a - 1.0) <= 1e-6
-        assert cert.max_observed_error <= 1e-6
+        # a is the interpolant's own H''(0), 0.99999791..., not cosh's 1 (ROADMAP item 7)
+        assert cert.inputs.a == table.derivative(0.0, 2)
+        # the window's nodes are knots, where the table is cosh to the rounding, so the error
+        # is the gap from cosh(t) to the branch cosh(sqrt(a) t): 1.09e-6
+        gap = np.abs(np.cosh(cert.grid) - np.cosh(math.sqrt(cert.inputs.a) * cert.grid))
+        assert cert.max_observed_error <= float(np.max(gap)) + 1e-12
 
     def test_soundness_on_builtin_members(self):
         handles = [
