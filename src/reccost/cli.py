@@ -26,11 +26,12 @@ that minimizes delta(h), and classify its own tolerances and residual grid.
 ``main`` is the process entry, of ``python -m reccost`` and of the ``reccost``
 script alike: it turns the cyclic garbage collector off before any handler
 imports numpy, calls ``run``, flushes stdout and stderr (a closed pipe is
-ignored) and ends the process with ``os._exit`` and the exit code, so the
-interpreter's teardown, which would only free what the process is about to
-drop, is skipped.  An exception that escapes ``run`` still propagates with
-its traceback.  ``run`` is the in-process entry: it keeps the collector and
-returns the exit code and the report.
+ignored), retires the sweep helper process if a large sweep forked one
+(``helper.stop``) and ends the process with ``os._exit`` and the
+exit code, so the interpreter's teardown, which would only free what the
+process is about to drop, is skipped.  An exception that escapes ``run``
+still propagates with its traceback.  ``run`` is the in-process entry: it
+keeps the collector and returns the exit code and the report.
 
 Function sources: --family SPEC (e.g. "cosh", "cosh-lambda,lambda=2",
 "family=noisy-cosh,amplitude=1e-3,mode=sine,freq=5"; a key the family does not
@@ -495,6 +496,8 @@ def main(argv=None) -> NoReturn:
             stream.flush()  # a piped stdout is block-buffered, so a closed pipe shows here
         except BrokenPipeError:
             pass
+    if (helper := sys.modules.get(f"{__package__}.helper")) is not None:
+        helper.stop()  # os._exit skips the atexit hook that reaps the helper
     os._exit(code)  # the report is written and flushed; interpreter teardown is skipped
 
 

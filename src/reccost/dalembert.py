@@ -44,12 +44,37 @@ Stability of Numerical Algorithms, 3.1) gives each score a rho >= |fl score(G)
 G's max.  The sweeps reduce E's triangle, then score G on the 8 images under
 the three maps of the box of the pairs reaching theta in each block, or, where
 rho is not finite or too many blocks reach theta, the whole table.
+
+A large sweep is split with one helper process (_split, and the module helper,
+which owns the process and its lifecycle).  Where the triangle or the whole
+table holds at least _HELPER_MIN_PAIRS = 200 000 pairs and helper.lease gives
+the process's helper, the caller reduces the blocks [0, b0) while the helper
+reduces [b0, end), b0 splitting the pairs in half.  The helper is forked at
+the first such sweep and serves every later one: it receives the nodes and
+the op's name, rebuilds aux(G) and the factors, keeps its three block buffers
+(_answerer), and returns one (value, i, j) per score.  The two picks combine
+as the blocks' do, the first NaN, else the first max, ties going to the
+caller's, so every result is the serial loop's bit for bit; where the helper
+has died, the caller reduces its blocks too.  The minimum is the measured
+crossover: at T = 2 on cosh (2 shared vCPUs, one BLAS thread), a split
+sup_defect took 0.93-1.31x the serial time (1.09x in the median of ten runs)
+at 126 000-155 000 pairs, 0.94-0.99x at 164 000, 0.81-0.86x at 223 000 and
+0.66x at 2 million, and a split identity_report 0.89-0.98x at 99 000-126 000
+pairs and 0.78x at 164 000.  Smaller sweeps, such as the
+CLI's at step 0.05 (861 pairs), the even part's pruning pass, whose
+thresholds follow the block order, and any sweep that helper.lease refuses
+(no os.fork, one CPU in the affinity mask, another Python thread, or the
+helper busy) run the serial loop.  The helper ignores floating-point
+warnings, so numpy warns of an overflow or NaN in its blocks only where the
+caller's blocks have one too; the picks, and RangeOverflowError, do not
+depend on the split.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +125,9 @@ class IdentityViolations:
 
 
 _BLOCK_ELEMS = (1 << 16) // 3  # elements per block: three buffers of float64 in 512 KB of cache
+_HELPER_MIN_PAIRS = 200_000  # pairs of the smallest sweep split with the helper (_split)
+_REQUEST = struct.Struct("<16s?q")  # to the helper: op name, triangle, first row
+_PICK = struct.Struct("<dqq")  # from the helper: (|score|, i, j) per score
 
 
 def _kernel(gs, gd, left, times, plus, out=None, cross=None, stage=None):
@@ -152,11 +180,10 @@ def _sweep(h: FunctionHandle, T: float, step: float, op: str):
     return actual_step, axis, nodes, nodes[m: m + n]
 
 
-def _blocks(w: int, triangle: bool):
+def _blocks(w: int, triangle: bool, r0: int = 0):
     """(rows, cols) slices of blocks of about _BLOCK_ELEMS elements, at most max(_BLOCK_ELEMS, w),
-    covering a w x w table: row blocks of the whole width, or for its triangle j >= i, row
-    blocks that start at the column of their first row."""
-    r0 = 0
+    covering the rows from r0 on of a w x w table: row blocks of the whole width, or for its
+    triangle j >= i, row blocks that start at the column of their first row."""
     while r0 < w:
         c0 = r0 if triangle else 0
         r1 = min(w, r0 + max(1, _BLOCK_ELEMS // (w - c0)))
@@ -184,16 +211,16 @@ def _tables(nodes: np.ndarray, n: int):
 
 
 def _scored(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores=_kernel, views=None,
-            k: float = 2.0):
+            k: float = 2.0, blocks=None):
     """(rows, cols, scores(G(t + u), G(t - u), left, times, plus, *views(rows, cols))) per block
     of the tables of G on nodes, with the factors _factors(a, k) of a on the axis for the block's
-    rows and columns (by default Delta, a = G, k = 2): row blocks of the triangle j >= i of the
-    quadrant t, u <= 0, or of the whole table; views gives three blocks, by default of three
-    buffers allocated here."""
+    rows and columns (by default Delta, a = G, k = 2): by default every row block of the triangle
+    j >= i of the quadrant t, u <= 0, or of the whole table; views gives three blocks, by default
+    of three buffers allocated here."""
     n = a.size
     w = n // 2 + 1 if triangle else n
     (sums, diffs), views, outer = _tables(nodes, n), views or _buffers(n), _factors(a[:w], k)
-    for r, c in _blocks(w, triangle):
+    for r, c in _blocks(w, triangle) if blocks is None else blocks:
         yield r, c, scores(sums[r, c], diffs[r, c], *outer(r, c), *views(r, c))
 
 
@@ -203,22 +230,58 @@ def _first_max(x: np.ndarray, i0: int, j0: int):
     return x[i, j], i0 + i, j0 + j
 
 
-def _suprema(h: FunctionHandle, T: float, step: float, op: str, aux, k: float, scores, bounds):
-    """(step, axis, nodes, G on the axis, picks): per score, (|score|, i, j) at its first NaN, else
-    first max, in row-major order over the whole table.  scores(G(t + u), G(t - u), left, times,
-    plus, *three buffer blocks), with _factors(a, k) of a = aux(G on the axis), yields each
-    |score| block in one of the buffers in turn.
+def _first(picks):
+    """Per score, the pick of the first of picks (lists of one (value, i, j) per score, in
+    order) that holds the first NaN, else the largest value."""
+    return [p[int(np.argmax([v for v, _, _ in p]))] for p in zip(*picks)]
+
+
+def _reduce(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores, views, k: float, blocks):
+    """Per score, (|score|, i, j) at its first NaN, else first max, over the blocks in order."""
+    return _first([[_first_max(x, r.start, c.start) for x in xs]
+                   for r, c, xs in _scored(nodes, a, triangle, scores, views, k, blocks)])
+
+
+def _split(op: str, nodes: np.ndarray, a: np.ndarray, triangle: bool, views):
+    """_reduce of the sweep op over every block of the triangle or of the whole table of G on
+    nodes.  Where it holds at least _HELPER_MIN_PAIRS pairs and the helper process serves
+    (helper.lease), the helper reduces the blocks [b0, end) while this process reduces [0, b0),
+    b0 splitting the pairs in half; the helper's picks lose ties to these, as later blocks lose
+    them, and where it has died this process reduces its blocks too."""
+    _, k, scores = _ops(op)
+    w = a.size // 2 + 1 if triangle else a.size
+    blocks = list(_blocks(w, triangle))
+    pairs = np.cumsum([(r.stop - r.start) * (c.stop - c.start) for r, c in blocks])
+    worker = None
+    if pairs[-1] >= _HELPER_MIN_PAIRS and len(blocks) > 1:
+        from . import helper  # the process plumbing loads with the first sweep this large
+        worker = helper.lease(_answerer)
+    if worker is None:
+        return _reduce(nodes, a, triangle, scores, views, k, blocks)
+    b0 = max(1, int(np.searchsorted(pairs, pairs[-1] / 2)))
+    with worker:
+        sent = worker.send(_REQUEST.pack(op.encode(), triangle, blocks[b0][0].start),
+                           np.ascontiguousarray(nodes, dtype=np.float64))
+        head = _reduce(nodes, a, triangle, scores, views, k, blocks[:b0])
+        reply = worker.receive() if sent else None
+    tail = (_reduce(nodes, a, triangle, scores, views, k, blocks[b0:]) if reply is None
+            else list(_PICK.iter_unpack(reply)))
+    return _first([head, tail])
+
+
+def _suprema(h: FunctionHandle, T: float, step: float, op: str, bounds):
+    """(step, axis, nodes, G on the axis, picks): per score of the sweep op (_ops), (|score|, i, j)
+    at its first NaN, else first max, in row-major order over the whole table.
     Where the even part E is G they are its triangle's, else E's (_even_part) or the table's.
     A pick that is not finite, where G is finite on every node, raises RangeOverflowError."""
     actual_step, axis, nodes, g = _sweep(h, T, step, op)
+    aux, k, scores = _ops(op)
     e = (nodes + nodes[::-1]) * 0.5  # bitwise even: mirrored entries add the same two numbers
     a, views = aux(g), _buffers(axis.size)
     fold = np.array_equal(e, nodes)  # G bitwise even, 2 G finite: x + x overflows, NaN != NaN
     picks = None if fold else _even_part(nodes, e, a, aux, k, scores, bounds, views)
     if picks is None:  # the first pick of the first block that holds the largest
-        picks = [p[int(np.argmax([v for v, _, _ in p]))] for p in zip(*(
-            [_first_max(x, r.start, c.start) for x in xs]
-            for r, c, xs in _scored(nodes, a, fold, scores, views, k)))]
+        picks = _split(op, nodes, a, fold, views)
     _finite(h, op, [v for v, _, _ in picks], nodes, f" on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
     return actual_step, axis, nodes, g, picks
 
@@ -269,6 +332,20 @@ def _rho(spread: float, size: float, k: int) -> float:
     return (spread + k * 2.0**-54 * (4.0 * size)) * (1.0 + 2.0**-40) + 2.0**-1060
 
 
+def _same(g):
+    return g
+
+
+def _q(g):
+    """q = G (G + 2) = H^2 - 1."""
+    return g * (g + 2.0)
+
+
+def _defect_scores(*block):
+    delta = _kernel(*block)
+    return (np.abs(delta, out=delta),)
+
+
 def _identity_scores(s, d, left, times, plus, a, b, c):
     # s d + (s + d) - (q(t) + q(u)) and (s - d)^2 - 4 (q(t) q(u)), symmetric in s <-> d, t <-> u,
     # from _factors(q, 1); s and d are copied into a and b first, so that no pass reads the
@@ -283,6 +360,37 @@ def _identity_scores(s, d, left, times, plus, a, b, c):
     np.square(np.subtract(a, b, out=a), out=a)
     a -= np.multiply(np.matmul(left, times, out=b), 4.0, out=b)
     yield np.abs(a, out=a)
+
+
+def _ops(op: str):
+    """(aux, k, scores) of the sweep op: scores(G(t + u), G(t - u), left, times, plus, *three
+    buffer blocks), with _factors(a, k) of a = aux(G on the axis), yields each |score| block in
+    one of the buffers in turn: |Delta| for sup_defect, the product and difference-square
+    violations for identity_report."""
+    return {"sup_defect": (_same, 2.0, _defect_scores),
+            "identity_report": (_q, 1.0, _identity_scores)}[op]
+
+
+def _answerer():
+    """The helper's side of _split (helper.lease): a function that answers a request, with the
+    op, triangle and first row in its header and the nodes in its body, with the picks of the
+    blocks from that row on, in three block buffers kept across requests."""
+    width, views = 0, None
+
+    def answer(header: bytes, body) -> bytes:
+        nonlocal width, views
+        op, triangle, row = _REQUEST.unpack(header)
+        aux, k, scores = _ops(op.rstrip(b"\0").decode())
+        nodes = np.frombuffer(body)
+        n = (nodes.size + 1) // 2
+        if n > width:  # buffers for any block of a table this wide or narrower
+            width, views = n, _buffers(n)
+        with np.errstate(all="ignore"):  # the caller's own roundings warn, not the helper's
+            picks = _reduce(nodes, aux(nodes[n // 2: n // 2 + n]), triangle, scores, views, k,
+                            _blocks(n // 2 + 1 if triangle else n, triangle, row))
+        return b"".join(_PICK.pack(*p) for p in picks)
+
+    return answer
 
 
 def defect_grid(h: FunctionHandle, T: float, step: float):
@@ -325,8 +433,7 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     """
     # |Delta_G - Delta_E| <= 2 omega + 2 (2 M omega) + 4 omega; the terms sum to 6 M + 2 M^2
     actual_step, axis, nodes, g, [(_, i, j)] = _suprema(
-        h, T, step, "sup_defect", lambda g: g, 2.0,
-        lambda *block: (np.abs(delta := _kernel(*block), out=delta),),
+        h, T, step, "sup_defect",
         lambda w, big, *_: (_rho(w * (6.0 + 4.0 * big), 6.0 * big + 2.0 * big * big, 3),))
     n = axis.size  # Delta with its sign, from the same roundings as the sweep
     delta = _delta(nodes[i + j], nodes[n - 1 + i - j], g[i], g[j])
@@ -342,12 +449,11 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
     """
     # with wq = max |q_G - q_E|, Q = max |q|, and |(s - d)_G^2 - (s - d)_E^2| <= 2 omega 4 M
     _, _, nodes, g, (product, square) = _suprema(
-        h, T, step, "identity_report", lambda g: g * (g + 2.0), 1.0, _identity_scores,
-        lambda w, big, wq, mq: (
+        h, T, step, "identity_report", lambda w, big, wq, mq: (
             _rho(w * (2.0 + 2.0 * big) + 2.0 * wq, big * big + 2.0 * (big + mq), 3),
             _rho(8.0 * (big * w + mq * wq), 4.0 * (big * big + mq * mq), 4)))
     return IdentityViolations(float(product[0]), float(square[0]),
-                              float(np.max(np.abs(nodes[::2] - 2.0 * (g * (g + 2.0))))),
+                              float(np.max(np.abs(nodes[::2] - 2.0 * _q(g)))),
                               float(np.max(np.abs(g[::-1] - g))))
 
 

@@ -1,0 +1,169 @@
+"""One helper process per Python process, forked from it, that answers its requests.
+
+``dalembert`` splits each large defect sweep with it: the caller sends a
+request and reduces its own half of the blocks while the helper reduces the
+other half.  ``lease(answerer)`` returns the process's helper, locked for one
+request, forking it at the first lease; the helper calls ``answerer()`` once,
+after the fork, and answers each request with the function that returns, so
+whatever that function keeps, such as buffers, lives across requests.  A
+lease is refused, and the caller does the work itself, unless ``os.fork``
+exists, at least two CPUs are in the process's affinity mask and the caller
+is the process's only Python thread (forking a process with threads is
+unsafe), or where the helper is busy serving a sweep that a signal handler
+interrupted.  Only the helper forked by this process is leased: a process
+forked from it closes its copies of the pipes and forks its own.
+
+A request and a reply are one message each: the byte lengths of a header and
+a body (``_FRAME``), then the two.  The helper exits when its request pipe
+reaches EOF, or on a request once its reply finds the reply pipe closed.
+``stop``, run at interpreter exit and by ``cli.main`` before its
+``os._exit``, closes the pipes and reaps it, and so does an exception between
+a request and its reply, so that no stale reply is ever read.  A request to a
+helper that has died gets ``False`` from ``send`` or ``None`` from
+``receive``, and the helper is retired; the next lease forks a new one.
+Loading this module is lazy: only a sweep large enough to split imports it.
+"""
+
+from __future__ import annotations
+
+import atexit
+import os
+import struct
+import threading
+
+_FRAME = struct.Struct("<qq")  # byte lengths of a message's header and body
+
+
+class Helper:
+    """The forked helper process and this process's ends of its two pipes."""
+
+    def __init__(self, answerer):
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        requests, self.requests, self.replies, replies = fds
+        if self.pid == 0:
+            try:
+                import signal  # here alone: its import leaves cyclic garbage in the caller
+
+                os.close(self.requests)
+                os.close(self.replies)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides; it retires us
+                _serve(answerer(), requests, replies)
+            finally:
+                os._exit(0)
+        os.close(requests)
+        os.close(replies)
+        self.owner, self.lock = os.getpid(), threading.Lock()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_):
+        if kind is not None:  # its reply would be read as the next request's
+            self.retire()
+        self.lock.release()
+
+    def send(self, header: bytes, body) -> bool:
+        """Sends one request; False where the helper has died (it is then retired)."""
+        try:
+            _write(self.requests, header, body)
+        except OSError:  # BrokenPipeError
+            self.retire()
+            return False
+        return True
+
+    def receive(self):
+        """The header of the reply to the last request, or None where the helper has died
+        (it is then retired)."""
+        reply = _read(self.replies)
+        if reply is None:
+            self.retire()
+            return None
+        return reply[0]
+
+    def retire(self):
+        """Closes this process's ends of the pipes, so the helper exits once it has answered
+        any request it holds; the process that forked it also reaps it.  It is no longer the
+        process's helper."""
+        global _current
+        if _current is self:
+            _current = None
+        if self.requests < 0:
+            return
+        for fd in (self.requests, self.replies):
+            os.close(fd)
+        self.requests = self.replies = -1
+        if self.owner == os.getpid():
+            try:
+                os.waitpid(self.pid, 0)
+            except ChildProcessError:  # reaped by another waitpid
+                pass
+
+
+_current: Helper | None = None  # this process's helper: at most one
+
+
+def lease(answerer):
+    """The process's helper, forked now if it has none, locked for one request (release it by
+    using it as a context manager); or None, and the caller does the work itself."""
+    global _current
+    if _current is not None and _current.owner != os.getpid():  # inherited through a fork
+        _current.retire()
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
+        return None
+    if _current is None:
+        try:
+            _current = Helper(answerer)
+        except OSError:
+            return None
+    return _current if _current.lock.acquire(blocking=False) else None
+
+
+def stop() -> None:
+    """Retires the process's helper, if it has one; a later lease forks a new one."""
+    if _current is not None:
+        _current.retire()
+
+
+atexit.register(stop)
+
+
+def _serve(answer, requests: int, replies: int) -> None:
+    """The helper's loop: replies to each request with answer(header, body), until EOF."""
+    while (request := _read(requests)) is not None:
+        _write(replies, answer(*request), b"")
+
+
+def _write(fd: int, header: bytes, body) -> None:
+    for data in (_FRAME.pack(len(header), memoryview(body).nbytes), header, body):
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _read(fd: int):
+    """(header, body) of the next message on fd, or None at EOF."""
+    frame = bytearray(_FRAME.size)
+    if not _fill(fd, frame):
+        return None
+    header, body = (bytearray(size) for size in _FRAME.unpack(frame))
+    return (bytes(header), body) if _fill(fd, header) and _fill(fd, body) else None
+
+
+def _fill(fd: int, buffer: bytearray) -> bool:
+    """Reads fd into the whole of buffer; False where fd reaches EOF first."""
+    view = memoryview(buffer)
+    while view:
+        got = os.readv(fd, [view])
+        if got == 0:
+            return False
+        view = view[got:]
+    return True

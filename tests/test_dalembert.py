@@ -390,8 +390,10 @@ class TestRowBlocks:
         assert math.isnan(ids.product_identity) and math.isnan(ids.difference_square)
 
     @pytest.mark.parametrize("sweep", [sup_defect, identity_report], ids=lambda f: f.__name__)
-    def test_fine_grid_peak_memory(self, sweep):
-        # at T = 2, step 0.001 one n x n float64 table is 122 MB (2^20 bytes)
+    def test_fine_grid_peak_memory(self, sweep, monkeypatch):
+        # at T = 2, step 0.001 one n x n float64 table is 122 MB (2^20 bytes); the whole sweep
+        # runs in this process (test_sweep_helper bounds the helper's share)
+        monkeypatch.setattr(dalembert, "_HELPER_MIN_PAIRS", math.inf)
         own = not tracemalloc.is_tracing()
         if own:
             tracemalloc.start()
@@ -478,7 +480,8 @@ class TestMirrorFold:
 
     def test_even_sweeps_reduce_about_half_the_quadrant(self, monkeypatch):
         # T = 2, step 0.001: (m + 1)^2 = 2001^2 pairs in the quadrant, its triangle 2001 2002 / 2;
-        # the pairs are counted in the score function each block calls
+        # the pairs are counted in the score function each block calls, all in this process
+        monkeypatch.setattr(dalembert, "_HELPER_MIN_PAIRS", math.inf)
         pairs = []
         kernel, scores = dalembert._kernel, dalembert._identity_scores
         monkeypatch.setattr(dalembert, "_kernel",
@@ -735,14 +738,18 @@ class TestEdgeValues:
 
 class TestBlasThreads:
     """The sweeps' rank-2 products give the same bits at any BLAS thread count: the benchmark sets
-    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS, a plain CLI run does not."""
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS, a plain CLI run does not.  Both handles are even, so
+    their sweeps are split with the helper process where it can run, in the same bits."""
 
     PROBE = ("from reccost import LOG_LINE, identity_report, make_family, parse_family_spec, "
              "sup_defect\n"
-             "h = make_family(parse_family_spec('noisy-cosh,amplitude=1e-3,mode=sine,freq=5'), "
-             "domain=LOG_LINE)\n"
-             "print(repr(sup_defect(h, 2.0, 0.002)))\n"
-             "print(repr(identity_report(h, 2.0, 0.002)))\n")
+             "for spec in ('noisy-cosh,amplitude=1e-3,mode=sine,freq=5', 'noisy-cosh,"
+             "amplitude=1e-3,mode=trig,freq=5'):\n"
+             "    h = make_family(parse_family_spec(spec), domain=LOG_LINE)\n"
+             "    print(repr(sup_defect(h, 2.0, 0.002)))\n"
+             "    print(repr(identity_report(h, 2.0, 0.002)))\n"
+             "from reccost import helper\n"
+             "print('helper:', helper._current is not None)\n")
 
     def test_fields_do_not_depend_on_the_thread_count(self):
         outs = []
@@ -751,6 +758,8 @@ class TestBlasThreads:
             outs.append(subprocess.run([sys.executable, "-c", self.PROBE], env=env, check=True,
                                        capture_output=True, text=True).stdout)
         assert outs[0] == outs[1] and "epsilon=" in outs[0] and "evenness=" in outs[0]
+        helper = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", set)(0)) >= 2
+        assert outs[0].endswith(f"helper: {helper}\n")
 
 
 class TestDefectGrid:

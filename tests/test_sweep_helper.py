@@ -1,0 +1,368 @@
+"""The sweep helper: dalembert reduces the later half of each large defect sweep in one forked
+process, reused by every later sweep, with the serial loop's results bit for bit.
+
+Each bit-identity test compares a split sweep with the serial loop, which it forces by raising
+the minimum size, and checks that the helper was asked.  The lifecycle tests start fresh
+interpreters, so that a helper that outlived its process, or a sweep that hung, shows."""
+
+import math
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from reccost import (
+    LOG_LINE,
+    ReccostError,
+    analytic,
+    certify,
+    defect_log,
+    identity_report,
+    make_family,
+    parse_family_spec,
+    sample_table,
+    sup_defect,
+)
+from reccost import dalembert, helper
+from reccost.grids import symmetric_grid
+
+SPLITS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+          and len(os.sched_getaffinity(0)) >= 2)
+needs_helper = pytest.mark.skipif(not SPLITS, reason="the helper needs os.fork and two CPUs")
+
+
+def family(spec):
+    return make_family(parse_family_spec(spec), domain=LOG_LINE)
+
+
+def outcome(sweep, *args):
+    """repr of the sweep's result, with a certificate's grid and values bytes, or its error."""
+    try:
+        out = sweep(*args)
+    except ReccostError as exc:  # a refusal, such as certify's of a Cos-type curvature
+        return f"{type(exc).__name__}: {exc}"
+    arrays = [getattr(out, name).tobytes() for name in ("grid", "values") if hasattr(out, name)]
+    return repr(out), arrays
+
+
+def serial(sweep, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dalembert, "_HELPER_MIN_PAIRS", math.inf)
+        return outcome(sweep, *args)
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """(op, triangle, first row) of each request sent to the helper during the test, each of
+    which must get the helper's reply, not the caller's own reduction of the helper's blocks."""
+    got, replies, send, receive = [], [], helper.Helper.send, helper.Helper.receive
+
+    def recorded_send(self, header, body):
+        op, triangle, row = dalembert._REQUEST.unpack(header)
+        got.append((op.rstrip(b"\0").decode(), triangle, row))
+        return send(self, header, body)
+
+    def recorded_receive(self):
+        replies.append(receive(self))
+        return replies[-1]
+
+    monkeypatch.setattr(helper.Helper, "send", recorded_send)
+    monkeypatch.setattr(helper.Helper, "receive", recorded_receive)
+    yield got
+    assert len(replies) == len(got) and None not in replies
+
+
+@needs_helper
+class TestSplitIsSerial:
+    """Split sweeps give the serial loop's reports, field for field and bit for bit."""
+
+    @pytest.mark.parametrize("spec", [
+        "cosh-lambda,lambda=1.03", "quadlog", "cos-k,k=3",
+        "noisy-cosh,amplitude=5e-4,mode=sine,freq=4.5",
+        "noisy-cosh,amplitude=3e-4,mode=trig,freq=3,seed=7"])
+    @pytest.mark.parametrize("step", [0.001, 0.002])
+    def test_even_builtins(self, spec, step, sent):
+        h = family(spec)
+        for sweep in (sup_defect, identity_report, certify):
+            assert outcome(sweep, h, 2.0, step) == serial(sweep, h, 2.0, step)
+        assert {op for op, triangle, _ in sent} == {"sup_defect", "identity_report"}
+        assert all(triangle for _, triangle, _ in sent)
+
+    def test_uneven_table_on_the_whole_table_path(self, sent):
+        # exact cosh on 8001 rows: its defect is rounding noise, so the even part gives up
+        ts = np.linspace(-4.05, 4.05, 8001)
+        h = sample_table(LOG_LINE, ts, np.cosh(ts))
+        for sweep in (sup_defect, identity_report):
+            assert outcome(sweep, h, 2.0, 0.001) == serial(sweep, h, 2.0, 0.001)
+        assert [(op, triangle) for op, triangle, _ in sent] == [
+            ("sup_defect", False), ("identity_report", False)]
+
+    @pytest.mark.parametrize("t0", [3.0, -3.0], ids=["in the helper's rows", "in the caller's"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_node(self, t0, sent):
+        # G(3) enters the table from t = 1 on, G(-3) up to t = -1: the first NaN lies in the
+        # later or the earlier half of the whole table
+        def poisoned(t):
+            return np.where(np.abs(t - t0) < 1e-3, np.nan, np.cosh(t) + 1e-3 * np.sin(5.0 * t))
+
+        h = analytic(LOG_LINE, "cosh+sin with NaN", (poisoned,), support=(-700.0, 700.0))
+        rep = outcome(sup_defect, h, 2.0, 0.001)
+        assert rep == serial(sup_defect, h, 2.0, 0.001) and "epsilon=nan" in rep[0]
+        ids = outcome(identity_report, h, 2.0, 0.001)
+        assert ids == serial(identity_report, h, 2.0, 0.001) and "product_identity=nan" in ids[0]
+        assert len(sent) == 2 and not any(triangle for _, triangle, _ in sent)
+
+    @pytest.mark.parametrize("sweep, spec, T", [
+        (identity_report, "cosh-lambda,lambda=100", 3.0),
+        (identity_report, "powerlaw-w,lambda=170", 2.0),
+        (sup_defect, "noisy-cosh,amplitude=1e300", 2.0),
+        (identity_report, "noisy-cosh,freq=1e308", 2.0),  # NaN nodes: NaN fields
+    ], ids=["cosh-lambda", "powerlaw-w", "sup-defect-noisy-cosh", "nan-nodes"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_and_nan_fields(self, sweep, spec, T, sent):
+        h = family(spec)
+        got = outcome(sweep, h, T, 0.001)
+        assert got == serial(sweep, h, T, 0.001)
+        assert ("overflows double precision" in got) != ("nan" in str(got))
+        assert sent
+
+    def test_tie_straddling_the_split(self, sent):
+        # G = -1 at t = +-0.25, else 0: |Delta| = 2 at every (t, -0.25) of the triangle, in rows
+        # of both halves, and nowhere more; the first of them, (-2, -0.25), is the serial pick
+        h = analytic(LOG_LINE, "G = -1 at +-0.25",
+                     (lambda t: np.where(np.abs(np.abs(t) - 0.25) < 1e-9, 0.0, 1.0),))
+        rep = outcome(sup_defect, h, 2.0, 0.001)
+        assert rep == serial(sup_defect, h, 2.0, 0.001)
+        assert "epsilon=2.0, argmax=DefectSample(t=-2.0, u=-0.25" in rep[0]
+        [(_, _, row)] = sent
+        axis = symmetric_grid(2.0, 0.001)[1]
+        assert 0 < row < 1750 and abs(defect_log(h, axis[row], -0.25)) == 2.0
+
+    def test_all_ties(self, sent):
+        h = family("constant-one")
+        for sweep in (sup_defect, identity_report):
+            assert outcome(sweep, h, 2.0, 0.001) == serial(sweep, h, 2.0, 0.001)
+        assert "argmax=DefectSample(t=-2.0, u=-2.0" in outcome(sup_defect, h, 2.0, 0.001)[0]
+        assert len(sent) == 3
+
+    def test_small_sweeps_stay_serial(self, sent):
+        # the CLI's default step: 861 pairs of the triangle
+        sup_defect(family("cosh"), 2.0, 0.05)
+        assert sent == []
+
+
+def test_one_cpu_runs_serially(monkeypatch):
+    monkeypatch.setattr(helper, "_current", None)  # this test's own process state
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+    h = family("cosh-lambda,lambda=1.03")
+    assert outcome(sup_defect, h, 2.0, 0.002) == serial(sup_defect, h, 2.0, 0.002)
+    assert helper._current is None
+
+
+def status(pid: int, key: str) -> int:
+    with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        return int(next(line for line in fh if line.startswith(key + ":")).split()[1])
+
+
+@needs_helper
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/<pid>/status")
+@pytest.mark.parametrize("sweep", [sup_defect, identity_report], ids=lambda f: f.__name__)
+def test_helper_peak_memory(sweep):
+    # the helper's own transient, outside the caller's tracemalloc and RUSAGE_SELF: its VmHWM
+    # grows by 0.5 MiB across its first sweep at step 0.001 (the three block buffers and the
+    # nodes), once a smaller sweep has mapped the code the helper runs (3 MiB of file pages)
+    h = family("cosh-lambda,lambda=1.03")
+    helper.stop()
+    sweep(h, 2.0, 0.003)  # 223 446 pairs: a fresh helper
+    pid = helper._current.pid
+    base = status(pid, "VmHWM")
+    sweep(h, 2.0, 0.001)
+    assert helper._current.pid == pid
+    assert (status(pid, "VmHWM") - base) * 1024 < 2**20
+
+
+LIFECYCLE = """
+import os, sys
+fork = os.fork
+def reporting_fork():
+    pid = fork()
+    if pid:
+        print("helper:", pid, file=sys.stderr, flush=True)
+    return pid
+os.fork = reporting_fork
+{body}
+"""
+
+
+def run_probe(body: str, timeout: float = 120) -> tuple[str, list[int]]:
+    """stdout of body in a fresh interpreter, and the pid of every helper it forked."""
+    proc = subprocess.run([sys.executable, "-c", LIFECYCLE.format(body=body)],
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, [int(p) for p in re.findall(r"helper: (\d+)", proc.stderr)]
+
+
+def gone(pid: int) -> bool:
+    """Whether pid is no process at all, not even an unreaped one."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@needs_helper
+class TestLifecycle:
+    """The helper never outlives its process, never hangs a sweep and never answers a sweep
+    that is not its caller's."""
+
+    def test_cold_cli_reaps_its_helper(self):
+        out, pids = run_probe(
+            "import runpy\n"
+            "sys.argv = ['reccost', 'sup-defect', '--family', 'cosh', '--T', '2', '--step', "
+            "'0.001']\n"
+            "runpy.run_module('reccost', run_name='__main__')\n")
+        assert "reccost sup-defect: ok" in out
+        assert len(pids) == 1 and gone(pids[0])
+
+    def test_interpreter_exit_reaps_the_helper(self):
+        out, pids = run_probe(
+            "from reccost import make_family, FamilySpec, LOG_LINE, sup_defect\n"
+            "print(sup_defect(make_family(FamilySpec('cosh'), LOG_LINE), 2.0, 0.001).epsilon)\n")
+        assert float(out) >= 0.0
+        assert len(pids) == 1 and gone(pids[0])
+
+    def test_killed_helper(self):
+        # the second sweep writes to a helper that is gone: it reduces the whole table itself
+        out, pids = run_probe(
+            "import signal, time\n"
+            "from reccost import dalembert, helper, make_family, FamilySpec, LOG_LINE, sup_defect\n"
+            "h = make_family(FamilySpec('cosh-lambda', {'lambda': 1.03}), domain=LOG_LINE)\n"
+            "print(repr(sup_defect(h, 2.0, 0.001)))\n"
+            "os.kill(helper._current.pid, signal.SIGKILL)\n"
+            "time.sleep(0.1)\n"
+            "print(repr(sup_defect(h, 2.0, 0.001)))\n"
+            "dalembert._HELPER_MIN_PAIRS = float('inf')\n"
+            "print(repr(sup_defect(h, 2.0, 0.001)))\n", timeout=60)
+        first, second, want = out.splitlines()
+        assert first == second == want
+        assert len(pids) == 1 and gone(pids[0])
+
+    def test_killed_helper_mid_request(self):
+        # the helper dies between request and reply: the caller reads EOF and reduces the
+        # helper's half itself; the next sweep forks a new helper
+        out, pids = run_probe(
+            "import signal\n"
+            "from reccost import helper, make_family, FamilySpec, LOG_LINE, sup_defect\n"
+            "h = make_family(FamilySpec('cosh-lambda', {'lambda': 1.03}), domain=LOG_LINE)\n"
+            "print(repr(sup_defect(h, 2.0, 0.001)))\n"
+            "send = helper.Helper.send\n"
+            "def send_and_kill(self, *a):\n"
+            "    sent = send(self, *a)\n"
+            "    os.kill(self.pid, signal.SIGKILL)\n"
+            "    return sent\n"
+            "helper.Helper.send = send_and_kill\n"
+            "print(repr(sup_defect(h, 2.0, 0.001)))\n"
+            "helper.Helper.send = send\n"
+            "print(repr(sup_defect(h, 2.0, 0.001)))\n", timeout=60)
+        assert len(set(out.splitlines())) == 1
+        # two helpers, unless the first replied before the kill landed
+        assert len(pids) in (1, 2) and all(map(gone, pids))
+
+    def test_interrupt_between_request_and_reply_retires_the_helper(self, monkeypatch):
+        h = family("cosh-lambda,lambda=1.03")
+        want = serial(sup_defect, h, 2.0, 0.001)
+        sup_defect(h, 2.0, 0.001)
+        pid = helper._current.pid
+        reduce = dalembert._reduce
+        calls = []
+
+        def interrupted(*args):
+            calls.append(1)
+            if len(calls) == 1:  # the caller's half, after the request went out
+                raise KeyboardInterrupt
+            return reduce(*args)
+
+        monkeypatch.setattr(dalembert, "_reduce", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            sup_defect(h, 2.0, 0.001)
+        assert helper._current is None and gone(pid)
+        assert outcome(sup_defect, h, 2.0, 0.001) == want  # no stale reply is read
+        assert helper._current.pid != pid
+        helper.stop()  # forked under the patch, which it would keep
+
+    def test_forked_child_leaves_the_parents_helper_alone(self):
+        h = family("cosh-lambda,lambda=1.03")
+        want = serial(sup_defect, h, 2.0, 0.001)
+        assert outcome(sup_defect, h, 2.0, 0.001) == want
+        parent_helper = helper._current
+        read, write = os.pipe()
+        child = os.fork()
+        if child == 0:  # never returns into pytest
+            code = 1
+            try:
+                ok = outcome(sup_defect, h, 2.0, 0.001) == want
+                ok = ok and helper._current not in (None, parent_helper)
+                helper.stop()  # the child's own helper
+                os.write(write, b"ok" if ok else b"wrong")
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        deadline = time.monotonic() + 60
+        while os.waitpid(child, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+                pytest.fail("the forked child's sweep hung")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as fh:
+            assert fh.read() == b"ok"
+        assert helper._current is parent_helper
+        assert outcome(sup_defect, h, 2.0, 0.001) == want
+        assert helper._current is parent_helper  # it answered: a failed request retires it
+
+    def test_threads_sweep_serially(self, sent):
+        # more threads than CPUs, switching often: each gets the serial answer
+        specs = ["cosh-lambda,lambda=1.03", "quadlog", "cos-k,k=3"]
+        handles = [family(spec) for spec in specs]
+        want = [serial(sup_defect, h, 2.0, 0.002) for h in handles]
+        got = [None] * len(handles)
+
+        def sweep(k):
+            got[k] = outcome(sup_defect, handles[k], 2.0, 0.002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sweep, args=(k,)) for k in range(len(handles))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want and sent == []
+
+    def test_a_reentrant_sweep_runs_serially(self, monkeypatch, sent):
+        # a sweep started while the helper serves another, as a signal handler's would be
+        h, inner = family("cosh-lambda,lambda=1.03"), family("quadlog")
+        want = serial(sup_defect, h, 2.0, 0.001), serial(sup_defect, inner, 2.0, 0.001)
+        got, reduce = [], dalembert._reduce
+
+        def reentrant(*args):
+            monkeypatch.setattr(dalembert, "_reduce", reduce)  # once
+            got.append(outcome(sup_defect, inner, 2.0, 0.001))
+            return reduce(*args)
+
+        monkeypatch.setattr(dalembert, "_reduce", reentrant)
+        got.insert(0, outcome(sup_defect, h, 2.0, 0.001))
+        assert tuple(got) == want and len(sent) == 1
