@@ -16,7 +16,7 @@ _EXPORTS = {
              "golden_fixed_point", "log_forms", "validate_log_coord",
              "validate_positive_ratio"),
     "dalembert": ("DefectReport", "DefectSample", "IdentityViolations", "defect_log",
-                  "defect_ratio", "identity_report", "ode_residual", "sup_defect"),
+                  "defect_ratio", "identity_report", "sup_defect"),
     "errors": ("ClassificationError", "DomainError", "InputError", "ParameterError",
                "PrecisionError", "PreconditionError", "RangeOverflowError", "ReccostError"),
     "fixtures": ("FAMILIES", "FamilySpec", "family_spec_text", "make_family",

@@ -41,33 +41,35 @@ first max (pairs a block holds below the diagonal mirror earlier ones of it).
 Any other G is within omega of E: a forward error bound (Higham, Accuracy and
 Stability of Numerical Algorithms, 3.1) gives each score a rho >= |fl score(G)
 - fl score(E)|, so no pair whose E score is below theta = max_E - 2 rho holds
-G's max.  The sweeps reduce E's triangle, then score G on the 8 images under
-the three maps of the box of the pairs reaching theta in each block, or, where
-rho is not finite or too many blocks reach theta, the whole table.
+G's max.  The sweeps reduce E's triangle to each block's maxima, take theta
+once from them all, keep the blocks whose maxima reach it, then score G on the
+8 images under the three maps of the box of the pairs reaching theta in each
+kept block, or, where rho is not finite or the kept blocks hold too many pairs,
+the whole table.
 
 A large sweep is split with one helper process (_split, and the module helper,
 which owns the process and its lifecycle).  Where the triangle or the whole
 table holds at least _HELPER_MIN_PAIRS = 200 000 pairs and helper.lease gives
 the process's helper, the caller reduces the blocks [0, b0) while the helper
-reduces [b0, end), b0 splitting the pairs in half.  The helper is forked at
-the first such sweep and serves every later one: it receives the nodes and
-the op's name, rebuilds aux(G) and the factors, keeps its three block buffers
-(_answerer), and returns one (value, i, j) per score.  The two picks combine
-as the blocks' do, the first NaN, else the first max, ties going to the
-caller's, so every result is the serial loop's bit for bit; where the helper
-has died, the caller reduces its blocks too.  The minimum is the measured
-crossover: at T = 2 on cosh (2 shared vCPUs, one BLAS thread), a split
-sup_defect took 0.93-1.31x the serial time (1.09x in the median of ten runs)
-at 126 000-155 000 pairs, 0.94-0.99x at 164 000, 0.81-0.86x at 223 000 and
-0.66x at 2 million, and a split identity_report 0.89-0.98x at 99 000-126 000
-pairs and 0.78x at 164 000.  Smaller sweeps, such as the
-CLI's at step 0.05 (861 pairs), the even part's pruning pass, whose
-thresholds follow the block order, and any sweep that helper.lease refuses
-(no os.fork, one CPU in the affinity mask, another Python thread, or the
-helper busy) run the serial loop.  The helper ignores floating-point
-warnings, so numpy warns of an overflow or NaN in its blocks only where the
-caller's blocks have one too; the picks, and RangeOverflowError, do not
-depend on the split.
+reduces [b0, end), b0 splitting the pairs in half.  The helper is forked at the
+first such sweep and serves every later one: it receives the nodes and the op's
+name, rebuilds aux(G) and the factors, keeps its three block buffers
+(_answerer), and returns one (value, i, j) per score per block, as the caller's
+blocks give them.  So a sweep reads the same picks in the same block order,
+split or not: the first NaN, else the first max (_first), or the even part's
+block maxima, and every result is the serial loop's bit for bit; where the
+helper has died, the caller reduces its blocks too.  The minimum is the
+measured crossover: at T = 2 on cosh (2 shared vCPUs, one BLAS thread), a split
+sup_defect took 0.93-1.31x the serial time (1.09x in the median of ten runs) at
+126 000-155 000 pairs, 0.94-0.99x at 164 000, 0.81-0.86x at 223 000 and 0.66x
+at 2 million, and a split identity_report 0.89-0.98x at 99 000-126 000 pairs
+and 0.78x at 164 000.  Smaller sweeps, such as the CLI's at step 0.05 (861
+pairs), the even part's rescoring of its kept boxes, and any sweep that
+helper.lease refuses (no os.fork, one CPU in the affinity mask, another Python
+thread, or the helper busy) run in the caller alone.  The helper ignores
+floating-point warnings, so numpy warns of an overflow or NaN in its blocks
+only where the caller's blocks have one too; the picks, and RangeOverflowError,
+do not depend on the split.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class IdentityViolations:
 _BLOCK_ELEMS = (1 << 16) // 3  # elements per block: three buffers of float64 in 512 KB of cache
 _HELPER_MIN_PAIRS = 200_000  # pairs of the smallest sweep split with the helper (_split)
 _REQUEST = struct.Struct("<16s?q")  # to the helper: op name, triangle, first row
-_PICK = struct.Struct("<dqq")  # from the helper: (|score|, i, j) per score
+_PICK = struct.Struct("<dqq")  # from the helper: (|score|, i, j) per score per block
 
 
 def _kernel(gs, gd, left, times, plus, out=None, cross=None, stage=None):
@@ -237,17 +239,16 @@ def _first(picks):
 
 
 def _reduce(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores, views, k: float, blocks):
-    """Per score, (|score|, i, j) at its first NaN, else first max, over the blocks in order."""
-    return _first([[_first_max(x, r.start, c.start) for x in xs]
-                   for r, c, xs in _scored(nodes, a, triangle, scores, views, k, blocks)])
+    """Per block in order, per score, (|score|, i, j) at its first NaN, else first max."""
+    return [[_first_max(x, r.start, c.start) for x in xs]
+            for r, c, xs in _scored(nodes, a, triangle, scores, views, k, blocks)]
 
 
 def _split(op: str, nodes: np.ndarray, a: np.ndarray, triangle: bool, views):
     """_reduce of the sweep op over every block of the triangle or of the whole table of G on
     nodes.  Where it holds at least _HELPER_MIN_PAIRS pairs and the helper process serves
     (helper.lease), the helper reduces the blocks [b0, end) while this process reduces [0, b0),
-    b0 splitting the pairs in half; the helper's picks lose ties to these, as later blocks lose
-    them, and where it has died this process reduces its blocks too."""
+    b0 splitting the pairs in half, and where it has died this process reduces its blocks too."""
     _, k, scores = _ops(op)
     w = a.size // 2 + 1 if triangle else a.size
     blocks = list(_blocks(w, triangle))
@@ -264,9 +265,10 @@ def _split(op: str, nodes: np.ndarray, a: np.ndarray, triangle: bool, views):
                            np.ascontiguousarray(nodes, dtype=np.float64))
         head = _reduce(nodes, a, triangle, scores, views, k, blocks[:b0])
         reply = worker.receive() if sent else None
-    tail = (_reduce(nodes, a, triangle, scores, views, k, blocks[b0:]) if reply is None
-            else list(_PICK.iter_unpack(reply)))
-    return _first([head, tail])
+    if reply is None:
+        return head + _reduce(nodes, a, triangle, scores, views, k, blocks[b0:])
+    tail, s = list(_PICK.iter_unpack(reply)), len(head[0])
+    return head + [tail[b: b + s] for b in range(0, len(tail), s)]
 
 
 def _suprema(h: FunctionHandle, T: float, step: float, op: str, bounds):
@@ -275,13 +277,12 @@ def _suprema(h: FunctionHandle, T: float, step: float, op: str, bounds):
     Where the even part E is G they are its triangle's, else E's (_even_part) or the table's.
     A pick that is not finite, where G is finite on every node, raises RangeOverflowError."""
     actual_step, axis, nodes, g = _sweep(h, T, step, op)
-    aux, k, scores = _ops(op)
     e = (nodes + nodes[::-1]) * 0.5  # bitwise even: mirrored entries add the same two numbers
-    a, views = aux(g), _buffers(axis.size)
+    a, views = _ops(op)[0](g), _buffers(axis.size)
     fold = np.array_equal(e, nodes)  # G bitwise even, 2 G finite: x + x overflows, NaN != NaN
-    picks = None if fold else _even_part(nodes, e, a, aux, k, scores, bounds, views)
+    picks = None if fold else _even_part(op, nodes, e, a, bounds, views)
     if picks is None:  # the first pick of the first block that holds the largest
-        picks = _split(op, nodes, a, fold, views)
+        picks = _first(_split(op, nodes, a, fold, views))
     _finite(h, op, [v for v, _, _ in picks], nodes, f" on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
     return actual_step, axis, nodes, g, picks
 
@@ -294,35 +295,30 @@ def _finite(h: FunctionHandle, op: str, value, g: np.ndarray, where: str = ""):
     return value
 
 
-def _even_part(nodes: np.ndarray, e: np.ndarray, a: np.ndarray, aux, k: float, scores, bounds,
-               views):
+def _even_part(op: str, nodes: np.ndarray, e: np.ndarray, a: np.ndarray, bounds, views):
     """_suprema's picks through the even part e = E, or None where rho = bounds(max |G - E|, max |G|,
-    max |a - a_E|, max(|a|, |a_E|)) is not finite or the blocks reaching theta hold over 2^18
-    pairs (four rows, where a row is wider)."""
+    max |a - a_E|, max(|a|, |a_E|)) is not finite or the blocks of E's triangle whose maxima
+    reach theta hold over 2^18 pairs (four rows, where a row is wider).  E's triangle is reduced
+    by _split; theta only rises with the blocks, so no order is needed to prune them."""
+    aux, k, scores = _ops(op)
     n, m = a.size, a.size // 2
     ae = aux(e[m: m + n])
     rho = np.array(bounds(*(float(np.max(np.abs(x))) for x in (nodes - e, nodes, a - ae, [a, ae]))))
     if not np.all(np.isfinite(rho)):
         return None
-    kept, top, budget = [], np.full(rho.size, -np.inf), 4 * max(3 * _BLOCK_ELEMS, m + 1)
-    for r, c, xs in _scored(e, ae, True, scores, views, k):
-        block = np.array([x.max() for x in xs])
-        top = np.maximum(top, block)
-        # theta only rises, so a block it drops now it drops at the end
-        theta = np.nextafter(top - 2.0 * rho, -np.inf)
-        kept = [k for k in kept + [(r, c, block)] if np.any(k[2] >= theta)]
-        if sum((i.stop - i.start) * (j.stop - j.start) for i, j, _ in kept) > budget:
-            return None
-    (se, de), (sums, diffs) = _tables(e, n), _tables(nodes, n)
-    outer_e, outer, picks = _factors(ae[: m + 1], k), _factors(a, k), []
-    for r, c, _ in kept:
-        hit = np.logical_or.reduce([x >= t for x, t in zip(
-            scores(se[r, c], de[r, c], *outer_e(r, c), *views(r, c)), theta)])
+    top = np.array([[v for v, _, _ in p] for p in _split(op, e, ae, True, views)])
+    theta = np.nextafter(top.max(axis=0) - 2.0 * rho, -np.inf)
+    kept = list(itertools.compress(_blocks(m + 1, True), np.any(top >= theta, axis=1)))
+    budget = 4 * max(3 * _BLOCK_ELEMS, m + 1)
+    if sum((r.stop - r.start) * (c.stop - c.start) for r, c in kept) > budget:
+        return None
+    boxes = []  # the 8 images of the box of the pairs reaching theta in each kept block
+    for r, c, xs in _scored(e, ae, True, scores, views, k, kept):
+        hit = np.logical_or.reduce([x >= t for x, t in zip(xs, theta)])
         i, j = np.flatnonzero(hit.any(axis=1)) + r.start, np.flatnonzero(hit.any(axis=0)) + c.start
-        rows, cols = [(slice(k[0], k[-1] + 1), slice(n - 1 - k[-1], n - k[0])) for k in (i, j)]
-        for X, Y in itertools.chain(itertools.product(rows, cols), itertools.product(cols, rows)):
-            picks.append([_first_max(x, X.start, Y.start) for x in scores(
-                sums[X, Y], diffs[X, Y], *outer(X, Y), *views(X, Y))])
+        rows, cols = [(slice(x[0], x[-1] + 1), slice(n - 1 - x[-1], n - x[0])) for x in (i, j)]
+        boxes += itertools.chain(itertools.product(rows, cols), itertools.product(cols, rows))
+    picks = _reduce(nodes, a, False, scores, views, k, boxes)
     return [max(p, key=lambda v: (v[0], -v[1], -v[2])) for p in zip(*picks)]
 
 
@@ -373,8 +369,8 @@ def _ops(op: str):
 
 def _answerer():
     """The helper's side of _split (helper.lease): a function that answers a request, with the
-    op, triangle and first row in its header and the nodes in its body, with the picks of the
-    blocks from that row on, in three block buffers kept across requests."""
+    op, triangle and first row in its header and the nodes in its body, with _reduce's picks of
+    the blocks from that row on, in three block buffers kept across requests."""
     width, views = 0, None
 
     def answer(header: bytes, body) -> bytes:
@@ -388,7 +384,7 @@ def _answerer():
         with np.errstate(all="ignore"):  # the caller's own roundings warn, not the helper's
             picks = _reduce(nodes, aux(nodes[n // 2: n // 2 + n]), triangle, scores, views, k,
                             _blocks(n // 2 + 1 if triangle else n, triangle, row))
-        return b"".join(_PICK.pack(*p) for p in picks)
+        return b"".join(_PICK.pack(*p) for block in picks for p in block)
 
     return answer
 
@@ -456,22 +452,3 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
                               float(np.max(np.abs(nodes[::2] - 2.0 * _q(g)))),
                               float(np.max(np.abs(g[::-1] - g))))
 
-
-def ode_residual(h: FunctionHandle, a: float, T: float, step: float, fd_h: float) -> float:
-    """Grid supremum of |D_fd(t) - a h(t)| with D the central second difference.
-
-    D_fd(t) = (h(t + fd_h) - 2 h(t) + h(t - fd_h)) / fd_h^2.  Small when h
-    solves h'' = a h with a the log-curvature; needs h evaluable on
-    [-T - fd_h, T + fd_h].
-    """
-    require_domain(h, LOG_LINE, "ode_residual")
-    a = float(a)
-    if not math.isfinite(a):
-        raise DomainError(f"curvature coefficient must be finite, got {a}")
-    fd_h = float(fd_h)
-    if not (fd_h > 0.0 and math.isfinite(fd_h)):
-        raise DomainError(f"fd_h must be positive and finite, got {fd_h}")
-    _, axis = symmetric_grid(T, step)
-    center = h(axis)
-    second = (h(axis + fd_h) - 2.0 * center + h(axis - fd_h)) / (fd_h * fd_h)
-    return float(np.max(np.abs(second - a * center)))

@@ -25,7 +25,6 @@ from reccost import (
     identity_report,
     lift_to_log,
     make_family,
-    ode_residual,
     parse_family_spec,
     sample_table,
     sup_defect,
@@ -644,6 +643,16 @@ class TestEvenPart:
         assert path(h, 2.0, 0.01) == "whole table"
         assert_same(fields(h, 2.0, 0.01), full_tables(h, 2.0, 0.01))
 
+    def test_the_budget_holds_the_final_kept_blocks(self, monkeypatch):
+        # |Delta_E| peaks at the origin, in the triangle's last rows: a threshold taken from the
+        # earlier blocks alone keeps more than four rows of them, the final theta keeps fewer,
+        # so the sweep rescores the blocks that reach it and does not take the whole table
+        h = analytic(LOG_LINE, "1 + bump + 1e-3 sin",
+                     (lambda t: 2.0 + np.expm1(-(t * t) / 0.01) + 1e-3 * np.sin(t),))
+        monkeypatch.setattr(dalembert, "_BLOCK_ELEMS", 5)
+        assert path(h, 1.0, 0.05) == "even part"
+        assert defect_fields(h, 1.0, 0.05) == full_tables(h, 1.0, 0.05)[0]
+
 
 class TestTableCost:
     """A fine-grid table, 811 rows of a noisy cosh at T = 2, step 0.001, is not bitwise even,
@@ -657,7 +666,9 @@ class TestTableCost:
         (sup_defect, "_kernel"), (identity_report, "_identity_scores")],
         ids=["sup_defect", "identity_report"])
     def test_sweeps_reduce_about_half_the_quadrant(self, sweep, scores, monkeypatch):
+        # the pairs are counted in the score function each block calls, all in this process
         assert path(self.TABLE, 2.0, 0.001) == "even part"
+        monkeypatch.setattr(dalembert, "_HELPER_MIN_PAIRS", math.inf)
         pairs, inner = [], getattr(dalembert, scores)
         monkeypatch.setattr(dalembert, scores, lambda s, *a: pairs.append(s.size) or inner(s, *a))
         sweep(self.TABLE, 2.0, 0.001)
@@ -917,20 +928,3 @@ class TestInvariants:
         _, axis = symmetric_grid(2.0, 0.1)
         assert float(np.max(np.abs(z(axis)))) == 0.0
 
-
-class TestOdeResidual:
-    def test_cosh_unit_curvature(self):
-        assert ode_residual(COSH_LOG, 1.0, 2.0, 0.05, 1e-4) <= 1e-6
-
-    def test_cos_two(self):
-        h = make_family(FamilySpec("cos-k", {"k": 2.0}))
-        assert ode_residual(h, -4.0, 2.0, 0.05, 1e-4) <= 1e-6
-
-    def test_wrong_coefficient_detected(self):
-        assert ode_residual(COSH_LOG, 2.0, 2.0, 0.05, 1e-4) >= 0.9
-
-    def test_parameter_validation(self):
-        with pytest.raises(DomainError):
-            ode_residual(COSH_LOG, 1.0, 2.0, 0.05, 0.0)
-        with pytest.raises(DomainError):
-            ode_residual(COSH_LOG, math.nan, 2.0, 0.05, 1e-4)

@@ -41,6 +41,13 @@ def family(spec):
     return make_family(parse_family_spec(spec), domain=LOG_LINE)
 
 
+# test_dalembert's TestTableCost table: 811 rows of a noisy cosh, whose spline is not bitwise
+# even, so each sweep at T = 2, step 0.001 reduces E's triangle and rescores the blocks it keeps
+TS = np.linspace(-4.05, 4.05, 811)
+TABLE = sample_table(LOG_LINE, TS, family(
+    "noisy-cosh,amplitude=1e-4,mode=trig,freq=2.5,seed=7")(TS))
+
+
 def outcome(sweep, *args):
     """repr of the sweep's result, with a certificate's grid and values bytes, or its error."""
     try:
@@ -94,14 +101,22 @@ class TestSplitIsSerial:
         assert {op for op, triangle, _ in sent} == {"sup_defect", "identity_report"}
         assert all(triangle for _, triangle, _ in sent)
 
+    def test_uneven_table_on_the_even_part_path(self, sent):
+        for sweep in (sup_defect, identity_report, certify):
+            assert outcome(sweep, TABLE, 2.0, 0.001) == serial(sweep, TABLE, 2.0, 0.001)
+        assert [(op, triangle) for op, triangle, _ in sent] == [
+            ("sup_defect", True), ("identity_report", True), ("sup_defect", True)]
+
     def test_uneven_table_on_the_whole_table_path(self, sent):
         # exact cosh on 8001 rows: its defect is rounding noise, so the even part gives up
         ts = np.linspace(-4.05, 4.05, 8001)
         h = sample_table(LOG_LINE, ts, np.cosh(ts))
         for sweep in (sup_defect, identity_report):
             assert outcome(sweep, h, 2.0, 0.001) == serial(sweep, h, 2.0, 0.001)
+        # each sweep splits E's triangle, then the whole table
         assert [(op, triangle) for op, triangle, _ in sent] == [
-            ("sup_defect", False), ("identity_report", False)]
+            ("sup_defect", True), ("sup_defect", False),
+            ("identity_report", True), ("identity_report", False)]
 
     @pytest.mark.parametrize("t0", [3.0, -3.0], ids=["in the helper's rows", "in the caller's"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -132,17 +147,29 @@ class TestSplitIsSerial:
         assert ("overflows double precision" in got) != ("nan" in str(got))
         assert sent
 
-    def test_tie_straddling_the_split(self, sent):
+    @pytest.mark.parametrize("odd, step, pick", [
+        (0.0, 0.001, "epsilon=2.0, argmax=DefectSample(t=-2.0, u=-0.25"),
+        (2.0**-30, 2.0 / 640,
+         "epsilon=2.0000000037252903, argmax=DefectSample(t=0.253125, u=-0.25"),
+    ], ids=["even", "uneven"])
+    def test_tie_straddling_the_split(self, odd, step, pick, sent):
         # G = -1 at t = +-0.25, else 0: |Delta| = 2 at every (t, -0.25) of the triangle, in rows
-        # of both halves, and nowhere more; the first of them, (-2, -0.25), is the serial pick
-        h = analytic(LOG_LINE, "G = -1 at +-0.25",
-                     (lambda t: np.where(np.abs(np.abs(t) - 0.25) < 1e-9, 0.0, 1.0),))
-        rep = outcome(sup_defect, h, 2.0, 0.001)
-        assert rep == serial(sup_defect, h, 2.0, 0.001)
-        assert "epsilon=2.0, argmax=DefectSample(t=-2.0, u=-0.25" in rep[0]
-        [(_, _, row)] = sent
-        axis = symmetric_grid(2.0, 0.001)[1]
-        assert 0 < row < 1750 and abs(defect_log(h, axis[row], -0.25)) == 2.0
+        # of both halves, and nowhere more; the first of them, (-2, -0.25), is the serial pick.
+        # G + 2^-30 sign(t), exactly, is not even, but its E is that G bit for bit: every block
+        # of E's triangle with a row t <= -0.25 has the maximum 2, in both halves, and at step
+        # 2 / 640 the triangle's 205 761 pairs are split and fit the kept-pair budget, so the
+        # only request is E's triangle
+        def tie(t):
+            return np.where(np.abs(np.abs(t) - 0.25) < 1e-9, 0.0, 1.0)
+
+        h = analytic(LOG_LINE, "G = -1 at +-0.25", (lambda t: tie(t) + odd * np.sign(t),))
+        rep = outcome(sup_defect, h, 2.0, step)
+        assert rep == serial(sup_defect, h, 2.0, step)
+        assert pick in rep[0]
+        [(_, triangle, row)] = sent
+        axis, even = symmetric_grid(2.0, step)[1], analytic(LOG_LINE, "E", (tie,))
+        assert triangle and 0 < row < np.flatnonzero(axis == -0.25)[0]
+        assert abs(defect_log(even, axis[row], -0.25)) == 2.0
 
     def test_all_ties(self, sent):
         h = family("constant-one")
@@ -174,11 +201,12 @@ def status(pid: int, key: str) -> int:
 @needs_helper
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/<pid>/status")
 @pytest.mark.parametrize("sweep", [sup_defect, identity_report], ids=lambda f: f.__name__)
-def test_helper_peak_memory(sweep):
+@pytest.mark.parametrize("h", [family("cosh-lambda,lambda=1.03"), TABLE], ids=["cosh", "table"])
+def test_helper_peak_memory(sweep, h):
     # the helper's own transient, outside the caller's tracemalloc and RUSAGE_SELF: its VmHWM
     # grows by 0.5 MiB across its first sweep at step 0.001 (the three block buffers and the
-    # nodes), once a smaller sweep has mapped the code the helper runs (3 MiB of file pages)
-    h = family("cosh-lambda,lambda=1.03")
+    # nodes), once a smaller sweep has mapped the code the helper runs (3 MiB of file pages);
+    # for the table, the helper reduces E's triangle
     helper.stop()
     sweep(h, 2.0, 0.003)  # 223 446 pairs: a fresh helper
     pid = helper._current.pid
