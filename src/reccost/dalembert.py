@@ -54,22 +54,22 @@ the process's helper, the caller reduces the blocks [0, b0) while the helper
 reduces [b0, end), b0 splitting the pairs in half.  The helper is forked at the
 first such sweep and serves every later one: it receives the nodes and the op's
 name, rebuilds aux(G) and the factors, keeps its three block buffers
-(_answerer), and returns one (value, i, j) per score per block, as the caller's
-blocks give them.  So a sweep reads the same picks in the same block order,
-split or not: the first NaN, else the first max (_first), or the even part's
-block maxima, and every result is the serial loop's bit for bit; where the
-helper has died, the caller reduces its blocks too.  The minimum is the
-measured crossover: at T = 2 on cosh (2 shared vCPUs, one BLAS thread), a split
-sup_defect took 0.93-1.31x the serial time (1.09x in the median of ten runs) at
-126 000-155 000 pairs, 0.94-0.99x at 164 000, 0.81-0.86x at 223 000 and 0.66x
-at 2 million, and a split identity_report 0.89-0.98x at 99 000-126 000 pairs
-and 0.78x at 164 000.  Smaller sweeps, such as the CLI's at step 0.05 (861
-pairs), the even part's rescoring of its kept boxes, and any sweep that
-helper.lease refuses (no os.fork, one CPU in the affinity mask, another Python
-thread, or the helper busy) run in the caller alone.  The helper ignores
-floating-point warnings, so numpy warns of an overflow or NaN in its blocks
-only where the caller's blocks have one too; the picks, and RangeOverflowError,
-do not depend on the split.
+(_answerer), and returns one (value, i, j) per score per block, the caller's
+blocks (both read _BLOCK_ELEMS).  So a sweep reads the same picks in the same
+block order, split or not: the first NaN, else the first max (_first), or the
+even part's block maxima, and every result is the serial loop's bit for bit;
+where the helper has died, the caller reduces its blocks too.  The minimum is
+the measured crossover: at T = 2 on cosh (2 shared vCPUs, one BLAS thread), a
+split sup_defect took 0.93-1.31x the serial time (1.09x in the median of ten
+runs) at 126 000-155 000 pairs, 0.94-0.99x at 164 000, 0.81-0.86x at 223 000
+and 0.66x at 2 million, and a split identity_report 0.89-0.98x at
+99 000-126 000 pairs and 0.78x at 164 000.  Smaller sweeps, such as the CLI's
+at step 0.05 (861 pairs), the even part's rescoring of its kept boxes, and any
+sweep that helper.lease refuses (no os.fork, one CPU in the affinity mask,
+another Python thread, or the helper busy) run in the caller alone.  The helper
+ignores floating-point warnings, so numpy warns of an overflow or NaN in its
+blocks only where the caller's blocks have one too; the picks, and
+RangeOverflowError, do not depend on the split.
 """
 
 from __future__ import annotations
