@@ -19,8 +19,8 @@ _EXPORTS = {
                   "defect_ratio", "identity_report", "sup_defect"),
     "errors": ("ClassificationError", "DomainError", "InputError", "ParameterError",
                "PrecisionError", "PreconditionError", "RangeOverflowError", "ReccostError"),
-    "fixtures": ("FAMILIES", "FamilySpec", "family_spec_text", "make_family",
-                 "parse_family_spec", "perturb", "quadlog_defect_oracle"),
+    "fixtures": ("FAMILIES", "FamilySpec", "make_family", "parse_family_spec", "perturb",
+                 "quadlog_defect_oracle"),
     "geometry": ("ChebyshevCheck", "DistanceResult", "chebyshev_cost", "chebyshev_sequence",
                  "distance", "local_equivalence_ratio", "metric_weight", "metric_weight_ratio"),
     "handles": ("FunctionHandle", "analytic", "lift_to_log", "sample_table", "to_ratio"),

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import COSH_T_MAX
-from .errors import ClassificationError, DomainError, RangeOverflowError
+from .errors import ClassificationError, DomainError, PreconditionError, RangeOverflowError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, FunctionHandle, require_domain
 
@@ -98,15 +98,23 @@ class BranchClassification:
     values: np.ndarray = field(repr=False, compare=False)
 
 
+def require_normalized(h_at_0: float) -> None:
+    """PreconditionError unless H(0) is within 1e-6 of 1, which a NaN is not."""
+    if not abs(h_at_0 - 1.0) <= 1e-6:
+        raise PreconditionError(f"H(0) = {h_at_0!r} violates the normalization H(0) = 1 "
+                                "(tolerance 1e-06)")
+
+
 def estimate_kappa(h: FunctionHandle) -> float:
     """The log-curvature kappa = H''(0), read once from the handle's own stack at t = 0.
 
-    A builtin's stack gives it in closed form and a sample table's is its cubic
-    interpolant's own value, which is the a that certify's Taylor step needs.  A handle
-    whose stack stops below order 2, or whose support leaves out 0, is a DomainError; an
+    A builtin's stack gives it in closed form and a sample table's is its cubic interpolant's
+    own value, which is the a that certify's Taylor step needs.  H(0) off 1 is refused first.  A
+    handle whose stack stops below order 2, or whose support leaves out 0, is a DomainError; an
     infinite H''(0) is a RangeOverflowError.  A NaN is returned, for the caller to refuse.
     """
     require_domain(h, LOG_LINE, "estimate_kappa")
+    require_normalized(h(0.0))
     kappa = float(h.derivative(0.0, 2))
     if math.isinf(kappa):
         raise RangeOverflowError(f"{h.name}: estimate_kappa overflows, H''(0) = {kappa!r}")
@@ -133,6 +141,8 @@ def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
     if window_T > COSH_T_MAX:
         raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the "
                                  "residual threshold 1e-6 cosh(window_T) would overflow")
+    if window_T / 100.0 == 0.0:  # a step of 0 that the caller never gave
+        raise DomainError(f"window_T = {window_T!r} is too narrow: window_T / 100 underflows to 0")
     grid = symmetric_grid(window_T, window_T / 100.0)[1]
     vals = h(grid)
     h_at_0 = float(vals[grid.size // 2])  # the symmetric grid has t = 0 in its middle

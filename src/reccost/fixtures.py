@@ -241,14 +241,6 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(family, {key: p[key] for key in given})
 
 
-def family_spec_text(spec: FamilySpec) -> str:
-    """Canonical textual form of a family spec (inverse of parse_family_spec)."""
-    parts = [f"family={spec.family}"]
-    for key in sorted(spec.params):
-        parts.append(f"{key}={spec.params[key]}")
-    return ",".join(parts)
-
-
 def quadlog_defect_oracle(t, u):
     """Closed-form d'Alembert defect of h(t) = 1 + t^2/2, namely -t^2 u^2 / 2."""
     t = np.asarray(t, dtype=float)

@@ -10,8 +10,9 @@ lease is refused, and the caller does the work itself, unless ``os.fork``
 exists, at least two CPUs are in the process's affinity mask and the caller
 is the process's only Python thread (forking a process with threads is
 unsafe), or where the helper is busy serving a sweep that a signal handler
-interrupted.  Only the helper forked by this process is leased: a process
-forked from it closes its copies of the pipes and forks its own.
+interrupted.  A process forked from one with a helper runs ``stop`` at the
+fork (``os.register_at_fork``), so it closes its copies of the pipes and leases
+its own helper, and the parent's exit never waits on it.
 
 A request and a reply are one message each: the byte lengths of a header and
 a body (``_FRAME``), then the two.  The helper exits when its request pipe
@@ -60,7 +61,7 @@ class Helper:
                 os._exit(0)
         os.close(requests)
         os.close(replies)
-        self.owner, self.lock = os.getpid(), threading.Lock()
+        self.lock = threading.Lock()
 
     def __enter__(self):
         return self
@@ -90,8 +91,7 @@ class Helper:
 
     def retire(self):
         """Closes this process's ends of the pipes, so the helper exits once it has answered
-        any request it holds; the process that forked it also reaps it.  It is no longer the
-        process's helper."""
+        any request it holds, and reaps it.  It is no longer the process's helper."""
         global _current
         if _current is self:
             _current = None
@@ -100,11 +100,10 @@ class Helper:
         for fd in (self.requests, self.replies):
             os.close(fd)
         self.requests = self.replies = -1
-        if self.owner == os.getpid():
-            try:
-                os.waitpid(self.pid, 0)
-            except ChildProcessError:  # reaped by another waitpid
-                pass
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped already, or, in a forked process, its parent's
+            pass
 
 
 _current: Helper | None = None  # this process's helper: at most one
@@ -114,8 +113,6 @@ def lease(answerer):
     """The process's helper, forked now if it has none, locked for one request (release it by
     using it as a context manager); or None, and the caller does the work itself."""
     global _current
-    if _current is not None and _current.owner != os.getpid():  # inherited through a fork
-        _current.retire()
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
         return None
@@ -134,6 +131,8 @@ def stop() -> None:
 
 
 atexit.register(stop)
+if hasattr(os, "fork"):
+    os.register_at_fork(after_in_child=stop)
 
 
 def _serve(answer, requests: int, replies: int) -> None:

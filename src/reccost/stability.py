@@ -28,13 +28,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibration import BRANCH_COSH, branch_values, estimate_kappa
+from .calibration import BRANCH_COSH, branch_values, estimate_kappa, require_normalized
 from .dalembert import DefectReport, sup_defect
 from .errors import DomainError, PreconditionError, RangeOverflowError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log, require_domain
 
-_HYPOTHESIS_TOL = 1e-6
 _SIMPLIFIED_A_TOL = 1e-10
 
 ENVELOPE_COSH_BRANCH = "cosh-branch"
@@ -98,6 +97,8 @@ def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
         raise DomainError(f"T must be positive and finite, got {T}")
     if h.deriv_order < 3:
         raise DomainError(f"{h.name}: K needs H''', but the handle stops at order {h.deriv_order}")
+    if T / 1000.0 == 0.0:  # a step of 0 that the caller never gave
+        raise DomainError(f"T = {T!r} is too narrow: T / 1000 underflows to 0")
     _, grid = symmetric_grid(T, T / 1000.0)
     B, K = float(np.max(np.abs(h(grid)))), float(np.max(np.abs(h.derivative(grid, 3))))
     if not (math.isfinite(B) and math.isfinite(K)):
@@ -164,13 +165,9 @@ def certify(h: FunctionHandle, T: float, step: float, a: float | None = None,
     if defect is not None and (defect.T, defect.step) != (float(T), actual_step):
         raise DomainError(f"defect report grid {(defect.T, defect.step)} is not {(T, actual_step)}")
     vals = h(axis)
-    h_at_0 = float(vals[axis.size // 2])  # the symmetric axis has t = 0 in its middle
-    if not abs(h_at_0 - 1.0) <= _HYPOTHESIS_TOL:  # NaN fails
-        raise PreconditionError(
-            f"H(0) = {h_at_0!r} violates the normalization H(0) = 1 (tolerance {_HYPOTHESIS_TOL:g})"
-        )
+    require_normalized(float(vals[axis.size // 2]))  # the symmetric axis has t = 0 in its middle
     even_dev = float(np.max(np.abs(vals - vals[::-1])))
-    if not even_dev <= _HYPOTHESIS_TOL * max(1.0, float(np.max(np.abs(vals)))):
+    if not even_dev <= 1e-6 * max(1.0, float(np.max(np.abs(vals)))):
         raise PreconditionError(
             f"handle is not even: sup|H(-t) - H(t)| = {even_dev:.3e} on the grid"
         )

@@ -97,6 +97,10 @@ class TestEstimateKappa:
     def test_builtins_give_their_closed_form(self, drawn):
         spec, params = drawn
         h = make_family(spec, LOG_LINE)
+        if spec.family == "zero":  # H(0) = 0: no calibration to read
+            with pytest.raises(PreconditionError):
+                estimate_kappa(h)
+            return
         kappa, want = estimate_kappa(h), CLOSED_FORM[spec.family](params)
         assert type(kappa) is float
         assert np.float64(kappa).tobytes() == np.float64(h.derivative(0.0, 2)).tobytes()
@@ -186,7 +190,7 @@ class TestEstimateKappa:
         monkeypatch.setattr(FunctionHandle, "_eval", lambda self, z, order:
                             calls.append((z, order)) or evaluate(self, z, order))
         estimate_kappa(h)
-        assert calls == [(0.0, 2)]
+        assert calls == [(0.0, 0), (0.0, 2)]  # H(0), checked first, then H''(0)
 
     def test_a_table_gives_its_interpolants_curvature(self):
         # the interpolant's own H''(0), on either header; it is noise-sensitive (ROADMAP item 7)
@@ -234,6 +238,20 @@ class TestEstimateKappa:
         h = make_family(parse_family_spec("cosh-lambda,lambda=1e300"), LOG_LINE)
         with pytest.raises(RangeOverflowError, match=r"H''\(0\) = inf$"):
             estimate_kappa(h)
+
+    @pytest.mark.parametrize("h, h_at_0", [
+        (make_family(FamilySpec("zero")), 0.0),
+        (analytic(LOG_LINE, "scaled", (lambda t: 1e300 * np.cosh(t), lambda t: 1e300 * np.sinh(t),
+                                       lambda t: 1e300 * np.cosh(t))), 1e300),
+        (analytic(LOG_LINE, "nan-at-0", (lambda t: np.full_like(t, np.nan), np.sinh, np.cosh)),
+         math.nan),
+    ], ids=["zero", "scaled", "nan"])
+    def test_an_unnormalized_handle_is_refused_before_its_curvature(self, h, h_at_0):
+        # certify's message: kappa = H''(0) is the calibration only where H(0) = 1
+        with pytest.raises(PreconditionError) as info:
+            estimate_kappa(h)
+        assert str(info.value) == (f"H(0) = {h_at_0!r} violates the normalization H(0) = 1 "
+                                   "(tolerance 1e-06)")
 
     def test_a_nan_is_returned_for_the_caller_to_refuse(self):
         h = analytic(LOG_LINE, "nan", (np.cosh, np.sinh, lambda t: np.full_like(t, np.nan)))
@@ -337,6 +355,16 @@ class TestClassify:
         quadlog = make_family(FamilySpec("quadlog"), domain=LOG_LINE)
         with pytest.raises(RangeOverflowError, match="window_T = 700 is too wide for the fit"):
             classify(quadlog, 700.0)
+
+    @pytest.mark.parametrize("window_T", [5e-324, 2.4e-322])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the fit's 0/0 step on 2.5e-322
+    def test_a_window_whose_step_underflows_is_refused_by_name(self, window_T):
+        # window_T / 100 rounds to 0; 2.5e-322 / 100 rounds to the smallest subnormal, a step
+        with pytest.raises(DomainError) as info:
+            classify(COSH_LOG, window_T)
+        assert str(info.value) == (f"window_T = {window_T!r} is too narrow: "
+                                   "window_T / 100 underflows to 0")
+        assert classify(COSH_LOG, 2.5e-322).branch == BRANCH_COSH
 
 
 class TestMinimizeScalar:

@@ -326,8 +326,6 @@ class TestExitCodes:
         (["sup-defect", "--family", "noisy-cosh,freq=1e308"], "epsilon"),
         (["identities", "--family", "noisy-cosh,freq=1e308"], "product_identity"),
         (["sup-defect", "--family", "noisy-cosh,amplitude=1e308"], "epsilon"),
-        (["calibrate", "--family", "noisy-cosh,mode=trig,freq=1e308"], "kappa"),
-        (["report", "--family", "noisy-cosh,mode=trig,freq=1e308"], "sup_defect.epsilon"),
         (["classify", "--family", "noisy-cosh,mode=trig,freq=1e308"], None),
     ], ids=lambda v: v[0] + "-" + v[2] if isinstance(v, list) else None)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -340,6 +338,26 @@ class TestExitCodes:
             assert code == 2 and report.results is None and report.inputs == {}
             error = report.diagnostics["error"]
             assert error == f"DomainError: results.{leaf} = nan is not an answer"
+
+    @pytest.mark.parametrize("command", ["calibrate", "report"])
+    @pytest.mark.parametrize("source, h_at_0", [
+        ("table", "1e+300"), ("noisy-cosh,mode=trig,freq=1e308", "nan")],
+        ids=["table-1e300-cosh", "trig-nan"])
+    def test_an_unnormalized_handle_is_refused(self, command, source, h_at_0, tmp_path, capsys):
+        # kappa = H''(0) is the calibration only where H(0) = 1: a table of 1e300 cosh(t) on
+        # 61 rows of [-3, 3] once calibrated to kappa = 9.99e299, and trig's H(0) at this
+        # frequency is nan; report refuses before its sweep, so T = 2 needs no wider table
+        if source == "table":
+            ts = np.linspace(-3.0, 3.0, 61).tolist()
+            rows = "".join(f"{t!r},{1e300 * math.cosh(t)!r}\n" for t in ts)
+            (tmp_path / "big.csv").write_text("t,H\n" + rows, encoding="utf-8")
+            argv = [command, "--input", str(tmp_path / "big.csv")]
+        else:
+            argv = [command, "--family", source]
+        code, report = run(argv)
+        assert (code, report.results) == (2, None)
+        assert report.diagnostics["error"] == (f"PreconditionError: H(0) = {h_at_0} violates the "
+                                               "normalization H(0) = 1 (tolerance 1e-06)")
 
     @pytest.mark.parametrize("argv, leaf, value", [
         (["eval", "--x", "1e300"], "J", 5e299),
@@ -703,11 +721,13 @@ class TestReports:
                                         "certificate"]
         assert math.isfinite(report.results["sup_defect"]["epsilon"])
 
-    def test_report_reads_the_curvature_of_zero_from_its_stack(self, capsys):
-        # zero's G = -1 has G'' = 0; a ladder of 2 G(s) / s^2 once read -160 +- 128 from it
+    def test_report_refuses_zero_by_its_normalization(self, capsys):
+        # zero's H(0) = 0, so its H''(0) = 0 is no calibration (a ladder of 2 G(s) / s^2 once
+        # read -160 +- 128 from it); report refuses it before its sweep, as certify does
         code, report = run(["report", "--family", "zero", "--T", "2", "--step", "0.5"])
-        assert code == 0
-        assert report.results["curvature"] == {"kappa": 0.0}
+        assert (code, report.results) == (2, None)
+        assert report.diagnostics["error"] == ("PreconditionError: H(0) = 0.0 violates the "
+                                               "normalization H(0) = 1 (tolerance 1e-06)")
 
     def test_classify_finds_a_fast_cos_branch(self, capsys):
         code, report = run(["classify", "--family", "cos-k,k=30", "--window-T", "2"])
@@ -731,10 +751,13 @@ class TestReports:
         "cos-k,k=30", f"cos-k,k={8 * math.pi!r}", "noisy-cosh,amplitude=1e20",
         "noisy-cosh,mode=trig", "quadlog", "zero", "constant-one"])
     def test_calibrate_answers_what_report_answers(self, spec, capsys):
-        # one number, H''(0), with no step and no window
-        cal = run(["calibrate", "--family", spec])[1].results
-        report = run(["report", "--family", spec, "--T", "2", "--step", "0.5"])[1].results
-        assert report["curvature"] == cal
+        # one number, H''(0), with no step and no window; or, for zero, one refusal
+        cal = run(["calibrate", "--family", spec])[1]
+        report = run(["report", "--family", spec, "--T", "2", "--step", "0.5"])[1]
+        if cal.results is None:
+            assert (report.results, report.diagnostics) == (None, cal.diagnostics)
+        else:
+            assert report.results["curvature"] == cal.results
 
     @pytest.mark.parametrize("spec, kappa", [
         ("cosh-lambda,lambda=1e6", 1e12), ("powerlaw-w,lambda=1e3", 1e6),
@@ -813,14 +836,6 @@ class TestReports:
         # a lifted ratio handle keeps the log-line excess stack, so one reference serves both
         h = fixtures.make_family(fixtures.FamilySpec("cosh-lambda"), LOG_LINE)
         assert np.array_equal(rows[:, 1], call(h, rows[:, 0]))
-
-    def test_report_on_zero_family_keeps_ok_status(self, capsys):
-        # zero solves the equation; the certificate section records the
-        # hypothesis failure without flipping the verdict
-        code, report = run(["report", "--family", "zero", "--T", "1", "--step", "0.1"])
-        assert code == 0
-        assert report.results["classification"]["branch"] == "Zero"
-        assert "error" in report.results["certificate"]
 
 
 def test_calibrate_reads_a_fast_perturbation_exactly(capsys):
@@ -1033,8 +1048,10 @@ class TestModuleInvocation:
         assert message in proc.stdout  # an --a, a defect or identities that overflow are named
 
     def test_calibrate_refuses_a_kappa_that_overflows(self, tmp_path):
-        # 1.7e308 cosh(10 t) on [-0.003, 0.003]: every value is finite, but H''(0) = 1.7e310
-        rows = "".join(f"{t / 1000!r},{1.7e308 * math.cosh(t / 100)!r}\n" for t in range(-3, 4))
+        # 1 + 2e306 (cosh(10 t) - 1) on [-0.003, 0.003]: every value is finite and H(0) = 1,
+        # but H''(0) = 2e308 (an H(0) of 1.7e308 is now refused first)
+        rows = "".join(f"{t / 1000!r},{1 + 2e306 * (math.cosh(t / 100) - 1)!r}\n"
+                       for t in range(-3, 4))
         (tmp_path / "big.csv").write_text("t,H\n" + rows, encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "reccost", "calibrate", "--input",
                                str(tmp_path / "big.csv")], capture_output=True, text=True)
@@ -1042,18 +1059,19 @@ class TestModuleInvocation:
         assert proc.stdout == ("reccost calibrate: input-error\n  RangeOverflowError: big.csv: "
                                "estimate_kappa overflows, H''(0) = inf\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["certify", "--family", "cosh", "--T", "5e-324", "--step", "5e-324"],
-        ["classify", "--family", "cosh", "--window-T", "5e-324"],
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--family", "cosh", "--T", "5e-324", "--step", "5e-324"],
+         "T = 5e-324 is too narrow: T / 1000 underflows to 0"),
+        (["classify", "--family", "cosh", "--window-T", "5e-324"],
+         "window_T = 5e-324 is too narrow: window_T / 100 underflows to 0"),
     ], ids=["certify", "classify-smallest"])
-    def test_a_window_without_a_grid_step_is_refused_by_the_grid_builder(self, argv):
-        # a curvature ladder once refused these windows by their T; with H''(0) read from the
-        # stack, the grid's step, which rounds to 0, is what refuses them (ROADMAP item 9)
+    def test_a_window_too_narrow_for_its_grid_is_refused_by_name(self, argv, message):
+        # the step of certify's bounds grid and of classify's residual grid rounds to 0: the
+        # window is refused by its own name, not by a grid step of 0 that no flag gave
         proc = subprocess.run([sys.executable, "-m", "reccost", *argv], capture_output=True,
                               text=True)
         assert (proc.returncode, proc.stderr) == (2, "")
-        assert proc.stdout.endswith(
-            "DomainError: grid step must satisfy 0 < step <= 5e-324, got 0.0\n")
+        assert proc.stdout.endswith(f"DomainError: {message}\n")
 
     def test_a_narrow_window_with_a_grid_is_classified(self):
         # [-1e-300, 1e-300] has the step 1e-302, too narrow for a curvature ladder once

@@ -114,6 +114,24 @@ def test_table_run_loads_no_scipy(tmp_path, write):
     assert packages == ["numpy"]
 
 
+RUNS = """
+from reccost.cli import run
+for argv in {commands!r}:
+    print("exit-code:", run(argv)[0])
+"""
+
+
+def test_cli_sized_sweeps_never_load_the_helper():
+    # the default step's sweeps hold 861 pairs of the triangle, far below the split's
+    # minimum, so they run serially and never load the module that forks the helper
+    grid = ["--family", "cosh", "--T", "2", "--step", "0.05"]
+    commands = [[command, *grid] for command in
+                ("sup-defect", "identities", "certify", "certify-ratio", "report")]
+    out, _, modules = probe(RUNS.format(commands=commands))
+    assert re.findall(r"exit-code: (\d)", out) == ["0"] * len(commands)
+    assert "reccost.helper" not in modules
+
+
 GC_OFF = """
 import gc
 gc.disable()  # as cli.main does: a cold run leaves its garbage cycles uncollected
@@ -140,8 +158,8 @@ def test_a_run_without_the_collector_leaves_no_cycle_per_sweep_block():
 
 # the names reccost exported when its __init__ imported every submodule eagerly, less
 # ConvergenceError, which nothing raises since golden answers at its exact fixed point, and
-# CurvatureEstimate and quad_ratio, which went with the curvature ladder, and ode_residual,
-# which no library code called
+# CurvatureEstimate and quad_ratio, which went with the curvature ladder, and ode_residual
+# and family_spec_text, which no library code called
 EXPORTED = {
     "AmGmDecomposition", "BranchClassification", "BRANCH_CONSTANT_ONE", "BRANCH_COS",
     "BRANCH_COSH", "BRANCH_ZERO", "ChebyshevCheck", "ClassificationError",
@@ -152,7 +170,7 @@ EXPORTED = {
     "StabilityInputs", "am_gm_decomposition", "analytic", "bregman_divergence",
     "canonical_cost", "certify", "certify_ratio", "chebyshev_cost", "chebyshev_sequence",
     "classify", "defect_log", "defect_ratio", "delta_of_h", "distance", "estimate_bounds",
-    "estimate_kappa", "family_spec_text", "golden_fixed_point", "identity_report",
+    "estimate_kappa", "golden_fixed_point", "identity_report",
     "lift_to_log", "local_equivalence_ratio", "log_forms", "make_family", "metric_weight",
     "metric_weight_ratio", "optimal_h", "parse_family_spec", "perturb",
     "quadlog_defect_oracle", "sample_table", "sup_defect", "to_ratio",
@@ -164,7 +182,7 @@ SUBMODULES = ("calibration", "cli", "core", "dalembert", "errors", "fixtures", "
 
 
 def test_all_lists_the_exported_names():
-    assert len(reccost.__all__) == len(EXPORTED) == 62
+    assert len(reccost.__all__) == len(EXPORTED) == 61
     assert set(reccost.__all__) == EXPORTED
 
 

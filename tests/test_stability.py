@@ -75,6 +75,14 @@ class TestEstimateBounds:
             estimate_bounds(make_family(parse_family_spec(spec), LOG_LINE), T)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("T", [5e-324, 2e-321])
+    def test_a_window_whose_step_underflows_is_refused_by_name(self, T):
+        # T / 1000 rounds to 0; 2.5e-321 / 1000 rounds to the smallest subnormal, a step
+        with pytest.raises(DomainError) as info:
+            estimate_bounds(COSH_LOG, T)
+        assert str(info.value) == f"T = {T!r} is too narrow: T / 1000 underflows to 0"
+        assert estimate_bounds(COSH_LOG, 2.5e-321) == (1.0, 2.5e-321)
+
 
 class TestDeltaOfH:
     def test_formula_values(self):

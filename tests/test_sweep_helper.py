@@ -267,6 +267,24 @@ class TestLifecycle:
         assert float(out) >= 0.0
         assert len(pids) == 1 and gone(pids[0])
 
+    def test_exit_never_waits_on_a_forked_child(self):
+        # the child sleeps 3 s without sweeping, its output closed so that only the parent and
+        # its helper hold the probe's pipes: the parent's exit closes its ends of the helper's
+        # pipes, the helper reads EOF and is reaped at once
+        out, pids = run_probe(
+            "import time\n"
+            "from reccost import make_family, FamilySpec, LOG_LINE, sup_defect\n"
+            "sup_defect(make_family(FamilySpec('cosh'), LOG_LINE), 2.0, 0.001)\n"
+            "if fork() == 0:\n"
+            "    null = os.open(os.devnull, os.O_WRONLY)\n"
+            "    os.dup2(null, 1)\n"
+            "    os.dup2(null, 2)\n"
+            "    time.sleep(3)\n"
+            "    os._exit(0)\n"
+            "print(time.time())\n")
+        assert time.time() - float(out) < 1.5
+        assert len(pids) == 1 and gone(pids[0])
+
     def test_killed_helper(self):
         # the second sweep writes to a helper that is gone: it reduces the whole table itself
         out, pids = run_probe(
@@ -336,7 +354,8 @@ class TestLifecycle:
         if child == 0:  # never returns into pytest
             code = 1
             try:
-                ok = outcome(sup_defect, h, 2.0, 0.001) == want
+                ok = helper._current is None  # forgotten at the fork
+                ok = ok and outcome(sup_defect, h, 2.0, 0.001) == want
                 ok = ok and helper._current not in (None, parent_helper)
                 helper.stop()  # the child's own helper
                 os.write(write, b"ok" if ok else b"wrong")
