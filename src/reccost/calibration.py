@@ -52,9 +52,9 @@ def minimize_scalar(branch: str, grid: np.ndarray, vals: np.ndarray, k0: float,
     Each step is k += sum(slope r) / sum(slope^2), with r the residual and slope
     = d branch(k t)/dk = t sinh(k t) or -t sin(k t), clamped to bounds.  The map
     from one k to the next is fixed, so the iteration stops once a k repeats
-    (converged, or cycling within round-off of the minimum), on a NaN step, or
-    after _FIT_MAX_STEPS evaluations.  It returns k0 and its sum instead where
-    the last k's sum is not at most k0's (a NaN fails too).
+    (converged, cycling within round-off of the minimum, or every slope 0), on a
+    NaN step, or after _FIT_MAX_STEPS evaluations.  It returns k0 and its sum
+    instead where the last k's sum is not at most k0's (a NaN fails too).
     """
     lo, hi = bounds
     k, seen = k0, []
@@ -65,7 +65,8 @@ def minimize_scalar(branch: str, grid: np.ndarray, vals: np.ndarray, k0: float,
         if not seen:
             first = fun
         seen.append(k)
-        k_next = min(max(k + float(np.dot(slope, r) / np.dot(slope, slope)), lo), hi)
+        curvature = np.dot(slope, slope)  # 0 where every slope underflows: k repeats
+        k_next = min(max(k + float(np.dot(slope, r) / curvature), lo), hi) if curvature else k
         if k_next in seen or math.isnan(k_next) or len(seen) == _FIT_MAX_STEPS:
             return ScalarFit(k, fun, len(seen)) if fun <= first else ScalarFit(k0, first, len(seen))
         k = k_next

@@ -54,11 +54,13 @@ the process's helper, the caller reduces the blocks [0, b0) while the helper
 reduces [b0, end), b0 splitting the pairs in half.  The helper is forked at the
 first such sweep and serves every later one: it receives the nodes and the op's
 name, rebuilds aux(G) and the factors, keeps its three block buffers
-(_answerer), and returns one (value, i, j) per score per block, the caller's
-blocks (both read _BLOCK_ELEMS).  So a sweep reads the same picks in the same
-block order, split or not: the first NaN, else the first max (_first), or the
-even part's block maxima, and every result is the serial loop's bit for bit;
-where the helper has died, the caller reduces its blocks too.  The minimum is
+(_answerer), and returns _reduce's picks of its blocks as raw bytes: a float64
+array of (|score|, i, j) per block per score, the caller's format (both read
+_BLOCK_ELEMS).  One rule (_select) chooses among the picks, split or not, for
+the fold, the whole table and the even part's boxes: per score, a NaN, else the
+largest |score|, ties to the smallest (i, j), over row blocks the table's first
+NaN, else first max.  Every result is the serial loop's bit for bit; where the
+helper has died, the caller reduces its blocks too.  The minimum is
 the measured crossover: at T = 2 on cosh (2 shared vCPUs, one BLAS thread), a
 split sup_defect took 0.93-1.31x the serial time (1.09x in the median of ten
 runs) at 126 000-155 000 pairs, 0.94-0.99x at 164 000, 0.81-0.86x at 223 000
@@ -129,7 +131,6 @@ class IdentityViolations:
 _BLOCK_ELEMS = (1 << 16) // 3  # elements per block: three buffers of float64 in 512 KB of cache
 _HELPER_MIN_PAIRS = 200_000  # pairs of the smallest sweep split with the helper (_split)
 _REQUEST = struct.Struct("<16s?q")  # to the helper: op name, triangle, first row
-_PICK = struct.Struct("<dqq")  # from the helper: (|score|, i, j) per score per block
 
 
 def _kernel(gs, gd, left, times, plus, out=None, cross=None, stage=None):
@@ -226,22 +227,20 @@ def _scored(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores=_kernel, vi
         yield r, c, scores(sums[r, c], diffs[r, c], *outer(r, c), *views(r, c))
 
 
-def _first_max(x: np.ndarray, i0: int, j0: int):
-    """(value, i0 + i, j0 + j) at the first NaN, else first max, of x in row-major order."""
-    i, j = divmod(int(np.argmax(x)), x.shape[1])
-    return x[i, j], i0 + i, j0 + j
-
-
-def _first(picks):
-    """Per score, the pick of the first of picks (lists of one (value, i, j) per score, in
-    order) that holds the first NaN, else the largest value."""
-    return [p[int(np.argmax([v for v, _, _ in p]))] for p in zip(*picks)]
-
-
 def _reduce(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores, views, k: float, blocks):
-    """Per block in order, per score, (|score|, i, j) at its first NaN, else first max."""
-    return [[_first_max(x, r.start, c.start) for x in xs]
-            for r, c, xs in _scored(nodes, a, triangle, scores, views, k, blocks)]
+    """The picks of the blocks: per block in order, per score, (|score|, i, j) at its first NaN,
+    else first max, in a float64 array of blocks x scores x 3."""
+    return np.array([[(x[i, j], r.start + i, c.start + j)
+                      for x in xs for i, j in [divmod(int(np.argmax(x)), x.shape[1])]]
+                     for r, c, xs in _scored(nodes, a, triangle, scores, views, k, blocks)])
+
+
+def _select(picks: np.ndarray):
+    """Per score, the (|score|, i, j) of picks (blocks x scores x 3) with a NaN, else the largest
+    |score|, ties to the smallest (i, j): over row blocks, the first NaN, else first max."""
+    return [(v, int(i), int(j)) for p in picks.transpose(1, 0, 2)
+            for v, i, j in [min(p.tolist(), key=lambda q: (0.0, q[1], q[2]) if math.isnan(q[0])
+                                else (1.0, -q[0], q[1], q[2]))]]
 
 
 def _split(op: str, nodes: np.ndarray, a: np.ndarray, triangle: bool, views):
@@ -265,10 +264,9 @@ def _split(op: str, nodes: np.ndarray, a: np.ndarray, triangle: bool, views):
                            np.ascontiguousarray(nodes, dtype=np.float64))
         head = _reduce(nodes, a, triangle, scores, views, k, blocks[:b0])
         reply = worker.receive() if sent else None
-    if reply is None:
-        return head + _reduce(nodes, a, triangle, scores, views, k, blocks[b0:])
-    tail, s = list(_PICK.iter_unpack(reply)), len(head[0])
-    return head + [tail[b: b + s] for b in range(0, len(tail), s)]
+    tail = (_reduce(nodes, a, triangle, scores, views, k, blocks[b0:]) if reply is None
+            else np.frombuffer(reply).reshape(-1, head.shape[1], 3))
+    return np.concatenate([head, tail])
 
 
 def _suprema(h: FunctionHandle, T: float, step: float, op: str, bounds):
@@ -281,8 +279,8 @@ def _suprema(h: FunctionHandle, T: float, step: float, op: str, bounds):
     a, views = _ops(op)[0](g), _buffers(axis.size)
     fold = np.array_equal(e, nodes)  # G bitwise even, 2 G finite: x + x overflows, NaN != NaN
     picks = None if fold else _even_part(op, nodes, e, a, bounds, views)
-    if picks is None:  # the first pick of the first block that holds the largest
-        picks = _first(_split(op, nodes, a, fold, views))
+    if picks is None:
+        picks = _select(_split(op, nodes, a, fold, views))
     _finite(h, op, [v for v, _, _ in picks], nodes, f" on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
     return actual_step, axis, nodes, g, picks
 
@@ -306,7 +304,7 @@ def _even_part(op: str, nodes: np.ndarray, e: np.ndarray, a: np.ndarray, bounds,
     rho = np.array(bounds(*(float(np.max(np.abs(x))) for x in (nodes - e, nodes, a - ae, [a, ae]))))
     if not np.all(np.isfinite(rho)):
         return None
-    top = np.array([[v for v, _, _ in p] for p in _split(op, e, ae, True, views)])
+    top = _split(op, e, ae, True, views)[:, :, 0]
     theta = np.nextafter(top.max(axis=0) - 2.0 * rho, -np.inf)
     kept = list(itertools.compress(_blocks(m + 1, True), np.any(top >= theta, axis=1)))
     budget = 4 * max(3 * _BLOCK_ELEMS, m + 1)
@@ -318,8 +316,7 @@ def _even_part(op: str, nodes: np.ndarray, e: np.ndarray, a: np.ndarray, bounds,
         i, j = np.flatnonzero(hit.any(axis=1)) + r.start, np.flatnonzero(hit.any(axis=0)) + c.start
         rows, cols = [(slice(x[0], x[-1] + 1), slice(n - 1 - x[-1], n - x[0])) for x in (i, j)]
         boxes += itertools.chain(itertools.product(rows, cols), itertools.product(cols, rows))
-    picks = _reduce(nodes, a, False, scores, views, k, boxes)
-    return [max(p, key=lambda v: (v[0], -v[1], -v[2])) for p in zip(*picks)]
+    return _select(_reduce(nodes, a, False, scores, views, k, boxes))
 
 
 def _rho(spread: float, size: float, k: int) -> float:
@@ -382,9 +379,8 @@ def _answerer():
         if n > width:  # buffers for any block of a table this wide or narrower
             width, views = n, _buffers(n)
         with np.errstate(all="ignore"):  # the caller's own roundings warn, not the helper's
-            picks = _reduce(nodes, aux(nodes[n // 2: n // 2 + n]), triangle, scores, views, k,
-                            _blocks(n // 2 + 1 if triangle else n, triangle, row))
-        return b"".join(_PICK.pack(*p) for block in picks for p in block)
+            return _reduce(nodes, aux(nodes[n // 2: n // 2 + n]), triangle, scores, views, k,
+                           _blocks(n // 2 + 1 if triangle else n, triangle, row)).tobytes()
 
     return answer
 

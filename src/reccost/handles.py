@@ -197,23 +197,25 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, ...]:
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1] + 0.0, y[:-1] + 0.0
 
-    def piece(z):
+    def piece(z):  # at(c) reads c at z's pieces, 0 at a node: a term in a positive power of h
+        # drops there, as its +-0 leaves a sum as it is, where an inf c times 0 would be NaN
         z = np.asarray(z, dtype=float)
         i = np.clip(np.searchsorted(x, z, side="right") - 1, 0, n - 2)
-        return i, z - x[i]
+        h = z - x[i]
+        return i, h, lambda c: np.where(h == 0.0, 0.0, c[i])
 
     def spline(z):
-        i, h = piece(z)
+        i, h, at = piece(z)
         h2 = h * h
-        return c3[i] + c2[i] * h + c1[i] * h2 + c0[i] * (h2 * h)
+        return c3[i] + at(c2) * h + at(c1) * h2 + at(c0) * (h2 * h)
 
     def d1(z):
-        i, h = piece(z)
-        return c2[i] + c1[i] * h * 2.0 + c0[i] * (h * h) * 3.0
+        i, h, at = piece(z)
+        return c2[i] + at(c1) * h * 2.0 + at(c0) * (h * h) * 3.0
 
     def d2(z):
-        i, h = piece(z)
-        return c1[i] * 2.0 + 0.0 + c0[i] * h * 6.0
+        i, h, at = piece(z)
+        return c1[i] * 2.0 + 0.0 + at(c0) * h * 6.0
 
     def d3(z):
         return c0[piece(z)[0]] * 6.0 + 0.0

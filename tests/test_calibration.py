@@ -357,9 +357,10 @@ class TestClassify:
             classify(quadlog, 700.0)
 
     @pytest.mark.parametrize("window_T", [5e-324, 2.4e-322])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the fit's 0/0 step on 2.5e-322
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_window_whose_step_underflows_is_refused_by_name(self, window_T):
-        # window_T / 100 rounds to 0; 2.5e-322 / 100 rounds to the smallest subnormal, a step
+        # window_T / 100 rounds to 0; 2.5e-322 / 100 rounds to the smallest subnormal, a step,
+        # on which every slope of the fit underflows to 0: the fit stops at k0, with no 0 / 0
         with pytest.raises(DomainError) as info:
             classify(COSH_LOG, window_T)
         assert str(info.value) == (f"window_T = {window_T!r} is too narrow: "

@@ -503,6 +503,20 @@ class TestTableWorkflows:
         code, report = run(["calibrate", "--input", path])
         assert (code, report.results) == (0, {"kappa": table.derivative(0.0, 2)})
 
+    @pytest.mark.parametrize("argv", [["calibrate"], ["classify", "--window-T", "0.003"]],
+                             ids=["calibrate", "classify"])
+    def test_a_steep_table_names_its_curvature_overflow(self, argv, tmp_path, capsys):
+        # 1 + 5e306 (cosh(10 t) - 1) on 7 rows: every row is finite, H(0) reads its row, 1.0,
+        # and H''(0) overflows; a spline once read NaN at six nodes, t = 0 among them
+        ts = np.linspace(-0.003, 0.003, 7)
+        rows = "".join(f"{float(t)!r},{float(1.0 + 5e306 * (np.cosh(10.0 * t) - 1.0))!r}\n"
+                       for t in ts)
+        (tmp_path / "steep.csv").write_text("t,H\n" + rows, encoding="utf-8")
+        with np.errstate(over="ignore"):
+            code, report = run([argv[0], "--input", str(tmp_path / "steep.csv"), *argv[1:]])
+        assert (code, report.diagnostics["error"]) == (
+            2, "RangeOverflowError: steep.csv: estimate_kappa overflows, H''(0) = inf")
+
     @pytest.mark.parametrize("half, verified", [(0.05, True), (0.15, True), (0.25, True),
                                                 (0.4, False)], ids=["0.05", "0.15", "0.25", "0.4"])
     def test_certify_ratio_of_a_log_table_is_certify(self, half, verified, tmp_path, capsys):

@@ -39,6 +39,17 @@ class TestSampleTable:
         h = cosh_table()
         assert np.max(np.abs(h(ts) - np.cosh(ts))) <= 1e-14
 
+    def test_a_steep_table_reads_its_rows_at_its_nodes(self):
+        # every row of 1 + 5e306 (cosh(10 t) - 1) is finite, but c1 is inf on every piece: a node
+        # is read at h = 0, where inf * 0 once gave NaN; the last node is read at h = dx of the
+        # last piece, and its inf stays
+        ts = np.linspace(-0.003, 0.003, 7)
+        ys = 1.0 + 5e306 * (np.cosh(10.0 * ts) - 1.0)
+        with np.errstate(over="ignore"):
+            h = sample_table(LOG_LINE, ts, ys)
+        got = h(ts)
+        assert np.array_equal(got[:-1], ys[:-1]) and got[-1] == math.inf
+
     def test_rejects_bad_tables(self):
         with pytest.raises(DomainError):
             sample_table(LOG_LINE, [0.0, 0.0, 1.0], [1.0, 1.0, 1.5])

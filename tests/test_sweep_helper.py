@@ -184,6 +184,24 @@ class TestSplitIsSerial:
         assert sent == []
 
 
+@pytest.mark.parametrize("op", ["sup_defect", "identity_report"])
+@pytest.mark.parametrize("triangle", [True, False], ids=["triangle", "whole table"])
+def test_the_reply_is_the_picks_array(op, triangle):
+    # the helper answers a request with the raw bytes of _reduce's float64 array of (|score|,
+    # i, j) per block per score, for the blocks from the request's first row on, which _split
+    # reads back as it is; answered here in this process
+    _, axis, nodes, g = dalembert._sweep(TABLE, 2.0, 0.004, op)
+    aux, k, scores = dalembert._ops(op)
+    blocks = list(dalembert._blocks(axis.size // 2 + 1 if triangle else axis.size, triangle))
+    b0 = len(blocks) // 2
+    reply = dalembert._answerer()(
+        dalembert._REQUEST.pack(op.encode(), triangle, blocks[b0][0].start),
+        bytearray(nodes.tobytes()))
+    picks = dalembert._reduce(nodes, aux(g), triangle, scores, None, k, blocks[b0:])
+    assert picks.shape == (len(blocks) - b0, 1 if op == "sup_defect" else 2, 3) and b0 > 0
+    assert reply == picks.tobytes()
+
+
 def test_one_cpu_runs_serially(monkeypatch):
     monkeypatch.setattr(helper, "_current", None)  # this test's own process state
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
