@@ -125,13 +125,14 @@ def estimate_kappa(h: FunctionHandle) -> float:
 def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
     """Classify a normalized handle into its unique solution branch.
 
-    A window_T past COSH_T_MAX, where the threshold 1e-6 cosh(window_T) would overflow, is
-    refused before the window is read.  Requires h(0) within _CONST_TOL = 1e-8 of 0 (Zero) or
-    of 1.  Otherwise the curvature estimate_kappa(h) = H''(0) (RangeOverflowError if it
-    overflows, ClassificationError if it is NaN) selects the branch: ConstantOne when
-    |kappa| <= _CONST_TOL, else Cos or Cosh by its sign, with k refined by a least-squares fit
-    on the window, Gauss-Newton (minimize_scalar) from sqrt(|kappa|), because sampled data make
-    the purely local value noisy while the global fit is well conditioned.  One rule accepts
+    A window_T past COSH_T_MAX, where the threshold 1e-6 cosh(window_T) would overflow, or
+    past the handle's support, is refused by name before the window is read.  Requires h(0)
+    within _CONST_TOL = 1e-8 of 0 (Zero) or of 1.  Otherwise the curvature estimate_kappa(h)
+    = H''(0) (RangeOverflowError if it overflows, ClassificationError if it is NaN) selects
+    the branch: ConstantOne when |kappa| <= _CONST_TOL, else Cos or Cosh by its sign, with k
+    refined by a least-squares fit on the window, Gauss-Newton (minimize_scalar) from
+    sqrt(|kappa|), because sampled data make the purely local value noisy while the global
+    fit is well conditioned.  One rule accepts
     every branch: the sup residual |H - branch| on the nodes of [-window_T, window_T] at step
     window_T / 100 must be <= _CONST_TOL for Zero and 1e-6 cosh(window_T) for the others; any
     other residual, NaN included, raises ClassificationError (not near any branch).
@@ -144,6 +145,9 @@ def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
                                  "residual threshold 1e-6 cosh(window_T) would overflow")
     if window_T / 100.0 == 0.0:  # a step of 0 that the caller never gave
         raise DomainError(f"window_T = {window_T!r} is too narrow: window_T / 100 underflows to 0")
+    if not h.evaluable_on(-window_T, window_T):
+        raise DomainError(f"{h.name}: classify needs evaluability on [-window_T, window_T] = "
+                          f"[{-window_T:g}, {window_T:g}]")
     grid = symmetric_grid(window_T, window_T / 100.0)[1]
     vals = h(grid)
     h_at_0 = float(vals[grid.size // 2])  # the symmetric grid has t = 0 in its middle

@@ -21,7 +21,8 @@ Exit codes: 0 = ok, 1 = verification-failed (a negative mathematical verdict
 from certify/classify), 2 = input-error (any toolkit error that reaches run).
 A flag is read by its whole name only, so an abbreviated, misspelt or removed
 flag is an input error.  The verdicts take no tuning flag: certify uses the h
-that minimizes delta(h), and classify its own tolerances and residual grid.
+that minimizes delta(h) and the handle's own a = H''(0), and classify its own
+tolerances and residual grid.
 
 ``main`` is the process entry, of ``python -m reccost`` and of the ``reccost``
 script alike: it turns the cyclic garbage collector off before any handler
@@ -312,7 +313,7 @@ def _certify_common(ns, ratio: bool):
     handle, diag = _grid_source(ns, POSITIVE_RATIOS if ratio else LOG_LINE)
     from . import stability
     fn = stability.certify_ratio if ratio else stability.certify
-    cert = fn(handle, ns.T, ns.step, a=ns.a)
+    cert = fn(handle, ns.T, ns.step)
     if ratio:
         half = cert.inputs.T - cert.inputs.h
         diag["x_window"] = [math.exp(-half), math.exp(half)]
@@ -370,7 +371,7 @@ _SOURCE = (("--family", {"help": "builtin family spec, e.g. cosh-lambda,lambda=2
 _GRID = _SOURCE + (("--T", {"type": float, "default": 2.0}),
                    ("--step", {"type": float, "default": 0.05}))
 _PLOT = (("--plot-csv", {"help": "write (t,H,branch,envelope,error) rows to this path"}),)
-_CERTIFY = _GRID + (("--a", {"type": float, "help": "curvature override"}),) + _PLOT
+_CERTIFY = _GRID + _PLOT
 _X = ("--x", {"type": float, "required": True})
 
 _COMMANDS = {

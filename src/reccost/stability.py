@@ -16,9 +16,8 @@ margins.  The certificate keeps the window it judged, its nodes and H on
 them, so certificate_sweep() reads the verdict's own sweep back without
 evaluating H again.  Hypothesis violations (not even, H(0) != 1, a <= 0) are
 errors, not warnings; the verdict is still judged only at the window's nodes.
-certify takes a = H''(0) from the handle's own stack (estimate_kappa), or the
-caller's a (the CLI's --a); the bound assumes that a equals H''(0) and does not
-check a caller's a.
+a is always H''(0), read from the handle's own stack (estimate_kappa): the
+Taylor step behind delta bounds H'' - H''(0) H, so the bound holds for no other a.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from .dalembert import DefectReport, sup_defect
 from .errors import DomainError, PreconditionError, RangeOverflowError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log, require_domain
-
-_SIMPLIFIED_A_TOL = 1e-10
 
 ENVELOPE_COSH_BRANCH = "cosh-branch"
 ENVELOPE_DELTA_TIMES_J = "delta-times-J"
@@ -143,7 +140,7 @@ def optimal_h(epsilon: float, B: float, K: float, T: float) -> float:
     return min(float(T), (6.0 * epsilon / c) ** (1.0 / 3.0))
 
 
-def certify(h: FunctionHandle, T: float, step: float, a: float | None = None,
+def certify(h: FunctionHandle, T: float, step: float,
             defect: DefectReport | None = None) -> StabilityCertificate:
     """Build a stability certificate for a log-line handle on [-T, T].
 
@@ -151,15 +148,14 @@ def certify(h: FunctionHandle, T: float, step: float, a: float | None = None,
     eps, B, K on grids, takes h = optimal_h(eps, B, K, T), refuses
     an a that leaves delta/a or cosh(sqrt(a) t) on the window not finite, and
     sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
-    envelope.  a defaults to estimate_kappa(h) = H''(0), read after the bounds, so a stack
-    without H''' is refused by K; an a given instead certifies against the branch
-    cosh(sqrt(a) t).  defect, sup_defect(h, T, step), saves that sweep if the caller has it.
+    envelope.  a is estimate_kappa(h) = H''(0), read after the bounds, so a stack without
+    H''' is refused by K.  defect, sup_defect(h, T, step), saves that sweep if the caller has it.
     """
     require_domain(h, LOG_LINE, "certify")
     if not (T > 0 and math.isfinite(T)):
         raise DomainError(f"T must be positive and finite, got {T}")
     if not h.evaluable_on(-2.0 * T, 2.0 * T):
-        raise DomainError(f"{h.name}: certify needs evaluability on [-2T, 2T]")
+        raise DomainError(f"{h.name}: certify needs evaluability on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
 
     actual_step, axis = symmetric_grid(T, step)
     if defect is not None and (defect.T, defect.step) != (float(T), actual_step):
@@ -173,7 +169,7 @@ def certify(h: FunctionHandle, T: float, step: float, a: float | None = None,
         )
 
     B, K = estimate_bounds(h, T)  # a handle without H''' is refused before the sweep
-    a = float(estimate_kappa(h) if a is None else a)
+    a = estimate_kappa(h)
     if not (a > 0.0 and math.isfinite(a)):
         raise PreconditionError(f"curvature a = {a!r} violates the hypothesis a > 0")
     epsilon = (sup_defect(h, T, step) if defect is None else defect).epsilon
@@ -225,19 +221,17 @@ def certificate_sweep(cert: StabilityCertificate):
     return _sweep(cert.grid, cert.values, cert.envelope)
 
 
-def certify_ratio(f: FunctionHandle, T: float, step: float,
-                  a: float | None = None) -> StabilityCertificate:
+def certify_ratio(f: FunctionHandle, T: float, step: float) -> StabilityCertificate:
     """Certificate for a positive-ratio handle over x in (e^-(T-h), e^(T-h)), with e^T finite.
 
-    Lifts to log coordinates and certifies there, h being optimal_h's as in certify (a defaults
-    to the lift's H''(0), as certify's does); the envelope in x reads
-    (delta/a)(cosh(sqrt(a) |ln x|) - 1).  When a is within 1e-10 of 1 the envelope is reported
-    in the simplified form delta * J(x).
+    Lifts to log coordinates and certifies there, h and a = H''(0) being the lift's as in
+    certify; the envelope in x reads (delta/a)(cosh(sqrt(a) |ln x|) - 1).  Only where a is
+    exactly 1 is the branch J + 1, and the envelope reported in the form delta * J(x).
     """
     require_domain(f, POSITIVE_RATIOS, "certify_ratio")
     if T > math.log(np.finfo(float).max):  # the window's x = e^(T - h) may not overflow
         raise RangeOverflowError(f"certify_ratio needs e^T finite, got T = {T!r}")
-    cert = certify(lift_to_log(f), T, step, a=a)
-    if abs(cert.inputs.a - 1.0) <= _SIMPLIFIED_A_TOL:
+    cert = certify(lift_to_log(f), T, step)
+    if cert.inputs.a == 1.0:
         cert = replace(cert, envelope=replace(cert.envelope, form=ENVELOPE_DELTA_TIMES_J))
     return cert

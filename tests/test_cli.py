@@ -41,6 +41,9 @@ EXAMPLES = {argv[0]: argv for argv in [
 ]}
 
 
+ALIASED = "noisy-cosh,amplitude=1e-3,mode=sine,freq=62.83185307179586"
+
+
 def write_cosh_csv(path, lo=-2.5, hi=2.5, n=1001):
     ts = np.linspace(lo, hi, n)
     rows = "\n".join(f"{float(t)!r},{math.cosh(float(t))!r}" for t in ts)
@@ -54,6 +57,16 @@ def write_cosh_ratio_csv(path, n=401):
     rows = "\n".join(f"{float(x)!r},{math.cosh(math.log(float(x))) - 1.0!r}" for x in xs)
     path.write_text("x,F\n" + rows + "\n", encoding="utf-8")
     return str(path)
+
+
+def write_steep_csv(directory):
+    """steep.csv: 1 + 5e306 (cosh(10 t) - 1) on the 7 rows t = -0.003, -0.002, ..., 0.003."""
+    ts = np.linspace(-0.003, 0.003, 7)
+    with np.errstate(over="ignore"):
+        rows = "".join(f"{float(t)!r},{float(1.0 + 5e306 * (np.cosh(10.0 * t) - 1.0))!r}\n"
+                       for t in ts)
+    (directory / "steep.csv").write_text("t,H\n" + rows, encoding="utf-8")
+    return str(directory / "steep.csv")
 
 
 def write_quadlog_csv(path, lo=-2.5, hi=2.5, n=101):
@@ -175,8 +188,9 @@ class TestExitCodes:
     ]
     FAILED = [
         ["classify", "--family", "quadlog"],
-        ["certify", "--family", "cosh", "--a", "4"],
-        ["certify-ratio", "--family", "cosh", "--a", "4"],
+        # reproducer A's aliased sine breaks the envelope of its own H''(0) = 4.95
+        ["certify", "--family", ALIASED, "--T", "2", "--step", "0.1"],
+        ["certify-ratio", "--family", ALIASED, "--T", "2", "--step", "0.1"],
         ["report", "--family", "quadlog", "--T", "2", "--step", "0.1"],
     ]
     INPUT_ERROR = [
@@ -386,6 +400,9 @@ class TestExitCodes:
         (["calibrate", "--levels", "6", "--family", "cosh"], "unrecognized arguments: --levels 6"),
         # nor do the verdicts: h is optimal_h's, and classify's tolerances and grid are its own
         (["certify", "--h", "1e-300", "--family", "cosh"], "unrecognized arguments: --h 1e-300"),
+        # and a is the handle's own H''(0), the one curvature the certificate's bound holds for
+        (["certify", "--a", "1", "--family", "cosh"], "unrecognized arguments: --a 1"),
+        (["certify-ratio", "--a", "1", "--family", "cosh"], "unrecognized arguments: --a 1"),
         (["classify", "--const-tol", "1e300", "--family", "cosh"],
          "unrecognized arguments: --const-tol 1e300"),
         (["classify", "--residual-step", "1e-9", "--family", "cosh"],
@@ -399,9 +416,9 @@ class TestExitCodes:
         (["classify", "--window", "1", "--family", "cosh"], "unrecognized arguments: --window 1"),
         (["classify", "--fam", "cosh"], "unrecognized arguments: --fam cosh"),
     ], ids=["missing", "unknown-flag", "unknown-command", "bad-int", "removed-h0",
-            "removed-levels", "removed-h", "removed-const-tol", "removed-residual-step",
-            "removed-residual-tol", "removed-tol", "removed-max-iter", "abbreviated-window-T",
-            "abbreviated-family"])
+            "removed-levels", "removed-h", "removed-a", "removed-a-ratio", "removed-const-tol",
+            "removed-residual-step", "removed-residual-tol", "removed-tol", "removed-max-iter",
+            "abbreviated-window-T", "abbreviated-family"])
     def test_parse_errors_carry_argparse_message(self, argv, message, capsys):
         code, report = run(argv)
         assert code == 2 and report.status == "input-error" and report.command == ""
@@ -506,16 +523,24 @@ class TestTableWorkflows:
     @pytest.mark.parametrize("argv", [["calibrate"], ["classify", "--window-T", "0.003"]],
                              ids=["calibrate", "classify"])
     def test_a_steep_table_names_its_curvature_overflow(self, argv, tmp_path, capsys):
-        # 1 + 5e306 (cosh(10 t) - 1) on 7 rows: every row is finite, H(0) reads its row, 1.0,
-        # and H''(0) overflows; a spline once read NaN at six nodes, t = 0 among them
-        ts = np.linspace(-0.003, 0.003, 7)
-        rows = "".join(f"{float(t)!r},{float(1.0 + 5e306 * (np.cosh(10.0 * t) - 1.0))!r}\n"
-                       for t in ts)
-        (tmp_path / "steep.csv").write_text("t,H\n" + rows, encoding="utf-8")
+        # every row is finite, H(0) reads its row, 1.0, and H''(0) overflows; a spline once
+        # read NaN at six nodes, t = 0 among them
         with np.errstate(over="ignore"):
-            code, report = run([argv[0], "--input", str(tmp_path / "steep.csv"), *argv[1:]])
+            code, report = run([argv[0], "--input", write_steep_csv(tmp_path), *argv[1:]])
         assert (code, report.diagnostics["error"]) == (
             2, "RangeOverflowError: steep.csv: estimate_kappa overflows, H''(0) = inf")
+
+    @pytest.mark.parametrize("command, message", [
+        ("classify", "steep.csv: classify needs evaluability on [-window_T, window_T] = [-2, 2]"),
+        ("certify", "steep.csv: certify needs evaluability on [-2T, 2T] = [-4, 4]"),
+        ("certify-ratio",
+         "lift(ratio(steep.csv)): certify needs evaluability on [-2T, 2T] = [-4, 4]"),
+    ], ids=["classify", "certify", "certify-ratio"])
+    def test_a_table_narrower_than_the_window_names_the_window(self, command, message,
+                                                               tmp_path, capsys):
+        # the default window_T = 2 and T = 2 reach past the table's [-0.003, 0.003]
+        code, report = run([command, "--input", write_steep_csv(tmp_path)])
+        assert (code, report.diagnostics["error"]) == (2, f"DomainError: {message}")
 
     @pytest.mark.parametrize("half, verified", [(0.05, True), (0.15, True), (0.25, True),
                                                 (0.4, False)], ids=["0.05", "0.15", "0.25", "0.4"])
@@ -625,8 +650,6 @@ class TestReports:
         *(pytest.param(argv, id="roundtrip-" + argv[0]) for argv in EXAMPLES.values()),
         pytest.param(["sup-defect", "--input", "TABLE", "--T", "1.2", "--step", "0.05"],
                      id="roundtrip-table"),
-        pytest.param(["certify", "--family", "cosh", "--T", "2", "--step", "0.05", "--a", "1"],
-                     id="roundtrip-certify-a"),
         pytest.param(["defect", "--family", "cosh", "--t", "0.5", "--u", "0.25"],
                      id="roundtrip-defect-log-line"),
         pytest.param(["certify-ratio", "--family", "noisy-cosh", "--T", "2", "--step", "0.05"],
@@ -1002,10 +1025,6 @@ class TestModuleInvocation:
          "with max |G| = 1.8865101504649698e+260 on [-2T, 2T] = [-6, 6]"),
         (["report", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 1,
          "classification.reason = not near any branch: sup residual 6.611e+122 vs Cosh(k=170)"),
-        (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e300"], 2,
-         "PreconditionError: curvature a = 1e+300: cosh(sqrt(a) t) overflows on the window"),
-        (["certify", "--family", "cosh", "--T", "2", "--step", "0.5", "--a", "1e-320"], 2,
-         "PreconditionError: curvature a = 1e-320 leaves the envelope scale delta/a = inf"),
         *[([cmd, "--family", "noisy-cosh,amplitude=1e300", "--T", "2", "--step", "0.5"], 2,
            "RangeOverflowError: noisy-cosh(1,sine,1e+300): sup_defect overflows double precision, "
            "with max |G| = 1.8390715290764525e+300 on [-2T, 2T] = [-4, 4]")
@@ -1027,8 +1046,8 @@ class TestModuleInvocation:
         (["report", "--family", "noisy-cosh,freq=1e120", "--T", "2", "--step", "0.5"], 1,
          "certificate.error = noisy-cosh(1,sine,0.001): the bounds B = 3.7628249838492027"),
         # quadlog reads on |t| <= 1e150, but the window's x = e^(T - h) would overflow
-        (["certify-ratio", "--family", "quadlog", "--T", "800", "--step", "100", "--a", "1e-6"],
-         2, "RangeOverflowError: certify_ratio needs e^T finite, got T = 800.0"),
+        (["certify-ratio", "--family", "quadlog", "--T", "800", "--step", "100"], 2,
+         "RangeOverflowError: certify_ratio needs e^T finite, got T = 800.0"),
         # H''(0) = 1 + a f^2 = 1.25e309 = inf: the curvature overflows, as calibrate's does
         (["classify", "--family", "noisy-cosh,amplitude=5e307", "--window-T", "2"], 2,
          "RangeOverflowError: noisy-cosh(1,sine,5e+307): estimate_kappa overflows, H''(0) = inf"),
@@ -1045,7 +1064,7 @@ class TestModuleInvocation:
         (["calibrate", "--family", "noisy-cosh,lambda=1e-200"], 0,
          "  kappa = 0.025000000000000001\n"),
     ], ids=["classify", "sup-defect", "report", "identities", "identities-cosh-lambda",
-            "report-powerlaw-w", "certify-a-huge", "certify-a-tiny", "certify-amplitude",
+            "report-powerlaw-w", "certify-amplitude",
             "sup-defect-amplitude", "report-amplitude", "defect-t-u-amplitude",
             "defect-x-y-amplitude", "certify-b-k", "report-b-k", "certify-k-nan", "report-k-nan",
             "certify-ratio-window", "classify-kappa", "calibrate-tiny-lambda",
@@ -1059,7 +1078,22 @@ class TestModuleInvocation:
                               text=True)
         assert (proc.returncode, proc.stderr) == (code, "")
         assert proc.stdout.startswith(f"reccost {argv[0]}: ")
-        assert message in proc.stdout  # an --a, a defect or identities that overflow are named
+        assert message in proc.stdout  # a defect or identities that overflow are named
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, message", [
+        (1e300, "PreconditionError: curvature a = 1e+300: cosh(sqrt(a) t) overflows on the "
+         "window |t| <= 1.5"),
+        (1e-320, "PreconditionError: curvature a = 1e-320 leaves the envelope scale "
+         "delta/a = inf"),
+    ], ids=["certify-a-huge", "certify-a-tiny"])
+    def test_an_envelope_that_overflows_is_an_input_error(self, a, message, monkeypatch,
+                                                           capsys):
+        # no builtin's H''(0) reaches either refusal, so the handle's curvature is patched in
+        monkeypatch.setattr("reccost.stability.estimate_kappa", lambda h: a)
+        code, report = run(["certify", "--family", "cosh", "--T", "2", "--step", "0.5"])
+        assert (code, capsys.readouterr().err) == (2, "")
+        assert report.diagnostics["error"].startswith(message)
 
     def test_calibrate_refuses_a_kappa_that_overflows(self, tmp_path):
         # 1 + 2e306 (cosh(10 t) - 1) on [-0.003, 0.003]: every value is finite and H(0) = 1,
@@ -1097,7 +1131,7 @@ class TestModuleInvocation:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, code", [
         (["eval", "--x", "2"], 0),
-        (["certify", "--family", "cosh", "--a", "4"], 1),
+        (["certify", "--family", ALIASED, "--T", "2", "--step", "0.1"], 1),
         (["eval", "--x", "-1"], 2),
         (["classify", "--input", "x" * 10_000], 2),  # the path twice, 20 KB: past the buffer
     ], ids=["ok", "verification-failed", "input-error", "long-summary"])

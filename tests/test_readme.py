@@ -22,11 +22,23 @@ def test_quick_tour_runs_and_states_its_epsilon():
     assert f"{eval(expr, namespace).epsilon:.{digits}e}" == want
 
 
+def declared_flags() -> set:
+    from reccost.cli import _COMMANDS, _JSON
+    return {_JSON[0]} | {flag for _, _, arguments in _COMMANDS.values() for flag, _ in arguments}
+
+
+def readme_flags() -> set:
+    """The flags the README names, outside pip and script command lines."""
+    return {flag for line in README.read_text(encoding="utf-8").splitlines()
+            if not re.search(r"\bpip\b|python scripts/", line)
+            for flag in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", line)}
+
+
 def test_every_flag_the_readme_names_is_declared():
     # a flag the CLI no longer declares would send a reader to an input error
-    from reccost.cli import _COMMANDS
-    declared = {flag for _, _, arguments in _COMMANDS.values() for flag, _ in arguments}
-    named = {flag for line in README.read_text(encoding="utf-8").splitlines()
-             if not re.search(r"\bpip\b|python scripts/", line)
-             for flag in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", line)}
-    assert named - declared - {"--json"} == set()
+    assert readme_flags() - declared_flags() == set()
+
+
+def test_every_declared_flag_is_named_in_the_readme():
+    # a flag the README never names is one a reader cannot find
+    assert declared_flags() - readme_flags() == set()

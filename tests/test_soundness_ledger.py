@@ -77,10 +77,10 @@ def assert_branch_sound(argv, spec, T):
 ALIASED = "noisy-cosh,amplitude=1e-3,mode=sine,freq=62.83185307179586"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2b: the grid's nodes sit on the zeros of "
-                   "the sine, so the grid epsilon aliases; item 9: a = 1 is not H''(0) = 4.95")
 def test_reproducer_a_aliased_sine():
-    assert_sound(["certify", "--family", ALIASED, "--T", "2", "--step", "0.1", "--a", "1"],
+    # the grid's nodes sit on the zeros of the sine, so the grid epsilon aliases (ROADMAP item
+    # 2b), but against the handle's own a = H''(0) = 4.95 the error breaks the envelope anyway
+    assert_sound(["certify", "--family", ALIASED, "--T", "2", "--step", "0.1"],
                  family(ALIASED), 0.1)
 
 

@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from reccost import (
     LOG_LINE,
+    POSITIVE_RATIOS,
     DomainError,
     FamilySpec,
     PreconditionError,
@@ -172,24 +173,33 @@ class TestCertify:
         i = certify(COSH_LOG, 2.0, 0.05).inputs
         assert i.h == optimal_h(i.epsilon, i.B, i.K, i.T)
 
-    @pytest.mark.parametrize("handle, kwargs, error, message", [
-        (analytic(LOG_LINE, "cosh", (np.cosh,)), {}, DomainError, "K needs H'''"),
-        (COSH_LOG, {"a": -1.0}, PreconditionError, "violates the hypothesis a > 0"),
-        (analytic(LOG_LINE, "2cosh", (lambda t: 2.0 * np.cosh(t),)), {}, PreconditionError,
+    @pytest.mark.parametrize("handle, error, message", [
+        (analytic(LOG_LINE, "cosh", (np.cosh,)), DomainError, "K needs H'''"),
+        (make_family(FamilySpec("cos-k", {"k": 1.0})), PreconditionError,
+         r"curvature a = -1.0 violates the hypothesis a > 0"),
+        (analytic(LOG_LINE, "2cosh", (lambda t: 2.0 * np.cosh(t),)), PreconditionError,
          r"violates the normalization H\(0\) = 1"),
     ], ids=["no-third-derivative", "nonpositive-a", "not-normalized"])
-    def test_refusals_come_before_the_defect_sweep(self, handle, kwargs, error, message,
-                                                   monkeypatch):
+    def test_refusals_come_before_the_defect_sweep(self, handle, error, message, monkeypatch):
         def no_sweep(*args):
             raise AssertionError("certify swept the defect before refusing")
 
         monkeypatch.setattr("reccost.stability.sup_defect", no_sweep)
         with pytest.raises(error, match=message):
-            certify(handle, 2.0, 0.0002, **kwargs)
+            certify(handle, 2.0, 0.0002)
 
-    def test_curvature_override_changes_branch(self):
-        cert = certify(COSH_LOG, 2.0, 0.05, a=4.0)
-        assert not cert.verified  # certifying cosh against cosh(2t) must fail
+    @pytest.mark.parametrize("h", [
+        COSH_LOG,
+        perturb(COSH_LOG, "poly4", 1e-4),
+        make_family(FamilySpec("cosh-lambda", {"lambda": 1.5}), domain=LOG_LINE),
+        make_family(parse_family_spec("noisy-cosh,amplitude=1e-3,mode=trig,freq=7")),
+        sample_table(LOG_LINE, np.arange(-440, 441) * 0.005,
+                     np.cosh(np.arange(-440, 441) * 0.005)),
+        lift_to_log(make_family(FamilySpec("cosh-lambda", {"lambda": 1.2}))),
+    ], ids=["cosh", "poly4", "cosh-lambda", "noisy-cosh", "table", "ratio-lift"])
+    def test_a_is_the_handles_own_curvature(self, h):
+        # the Taylor step behind delta bounds H'' - H''(0) H, so a is H''(0) to the bit
+        assert certify(h, 1.0, 0.05).inputs.a == estimate_kappa(h)
 
     def test_not_even_rejected(self):
         odd = analytic(
@@ -227,9 +237,11 @@ class TestCertify:
         (1e-320, r"curvature a = 1e-320 leaves the envelope scale delta/a = inf"),
         (1e300, r"curvature a = 1e\+300: cosh\(sqrt\(a\) t\) overflows on the window \|t\| <= 1.5"),
     ], ids=["tiny", "huge"])
-    def test_curvature_that_overflows_the_envelope_is_refused(self, a, message):
+    def test_curvature_that_overflows_the_envelope_is_refused(self, a, message, monkeypatch):
+        # no builtin's H''(0) reaches either refusal, so the handle's curvature is patched in
+        monkeypatch.setattr("reccost.stability.estimate_kappa", lambda h: a)
         with pytest.raises(PreconditionError, match=message):
-            certify(COSH_LOG, 2.0, 0.5, a=a)
+            certify(COSH_LOG, 2.0, 0.5)
 
     def test_an_overflowing_remainder_is_refused_by_b_and_k(self):
         h = make_family(FamilySpec("cosh-lambda", {"lambda": 350.0}), domain=LOG_LINE)
@@ -238,9 +250,10 @@ class TestCertify:
                 "K = 2.158951089066446e+159")):
             certify(h, 1.0, 0.25)
 
-    def test_largest_curvature_the_window_holds_is_certified(self):
+    def test_largest_curvature_the_window_holds_is_certified(self, monkeypatch):
         # sqrt(a) * 1.5 = 709.5 sits just below cosh's overflow at 710.48
-        cert = certify(COSH_LOG, 2.0, 0.5, a=473.0**2)
+        monkeypatch.setattr("reccost.stability.estimate_kappa", lambda h: 473.0**2)
+        cert = certify(COSH_LOG, 2.0, 0.5)
         assert math.isfinite(cert.max_observed_error) and not cert.verified
 
     def test_envelope_shape(self):
@@ -273,12 +286,6 @@ class TestCertify:
         for T, step in ((1.5, 0.03), (2.0, 0.05)):
             with pytest.raises(DomainError, match="defect report"):
                 certify(pert, T, step, defect=rep)
-
-    def test_measured_kappa_as_a_matches_default(self):
-        # the default a is the curvature that calibrate and report's curvature section read
-        pert = perturb(COSH_LOG, "poly4", 1e-4)
-        for T in (0.4, 2.0):
-            assert certify(pert, T, 0.05, a=estimate_kappa(pert)) == certify(pert, T, 0.05)
 
     def test_certify_sampled_cosh_table(self):
         # integer-multiple grid puts t = 0 exactly on a node
@@ -344,7 +351,7 @@ class TestCertifyRatio:
         f = make_family(FamilySpec("quadlog"))  # evaluable on |t| <= 1e150
         with pytest.raises(RangeOverflowError, match=re.escape(
                 "certify_ratio needs e^T finite, got T = 710.0")):
-            certify_ratio(f, 710.0, 71.0, a=1e-6)
+            certify_ratio(f, 710.0, 71.0)
 
     def test_h_is_optimal_h(self):
         # as in certify, h minimizes delta(h) on the lifted handle's bounds
@@ -355,6 +362,15 @@ class TestCertifyRatio:
     def test_rejects_log_handle(self):
         with pytest.raises(DomainError):
             certify_ratio(COSH_LOG, 2.0, 0.05)
+
+    def test_the_j_form_is_claimed_only_where_a_is_1(self):
+        # the envelope bounds the distance to cosh(sqrt(a) t), which is J + 1 only at a = 1:
+        # at a - 1 = 1e-12 the form delta * J would claim |F - J| <= delta J, which nothing bounds
+        f = make_family(parse_family_spec("noisy-cosh,amplitude=1e-12,mode=sine,freq=1"),
+                        domain=POSITIVE_RATIOS)
+        cert = certify_ratio(f, 2.0, 0.05)
+        assert 0.0 < cert.inputs.a - 1.0 < 1e-11
+        assert cert.envelope.form == ENVELOPE_COSH_BRANCH
 
     @pytest.mark.parametrize("lam", [0.8, 1.0, 1.7])
     def test_consistent_with_lifted_certificate(self, lam):
