@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import COSH_T_MAX
-from .errors import ClassificationError, DomainError, PreconditionError, RangeOverflowError
+from .errors import ClassificationError, PreconditionError, RangeOverflowError
 from .grids import symmetric_grid
-from .handles import LOG_LINE, FunctionHandle, require_domain
+from .handles import LOG_LINE, FunctionHandle, require_domain, require_window
 
 BRANCH_ZERO = "Zero"
 BRANCH_CONSTANT_ONE = "ConstantOne"
@@ -125,8 +125,8 @@ def estimate_kappa(h: FunctionHandle) -> float:
 def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
     """Classify a normalized handle into its unique solution branch.
 
-    A window_T past COSH_T_MAX, where the threshold 1e-6 cosh(window_T) would overflow, or
-    past the handle's support, is refused by name before the window is read.  Requires h(0)
+    A window_T past the handle's support or past COSH_T_MAX, where the threshold 1e-6
+    cosh(window_T) would overflow, is refused by name before the window is read.  Requires h(0)
     within _CONST_TOL = 1e-8 of 0 (Zero) or of 1.  Otherwise the curvature estimate_kappa(h)
     = H''(0) (RangeOverflowError if it overflows, ClassificationError if it is NaN) selects
     the branch: ConstantOne when |kappa| <= _CONST_TOL, else Cos or Cosh by its sign, with k
@@ -138,16 +138,10 @@ def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
     other residual, NaN included, raises ClassificationError (not near any branch).
     """
     require_domain(h, LOG_LINE, "classify")
-    if not (window_T > 0 and math.isfinite(window_T)):
-        raise DomainError(f"window_T must be positive and finite, got {window_T}")
+    require_window(h, window_T, "classify", name="window_T", cells=100)
     if window_T > COSH_T_MAX:
         raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the "
                                  "residual threshold 1e-6 cosh(window_T) would overflow")
-    if window_T / 100.0 == 0.0:  # a step of 0 that the caller never gave
-        raise DomainError(f"window_T = {window_T!r} is too narrow: window_T / 100 underflows to 0")
-    if not h.evaluable_on(-window_T, window_T):
-        raise DomainError(f"{h.name}: classify needs evaluability on [-window_T, window_T] = "
-                          f"[{-window_T:g}, {window_T:g}]")
     grid = symmetric_grid(window_T, window_T / 100.0)[1]
     vals = h(grid)
     h_at_0 = float(vals[grid.size // 2])  # the symmetric grid has t = 0 in its middle

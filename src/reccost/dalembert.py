@@ -85,9 +85,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import validate_log_coord, validate_positive_ratio
-from .errors import DomainError, RangeOverflowError
+from .errors import RangeOverflowError
 from .grids import symmetric_grid
-from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, require_domain
+from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, require_domain, require_window
 
 @dataclass(frozen=True)
 class DefectSample:
@@ -175,8 +175,7 @@ def _sweep(h: FunctionHandle, T: float, step: float, op: str):
     """(step, axis, G on the nodes of [-2T, 2T], G on the axis) for the grid of [-T, T]."""
     require_domain(h, LOG_LINE, op)
     actual_step, axis = symmetric_grid(T, step)
-    if not h.evaluable_on(-2.0 * T, 2.0 * T):
-        raise DomainError(f"{h.name}: {op} needs evaluability on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
+    require_window(h, T, op, reach=2.0)
     n, m = axis.size, axis.size // 2
     far = symmetric_grid(2.0 * T, actual_step)[1][3 * m + 1:]  # k s for m < k < 2m, then 2T
     nodes = h.excess(np.concatenate([-far[::-1], axis, far]))  # +-T exact, where m s may not be

@@ -90,16 +90,29 @@ class FunctionHandle:
             )
         return self._eval(z, order)
 
-    def evaluable_on(self, lo: float, hi: float) -> bool:
-        """Whether the stack may be read on the t-interval [lo, hi], whatever the domain."""
-        return self.support[0] <= lo and hi <= self.support[1]
-
 
 def require_domain(h: FunctionHandle, domain: str, op: str) -> None:
     """Raise DomainError unless op was handed a handle addressed in ``domain``."""
     if h.domain != domain:
         noun = "log-line" if domain == LOG_LINE else "positive-ratio"
         raise DomainError(f"{op} needs a {noun} handle, got {h.domain}")
+
+
+def require_window(h: FunctionHandle, T: float, op: str, name="T", reach=1.0, cells=0) -> None:
+    """Raise DomainError unless T (called name) is positive and finite, T / cells (given cells)
+    is not 0 and h's support holds [-reach T, reach T]; a ratio handle is told its window in x."""
+    if not (T > 0 and math.isfinite(T)):
+        raise DomainError(f"{name} must be positive and finite, got {T}")
+    if cells and T / cells == 0.0:  # a step of 0 that the caller never gave
+        raise DomainError(f"{name} = {T!r} is too narrow: {name} / {cells} underflows to 0")
+    lo, hi = -reach * T, reach * T
+    if not (h.support[0] <= lo and hi <= h.support[1]):
+        edge = name if reach == 1 else f"{reach:g}{name}"
+        window = f"[-{edge}, {edge}]"
+        if h.domain == POSITIVE_RATIOS:
+            with np.errstate(over="ignore"):  # e^hi is inf past ln DBL_MAX
+                window, lo, hi = f"[e^-{edge}, e^{edge}]", *np.exp([lo, hi]).tolist()
+        raise DomainError(f"{h.name}: {op} needs evaluability on {window} = [{lo:g}, {hi:g}]")
 
 
 def _excess_of_ratio(fns, k: int) -> Callable:

@@ -31,7 +31,8 @@ from .calibration import BRANCH_COSH, branch_values, estimate_kappa, require_nor
 from .dalembert import DefectReport, sup_defect
 from .errors import DomainError, PreconditionError, RangeOverflowError
 from .grids import symmetric_grid
-from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log, require_domain
+from .handles import (LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log, require_domain,
+                      require_window)
 
 ENVELOPE_COSH_BRANCH = "cosh-branch"
 ENVELOPE_DELTA_TIMES_J = "delta-times-J"
@@ -90,12 +91,9 @@ def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
     finite, from an H or H''' that overflows, is a PreconditionError.
     """
     require_domain(h, LOG_LINE, "estimate_bounds")
-    if not (T > 0 and math.isfinite(T)):
-        raise DomainError(f"T must be positive and finite, got {T}")
+    require_window(h, T, "estimate_bounds", cells=1000)
     if h.deriv_order < 3:
         raise DomainError(f"{h.name}: K needs H''', but the handle stops at order {h.deriv_order}")
-    if T / 1000.0 == 0.0:  # a step of 0 that the caller never gave
-        raise DomainError(f"T = {T!r} is too narrow: T / 1000 underflows to 0")
     _, grid = symmetric_grid(T, T / 1000.0)
     B, K = float(np.max(np.abs(h(grid)))), float(np.max(np.abs(h.derivative(grid, 3))))
     if not (math.isfinite(B) and math.isfinite(K)):
@@ -152,10 +150,7 @@ def certify(h: FunctionHandle, T: float, step: float,
     H''' is refused by K.  defect, sup_defect(h, T, step), saves that sweep if the caller has it.
     """
     require_domain(h, LOG_LINE, "certify")
-    if not (T > 0 and math.isfinite(T)):
-        raise DomainError(f"T must be positive and finite, got {T}")
-    if not h.evaluable_on(-2.0 * T, 2.0 * T):
-        raise DomainError(f"{h.name}: certify needs evaluability on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
+    require_window(h, T, "certify", reach=2.0)
 
     actual_step, axis = symmetric_grid(T, step)
     if defect is not None and (defect.T, defect.step) != (float(T), actual_step):
@@ -231,6 +226,7 @@ def certify_ratio(f: FunctionHandle, T: float, step: float) -> StabilityCertific
     require_domain(f, POSITIVE_RATIOS, "certify_ratio")
     if T > math.log(np.finfo(float).max):  # the window's x = e^(T - h) may not overflow
         raise RangeOverflowError(f"certify_ratio needs e^T finite, got T = {T!r}")
+    require_window(f, T, "certify_ratio", reach=2.0)  # stated in x, before the lift renames f
     cert = certify(lift_to_log(f), T, step)
     if cert.inputs.a == 1.0:
         cert = replace(cert, envelope=replace(cert.envelope, form=ENVELOPE_DELTA_TIMES_J))

@@ -533,13 +533,21 @@ class TestTableWorkflows:
     @pytest.mark.parametrize("command, message", [
         ("classify", "steep.csv: classify needs evaluability on [-window_T, window_T] = [-2, 2]"),
         ("certify", "steep.csv: certify needs evaluability on [-2T, 2T] = [-4, 4]"),
-        ("certify-ratio",
-         "lift(ratio(steep.csv)): certify needs evaluability on [-2T, 2T] = [-4, 4]"),
-    ], ids=["classify", "certify", "certify-ratio"])
+        ("certify-ratio", "ratio(steep.csv): certify_ratio needs evaluability on "
+         "[e^-2T, e^2T] = [0.0183156, 54.5982]"),
+        ("sup-defect", "steep.csv: sup_defect needs evaluability on [-2T, 2T] = [-4, 4]"),
+        ("identities", "steep.csv: identity_report needs evaluability on [-2T, 2T] = [-4, 4]"),
+        ("report", "narrow.csv: sup_defect needs evaluability on [-2T, 2T] = [-4, 4]"),
+    ], ids=["classify", "certify", "certify-ratio", "sup-defect", "identities", "report"])
     def test_a_table_narrower_than_the_window_names_the_window(self, command, message,
                                                                tmp_path, capsys):
-        # the default window_T = 2 and T = 2 reach past the table's [-0.003, 0.003]
-        code, report = run([command, "--input", write_steep_csv(tmp_path)])
+        # the default window_T = 2 and T = 2 reach past the table's [-0.003, 0.003], or
+        # [-1, 1]; each command names its own window, in the coordinates it reads the table
+        # in.  report reads H''(0) before its sweep, and steep.csv's overflows, so it runs on a
+        # cosh table
+        path = (write_cosh_csv(tmp_path / "narrow.csv", lo=-1.0, hi=1.0, n=201)
+                if command == "report" else write_steep_csv(tmp_path))
+        code, report = run([command, "--input", path])
         assert (code, report.diagnostics["error"]) == (2, f"DomainError: {message}")
 
     @pytest.mark.parametrize("half, verified", [(0.05, True), (0.15, True), (0.25, True),

@@ -18,7 +18,7 @@ from reccost import (
     sample_table,
     to_ratio,
 )
-from reccost.handles import _LOG_FROM_RATIO
+from reccost.handles import _LOG_FROM_RATIO, require_window
 from test_fixtures import PINNED
 
 
@@ -350,8 +350,23 @@ class TestSupportInT:
         f = symmetric_table(POSITIVE_RATIOS, 0.25)
         xs = np.exp(np.linspace(-0.25, 0.25, 101))
         assert f.support == tuple(np.log(xs[[0, -1]]))
-        assert f.evaluable_on(-0.2, 0.2) and not f.evaluable_on(-0.2, 0.3)
+        require_window(f, 0.2, "read")  # [-0.2, 0.2] in t lies in the support
+        with pytest.raises(DomainError):
+            require_window(f, 0.3, "read")
         assert np.array_equal(f(xs[[0, -1]]), [f(xs[0]), f(xs[-1])])  # its end rows answer
+
+    @pytest.mark.parametrize("domain, T, window", [
+        (POSITIVE_RATIOS, 0.2, "[e^-2T, e^2T] = [0.67032, 1.49182]"),
+        (POSITIVE_RATIOS, 400.0, "[e^-2T, e^2T] = [0, inf]"),
+        (LOG_LINE, 0.2, "[-2T, 2T] = [-0.4, 0.4]"),
+    ], ids=["ratio", "ratio-e^2T-inf", "log-line"])
+    def test_a_window_is_stated_in_the_handles_own_coordinates(self, domain, T, window):
+        # the same t-support, read in x or in t; e^800 overflows and is stated as inf
+        f = symmetric_table(POSITIVE_RATIOS, 0.25)
+        h = f if domain == POSITIVE_RATIOS else lift_to_log(f)
+        with pytest.raises(DomainError) as info:
+            require_window(h, T, "op", reach=2.0)
+        assert str(info.value) == f"{h.name}: op needs evaluability on {window}"
 
     def test_an_analytic_ratio_support_is_converted_once(self):
         f = analytic(POSITIVE_RATIOS, "ln", (np.log,), support=(math.exp(-3.0), math.inf))

@@ -2,11 +2,12 @@ import csv
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from reccost import LOG_LINE, make_family, parse_family_spec
+from reccost import LOG_LINE, certify, make_family, parse_family_spec
 from reccost.cli import run
 from reccost.dalembert import defect_grid
 
@@ -24,6 +25,7 @@ report_diff = load_script("report_diff")
 readme_reports = load_script("readme_reports")
 defect_landscape = load_script("defect_landscape")
 stability_sweep = load_script("stability_sweep")
+soundness_census = load_script("soundness_census")
 
 
 def write(tmp_path, name, obj):
@@ -133,3 +135,24 @@ class TestStabilitySweep:
             rows = list(csv.DictReader(fh))
         assert [float(r["eta"]) for r in rows] == [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
         assert all(9.0 <= float(r["epsilon"]) / float(r["eta"]) <= 11.0 for r in rows)
+
+
+class TestSoundnessCensus:
+    def test_a_few_draws_give_a_count_per_set_and_step(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["soundness_census.py", "--draws", "3"])
+        soundness_census.main()
+        counts = json.loads(capsys.readouterr().out)
+        assert list(counts) == [f"{kind} step={step}" for kind in ("noisy-cosh", "aliasing",
+                                                                  "cosh-lambda")
+                                for step in ("0.05", "0.01")]
+        for c in counts.values():
+            assert c["draws"] == 3 and c["verified"] <= 3
+            assert max(c["vacuous"], c["unsound"]) <= c["verified"]
+
+    def test_the_fine_grid_sees_an_envelope_the_certificate_does_not_hold(self):
+        # the certificate's own envelope (delta/a = 1.8) holds on the fine grid; a thousandth of
+        # its delta does not
+        h = make_family(parse_family_spec("noisy-cosh,amplitude=1e-3,mode=sine,freq=5"), LOG_LINE)
+        cert = certify(h, 2.0, 0.05)
+        assert cert.verified and not soundness_census.breaks_on_fine_grid(h, cert, 0.05)
+        assert soundness_census.breaks_on_fine_grid(h, replace(cert, delta=cert.delta / 1000), 0.05)

@@ -112,6 +112,19 @@ def test_steep_reports_vacuous_envelope(spec, T):
     assert_sound(["report", "--family", spec, "--T", T, "--step", "0.5"], family(spec), 0.5)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2b: the verdict reads the nodes, the last "
+                   "at 1.95 and 1.99, and the window |t| <= T - h reaches past it to 1.9986 and "
+                   "1.9998, where the envelope breaks")
+@pytest.mark.parametrize("spec, step", [
+    ("noisy-cosh,amplitude=1.5615291284961455e-06,mode=sine,freq=376.91809467553014", "0.05"),
+    ("noisy-cosh,amplitude=1.6063429941375496e-07,mode=trig,freq=1256.6755740106655", "0.01"),
+], ids=["sine-0.05", "trig-0.01"])
+def test_reproducer_d_window_edge_past_the_last_node(spec, step):
+    # two aliasing draws of scripts/soundness_census.py (seed 0); h = 1.4e-3 and 2.3e-4
+    assert_sound(["certify", "--family", spec, "--T", "2", "--step", step], family(spec),
+                 float(step))
+
+
 FAST_SINE = "noisy-cosh,amplitude=1e-9,mode=sine,freq=1570.7963267948965"  # freq = pi / 0.002
 
 

@@ -85,6 +85,15 @@ class TestEstimateBounds:
         assert estimate_bounds(COSH_LOG, 2.5e-321) == (1.0, 2.5e-321)
 
 
+    def test_a_handle_narrower_than_the_window_is_refused_by_name(self):
+        # the grid of [-2, 2] once reached past the table and was refused as an abscissa
+        ts = np.linspace(-1.0, 1.0, 201)
+        h = sample_table(LOG_LINE, ts, np.cosh(ts), name="narrow")
+        with pytest.raises(DomainError) as info:
+            estimate_bounds(h, 2.0)
+        assert str(info.value) == "narrow: estimate_bounds needs evaluability on [-T, T] = [-2, 2]"
+
+
 class TestDeltaOfH:
     def test_formula_values(self):
         assert abs(delta_of_h(0.0, 1.0, 3.0, 0.1) - 0.2) <= 1e-15
@@ -352,6 +361,15 @@ class TestCertifyRatio:
         with pytest.raises(RangeOverflowError, match=re.escape(
                 "certify_ratio needs e^T finite, got T = 710.0")):
             certify_ratio(f, 710.0, 71.0)
+
+    def test_a_narrow_support_is_refused_in_x_before_the_lift(self):
+        # the refusal names certify_ratio and the ratio handle, not certify and lift(narrow)
+        ts = np.linspace(-1.0, 1.0, 201)
+        f = sample_table(POSITIVE_RATIOS, np.exp(ts), np.cosh(ts) - 1.0, name="narrow")
+        with pytest.raises(DomainError) as info:
+            certify_ratio(f, 2.0, 0.05)
+        assert str(info.value) == ("narrow: certify_ratio needs evaluability on "
+                                   "[e^-2T, e^2T] = [0.0183156, 54.5982]")
 
     def test_h_is_optimal_h(self):
         # as in certify, h minimizes delta(h) on the lifted handle's bounds
