@@ -17,8 +17,11 @@ Each ``verified`` certificate is re-checked from its own fields on a grid 20x
 finer than the step: |H(t) - cosh(sqrt(a) t)| <= (delta/a) (cosh(sqrt(a) |t|) - 1)
 on |t| <= T - h, with H read from the handle.  It prints one JSON object: per
 set and step, the draws, verified, vacuous (verified with delta/a >= 1, so the
-envelope is not below the branch's own excess) and unsound (verified, but the
-envelope breaks on the fine grid).
+envelope is not below the branch's own excess), unsound (verified, but the
+envelope breaks on the fine grid), exact_not_verified (draws that are not
+verified, counted for the exact cosh-lambda set only and null for the others)
+and envelope_gap_p50 (the median over verified draws of max envelope / max
+error on the fine grid, over the draws whose error is not 0; null where none is).
 
     python scripts/soundness_census.py
     python scripts/soundness_census.py --draws 5 --seed 1
@@ -62,15 +65,15 @@ def draws(rng, kind: str, step: float, count: int):
             yield FamilySpec("cosh-lambda", {"lambda": log_uniform(rng, 0.5, 20.0)})
 
 
-def breaks_on_fine_grid(h, cert, step: float) -> bool:
-    """Whether |H - cosh(sqrt(a) t)| exceeds the envelope somewhere on |t| <= T - h, at step/20."""
+def fine_sweep(h, cert, step: float):
+    """(|H - cosh(sqrt(a) t)|, envelope) on |t| <= T - h at step/20, read from the
+    certificate's own fields and H from the handle."""
     half = cert.inputs.T - cert.inputs.h
     k = max(1, math.ceil(half / (step / 20.0)))
     ts = np.linspace(-half, half, 2 * k + 1)
     rate = math.sqrt(cert.inputs.a)
     err = np.abs(h(ts) - np.cosh(rate * ts))
-    env = cert.delta / cert.inputs.a * (np.cosh(rate * np.abs(ts)) - 1.0)
-    return bool(np.any(err > env))
+    return err, cert.delta / cert.inputs.a * (np.cosh(rate * np.abs(ts)) - 1.0)
 
 
 def census(seed: int, cap: int | None) -> dict:
@@ -78,15 +81,21 @@ def census(seed: int, cap: int | None) -> dict:
     out = {}
     for kind, size in SIZES.items():
         for step in STEPS:
-            counts = dict.fromkeys(("draws", "verified", "vacuous", "unsound"), 0)
+            counts, gaps = dict.fromkeys(("draws", "verified", "vacuous", "unsound"), 0), []
             for spec in draws(rng, kind, step, size if cap is None else min(cap, size)):
                 counts["draws"] += 1
                 h = make_family(spec, LOG_LINE)
                 cert = certify(h, T, step)
                 if cert.verified:
+                    err, env = fine_sweep(h, cert, step)
                     counts["verified"] += 1
                     counts["vacuous"] += cert.delta / cert.inputs.a >= 1.0
-                    counts["unsound"] += breaks_on_fine_grid(h, cert, step)
+                    counts["unsound"] += bool(np.any(err > env))
+                    if np.max(err) > 0.0:
+                        gaps.append(float(np.max(env) / np.max(err)))
+            exact = kind == "cosh-lambda"
+            counts["exact_not_verified"] = counts["draws"] - counts["verified"] if exact else None
+            counts["envelope_gap_p50"] = float(np.median(gaps)) if gaps else None
             out[f"{kind} step={step:g}"] = counts
     return out
 

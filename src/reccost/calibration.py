@@ -32,7 +32,7 @@ BRANCH_COS = "Cos"
 BRANCH_COSH = "Cosh"
 
 _FIT_MAX_STEPS = 100
-_CONST_TOL = 1e-8  # classify's tolerance for H(0) and for kappa = 0
+_CONST_TOL = 1e-8  # classify's tolerance for H(0) = 0 and for kappa = 0
 
 
 class ScalarFit(NamedTuple):
@@ -110,13 +110,16 @@ def estimate_kappa(h: FunctionHandle) -> float:
     """The log-curvature kappa = H''(0), read once from the handle's own stack at t = 0.
 
     A builtin's stack gives it in closed form and a sample table's is its cubic interpolant's
-    own value, which is the a that certify's Taylor step needs.  H(0) off 1 is refused first.  A
-    handle whose stack stops below order 2, or whose support leaves out 0, is a DomainError; an
-    infinite H''(0) is a RangeOverflowError.  A NaN is returned, for the caller to refuse.
+    own value, which is the a that certify's Taylor step needs.  H(0) off 1 is refused first
+    (require_normalized).  A handle whose stack stops below order 2, or whose support leaves
+    out 0, is a DomainError; a NaN H''(0) is a PreconditionError and an infinite one a
+    RangeOverflowError, so every caller gets a finite kappa or this one refusal.
     """
     require_domain(h, LOG_LINE, "estimate_kappa")
     require_normalized(h(0.0))
     kappa = float(h.derivative(0.0, 2))
+    if math.isnan(kappa):
+        raise PreconditionError(f"{h.name}: H''(0) = nan is not a curvature")
     if math.isinf(kappa):
         raise RangeOverflowError(f"{h.name}: estimate_kappa overflows, H''(0) = {kappa!r}")
     return kappa
@@ -126,16 +129,16 @@ def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
     """Classify a normalized handle into its unique solution branch.
 
     A window_T past the handle's support or past COSH_T_MAX, where the threshold 1e-6
-    cosh(window_T) would overflow, is refused by name before the window is read.  Requires h(0)
-    within _CONST_TOL = 1e-8 of 0 (Zero) or of 1.  Otherwise the curvature estimate_kappa(h)
-    = H''(0) (RangeOverflowError if it overflows, ClassificationError if it is NaN) selects
-    the branch: ConstantOne when |kappa| <= _CONST_TOL, else Cos or Cosh by its sign, with k
-    refined by a least-squares fit on the window, Gauss-Newton (minimize_scalar) from
-    sqrt(|kappa|), because sampled data make the purely local value noisy while the global
-    fit is well conditioned.  One rule accepts
-    every branch: the sup residual |H - branch| on the nodes of [-window_T, window_T] at step
-    window_T / 100 must be <= _CONST_TOL for Zero and 1e-6 cosh(window_T) for the others; any
-    other residual, NaN included, raises ClassificationError (not near any branch).
+    cosh(window_T) would overflow, is refused by name before the window is read.  An h(0)
+    within _CONST_TOL = 1e-8 of 0 is Zero.  Otherwise the curvature estimate_kappa(h) =
+    H''(0), which refuses an H(0) off 1 and a NaN or infinite H''(0) as it does for every
+    caller, selects the branch: ConstantOne when |kappa| <= _CONST_TOL, else Cos or Cosh by
+    its sign, with k refined by a least-squares fit on the window, Gauss-Newton
+    (minimize_scalar) from sqrt(|kappa|), because sampled data make the purely local value
+    noisy while the global fit is well conditioned.  One rule accepts every branch: the sup
+    residual |H - branch| on the nodes of [-window_T, window_T] at step window_T / 100 must be
+    <= _CONST_TOL for Zero and 1e-6 cosh(window_T) for the others; any other residual, NaN
+    included, raises ClassificationError (not near any branch).
     """
     require_domain(h, LOG_LINE, "classify")
     require_window(h, window_T, "classify", name="window_T", cells=100)
@@ -148,15 +151,8 @@ def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
 
     if abs(h_at_0) <= _CONST_TOL:
         branch, k, kappa, threshold = BRANCH_ZERO, None, 0.0, _CONST_TOL
-    elif not abs(h_at_0 - 1.0) <= _CONST_TOL:
-        raise ClassificationError(
-            f"H(0) = {h_at_0!r} is near neither 0 nor 1 (tolerance {_CONST_TOL:g}); "
-            "only normalized handles are classified"
-        )
     else:
         kappa, threshold = estimate_kappa(h), 1e-6 * math.cosh(window_T)
-        if math.isnan(kappa):
-            raise ClassificationError("the curvature H''(0) is nan; cannot pick a branch")
         if abs(kappa) <= _CONST_TOL:
             branch, k = BRANCH_CONSTANT_ONE, None
         else:

@@ -342,7 +342,7 @@ def _cmd_golden(ns):
 def _cmd_report(ns):
     handle, diag = _grid_source(ns, LOG_LINE)
     from . import calibration, dalembert, stability
-    kappa = calibration.estimate_kappa(handle)  # an H(0) off 1 is refused before the sweep
+    kappa = calibration.estimate_kappa(handle)  # H(0) off 1, a NaN H''(0): refused before the sweep
     sections = {"sup_defect": _pick(defect := dalembert.sup_defect(handle, ns.T, ns.step), _DEFECT),
                 "curvature": {"kappa": kappa}}
     try:

@@ -203,16 +203,14 @@ def make_family(spec: FamilySpec, domain: str | None = None) -> FunctionHandle:
 
     With domain None the family's natural domain is used.  Every family is
     constructible on both the log line and positive ratios; both are views of
-    the one log-line excess stack, consistent under t = ln x.
+    the one log-line excess stack, consistent under t = ln x.  Any other domain tag is
+    refused by from_excess, as a DomainError, after the parameters are checked.
     """
     fam = _known(spec.family)
     natural, defaults, name, excess = _TABLE[fam]
-    domain = domain or natural
-    if domain not in (LOG_LINE, POSITIVE_RATIOS):
-        raise ParameterError(f"unknown domain {domain!r}")
     p = _params(fam, defaults, spec.params)
     t_max = COSH_T_MAX / p["lambda"] if "lambda" in p else _LOG_SUPPORT_HUGE
-    return from_excess(domain, name.format_map(p), excess(p), (-t_max, t_max))
+    return from_excess(domain or natural, name.format_map(p), excess(p), (-t_max, t_max))
 
 
 def parse_family_spec(text: str) -> FamilySpec:

@@ -128,7 +128,11 @@ def _excess_of_ratio(fns, k: int) -> Callable:
 
 
 def from_excess(domain: str, name: str, fns, t_support) -> FunctionHandle:
-    """The one constructor: the excess stack (G, G', ...) on the t-interval t_support."""
+    """The one constructor: the excess stack (G, G', ...) on the t-interval t_support.
+
+    It alone refuses a domain tag that is neither LOG_LINE nor POSITIVE_RATIOS."""
+    if domain not in (LOG_LINE, POSITIVE_RATIOS):
+        raise DomainError(f"unknown domain tag {domain!r}")
     return FunctionHandle(domain, name, (float(t_support[0]), float(t_support[1])), tuple(fns))
 
 
@@ -143,13 +147,12 @@ def analytic(
     The callables and the support are given in the handle's own domain (H and
     its t-derivatives, or F and its x-derivatives); they are converted to the
     excess stack and its t-support once, here.  An x-support's upper edge is
-    capped at DBL_MAX, so the stack never reads F at x = inf.
+    capped at DBL_MAX, so the stack never reads F at x = inf.  Any tag but POSITIVE_RATIOS
+    takes the log-line path, so from_excess refuses an unknown one before a log is taken.
     """
-    if domain not in (LOG_LINE, POSITIVE_RATIOS):
-        raise DomainError(f"unknown domain tag {domain!r}")
     if domain == POSITIVE_RATIOS and not float(support[0]) > 0.0:
         raise DomainError("positive-ratio support must have a positive lower edge")
-    if domain == LOG_LINE:
+    if domain != POSITIVE_RATIOS:
         h0 = fns[0]
         gfns = (lambda t: np.asarray(h0(t), dtype=float) - 1.0,) + tuple(fns[1:])
         return from_excess(domain, name, gfns, support)
@@ -246,10 +249,9 @@ def sample_table(domain: str, xs, ys, name: str = "table") -> FunctionHandle:
     support is that interval, or for a ratio table [ln xs[0], ln xs[-1]] in t.
     The handle carries the interpolant's exact stack (G, G', G'', G'''), so
     its capability is 3.  On the log line G''' is piecewise constant; a
-    positive-ratio table's stack is the chain rule of its x-spline.
+    positive-ratio table's stack is the chain rule of its x-spline.  An unknown domain tag is
+    refused by from_excess.
     """
-    if domain not in (LOG_LINE, POSITIVE_RATIOS):
-        raise DomainError(f"unknown domain tag {domain!r}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:

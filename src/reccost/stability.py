@@ -83,7 +83,7 @@ def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
     """(B, K) = (sup |H|, sup |H'''|) on the T/1000 grid of [-T, T].
 
     K reads the handle's own H''', so a handle without one (an ``analytic``
-    stack shorter than four) is a DomainError.  A sample table's H''' is its
+    stack shorter than four) is refused by its capability.  A sample table's H''' is its
     cubic interpolant's, constant on each piece: H'' is Lipschitz with
     constant sup |6 c0| over the pieces, which is all the paper's remainder
     needs (H''' bounded, not continuous).  Both bounds are grid suprema, not
@@ -92,8 +92,6 @@ def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
     """
     require_domain(h, LOG_LINE, "estimate_bounds")
     require_window(h, T, "estimate_bounds", cells=1000)
-    if h.deriv_order < 3:
-        raise DomainError(f"{h.name}: K needs H''', but the handle stops at order {h.deriv_order}")
     _, grid = symmetric_grid(T, T / 1000.0)
     B, K = float(np.max(np.abs(h(grid)))), float(np.max(np.abs(h.derivative(grid, 3))))
     if not (math.isfinite(B) and math.isfinite(K)):
@@ -146,8 +144,9 @@ def certify(h: FunctionHandle, T: float, step: float,
     eps, B, K on grids, takes h = optimal_h(eps, B, K, T), refuses
     an a that leaves delta/a or cosh(sqrt(a) t) on the window not finite, and
     sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
-    envelope.  a is estimate_kappa(h) = H''(0), read after the bounds, so a stack without
-    H''' is refused by K.  defect, sup_defect(h, T, step), saves that sweep if the caller has it.
+    envelope.  It refuses in that order: H(0), evenness, K (a stack without H''' by its
+    capability), then a = estimate_kappa(h) = H''(0), finite or refused there.  defect,
+    sup_defect(h, T, step), saves that sweep if the caller has it.
     """
     require_domain(h, LOG_LINE, "certify")
     require_window(h, T, "certify", reach=2.0)
@@ -165,7 +164,7 @@ def certify(h: FunctionHandle, T: float, step: float,
 
     B, K = estimate_bounds(h, T)  # a handle without H''' is refused before the sweep
     a = estimate_kappa(h)
-    if not (a > 0.0 and math.isfinite(a)):
+    if not a > 0.0:  # a is finite: estimate_kappa refuses a NaN or infinite H''(0)
         raise PreconditionError(f"curvature a = {a!r} violates the hypothesis a > 0")
     epsilon = (sup_defect(h, T, step) if defect is None else defect).epsilon
     h_used = optimal_h(epsilon, B, K, T)

@@ -253,9 +253,12 @@ class TestEstimateKappa:
         assert str(info.value) == (f"H(0) = {h_at_0!r} violates the normalization H(0) = 1 "
                                    "(tolerance 1e-06)")
 
-    def test_a_nan_is_returned_for_the_caller_to_refuse(self):
+    def test_a_nan_is_refused(self):
+        # a NaN H''(0) calibrates no branch; every caller gets this one refusal
         h = analytic(LOG_LINE, "nan", (np.cosh, np.sinh, lambda t: np.full_like(t, np.nan)))
-        assert math.isnan(estimate_kappa(h))
+        with pytest.raises(PreconditionError) as info:
+            estimate_kappa(h)
+        assert str(info.value) == "nan: H''(0) = nan is not a curvature"
 
     @pytest.mark.parametrize("spec", ["cosh", "cosh-lambda,lambda=2", "noisy-cosh,mode=trig",
                                       "noisy-cosh,amplitude=1e-3,mode=sine,freq=62.83185307179586"])
@@ -298,19 +301,21 @@ class TestClassify:
             classify(make_family(FamilySpec("quadlog"), domain=LOG_LINE), 2.0)
 
     def test_unnormalized_rejected(self):
+        # refused by estimate_kappa's normalization check, as calibrate and certify refuse it
         h = analytic(LOG_LINE, "half", (lambda t: np.full_like(t, 0.5),), support=(-10, 10))
-        with pytest.raises(ClassificationError):
+        with pytest.raises(PreconditionError, match=r"^H\(0\) = 0\.5 violates the normalization"):
             classify(h, 2.0)
 
-    @pytest.mark.parametrize("fns, reason", [
+    @pytest.mark.parametrize("fns, error, reason", [
         ((lambda t: np.where(t == 1.0, np.nan, np.cosh(t)), np.sinh, np.cosh),
-         "sup residual nan vs Cosh"),  # a residual-grid node
-        ((lambda t: np.where(t == 1.0, np.nan, 0.0),), "sup residual nan vs Zero"),
+         ClassificationError, "sup residual nan vs Cosh"),  # a residual-grid node
+        ((lambda t: np.where(t == 1.0, np.nan, 0.0),), ClassificationError,
+         "sup residual nan vs Zero"),
         ((np.cosh, np.sinh, lambda t: np.where(t == 0.0, np.nan, np.cosh(t))),
-         r"the curvature H''\(0\) is nan"),
+         PreconditionError, r"^nan: H''\(0\) = nan is not a curvature$"),  # estimate_kappa's
     ], ids=["cosh-node", "zero-node", "curvature"])
-    def test_nan_is_refused(self, fns, reason):
-        with pytest.raises(ClassificationError, match=reason):
+    def test_nan_is_refused(self, fns, error, reason):
+        with pytest.raises(error, match=reason):
             classify(analytic(LOG_LINE, "nan", fns), 2.0)
 
     def test_a_handle_without_h_second_is_refused_by_its_capability(self):

@@ -340,27 +340,23 @@ class TestExitCodes:
         (["sup-defect", "--family", "noisy-cosh,freq=1e308"], "epsilon"),
         (["identities", "--family", "noisy-cosh,freq=1e308"], "product_identity"),
         (["sup-defect", "--family", "noisy-cosh,amplitude=1e308"], "epsilon"),
-        (["classify", "--family", "noisy-cosh,mode=trig,freq=1e308"], None),
     ], ids=lambda v: v[0] + "-" + v[2] if isinstance(v, list) else None)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_nan_is_not_an_answer(self, argv, leaf, capsys):
         code, report = run(argv)
-        if leaf is None:  # classify refuses the handle as near no branch
-            assert code == 1 and not report.results["classified"]
-            assert "nan" in report.results["reason"]
-        else:
-            assert code == 2 and report.results is None and report.inputs == {}
-            error = report.diagnostics["error"]
-            assert error == f"DomainError: results.{leaf} = nan is not an answer"
+        assert code == 2 and report.results is None and report.inputs == {}
+        error = report.diagnostics["error"]
+        assert error == f"DomainError: results.{leaf} = nan is not an answer"
 
-    @pytest.mark.parametrize("command", ["calibrate", "report"])
+    @pytest.mark.parametrize("command", ["calibrate", "classify", "report"])
     @pytest.mark.parametrize("source, h_at_0", [
         ("table", "1e+300"), ("noisy-cosh,mode=trig,freq=1e308", "nan")],
         ids=["table-1e300-cosh", "trig-nan"])
     def test_an_unnormalized_handle_is_refused(self, command, source, h_at_0, tmp_path, capsys):
         # kappa = H''(0) is the calibration only where H(0) = 1: a table of 1e300 cosh(t) on
         # 61 rows of [-3, 3] once calibrated to kappa = 9.99e299, and trig's H(0) at this
-        # frequency is nan; report refuses before its sweep, so T = 2 needs no wider table
+        # frequency is nan; report refuses before its sweep, so T = 2 needs no wider table, and
+        # classify through the estimate_kappa call that picks its branch
         if source == "table":
             ts = np.linspace(-3.0, 3.0, 61).tolist()
             rows = "".join(f"{t!r},{1e300 * math.cosh(t)!r}\n" for t in ts)
@@ -372,6 +368,30 @@ class TestExitCodes:
         assert (code, report.results) == (2, None)
         assert report.diagnostics["error"] == (f"PreconditionError: H(0) = {h_at_0} violates the "
                                                "normalization H(0) = 1 (tolerance 1e-06)")
+
+    @pytest.mark.parametrize("command", ["calibrate", "classify", "certify", "report"])
+    @pytest.mark.parametrize("source, message", [
+        ("table", "H(0) = 2.0 violates the normalization H(0) = 1 (tolerance 1e-06)"),
+        ("noisy-cosh,amplitude=0,mode=sine,freq=1e308",
+         "noisy-cosh(1,sine,0): H''(0) = nan is not a curvature"),
+    ], ids=["constant-two-table", "nan-curvature"])
+    def test_one_input_gets_one_refusal_from_every_command(self, command, source, message,
+                                                           tmp_path, capsys):
+        # each hypothesis is refused by its owner: H(0) by require_normalized, a NaN H''(0) =
+        # 0 * inf by estimate_kappa, which report calls before its sweep; certify reads H on
+        # its grid first, where freq t overflows and H is NaN, so it refuses on evenness
+        if source == "table":
+            ts = np.linspace(-4.05, 4.05, 811).tolist()
+            rows = "".join(f"{t!r},2.0\n" for t in ts)
+            (tmp_path / "two.csv").write_text("t,H\n" + rows, encoding="utf-8")
+            argv = [command, "--input", str(tmp_path / "two.csv")]
+        else:
+            argv = [command, "--family", source]
+        if command == "certify" and source != "table":
+            message = "handle is not even: sup|H(-t) - H(t)| = nan on the grid"
+        code, report = run(argv)
+        assert (code, report.results) == (2, None)
+        assert report.diagnostics["error"] == f"PreconditionError: {message}"
 
     @pytest.mark.parametrize("argv, leaf, value", [
         (["eval", "--x", "1e300"], "J", 5e299),

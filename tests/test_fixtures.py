@@ -78,7 +78,8 @@ class TestMakeFamily:
         assert rep.epsilon > 0.1
 
     def test_unknown_domain_rejected(self):
-        with pytest.raises(ParameterError, match="unknown domain 'ratios'"):
+        # refused by from_excess, the one constructor, as every handle's tag is
+        with pytest.raises(DomainError, match="^unknown domain tag 'ratios'$"):
             make_family(FamilySpec("cosh-lambda"), domain="ratios")
 
     def test_zero_family_ratio_form(self):

@@ -18,7 +18,7 @@ from reccost import (
     sample_table,
     to_ratio,
 )
-from reccost.handles import _LOG_FROM_RATIO, require_window
+from reccost.handles import _LOG_FROM_RATIO, from_excess, require_window
 from test_fixtures import PINNED
 
 
@@ -299,6 +299,20 @@ class TestConversions:
             analytic("weird", "x", (lambda t: t,))
         with pytest.raises(DomainError):
             analytic(POSITIVE_RATIOS, "x", (lambda t: t,), support=(0.0, 1.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: analytic("ratios", "x", (np.cosh,), support=(-1.0, 1.0)),
+        lambda: sample_table("ratios", [-1.0, 2.0], [0.0, 0.25]),
+        lambda: make_family(FamilySpec("cosh-lambda"), "ratios"),
+        lambda: from_excess("ratios", "x", (np.cosh,), (-1.0, 1.0)),
+    ], ids=["analytic", "sample_table", "make_family", "from_excess"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_unknown_tag_is_refused_by_the_one_constructor(self, make):
+        # every constructor reaches from_excess; analytic reads the tag as log-line, so no
+        # log of a non-positive support warns before the refusal
+        with pytest.raises(DomainError) as info:
+            make()
+        assert str(info.value) == "unknown domain tag 'ratios'"
 
 
 @pytest.mark.parametrize("make", [

@@ -3,7 +3,13 @@
 makes stays behind its public functions, so no other module re-decides it.
 The scripts under ``scripts/`` read none either, but for one exception:
 ``defect_landscape.py`` streams the defect table through ``dalembert``'s
-block loop, which has no public streaming form."""
+block loop, which has no public streaming form.
+
+Each hypothesis of the paper is refused by the one function that owns it, so
+each refusal message is raised in exactly one place in the package: H(0) = 1
+(``calibration.require_normalized``), a NaN H''(0) (``estimate_kappa``), the
+domain tag (``handles.from_excess``), the derivative order
+(``FunctionHandle.derivative``) and the window (``handles.require_window``)."""
 
 import ast
 from pathlib import Path
@@ -16,6 +22,10 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
 STREAMING = {"defect_landscape.py": ["from reccost.dalembert import _scored",
                                      "from reccost.dalembert import _sweep"]}
+
+
+REFUSALS = ("violates the normalization", "H''(0) = nan is not a curvature", "unknown domain tag",
+            "derivative of order", "needs evaluability on")
 
 
 def private(name: str) -> bool:
@@ -64,3 +74,32 @@ def test_both_forms_are_found():
               "    return dalembert._suprema, dalembert.__name__, g._private, h._cache\n")
     assert private_reads(source) == ["1: from .dalembert import _sweep",
                                      "5: dalembert._suprema", "5: g._private"]
+
+
+def raised_messages(source: str) -> list[str]:
+    """The literal text of each raised exception's arguments, '{}' for each formatted value:
+    the parser has already joined adjacent literals, so a message split over lines reads whole."""
+    def text(node):
+        if isinstance(node, ast.JoinedStr):
+            return "".join(text(v) if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+    return ["".join(map(text, node.exc.args)) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)]
+
+
+@pytest.mark.parametrize("message", REFUSALS)
+def test_each_hypothesis_is_refused_by_one_raise(message):
+    raising = [module for module in MODULES
+               for text in raised_messages((SRC / f"{module}.py").read_text(encoding="utf-8"))
+               if message in text]
+    assert len(raising) == 1, f"{message!r} is raised in {raising}"
+
+
+def test_a_second_copy_of_a_refusal_is_counted():
+    source = ("def f(h, x):\n"
+              "    if x:\n"
+              "        raise ValueError(f'{h}: unknown domain '\n"
+              "                         f'tag {x!r}')\n"
+              "    raise ValueError('unknown domain tag')\n")
+    assert sorted(raised_messages(source)) == ["unknown domain tag", "{}: unknown domain tag {}"]

@@ -145,14 +145,23 @@ class TestSoundnessCensus:
         assert list(counts) == [f"{kind} step={step}" for kind in ("noisy-cosh", "aliasing",
                                                                   "cosh-lambda")
                                 for step in ("0.05", "0.01")]
-        for c in counts.values():
+        for key, c in counts.items():
+            assert list(c) == ["draws", "verified", "vacuous", "unsound", "exact_not_verified",
+                               "envelope_gap_p50"]
             assert c["draws"] == 3 and c["verified"] <= 3
             assert max(c["vacuous"], c["unsound"]) <= c["verified"]
+            # only the exact set is counted for exact_not_verified
+            exact = c["draws"] - c["verified"] if key.startswith("cosh-lambda") else None
+            assert c["exact_not_verified"] == exact
+            gap = c["envelope_gap_p50"]
+            assert gap is None or (c["verified"] and gap > 0.0)
 
     def test_the_fine_grid_sees_an_envelope_the_certificate_does_not_hold(self):
         # the certificate's own envelope (delta/a = 1.8) holds on the fine grid; a thousandth of
         # its delta does not
         h = make_family(parse_family_spec("noisy-cosh,amplitude=1e-3,mode=sine,freq=5"), LOG_LINE)
         cert = certify(h, 2.0, 0.05)
-        assert cert.verified and not soundness_census.breaks_on_fine_grid(h, cert, 0.05)
-        assert soundness_census.breaks_on_fine_grid(h, replace(cert, delta=cert.delta / 1000), 0.05)
+        err, env = soundness_census.fine_sweep(h, cert, 0.05)
+        assert cert.verified and not np.any(err > env)
+        err, env = soundness_census.fine_sweep(h, replace(cert, delta=cert.delta / 1000), 0.05)
+        assert np.any(err > env)
