@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import COSH_T_MAX
+from .core import require_cosh_range
 from .errors import ClassificationError, PreconditionError, RangeOverflowError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, FunctionHandle, require_domain, require_window
@@ -128,23 +128,21 @@ def estimate_kappa(h: FunctionHandle) -> float:
 def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
     """Classify a normalized handle into its unique solution branch.
 
-    A window_T past the handle's support or past COSH_T_MAX, where the threshold 1e-6
-    cosh(window_T) would overflow, is refused by name before the window is read.  An h(0)
-    within _CONST_TOL = 1e-8 of 0 is Zero.  Otherwise the curvature estimate_kappa(h) =
-    H''(0), which refuses an H(0) off 1 and a NaN or infinite H''(0) as it does for every
-    caller, selects the branch: ConstantOne when |kappa| <= _CONST_TOL, else Cos or Cosh by
-    its sign, with k refined by a least-squares fit on the window, Gauss-Newton
-    (minimize_scalar) from sqrt(|kappa|), because sampled data make the purely local value
-    noisy while the global fit is well conditioned.  One rule accepts every branch: the sup
-    residual |H - branch| on the nodes of [-window_T, window_T] at step window_T / 100 must be
-    <= _CONST_TOL for Zero and 1e-6 cosh(window_T) for the others; any other residual, NaN
-    included, raises ClassificationError (not near any branch).
+    A window_T past the handle's support or outside cosh's range is refused by name, and so is a
+    Cosh fit whose bracket top k = 1.3 sqrt(kappa) takes k window_T out of that range.  An h(0)
+    within _CONST_TOL = 1e-8 of 0 is Zero.  Otherwise the curvature estimate_kappa(h) = H''(0),
+    which refuses an H(0) off 1 and a NaN or infinite H''(0) as it does for every caller,
+    selects the branch: ConstantOne when |kappa| <= _CONST_TOL, else Cos or Cosh by its sign,
+    with k refined by a least-squares fit on the window, Gauss-Newton (minimize_scalar) from
+    sqrt(|kappa|), because sampled data make the purely local value noisy while the global fit
+    is well conditioned.  One rule accepts every branch: the sup residual |H - branch| on the
+    nodes of [-window_T, window_T] at step window_T / 100 must be <= _CONST_TOL for Zero and
+    1e-6 cosh(window_T) for the others; any other residual, NaN included, raises
+    ClassificationError (not near any branch).
     """
     require_domain(h, LOG_LINE, "classify")
     require_window(h, window_T, "classify", name="window_T", cells=100)
-    if window_T > COSH_T_MAX:
-        raise RangeOverflowError(f"window_T = {window_T:g} exceeds {COSH_T_MAX:g}; the "
-                                 "residual threshold 1e-6 cosh(window_T) would overflow")
+    require_cosh_range(window_T, "window_T")
     grid = symmetric_grid(window_T, window_T / 100.0)[1]
     vals = h(grid)
     h_at_0 = float(vals[grid.size // 2])  # the symmetric grid has t = 0 in its middle
@@ -159,10 +157,8 @@ def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
             branch = BRANCH_COSH if kappa > 0 else BRANCH_COS
             k0 = math.sqrt(abs(kappa))
             bracket = (0.7 * k0, 1.3 * k0)
-            if branch == BRANCH_COSH and bracket[1] * window_T > COSH_T_MAX:
-                raise RangeOverflowError(
-                    f"window_T = {window_T:g} is too wide for the fit: cosh(k t) at the "
-                    f"bracket top k = {bracket[1]:.6g} exceeds cosh({COSH_T_MAX:g})")
+            if branch == BRANCH_COSH:  # the fit reads cosh(k t) up to the bracket's top
+                require_cosh_range(bracket[1] * window_T, "k window_T at the fit's top k")
             k = float(minimize_scalar(branch, grid, vals, k0, bracket).x)
 
     residual = float(np.max(np.abs(vals - branch_values(branch, k, grid))))

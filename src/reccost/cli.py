@@ -355,7 +355,7 @@ def _cmd_report(ns):
         cert = stability.certify(handle, ns.T, ns.step, defect=defect)
         sections["certificate"] = _pick(cert, _CERTIFICATE)
         failed = failed or not cert.verified
-    except PreconditionError as exc:
+    except (PreconditionError, RangeOverflowError) as exc:  # sqrt(a) t outside cosh's range
         sections["certificate"] = {"error": str(exc)}
     status = STATUS_FAILED if failed else STATUS_OK
     return sections, diag, status, None

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, RangeOverflowError
 
-# cosh(t) stays inside double range for |t| <= 700
+# cosh's range: cosh(t) and exp(t) stay normal doubles for |t| <= 700 (cosh overflows at 710.48)
 COSH_T_MAX = 700.0
 
 # the two domain tags: a function of t = ln x, or of the positive ratio x
@@ -41,6 +41,14 @@ def validate_log_coord(t: float) -> float:
     if not math.isfinite(t):
         raise DomainError(f"log coordinate must be finite, got {t}")
     return t
+
+
+def require_cosh_range(x: float, what: str) -> None:
+    """RangeOverflowError, naming x by what, unless |x| <= COSH_T_MAX (a NaN is not): the one
+    rule for where cosh, and so J(e^t) and every certificate envelope, leaves double range."""
+    if not abs(x) <= COSH_T_MAX:
+        raise RangeOverflowError(f"{what} is {x!r}, outside cosh's range [-{COSH_T_MAX:g}, "
+                                 f"{COSH_T_MAX:g}]; cosh overflows double precision near 710.5")
 
 
 def _cosh_minus_1(t: float) -> float:
@@ -77,10 +85,7 @@ def canonical_cost(x: float) -> float:
 def log_forms(t: float) -> LogForms:
     """The log-coordinate pair (G, H) = (cosh t - 1, cosh t) of the canonical cost."""
     t = validate_log_coord(t)
-    if abs(t) > COSH_T_MAX:
-        raise RangeOverflowError(
-            f"|t| = {abs(t):g} exceeds {COSH_T_MAX:g}; cosh would overflow double precision"
-        )
+    require_cosh_range(t, "t")
     g = _cosh_minus_1(t)
     return LogForms(G=g, H=g + 1.0)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import COSH_T_MAX, canonical_cost, validate_log_coord, validate_positive_ratio
+from .core import canonical_cost, require_cosh_range, validate_log_coord, validate_positive_ratio
 from .errors import DomainError, ParameterError, RangeOverflowError
 
 # sqrt halves the exponent, so sqrt(cosh t) fits in a double for |t| <= 1400
@@ -180,16 +180,15 @@ def chebyshev_cost(x: float, n: int) -> ChebyshevCheck:
     whose terms the check keeps (so n = 0 shares that call's range checks and
     raises once |ln x| > 700); direct evaluates J at
     x^n = exp(n ln x), which keeps the comparison meaningful when x^n is not
-    exactly representable.  The discrepancy is relative because J(x^n) grows
-    like x^n / 2.
+    exactly representable; an n ln x outside cosh's range is refused.  The
+    discrepancy is relative because J(x^n) grows like x^n / 2.
     """
     x = validate_positive_ratio(x)
     n = int(n)
     if not 0 <= n <= CHEBYSHEV_N_MAX:
         raise ParameterError(f"n must be in [0, {CHEBYSHEV_N_MAX}], got {n}")
     t = n * math.log(x)
-    if abs(t) > COSH_T_MAX:
-        raise RangeOverflowError(f"x^n = exp({t:g}) overflows double precision")
+    require_cosh_range(t, "n ln x")
     seq = chebyshev_sequence(canonical_cost(x) + 1.0, max(n, 1))
     via = seq[n] - 1.0
     direct = canonical_cost(math.exp(t))
@@ -203,8 +202,8 @@ def chebyshev_sequence(H1: float, N: int) -> list[float]:
 
     Requires H1 >= 1: values below 1 belong to the oscillatory cosine branch,
     which is incompatible with the canonical cost, and are rejected rather
-    than silently accepted.  Each H_k equals cosh(k arcosh(H1)) up to
-    accumulated round-off.
+    than silently accepted.  Each H_k equals cosh(k arcosh(H1)) up to round-off,
+    so an N arcosh(H1) outside cosh's range is refused before the recursion.
     """
     H1 = float(H1)
     if not math.isfinite(H1):
@@ -216,8 +215,7 @@ def chebyshev_sequence(H1: float, N: int) -> list[float]:
     N = int(N)
     if not 1 <= N <= CHEBYSHEV_N_MAX:
         raise ParameterError(f"N must be in [1, {CHEBYSHEV_N_MAX}], got {N}")
-    if H1 > 1.0 and N * math.acosh(H1) > COSH_T_MAX:
-        raise RangeOverflowError("cosh(N arcosh(H1)) overflows double precision")
+    require_cosh_range(N * math.acosh(H1), "N arcosh(H1)")
     seq = [1.0, H1]
     append, prev, cur = seq.append, 1.0, H1
     for _ in range(N - 1):

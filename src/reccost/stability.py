@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .calibration import BRANCH_COSH, branch_values, estimate_kappa, require_normalized
+from .core import require_cosh_range
 from .dalembert import DefectReport, sup_defect
 from .errors import DomainError, PreconditionError, RangeOverflowError
 from .grids import symmetric_grid
@@ -141,9 +142,9 @@ def certify(h: FunctionHandle, T: float, step: float,
     """Build a stability certificate for a log-line handle on [-T, T].
 
     Checks the hypotheses (even, H(0) = 1 within 1e-6, a > 0), measures
-    eps, B, K on grids, takes h = optimal_h(eps, B, K, T), refuses
-    an a that leaves delta/a or cosh(sqrt(a) t) on the window not finite, and
-    sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
+    eps, B, K on grids, takes h = optimal_h(eps, B, K, T), refuses a T whose h has no
+    normal square, an a that leaves delta/a not finite or sqrt(a) t on the window outside
+    cosh's range, and sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
     envelope.  It refuses in that order: H(0), evenness, K (a stack without H''' by its
     capability), then a = estimate_kappa(h) = H''(0), finite or refused there.  defect,
     sup_defect(h, T, step), saves that sweep if the caller has it.
@@ -168,6 +169,9 @@ def certify(h: FunctionHandle, T: float, step: float,
         raise PreconditionError(f"curvature a = {a!r} violates the hypothesis a > 0")
     epsilon = (sup_defect(h, T, step) if defect is None else defect).epsilon
     h_used = optimal_h(epsilon, B, K, T)
+    if not h_used * h_used >= np.finfo(float).tiny:  # delta's eps/h^2 needs a normal h^2
+        raise PreconditionError(f"T = {T!r} is too narrow for a certificate: its step "
+                                f"h = {h_used!r} has no normal square")
     delta = delta_of_h(epsilon, B, K, h_used)
 
     envelope = EnvelopeSpec(scale=delta / a, rate=math.sqrt(a))
@@ -176,13 +180,8 @@ def certify(h: FunctionHandle, T: float, step: float,
             f"curvature a = {a!r} leaves the envelope scale delta/a = {envelope.scale!r} "
             f"(delta = {delta!r}) not finite")
     ts = _sweep_grid(axis, T - h_used)
-    edge = float(ts[-1])  # the window's outermost node
-    try:  # the branch and the envelope both grow as cosh(sqrt(a) |t|)
-        math.cosh(envelope.rate * edge)
-    except OverflowError:
-        raise PreconditionError(
-            f"curvature a = {a!r}: cosh(sqrt(a) t) overflows on the window |t| <= {edge!r}"
-        ) from None
+    edge = float(ts[-1])  # the window's outermost node, where branch and envelope are largest
+    require_cosh_range(envelope.rate * edge, f"sqrt(a) t at a = {a!r} and the edge t = {edge!r}")
     k = (axis.size - ts.size) // 2  # the window is the middle of the symmetric axis
     ts, window, _, env, err = _sweep(ts, vals[k: k + ts.size], envelope)
     min_margin = float(np.min(env - err))

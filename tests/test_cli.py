@@ -770,7 +770,8 @@ class TestReports:
             assert "error" not in report.results[section]
         assert report.results["sup_defect"]["epsilon"] == 123516925312.5
         assert report.results["classification"]["classified"] is False
-        assert "exceeds 700" in report.results["classification"]["reason"]
+        assert report.results["classification"]["reason"].startswith(
+            "window_T is 705.0, outside cosh's range [-700, 700]")
 
     @pytest.mark.parametrize("family, T", [("cosh-lambda,lambda=100", "3"),
                                            ("powerlaw-w,lambda=170", "2")])
@@ -1110,8 +1111,8 @@ class TestModuleInvocation:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a, message", [
-        (1e300, "PreconditionError: curvature a = 1e+300: cosh(sqrt(a) t) overflows on the "
-         "window |t| <= 1.5"),
+        (1e300, "RangeOverflowError: sqrt(a) t at a = 1e+300 and the edge t = 1.5 is "
+         "1.4999999999999999e+150, outside cosh's range [-700, 700]"),
         (1e-320, "PreconditionError: curvature a = 1e-320 leaves the envelope scale "
          "delta/a = inf"),
     ], ids=["certify-a-huge", "certify-a-tiny"])
@@ -1148,6 +1149,18 @@ class TestModuleInvocation:
                               text=True)
         assert (proc.returncode, proc.stderr) == (2, "")
         assert proc.stdout.endswith(f"DomainError: {message}\n")
+
+    def test_a_window_too_narrow_for_a_normal_h_squared_is_refused_by_name(self, capsys):
+        # optimal_h's floor T / 100 = 1e-202 squares below the normal doubles: certify names T
+        # and that h, which no flag gave, and report keeps the sections that answered
+        message = ("T = 1e-200 is too narrow for a certificate: its step h = 1e-202 has no "
+                   "normal square")
+        grid = ["--family", "cosh", "--T", "1e-200", "--step", "1e-200"]
+        code, report = run(["certify", *grid])
+        assert (code, report.diagnostics["error"]) == (2, f"PreconditionError: {message}")
+        code, report = run(["report", *grid])
+        assert code == 0 and report.results["classification"]["branch"] == "Cosh"
+        assert report.results["certificate"] == {"error": message}
 
     def test_a_narrow_window_with_a_grid_is_classified(self):
         # [-1e-300, 1e-300] has the step 1e-302, too narrow for a curvature ladder once

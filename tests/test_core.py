@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -9,14 +10,22 @@ from hypothesis import strategies as st
 
 from helpers import cosh_series
 from reccost import (
+    LOG_LINE,
     DomainError,
     RangeOverflowError,
     am_gm_decomposition,
     bregman_divergence,
     canonical_cost,
+    certify,
+    chebyshev_cost,
+    chebyshev_sequence,
+    classify,
     golden_fixed_point,
     log_forms,
+    make_family,
+    parse_family_spec,
 )
+from reccost.core import require_cosh_range
 
 PHI = 1.6180339887498949
 DBL_MAX = sys.float_info.max
@@ -181,3 +190,52 @@ class TestGoldenFixedPoint:
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             golden_fixed_point(-1.0)
+
+
+def family(spec):
+    return make_family(parse_family_spec(spec), LOG_LINE)
+
+
+# each caller of require_cosh_range, as a function of the argument it checks, and that
+# argument's name in the refusal
+RANGE_CALLERS = {
+    "log_forms": (log_forms, "t"),
+    "classify-window": (lambda s: classify(family("constant-one"), s), "window_T"),
+    # kappa = 1, so the fit's bracket top is k = 1.3, read on a window that cosh itself holds
+    "classify-fit": (lambda s: classify(family("cosh"), s / 1.3), "k window_T at the fit's top k"),
+    "chebyshev_cost": (lambda s: chebyshev_cost(math.exp(s / 7.0), 7), "n ln x"),
+    "chebyshev_sequence": (lambda s: chebyshev_sequence(math.cosh(s / 2.0), 2), "N arcosh(H1)"),
+    # the window's edge is t = 1.5 at T = 2, step 0.5
+    "certify": (lambda s: certify(family("cosh"), 2.0, 0.5), None),
+}
+
+
+class TestCoshRange:
+    TAIL = ", outside cosh's range [-700, 700]; cosh overflows double precision near 710.5"
+
+    @pytest.mark.parametrize("x", [0.0, 700.0, -700.0])
+    def test_the_range_is_closed(self, x):
+        require_cosh_range(x, "x")
+
+    @pytest.mark.parametrize("x", [math.nextafter(700.0, math.inf), -701.0, math.inf, math.nan])
+    def test_past_the_range_or_nan_is_refused(self, x):
+        with pytest.raises(RangeOverflowError) as info:
+            require_cosh_range(x, "x")
+        assert str(info.value) == f"x is {x!r}{self.TAIL}"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the fit squares cosh(k t) ~ 1e303
+    @pytest.mark.parametrize("caller", RANGE_CALLERS)
+    def test_each_caller_answers_inside_and_refuses_past_700(self, caller, monkeypatch):
+        call, what = RANGE_CALLERS[caller]
+        for s, inside in ((699.99, True), (700.01, False)):
+            if caller == "certify":  # no builtin's H''(0) is this large, so it is patched in
+                monkeypatch.setattr("reccost.stability.estimate_kappa", lambda h: (s / 1.5) ** 2)
+                what = f"sqrt(a) t at a = {(s / 1.5) ** 2!r} and the edge t = 1.5"
+            if inside:
+                call(s)
+                continue
+            with pytest.raises(RangeOverflowError) as info:
+                call(s)
+            got = re.fullmatch(f"{re.escape(what)} is (\\S+){re.escape(self.TAIL)}", str(info.value))
+            assert got, str(info.value)
+            assert abs(float(got.group(1)) - s) <= 1e-12 * s

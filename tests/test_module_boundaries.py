@@ -9,7 +9,9 @@ Each hypothesis of the paper is refused by the one function that owns it, so
 each refusal message is raised in exactly one place in the package: H(0) = 1
 (``calibration.require_normalized``), a NaN H''(0) (``estimate_kappa``), the
 domain tag (``handles.from_excess``), the derivative order
-(``FunctionHandle.derivative``) and the window (``handles.require_window``)."""
+(``FunctionHandle.derivative``), the window (``handles.require_window``) and cosh's range
+(``core.require_cosh_range``): no other module compares against ``COSH_T_MAX`` or tries
+``cosh`` for an ``OverflowError``."""
 
 import ast
 from pathlib import Path
@@ -25,7 +27,7 @@ STREAMING = {"defect_landscape.py": ["from reccost.dalembert import _scored",
 
 
 REFUSALS = ("violates the normalization", "H''(0) = nan is not a curvature", "unknown domain tag",
-            "derivative of order", "needs evaluability on")
+            "derivative of order", "needs evaluability on", "outside cosh's range")
 
 
 def private(name: str) -> bool:
@@ -103,3 +105,38 @@ def test_a_second_copy_of_a_refusal_is_counted():
               "                         f'tag {x!r}')\n"
               "    raise ValueError('unknown domain tag')\n")
     assert sorted(raised_messages(source)) == ["unknown domain tag", "{}: unknown domain tag {}"]
+
+
+def range_decisions(source: str) -> list[str]:
+    """'line: what' for each comparison against COSH_T_MAX and each try that calls cosh and
+    catches OverflowError."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Name) and n.id == "COSH_T_MAX"
+                for n in (node.left, *node.comparators)):
+            found.append(f"{node.lineno}: compares against COSH_T_MAX")
+        elif isinstance(node, ast.Try) and any(
+                isinstance(n, ast.Attribute) and n.attr == "cosh"
+                for stmt in node.body for n in ast.walk(stmt)) and any(
+                isinstance(n, ast.Name) and n.id == "OverflowError"
+                for handler in node.handlers if handler.type for n in ast.walk(handler.type)):
+            found.append(f"{node.lineno}: tries cosh for an OverflowError")
+    return sorted(found, key=lambda line: int(line.split(":")[0]))
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "core"])
+def test_only_core_decides_coshs_range(module):
+    assert range_decisions((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def test_a_second_range_decision_is_found():
+    source = ("def f(t):\n"
+              "    if abs(t) > COSH_T_MAX:\n"
+              "        raise ValueError(t)\n"
+              "    try:\n"
+              "        math.cosh(t)\n"
+              "    except (OverflowError, ValueError):\n"
+              "        pass\n")
+    assert range_decisions(source) == ["2: compares against COSH_T_MAX",
+                                       "4: tries cosh for an OverflowError"]

@@ -1,11 +1,13 @@
 import csv
 import importlib.util
 import json
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from reccost import LOG_LINE, certify, make_family, parse_family_spec
 from reccost.cli import run
@@ -142,19 +144,27 @@ class TestSoundnessCensus:
         monkeypatch.setattr(sys, "argv", ["soundness_census.py", "--draws", "3"])
         soundness_census.main()
         counts = json.loads(capsys.readouterr().out)
-        assert list(counts) == [f"{kind} step={step}" for kind in ("noisy-cosh", "aliasing",
-                                                                  "cosh-lambda")
-                                for step in ("0.05", "0.01")]
+        assert list(counts) == [f"{kind} step={step}" for kind in (
+            "noisy-cosh", "aliasing", "cosh-lambda", "noisy-table rows=811",
+            "noisy-table rows=8001") for step in ("0.05", "0.01")]
         for key, c in counts.items():
-            assert list(c) == ["draws", "verified", "vacuous", "unsound", "exact_not_verified",
-                               "envelope_gap_p50"]
-            assert c["draws"] == 3 and c["verified"] <= 3
+            assert list(c) == ["draws", "verified", "refused", "vacuous", "unsound",
+                               "exact_not_verified", "envelope_gap_p50"]
+            assert c["draws"] == 3 and c["verified"] + c["refused"] <= 3
             assert max(c["vacuous"], c["unsound"]) <= c["verified"]
             # only the exact set is counted for exact_not_verified
             exact = c["draws"] - c["verified"] if key.startswith("cosh-lambda") else None
             assert c["exact_not_verified"] == exact
             gap = c["envelope_gap_p50"]
             assert gap is None or (c["verified"] and gap > 0.0)
+
+    @pytest.mark.parametrize("rows", soundness_census.TABLE_ROWS)
+    def test_a_noisy_table_is_cosh_on_bitwise_symmetric_nodes(self, rows):
+        nodes = soundness_census.symmetric_nodes(rows)
+        assert nodes.size == rows and np.array_equal(nodes, -nodes[::-1]) and nodes[-1] == 4.05
+        h = next(soundness_census.noisy_tables(np.random.default_rng(0), rows, 1))
+        noise = h(nodes) / np.cosh(nodes) - 1.0  # sigma N(0, 1), with sigma <= 1e-6
+        assert 0.0 < np.max(np.abs(noise)) <= 6e-6 and np.any(noise != noise[::-1])
 
     def test_the_fine_grid_sees_an_envelope_the_certificate_does_not_hold(self):
         # the certificate's own envelope (delta/a = 1.8) holds on the fine grid; a thousandth of
@@ -165,3 +175,15 @@ class TestSoundnessCensus:
         assert cert.verified and not np.any(err > env)
         err, env = soundness_census.fine_sweep(h, replace(cert, delta=cert.delta / 1000), 0.05)
         assert np.any(err > env)
+
+
+class TestHelperSplit:
+    def test_a_tiny_round_times_both_modes(self):
+        proc = subprocess.run([sys.executable, str(_SCRIPTS / "helper_split.py"), "--tiny",
+                               "--rounds", "1"], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = json.loads(proc.stdout)
+        assert out["tasks"] == 15 and (out["refork_s"] is None) == (out["cpus"] < 2)
+        for mode in ("on", "off"):
+            assert len(out[mode]["wall_s"]) == len(out[mode]["cpu_s"]) == 1
+            assert out[mode]["wall_s_p50"] > 0.0 and out[mode]["cpu_s_p50"] >= 0.0

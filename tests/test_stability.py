@@ -245,14 +245,16 @@ class TestCertify:
         with pytest.raises(PreconditionError):
             certify(h, 2.0, 0.05)
 
-    @pytest.mark.parametrize("a, message", [
-        (1e-320, r"curvature a = 1e-320 leaves the envelope scale delta/a = inf"),
-        (1e300, r"curvature a = 1e\+300: cosh\(sqrt\(a\) t\) overflows on the window \|t\| <= 1.5"),
+    @pytest.mark.parametrize("a, error, message", [
+        (1e-320, PreconditionError, "curvature a = 1e-320 leaves the envelope scale delta/a = inf"),
+        (1e300, RangeOverflowError, "sqrt(a) t at a = 1e+300 and the edge t = 1.5 is "
+         "1.4999999999999999e+150, outside cosh's range [-700, 700]"),
     ], ids=["tiny", "huge"])
-    def test_curvature_that_overflows_the_envelope_is_refused(self, a, message, monkeypatch):
+    def test_curvature_that_overflows_the_envelope_is_refused(self, a, error, message,
+                                                              monkeypatch):
         # no builtin's H''(0) reaches either refusal, so the handle's curvature is patched in
         monkeypatch.setattr("reccost.stability.estimate_kappa", lambda h: a)
-        with pytest.raises(PreconditionError, match=message):
+        with pytest.raises(error, match=re.escape(message)):
             certify(COSH_LOG, 2.0, 0.5)
 
     def test_an_overflowing_remainder_is_refused_by_b_and_k(self):
@@ -263,8 +265,8 @@ class TestCertify:
             certify(h, 1.0, 0.25)
 
     def test_largest_curvature_the_window_holds_is_certified(self, monkeypatch):
-        # sqrt(a) * 1.5 = 709.5 sits just below cosh's overflow at 710.48
-        monkeypatch.setattr("reccost.stability.estimate_kappa", lambda h: 473.0**2)
+        # sqrt(a) * 1.5 = 699 sits just inside cosh's range, |x| <= 700
+        monkeypatch.setattr("reccost.stability.estimate_kappa", lambda h: 466.0**2)
         cert = certify(COSH_LOG, 2.0, 0.5)
         assert math.isfinite(cert.max_observed_error) and not cert.verified
 
