@@ -14,7 +14,7 @@ _EXPORTS = {
     "core": ("AmGmDecomposition", "GoldenResult", "LOG_LINE", "LogForms", "POSITIVE_RATIOS",
              "am_gm_decomposition", "bregman_divergence", "canonical_cost",
              "golden_fixed_point", "log_forms", "validate_log_coord",
-             "validate_positive_ratio"),
+             "validate_positive"),
     "dalembert": ("DefectReport", "DefectSample", "IdentityViolations", "defect_log",
                   "defect_ratio", "identity_report", "sup_defect"),
     "errors": ("ClassificationError", "DomainError", "InputError", "ParameterError",

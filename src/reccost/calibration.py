@@ -57,10 +57,15 @@ def minimize_scalar(branch: str, grid: np.ndarray, vals: np.ndarray, k0: float,
     instead where the last k's sum is not at most k0's (a NaN fails too).
     """
     lo, hi = bounds
+    # |r| <= |vals| + cosh(hi t) and |slope| <= |t| cosh(hi t): one exact power of two puts
+    # both below 2^501, so 2^21 squares sum in range; fun is reported unscaled
+    tmax = float(np.max(np.abs(grid)))
+    size = (1.0 + tmax) * (math.cosh(min(hi * tmax, 710.0)) if branch == BRANCH_COSH else 1.0)
+    scale = 2.0 ** -max(0, math.frexp(max(size, float(np.max(np.abs(vals)))))[1] - 500)
     k, seen = k0, []
     while True:
-        r = vals - branch_values(branch, k, grid)
-        slope = grid * (np.sinh(k * grid) if branch == BRANCH_COSH else -np.sin(k * grid))
+        r = (vals - branch_values(branch, k, grid)) * scale
+        slope = (scale * grid) * (np.sinh(k * grid) if branch == BRANCH_COSH else -np.sin(k * grid))
         fun = float(np.dot(r, r))
         if not seen:
             first = fun
@@ -68,7 +73,8 @@ def minimize_scalar(branch: str, grid: np.ndarray, vals: np.ndarray, k0: float,
         curvature = np.dot(slope, slope)  # 0 where every slope underflows: k repeats
         k_next = min(max(k + float(np.dot(slope, r) / curvature), lo), hi) if curvature else k
         if k_next in seen or math.isnan(k_next) or len(seen) == _FIT_MAX_STEPS:
-            return ScalarFit(k, fun, len(seen)) if fun <= first else ScalarFit(k0, first, len(seen))
+            k, fun = (k, fun) if fun <= first else (k0, first)
+            return ScalarFit(k, fun / scale / scale, len(seen))
         k = k_next
 
 
@@ -136,9 +142,9 @@ def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
     with k refined by a least-squares fit on the window, Gauss-Newton (minimize_scalar) from
     sqrt(|kappa|), because sampled data make the purely local value noisy while the global fit
     is well conditioned.  One rule accepts every branch: the sup residual |H - branch| on the
-    nodes of [-window_T, window_T] at step window_T / 100 must be <= _CONST_TOL for Zero and
-    1e-6 cosh(window_T) for the others; any other residual, NaN included, raises
-    ClassificationError (not near any branch).
+    nodes of [-window_T, window_T] at step window_T / 100 must be <= the larger of _CONST_TOL
+    and 1e-6 times the branch's own sup there (0, 1 or cosh(k window_T)); any other residual,
+    NaN included, raises ClassificationError (not near any branch).
     """
     require_domain(h, LOG_LINE, "classify")
     require_window(h, window_T, "classify", name="window_T", cells=100)
@@ -148,9 +154,9 @@ def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
     h_at_0 = float(vals[grid.size // 2])  # the symmetric grid has t = 0 in its middle
 
     if abs(h_at_0) <= _CONST_TOL:
-        branch, k, kappa, threshold = BRANCH_ZERO, None, 0.0, _CONST_TOL
+        branch, k, kappa = BRANCH_ZERO, None, 0.0
     else:
-        kappa, threshold = estimate_kappa(h), 1e-6 * math.cosh(window_T)
+        kappa = estimate_kappa(h)
         if abs(kappa) <= _CONST_TOL:
             branch, k = BRANCH_CONSTANT_ONE, None
         else:
@@ -161,7 +167,9 @@ def classify(h: FunctionHandle, window_T: float) -> BranchClassification:
                 require_cosh_range(bracket[1] * window_T, "k window_T at the fit's top k")
             k = float(minimize_scalar(branch, grid, vals, k0, bracket).x)
 
-    residual = float(np.max(np.abs(vals - branch_values(branch, k, grid))))
+    branch_vals = branch_values(branch, k, grid)
+    residual = float(np.max(np.abs(vals - branch_vals)))
+    threshold = max(_CONST_TOL, 1e-6 * float(np.max(np.abs(branch_vals))))
     if not residual <= threshold:  # a NaN residual fails too
         fitted = branch if k is None else f"{branch}(k={k:.6g})"
         raise ClassificationError(

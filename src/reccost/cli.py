@@ -17,8 +17,8 @@ it refuses a NaN or infinite result by its path (``results.kappa = nan is not
 an answer``).  The report is an ``argparse.Namespace`` whose ``vars()`` is the
 JSON object.
 
-Exit codes: 0 = ok, 1 = verification-failed (a negative mathematical verdict
-from certify/classify), 2 = input-error (any toolkit error that reaches run).
+Exit codes: 0 = ok, 1 = verification-failed (a negative verdict, or a report section
+refused), 2 = input-error (any toolkit error that reaches run).
 A flag is read by its whole name only, so an abbreviated, misspelt or removed
 flag is an input error.  The verdicts take no tuning flag: certify uses the h
 that minimizes delta(h) and the handle's own a = H''(0), and classify its own
@@ -356,7 +356,7 @@ def _cmd_report(ns):
         sections["certificate"] = _pick(cert, _CERTIFICATE)
         failed = failed or not cert.verified
     except (PreconditionError, RangeOverflowError) as exc:  # sqrt(a) t outside cosh's range
-        sections["certificate"] = {"error": str(exc)}
+        sections["certificate"], failed = {"error": str(exc)}, True
     status = STATUS_FAILED if failed else STATUS_OK
     return sections, diag, status, None
 

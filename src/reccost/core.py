@@ -25,13 +25,12 @@ LOG_LINE = "log-line"
 POSITIVE_RATIOS = "positive-ratios"
 
 
-def validate_positive_ratio(x: float) -> float:
-    """Return x as a float after checking it is finite and strictly positive."""
+def validate_positive(x: float, name: str = "positive ratio") -> float:
+    """Return x as a float, or raise DomainError naming it by name unless it is finite and
+    > 0 (a NaN is not): the one rule for every ratio, window, step h and tolerance."""
     x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"positive ratio must be finite, got {x}")
-    if x <= 0.0:
-        raise DomainError(f"positive ratio must satisfy x > 0, got {x}")
+    if not (x > 0.0 and math.isfinite(x)):
+        raise DomainError(f"{name} must be positive and finite, got {x}")
     return x
 
 
@@ -77,7 +76,7 @@ class GoldenResult(NamedTuple):
 def canonical_cost(x: float) -> float:
     """J(x) = (x-1)^2/(2x); equals (x + 1/x)/2 - 1 to within one ulp.  Past sqrt(DBL_MAX),
     where (x-1)^2 overflows but J ~ x/2 does not, it is ((x-1)/2) ((x-1)/x), within 2 ulps."""
-    x = validate_positive_ratio(x)
+    x = validate_positive(x)
     u = x - 1.0
     return (u * u) / (2.0 * x) if u * u < math.inf else (0.5 * u) * (u / x)
 
@@ -92,7 +91,7 @@ def log_forms(t: float) -> LogForms:
 
 def am_gm_decomposition(x: float) -> AmGmDecomposition:
     """Arithmetic and geometric means of (x, 1/x); their gap is the canonical cost."""
-    x = validate_positive_ratio(x)
+    x = validate_positive(x)
     am = 0.5 * (x + 1.0 / x)
     return AmGmDecomposition(am=am, gm=1.0, diff=canonical_cost(x))
 
@@ -115,7 +114,7 @@ def golden_fixed_point(x0: float) -> GoldenResult:
     20 000 ulps of phi maps to phi.  So the loop needs no tolerance and no budget; from every
     start tried it takes at most 41 maps.
     """
-    x, n = validate_positive_ratio(x0), 1
+    x, n = validate_positive(x0), 1
     while (x_next := 1.0 + 1.0 / x) != x:
         x, n = x_next, n + 1
     return GoldenResult(phi=x, iterations=n, cost_at_phi=canonical_cost(x))

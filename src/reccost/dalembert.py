@@ -84,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import validate_log_coord, validate_positive_ratio
+from .core import validate_log_coord, validate_positive
 from .errors import RangeOverflowError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, require_domain, require_window
@@ -406,7 +406,7 @@ def defect_log(h: FunctionHandle, t: float, u: float) -> float:
 def defect_ratio(f: FunctionHandle, x: float, y: float) -> float:
     """Composition-law defect F(xy) + F(x/y) - 2 F(x) F(y) - 2 F(x) - 2 F(y), as defect_log's."""
     require_domain(f, POSITIVE_RATIOS, "defect_ratio")
-    x, y = validate_positive_ratio(x), validate_positive_ratio(y)
+    x, y = validate_positive(x), validate_positive(y)
     p, q = x * y, x / y
     if not (0.0 < p < math.inf and 0.0 < q < math.inf):
         raise RangeOverflowError(f"defect at x = {x!r}, y = {y!r} needs x*y and x/y finite and "

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import canonical_cost, require_cosh_range, validate_log_coord, validate_positive_ratio
+from .core import canonical_cost, require_cosh_range, validate_log_coord, validate_positive
 from .errors import DomainError, ParameterError, RangeOverflowError
 
 # sqrt halves the exponent, so sqrt(cosh t) fits in a double for |t| <= 1400
@@ -81,7 +81,7 @@ def metric_weight_ratio(x: float) -> float:
     Evaluated as sqrt(cosh(ln x))/x, which agrees with the direct formula and
     stays in range until the weight itself overflows, below x ~ 2.5e-206.
     """
-    x = validate_positive_ratio(x)
+    x = validate_positive(x)
     w = metric_weight(math.log(x)) / x
     if math.isinf(w):
         raise RangeOverflowError(f"x = {x:g}: the weight, about x^(-3/2)/sqrt(2), overflows")
@@ -148,15 +148,12 @@ def _arc_length(x: float, y: float) -> tuple[float, float, int, float]:
 def distance(x: float, y: float, tol: float = 1e-10) -> DistanceResult:
     """Geodesic distance d_J(x, y); symmetric in its arguments, zero at x = y.
 
-    The value is accurate to abs_error_estimate whatever tol is; tol must be
-    positive and finite but steers nothing.  evaluations counts the rule's
+    The value is accurate to abs_error_estimate whatever tol is; tol must pass
+    validate_positive but steers nothing.  evaluations counts the rule's
     nodes, or the duplication steps of R_F and R_D (1 for an endpoint |ln x| >= 80).
     """
-    x = validate_positive_ratio(x)
-    y = validate_positive_ratio(y)
-    tol = float(tol)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    x, y = validate_positive(x), validate_positive(y)
+    validate_positive(tol, "tol")
     if x == y:
         return DistanceResult(0.0, 0.0, (x, y), 0)
     value, err, evals, _ = _arc_length(x, y)
@@ -165,8 +162,7 @@ def distance(x: float, y: float, tol: float = 1e-10) -> DistanceResult:
 
 def local_equivalence_ratio(x: float, y: float) -> float:
     """d_J(x, y) / |ln y - ln x|; tends to 1 as both arguments approach 1."""
-    x = validate_positive_ratio(x)
-    y = validate_positive_ratio(y)
+    x, y = validate_positive(x), validate_positive(y)
     if x == y:
         raise DomainError("local equivalence ratio needs x != y")
     value, _, _, width = _arc_length(x, y)
@@ -183,7 +179,7 @@ def chebyshev_cost(x: float, n: int) -> ChebyshevCheck:
     exactly representable; an n ln x outside cosh's range is refused.  The
     discrepancy is relative because J(x^n) grows like x^n / 2.
     """
-    x = validate_positive_ratio(x)
+    x = validate_positive(x)
     n = int(n)
     if not 0 <= n <= CHEBYSHEV_N_MAX:
         raise ParameterError(f"n must be in [0, {CHEBYSHEV_N_MAX}], got {n}")

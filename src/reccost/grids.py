@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from .core import validate_positive
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -21,11 +22,10 @@ GRID_M_MAX = 2**16
 def grid_intervals(half_width: float, step: float) -> int:
     """The number m of intervals on [0, half_width] for the requested step.
 
-    The step is adjusted to half_width / m, the nearest value that tiles the
-    interval exactly.
+    half_width is the window T, refused by that name (validate_positive).  The step is
+    adjusted to half_width / m, the nearest value that tiles the interval exactly.
     """
-    if not (half_width > 0 and math.isfinite(half_width)):
-        raise DomainError(f"grid half-width must be positive and finite, got {half_width}")
+    half_width = validate_positive(half_width, "T")
     if not (0 < step <= half_width) or not math.isfinite(step):
         raise DomainError(f"grid step must satisfy 0 < step <= {half_width}, got {step}")
     if half_width / step > GRID_M_MAX + 0.5:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LOG_LINE, POSITIVE_RATIOS
+from .core import LOG_LINE, POSITIVE_RATIOS, validate_positive
 from .errors import DomainError
 
 # With D = x d/dx = d/dt:  x^k F^(k) = sum_j s(k, j) G^(j)  (signed Stirling
@@ -99,10 +99,9 @@ def require_domain(h: FunctionHandle, domain: str, op: str) -> None:
 
 
 def require_window(h: FunctionHandle, T: float, op: str, name="T", reach=1.0, cells=0) -> None:
-    """Raise DomainError unless T (called name) is positive and finite, T / cells (given cells)
-    is not 0 and h's support holds [-reach T, reach T]; a ratio handle is told its window in x."""
-    if not (T > 0 and math.isfinite(T)):
-        raise DomainError(f"{name} must be positive and finite, got {T}")
+    """DomainError unless validate_positive(T, name) passes, T / cells (given cells) is not 0
+    and h's support holds [-reach T, reach T]; a ratio handle is told its window in x."""
+    T = validate_positive(T, name)
     if cells and T / cells == 0.0:  # a step of 0 that the caller never gave
         raise DomainError(f"{name} = {T!r} is too narrow: {name} / {cells} underflows to 0")
     lo, hi = -reach * T, reach * T

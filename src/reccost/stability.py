@@ -28,9 +28,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .calibration import BRANCH_COSH, branch_values, estimate_kappa, require_normalized
-from .core import require_cosh_range
+from .core import require_cosh_range, validate_positive
 from .dalembert import DefectReport, sup_defect
-from .errors import DomainError, PreconditionError, RangeOverflowError
+from .errors import DomainError, PreconditionError
 from .grids import symmetric_grid
 from .handles import (LOG_LINE, POSITIVE_RATIOS, FunctionHandle, lift_to_log, require_domain,
                       require_window)
@@ -109,10 +109,10 @@ def _check_bounds(epsilon: float, B: float, K: float) -> None:
 
 
 def delta_of_h(epsilon: float, B: float, K: float, h: float) -> float:
-    """delta(h) = eps/h^2 + (1 + B) K h / 3."""
-    h = float(h)
-    if not (h > 0.0 and math.isfinite(h) and h * h >= np.finfo(float).tiny):
-        raise DomainError(f"h must be positive and finite with a normal square, got {h}")
+    """delta(h) = eps/h^2 + (1 + B) K h / 3, for a positive, finite h whose square is normal."""
+    h = validate_positive(h, "h")
+    if not h * h >= np.finfo(float).tiny:
+        raise DomainError(f"h = {h!r} has no normal square")
     _check_bounds(epsilon, B, K)
     return float(epsilon) / (h * h) + (1.0 + float(B)) * float(K) * h / 3.0
 
@@ -125,16 +125,13 @@ def optimal_h(epsilon: float, B: float, K: float, T: float) -> float:
     h = T/100 keeps eps/h^2 below round-off noise.  With (1+B)K = 0 delta is
     decreasing, so h = T.
     """
-    if not (T > 0 and math.isfinite(T)):
-        raise DomainError(f"T must be positive and finite, got {T}")
+    T = validate_positive(T, "T")
     _check_bounds(epsilon, B, K)
     epsilon = float(epsilon)
     if epsilon == 0.0:
         return T / 100.0
     c = (1.0 + float(B)) * float(K)
-    if c == 0.0:
-        return float(T)
-    return min(float(T), (6.0 * epsilon / c) ** (1.0 / 3.0))
+    return T if c == 0.0 else min(T, (6.0 * epsilon / c) ** (1.0 / 3.0))
 
 
 def certify(h: FunctionHandle, T: float, step: float,
@@ -169,10 +166,11 @@ def certify(h: FunctionHandle, T: float, step: float,
         raise PreconditionError(f"curvature a = {a!r} violates the hypothesis a > 0")
     epsilon = (sup_defect(h, T, step) if defect is None else defect).epsilon
     h_used = optimal_h(epsilon, B, K, T)
-    if not h_used * h_used >= np.finfo(float).tiny:  # delta's eps/h^2 needs a normal h^2
-        raise PreconditionError(f"T = {T!r} is too narrow for a certificate: its step "
-                                f"h = {h_used!r} has no normal square")
-    delta = delta_of_h(epsilon, B, K, h_used)
+    try:  # optimal_h checked eps, B and K: delta_of_h can refuse h alone
+        delta = delta_of_h(epsilon, B, K, h_used)
+    except DomainError as exc:
+        raise PreconditionError(
+            f"T = {T!r} is too narrow for a certificate: its step {exc}") from None
 
     envelope = EnvelopeSpec(scale=delta / a, rate=math.sqrt(a))
     if not math.isfinite(envelope.scale):
@@ -215,16 +213,15 @@ def certificate_sweep(cert: StabilityCertificate):
 
 
 def certify_ratio(f: FunctionHandle, T: float, step: float) -> StabilityCertificate:
-    """Certificate for a positive-ratio handle over x in (e^-(T-h), e^(T-h)), with e^T finite.
+    """Certificate for a positive-ratio handle over x in (e^-(T-h), e^(T-h)), T in cosh's range.
 
     Lifts to log coordinates and certifies there, h and a = H''(0) being the lift's as in
     certify; the envelope in x reads (delta/a)(cosh(sqrt(a) |ln x|) - 1).  Only where a is
     exactly 1 is the branch J + 1, and the envelope reported in the form delta * J(x).
     """
     require_domain(f, POSITIVE_RATIOS, "certify_ratio")
-    if T > math.log(np.finfo(float).max):  # the window's x = e^(T - h) may not overflow
-        raise RangeOverflowError(f"certify_ratio needs e^T finite, got T = {T!r}")
     require_window(f, T, "certify_ratio", reach=2.0)  # stated in x, before the lift renames f
+    require_cosh_range(T, "T")  # so the window's x = e^(T - h) is finite
     cert = certify(lift_to_log(f), T, step)
     if cert.inputs.a == 1.0:
         cert = replace(cert, envelope=replace(cert.envelope, form=ENVELOPE_DELTA_TIMES_J))

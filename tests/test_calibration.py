@@ -28,8 +28,9 @@ from reccost import (
     parse_family_spec,
     sample_table,
 )
-from reccost.calibration import minimize_scalar
+from reccost.calibration import branch_values, minimize_scalar
 from reccost.fixtures import _TABLE, FAMILIES, PERTURB_MODES
+from reccost.grids import symmetric_grid
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
 CONST_ONE = make_family(FamilySpec("constant-one"))
@@ -297,9 +298,28 @@ class TestClassify:
         assert res.residual == 0.0
         assert res.kappa_used == 0.0
 
-    def test_quadlog_rejected(self):
-        with pytest.raises(ClassificationError):
-            classify(make_family(FamilySpec("quadlog"), domain=LOG_LINE), 2.0)
+    @pytest.mark.parametrize("window_T", [2.0, 50.0, 100.0, 300.0, 350.0])
+    def test_quadlog_rejected(self, window_T):
+        # its fitted Cosh(k ~ 0.7) leaves a residual near cosh(k window_T), the branch's own sup
+        with pytest.raises(ClassificationError, match="not near any branch"):
+            classify(make_family(FamilySpec("quadlog"), domain=LOG_LINE), window_T)
+
+    @pytest.mark.parametrize("spec, k", [("cosh-lambda,lambda=20", 20.0),
+                                         ("powerlaw-w,lambda=170", 170.0)])
+    def test_a_steep_exact_cosh_is_accepted(self, spec, k):
+        # cosh(40) rounds in steps of 16, far above 1e-6 cosh(2) and far below 1e-6 cosh(40)
+        res = classify(make_family(parse_family_spec(spec), domain=LOG_LINE), 2.0)
+        assert (res.branch, res.k) == (BRANCH_COSH, k)
+        assert res.residual <= 1e-6 * math.cosh(k * 2.0)
+
+    def test_the_threshold_scales_with_the_fitted_branch(self):
+        # cosh(1e-5 t) - 1 = 4.5e-6 at t = 300 is within 1e-6 cosh(300) but not within 1e-6 of
+        # the ConstantOne branch's own sup 1
+        h = make_family(parse_family_spec("cosh-lambda,lambda=1e-5"), domain=LOG_LINE)
+        assert classify(h, 100.0).branch == BRANCH_CONSTANT_ONE
+        with pytest.raises(ClassificationError, match="vs ConstantOne exceeds the acceptance "
+                                                      "threshold 1.000e-06"):
+            classify(h, 300.0)
 
     def test_unnormalized_rejected(self):
         # refused by estimate_kappa's normalization check, as calibrate and certify refuse it
@@ -375,7 +395,48 @@ class TestClassify:
         assert classify(COSH_LOG, 2.5e-322).branch == BRANCH_COSH
 
 
+def unscaled_fit(branch, grid, vals, k0, bounds):
+    """(x, fun, nfev) of minimize_scalar's Gauss-Newton loop on the unscaled r and slope."""
+    lo, hi = bounds
+    k, seen = k0, []
+    while True:
+        r = vals - branch_values(branch, k, grid)
+        slope = grid * (np.sinh(k * grid) if branch == BRANCH_COSH else -np.sin(k * grid))
+        fun = float(np.dot(r, r))
+        if not seen:
+            first = fun
+        seen.append(k)
+        curvature = np.dot(slope, slope)
+        k_next = min(max(k + float(np.dot(slope, r) / curvature), lo), hi) if curvature else k
+        if k_next in seen or math.isnan(k_next) or len(seen) == 100:
+            return (k, fun, len(seen)) if fun <= first else (k0, first, len(seen))
+        k = k_next
+
+
 class TestMinimizeScalar:
+    @pytest.mark.parametrize("window_T", [350.0, 400.0, 538.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_sums_of_squares_stay_finite_on_a_wide_window(self, window_T):
+        # unscaled, r . r and slope . slope overflowed past k window_T ~ 355, and the fit
+        # stopped at its first k = 1.00016, whose residual the window then refused
+        h = make_family(parse_family_spec("noisy-cosh,mode=trig,amplitude=1e-6"))
+        res = classify(h, window_T)
+        assert (res.branch, res.k) == (BRANCH_COSH, 1.0)
+
+    @pytest.mark.parametrize("window_T", [2.0, 100.0, 300.0])
+    @pytest.mark.parametrize("spec", [
+        "cosh", "cosh-lambda,lambda=0.7", "cos-k,k=1.3",
+        *[f"noisy-cosh,mode={mode},amplitude=1e-6,seed={seed}"
+          for mode in PERTURB_MODES for seed in (0, 1, 2)]])
+    def test_the_scale_moves_no_fit_whose_sums_stayed_finite(self, spec, window_T):
+        # a power of two scales r and slope exactly, so every step, the k and the count agree
+        h = make_family(parse_family_spec(spec), domain=LOG_LINE)
+        grid = symmetric_grid(window_T, window_T / 100.0)[1]
+        kappa = estimate_kappa(h)
+        k0, branch = math.sqrt(abs(kappa)), BRANCH_COSH if kappa > 0 else BRANCH_COS
+        args = (branch, grid, h(grid), k0, (0.7 * k0, 1.3 * k0))
+        assert tuple(minimize_scalar(*args)) == unscaled_fit(*args)
+
     def test_readme_table_classifies_to_the_last_bits(self):
         # the README classify example: cosh sampled on 1001 nodes of [-2.5, 2.5]
         ts = [float(t) for t in np.linspace(-2.5, 2.5, 1001)]

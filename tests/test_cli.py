@@ -452,7 +452,8 @@ class TestExitCodes:
          "RangeOverflowError: defect at t = 1e+308, u = -1e+308 needs t + u and t - u finite"),
         (["sup-defect", "--family", "cosh", "--step", "-1e-3"],
          "DomainError: grid step must satisfy 0 < step <= 2.0, got -0.001"),
-        (["eval", "--x", "-inf"], "DomainError: positive ratio must be finite, got -inf"),
+        (["eval", "--x", "-inf"],
+         "DomainError: positive ratio must be positive and finite, got -inf"),
     ], ids=["defect-u", "sup-defect-step", "eval-x"])
     def test_negative_values_in_exponent_form_reach_the_handler(self, argv, message, capsys):
         # argparse's own pattern for a negative number has no exponent and no inf, so
@@ -782,9 +783,10 @@ class TestReports:
         code, ids = run(["identities", *grid])
         assert code == 2 and ids.diagnostics["error"].startswith("RangeOverflowError: ")
         code, report = run(["report", *grid])
-        assert code == 1 and report.status == "verification-failed"
+        assert code == 0 and report.status == "ok"
         assert list(report.results) == ["sup_defect", "curvature", "classification",
                                         "certificate"]
+        assert report.results["classification"]["branch"] == "Cosh"
         assert math.isfinite(report.results["sup_defect"]["epsilon"])
 
     def test_report_refuses_zero_by_its_normalization(self, capsys):
@@ -1042,18 +1044,20 @@ class TestModuleInvocation:
         assert "InputError: unrecognized arguments: --tol 1e-10" in proc.stdout
 
     @pytest.mark.parametrize("argv, code, message", [
-        (["classify", "--family", "quadlog", "--window-T", "350"], 1, ""),
+        # t^4 overflows on the window, so the fit and the residual read inf
+        (["classify", "--family", "noisy-cosh,mode=poly4,amplitude=1e300", "--window-T", "300"],
+         1, "reason = not near any branch: sup residual inf vs Cosh(k=1.3)"),
         (["sup-defect", "--family", "noisy-cosh,freq=1e308"], 2, ""),
-        (["report", "--family", "cosh-lambda,lambda=100", "--T", "3", "--step", "0.5"], 1,
-         "classification.reason = not near any branch: sup residual 4.810e+111 vs Cosh(k=100)"),
+        (["report", "--family", "cosh-lambda,lambda=100", "--T", "3", "--step", "0.5"], 0,
+         "classification.branch = Cosh\n  classification.k = 100\n"),
         (["identities", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 2,
          "RangeOverflowError: powerlaw-w(170): identity_report overflows double precision, "
          "with max |G| = 1.045244036805178e+295 on [-2T, 2T] = [-4, 4]"),
         (["identities", "--family", "cosh-lambda,lambda=100", "--T", "3", "--step", "0.5"], 2,
          "RangeOverflowError: cosh-lambda(100): identity_report overflows double precision, "
          "with max |G| = 1.8865101504649698e+260 on [-2T, 2T] = [-6, 6]"),
-        (["report", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 1,
-         "classification.reason = not near any branch: sup residual 6.611e+122 vs Cosh(k=170)"),
+        (["report", "--family", "powerlaw-w,lambda=170", "--T", "2", "--step", "0.5"], 0,
+         "classification.branch = Cosh\n  classification.k = 170\n"),
         *[([cmd, "--family", "noisy-cosh,amplitude=1e300", "--T", "2", "--step", "0.5"], 2,
            "RangeOverflowError: noisy-cosh(1,sine,1e+300): sup_defect overflows double precision, "
            "with max |G| = 1.8390715290764525e+300 on [-2T, 2T] = [-4, 4]")
@@ -1074,9 +1078,11 @@ class TestModuleInvocation:
          "K = nan must be finite"),
         (["report", "--family", "noisy-cosh,freq=1e120", "--T", "2", "--step", "0.5"], 1,
          "certificate.error = noisy-cosh(1,sine,0.001): the bounds B = 3.7628249838492027"),
-        # quadlog reads on |t| <= 1e150, but the window's x = e^(T - h) would overflow
+        # quadlog reads on |t| <= 1e150, but T is past cosh's range, and so e^T at 710
         (["certify-ratio", "--family", "quadlog", "--T", "800", "--step", "100"], 2,
-         "RangeOverflowError: certify_ratio needs e^T finite, got T = 800.0"),
+         "RangeOverflowError: T is 800.0, outside cosh's range [-700, 700]"),
+        (["certify-ratio", "--family", "quadlog", "--T", "705", "--step", "5"], 2,
+         "RangeOverflowError: T is 705.0, outside cosh's range [-700, 700]"),
         # H''(0) = 1 + a f^2 = 1.25e309 = inf: the curvature overflows, as calibrate's does
         (["classify", "--family", "noisy-cosh,amplitude=5e307", "--window-T", "2"], 2,
          "RangeOverflowError: noisy-cosh(1,sine,5e+307): estimate_kappa overflows, H''(0) = inf"),
@@ -1087,7 +1093,7 @@ class TestModuleInvocation:
          "PreconditionError: curvature a = 0.0 violates the hypothesis a > 0"),
         (["certify-ratio", "--family", "cosh-lambda,lambda=1e-300"], 2,
          "PreconditionError: curvature a = 0.0 violates the hypothesis a > 0"),
-        (["report", "--family", "cosh-lambda,lambda=1e-300"], 0,
+        (["report", "--family", "cosh-lambda,lambda=1e-300"], 1,
          "certificate.error = curvature a = 0.0 violates the hypothesis a > 0"),
         (["calibrate", "--family", "powerlaw-w,lambda=1e-200"], 0, "  kappa = 0\n"),
         (["calibrate", "--family", "noisy-cosh,lambda=1e-200"], 0,
@@ -1096,9 +1102,9 @@ class TestModuleInvocation:
             "report-powerlaw-w", "certify-amplitude",
             "sup-defect-amplitude", "report-amplitude", "defect-t-u-amplitude",
             "defect-x-y-amplitude", "certify-b-k", "report-b-k", "certify-k-nan", "report-k-nan",
-            "certify-ratio-window", "classify-kappa", "calibrate-tiny-lambda",
-            "classify-tiny-lambda", "certify-tiny-lambda", "certify-ratio-tiny-lambda",
-            "report-tiny-lambda", "calibrate-powerlaw-w-tiny-lambda",
+            "certify-ratio-window", "certify-ratio-window-705", "classify-kappa",
+            "calibrate-tiny-lambda", "classify-tiny-lambda", "certify-tiny-lambda",
+            "certify-ratio-tiny-lambda", "report-tiny-lambda", "calibrate-powerlaw-w-tiny-lambda",
             "calibrate-noisy-cosh-tiny-lambda"])
     def test_overflow_warnings_stay_off_stderr(self, argv, code, message):
         # each run answers or exits 2 with a message; numpy's RuntimeWarnings once followed it;
@@ -1152,14 +1158,14 @@ class TestModuleInvocation:
 
     def test_a_window_too_narrow_for_a_normal_h_squared_is_refused_by_name(self, capsys):
         # optimal_h's floor T / 100 = 1e-202 squares below the normal doubles: certify names T
-        # and that h, which no flag gave, and report keeps the sections that answered
+        # and that h, which no flag gave, and report fails but keeps the sections that answered
         message = ("T = 1e-200 is too narrow for a certificate: its step h = 1e-202 has no "
                    "normal square")
         grid = ["--family", "cosh", "--T", "1e-200", "--step", "1e-200"]
         code, report = run(["certify", *grid])
         assert (code, report.diagnostics["error"]) == (2, f"PreconditionError: {message}")
         code, report = run(["report", *grid])
-        assert code == 0 and report.results["classification"]["branch"] == "Cosh"
+        assert code == 1 and report.results["classification"]["branch"] == "Cosh"
         assert report.results["certificate"] == {"error": message}
 
     def test_a_narrow_window_with_a_grid_is_classified(self):

@@ -70,7 +70,7 @@ def test_pointwise_subcommand_loads_no_geometry_or_dataclasses(argv):
 
 @pytest.mark.parametrize("argv, error", [
     (["sup-defect", "--family", "cosh", "--step", "0"], "grid step must satisfy"),
-    (["certify", "--family", "cosh", "--T", "nan"], "grid half-width must be positive"),
+    (["certify", "--family", "cosh", "--T", "nan"], "T must be positive and finite, got nan"),
     (["report", "--family", "cosh", "--step", "1e-9"], "needs over 65536 intervals"),
     (["classify", "--input", "{missing}"], "cannot read"),
     (["classify", "--input", "{repeated}"], "abscissas must increase strictly"),
@@ -174,7 +174,7 @@ EXPORTED = {
     "lift_to_log", "local_equivalence_ratio", "log_forms", "make_family", "metric_weight",
     "metric_weight_ratio", "optimal_h", "parse_family_spec", "perturb",
     "quadlog_defect_oracle", "sample_table", "sup_defect", "to_ratio",
-    "validate_log_coord", "validate_positive_ratio",
+    "validate_log_coord", "validate_positive",
 }
 
 SUBMODULES = ("calibration", "cli", "core", "dalembert", "errors", "fixtures", "geometry",

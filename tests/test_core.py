@@ -17,14 +17,22 @@ from reccost import (
     bregman_divergence,
     canonical_cost,
     certify,
+    certify_ratio,
     chebyshev_cost,
     chebyshev_sequence,
     classify,
+    delta_of_h,
+    distance,
+    estimate_bounds,
     golden_fixed_point,
+    identity_report,
     log_forms,
     make_family,
+    optimal_h,
     parse_family_spec,
+    sup_defect,
 )
+from reccost.cli import run
 from reccost.core import require_cosh_range
 
 PHI = 1.6180339887498949
@@ -207,6 +215,9 @@ RANGE_CALLERS = {
     "chebyshev_sequence": (lambda s: chebyshev_sequence(math.cosh(s / 2.0), 2), "N arcosh(H1)"),
     # the window's edge is t = 1.5 at T = 2, step 0.5
     "certify": (lambda s: certify(family("cosh"), 2.0, 0.5), None),
+    # quadlog reads on |t| <= 1e150, so only the range decides its T
+    "certify_ratio": (lambda s: certify_ratio(make_family(parse_family_spec("quadlog")), s,
+                                              s / 10.0), "T"),
 }
 
 
@@ -239,3 +250,44 @@ class TestCoshRange:
             got = re.fullmatch(f"{re.escape(what)} is (\\S+){re.escape(self.TAIL)}", str(info.value))
             assert got, str(info.value)
             assert abs(float(got.group(1)) - s) <= 1e-12 * s
+
+
+def cli(*argv):
+    """The CLI run whose last flag takes the value, as a call that raises the DomainError it
+    reports: one exit 2 with the library's message."""
+    def call(value):
+        code, report = run([*argv, str(value)])
+        kind, _, message = report.diagnostics["error"].partition(": ")
+        assert (code, kind) == (2, "DomainError")
+        raise DomainError(message)
+    return call
+
+
+# each entry that takes a window, a step h or a tolerance, as a function of that value, and
+# the value's name in the refusal
+POSITIVE_ENTRIES = {
+    **{f"cli-{cmd}": (cli(cmd, "--family", "cosh", "--T"), "T")
+       for cmd in ("sup-defect", "identities", "certify", "certify-ratio", "report")},
+    "cli-classify": (cli("classify", "--family", "cosh", "--window-T"), "window_T"),
+    "sup_defect": (lambda v: sup_defect(family("cosh"), v, 0.1), "T"),
+    "identity_report": (lambda v: identity_report(family("cosh"), v, 0.1), "T"),
+    "certify": (lambda v: certify(family("cosh"), v, 0.1), "T"),
+    "certify_ratio": (lambda v: certify_ratio(make_family(parse_family_spec("cosh")), v, 0.1),
+                      "T"),
+    "estimate_bounds": (lambda v: estimate_bounds(family("cosh"), v), "T"),
+    "optimal_h": (lambda v: optimal_h(0.0, 1.0, 1.0, v), "T"),
+    "classify": (lambda v: classify(family("cosh"), v), "window_T"),
+    "delta_of_h": (lambda v: delta_of_h(0.0, 1.0, 1.0, v), "h"),
+    "distance": (lambda v: distance(1.0, 2.0, v), "tol"),
+    "canonical_cost": (canonical_cost, "positive ratio"),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", POSITIVE_ENTRIES)
+def test_every_entry_refuses_a_bad_value_with_one_message(entry, value):
+    # core.validate_positive is the one rule, so each entry names only its own argument
+    call, name = POSITIVE_ENTRIES[entry]
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be positive and finite, got {value}"

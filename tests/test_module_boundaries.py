@@ -9,9 +9,10 @@ Each hypothesis of the paper is refused by the one function that owns it, so
 each refusal message is raised in exactly one place in the package: H(0) = 1
 (``calibration.require_normalized``), a NaN H''(0) (``estimate_kappa``), the
 domain tag (``handles.from_excess``), the derivative order
-(``FunctionHandle.derivative``), the window (``handles.require_window``) and cosh's range
-(``core.require_cosh_range``): no other module compares against ``COSH_T_MAX`` or tries
-``cosh`` for an ``OverflowError``."""
+(``FunctionHandle.derivative``), the window (``handles.require_window``), a value that must
+be positive and finite (``core.validate_positive``) and cosh's range
+(``core.require_cosh_range``): no other module compares against ``COSH_T_MAX`` or a log of
+``finfo(...).max``, or tries ``cosh`` for an ``OverflowError``."""
 
 import ast
 from pathlib import Path
@@ -27,7 +28,8 @@ STREAMING = {"defect_landscape.py": ["from reccost.dalembert import _scored",
 
 
 REFUSALS = ("violates the normalization", "H''(0) = nan is not a curvature", "unknown domain tag",
-            "derivative of order", "needs evaluability on", "outside cosh's range")
+            "derivative of order", "needs evaluability on", "outside cosh's range",
+            "must be positive and finite", "has no normal square")
 
 
 def private(name: str) -> bool:
@@ -107,15 +109,29 @@ def test_a_second_copy_of_a_refusal_is_counted():
     assert sorted(raised_messages(source)) == ["unknown domain tag", "{}: unknown domain tag {}"]
 
 
+def called(node, name: str) -> bool:
+    """Whether node calls name, as a bare name or an attribute (np.finfo, math.log)."""
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None))
+
+
+def log_of_finfo_max(node) -> bool:
+    """Whether node is or holds log(... finfo(...).max ...), the edge where exp overflows."""
+    return any(called(n, "log") and any(
+        isinstance(m, ast.Attribute) and m.attr == "max" and called(m.value, "finfo")
+        for arg in n.args for m in ast.walk(arg)) for n in ast.walk(node))
+
+
 def range_decisions(source: str) -> list[str]:
-    """'line: what' for each comparison against COSH_T_MAX and each try that calls cosh and
-    catches OverflowError."""
+    """'line: what' for each comparison against COSH_T_MAX or a log of finfo(...).max and
+    each try that calls cosh and catches OverflowError."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Compare) and any(
-                isinstance(n, ast.Name) and n.id == "COSH_T_MAX"
-                for n in (node.left, *node.comparators)):
+        operands = (node.left, *node.comparators) if isinstance(node, ast.Compare) else ()
+        if any(isinstance(n, ast.Name) and n.id == "COSH_T_MAX" for n in operands):
             found.append(f"{node.lineno}: compares against COSH_T_MAX")
+        elif any(log_of_finfo_max(n) for n in operands):
+            found.append(f"{node.lineno}: compares against a log of finfo(...).max")
         elif isinstance(node, ast.Try) and any(
                 isinstance(n, ast.Attribute) and n.attr == "cosh"
                 for stmt in node.body for n in ast.walk(stmt)) and any(
@@ -137,6 +153,10 @@ def test_a_second_range_decision_is_found():
               "    try:\n"
               "        math.cosh(t)\n"
               "    except (OverflowError, ValueError):\n"
-              "        pass\n")
+              "        pass\n"
+              "    if t > math.log(np.finfo(float).max):\n"
+              "        raise ValueError(t)\n"
+              "    return np.log(np.minimum(t, np.finfo(float).max))\n")
     assert range_decisions(source) == ["2: compares against COSH_T_MAX",
-                                       "4: tries cosh for an OverflowError"]
+                                       "4: tries cosh for an OverflowError",
+                                       "8: compares against a log of finfo(...).max"]

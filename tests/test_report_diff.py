@@ -187,3 +187,19 @@ class TestHelperSplit:
         for mode in ("on", "off"):
             assert len(out[mode]["wall_s"]) == len(out[mode]["cpu_s"]) == 1
             assert out[mode]["wall_s_p50"] > 0.0 and out[mode]["cpu_s_p50"] >= 0.0
+
+
+class TestColdSplit:
+    def test_one_round_splits_both_sides_and_writes_nothing_under_src(self):
+        src = _SCRIPTS.parent / "src"
+        before = sorted(src.rglob("*"))
+        proc = subprocess.run([sys.executable, str(_SCRIPTS / "cold_split.py"), "--rounds", "1"],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert sorted(src.rglob("*")) == before
+        out = json.loads(proc.stdout)  # one JSON line
+        assert (out["argv"][0], out["exit_code"], out["rounds"]) == ("certify", 0, 1)
+        for side in ("uncached", "cached"):
+            parts = [out[side][part][0] for part in ("numpy_s", "reccost_s", "rest_s")]
+            assert min(parts) > 0.0 and len(out[side]["wall_s"]) == 1
+            assert sum(parts) == pytest.approx(out[side]["wall_s_p50"], rel=1e-9)

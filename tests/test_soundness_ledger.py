@@ -90,9 +90,8 @@ def test_reproducer_b_vacuous_window():
     assert_sound(["report", "--family", "quadlog", "--T", "50"], family("quadlog"), 0.05)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items 2a and 18: classify accepts Cosh(k=0.7) "
-                   "with residual 7.9e14, because its threshold 1e-6 cosh(T) grows with T")
-def test_reproducer_b_classify_accepts_a_far_branch():
+def test_reproducer_b_classify_refuses_a_far_branch():
+    # Cosh(k=0.7) leaves residual 7.9e14, as large as its own sup cosh(35)
     assert_branch_sound(["classify", "--family", "quadlog", "--window-T", "50"], "quadlog", 50.0)
 
 
