@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import require_cosh_range
-from .errors import ClassificationError, PreconditionError, RangeOverflowError
+from .core import require_cosh_range, require_finite
+from .errors import ClassificationError, PreconditionError
 from .grids import symmetric_grid
 from .handles import LOG_LINE, FunctionHandle, require_domain, require_window
 
@@ -118,17 +118,15 @@ def estimate_kappa(h: FunctionHandle) -> float:
     A builtin's stack gives it in closed form and a sample table's is its cubic interpolant's
     own value, which is the a that certify's Taylor step needs.  H(0) off 1 is refused first
     (require_normalized).  A handle whose stack stops below order 2, or whose support leaves
-    out 0, is a DomainError; a NaN H''(0) is a PreconditionError and an infinite one a
-    RangeOverflowError, so every caller gets a finite kappa or this one refusal.
+    out 0, is a DomainError; a NaN H''(0) is a PreconditionError and an infinite one a range
+    overflow (core.require_finite), so every caller gets a finite kappa or this one refusal.
     """
     require_domain(h, LOG_LINE, "estimate_kappa")
     require_normalized(h(0.0))
     kappa = float(h.derivative(0.0, 2))
     if math.isnan(kappa):
         raise PreconditionError(f"{h.name}: H''(0) = nan is not a curvature")
-    if math.isinf(kappa):
-        raise RangeOverflowError(f"{h.name}: estimate_kappa overflows, H''(0) = {kappa!r}")
-    return kappa
+    return require_finite(kappa, f"{h.name}: H''(0)")
 
 
 def classify(h: FunctionHandle, window_T: float) -> BranchClassification:

@@ -156,7 +156,7 @@ def load_samples(path: str, domain: str | None = None) -> FunctionHandle:
     The header names the domain; when ``domain`` is given it must match.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").rstrip().splitlines()  # no trailing blanks
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     if not lines:
@@ -175,8 +175,6 @@ def load_samples(path: str, domain: str | None = None) -> FunctionHandle:
     for lineno, raw in enumerate(lines[1:], start=2):
         row = raw.strip()
         if not row:
-            if lineno == len(lines):  # trailing newline only
-                continue
             raise InputError("blank line inside the table", line=lineno)
         parts = row.split(",")
         if len(parts) != 2:
@@ -355,7 +353,7 @@ def _cmd_report(ns):
         cert = stability.certify(handle, ns.T, ns.step, defect=defect)
         sections["certificate"] = _pick(cert, _CERTIFICATE)
         failed = failed or not cert.verified
-    except (PreconditionError, RangeOverflowError) as exc:  # sqrt(a) t outside cosh's range
+    except (PreconditionError, RangeOverflowError) as exc:  # a failed hypothesis or an overflow
         sections["certificate"], failed = {"error": str(exc)}, True
     status = STATUS_FAILED if failed else STATUS_OK
     return sections, diag, status, None

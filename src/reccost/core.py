@@ -50,6 +50,14 @@ def require_cosh_range(x: float, what: str) -> None:
                                  f"{COSH_T_MAX:g}]; cosh overflows double precision near 710.5")
 
 
+def require_finite(x: float, what: str) -> float:
+    """float(x), or RangeOverflowError naming it by what unless it is finite (a NaN is not)."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise RangeOverflowError(f"{what} is {x!r}, which overflows double precision")
+    return x
+
+
 def _cosh_minus_1(t: float) -> float:
     # cosh(t) - 1 = 2 sinh(t/2)^2, stable near t = 0
     s = math.sinh(0.5 * t)

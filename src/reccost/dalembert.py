@@ -13,8 +13,8 @@ kernel in the excess G(t) = H(t) - 1 = F(e^t) that every handle stores:
 which keeps the precision of G near t = 0 instead of cancelling 1s in H.
 
 Suprema are reported over explicit uniform grids, never over the continuum, with
-the grid spec; one that overflows where G is finite on every node raises
-RangeOverflowError.  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
+the grid spec; one that is not finite where no node is NaN raises RangeOverflowError
+(core.require_finite).  On the grid {k s} of [-T, T] every t + u, t - u and 2t is a
 node k s of [-2T, 2T]: each sweep evaluates G once, on those nodes, reduces
 the n x n tables in blocks of 2^16 / 3 elements written into three buffers that
 share 512 KB, allocated once (memory O(n) plus three blocks: 0.84 MB traced at
@@ -84,8 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import validate_log_coord, validate_positive
-from .errors import RangeOverflowError
+from .core import require_finite, validate_log_coord, validate_positive
 from .grids import symmetric_grid
 from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, require_domain, require_window
 
@@ -272,7 +271,7 @@ def _suprema(h: FunctionHandle, T: float, step: float, op: str, bounds):
     """(step, axis, nodes, G on the axis, picks): per score of the sweep op (_ops), (|score|, i, j)
     at its first NaN, else first max, in row-major order over the whole table.
     Where the even part E is G they are its triangle's, else E's (_even_part) or the table's.
-    A pick that is not finite, where G is finite on every node, raises RangeOverflowError."""
+    A pick that is not finite, where no node of G is NaN, raises RangeOverflowError."""
     actual_step, axis, nodes, g = _sweep(h, T, step, op)
     e = (nodes + nodes[::-1]) * 0.5  # bitwise even: mirrored entries add the same two numbers
     a, views = _ops(op)[0](g), _buffers(axis.size)
@@ -285,10 +284,10 @@ def _suprema(h: FunctionHandle, T: float, step: float, op: str, bounds):
 
 
 def _finite(h: FunctionHandle, op: str, value, g: np.ndarray, where: str = ""):
-    """value, or RangeOverflowError where it is not finite though every G it is formed from is."""
-    if not np.all(np.isfinite(value)) and np.all(np.isfinite(g)):
-        raise RangeOverflowError(f"{h.name}: {op} overflows double precision, with max |G| = "
-                                 f"{abs(g).max():.17g}{where}")
+    """value, or require_finite's refusal of its first value not finite, where no G is NaN."""
+    if not np.all(np.isfinite(value)) and not np.isnan(g).any():
+        for v in np.ravel(value):
+            require_finite(v, f"{h.name}: {op}, with max |G| = {abs(g).max():.17g}{where},")
     return value
 
 
@@ -395,10 +394,8 @@ def defect_log(h: FunctionHandle, t: float, u: float) -> float:
     """Delta_H(t, u) = H(t+u) + H(t-u) - 2 H(t) H(u); an overflow is refused as a sweep's is."""
     require_domain(h, LOG_LINE, "defect_log")
     t, u = validate_log_coord(t), validate_log_coord(u)
-    s, d = t + u, t - u
-    if not (math.isfinite(s) and math.isfinite(d)):
-        raise RangeOverflowError(f"defect at t = {t!r}, u = {u!r} needs t + u and t - u finite, "
-                                 f"got {s!r} and {d!r}")
+    at = f"at t = {t!r}, u = {u!r}"
+    s, d = require_finite(t + u, f"t + u {at}"), require_finite(t - u, f"t - u {at}")
     g = h.excess(np.array([s, d, t, u]))
     return _finite(h, "defect_log", _delta(*g), g)
 
@@ -407,10 +404,8 @@ def defect_ratio(f: FunctionHandle, x: float, y: float) -> float:
     """Composition-law defect F(xy) + F(x/y) - 2 F(x) F(y) - 2 F(x) - 2 F(y), as defect_log's."""
     require_domain(f, POSITIVE_RATIOS, "defect_ratio")
     x, y = validate_positive(x), validate_positive(y)
-    p, q = x * y, x / y
-    if not (0.0 < p < math.inf and 0.0 < q < math.inf):
-        raise RangeOverflowError(f"defect at x = {x!r}, y = {y!r} needs x*y and x/y finite and "
-                                 f"positive, got {p!r} and {q!r}")
+    at = f"at x = {x!r}, y = {y!r}"
+    p, q = validate_positive(x * y, f"x*y {at}"), validate_positive(x / y, f"x/y {at}")
     g = f.excess(np.array([p, q, x, y]))
     return _finite(f, "defect_ratio", _delta(*g), g)
 
@@ -419,8 +414,8 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     """Max of |Delta_H| over the inclusive uniform grid {-T, ..., T}^2.
 
     Requires h evaluable on [-2T, 2T], which t + u reaches at the corners.  Ties at the max
-    resolve to the first point in row-major order, so the report is deterministic.  Where G is
-    finite on every node of [-2T, 2T] but Delta overflows, raises RangeOverflowError.
+    resolve to the first point in row-major order, so the report is deterministic.  An
+    epsilon that is not finite, where no node of G on [-2T, 2T] is NaN, is RangeOverflowError.
     """
     # |Delta_G - Delta_E| <= 2 omega + 2 (2 M omega) + 4 omega; the terms sum to 6 M + 2 M^2
     actual_step, axis, nodes, g, [(_, i, j)] = _suprema(
@@ -435,8 +430,8 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
 def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolations:
     """Grid suprema of the four identity violations; see IdentityViolations.
 
-    Evaluated in G = H - 1, where H^2 - 1 = G (G + 2).  Where G is finite on every node of
-    [-2T, 2T] but a violation is not (H^2 or H(t+u) H(t-u) overflows), raises RangeOverflowError.
+    Evaluated in G = H - 1, where H^2 - 1 = G (G + 2).  A violation that is not finite (G, H^2
+    or H(t+u) H(t-u) overflows), where no node of G on [-2T, 2T] is NaN, is RangeOverflowError.
     """
     # with wq = max |q_G - q_E|, Q = max |q|, and |(s - d)_G^2 - (s - d)_E^2| <= 2 omega 4 M
     _, _, nodes, g, (product, square) = _suprema(

@@ -10,7 +10,7 @@ class DomainError(ReccostError):
 
 
 class RangeOverflowError(DomainError):
-    """The requested point would overflow double precision (cosh-type growth)."""
+    """A point or a computed value leaves double range (cosh-type growth)."""
 
 
 class ParameterError(ReccostError):

@@ -42,8 +42,8 @@ from typing import Mapping
 import numpy as np
 
 from .core import COSH_T_MAX
-from .errors import DomainError, ParameterError
-from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, from_excess
+from .errors import ParameterError
+from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, from_excess, require_domain
 
 PERTURB_MODES = ("poly4", "sine", "trig")
 # the parameters of a perturbation, shared by perturb and noisy-cosh
@@ -260,8 +260,7 @@ def perturb(
     H(0) = 1 and evenness exactly.  The parameters are checked as noisy-cosh's
     are: freq must be finite and > 0 in every mode.
     """
-    if base.domain != LOG_LINE:
-        raise DomainError("perturb operates on log-line handles")
+    require_domain(base, LOG_LINE, "perturb")
     p = _params("perturb", _PERTURBATION, {"mode": mode, "amplitude": amplitude, "freq": freq})
     fns = _sum_fns(base.fns, _perturbation_fns(p), min(base.deriv_order, 3))
     tag = p["mode"] if p["mode"] == "poly4" else f"{p['mode']}({p['freq']:g})"

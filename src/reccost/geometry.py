@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import canonical_cost, require_cosh_range, validate_log_coord, validate_positive
+from .core import (canonical_cost, require_cosh_range, require_finite, validate_log_coord,
+                   validate_positive)
 from .errors import DomainError, ParameterError, RangeOverflowError
 
 # sqrt halves the exponent, so sqrt(cosh t) fits in a double for |t| <= 1400
@@ -82,10 +83,7 @@ def metric_weight_ratio(x: float) -> float:
     stays in range until the weight itself overflows, below x ~ 2.5e-206.
     """
     x = validate_positive(x)
-    w = metric_weight(math.log(x)) / x
-    if math.isinf(w):
-        raise RangeOverflowError(f"x = {x:g}: the weight, about x^(-3/2)/sqrt(2), overflows")
-    return w
+    return require_finite(metric_weight(math.log(x)) / x, f"the weight at x = {x!r}")
 
 
 def _carlson(x: float, y: float, z: float) -> tuple[float, float, int]:

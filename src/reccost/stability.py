@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .calibration import BRANCH_COSH, branch_values, estimate_kappa, require_normalized
-from .core import require_cosh_range, validate_positive
+from .core import require_cosh_range, require_finite, validate_positive
 from .dalembert import DefectReport, sup_defect
 from .errors import DomainError, PreconditionError
 from .grids import symmetric_grid
@@ -89,32 +89,33 @@ def estimate_bounds(h: FunctionHandle, T: float) -> tuple[float, float]:
     constant sup |6 c0| over the pieces, which is all the paper's remainder
     needs (H''' bounded, not continuous).  Both bounds are grid suprema, not
     enclosures, until validated enclosures land (ROADMAP item 5).  A B or K that is not
-    finite, from an H or H''' that overflows, is a PreconditionError.
+    finite, from an H or H''' that overflows, is a range overflow (core.require_finite).
     """
     require_domain(h, LOG_LINE, "estimate_bounds")
     require_window(h, T, "estimate_bounds", cells=1000)
     _, grid = symmetric_grid(T, T / 1000.0)
-    B, K = float(np.max(np.abs(h(grid)))), float(np.max(np.abs(h.derivative(grid, 3))))
-    if not (math.isfinite(B) and math.isfinite(K)):
-        raise PreconditionError(f"{h.name}: the bounds B = {B!r} and K = {K!r} must be finite")
-    return B, K
+    B, K = np.max(np.abs(h(grid))), np.max(np.abs(h.derivative(grid, 3)))
+    return (require_finite(B, f"{h.name}: B = sup |H| on [-T, T]"),
+            require_finite(K, f"{h.name}: K = sup |H'''| on [-T, T]"))
 
 
-def _check_bounds(epsilon: float, B: float, K: float) -> None:
+def _check_bounds(epsilon: float, B: float, K: float) -> tuple[float, float]:
+    """(eps, (1 + B) K), delta's two coefficients, once eps, B and K are >= 0 and finite."""
     for nm, v in (("epsilon", epsilon), ("B", B), ("K", K)):
         if not (float(v) >= 0.0 and math.isfinite(float(v))):
             raise DomainError(f"{nm} must be >= 0 and finite, got {v}")
-    if math.isinf((1.0 + float(B)) * float(K)):  # delta's remainder (1 + B) K h / 3
-        raise PreconditionError(f"(1 + B) K overflows, with B = {float(B)!r} and K = {float(K)!r}")
+    B, K = float(B), float(K)
+    return float(epsilon), require_finite((1.0 + B) * K, f"(1 + B) K at B = {B!r}, K = {K!r}")
 
 
 def delta_of_h(epsilon: float, B: float, K: float, h: float) -> float:
-    """delta(h) = eps/h^2 + (1 + B) K h / 3, for a positive, finite h whose square is normal."""
+    """delta(h) = eps/h^2 + (1 + B) K h / 3, for a positive, finite h whose square is normal,
+    eps, B and K >= 0 and finite (DomainError) and a finite (1 + B) K (core.require_finite)."""
     h = validate_positive(h, "h")
     if not h * h >= np.finfo(float).tiny:
         raise DomainError(f"h = {h!r} has no normal square")
-    _check_bounds(epsilon, B, K)
-    return float(epsilon) / (h * h) + (1.0 + float(B)) * float(K) * h / 3.0
+    epsilon, c = _check_bounds(epsilon, B, K)
+    return epsilon / (h * h) + c * h / 3.0
 
 
 def optimal_h(epsilon: float, B: float, K: float, T: float) -> float:
@@ -123,14 +124,12 @@ def optimal_h(epsilon: float, B: float, K: float, T: float) -> float:
     delta'(h) = -2 eps/h^3 + (1+B)K/3 vanishes at h = (6 eps / ((1+B)K))^(1/3),
     clamped to T.  With eps = 0 the infimum is at h -> 0; the policy floor
     h = T/100 keeps eps/h^2 below round-off noise.  With (1+B)K = 0 delta is
-    decreasing, so h = T.
+    decreasing, so h = T.  eps, B and K are refused as delta_of_h refuses them.
     """
     T = validate_positive(T, "T")
-    _check_bounds(epsilon, B, K)
-    epsilon = float(epsilon)
+    epsilon, c = _check_bounds(epsilon, B, K)
     if epsilon == 0.0:
         return T / 100.0
-    c = (1.0 + float(B)) * float(K)
     return T if c == 0.0 else min(T, (6.0 * epsilon / c) ** (1.0 / 3.0))
 
 
@@ -140,9 +139,10 @@ def certify(h: FunctionHandle, T: float, step: float,
 
     Checks the hypotheses (even, H(0) = 1 within 1e-6, a > 0), measures
     eps, B, K on grids, takes h = optimal_h(eps, B, K, T), refuses a T whose h has no
-    normal square, an a that leaves delta/a not finite or sqrt(a) t on the window outside
-    cosh's range, and sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
-    envelope.  It refuses in that order: H(0), evenness, K (a stack without H''' by its
+    normal square, and sweeps |t| <= T - h comparing |H(t) - cosh(sqrt(a) t)| against the
+    envelope.  A B, K, (1 + B) K or delta/a that is not finite (core.require_finite) and a
+    sqrt(a) t on the window outside cosh's range are range overflows, not failed hypotheses.
+    It refuses in that order: H(0), evenness, K (a stack without H''' by its
     capability), then a = estimate_kappa(h) = H''(0), finite or refused there.  defect,
     sup_defect(h, T, step), saves that sweep if the caller has it.
     """
@@ -172,11 +172,8 @@ def certify(h: FunctionHandle, T: float, step: float,
         raise PreconditionError(
             f"T = {T!r} is too narrow for a certificate: its step {exc}") from None
 
-    envelope = EnvelopeSpec(scale=delta / a, rate=math.sqrt(a))
-    if not math.isfinite(envelope.scale):
-        raise PreconditionError(
-            f"curvature a = {a!r} leaves the envelope scale delta/a = {envelope.scale!r} "
-            f"(delta = {delta!r}) not finite")
+    envelope = EnvelopeSpec(rate=math.sqrt(a), scale=require_finite(
+        delta / a, f"the envelope scale delta/a at a = {a!r}, delta = {delta!r}"))
     ts = _sweep_grid(axis, T - h_used)
     edge = float(ts[-1])  # the window's outermost node, where branch and envelope are largest
     require_cosh_range(envelope.rate * edge, f"sqrt(a) t at a = {a!r} and the edge t = {edge!r}")

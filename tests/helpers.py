@@ -1,13 +1,25 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values, and a loader for the scripts.
 
 Everything here stays deliberately separate from the library code paths it
 checks: series evaluation instead of libm, composite instead of adaptive
 quadrature, scalar loops instead of vectorized sweeps.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """The module of scripts/<name>.py, loaded from its file: scripts/ is not a package."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def cosh_series(t: float) -> float:

@@ -21,19 +21,23 @@ from reccost import (
     chebyshev_cost,
     chebyshev_sequence,
     classify,
+    defect_log,
+    defect_ratio,
     delta_of_h,
     distance,
     estimate_bounds,
+    estimate_kappa,
     golden_fixed_point,
     identity_report,
     log_forms,
     make_family,
+    metric_weight_ratio,
     optimal_h,
     parse_family_spec,
     sup_defect,
 )
 from reccost.cli import run
-from reccost.core import require_cosh_range
+from reccost.core import require_cosh_range, require_finite
 
 PHI = 1.6180339887498949
 DBL_MAX = sys.float_info.max
@@ -291,3 +295,107 @@ def test_every_entry_refuses_a_bad_value_with_one_message(entry, value):
     with pytest.raises(DomainError) as info:
         call(value)
     assert str(info.value) == f"{name} must be positive and finite, got {value}"
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("x", [0.0, -DBL_MAX, 5e-324, np.float64(2.5)])
+    def test_a_finite_value_is_returned_as_a_float(self, x):
+        got = require_finite(x, "x")
+        assert type(got) is float and got == x
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+    def test_a_value_past_double_range_or_nan_is_refused(self, x):
+        with pytest.raises(RangeOverflowError) as info:
+            require_finite(x, "x")
+        assert str(info.value) == f"x is {float(x)!r}, which overflows double precision"
+
+
+def reported(code, *argv):
+    """The CLI run as a call that raises the RangeOverflowError it reports, once its exit code
+    is checked: exit 2 with the error, or report's exit 1 with its certificate section's."""
+    def call():
+        got, report = run(list(argv))
+        assert got == code
+        if code == 1:
+            raise RangeOverflowError(report.results["certificate"]["error"])
+        kind, _, message = report.diagnostics["error"].partition(": ")
+        assert kind == "RangeOverflowError"
+        raise RangeOverflowError(message)
+    return call
+
+
+POLY4 = "noisy-cosh,mode=poly4,amplitude=1e307"  # G(4) = 1e307 4^4 = inf, a node at T = 2
+POLY4_GRID = ("--family", POLY4, "--T", "2", "--step", "0.5")
+INF_NODE = "noisy-cosh(1,poly4,1e+307)"
+TINY_A = "noisy-cosh,lambda=1e-155,mode=poly4,amplitude=1"  # a = H''(0) = 1e-310, delta ~ 564
+BK = "(1 + B) K at B = 1e+160, K = 1e+160 is inf"
+ENVELOPE = "the envelope scale delta/a at a = 1e-310, delta = 563.7409403283164 is inf"
+SWEEP = INF_NODE + ": {}, with max |G| = inf on [-2T, 2T] = [-4, 4], is nan"
+AMPLE = "noisy-cosh,amplitude=1e300"  # finite G whose 2 G(t) G(u) overflows
+
+# each entry that refuses a computed value past double range, as a call, and the refusal's
+# words before the one wording
+OVERFLOW_ENTRIES = {
+    "estimate_kappa": (lambda: estimate_kappa(family("cosh-lambda,lambda=1e300")),
+                       "cosh-lambda(1e+300): H''(0) is inf"),
+    "estimate_bounds": (lambda: estimate_bounds(family("noisy-cosh,freq=1e200"), 2.0),
+                        "noisy-cosh(1,sine,0.001): K = sup |H'''| on [-T, T] is nan"),
+    "delta_of_h": (lambda: delta_of_h(1e-3, 1e160, 1e160, 0.5), BK),
+    "optimal_h": (lambda: optimal_h(1e-3, 1e160, 1e160, 1.0), BK),
+    "certify-tiny-a": (lambda: certify(family(TINY_A), 2.0, 0.5), ENVELOPE),
+    "sup_defect": (lambda: sup_defect(family(AMPLE), 2.0, 0.5),
+                   "noisy-cosh(1,sine,1e+300): sup_defect, with max |G| = "
+                   "1.8390715290764525e+300 on [-2T, 2T] = [-4, 4], is inf"),
+    "sup_defect-inf-node": (lambda: sup_defect(family(POLY4), 2.0, 0.5),
+                            SWEEP.format("sup_defect")),
+    "identity_report": (lambda: identity_report(family("cosh-lambda,lambda=100"), 3.0, 0.5),
+                        "cosh-lambda(100): identity_report, with max |G| = "
+                        "1.8865101504649698e+260 on [-2T, 2T] = [-6, 6], is nan"),
+    "identity_report-inf-node": (lambda: identity_report(family(POLY4), 2.0, 0.5),
+                                 SWEEP.format("identity_report")),
+    "defect_log": (lambda: defect_log(family(AMPLE), 1.0, 1.0), "noisy-cosh(1,sine,1e+300): "
+                   "defect_log, with max |G| = 1.8390715290764525e+300, is -inf"),
+    "defect_log-inf-node": (lambda: defect_log(family(POLY4), 2.0, 2.0),
+                            f"{INF_NODE}: defect_log, with max |G| = inf, is nan"),
+    "defect_log-t-plus-u": (lambda: defect_log(family("quadlog"), 1e308, 1e308),
+                            "t + u at t = 1e+308, u = 1e+308 is inf"),
+    "metric_weight_ratio": (lambda: metric_weight_ratio(1e-210), "the weight at x = 1e-210 is inf"),
+    "cli-calibrate": (reported(2, "calibrate", "--family", "cosh-lambda,lambda=1e300"),
+                      "cosh-lambda(1e+300): H''(0) is inf"),
+    "cli-certify": (reported(2, "certify", *POLY4_GRID),
+                    f"{INF_NODE}: K = sup |H'''| on [-T, T] is nan"),
+    "cli-report": (reported(2, "report", *POLY4_GRID), SWEEP.format("sup_defect")),
+    "cli-report-certificate": (reported(1, "report", "--family", TINY_A, "--T", "2", "--step",
+                                        "0.5"), ENVELOPE),
+    "cli-sup-defect": (reported(2, "sup-defect", *POLY4_GRID),
+                       SWEEP.format("sup_defect")),
+    "cli-identities": (reported(2, "identities", *POLY4_GRID),
+                       SWEEP.format("identity_report")),
+    "cli-defect-t-u": (reported(2, "defect", "--family", POLY4, "--t", "2", "--u", "2"),
+                       f"{INF_NODE}: defect_log, with max |G| = inf, is nan"),
+    "cli-defect-x-y": (reported(2, "defect", "--family", POLY4, "--x", "7", "--y", "7"),
+                       f"{INF_NODE}: defect_ratio, with max |G| = inf, is nan"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("entry", OVERFLOW_ENTRIES)
+def test_every_entry_refuses_an_overflow_with_one_message(entry, capsys):
+    # core.require_finite is the one rule: an infinite node of G is refused as an overflowing
+    # product is, and report keeps its other sections where only the certificate overflows
+    call, what = OVERFLOW_ENTRIES[entry]
+    with pytest.raises(RangeOverflowError) as info:
+        call()
+    assert str(info.value) == f"{what}, which overflows double precision"
+
+
+@pytest.mark.parametrize("x, y, name, value", [(1e300, 1e300, "x*y", math.inf),
+                                               (1e-300, 1e300, "x/y", 0.0)],
+                         ids=["overflow", "underflow"])
+def test_a_ratio_defect_refuses_its_products_as_ratios(x, y, name, value):
+    # x*y and x/y are positive ratios: an underflow to 0 is no overflow
+    with pytest.raises(DomainError) as info:
+        defect_ratio(make_family(parse_family_spec("cosh")), x, y)
+    assert type(info.value) is DomainError
+    assert str(info.value) == (f"{name} at x = {x!r}, y = {y!r} must be positive and finite, "
+                               f"got {value}")

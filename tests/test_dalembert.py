@@ -258,16 +258,17 @@ def assert_same(got, want):
 
 
 def assert_same_or_refused(h, T, step):
-    """Each sweep refuses by name exactly where G is finite on every node but a field of
-    full_tables' for that sweep is not; otherwise its fields equal full_tables'.  Returns the
-    names of the sweeps that refused."""
+    """Each sweep refuses by name exactly where no node of G is NaN but a field of
+    full_tables' for that sweep is not finite; otherwise its fields equal full_tables'.  Returns
+    the names of the sweeps that refused."""
     want, refused = full_tables(h, T, step), []
-    finite = bool(np.all(np.isfinite(_sweep(h, T, step, "nodes")[2])))
+    no_nan = not np.isnan(_sweep(h, T, step, "nodes")[2]).any()
     for sweep, read, expected in ((sup_defect, defect_fields, want[0]),
                                   (identity_report, identity_fields, want[1])):
-        if finite and not all(map(math.isfinite, expected)):
-            prefix = f"{h.name}: {sweep.__name__} overflows double precision, with max |G| = "
-            with pytest.raises(RangeOverflowError, match="^" + re.escape(prefix)):
+        if no_nan and not all(map(math.isfinite, expected)):
+            prefix = f"{h.name}: {sweep.__name__}, with max |G| = "
+            with pytest.raises(RangeOverflowError, match="^" + re.escape(prefix) +
+                               ".*, which overflows double precision$"):
                 sweep(h, T, step)
             refused.append(sweep.__name__)
         else:
@@ -276,20 +277,21 @@ def assert_same_or_refused(h, T, step):
 
 
 class TestIdentityOverflow:
-    """identity_report, and sup_defect too, refuse a G finite on every node of [-2T, 2T] whose
-    violations or defect overflow; identity_report answers NaN fields where a node of G is NaN."""
+    """identity_report, and sup_defect too, refuse where no node of G on [-2T, 2T] is NaN but
+    the violations or the defect are not finite; identity_report answers NaN fields where a node
+    of G is NaN."""
 
     @pytest.mark.parametrize("sweep, spec, T, message", [
-        (identity_report, "cosh-lambda,lambda=100", 3.0, "cosh-lambda(100): identity_report "
-         "overflows double precision, with max |G| = 1.8865101504649698e+260 on [-2T, 2T] = "
-         "[-6, 6]"),
-        (identity_report, "powerlaw-w,lambda=170", 2.0, "powerlaw-w(170): identity_report "
-         "overflows double precision, with max |G| = 1.045244036805178e+295 on [-2T, 2T] = "
-         "[-4, 4]"),
+        (identity_report, "cosh-lambda,lambda=100", 3.0, "cosh-lambda(100): identity_report, "
+         "with max |G| = 1.8865101504649698e+260 on [-2T, 2T] = [-6, 6], is nan, which "
+         "overflows double precision"),
+        (identity_report, "powerlaw-w,lambda=170", 2.0, "powerlaw-w(170): identity_report, "
+         "with max |G| = 1.045244036805178e+295 on [-2T, 2T] = [-4, 4], is nan, which "
+         "overflows double precision"),
         # 2 G(t) G(u) overflows: there is no epsilon to report
-        (sup_defect, "noisy-cosh,amplitude=1e300", 2.0, "noisy-cosh(1,sine,1e+300): sup_defect "
-         "overflows double precision, with max |G| = 1.8390715290764525e+300 on [-2T, 2T] = "
-         "[-4, 4]"),
+        (sup_defect, "noisy-cosh,amplitude=1e300", 2.0, "noisy-cosh(1,sine,1e+300): sup_defect, "
+         "with max |G| = 1.8390715290764525e+300 on [-2T, 2T] = [-4, 4], is inf, which "
+         "overflows double precision"),
     ], ids=["cosh-lambda", "powerlaw-w", "sup-defect-noisy-cosh"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finite_g_whose_violations_overflow_is_refused(self, sweep, spec, T, message):
@@ -299,10 +301,10 @@ class TestIdentityOverflow:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("defect, domain, z, message", [
-        (defect_log, LOG_LINE, (1.0, 1.0), "defect_log overflows double precision, with max |G| = "
-         "1.8390715290764525e+300"),
-        (defect_ratio, POSITIVE_RATIOS, (2.0, 3.0), "defect_ratio overflows double precision, "
-         "with max |G| = 1.9479239466377266e+300"),
+        (defect_log, LOG_LINE, (1.0, 1.0), "defect_log, with max |G| = 1.8390715290764525e+300, "
+         "is -inf, which overflows double precision"),
+        (defect_ratio, POSITIVE_RATIOS, (2.0, 3.0), "defect_ratio, with max |G| = "
+         "1.9479239466377266e+300, is -inf, which overflows double precision"),
     ], ids=["log", "ratio"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_pointwise_defect_refuses_by_the_sweeps_rule(self, defect, domain, z, message):
@@ -526,8 +528,9 @@ class TestMirrorFold:
         assert got[0][1:3] == (0.5, -1.0) and got[0][0] > 9e-4 and got[1][0] > 9e-4
 
     @pytest.mark.parametrize("T, fns, refused", [
-        # G(800) = inf and 2 G(t) G(u) = inf: NaN at the corners, which the sweeps report
-        (400.0, (np.cosh,), []),
+        # G(800) = inf, and inf - inf is NaN at the corners: an infinite node is the handle's
+        # own overflow, and no node is NaN, so both sweeps refuse it
+        (400.0, (np.cosh,), ["sup_defect", "identity_report"]),
         # 2 G(t) G(u) = inf: Delta = -inf, and on finite G both sweeps refuse their overflow
         (2.0, (lambda t: 1.0 + 1e300 * ((t * t) * (t * t)),), ["sup_defect", "identity_report"]),
     ], ids=["nan", "inf"])
@@ -542,7 +545,7 @@ class TestMirrorFold:
     def test_overflowing_doubling_takes_the_whole_table(self):
         # G(+-0.5) = 1.5e308, G = -0.5 elsewhere: (2 G(-0.5)) G(-1) = -inf makes Delta(-0.5, -1)
         # NaN, but (2 G(-1)) G(-0.5) is finite and Delta(-1, -0.5) = -inf, which the triangle
-        # would report; G is finite on every node, so both sweeps refuse
+        # would report; no node of G is NaN, so both sweeps refuse
         h = analytic(LOG_LINE, "even, 2 G overflows",
                      (lambda t: np.where(np.abs(t) == 0.5, 1.5e308, 0.5),))
         _, _, delta = defect_grid(h, 1.0, 0.25)
@@ -560,7 +563,9 @@ class TestMirrorFold:
         (from_excess(LOG_LINE, "signed zeros near 0", (lambda t: np.where(
             np.abs(t) < 0.5, np.copysign(0.0, t), 0.5 * t * t),), (-700.0, 700.0)),
          1.0, 0.1, "fold", []),
-        (analytic(LOG_LINE, "cosh", (np.cosh,)), 400.0, 40.0, "fold", []),  # G(+-800) = inf
+        # G(+-800) = inf: an infinite node is refused as an overflow
+        (analytic(LOG_LINE, "cosh", (np.cosh,)), 400.0, 40.0, "fold",
+         ["sup_defect", "identity_report"]),
         (analytic(LOG_LINE, "cosh with NaN at 1.5", (lambda t: np.where(
             np.abs(t - 1.5) < 1e-9, np.nan, np.cosh(t)),)), 1.0, 0.1, "whole table", []),
     ], ids=["2G-overflows-beyond-T", "signed-zeros", "even-infs", "nan-node"])

@@ -194,7 +194,8 @@ class TestPerturb:
 
     def test_positive_ratio_handle_rejected(self):
         ratio = make_family(FamilySpec("cosh-lambda"), domain=POSITIVE_RATIOS)
-        with pytest.raises(DomainError, match="perturb operates on log-line handles"):
+        with pytest.raises(DomainError, match="^perturb needs a log-line handle, got "
+                                              "positive-ratios$"):
             perturb(ratio, "poly4", 1e-3)
 
     def test_parameter_errors(self):

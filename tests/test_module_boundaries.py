@@ -8,11 +8,12 @@ block loop, which has no public streaming form.
 Each hypothesis of the paper is refused by the one function that owns it, so
 each refusal message is raised in exactly one place in the package: H(0) = 1
 (``calibration.require_normalized``), a NaN H''(0) (``estimate_kappa``), the
-domain tag (``handles.from_excess``), the derivative order
-(``FunctionHandle.derivative``), the window (``handles.require_window``), a value that must
-be positive and finite (``core.validate_positive``) and cosh's range
-(``core.require_cosh_range``): no other module compares against ``COSH_T_MAX`` or a log of
-``finfo(...).max``, or tries ``cosh`` for an ``OverflowError``."""
+domain tag (``handles.from_excess``) and the domain an operation needs
+(``handles.require_domain``), the derivative order (``FunctionHandle.derivative``), the
+window (``handles.require_window``), a value that must be positive and finite
+(``core.validate_positive``), a computed value past double range (``core.require_finite``)
+and cosh's range (``core.require_cosh_range``): no other module compares against
+``COSH_T_MAX`` or a log of ``finfo(...).max``, or tries ``cosh`` for an ``OverflowError``."""
 
 import ast
 from pathlib import Path
@@ -29,7 +30,8 @@ STREAMING = {"defect_landscape.py": ["from reccost.dalembert import _scored",
 
 REFUSALS = ("violates the normalization", "H''(0) = nan is not a curvature", "unknown domain tag",
             "derivative of order", "needs evaluability on", "outside cosh's range",
-            "must be positive and finite", "has no normal square")
+            "must be positive and finite", "has no normal square", " handle, got ",
+            "which overflows double precision")
 
 
 def private(name: str) -> bool:
@@ -80,16 +82,18 @@ def test_both_forms_are_found():
                                      "5: dalembert._suprema", "5: g._private"]
 
 
-def raised_messages(source: str) -> list[str]:
-    """The literal text of each raised exception's arguments, '{}' for each formatted value:
-    the parser has already joined adjacent literals, so a message split over lines reads whole."""
+def raised_messages(source: str, kind: str = "") -> list[str]:
+    """The literal text of each raised exception's arguments (of class kind alone, if given),
+    '{}' for each formatted value: the parser has already joined adjacent literals, so a
+    message split over lines reads whole."""
     def text(node):
         if isinstance(node, ast.JoinedStr):
             return "".join(text(v) if isinstance(v, ast.Constant) else "{}" for v in node.values)
         return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
 
     return ["".join(map(text, node.exc.args)) for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)]
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and kind in ("", getattr(node.exc.func, "id", None))]
 
 
 @pytest.mark.parametrize("message", REFUSALS)
@@ -100,6 +104,16 @@ def test_each_hypothesis_is_refused_by_one_raise(message):
     assert len(raising) == 1, f"{message!r} is raised in {raising}"
 
 
+def test_no_failed_hypothesis_reports_an_overflow():
+    # PreconditionError means a failed hypothesis; a value past double range is refused by
+    # core.require_finite, as a RangeOverflowError
+    found = [text for module in MODULES
+             for text in raised_messages((SRC / f"{module}.py").read_text(encoding="utf-8"),
+                                         "PreconditionError")
+             if "overflow" in text or "finite" in text]
+    assert found == []
+
+
 def test_a_second_copy_of_a_refusal_is_counted():
     source = ("def f(h, x):\n"
               "    if x:\n"
@@ -107,6 +121,7 @@ def test_a_second_copy_of_a_refusal_is_counted():
               "                         f'tag {x!r}')\n"
               "    raise ValueError('unknown domain tag')\n")
     assert sorted(raised_messages(source)) == ["unknown domain tag", "{}: unknown domain tag {}"]
+    assert raised_messages(source, "KeyError") == []
 
 
 def called(node, name: str) -> bool:

@@ -1,27 +1,16 @@
 import csv
-import importlib.util
 import json
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import SCRIPTS, load_script
 from reccost import LOG_LINE, certify, make_family, parse_family_spec
 from reccost.cli import run
 from reccost.dalembert import defect_grid
-
-_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 report_diff = load_script("report_diff")
 readme_reports = load_script("readme_reports")
@@ -179,7 +168,7 @@ class TestSoundnessCensus:
 
 class TestHelperSplit:
     def test_a_tiny_round_times_both_modes(self):
-        proc = subprocess.run([sys.executable, str(_SCRIPTS / "helper_split.py"), "--tiny",
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "helper_split.py"), "--tiny",
                                "--rounds", "1"], capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         out = json.loads(proc.stdout)
@@ -191,9 +180,9 @@ class TestHelperSplit:
 
 class TestColdSplit:
     def test_one_round_splits_both_sides_and_writes_nothing_under_src(self):
-        src = _SCRIPTS.parent / "src"
+        src = SCRIPTS.parent / "src"
         before = sorted(src.rglob("*"))
-        proc = subprocess.run([sys.executable, str(_SCRIPTS / "cold_split.py"), "--rounds", "1"],
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "cold_split.py"), "--rounds", "1"],
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert sorted(src.rglob("*")) == before

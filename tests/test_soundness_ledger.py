@@ -5,7 +5,8 @@ A `verified` certificate claims |H(t) - cosh(sqrt(a) t)| <= (delta/a) (cosh(sqrt
 Each certificate test runs a reproducer as the CLI runs it and, where the answer is `verified`,
 checks that the claim is not vacuous and holds off the grid: the window has a node t != 0,
 delta/a < 1, so that the envelope lies below the branch's own excess cosh(sqrt(a) t) - 1, and
-the envelope holds on a grid 20x finer than the certificate's.  A `not verified` answer, or a
+the envelope holds on a grid 20x finer than the certificate's, out to t = +-(T - h): the
+census's own re-check, scripts/soundness_census.py's fine_sweep.  A `not verified` answer, or a
 refusal, asserts nothing, because a sound method may rightly refuse these inputs; item 3's
 tables, which a sound method must verify, are the exception.  Other answers are checked by
 their own claims:
@@ -21,11 +22,16 @@ A reproducer that is still unsound is an expected failure, strictly: the change 
 turns its test into an unexpected pass, and takes the mark off in the same change.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from helpers import load_script
 from reccost import LOG_LINE, make_family, parse_family_spec
 from reccost.cli import load_samples, run
+
+soundness_census = load_script("soundness_census")
 
 
 def family(spec):
@@ -43,17 +49,17 @@ def assert_sound(argv, handle, step, must_verify=False):
                                  f"{cert.get('max_envelope_margin', report.diagnostics)!r}")
         return
     T, h, a = (cert["inputs"][k] for k in ("T", "h", "a"))
-    scale, rate, floor = cert["delta"] / a, np.sqrt(a), cert.get("floor", 0.0)
+    scale, floor = cert["delta"] / a, cert.get("floor", 0.0)
     nodes = np.linspace(-T, T, 2 * round(T / step) + 1)
     window = nodes[np.abs(nodes) <= T - h]
     assert np.any(window != 0.0), f"the window {window} has no node t != 0"
     # scale < 1 is scale (cosh(rate t) - 1) < cosh(rate t) - 1, without a product to overflow
     assert scale < 1.0, f"delta/a = {scale:.3g}: the envelope lies above the branch's excess"
-    fine = np.arange(-(k := int((T - h) / (step / 20))), k + 1) * (step / 20)
-    error = np.abs(handle(fine) - np.cosh(rate * fine))
-    broken = error > scale * (np.cosh(rate * np.abs(fine)) - 1.0) + floor
+    fields = SimpleNamespace(inputs=SimpleNamespace(**cert["inputs"]), delta=cert["delta"])
+    error, envelope = soundness_census.fine_sweep(handle, fields, step)  # the census's re-check
+    broken = error > envelope + floor
     assert not np.any(broken), (f"the envelope breaks at {np.count_nonzero(broken)} of "
-                                f"{fine.size} points of a 20x finer grid")
+                                f"{error.size} points of a 20x finer grid")
 
 
 def assert_branch_sound(argv, spec, T):
