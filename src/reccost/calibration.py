@@ -16,7 +16,6 @@ and no window: the paper's calibration (hypothesis (iii)) is kappa = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -87,8 +86,7 @@ def branch_values(branch: str, k: float | None, t):
     return np.ones_like(t) if branch == BRANCH_CONSTANT_ONE else np.zeros_like(t)
 
 
-@dataclass(frozen=True)
-class BranchClassification:
+class BranchClassification(NamedTuple):
     """The fitted branch, its scale k (None for Zero/ConstantOne), and diagnostics.
 
     residual is the sup deviation from the fitted branch on the classification
@@ -101,8 +99,8 @@ class BranchClassification:
     k: float | None
     residual: float
     kappa_used: float
-    grid: np.ndarray = field(repr=False, compare=False)
-    values: np.ndarray = field(repr=False, compare=False)
+    grid: np.ndarray
+    values: np.ndarray
 
 
 def require_normalized(h_at_0: float) -> None:

@@ -9,13 +9,13 @@ flags with their ``add_argument`` keywords, in the order --help lists them.
 ``build_parser`` adds the row that a run's first argument names, or every row
 where that names none (--help, a typo), so a run's parse, help and errors are
 the whole parser's; the parse leaves the row's handler in ``ns.handler``.  One
-path leads from a result to its report: a handler returns the library's
-records (frozen dataclasses and named tuples) as they are, or the fields of a
-record that a section shows (``_pick``), and ``_py`` alone turns them into
-plain JSON-able Python for the printout and the JSON file.  In the same walk
-it refuses a NaN or infinite result by its path (``results.kappa = nan is not
-an answer``).  The report is an ``argparse.Namespace`` whose ``vars()`` is the
-JSON object.
+path leads from a result to its report: a handler returns the library's records
+(named tuples, and the frozen dataclasses of ``dalembert``, ``stability`` and
+``geometry``) as they are, or the fields of a record that a section shows
+(``_pick``), and ``_py`` alone turns them into plain JSON-able Python for the
+printout and the JSON file.  In the same walk it refuses a NaN or infinite result
+by its path (``results.kappa = nan is not an answer``).  The report is an
+``argparse.Namespace`` whose ``vars()`` is the JSON object.
 
 Exit codes: 0 = ok, 1 = verification-failed (a negative verdict, or a report section
 refused), 2 = input-error (any toolkit error that reaches run).
@@ -47,14 +47,14 @@ replayed bit-for-bit.
 
 Imports are lazy: at module level only the standard library, ``core`` and
 ``errors``, so ``eval``, ``golden``, ``chebyshev`` and ``distance`` never load
-numpy, and ``eval`` and ``golden`` load neither ``geometry`` nor
-``dataclasses``, which only the library modules that define records import.
-Every check that needs no array runs before a numpy-backed module loads: the
-grid flags, then the function source (a table is parsed before ``handles``
-loads), and only then does a handler import the library module it calls.
-The one exception is a --family spec: ``fixtures`` checks it after numpy loads.
-Handlers call through module attributes (``handles.sample_table``), so
-patches are seen.
+numpy, and ``eval`` and ``golden`` load neither ``geometry`` nor ``dataclasses``.
+Only ``dalembert``, ``stability`` and ``geometry`` import ``dataclasses``, for
+their frozen records, so ``calibrate`` and ``classify`` never load it.  Every check
+that needs no array runs before a numpy-backed module loads: the grid flags, then
+the function source (a table is parsed before ``handles`` loads), and only then
+does a handler import the library module it calls.  The one exception is a
+--family spec: ``fixtures`` checks it after numpy loads.  Handlers call through
+module attributes (``handles.sample_table``), so patches are seen.
 """
 
 from __future__ import annotations
@@ -95,9 +95,10 @@ def __getattr__(name):
 
 
 def _py(obj, path: str = ""):
-    """Coerce records (frozen dataclasses, read through ``vars``; named tuples) and numpy
-    values into plain JSON-able Python.  Given the path of obj in a report, a NaN or infinite
-    float is a DomainError that names where it lies."""
+    """Coerce records (named tuples, read through ``_asdict``; the frozen dataclasses of
+    dalembert, stability and geometry, through ``vars``) and numpy values into plain JSON-able
+    Python.  Given the path of obj in a report, a NaN or infinite float is a DomainError that
+    names where it lies."""
     if type(obj) in (float, int, str, bool, type(None)):  # np.float64 subclasses float
         if path and type(obj) is float and not math.isfinite(obj):
             raise DomainError(f"{path} = {obj!r} is not an answer")

@@ -36,8 +36,8 @@ from the seed, so evaluation order cannot change values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -72,12 +72,11 @@ _ALIASES = {"cosh": "cosh-lambda", "cos": "cos-k"}
 _LOG_SUPPORT_HUGE = 1e150
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its validated parameters."""
+class FamilySpec(NamedTuple):
+    """A family name plus its validated parameters; by default none, in a read-only mapping."""
 
     family: str
-    params: Mapping[str, float | str | int] = field(default_factory=dict)
+    params: Mapping[str, float | str | int] = MappingProxyType({})
 
 
 def _known(family: str) -> str:

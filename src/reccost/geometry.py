@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (canonical_cost, require_cosh_range, require_finite, validate_log_coord,
                    validate_positive)
@@ -36,8 +37,7 @@ _GL_NODES = (0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.960289
 _GL_WEIGHTS = (0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626)
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     """A geodesic distance value, a bound on its error, and its cost."""
 
     value: float

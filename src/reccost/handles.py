@@ -20,8 +20,7 @@ after construction and safe to share across concurrent callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +34,7 @@ _RATIO_FROM_LOG = ((1.0,), (-1.0, 1.0), (2.0, -3.0, 1.0))
 _LOG_FROM_RATIO = ((1.0,), (1.0, 1.0), (1.0, 3.0, 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionHandle:
+class FunctionHandle(NamedTuple):
     """A log-line excess stack plus the domain it is addressed in and its support.
 
     ``fns[k]`` is the k-th t-derivative of G = H - 1; all accept and return
@@ -274,10 +272,10 @@ def lift_to_log(f: FunctionHandle) -> FunctionHandle:
     A retag of the same excess stack and t-support, so every derivative carries over.
     """
     require_domain(f, POSITIVE_RATIOS, "lift_to_log")
-    return replace(f, domain=LOG_LINE, name=f"lift({f.name})")
+    return f._replace(domain=LOG_LINE, name=f"lift({f.name})")
 
 
 def to_ratio(h: FunctionHandle) -> FunctionHandle:
     """Positive-ratio view F(x) = h(ln x) - 1 of a log-line handle: lift_to_log's inverse."""
     require_domain(h, LOG_LINE, "to_ratio")
-    return replace(h, domain=POSITIVE_RATIOS, name=f"ratio({h.name})")
+    return h._replace(domain=POSITIVE_RATIOS, name=f"ratio({h.name})")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,7 @@ class StabilityInputs:
     a: float
 
 
-@dataclass(frozen=True)
-class EnvelopeSpec:
+class EnvelopeSpec(NamedTuple):
     """The error envelope t -> scale * (cosh(rate |t|) - 1).
 
     form is "cosh-branch" in general; "delta-times-J" marks the ratio-domain
@@ -221,5 +221,5 @@ def certify_ratio(f: FunctionHandle, T: float, step: float) -> StabilityCertific
     require_cosh_range(T, "T")  # so the window's x = e^(T - h) is finite
     cert = certify(lift_to_log(f), T, step)
     if cert.inputs.a == 1.0:
-        cert = replace(cert, envelope=replace(cert.envelope, form=ENVELOPE_DELTA_TIMES_J))
+        cert = replace(cert, envelope=cert.envelope._replace(form=ENVELOPE_DELTA_TIMES_J))
     return cert

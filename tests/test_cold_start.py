@@ -1,7 +1,10 @@
 """What a cold process imports: ``import reccost``, the scalar subcommands and
 every input the CLI refuses before it needs an array load no numpy module,
 ``eval`` and ``golden`` load neither ``geometry`` nor ``dataclasses``, and no
-run loads scipy, sample tables included.  A run with the cyclic GC off, as
+run loads scipy, sample tables included.  Only ``dalembert``, ``stability`` and
+``geometry`` import ``dataclasses``, for the frozen records that ``bench/`` rebuilds
+with ``dataclasses.replace``, so ``classify`` on a table and ``calibrate`` on a
+family load none of it.  A run with the cyclic GC off, as
 ``cli.main`` makes it, leaves as much garbage on a fine grid as on a coarse one.
 Each probe runs in a fresh interpreter, because an import made anywhere in the
 test process would mask the check.  Also the package's lazily resolved names."""
@@ -59,8 +62,16 @@ def test_scalar_subcommand_loads_no_numpy(argv, code):
     assert packages == []
 
 
-@pytest.mark.parametrize("argv", [["eval", "--x", "2"], ["golden"]], ids=lambda a: a[0])
-def test_pointwise_subcommand_loads_no_geometry_or_dataclasses(argv):
+@pytest.mark.parametrize("argv", [
+    ["eval", "--x", "2"],
+    ["golden"],
+    ["classify", "--input", write_cosh_csv],
+    ["classify", "--input", write_cosh_ratio_csv],
+    ["calibrate", "--family", "cosh"],
+], ids=["eval", "golden", "classify-t,H", "classify-x,F", "calibrate-family"])
+def test_pointwise_subcommand_loads_no_geometry_or_dataclasses(tmp_path, argv):
+    # also a table's classify and a family's calibrate, which load neither either
+    argv = [a(tmp_path / "table.csv") if callable(a) else a for a in argv]
     out, _, modules = probe(MAIN.format(argv=argv))
     assert "exit-code: 0" in out
     assert "reccost.geometry" not in modules

@@ -20,6 +20,10 @@ The checks use only the handle's values and derivatives, and numpy.
 
 A reproducer that is still unsound is an expected failure, strictly: the change that mends it
 turns its test into an unexpected pass, and takes the mark off in the same change.
+
+The census gate runs scripts/soundness_census.py at a fixed budget (seed 0, 30 draws per set
+and step) and finds no verified draw whose envelope breaks on the fine grid, so an unsound
+verdict on new inputs fails tier-1 too, not only on the reproducers above.
 """
 
 from types import SimpleNamespace
@@ -186,3 +190,14 @@ def test_item_3_table_verifies(values, tmp_path):
     path = write_item_3_table(tmp_path / "table.csv", values)
     assert_sound(["certify", "--input", path, "--T", "2", "--step", "0.01"], load_samples(path),
                  0.01, must_verify=True)
+
+
+# the census gate: --draws changes the draws themselves, so the budget is part of the test.
+# Raise it once reproducer D is closed, if tier-1's time allows; never lower it
+CENSUS_SEED, CENSUS_DRAWS = 0, 30
+
+
+def test_the_census_gate_finds_no_unsound_certificate():
+    counts = soundness_census.census(CENSUS_SEED, CENSUS_DRAWS)
+    assert len(counts) == 10  # three sets of draws and two table sizes, at two steps each
+    assert {key: c["unsound"] for key, c in counts.items()} == dict.fromkeys(counts, 0)

@@ -340,6 +340,30 @@ class TestPerturbationScaling:
             assert abs(r / ref - 1.0) <= 0.05
 
 
+class TestScaleLaw:
+    """H_c(t) = H(ct) on T/c at step/c, for c a power of two, has H's values at the same
+    nodes, h/c for h, c^3 K for K and c^2 a for a: eps and delta/a do not move.  A verdict path
+    with a dimensional slip, an absolute step or tolerance, breaks this law."""
+
+    @pytest.mark.parametrize("family, params, scaled", [
+        ("cosh-lambda", {"lambda": 1.5}, ("lambda",)),
+        ("powerlaw-w", {"lambda": 1.5}, ("lambda",)),
+        ("noisy-cosh", {"lambda": 1.0, "freq": 5.0, "mode": "sine"}, ("lambda", "freq")),
+    ], ids=["cosh-lambda", "powerlaw-w", "noisy-cosh-sine"])
+    @pytest.mark.parametrize("step", [0.05, 0.01])
+    def test_a_rescaled_family_gets_the_same_certificate(self, family, params, scaled, step):
+        T = 2.0
+        ref = certify(make_family(FamilySpec(family, params), LOG_LINE), T, step)
+        for c in (0.5, 2.0, 4.0):
+            p = {key: c * v if key in scaled else v for key, v in params.items()}
+            cert = certify(make_family(FamilySpec(family, p), LOG_LINE), T / c, step / c)
+            assert cert.inputs.epsilon == ref.inputs.epsilon, c
+            assert cert.verified == ref.verified, c
+            scale, ref_scale = cert.delta / cert.inputs.a, ref.delta / ref.inputs.a
+            assert abs(scale - ref_scale) <= 4 * math.ulp(ref_scale), c
+            assert abs(c * cert.inputs.h - ref.inputs.h) <= 4 * math.ulp(ref.inputs.h), c
+
+
 class TestCertifyRatio:
     def test_canonical_cost(self):
         f = make_family(FamilySpec("cosh-lambda", {"lambda": 1.0}))
