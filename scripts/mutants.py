@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Verdict-path mutants of stability.py, each run against tier-1 and its census gate.
+"""Verdict-path mutants of reccost's source, each run against tier-1 and its census gate.
 
-Each mutant is one textual edit of ``src/reccost/stability.py`` (ROADMAP item 28's M1-M9).
+Each mutant is one textual edit of one file under ``src/reccost``: M1-M9 (ROADMAP item
+28's) and M11 edit ``stability.py``, M10 edits ``handles.py``.
 For each, the repository's files (without .git) are copied into a temporary directory, the
 edit is made in the copy alone, and tier-1 runs there: python -m pytest over tests and
 bench, without test_criterion_11_full_invariant_suite_under_budget (it reruns the suite).
@@ -28,30 +29,37 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src") / "reccost" / "stability.py"
+STABILITY = Path("src") / "reccost" / "stability.py"
+HANDLES = Path("src") / "reccost" / "handles.py"
 DESELECT = "tests/test_acceptance.py::test_criterion_11_full_invariant_suite_under_budget"
 GATE = ("tests.test_soundness_ledger", "test_the_census_gate_finds_no_unsound_certificate")
 
-# name: (what it does, the source text, its replacement); each source text occurs once
+# name: (what it does, the file it edits, the source text, its replacement); each source
+# text occurs once in its file
 MUTANTS = {
-    "M1": ("verdict min_margin >= -1e-9",
+    "M1": ("verdict min_margin >= -1e-9", STABILITY,
            "verified=bool(min_margin >= 0.0)", "verified=bool(min_margin >= -1e-9)"),
-    "M2": ("remainder (1+B)Kh/6",
+    "M2": ("remainder (1+B)Kh/6", STABILITY,
            "return epsilon / (h * h) + c * h / 3.0", "return epsilon / (h * h) + c * h / 6.0"),
-    "M3": ("eps/4",
+    "M3": ("eps/4", STABILITY,
            "defect).epsilon\n", "defect).epsilon / 4.0\n"),
-    "M4": ("eps on [-T/2, T/2]^2",
+    "M4": ("eps on [-T/2, T/2]^2", STABILITY,
            "(sup_defect(h, T, step) if", "(sup_defect(h, T / 2.0, step) if"),
-    "M5": ("K/2",
+    "M5": ("K/2", STABILITY,
            "B, K = estimate_bounds(h, T)  #", "B, K = estimate_bounds(h, T); K = K / 2.0  #"),
-    "M6": ("a x 1.01",
+    "M6": ("a x 1.01", STABILITY,
            "    a = estimate_kappa(h)\n", "    a = estimate_kappa(h) * 1.01\n"),
-    "M7": ("envelope scale delta/(2a)",
+    "M7": ("envelope scale delta/(2a)", STABILITY,
            "require_finite(\n        delta / a,", "require_finite(\n        delta / (2.0 * a),"),
-    "M8": ("(1+B)K -> K",
+    "M8": ("(1+B)K -> K", STABILITY,
            "require_finite((1.0 + B) * K,", "require_finite(K,"),
-    "M9": ("K on the T/50 grid",
+    "M9": ("K on the T/50 grid", STABILITY,
            "symmetric_grid(T, T / 1000.0)", "symmetric_grid(T, T / 50.0)"),
+    "M10": ("table derivatives without their falling factorial", HANDLES,
+            "total + at * hj * math.perm(j + k, k)", "total + at * hj"),
+    "M11": ("envelope as cosh(rate |t|) - 1", STABILITY,
+            "2.0 * np.sinh(0.5 * self.rate * np.abs(t)) ** 2",
+            "np.cosh(self.rate * np.abs(t)) - 1.0"),
 }
 
 
@@ -63,11 +71,11 @@ def copy_tree(dest: Path) -> Path:
     return tree
 
 
-def mutate(tree: Path, old: str, new: str) -> None:
-    path = tree / TARGET
+def mutate(tree: Path, target: Path, old: str, new: str) -> None:
+    path = tree / target
     source = path.read_text(encoding="utf-8")
     if source.count(old) != 1:
-        print(f"stale mutant: {old!r} occurs {source.count(old)} times in {TARGET}",
+        print(f"stale mutant: {old!r} occurs {source.count(old)} times in {target}",
               file=sys.stderr)
         sys.exit(2)
     path.write_text(source.replace(old, new), encoding="utf-8")
@@ -120,8 +128,8 @@ def main() -> int:
             tree = copy_tree(Path(tmp))
             what = "unmutated"
             if name != "none":
-                what, old, new = MUTANTS[name]
-                mutate(tree, old, new)
+                what, target, old, new = MUTANTS[name]
+                mutate(tree, target, old, new)
             env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
             gate, failed, xpass, passed = tier1(tree, env)
         killed = gate != "passed" or failed > 0

@@ -3,8 +3,9 @@
 Each family is written once, as its log-line excess stack
 G(t) = h(t) - 1 with analytic derivatives to order 3; the positive-ratio
 form F(x) = G(ln x) is the same stack viewed through handles.from_excess.
-Every circular stack, cos-k's and the sine and trig perturbations', is one
-call of ``_trig_sum``, the stack of a * sum_j c_j (1 - cos js_j t).
+Every circular and hyperbolic stack, cos-k's, cosh-lambda's (noisy-cosh's base
+too) and the sine and trig perturbations', is one call of ``_trig_sum``, the
+stack of a * sum_j c_j (1 - cos js_j t) or of a * sum_j c_j (cosh js_j t - 1).
 
     cosh-lambda   G(t) = 2 sinh^2(lambda t / 2)      exact solution branch
     cos-k         G(t) = -2 sin^2(k t / 2)           oscillatory solution branch
@@ -54,14 +55,15 @@ _NONNEGATIVE = ("amplitude", "seed")  # every other number must be > 0
 # checked parameters); a family with a lambda grows like cosh(lambda t), so |t| <= 700/lambda
 _TABLE = {
     "cosh-lambda": (POSITIVE_RATIOS, {"lambda": 1.0}, "cosh-lambda({lambda:g})",
-                    lambda p: _cosh_excess(p["lambda"])),
+                    lambda p: _trig_sum(1.0, [1.0], [p["lambda"]], hyperbolic=True)),
     "cos-k": (LOG_LINE, {"k": 1.0}, "cos-k({k:g})", lambda p: _trig_sum(-1.0, [1.0], [p["k"]])),
     "constant-one": (LOG_LINE, {}, "constant-one", lambda p: _constant_excess(0.0)),
     "zero": (LOG_LINE, {}, "zero", lambda p: _constant_excess(-1.0)),
     "quadlog": (POSITIVE_RATIOS, {}, "quadlog", lambda p: _QUADLOG_EXCESS),
     "noisy-cosh": (LOG_LINE, {"lambda": 1.0, **_PERTURBATION},
                    "noisy-cosh({lambda:g},{mode},{amplitude:g})",
-                   lambda p: _sum_fns(_cosh_excess(p["lambda"]), _perturbation_fns(p), 3)),
+                   lambda p: _sum_fns(_trig_sum(1.0, [1.0], [p["lambda"]], hyperbolic=True),
+                                      _perturbation_fns(p), 3)),
     "powerlaw-w": (POSITIVE_RATIOS, {"lambda": 1.0}, "powerlaw-w({lambda:g})",
                    lambda p: _powerlaw_excess(p["lambda"])),
 }
@@ -111,27 +113,12 @@ def _params(who: str, defaults: Mapping, given: Mapping) -> dict:
     return p
 
 
-def _pow(x: float, k: int) -> float:
-    """x**k for a checked parameter x > 0, inf where it overflows (a float power raises)."""
-    try:
-        return x**k
-    except OverflowError:
-        return math.inf
-
-
-def _cosh_excess(lam: float):
-    # 2 sinh^2(lam t / 2) = cosh(lam t) - 1 without the cancellation near t = 0
-    return (
-        lambda t: 2.0 * np.sinh(0.5 * lam * t) ** 2,
-        lambda t: lam * np.sinh(lam * t),
-        lambda t: lam * lam * np.cosh(lam * t),
-        lambda t: _pow(lam, 3) * np.sinh(lam * t),
-    )
-
-
-def _trig_sum(a: float, c, js):
-    """The stack of G(t) = a * sum_j c_j (1 - cos js_j t), every circular excess: order k
-    is a * sum_j c_j js_j^k wave(js_j t), scaled by a last (2a may overflow)."""
+def _trig_sum(a: float, c, js, hyperbolic: bool = False):
+    """The stack of G(t) = a * sum_j c_j (1 - cos js_j t), every circular excess, or of
+    a * sum_j c_j (cosh js_j t - 1) if hyperbolic: order k is a * sum_j c_j js_j^k wave(js_j t),
+    scaled by a last (2a may overflow), the waves 2 sin^2(z/2), sin, cos, -sin or their
+    hyperbolic 2 sinh^2(z/2), sinh, cosh, sinh (order 0 without cancellation near t = 0)."""
+    odd, even = (np.sinh, np.cosh) if hyperbolic else (np.sin, np.cos)
 
     def term(power, scale, wave):
         with np.errstate(over="ignore"):  # a coefficient past the double range is inf
@@ -139,8 +126,8 @@ def _trig_sum(a: float, c, js):
         return lambda t: scale * (a * np.sum(
             w * wave(np.outer(js, np.ravel(t))), axis=0).reshape(np.shape(t)))
 
-    return (term(0, 2.0, lambda z: np.sin(0.5 * z) ** 2), term(1, 1.0, np.sin),
-            term(2, 1.0, np.cos), term(3, -1.0, np.sin))
+    return (term(0, 2.0, lambda z: odd(0.5 * z) ** 2), term(1, 1.0, odd),
+            term(2, 1.0, even), term(3, 1.0 if hyperbolic else -1.0, odd))
 
 
 def _constant_excess(value: float):
@@ -159,12 +146,15 @@ def _powerlaw_excess(lam: float):
     # honest "via W" route, W = e^(lambda t): G = J(W) = (W - 1)^2 / (2W) and
     # G^(k) = lambda^k (W - 1/W) / 2 for odd k, lambda^k (W + 1/W) / 2 for even k
     def via_w(k):
+        with np.errstate(over="ignore"):  # lambda^k as _trig_sum takes it, inf past the range
+            lam_k = np.power(lam, k)
+
         def g(t):
             w = np.exp(lam * t)
             if k == 0:  # (W - 1)^2 overflows from W = 2^512 on, where G rounds to W / 2
                 square = (w - 1.0) ** 2
                 return np.where(np.isinf(square), 0.5 * w, square / (2.0 * w))
-            return 0.5 * _pow(lam, k) * (w - 1.0 / w if k % 2 else w + 1.0 / w)
+            return 0.5 * lam_k * (w - 1.0 / w if k % 2 else w + 1.0 / w)
 
         return g
 

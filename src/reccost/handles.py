@@ -205,35 +205,30 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, ...]:
                   [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])],
                   [float(e)] + dx[:-1].tolist(), [float(b0)] + b.tolist() + [float(bn)])
     s = np.array(s)
-    # CubicHermiteSpline's coefficients, summed in PPoly's order: each sum starts from 0.0
-    # (so -0.0 becomes 0.0) and the falling factorial multiplies last
+    # CubicHermiteSpline's coefficients of h^0..h^3 on each piece, h = z - x[i]; each is a new
+    # array, so a caller that changes y afterwards leaves the spline as it was
     t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1] + 0.0, y[:-1] + 0.0
+    coeffs = (y[:-1].copy(), s[:-1], (slope - s[:-1]) / dx - t, t / dx)
 
-    def piece(z):  # at(c) reads c at z's pieces, 0 at a node: a term in a positive power of h
-        # drops there, as its +-0 leaves a sum as it is, where an inf c times 0 would be NaN
-        z = np.asarray(z, dtype=float)
-        i = np.clip(np.searchsorted(x, z, side="right") - 1, 0, n - 2)
-        h = z - x[i]
-        return i, h, lambda c: np.where(h == 0.0, 0.0, c[i])
+    def order(k):
+        # the k-th derivative in PPoly's order: a sum from 0.0 (so -0.0 becomes 0.0) over j of
+        # the coefficient of h^(j+k), times h^j, times the falling factorial (j+k)!/j!
+        def g(z):
+            z = np.asarray(z, dtype=float)
+            i = np.clip(np.searchsorted(x, z, side="right") - 1, 0, n - 2)
+            h = z - x[i]
+            total, hj = 0.0, 1.0
+            for j, c in enumerate(coeffs[k:]):
+                # past the first term, at reads c as 0 at a node: a term in a positive power of
+                # h drops there, as its +-0 leaves a sum as it is, where an inf c times 0 is NaN
+                at = np.where(h == 0.0, 0.0, c[i]) if j else c[i]
+                total = total + at * hj * math.perm(j + k, k)
+                hj = hj * h
+            return total
 
-    def spline(z):
-        i, h, at = piece(z)
-        h2 = h * h
-        return c3[i] + at(c2) * h + at(c1) * h2 + at(c0) * (h2 * h)
+        return g
 
-    def d1(z):
-        i, h, at = piece(z)
-        return c2[i] + at(c1) * h * 2.0 + at(c0) * (h * h) * 3.0
-
-    def d2(z):
-        i, h, at = piece(z)
-        return c1[i] * 2.0 + 0.0 + at(c0) * h * 6.0
-
-    def d3(z):
-        return c0[piece(z)[0]] * 6.0 + 0.0
-
-    return spline, d1, d2, d3
+    return tuple(order(k) for k in range(4))
 
 
 def sample_table(domain: str, xs, ys, name: str = "table") -> FunctionHandle:

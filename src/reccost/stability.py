@@ -53,7 +53,7 @@ class StabilityInputs:
 
 
 class EnvelopeSpec(NamedTuple):
-    """The error envelope t -> scale * (cosh(rate |t|) - 1).
+    """The error envelope t -> scale * (cosh(rate |t|) - 1), as 2 sinh^2(rate |t| / 2).
 
     form is "cosh-branch" in general; "delta-times-J" marks the ratio-domain
     case a = 1 where the bound reads |F(x) - J(x)| <= delta * J(x).
@@ -64,7 +64,7 @@ class EnvelopeSpec(NamedTuple):
     form: str = ENVELOPE_COSH_BRANCH
 
     def value(self, t):
-        return self.scale * (np.cosh(self.rate * np.abs(t)) - 1.0)
+        return self.scale * (2.0 * np.sinh(0.5 * self.rate * np.abs(t)) ** 2)
 
 
 @dataclass(frozen=True)

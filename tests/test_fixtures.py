@@ -402,3 +402,34 @@ def test_stacks_match_50_digit_values(spec):
                     w = math.cosh(s * t) if hyperbolic else 1.0
                     bound += 4 * eps * abs(a * c * s**k) * w * (1 + abs(s * t))
                 assert abs(mpmath.mpf(value) - exact) <= bound, (k, t)
+
+
+def _py_pow(x: float, k: int) -> float:
+    """x**k as a Python float power, inf where it overflows."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("lam", [100.0, 1e6, 1e120])
+def test_steep_stacks_are_their_closed_forms(lam):
+    """cosh-lambda's and powerlaw-w's stacks at nodes inside the support |t| <= 700/lambda,
+    bit for bit and NaN included: at 1e120, lambda^3 overflows and meets sinh(0) = 0."""
+    ts = COSH_T_MAX / lam * np.array([-1.0, -0.5, -0.1, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.1,
+                                      0.5, 1.0])
+    cosh = make_family(FamilySpec("cosh-lambda", {"lambda": lam}), LOG_LINE)
+    power = make_family(FamilySpec("powerlaw-w", {"lambda": lam}), LOG_LINE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, w = lam * ts, np.exp(lam * ts)
+        stacks = [  # (handle, its first order checked, the closed forms from that order on)
+            (cosh, 0, [2.0 * np.sinh(0.5 * lam * ts) ** 2, lam * np.sinh(z),
+                       lam * lam * np.cosh(z), _py_pow(lam, 3) * np.sinh(z)]),
+            (power, 1, [0.5 * _py_pow(lam, k) * (w - 1.0 / w if k % 2 else w + 1.0 / w)
+                        for k in (1, 2, 3)]),
+        ]
+        for h, first, stack in stacks:
+            for k, want in enumerate(stack, first):
+                got = h.excess(ts) if k == 0 else h.derivative(ts, k)
+                assert got.tobytes() == want.tobytes(), (h.name, k)
+    assert np.isnan(stacks[0][2][3]).any() == (lam == 1e120)

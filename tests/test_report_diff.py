@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -95,6 +96,20 @@ class TestReadmeReports:
         (again / "eval.json").unlink()
         assert report_diff.main([str(out), str(again)]) == 1
         assert "eval.json: only in A" in capsys.readouterr().out.splitlines()
+
+    def test_every_certificate_carries_the_papers_envelope(self, tmp_path, monkeypatch):
+        # (delta/a)(cosh(sqrt(a) t) - 1), read from the record of each README certify example
+        readme_reports.write_samples(tmp_path / "samples.csv")
+        monkeypatch.chdir(tmp_path)
+        certifies = {name: argv for name, argv in readme_reports.EXAMPLES.items()
+                     if argv[0] in ("certify", "certify-ratio")}
+        assert len(certifies) == 4
+        for name, argv in certifies.items():
+            run([*argv, "--json", f"{name}.json"])
+            results = json.loads((tmp_path / f"{name}.json").read_text(encoding="utf-8"))["results"]
+            a = results["inputs"]["a"]
+            assert results["envelope"]["scale"] == results["delta"] / a, name
+            assert results["envelope"]["rate"] == math.sqrt(a), name
 
 
 class TestDefectLandscape:

@@ -9,6 +9,7 @@ from reccost import (
     LOG_LINE,
     POSITIVE_RATIOS,
     DomainError,
+    EnvelopeSpec,
     FamilySpec,
     PreconditionError,
     RangeOverflowError,
@@ -57,6 +58,14 @@ class TestEstimateBounds:
         assert K == float(np.max(np.abs(CubicSpline(ts, np.cosh(ts) - 1.0)(grid, nu=3))))
         assert abs(B - math.cosh(2.0)) <= 1e-6
         assert abs(K - math.sinh(2.0)) <= 0.01 * math.sinh(2.0)
+
+    def test_K_is_read_on_the_T_over_1000_grid(self):
+        # H''' of freq 50 peaks between the nodes of a coarser grid: T/50 reads 126.61
+        h = make_family(parse_family_spec("noisy-cosh,amplitude=1e-3,freq=50"))
+        grid = symmetric_grid(2.0, 2.0 / 1000.0)[1]
+        peak = float(np.max(np.abs(h.derivative(grid, 3))))
+        assert peak > 128.45
+        assert estimate_bounds(h, 2.0)[1] >= peak
 
     def test_handle_without_third_derivative_is_refused(self):
         # refused by the handle's capability, as H''(0) is for a stack that stops below order 2
@@ -279,6 +288,15 @@ class TestCertify:
         assert np.allclose(env, env[::-1], rtol=0, atol=0)
         pos = env[ts >= 0]
         assert np.all(np.diff(pos) > 0)
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-5])
+    def test_envelope_has_no_cancellation_near_zero(self, t):
+        # cosh(t) - 1 reads 0.0 at t = 1e-8, and is 8.3e-8 off relative at t = 1e-5
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = float(mpmath.cosh(mpmath.mpf(t)) - 1)
+        for z in (t, -t):
+            assert abs(EnvelopeSpec(1.0, 1.0).value(z) - exact) <= 2 * math.ulp(exact)
 
     def test_certificate_sweep_reproduces_certify(self):
         pert = perturb(COSH_LOG, "poly4", 1e-4)
