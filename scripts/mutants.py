@@ -2,7 +2,7 @@
 """Verdict-path mutants of reccost's source, each run against tier-1 and its census gate.
 
 Each mutant is one textual edit of one file under ``src/reccost``: M1-M9 (ROADMAP item
-28's) and M11 edit ``stability.py``, M10 edits ``handles.py``.
+28's) and M11 edit ``stability.py``, M10 edits ``handles.py``, M12 ``dalembert.py``.
 For each, the repository's files (without .git) are copied into a temporary directory, the
 edit is made in the copy alone, and tier-1 runs there: python -m pytest over tests and
 bench, without test_criterion_11_full_invariant_suite_under_budget (it reruns the suite).
@@ -31,6 +31,7 @@ from xml.etree import ElementTree
 ROOT = Path(__file__).resolve().parent.parent
 STABILITY = Path("src") / "reccost" / "stability.py"
 HANDLES = Path("src") / "reccost" / "handles.py"
+DALEMBERT = Path("src") / "reccost" / "dalembert.py"
 DESELECT = "tests/test_acceptance.py::test_criterion_11_full_invariant_suite_under_budget"
 GATE = ("tests.test_soundness_ledger", "test_the_census_gate_finds_no_unsound_certificate")
 
@@ -60,6 +61,8 @@ MUTANTS = {
     "M11": ("envelope as cosh(rate |t|) - 1", STABILITY,
             "2.0 * np.sinh(0.5 * self.rate * np.abs(t)) ** 2",
             "np.cosh(self.rate * np.abs(t)) - 1.0"),
+    "M12": ("the helper is sent blocks[b0 + 1:], so one block is never reduced", DALEMBERT,
+            "c.stop) for r, c in blocks[b0:]]", "c.stop) for r, c in blocks[b0 + 1:]]"),
 }
 
 

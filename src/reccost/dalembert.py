@@ -47,17 +47,18 @@ once from them all, keep the blocks whose maxima reach it, then score G on the
 kept block, or, where rho is not finite or the kept blocks hold too many pairs,
 the whole table.
 
-A large sweep is split with one helper process (_split, and the module helper,
-which owns the process and its lifecycle).  Where the triangle or the whole
-table holds at least _HELPER_MIN_PAIRS = 200 000 pairs and helper.lease gives
-the process's helper, the caller reduces the blocks [0, b0) while the helper
-reduces [b0, end), b0 splitting the pairs in half.  The helper is forked at the
-first such sweep and serves every later one: it receives the nodes and the op's
-name, rebuilds aux(G) and the factors, keeps its three block buffers
+A large reduction is split with one helper process (_split, and the module
+helper, which owns the process and its lifecycle).  _split reduces exactly the
+block list it is given, which its caller builds once: the fold's triangle, the
+whole table, E's triangle or G's boxes.  Where it holds at least
+_HELPER_MIN_PAIRS = 200 000 pairs and helper.lease gives the process's helper,
+the caller reduces the blocks [0, b0) while the helper reduces [b0, end), b0
+splitting the pairs in half.  The helper is forked at the first such sweep and
+serves every later one: it receives the nodes, the op's name and the blocks it
+reduces, rebuilds aux(G) and the factors, keeps its three block buffers
 (_answerer), and returns _reduce's picks of its blocks as raw bytes: a float64
-array of (|score|, i, j) per block per score, the caller's format (both read
-_BLOCK_ELEMS).  One rule (_select) chooses among the picks, split or not, for
-the fold, the whole table and the even part's boxes: per score, a NaN, else the
+array of (|score|, i, j) per block per score, the caller's format.  One rule
+(_select) chooses among the picks, split or not: per score, a NaN, else the
 largest |score|, ties to the smallest (i, j), over row blocks the table's first
 NaN, else first max.  Every result is the serial loop's bit for bit; where the
 helper has died, the caller reduces its blocks too.  The minimum is
@@ -65,9 +66,9 @@ the measured crossover: at T = 2 on cosh (2 shared vCPUs, one BLAS thread), a
 split sup_defect took 0.93-1.31x the serial time (1.09x in the median of ten
 runs) at 126 000-155 000 pairs, 0.94-0.99x at 164 000, 0.81-0.86x at 223 000
 and 0.66x at 2 million, and a split identity_report 0.89-0.98x at
-99 000-126 000 pairs and 0.78x at 164 000.  Smaller sweeps, such as the CLI's
-at step 0.05 (861 pairs), the even part's rescoring of its kept boxes, and any
-sweep that helper.lease refuses (no os.fork, one CPU in the affinity mask,
+99 000-126 000 pairs and 0.78x at 164 000.  Smaller lists, such as the CLI's
+sweeps at step 0.05 (861 pairs) and the even part's boxes at step 0.001, and
+any sweep that helper.lease refuses (no os.fork, one CPU in the affinity mask,
 another Python thread, or the helper busy) run in the caller alone.  The helper
 ignores floating-point warnings, so numpy warns of an overflow or NaN in its
 blocks only where the caller's blocks have one too; the picks, and
@@ -129,7 +130,7 @@ class IdentityViolations:
 
 _BLOCK_ELEMS = (1 << 16) // 3  # elements per block: three buffers of float64 in 512 KB of cache
 _HELPER_MIN_PAIRS = 200_000  # pairs of the smallest sweep split with the helper (_split)
-_REQUEST = struct.Struct("<16s?q")  # to the helper: op name, triangle, first row
+_REQUEST = struct.Struct("<16s")  # to the helper: op name, then int64 (r0, r1, c0, c1) per block
 
 
 def _kernel(gs, gd, left, times, plus, out=None, cross=None, stage=None):
@@ -181,15 +182,15 @@ def _sweep(h: FunctionHandle, T: float, step: float, op: str):
     return actual_step, axis, nodes, nodes[m: m + n]
 
 
-def _blocks(w: int, triangle: bool, r0: int = 0):
+def _blocks(w: int, triangle: bool):
     """(rows, cols) slices of blocks of about _BLOCK_ELEMS elements, at most max(_BLOCK_ELEMS, w),
-    covering the rows from r0 on of a w x w table: row blocks of the whole width, or for its
-    triangle j >= i, row blocks that start at the column of their first row."""
-    while r0 < w:
-        c0 = r0 if triangle else 0
+    covering a w x w table: row blocks of the whole width, or for its triangle j >= i, row
+    blocks that start at the column of their first row."""
+    r1 = 0
+    while r1 < w:
+        r0, c0 = r1, r1 if triangle else 0
         r1 = min(w, r0 + max(1, _BLOCK_ELEMS // (w - c0)))
         yield slice(r0, r1), slice(c0, w)
-        r0 = r1
 
 
 def _buffers(w: int):
@@ -211,26 +212,22 @@ def _tables(nodes: np.ndarray, n: int):
     return sliding_window_view(nodes, n), sliding_window_view(nodes[::-1].copy(), n)[::-1]
 
 
-def _scored(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores=_kernel, views=None,
-            k: float = 2.0, blocks=None):
+def _scored(nodes: np.ndarray, a: np.ndarray, blocks: list, scores, k: float, views):
     """(rows, cols, scores(G(t + u), G(t - u), left, times, plus, *views(rows, cols))) per block
-    of the tables of G on nodes, with the factors _factors(a, k) of a on the axis for the block's
-    rows and columns (by default Delta, a = G, k = 2): by default every row block of the triangle
-    j >= i of the quadrant t, u <= 0, or of the whole table; views gives three blocks, by default
-    of three buffers allocated here."""
-    n = a.size
-    w = n // 2 + 1 if triangle else n
-    (sums, diffs), views, outer = _tables(nodes, n), views or _buffers(n), _factors(a[:w], k)
-    for r, c in _blocks(w, triangle) if blocks is None else blocks:
+    of blocks of the tables of G on nodes, with the factors _factors(a, k) of a on the axis,
+    built up to the blocks' furthest row or column; views gives three blocks of a block's shape."""
+    w = max(max(r.stop, c.stop) for r, c in blocks)
+    (sums, diffs), outer = _tables(nodes, a.size), _factors(a[:w], k)
+    for r, c in blocks:
         yield r, c, scores(sums[r, c], diffs[r, c], *outer(r, c), *views(r, c))
 
 
-def _reduce(nodes: np.ndarray, a: np.ndarray, triangle: bool, scores, views, k: float, blocks):
+def _reduce(nodes: np.ndarray, a: np.ndarray, blocks: list, scores, k: float, views):
     """The picks of the blocks: per block in order, per score, (|score|, i, j) at its first NaN,
     else first max, in a float64 array of blocks x scores x 3."""
     return np.array([[(x[i, j], r.start + i, c.start + j)
                       for x in xs for i, j in [divmod(int(np.argmax(x)), x.shape[1])]]
-                     for r, c, xs in _scored(nodes, a, triangle, scores, views, k, blocks)])
+                     for r, c, xs in _scored(nodes, a, blocks, scores, k, views)])
 
 
 def _select(picks: np.ndarray):
@@ -241,44 +238,43 @@ def _select(picks: np.ndarray):
                                 else (1.0, -q[0], q[1], q[2]))]]
 
 
-def _split(op: str, nodes: np.ndarray, a: np.ndarray, triangle: bool, views):
-    """_reduce of the sweep op over every block of the triangle or of the whole table of G on
-    nodes.  Where it holds at least _HELPER_MIN_PAIRS pairs and the helper process serves
-    (helper.lease), the helper reduces the blocks [b0, end) while this process reduces [0, b0),
-    b0 splitting the pairs in half, and where it has died this process reduces its blocks too."""
-    _, k, scores = _ops(op)
-    w = a.size // 2 + 1 if triangle else a.size
-    blocks = list(_blocks(w, triangle))
+def _split(op: str, nodes: np.ndarray, a: np.ndarray, blocks: list, views):
+    """_reduce of the sweep op over blocks of the tables of G on nodes: their picks, in the order
+    of blocks.  Where they hold at least _HELPER_MIN_PAIRS pairs and the helper process serves
+    (helper.lease), the helper reduces blocks[b0:] while this process reduces blocks[:b0], b0
+    splitting the pairs in half, and where it has died this process reduces its blocks too."""
+    _, k, scores, _ = _ops(op)
     pairs = np.cumsum([(r.stop - r.start) * (c.stop - c.start) for r, c in blocks])
     worker = None
     if pairs[-1] >= _HELPER_MIN_PAIRS and len(blocks) > 1:
         from . import helper  # the process plumbing loads with the first sweep this large
         worker = helper.lease(_answerer)
     if worker is None:
-        return _reduce(nodes, a, triangle, scores, views, k, blocks)
+        return _reduce(nodes, a, blocks, scores, k, views)
     b0 = max(1, int(np.searchsorted(pairs, pairs[-1] / 2)))
+    spans = [(r.start, r.stop, c.start, c.stop) for r, c in blocks[b0:]]
     with worker:
-        sent = worker.send(_REQUEST.pack(op.encode(), triangle, blocks[b0][0].start),
+        sent = worker.send(_REQUEST.pack(op.encode()) + np.array(spans, "<i8").tobytes(),
                            np.ascontiguousarray(nodes, dtype=np.float64))
-        head = _reduce(nodes, a, triangle, scores, views, k, blocks[:b0])
+        head = _reduce(nodes, a, blocks[:b0], scores, k, views)
         reply = worker.receive() if sent else None
-    tail = (_reduce(nodes, a, triangle, scores, views, k, blocks[b0:]) if reply is None
+    tail = (_reduce(nodes, a, blocks[b0:], scores, k, views) if reply is None
             else np.frombuffer(reply).reshape(-1, head.shape[1], 3))
     return np.concatenate([head, tail])
 
 
-def _suprema(h: FunctionHandle, T: float, step: float, op: str, bounds):
+def _suprema(h: FunctionHandle, T: float, step: float, op: str):
     """(step, axis, nodes, G on the axis, picks): per score of the sweep op (_ops), (|score|, i, j)
-    at its first NaN, else first max, in row-major order over the whole table.
-    Where the even part E is G they are its triangle's, else E's (_even_part) or the table's.
+    at its first NaN, else first max, in row-major order over the whole table.  They are the
+    picks of its triangle where the even part E is G, else of G's boxes (_even_part) or table.
     A pick that is not finite, where no node of G is NaN, raises RangeOverflowError."""
     actual_step, axis, nodes, g = _sweep(h, T, step, op)
     e = (nodes + nodes[::-1]) * 0.5  # bitwise even: mirrored entries add the same two numbers
     a, views = _ops(op)[0](g), _buffers(axis.size)
     fold = np.array_equal(e, nodes)  # G bitwise even, 2 G finite: x + x overflows, NaN != NaN
-    picks = None if fold else _even_part(op, nodes, e, a, bounds, views)
-    if picks is None:
-        picks = _select(_split(op, nodes, a, fold, views))
+    boxes = None if fold else _even_part(op, nodes, e, a, views)
+    blocks = boxes or list(_blocks(a.size // 2 + 1 if fold else a.size, fold))
+    picks = _select(_split(op, nodes, a, blocks, views))
     _finite(h, op, [v for v, _, _ in picks], nodes, f" on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
     return actual_step, axis, nodes, g, picks
 
@@ -291,30 +287,31 @@ def _finite(h: FunctionHandle, op: str, value, g: np.ndarray, where: str = ""):
     return value
 
 
-def _even_part(op: str, nodes: np.ndarray, e: np.ndarray, a: np.ndarray, bounds, views):
-    """_suprema's picks through the even part e = E, or None where rho = bounds(max |G - E|, max |G|,
-    max |a - a_E|, max(|a|, |a_E|)) is not finite or the blocks of E's triangle whose maxima
-    reach theta hold over 2^18 pairs (four rows, where a row is wider).  E's triangle is reduced
-    by _split; theta only rises with the blocks, so no order is needed to prune them."""
-    aux, k, scores = _ops(op)
+def _even_part(op: str, nodes: np.ndarray, e: np.ndarray, a: np.ndarray, views):
+    """The blocks of G's table that can hold its maxima, found through the even part e = E, or
+    None where the op's rho (_ops) is not finite or the blocks of E's triangle whose maxima reach
+    theta hold over 2^18 pairs (four rows, where a row is wider).  E's triangle is reduced by
+    _split; theta only rises with the blocks, so no order is needed to prune them."""
+    aux, k, scores, bounds = _ops(op)
     n, m = a.size, a.size // 2
     ae = aux(e[m: m + n])
     rho = np.array(bounds(*(float(np.max(np.abs(x))) for x in (nodes - e, nodes, a - ae, [a, ae]))))
     if not np.all(np.isfinite(rho)):
         return None
-    top = _split(op, e, ae, True, views)[:, :, 0]
+    blocks = list(_blocks(m + 1, True))
+    top = _split(op, e, ae, blocks, views)[:, :, 0]
     theta = np.nextafter(top.max(axis=0) - 2.0 * rho, -np.inf)
-    kept = list(itertools.compress(_blocks(m + 1, True), np.any(top >= theta, axis=1)))
+    kept = list(itertools.compress(blocks, np.any(top >= theta, axis=1)))
     budget = 4 * max(3 * _BLOCK_ELEMS, m + 1)
     if sum((r.stop - r.start) * (c.stop - c.start) for r, c in kept) > budget:
         return None
     boxes = []  # the 8 images of the box of the pairs reaching theta in each kept block
-    for r, c, xs in _scored(e, ae, True, scores, views, k, kept):
+    for r, c, xs in _scored(e, ae, kept, scores, k, views):
         hit = np.logical_or.reduce([x >= t for x, t in zip(xs, theta)])
         i, j = np.flatnonzero(hit.any(axis=1)) + r.start, np.flatnonzero(hit.any(axis=0)) + c.start
         rows, cols = [(slice(x[0], x[-1] + 1), slice(n - 1 - x[-1], n - x[0])) for x in (i, j)]
         boxes += itertools.chain(itertools.product(rows, cols), itertools.product(cols, rows))
-    return _select(_reduce(nodes, a, False, scores, views, k, boxes))
+    return boxes
 
 
 def _rho(spread: float, size: float, k: int) -> float:
@@ -354,31 +351,38 @@ def _identity_scores(s, d, left, times, plus, a, b, c):
 
 
 def _ops(op: str):
-    """(aux, k, scores) of the sweep op: scores(G(t + u), G(t - u), left, times, plus, *three
-    buffer blocks), with _factors(a, k) of a = aux(G on the axis), yields each |score| block in
-    one of the buffers in turn: |Delta| for sup_defect, the product and difference-square
-    violations for identity_report."""
-    return {"sup_defect": (_same, 2.0, _defect_scores),
-            "identity_report": (_q, 1.0, _identity_scores)}[op]
+    """(aux, k, scores, bounds) of the sweep op: scores(G(t + u), G(t - u), left, times, plus,
+    *three buffer blocks), with _factors(a, k) of a = aux(G on the axis), yields each |score|
+    block in one of the buffers in turn (|Delta| for sup_defect, the product and difference-square
+    violations for identity_report); bounds(max |G - E|, max |G|, max |a - a_E|, max(|a|, |a_E|))
+    gives each score's rho >= |fl score(G) - fl score(E)| (_even_part)."""
+    return {"sup_defect": (_same, 2.0, _defect_scores, lambda w, big, *_: (
+                # |Delta_G - Delta_E| <= 2 omega + 2 (2 M omega) + 4 omega; terms sum to 6 M + 2 M^2
+                _rho(w * (6.0 + 4.0 * big), 6.0 * big + 2.0 * big * big, 3),)),
+            "identity_report": (_q, 1.0, _identity_scores, lambda w, big, wq, mq: (
+                # |(s - d)_G^2 - (s - d)_E^2| <= 2 omega 4 M
+                _rho(w * (2.0 + 2.0 * big) + 2.0 * wq, big * big + 2.0 * (big + mq), 3),
+                _rho(8.0 * (big * w + mq * wq), 4.0 * (big * big + mq * mq), 4)))}[op]
 
 
 def _answerer():
     """The helper's side of _split (helper.lease): a function that answers a request, with the
-    op, triangle and first row in its header and the nodes in its body, with _reduce's picks of
-    the blocks from that row on, in three block buffers kept across requests."""
+    op and the (r0, r1, c0, c1) of each block in its header and the nodes in its body, with
+    _reduce's picks of those blocks, in three block buffers kept across requests."""
     width, views = 0, None
 
     def answer(header: bytes, body) -> bytes:
         nonlocal width, views
-        op, triangle, row = _REQUEST.unpack(header)
-        aux, k, scores = _ops(op.rstrip(b"\0").decode())
+        aux, k, scores, _ = _ops(_REQUEST.unpack_from(header)[0].rstrip(b"\0").decode())
+        blocks = [(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in
+                  np.frombuffer(header, "<i8", offset=_REQUEST.size).reshape(-1, 4).tolist()]
         nodes = np.frombuffer(body)
         n = (nodes.size + 1) // 2
         if n > width:  # buffers for any block of a table this wide or narrower
             width, views = n, _buffers(n)
         with np.errstate(all="ignore"):  # the caller's own roundings warn, not the helper's
-            return _reduce(nodes, aux(nodes[n // 2: n // 2 + n]), triangle, scores, views, k,
-                           _blocks(n // 2 + 1 if triangle else n, triangle, row)).tobytes()
+            return _reduce(nodes, aux(nodes[n // 2: n // 2 + n]), blocks, scores, k,
+                           views).tobytes()
 
     return answer
 
@@ -417,10 +421,7 @@ def sup_defect(h: FunctionHandle, T: float, step: float) -> DefectReport:
     resolve to the first point in row-major order, so the report is deterministic.  An
     epsilon that is not finite, where no node of G on [-2T, 2T] is NaN, is RangeOverflowError.
     """
-    # |Delta_G - Delta_E| <= 2 omega + 2 (2 M omega) + 4 omega; the terms sum to 6 M + 2 M^2
-    actual_step, axis, nodes, g, [(_, i, j)] = _suprema(
-        h, T, step, "sup_defect",
-        lambda w, big, *_: (_rho(w * (6.0 + 4.0 * big), 6.0 * big + 2.0 * big * big, 3),))
+    actual_step, axis, nodes, g, [(_, i, j)] = _suprema(h, T, step, "sup_defect")
     n = axis.size  # Delta with its sign, from the same roundings as the sweep
     delta = _delta(nodes[i + j], nodes[n - 1 + i - j], g[i], g[j])
     worst = DefectSample(float(axis[i]), float(axis[j]), delta)
@@ -433,11 +434,7 @@ def identity_report(h: FunctionHandle, T: float, step: float) -> IdentityViolati
     Evaluated in G = H - 1, where H^2 - 1 = G (G + 2).  A violation that is not finite (G, H^2
     or H(t+u) H(t-u) overflows), where no node of G on [-2T, 2T] is NaN, is RangeOverflowError.
     """
-    # with wq = max |q_G - q_E|, Q = max |q|, and |(s - d)_G^2 - (s - d)_E^2| <= 2 omega 4 M
-    _, _, nodes, g, (product, square) = _suprema(
-        h, T, step, "identity_report", lambda w, big, wq, mq: (
-            _rho(w * (2.0 + 2.0 * big) + 2.0 * wq, big * big + 2.0 * (big + mq), 3),
-            _rho(8.0 * (big * w + mq * wq), 4.0 * (big * big + mq * mq), 4)))
+    _, _, nodes, g, (product, square) = _suprema(h, T, step, "identity_report")
     return IdentityViolations(float(product[0]), float(square[0]),
                               float(np.max(np.abs(nodes[::2] - 2.0 * _q(g)))),
                               float(np.max(np.abs(g[::-1] - g))))

@@ -81,6 +81,8 @@ class FunctionHandle(NamedTuple):
         return self._eval(z, 0)
 
     def derivative(self, z, order: int):
+        """G^(k)(t), k = order, or on positive ratios F^(k)(x), a signed Stirling sum of the stack
+        over x^k that cancels for x >> 1: for J, 1.4e-8 relative at ln x = 10, no digit at 20."""
         if not 1 <= order <= self.deriv_order:
             raise DomainError(
                 f"{self.name}: derivative of order {order} unavailable "

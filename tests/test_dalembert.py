@@ -726,7 +726,6 @@ class TestEdgeValues:
         g = nodes[4: 13]
         delta, product, square = table_expressions(nodes, g)
         monkeypatch.setattr(dalembert, "_BLOCK_ELEMS", 20)
-        monkeypatch.setattr(dalembert, "_blocks", self.BLOCKS[shape])
         views = dalembert._buffers(9)
         assert len(views(slice(0, 2), slice(0, 9))) == 3  # the stage buffer is filled too
 
@@ -742,7 +741,8 @@ class TestEdgeValues:
         w = 5 if triangle else 9
         for scores, a, k, wants in cases:
             covered = np.zeros((w, w), dtype=int)
-            for r, c, xs in _scored(nodes, a, triangle, scores, dirty, k):
+            for r, c, xs in _scored(nodes, a, list(self.BLOCKS[shape](w, triangle)), scores, k,
+                                    dirty):
                 # each score is compared as it is yielded: the next one may reuse its buffer
                 for x, want in zip(xs, wants, strict=True):
                     assert np.array_equal(x, want[r, c], equal_nan=True), (r, c, x, want[r, c])

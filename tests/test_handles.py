@@ -228,6 +228,19 @@ class TestConversions:
         for k in (1, 2, 3):
             assert np.array_equal(direct.derivative(xs, k), view.derivative(xs, k))
 
+    @pytest.mark.parametrize("order, exact", [(2, lambda x: x**-3), (3, lambda x: -3 * x**-4)])
+    def test_ratio_derivatives_of_j_within_x_squared_ulps(self, order, exact):
+        # x^k F^(k) is a signed Stirling sum of the G stack: for J, x^2 F'' = G'' - G' =
+        # cosh t - sinh t, which cancels as x grows (every digit is gone by ln x = 20), so the
+        # relative error against J's closed form is held to 8 max(1, x^2) ulps on ln x <= 5
+        mpmath = pytest.importorskip("mpmath")
+        j = make_family(FamilySpec("cosh-lambda"), domain=POSITIVE_RATIOS)
+        xs = np.exp(np.linspace(-30.0, 5.0, 351))
+        got = j.derivative(xs, order)
+        with mpmath.workdps(50):
+            errors = [float(abs(mpmath.mpf(g) / exact(mpmath.mpf(x)) - 1)) for x, g in zip(xs, got)]
+        assert np.all(np.array(errors) <= 8.0 * np.maximum(1.0, xs * xs) * 2.0**-53)
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_lift_is_exact(self, family):
         # H(t) = G(t) + 1 from the stored stack, with no exp/log round trip

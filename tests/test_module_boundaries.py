@@ -1,9 +1,8 @@
 """No module of the package reads another's private names: neither
 ``from .x import _name`` nor ``<reccost module>._name``.  A decision a module
 makes stays behind its public functions, so no other module re-decides it.
-The scripts under ``scripts/`` read none either, but for one exception:
-``defect_landscape.py`` streams the defect table through ``dalembert``'s
-block loop, which has no public streaming form.
+The scripts under ``scripts/`` read none either: each goes through the
+package's public names, as a user's code would.
 
 Each hypothesis of the paper is refused by the one function that owns it, so
 each refusal message is raised in exactly one place in the package: H(0) = 1
@@ -24,8 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "reccost"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
-STREAMING = {"defect_landscape.py": ["from reccost.dalembert import _scored",
-                                     "from reccost.dalembert import _sweep"]}
 
 
 REFUSALS = ("violates the normalization", "H''(0) = nan is not a curvature", "unknown domain tag",
@@ -69,7 +66,7 @@ def test_no_module_reads_another_modules_privates(module):
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_no_script_reads_privates_but_the_defect_stream(script):
     found = private_reads((ROOT / "scripts" / script).read_text(encoding="utf-8"))
-    assert [line.split(": ", 1)[1] for line in found] == STREAMING.get(script, [])
+    assert found == []
 
 
 def test_both_forms_are_found():

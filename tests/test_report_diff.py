@@ -114,7 +114,7 @@ class TestReadmeReports:
 
 class TestDefectLandscape:
     def test_streamed_csv_is_the_defect_grid(self, tmp_path, monkeypatch, capsys):
-        # n = 301 takes two row blocks, the second one partial
+        # every pair of the n = 301 table, in row-major order, with defect_grid's bits
         family, out = "noisy-cosh,amplitude=1e-3,mode=sine,freq=5", tmp_path / "defect.csv"
         argv = ["defect_landscape.py", "--family", family, "--T", "1.5", "--step", "0.01",
                 "--out", str(out)]

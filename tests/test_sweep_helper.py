@@ -64,15 +64,22 @@ def serial(sweep, *args):
         return outcome(sweep, *args)
 
 
+def request(header):
+    """(op, [(r0, r1, c0, c1) of each block the helper must reduce]) of a request's header."""
+    op = dalembert._REQUEST.unpack_from(header)[0].rstrip(b"\0").decode()
+    return op, np.frombuffer(header, "<i8", offset=dalembert._REQUEST.size).reshape(-1, 4).tolist()
+
+
 @pytest.fixture
 def sent(monkeypatch):
-    """(op, triangle, first row) of each request sent to the helper during the test, each of
-    which must get the helper's reply, not the caller's own reduction of the helper's blocks."""
+    """(op, triangle, first row) of each request sent to the helper during the test, triangle
+    where every block's columns start at its first row.  Each request must get the helper's
+    reply, not the caller's own reduction of the helper's blocks."""
     got, replies, send, receive = [], [], helper.Helper.send, helper.Helper.receive
 
     def recorded_send(self, header, body):
-        op, triangle, row = dalembert._REQUEST.unpack(header)
-        got.append((op.rstrip(b"\0").decode(), triangle, row))
+        op, blocks = request(header)
+        got.append((op, all(c0 == r0 for r0, _, c0, _ in blocks), blocks[0][0]))
         return send(self, header, body)
 
     def recorded_receive(self):
@@ -106,6 +113,32 @@ class TestSplitIsSerial:
             assert outcome(sweep, TABLE, 2.0, 0.001) == serial(sweep, TABLE, 2.0, 0.001)
         assert [(op, triangle) for op, triangle, _ in sent] == [
             ("sup_defect", True), ("identity_report", True), ("sup_defect", True)]
+
+    def test_even_part_boxes_split_too(self, sent, monkeypatch):
+        # TABLE's boxes hold 8 pairs: at a minimum of one pair G's boxes are split like E's
+        # triangle, and a box's columns start neither at 0 nor at its first row
+        headers, send = [], helper.Helper.send
+        monkeypatch.setattr(helper.Helper, "send",
+                            lambda self, header, body: headers.append(header) or send(
+                                self, header, body))
+        monkeypatch.setattr(dalembert, "_HELPER_MIN_PAIRS", 1)
+        for sweep in (sup_defect, identity_report):
+            assert outcome(sweep, TABLE, 2.0, 0.001) == serial(sweep, TABLE, 2.0, 0.001)
+        assert [op for op, _, _ in sent] == ["sup_defect"] * 2 + ["identity_report"] * 2
+        assert any(0 != c0 != r0 for header in headers for r0, _, c0, _ in request(header)[1])
+
+    @pytest.mark.parametrize("op", ["sup_defect", "identity_report"])
+    def test_split_picks_every_block_it_is_given(self, op, sent, monkeypatch):
+        # one pick per block, in the order given, the helper's share included: the whole
+        # table's row blocks reversed, whose maxima need not lie in the block the helper drops
+        monkeypatch.setattr(dalembert, "_HELPER_MIN_PAIRS", 1)
+        _, axis, nodes, g = dalembert._sweep(TABLE, 2.0, 0.004, op)
+        aux, k, scores, _ = dalembert._ops(op)
+        blocks = list(dalembert._blocks(axis.size, False))[::-1]
+        views = dalembert._buffers(axis.size)
+        picks = dalembert._split(op, nodes, aux(g), blocks, views)
+        assert np.array_equal(picks, dalembert._reduce(nodes, aux(g), blocks, scores, k, views))
+        assert len(sent) == 1 and picks.shape[0] == len(blocks)
 
     def test_uneven_table_on_the_whole_table_path(self, sent):
         # exact cosh on 8001 rows: its defect is rounding noise, so the even part gives up
@@ -188,22 +221,43 @@ class TestSplitIsSerial:
         assert sent == []
 
 
+def answered(op, nodes, g, blocks):
+    """(the helper's reply to a request for blocks, answered here in this process, and the
+    in-process _reduce of the same blocks)."""
+    aux, k, scores, _ = dalembert._ops(op)
+    spans = [(r.start, r.stop, c.start, c.stop) for r, c in blocks]
+    reply = dalembert._answerer()(dalembert._REQUEST.pack(op.encode()) + np.array(
+        spans, "<i8").tobytes(), bytearray(nodes.tobytes()))
+    return reply, dalembert._reduce(nodes, aux(g), blocks, scores, k, dalembert._buffers(g.size))
+
+
 @pytest.mark.parametrize("op", ["sup_defect", "identity_report"])
 @pytest.mark.parametrize("triangle", [True, False], ids=["triangle", "whole table"])
 def test_the_reply_is_the_picks_array(op, triangle):
     # the helper answers a request with the raw bytes of _reduce's float64 array of (|score|,
-    # i, j) per block per score, for the blocks from the request's first row on, which _split
-    # reads back as it is; answered here in this process
+    # i, j) per block per score, for the blocks the request lists, which _split reads back as
+    # it is
     _, axis, nodes, g = dalembert._sweep(TABLE, 2.0, 0.004, op)
-    aux, k, scores = dalembert._ops(op)
     blocks = list(dalembert._blocks(axis.size // 2 + 1 if triangle else axis.size, triangle))
     b0 = len(blocks) // 2
-    reply = dalembert._answerer()(
-        dalembert._REQUEST.pack(op.encode(), triangle, blocks[b0][0].start),
-        bytearray(nodes.tobytes()))
-    picks = dalembert._reduce(nodes, aux(g), triangle, scores, None, k, blocks[b0:])
+    reply, picks = answered(op, nodes, g, blocks[b0:])
     assert picks.shape == (len(blocks) - b0, 1 if op == "sup_defect" else 2, 3) and b0 > 0
     assert reply == picks.tobytes()
+
+
+@pytest.mark.parametrize("op", ["sup_defect", "identity_report"])
+def test_the_reply_follows_any_block_list(op, monkeypatch):
+    # the helper reduces the blocks it is sent, of any shape, in the order sent: TABLE's even
+    # part boxes and the whole table's row blocks, reversed
+    lists, split = [], dalembert._split
+    monkeypatch.setattr(dalembert, "_split", lambda *a: lists.append(a[3]) or split(*a))
+    {"sup_defect": sup_defect, "identity_report": identity_report}[op](TABLE, 2.0, 0.004)
+    _, axis, nodes, g = dalembert._sweep(TABLE, 2.0, 0.004, op)
+    boxes = lists[-1]  # E's triangle, then G's boxes
+    assert len(lists) == 2 and any(0 < c.start != r.start for r, c in boxes)
+    blocks = (boxes + list(dalembert._blocks(axis.size, False)))[::-1]
+    reply, picks = answered(op, nodes, g, blocks)
+    assert picks.shape[0] == len(blocks) and reply == picks.tobytes()
 
 
 def test_one_cpu_runs_serially(monkeypatch):
