@@ -5,15 +5,15 @@ Builds the ``fine-grid`` tasks with ``bench/workloads.py``'s ``build`` (read onl
 is the benchmark's --seed) and times in-process passes over their ``run``, in
 alternating rounds: each round makes one pass with the helper on and one with it off, the
 order swapping from round to round.  "On" is the process's CPU affinity mask as given;
-"off" is a mask of its first CPU alone, set on this process only, so that
-``reccost.helper.lease`` refuses and every sweep runs serially.  One untimed pass warms
+"off" is a mask of its first CPU alone, set on this process only, so that no helper
+answers ``reccost.helper.ask`` and every sweep runs serially.  One untimed pass warms
 the caches first.
 
 After each pass the helper is reaped with ``reccost.helper.stop()``, so a pass's CPU time
 is this process's user + system time plus the reaped helper's (``RUSAGE_CHILDREN``).  Each
 "on" pass therefore forks a new helper at its first split; ``refork_s`` is the median wall
-time of that fork and reap alone (a ``lease`` with a trivial answerer, then ``stop``), null
-where fewer than two CPUs leave the helper off in both modes.  It prints one JSON object.
+time of that fork and reap alone (a ``Helper`` with a trivial answer, then its ``retire``),
+null where fewer than two CPUs leave the helper off in both modes.  It prints one JSON object.
 
     python scripts/helper_split.py
     python scripts/helper_split.py --tiny --rounds 1
@@ -54,16 +54,13 @@ def timed_pass(tasks) -> tuple[float, float]:
 
 
 def refork_s(repeats: int = 5) -> float | None:
-    """Median wall time of forking a helper (a lease with a trivial answerer) and reaping it."""
+    """Median wall time of forking a helper (with a trivial answer) and reaping it."""
+    if len(os.sched_getaffinity(0)) < 2:
+        return None
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        leased = helper.lease(lambda: lambda header, body: header)
-        if leased is None:
-            return None
-        with leased:
-            pass
-        helper.stop()
+        helper.Helper(lambda header, body: header).retire()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 

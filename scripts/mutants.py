@@ -2,7 +2,7 @@
 """Verdict-path mutants of reccost's source, each run against tier-1 and its census gate.
 
 Each mutant is one textual edit of one file under ``src/reccost``: M1-M9 (ROADMAP item
-28's) and M11 edit ``stability.py``, M10 edits ``handles.py``, M12 ``dalembert.py``.
+28's) and M11 edit ``stability.py``, M10 edits ``handles.py``, M12 and M13 ``dalembert.py``.
 For each, the repository's files (without .git) are copied into a temporary directory, the
 edit is made in the copy alone, and tier-1 runs there: python -m pytest over tests and
 bench, without test_criterion_11_full_invariant_suite_under_budget (it reruns the suite).
@@ -63,6 +63,9 @@ MUTANTS = {
             "np.cosh(self.rate * np.abs(t)) - 1.0"),
     "M12": ("the helper is sent blocks[b0 + 1:], so one block is never reduced", DALEMBERT,
             "c.stop) for r, c in blocks[b0:]]", "c.stop) for r, c in blocks[b0 + 1:]]"),
+    "M13": ("with no reply, _split drops the helper's blocks", DALEMBERT,
+            "tail = (_reduce(nodes, a, blocks[b0:], scores, k, views) if reply is None",
+            "tail = (head[:0] if reply is None"),
 }
 
 

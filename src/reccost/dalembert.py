@@ -51,28 +51,28 @@ A large reduction is split with one helper process (_split, and the module
 helper, which owns the process and its lifecycle).  _split reduces exactly the
 block list it is given, which its caller builds once: the fold's triangle, the
 whole table, E's triangle or G's boxes.  Where it holds at least
-_HELPER_MIN_PAIRS = 200 000 pairs and helper.lease gives the process's helper,
-the caller reduces the blocks [0, b0) while the helper reduces [b0, end), b0
-splitting the pairs in half.  The helper is forked at the first such sweep and
-serves every later one: it receives the nodes, the op's name and the blocks it
-reduces, rebuilds aux(G) and the factors, keeps its three block buffers
-(_answerer), and returns _reduce's picks of its blocks as raw bytes: a float64
-array of (|score|, i, j) per block per score, the caller's format.  One rule
+_HELPER_MIN_PAIRS = 200 000 pairs, one call, helper.ask, has the caller reduce
+the blocks [0, b0) while the helper reduces [b0, end), b0 splitting the pairs
+in half.  The helper is forked at the first such sweep and serves every later
+one: per request it receives the nodes, the op's name and the blocks it
+reduces, rebuilds aux(G), the factors and three block buffers (_answer), and
+returns _reduce's picks of its blocks as raw bytes: a float64 array of
+(|score|, i, j) per block per score, the caller's format.  One rule
 (_select) chooses among the picks, split or not: per score, a NaN, else the
 largest |score|, ties to the smallest (i, j), over row blocks the table's first
-NaN, else first max.  Every result is the serial loop's bit for bit; where the
-helper has died, the caller reduces its blocks too.  The minimum is
+NaN, else first max.  Every result is the serial loop's bit for bit; where no
+helper answered, the caller reduces its blocks too.  The minimum is
 the measured crossover: at T = 2 on cosh (2 shared vCPUs, one BLAS thread), a
 split sup_defect took 0.93-1.31x the serial time (1.09x in the median of ten
 runs) at 126 000-155 000 pairs, 0.94-0.99x at 164 000, 0.81-0.86x at 223 000
 and 0.66x at 2 million, and a split identity_report 0.89-0.98x at
 99 000-126 000 pairs and 0.78x at 164 000.  Smaller lists, such as the CLI's
 sweeps at step 0.05 (861 pairs) and the even part's boxes at step 0.001, and
-any sweep that helper.lease refuses (no os.fork, one CPU in the affinity mask,
-another Python thread, or the helper busy) run in the caller alone.  The helper
-ignores floating-point warnings, so numpy warns of an overflow or NaN in its
-blocks only where the caller's blocks have one too; the picks, and
-RangeOverflowError, do not depend on the split.
+any sweep that no helper answers (no os.fork, one CPU in the affinity mask,
+another Python thread, the helper busy, a failed fork or a dead helper) run in
+the caller alone.  The helper ignores floating-point warnings, so numpy warns
+of an overflow or NaN in its blocks only where the caller's blocks have one
+too; the picks, and RangeOverflowError, do not depend on the split.
 """
 
 from __future__ import annotations
@@ -240,24 +240,20 @@ def _select(picks: np.ndarray):
 
 def _split(op: str, nodes: np.ndarray, a: np.ndarray, blocks: list, views):
     """_reduce of the sweep op over blocks of the tables of G on nodes: their picks, in the order
-    of blocks.  Where they hold at least _HELPER_MIN_PAIRS pairs and the helper process serves
-    (helper.lease), the helper reduces blocks[b0:] while this process reduces blocks[:b0], b0
-    splitting the pairs in half, and where it has died this process reduces its blocks too."""
+    of blocks.  Where they hold at least _HELPER_MIN_PAIRS pairs, the helper process
+    (helper.ask, _answer) reduces blocks[b0:] while this process reduces blocks[:b0], b0
+    splitting the pairs in half, and where no helper answered this process reduces them too."""
     _, k, scores, _ = _ops(op)
     pairs = np.cumsum([(r.stop - r.start) * (c.stop - c.start) for r, c in blocks])
-    worker = None
-    if pairs[-1] >= _HELPER_MIN_PAIRS and len(blocks) > 1:
-        from . import helper  # the process plumbing loads with the first sweep this large
-        worker = helper.lease(_answerer)
-    if worker is None:
+    if pairs[-1] < _HELPER_MIN_PAIRS or len(blocks) == 1:
         return _reduce(nodes, a, blocks, scores, k, views)
+    from . import helper  # the process plumbing loads with the first sweep this large
+
     b0 = max(1, int(np.searchsorted(pairs, pairs[-1] / 2)))
     spans = [(r.start, r.stop, c.start, c.stop) for r, c in blocks[b0:]]
-    with worker:
-        sent = worker.send(_REQUEST.pack(op.encode()) + np.array(spans, "<i8").tobytes(),
-                           np.ascontiguousarray(nodes, dtype=np.float64))
-        head = _reduce(nodes, a, blocks[:b0], scores, k, views)
-        reply = worker.receive() if sent else None
+    header = _REQUEST.pack(op.encode()) + np.array(spans, "<i8").tobytes()
+    head, reply = helper.ask(_answer, header, np.ascontiguousarray(nodes, dtype=np.float64),
+                             lambda: _reduce(nodes, a, blocks[:b0], scores, k, views))
     tail = (_reduce(nodes, a, blocks[b0:], scores, k, views) if reply is None
             else np.frombuffer(reply).reshape(-1, head.shape[1], 3))
     return np.concatenate([head, tail])
@@ -365,26 +361,18 @@ def _ops(op: str):
                 _rho(8.0 * (big * w + mq * wq), 4.0 * (big * big + mq * mq), 4)))}[op]
 
 
-def _answerer():
-    """The helper's side of _split (helper.lease): a function that answers a request, with the
-    op and the (r0, r1, c0, c1) of each block in its header and the nodes in its body, with
-    _reduce's picks of those blocks, in three block buffers kept across requests."""
-    width, views = 0, None
-
-    def answer(header: bytes, body) -> bytes:
-        nonlocal width, views
-        aux, k, scores, _ = _ops(_REQUEST.unpack_from(header)[0].rstrip(b"\0").decode())
-        blocks = [(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in
-                  np.frombuffer(header, "<i8", offset=_REQUEST.size).reshape(-1, 4).tolist()]
-        nodes = np.frombuffer(body)
-        n = (nodes.size + 1) // 2
-        if n > width:  # buffers for any block of a table this wide or narrower
-            width, views = n, _buffers(n)
-        with np.errstate(all="ignore"):  # the caller's own roundings warn, not the helper's
-            return _reduce(nodes, aux(nodes[n // 2: n // 2 + n]), blocks, scores, k,
-                           views).tobytes()
-
-    return answer
+def _answer(header: bytes, body) -> bytes:
+    """The helper's side of _split (helper.ask): the reply to a request, with the op and the
+    (r0, r1, c0, c1) of each block in its header and the nodes in its body, is _reduce's picks of
+    those blocks, in three block buffers of its own."""
+    aux, k, scores, _ = _ops(_REQUEST.unpack_from(header)[0].rstrip(b"\0").decode())
+    blocks = [(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in
+              np.frombuffer(header, "<i8", offset=_REQUEST.size).reshape(-1, 4).tolist()]
+    nodes = np.frombuffer(body)
+    n = (nodes.size + 1) // 2
+    with np.errstate(all="ignore"):  # the caller's own roundings warn, not the helper's
+        return _reduce(nodes, aux(nodes[n // 2: n // 2 + n]), blocks, scores, k,
+                       _buffers(n)).tobytes()
 
 
 def defect_grid(h: FunctionHandle, T: float, step: float):

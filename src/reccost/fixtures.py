@@ -122,9 +122,8 @@ def _trig_sum(a: float, c, js, hyperbolic: bool = False):
 
     def term(power, scale, wave):
         with np.errstate(over="ignore"):  # a coefficient past the double range is inf
-            w = (c * np.power(js, power))[:, None]
-        return lambda t: scale * (a * np.sum(
-            w * wave(np.outer(js, np.ravel(t))), axis=0).reshape(np.shape(t)))
+            w = (c * np.power(js, power)).tolist()
+        return lambda t: scale * (a * sum(wj * wave(j * t) for wj, j in zip(w, js)))
 
     return (term(0, 2.0, lambda z: odd(0.5 * z) ** 2), term(1, 1.0, odd),
             term(2, 1.0, even), term(3, 1.0 if hyperbolic else -1.0, odd))

@@ -1,27 +1,26 @@
 """One helper process per Python process, forked from it, that answers its requests.
 
-``dalembert`` splits each large defect sweep with it: the caller sends a
-request and reduces its own half of the blocks while the helper reduces the
-other half.  ``lease(answerer)`` returns the process's helper, locked for one
-request, forking it at the first lease; the helper calls ``answerer()`` once,
-after the fork, and answers each request with the function that returns, so
-whatever that function keeps, such as buffers, lives across requests.  A
-lease is refused, and the caller does the work itself, unless ``os.fork``
-exists, at least two CPUs are in the process's affinity mask and the caller
-is the process's only Python thread (forking a process with threads is
-unsafe), or where the helper is busy serving a sweep that a signal handler
-interrupted.  A process forked from one with a helper runs ``stop`` at the
-fork (``os.register_at_fork``), so it closes its copies of the pipes and leases
-its own helper, and the parent's exit never waits on it.
+``dalembert`` splits each large defect sweep with it through one call,
+``ask(answer, header, body, meanwhile)``: the request (header, body) goes to the
+process's helper, forked at the first ask, which answers it with
+``answer(header, body)``, while this process runs ``meanwhile()``; ``ask``
+returns ``meanwhile()``'s result and the reply, or None in place of the reply
+where no helper answered.  The helper answers every request with the ``answer``
+of the ask that forked it.  No helper answers unless ``os.fork`` exists, at
+least two CPUs are in the process's affinity mask and the caller is the
+process's only Python thread (forking a process with threads is unsafe); nor
+where the helper is busy serving a sweep that a signal handler interrupted (a
+non-blocking lock), the fork fails or the helper has died, which retires it, so
+that the next ask forks a new one.  A process forked from one with a helper
+runs ``stop`` at the fork (``os.register_at_fork``), so it closes its copies of
+the pipes and forks its own helper, and the parent's exit never waits on it.
 
 A request and a reply are one message each: the byte lengths of a header and
 a body (``_FRAME``), then the two.  The helper exits when its request pipe
 reaches EOF, or on a request once its reply finds the reply pipe closed.
 ``stop``, run at interpreter exit and by ``cli.main`` before its
 ``os._exit``, closes the pipes and reaps it, and so does an exception between
-a request and its reply, so that no stale reply is ever read.  A request to a
-helper that has died gets ``False`` from ``send`` or ``None`` from
-``receive``, and the helper is retired; the next lease forks a new one.
+a request and its reply, so that no stale reply is ever read.
 Loading this module is lazy: only a sweep large enough to split imports it.
 """
 
@@ -36,9 +35,10 @@ _FRAME = struct.Struct("<qq")  # byte lengths of a message's header and body
 
 
 class Helper:
-    """The forked helper process and this process's ends of its two pipes."""
+    """The forked helper process, which answers each request (header, body) with the bytes of
+    answer(header, body), and this process's ends of its two pipes."""
 
-    def __init__(self, answerer):
+    def __init__(self, answer):
         fds = []
         try:
             fds += os.pipe()
@@ -56,38 +56,12 @@ class Helper:
                 os.close(self.requests)
                 os.close(self.replies)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides; it retires us
-                _serve(answerer(), requests, replies)
+                _serve(answer, requests, replies)
             finally:
                 os._exit(0)
         os.close(requests)
         os.close(replies)
         self.lock = threading.Lock()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, *_):
-        if kind is not None:  # its reply would be read as the next request's
-            self.retire()
-        self.lock.release()
-
-    def send(self, header: bytes, body) -> bool:
-        """Sends one request; False where the helper has died (it is then retired)."""
-        try:
-            _write(self.requests, header, body)
-        except OSError:  # BrokenPipeError
-            self.retire()
-            return False
-        return True
-
-    def receive(self):
-        """The header of the reply to the last request, or None where the helper has died
-        (it is then retired)."""
-        reply = _read(self.replies)
-        if reply is None:
-            self.retire()
-            return None
-        return reply[0]
 
     def retire(self):
         """Closes this process's ends of the pipes, so the helper exits once it has answered
@@ -109,23 +83,40 @@ class Helper:
 _current: Helper | None = None  # this process's helper: at most one
 
 
-def lease(answerer):
-    """The process's helper, forked now if it has none, locked for one request (release it by
-    using it as a context manager); or None, and the caller does the work itself."""
+def ask(answer, header: bytes, body, meanwhile):
+    """(meanwhile(), reply): this process runs meanwhile while the process's helper, forked now
+    with answer where it has none, answers the request (header, body); reply is its answer, or
+    None where no helper answered, and the caller then does the helper's work itself."""
     global _current
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
-        return None
-    if _current is None:
+    usable = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+              and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+    if usable and _current is None:
         try:
-            _current = Helper(answerer)
-        except OSError:
-            return None
-    return _current if _current.lock.acquire(blocking=False) else None
+            _current = Helper(answer)
+        except OSError:  # the fork failed: no helper
+            pass
+    worker = _current if usable else None
+    if worker is None or not worker.lock.acquire(blocking=False):
+        return meanwhile(), None
+    try:
+        try:
+            _write(worker.requests, header, body)
+        except OSError:  # BrokenPipeError: it has died
+            worker.retire()
+        ours = meanwhile()
+        reply = _read(worker.replies) if worker.replies >= 0 else None
+    except BaseException:  # its reply would be read as the next request's
+        worker.retire()
+        raise
+    finally:
+        worker.lock.release()
+    if reply is None:  # it has died
+        worker.retire()
+    return ours, None if reply is None else reply[0]
 
 
 def stop() -> None:
-    """Retires the process's helper, if it has one; a later lease forks a new one."""
+    """Retires the process's helper, if it has one; a later ask forks a new one."""
     if _current is not None:
         _current.retire()
 

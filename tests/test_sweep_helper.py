@@ -72,24 +72,20 @@ def request(header):
 
 @pytest.fixture
 def sent(monkeypatch):
-    """(op, triangle, first row) of each request sent to the helper during the test, triangle
-    where every block's columns start at its first row.  Each request must get the helper's
-    reply, not the caller's own reduction of the helper's blocks."""
-    got, replies, send, receive = [], [], helper.Helper.send, helper.Helper.receive
+    """Per request that _split asks the helper during the test, in the order the asks return:
+    (op, triangle, first row) where the helper answered, triangle where every block's columns
+    start at its first row, else None, where the caller reduced the helper's blocks itself."""
+    got, ask = [], helper.ask
 
-    def recorded_send(self, header, body):
+    def recorded_ask(answer, header, body, meanwhile):
+        ours, reply = ask(answer, header, body, meanwhile)
         op, blocks = request(header)
-        got.append((op, all(c0 == r0 for r0, _, c0, _ in blocks), blocks[0][0]))
-        return send(self, header, body)
+        got.append(None if reply is None else (
+            op, all(c0 == r0 for r0, _, c0, _ in blocks), blocks[0][0]))
+        return ours, reply
 
-    def recorded_receive(self):
-        replies.append(receive(self))
-        return replies[-1]
-
-    monkeypatch.setattr(helper.Helper, "send", recorded_send)
-    monkeypatch.setattr(helper.Helper, "receive", recorded_receive)
-    yield got
-    assert len(replies) == len(got) and None not in replies
+    monkeypatch.setattr(helper, "ask", recorded_ask)
+    return got
 
 
 @needs_helper
@@ -117,10 +113,9 @@ class TestSplitIsSerial:
     def test_even_part_boxes_split_too(self, sent, monkeypatch):
         # TABLE's boxes hold 8 pairs: at a minimum of one pair G's boxes are split like E's
         # triangle, and a box's columns start neither at 0 nor at its first row
-        headers, send = [], helper.Helper.send
-        monkeypatch.setattr(helper.Helper, "send",
-                            lambda self, header, body: headers.append(header) or send(
-                                self, header, body))
+        headers, ask = [], helper.ask
+        monkeypatch.setattr(helper, "ask", lambda answer, header, *rest: headers.append(
+            header) or ask(answer, header, *rest))
         monkeypatch.setattr(dalembert, "_HELPER_MIN_PAIRS", 1)
         for sweep in (sup_defect, identity_report):
             assert outcome(sweep, TABLE, 2.0, 0.001) == serial(sweep, TABLE, 2.0, 0.001)
@@ -138,7 +133,7 @@ class TestSplitIsSerial:
         views = dalembert._buffers(axis.size)
         picks = dalembert._split(op, nodes, aux(g), blocks, views)
         assert np.array_equal(picks, dalembert._reduce(nodes, aux(g), blocks, scores, k, views))
-        assert len(sent) == 1 and picks.shape[0] == len(blocks)
+        assert [s[0] for s in sent] == [op] and picks.shape[0] == len(blocks)
 
     def test_uneven_table_on_the_whole_table_path(self, sent):
         # exact cosh on 8001 rows: its defect is rounding noise, so the even part gives up
@@ -182,7 +177,7 @@ class TestSplitIsSerial:
                 ", which overflows double precision")
         else:
             assert "product_identity=nan" in got[0]
-        assert sent
+        assert sent and None not in sent
 
     @pytest.mark.parametrize("odd, step, pick", [
         (0.0, 0.001, "epsilon=2.0, argmax=DefectSample(t=-2.0, u=-0.25"),
@@ -213,7 +208,7 @@ class TestSplitIsSerial:
         for sweep in (sup_defect, identity_report):
             assert outcome(sweep, h, 2.0, 0.001) == serial(sweep, h, 2.0, 0.001)
         assert "argmax=DefectSample(t=-2.0, u=-2.0" in outcome(sup_defect, h, 2.0, 0.001)[0]
-        assert len(sent) == 3
+        assert len(sent) == 3 and None not in sent
 
     def test_small_sweeps_stay_serial(self, sent):
         # the CLI's default step: 861 pairs of the triangle
@@ -226,7 +221,7 @@ def answered(op, nodes, g, blocks):
     in-process _reduce of the same blocks)."""
     aux, k, scores, _ = dalembert._ops(op)
     spans = [(r.start, r.stop, c.start, c.stop) for r, c in blocks]
-    reply = dalembert._answerer()(dalembert._REQUEST.pack(op.encode()) + np.array(
+    reply = dalembert._answer(dalembert._REQUEST.pack(op.encode()) + np.array(
         spans, "<i8").tobytes(), bytearray(nodes.tobytes()))
     return reply, dalembert._reduce(nodes, aux(g), blocks, scores, k, dalembert._buffers(g.size))
 
@@ -260,13 +255,75 @@ def test_the_reply_follows_any_block_list(op, monkeypatch):
     assert picks.shape[0] == len(blocks) and reply == picks.tobytes()
 
 
-def test_one_cpu_runs_serially(monkeypatch):
+# H = 1 + e^(-4 t^2): |Delta| and the difference-square violation peak at the origin, in the
+# helper's half of the triangle, so a sweep that drops that half reads other maxima
+BUMP = analytic(LOG_LINE, "1 + exp(-4 t^2)", (lambda t: 1.0 + np.exp(-4.0 * t * t),))
+
+
+def no_fork():
+    raise OSError("fork refused")
+
+
+def open_fds():
+    """This process's open file descriptors, where /proc lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("cpus, fork", [({0}, lambda: pytest.fail("forked")), ({0, 1}, no_fork)],
+                         ids=["one CPU", "fork fails"])
+def test_sweeps_without_a_helper_run_serially(cpus, fork, monkeypatch):
+    # with no helper, each sweep is the serial loop's; the helper's two pipes are opened before
+    # the fork, so a fork that fails must close them
     monkeypatch.setattr(helper, "_current", None)  # this test's own process state
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
-    h = family("cosh-lambda,lambda=1.03")
-    assert outcome(sup_defect, h, 2.0, 0.002) == serial(sup_defect, h, 2.0, 0.002)
-    assert helper._current is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    fds = open_fds()
+    for sweep in (sup_defect, identity_report):
+        assert outcome(sweep, BUMP, 2.0, 0.002) == serial(sweep, BUMP, 2.0, 0.002)
+    assert helper._current is None and open_fds() == fds
+
+
+def dies(header, body):
+    os._exit(0)  # in the helper, before it replies
+
+
+@pytest.mark.parametrize("refusal", [
+    "no fork", "one CPU", "another thread", "busy", "fork fails", "dead before the request",
+    "dies on the request"])
+def test_every_refusal_runs_meanwhile_once(refusal, monkeypatch):
+    # with no helper to answer, ask runs the caller's half once and returns no reply
+    monkeypatch.setattr(helper, "_current", None)  # this test's own process state
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if refusal not in ("dead before the request", "dies on the request"):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+    elif not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    if refusal == "no fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif refusal == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif refusal == "another thread":
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+    elif refusal == "busy":  # a sweep interrupted by a signal handler holds the lock
+        busy = threading.Lock()
+        busy.acquire()
+        monkeypatch.setattr(helper, "_current", type("Busy", (), {"lock": busy})())
+    elif refusal == "fork fails":
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    elif refusal == "dead before the request":
+        monkeypatch.setattr(helper, "_current", helper.Helper(dies))
+        os.kill(helper._current.pid, signal.SIGKILL)
+        os.waitpid(helper._current.pid, 0)
+    calls = []
+
+    def meanwhile():
+        calls.append(1)
+        return "ours"
+
+    assert helper.ask(dies, b"header", b"body", meanwhile) == ("ours", None)
+    assert calls == [1]
+    if refusal != "busy":
+        assert helper._current is None  # a dead helper is retired: the next ask forks anew
 
 
 def status(pid: int, key: str) -> int:
@@ -385,14 +442,15 @@ class TestLifecycle:
             "from reccost import helper, make_family, FamilySpec, LOG_LINE, sup_defect\n"
             "h = make_family(FamilySpec('cosh-lambda', {'lambda': 1.03}), domain=LOG_LINE)\n"
             "print(repr(sup_defect(h, 2.0, 0.001)))\n"
-            "send = helper.Helper.send\n"
-            "def send_and_kill(self, *a):\n"
-            "    sent = send(self, *a)\n"
-            "    os.kill(self.pid, signal.SIGKILL)\n"
-            "    return sent\n"
-            "helper.Helper.send = send_and_kill\n"
+            "ask = helper.ask\n"
+            "def ask_and_kill(answer, header, body, meanwhile):\n"
+            "    def killing():\n"
+            "        os.kill(helper._current.pid, signal.SIGKILL)\n"
+            "        return meanwhile()\n"
+            "    return ask(answer, header, body, killing)\n"
+            "helper.ask = ask_and_kill\n"
             "print(repr(sup_defect(h, 2.0, 0.001)))\n"
-            "helper.Helper.send = send\n"
+            "helper.ask = ask\n"
             "print(repr(sup_defect(h, 2.0, 0.001)))\n", timeout=60)
         assert len(set(out.splitlines())) == 1
         # two helpers, unless the first replied before the kill landed
@@ -473,7 +531,7 @@ class TestLifecycle:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert got == want and sent == []
+        assert got == want and sent == [None] * len(handles)
 
     def test_a_reentrant_sweep_runs_serially(self, monkeypatch, sent):
         # a sweep started while the helper serves another, as a signal handler's would be
@@ -488,4 +546,4 @@ class TestLifecycle:
 
         monkeypatch.setattr(dalembert, "_reduce", reentrant)
         got.insert(0, outcome(sup_defect, h, 2.0, 0.001))
-        assert tuple(got) == want and len(sent) == 1
+        assert tuple(got) == want and [s is None for s in sent] == [True, False]
