@@ -46,40 +46,12 @@ once from them all, keep the blocks whose maxima reach it, then score G on the
 8 images under the three maps of the box of the pairs reaching theta in each
 kept block, or, where rho is not finite or the kept blocks hold too many pairs,
 the whole table.
-
-A large reduction is split with one helper process (_split, and the module
-helper, which owns the process and its lifecycle).  _split reduces exactly the
-block list it is given, which its caller builds once: the fold's triangle, the
-whole table, E's triangle or G's boxes.  Where it holds at least
-_HELPER_MIN_PAIRS = 200 000 pairs, one call, helper.ask, has the caller reduce
-the blocks [0, b0) while the helper reduces [b0, end), b0 splitting the pairs
-in half.  The helper is forked at the first such sweep and serves every later
-one: per request it receives the nodes, the op's name and the blocks it
-reduces, rebuilds aux(G), the factors and three block buffers (_answer), and
-returns _reduce's picks of its blocks as raw bytes: a float64 array of
-(|score|, i, j) per block per score, the caller's format.  One rule
-(_select) chooses among the picks, split or not: per score, a NaN, else the
-largest |score|, ties to the smallest (i, j), over row blocks the table's first
-NaN, else first max.  Every result is the serial loop's bit for bit; where no
-helper answered, the caller reduces its blocks too.  The minimum is
-the measured crossover: at T = 2 on cosh (2 shared vCPUs, one BLAS thread), a
-split sup_defect took 0.93-1.31x the serial time (1.09x in the median of ten
-runs) at 126 000-155 000 pairs, 0.94-0.99x at 164 000, 0.81-0.86x at 223 000
-and 0.66x at 2 million, and a split identity_report 0.89-0.98x at
-99 000-126 000 pairs and 0.78x at 164 000.  Smaller lists, such as the CLI's
-sweeps at step 0.05 (861 pairs) and the even part's boxes at step 0.001, and
-any sweep that no helper answers (no os.fork, one CPU in the affinity mask,
-another Python thread, the helper busy, a failed fork or a dead helper) run in
-the caller alone.  The helper ignores floating-point warnings, so numpy warns
-of an overflow or NaN in its blocks only where the caller's blocks have one
-too; the picks, and RangeOverflowError, do not depend on the split.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +101,6 @@ class IdentityViolations:
 
 
 _BLOCK_ELEMS = (1 << 16) // 3  # elements per block: three buffers of float64 in 512 KB of cache
-_HELPER_MIN_PAIRS = 200_000  # pairs of the smallest sweep split with the helper (_split)
-_REQUEST = struct.Struct("<16s")  # to the helper: op name, then int64 (r0, r1, c0, c1) per block
 
 
 def _kernel(gs, gd, left, times, plus, out=None, cross=None, stage=None):
@@ -238,27 +208,6 @@ def _select(picks: np.ndarray):
                                 else (1.0, -q[0], q[1], q[2]))]]
 
 
-def _split(op: str, nodes: np.ndarray, a: np.ndarray, blocks: list, views):
-    """_reduce of the sweep op over blocks of the tables of G on nodes: their picks, in the order
-    of blocks.  Where they hold at least _HELPER_MIN_PAIRS pairs, the helper process
-    (helper.ask, _answer) reduces blocks[b0:] while this process reduces blocks[:b0], b0
-    splitting the pairs in half, and where no helper answered this process reduces them too."""
-    _, k, scores, _ = _ops(op)
-    pairs = np.cumsum([(r.stop - r.start) * (c.stop - c.start) for r, c in blocks])
-    if pairs[-1] < _HELPER_MIN_PAIRS or len(blocks) == 1:
-        return _reduce(nodes, a, blocks, scores, k, views)
-    from . import helper  # the process plumbing loads with the first sweep this large
-
-    b0 = max(1, int(np.searchsorted(pairs, pairs[-1] / 2)))
-    spans = [(r.start, r.stop, c.start, c.stop) for r, c in blocks[b0:]]
-    header = _REQUEST.pack(op.encode()) + np.array(spans, "<i8").tobytes()
-    head, reply = helper.ask(_answer, header, np.ascontiguousarray(nodes, dtype=np.float64),
-                             lambda: _reduce(nodes, a, blocks[:b0], scores, k, views))
-    tail = (_reduce(nodes, a, blocks[b0:], scores, k, views) if reply is None
-            else np.frombuffer(reply).reshape(-1, head.shape[1], 3))
-    return np.concatenate([head, tail])
-
-
 def _suprema(h: FunctionHandle, T: float, step: float, op: str):
     """(step, axis, nodes, G on the axis, picks): per score of the sweep op (_ops), (|score|, i, j)
     at its first NaN, else first max, in row-major order over the whole table.  They are the
@@ -266,11 +215,12 @@ def _suprema(h: FunctionHandle, T: float, step: float, op: str):
     A pick that is not finite, where no node of G is NaN, raises RangeOverflowError."""
     actual_step, axis, nodes, g = _sweep(h, T, step, op)
     e = (nodes + nodes[::-1]) * 0.5  # bitwise even: mirrored entries add the same two numbers
-    a, views = _ops(op)[0](g), _buffers(axis.size)
+    aux, k, scores, _ = _ops(op)
+    a, views = aux(g), _buffers(axis.size)
     fold = np.array_equal(e, nodes)  # G bitwise even, 2 G finite: x + x overflows, NaN != NaN
     boxes = None if fold else _even_part(op, nodes, e, a, views)
     blocks = boxes or list(_blocks(a.size // 2 + 1 if fold else a.size, fold))
-    picks = _select(_split(op, nodes, a, blocks, views))
+    picks = _select(_reduce(nodes, a, blocks, scores, k, views))
     _finite(h, op, [v for v, _, _ in picks], nodes, f" on [-2T, 2T] = [{-2*T:g}, {2*T:g}]")
     return actual_step, axis, nodes, g, picks
 
@@ -286,8 +236,8 @@ def _finite(h: FunctionHandle, op: str, value, g: np.ndarray, where: str = ""):
 def _even_part(op: str, nodes: np.ndarray, e: np.ndarray, a: np.ndarray, views):
     """The blocks of G's table that can hold its maxima, found through the even part e = E, or
     None where the op's rho (_ops) is not finite or the blocks of E's triangle whose maxima reach
-    theta hold over 2^18 pairs (four rows, where a row is wider).  E's triangle is reduced by
-    _split; theta only rises with the blocks, so no order is needed to prune them."""
+    theta hold over 2^18 pairs (four rows, where a row is wider).  Theta only rises with the
+    blocks of E's triangle, so no order is needed to prune them."""
     aux, k, scores, bounds = _ops(op)
     n, m = a.size, a.size // 2
     ae = aux(e[m: m + n])
@@ -295,7 +245,7 @@ def _even_part(op: str, nodes: np.ndarray, e: np.ndarray, a: np.ndarray, views):
     if not np.all(np.isfinite(rho)):
         return None
     blocks = list(_blocks(m + 1, True))
-    top = _split(op, e, ae, blocks, views)[:, :, 0]
+    top = _reduce(e, ae, blocks, scores, k, views)[:, :, 0]
     theta = np.nextafter(top.max(axis=0) - 2.0 * rho, -np.inf)
     kept = list(itertools.compress(blocks, np.any(top >= theta, axis=1)))
     budget = 4 * max(3 * _BLOCK_ELEMS, m + 1)
@@ -359,20 +309,6 @@ def _ops(op: str):
                 # |(s - d)_G^2 - (s - d)_E^2| <= 2 omega 4 M
                 _rho(w * (2.0 + 2.0 * big) + 2.0 * wq, big * big + 2.0 * (big + mq), 3),
                 _rho(8.0 * (big * w + mq * wq), 4.0 * (big * big + mq * mq), 4)))}[op]
-
-
-def _answer(header: bytes, body) -> bytes:
-    """The helper's side of _split (helper.ask): the reply to a request, with the op and the
-    (r0, r1, c0, c1) of each block in its header and the nodes in its body, is _reduce's picks of
-    those blocks, in three block buffers of its own."""
-    aux, k, scores, _ = _ops(_REQUEST.unpack_from(header)[0].rstrip(b"\0").decode())
-    blocks = [(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in
-              np.frombuffer(header, "<i8", offset=_REQUEST.size).reshape(-1, 4).tolist()]
-    nodes = np.frombuffer(body)
-    n = (nodes.size + 1) // 2
-    with np.errstate(all="ignore"):  # the caller's own roundings warn, not the helper's
-        return _reduce(nodes, aux(nodes[n // 2: n // 2 + n]), blocks, scores, k,
-                       _buffers(n)).tobytes()
 
 
 def defect_grid(h: FunctionHandle, T: float, step: float):

@@ -31,20 +31,22 @@ ParameterError (the CLI exits 2) rather than being ignored.
 cosh-lambda and powerlaw-w are the same function computed along different
 routes; agreement between them is asserted by the test suite.  Handles are
 immutable; noisy-cosh noise coefficients are materialized at construction
-from the seed, so evaluation order cannot change values.
+from the seed, so evaluation order cannot change values.  numpy and
+``handles`` load only where a stack is built, so a spec is parsed and
+checked without them.
 """
 
 from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-import numpy as np
-
-from .core import COSH_T_MAX
+from .core import COSH_T_MAX, LOG_LINE, POSITIVE_RATIOS
 from .errors import ParameterError
-from .handles import LOG_LINE, POSITIVE_RATIOS, FunctionHandle, from_excess, require_domain
+
+if TYPE_CHECKING:
+    from .handles import FunctionHandle
 
 PERTURB_MODES = ("poly4", "sine", "trig")
 # the parameters of a perturbation, shared by perturb and noisy-cosh
@@ -59,7 +61,7 @@ _TABLE = {
     "cos-k": (LOG_LINE, {"k": 1.0}, "cos-k({k:g})", lambda p: _trig_sum(-1.0, [1.0], [p["k"]])),
     "constant-one": (LOG_LINE, {}, "constant-one", lambda p: _constant_excess(0.0)),
     "zero": (LOG_LINE, {}, "zero", lambda p: _constant_excess(-1.0)),
-    "quadlog": (POSITIVE_RATIOS, {}, "quadlog", lambda p: _QUADLOG_EXCESS),
+    "quadlog": (POSITIVE_RATIOS, {}, "quadlog", lambda p: _quadlog_excess()),
     "noisy-cosh": (LOG_LINE, {"lambda": 1.0, **_PERTURBATION},
                    "noisy-cosh({lambda:g},{mode},{amplitude:g})",
                    lambda p: _sum_fns(_trig_sum(1.0, [1.0], [p["lambda"]], hyperbolic=True),
@@ -118,6 +120,8 @@ def _trig_sum(a: float, c, js, hyperbolic: bool = False):
     a * sum_j c_j (cosh js_j t - 1) if hyperbolic: order k is a * sum_j c_j js_j^k wave(js_j t),
     scaled by a last (2a may overflow), the waves 2 sin^2(z/2), sin, cos, -sin or their
     hyperbolic 2 sinh^2(z/2), sinh, cosh, sinh (order 0 without cancellation near t = 0)."""
+    import numpy as np
+
     odd, even = (np.sinh, np.cosh) if hyperbolic else (np.sin, np.cos)
 
     def term(power, scale, wave):
@@ -130,20 +134,23 @@ def _trig_sum(a: float, c, js, hyperbolic: bool = False):
 
 
 def _constant_excess(value: float):
+    import numpy as np
+
     return (lambda t: np.full_like(t, value),) + (lambda t: np.zeros_like(t),) * 3
 
 
-_QUADLOG_EXCESS = (
-    lambda t: 0.5 * t * t,
-    lambda t: t,
-    lambda t: np.ones_like(t),
-    lambda t: np.zeros_like(t),
-)
+def _quadlog_excess():
+    import numpy as np
+
+    return (lambda t: 0.5 * t * t, lambda t: t,
+            lambda t: np.ones_like(t), lambda t: np.zeros_like(t))
 
 
 def _powerlaw_excess(lam: float):
     # honest "via W" route, W = e^(lambda t): G = J(W) = (W - 1)^2 / (2W) and
     # G^(k) = lambda^k (W - 1/W) / 2 for odd k, lambda^k (W + 1/W) / 2 for even k
+    import numpy as np
+
     def via_w(k):
         with np.errstate(over="ignore"):  # lambda^k as _trig_sum takes it, inf past the range
             lam_k = np.power(lam, k)
@@ -174,6 +181,8 @@ def _perturbation_fns(p: Mapping):
     if p["mode"] == "sine":
         return _trig_sum(a, [1.0], [f])
     # trig: a seeded random even trig sum, coefficients fixed at construction
+    import numpy as np
+
     raw = np.random.default_rng(p["seed"]).random(5)
     return _trig_sum(a, raw / raw.sum(), f * np.arange(1, 6))
 
@@ -197,6 +206,8 @@ def make_family(spec: FamilySpec, domain: str | None = None) -> FunctionHandle:
     fam = _known(spec.family)
     natural, defaults, name, excess = _TABLE[fam]
     p = _params(fam, defaults, spec.params)
+    from .handles import from_excess  # numpy loads with the stack, after the checks
+
     t_max = COSH_T_MAX / p["lambda"] if "lambda" in p else _LOG_SUPPORT_HUGE
     return from_excess(domain or natural, name.format_map(p), excess(p), (-t_max, t_max))
 
@@ -229,6 +240,8 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 def quadlog_defect_oracle(t, u):
     """Closed-form d'Alembert defect of h(t) = 1 + t^2/2, namely -t^2 u^2 / 2."""
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
     out = -0.5 * (t * t) * (u * u)
@@ -248,6 +261,8 @@ def perturb(
     H(0) = 1 and evenness exactly.  The parameters are checked as noisy-cosh's
     are: freq must be finite and > 0 in every mode.
     """
+    from .handles import from_excess, require_domain
+
     require_domain(base, LOG_LINE, "perturb")
     p = _params("perturb", _PERTURBATION, {"mode": mode, "amplitude": amplitude, "freq": freq})
     fns = _sum_fns(base.fns, _perturbation_fns(p), min(base.deriv_order, 3))

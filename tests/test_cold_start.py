@@ -5,7 +5,8 @@ run loads scipy, sample tables included.  Only ``dalembert``, ``stability`` and
 ``geometry`` import ``dataclasses``, for the frozen records that ``bench/`` rebuilds
 with ``dataclasses.replace``, so ``classify`` on a table and ``calibrate`` on a
 family load none of it.  A run with the cyclic GC off, as
-``cli.main`` makes it, leaves as much garbage on a fine grid as on a coarse one.
+``cli.main`` makes it, leaves as much garbage on a fine grid as on a coarse one,
+and a fine-grid run starts no process or thread.
 Each probe runs in a fresh interpreter, because an import made anywhere in the
 test process would mask the check.  Also the package's lazily resolved names."""
 
@@ -88,8 +89,10 @@ def test_pointwise_subcommand_loads_no_geometry_or_dataclasses(tmp_path, argv):
     (["defect", "--family", "cosh", "--x", "2"], "defect needs one coordinate pair"),
     (["defect", "--input", "{repeated}", "--t", "1", "--y", "2"],
      "defect needs one coordinate pair"),
+    (["certify", "--family", "no-such"], "unknown family 'no-such'"),
+    (["certify", "--family", "cosh,lambda=-1"], "needs lambda > 0 and finite, got -1.0"),
 ], ids=["step-0", "T-nan", "step-1e-9", "missing-file", "repeated-abscissa", "defect-half-pair",
-        "defect-mixed-pair"])
+        "defect-mixed-pair", "unknown-family", "negative-lambda"])
 def test_input_error_loads_no_numpy(tmp_path, argv, error):
     repeated = tmp_path / "repeated.csv"
     repeated.write_text("t,H\n-1.0,1.5\n0.0,1.0\n0.0,1.0\n1.0,1.5\n", encoding="utf-8")
@@ -125,22 +128,27 @@ def test_table_run_loads_no_scipy(tmp_path, write):
     assert packages == ["numpy"]
 
 
-RUNS = """
-from reccost.cli import run
-for argv in {commands!r}:
-    print("exit-code:", run(argv)[0])
-"""
+NO_CHILDREN = """
+import os, subprocess, threading
+def refuse(name):
+    def refused(*args, **kwargs):
+        print("started:", name)
+        raise OSError(name + " refused")
+    return refused
+os.fork = refuse("fork")
+os.posix_spawn = refuse("posix_spawn")
+subprocess.Popen = refuse("Popen")
+threading.Thread.start = refuse("thread")
+""" + MAIN
 
 
-def test_cli_sized_sweeps_never_load_the_helper():
-    # the default step's sweeps hold 861 pairs of the triangle, far below the split's
-    # minimum, so they run serially and never load the module that forks the helper
-    grid = ["--family", "cosh", "--T", "2", "--step", "0.05"]
-    commands = [[command, *grid] for command in
-                ("sup-defect", "identities", "certify", "certify-ratio", "report")]
-    out, _, modules = probe(RUNS.format(commands=commands))
-    assert re.findall(r"exit-code: (\d)", out) == ["0"] * len(commands)
-    assert "reccost.helper" not in modules
+@pytest.mark.parametrize("command", [
+    "sup-defect", "identities", "certify", "certify-ratio", "report"])
+def test_a_fine_grid_run_starts_no_process_or_thread(command):
+    # at step 0.001 each sweep reduces 2 million pairs of the triangle, all in this process
+    argv = [command, "--family", "cosh", "--T", "2", "--step", "0.001"]
+    out, _, _ = probe(NO_CHILDREN.format(argv=argv))
+    assert "exit-code: 0" in out and "started:" not in out
 
 
 GC_OFF = """

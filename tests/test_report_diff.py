@@ -181,18 +181,6 @@ class TestSoundnessCensus:
         assert np.any(err > env)
 
 
-class TestHelperSplit:
-    def test_a_tiny_round_times_both_modes(self):
-        proc = subprocess.run([sys.executable, str(SCRIPTS / "helper_split.py"), "--tiny",
-                               "--rounds", "1"], capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        out = json.loads(proc.stdout)
-        assert out["tasks"] == 15 and (out["refork_s"] is None) == (out["cpus"] < 2)
-        for mode in ("on", "off"):
-            assert len(out[mode]["wall_s"]) == len(out[mode]["cpu_s"]) == 1
-            assert out[mode]["wall_s_p50"] > 0.0 and out[mode]["cpu_s_p50"] >= 0.0
-
-
 class TestColdSplit:
     def test_one_round_splits_both_sides_and_writes_nothing_under_src(self):
         src = SCRIPTS.parent / "src"

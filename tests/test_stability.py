@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from helpers import load_script
 from reccost import (
     LOG_LINE,
     POSITIVE_RATIOS,
@@ -31,6 +32,7 @@ from reccost.grids import symmetric_grid
 from reccost.stability import ENVELOPE_COSH_BRANCH, ENVELOPE_DELTA_TIMES_J, certificate_sweep
 
 COSH_LOG = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
+soundness_census = load_script("soundness_census")
 
 
 class TestEstimateBounds:
@@ -343,6 +345,18 @@ class TestCertify:
             assert cert.verified, h.name
             bound = 1e-9 * math.cosh(math.sqrt(cert.inputs.a) * 2.0)
             assert cert.max_observed_error <= bound, h.name
+
+    def test_a_margin_just_below_zero_is_not_verified(self):
+        # cosh(t) (1 + 1e-10 N(0, 1)) on the census's 811 nodes: the envelope (delta/a = 0.0123,
+        # not vacuous) misses the error by 9.2e-11 somewhere, so the verdict is no; a tolerance
+        # in the rule, such as min_margin >= -1e-9, would call it verified
+        ts = soundness_census.symmetric_nodes(811)
+        noise = np.random.default_rng(0).standard_normal(811)
+        cert = certify(sample_table(LOG_LINE, ts, np.cosh(ts) * (1.0 + 1e-10 * noise)), 2.0, 0.05)
+        _, _, _, env, err = certificate_sweep(cert)
+        assert cert.max_envelope_margin == np.min(env - err)
+        assert -1e-9 < cert.max_envelope_margin < 0.0 and cert.delta / cert.inputs.a < 1.0
+        assert cert.verified == (cert.max_envelope_margin >= 0.0)
 
 
 class TestPerturbationScaling:
