@@ -3,12 +3,11 @@
 Every handle stores one representation: the log-coordinate excess stack
 ``fns = (G, G', G'', G''')`` of ``G(t) = H(t) - 1 = F(e^t)``, as many
 derivatives deep as the construction provides (3 for sample tables).  A
-handle's capability, its highest derivative, is the depth of that stack,
-capped at 3 on positive ratios, where the chain rule below stops.  The
-domain tag only says how callers address the handle:
+handle's capability, its highest derivative, is the depth of that stack.
+The domain tag only says how callers address the handle:
 
     log-line         h(t) = G(t) + 1, derivatives G^(k)(t)
-    positive-ratios  f(x) = G(ln x), derivatives by the chain rule below
+    positive-ratios  f(x) = G(ln x), values only; lift_to_log reads its derivatives
 
 Each handle also carries its support, the t-interval on which the stack may be
 read, in t for both domains: a ratio query x is checked by ln x.  So
@@ -27,10 +26,8 @@ import numpy as np
 from .core import LOG_LINE, POSITIVE_RATIOS, validate_positive
 from .errors import DomainError
 
-# With D = x d/dx = d/dt:  x^k F^(k) = sum_j s(k, j) G^(j)  (signed Stirling
-# numbers of the first kind) and G^(k) = sum_j S(k, j) x^j F^(j) (second
-# kind), j = 1..k.  These two tables are the whole log <-> ratio chain rule.
-_RATIO_FROM_LOG = ((1.0,), (-1.0, 1.0), (2.0, -3.0, 1.0))
+# With D = x d/dx = d/dt:  G^(k) = sum_j S(k, j) x^j F^(j), j = 1..k (Stirling numbers
+# of the second kind), the one chain rule: a stack given in x enters the log line by it.
 _LOG_FROM_RATIO = ((1.0,), (1.0, 1.0), (1.0, 3.0, 1.0))
 
 
@@ -49,8 +46,8 @@ class FunctionHandle(NamedTuple):
 
     @property
     def deriv_order(self) -> int:
-        """The highest derivative available: the stack's depth, at most 3 on positive ratios."""
-        return len(self.fns) - 1 if self.domain == LOG_LINE else min(len(self.fns) - 1, 3)
+        """The highest derivative available: the stack's depth."""
+        return len(self.fns) - 1
 
     def _eval(self, z, order: int):
         arr = np.asarray(z, dtype=float)
@@ -64,12 +61,7 @@ class FunctionHandle(NamedTuple):
         if arr.size and (float(np.min(t)) < lo or float(np.max(t)) > hi):
             raise DomainError(f"{self.name}: {'ln x' if ratio else 'abscissa'} outside "
                               f"evaluable range [{lo:.6g}, {hi:.6g}]")
-        if not ratio or order == 0:
-            out = self.fns[order](t)
-        else:
-            coeffs = _RATIO_FROM_LOG[order - 1]
-            out = sum(c * self.fns[j](t) for j, c in enumerate(coeffs, 1)) / arr**order
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(self.fns[order](t), dtype=float)
         return float(out) if arr.ndim == 0 else out
 
     def __call__(self, z):
@@ -81,8 +73,8 @@ class FunctionHandle(NamedTuple):
         return self._eval(z, 0)
 
     def derivative(self, z, order: int):
-        """G^(k)(t), k = order, or on positive ratios F^(k)(x), a signed Stirling sum of the stack
-        over x^k that cancels for x >> 1: for J, 1.4e-8 relative at ln x = 10, no digit at 20."""
+        """G^(k)(t), k = order, of a log-line handle; lift_to_log gives a ratio handle's."""
+        require_domain(self, LOG_LINE, "derivative")
         if not 1 <= order <= self.deriv_order:
             raise DomainError(
                 f"{self.name}: derivative of order {order} unavailable "

@@ -18,7 +18,7 @@ from reccost import (
     sample_table,
     to_ratio,
 )
-from reccost.handles import _LOG_FROM_RATIO, from_excess, require_window
+from reccost.handles import from_excess, require_window
 from test_fixtures import PINNED
 
 
@@ -75,10 +75,12 @@ class TestSampleTable:
             xs = np.linspace(0.5, 2.0, 31)
             ys = np.cosh(xs)
             h = sample_table(domain, xs, ys)
-            before = [h(q)] + [h.derivative(q, k) for k in (1, 2, 3)]
+            # a ratio table's derivatives are read through the lift, at t = ln x
+            g, t = (h, q) if domain == LOG_LINE else (lift_to_log(h), np.log(q))
+            before = [h(q)] + [g.derivative(t, k) for k in (1, 2, 3)]
             xs[:] = np.linspace(0.6, 2.1, 31)
             ys[:] = 99.0
-            after = [h(q)] + [h.derivative(q, k) for k in (1, 2, 3)]
+            after = [h(q)] + [g.derivative(t, k) for k in (1, 2, 3)]
             assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
     def test_derivative_unavailable(self):
@@ -145,7 +147,8 @@ class TestSplineMatchesScipy:
         ref = CubicSpline(xs, ys)
         ts = np.linspace(-2.5, 2.5, 2001)
         x = np.exp(ts)
-        for k, coeffs in enumerate(_LOG_FROM_RATIO, 1):
+        # G^(k) = sum_j S(k, j) x^j F^(j), S the Stirling numbers of the second kind
+        for k, coeffs in enumerate([(1,), (1, 1), (1, 3, 1)], 1):
             want = sum(c * x**j * ref(x, nu=j) for j, c in enumerate(coeffs, 1))
             assert np.max(np.abs(h.derivative(ts, k) - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -223,23 +226,24 @@ class TestConversions:
     def test_ratio_family_is_view_of_log_stack(self, family):
         direct = make_family(FamilySpec(family), domain=POSITIVE_RATIOS)
         view = to_ratio(make_family(FamilySpec(family), domain=LOG_LINE))
-        xs = np.exp(np.linspace(-3.0, 3.0, 241))
-        assert np.array_equal(direct(xs), view(xs))
+        ts = np.linspace(-3.0, 3.0, 241)
+        assert np.array_equal(direct(np.exp(ts)), view(np.exp(ts)))
         for k in (1, 2, 3):
-            assert np.array_equal(direct.derivative(xs, k), view.derivative(xs, k))
+            assert np.array_equal(lift_to_log(direct).derivative(ts, k),
+                                  lift_to_log(view).derivative(ts, k))
 
-    @pytest.mark.parametrize("order, exact", [(2, lambda x: x**-3), (3, lambda x: -3 * x**-4)])
-    def test_ratio_derivatives_of_j_within_x_squared_ulps(self, order, exact):
-        # x^k F^(k) is a signed Stirling sum of the G stack: for J, x^2 F'' = G'' - G' =
-        # cosh t - sinh t, which cancels as x grows (every digit is gone by ln x = 20), so the
-        # relative error against J's closed form is held to 8 max(1, x^2) ulps on ln x <= 5
-        mpmath = pytest.importorskip("mpmath")
-        j = make_family(FamilySpec("cosh-lambda"), domain=POSITIVE_RATIOS)
-        xs = np.exp(np.linspace(-30.0, 5.0, 351))
-        got = j.derivative(xs, order)
-        with mpmath.workdps(50):
-            errors = [float(abs(mpmath.mpf(g) / exact(mpmath.mpf(x)) - 1)) for x, g in zip(xs, got)]
-        assert np.all(np.array(errors) <= 8.0 * np.maximum(1.0, xs * xs) * 2.0**-53)
+    @pytest.mark.parametrize("make", [
+        lambda: make_family(FamilySpec("cosh-lambda"), POSITIVE_RATIOS),
+        lambda: cosh_table(0.5, 2.0, domain=POSITIVE_RATIOS),
+        lambda: to_ratio(make_family(FamilySpec("cos-k"), LOG_LINE)),
+    ], ids=["family", "table", "view"])
+    def test_a_ratio_handle_has_no_derivative(self, make):
+        # derivatives live on the log line: a ratio handle is lifted first
+        f = make()
+        for k in (1, 2, 3):
+            with pytest.raises(DomainError) as info:
+                f.derivative(1.5, k)
+            assert str(info.value) == "derivative needs a log-line handle, got positive-ratios"
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_lift_is_exact(self, family):
@@ -248,7 +252,8 @@ class TestConversions:
         lifted = lift_to_log(make_family(FamilySpec(family), domain=POSITIVE_RATIOS))
         ts = np.linspace(-3.0, 3.0, 241)
         assert np.array_equal(lifted(ts), h(ts))
-        assert np.array_equal(lifted.derivative(ts, 3), h.derivative(ts, 3))
+        for k in (1, 2, 3):
+            assert np.array_equal(lifted.derivative(ts, k), h.derivative(ts, k))
 
     def test_conversions_are_retags(self):
         h = make_family(FamilySpec("cosh-lambda"), domain=LOG_LINE)
@@ -267,12 +272,11 @@ class TestConversions:
         )
         f = analytic(POSITIVE_RATIOS, "J", fns, support=(1e-3, 1e3))
         xs = np.exp(np.linspace(-2.0, 2.0, 81))
-        for k, fn in enumerate(fns):
-            got = f(xs) if k == 0 else f.derivative(xs, k)
-            assert np.max(np.abs(got - fn(xs)) / (1.0 + np.abs(fn(xs)))) <= 1e-13
+        assert np.max(np.abs(f(xs) - fns[0](xs)) / (1.0 + fns[0](xs))) <= 1e-13
         h = lift_to_log(f)
         ts = np.linspace(-2.0, 2.0, 81)
         assert np.max(np.abs(h(ts) - np.cosh(ts))) <= 1e-13
+        assert np.max(np.abs(h.derivative(ts, 1) - np.sinh(ts))) <= 1e-13
         assert np.max(np.abs(h.derivative(ts, 2) - np.cosh(ts))) <= 1e-13
         assert np.max(np.abs(h.derivative(ts, 3) - np.sinh(ts))) <= 1e-13
 
@@ -338,7 +342,8 @@ def test_an_empty_array_evaluates_to_an_empty_array(make):
     # no abscissa to check: no DomainError, even where min() of an empty array would raise
     h = make()
     empty = np.array([])
-    for out in (h(empty), h.excess(empty), h.derivative(empty, 1)):
+    g = h if h.domain == LOG_LINE else lift_to_log(h)  # a ratio handle's derivative is lifted
+    for out in (h(empty), h.excess(empty), g.derivative(empty, 1)):
         assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (0,)
 
 
@@ -368,8 +373,11 @@ def test_a_round_trip_through_the_other_domain_is_exact(make):
     ts = np.linspace(lo, hi, 41)
     z = ts if h.domain == LOG_LINE else np.exp(ts[1:-1])  # e^(ln x) may round past an edge
     assert np.array_equal(back(z), h(z))
+    # derivatives live on the log line, so a ratio handle and its round trip are lifted
+    if h.domain == POSITIVE_RATIOS:
+        h, back = lift_to_log(h), lift_to_log(back)
     for k in (1, 2, 3):
-        assert np.array_equal(back.derivative(z, k), h.derivative(z, k))
+        assert np.array_equal(back.derivative(ts, k), h.derivative(ts, k))
 
 
 class TestSupportInT:
