@@ -3,9 +3,10 @@
 Each family is written once, as its log-line excess stack
 G(t) = h(t) - 1 with analytic derivatives to order 3; the positive-ratio
 form F(x) = G(ln x) is the same stack viewed through handles.from_excess.
-Every circular and hyperbolic stack, cos-k's, cosh-lambda's (noisy-cosh's base
-too) and the sine and trig perturbations', is one call of ``_trig_sum``, the
-stack of a * sum_j c_j (1 - cos js_j t) or of a * sum_j c_j (cosh js_j t - 1).
+Every transcendental stack, cos-k's, cosh-lambda's (noisy-cosh's base too),
+powerlaw-w's and the sine and trig perturbations', is one call of ``_trig_sum``,
+a * sum_j c_j times 1 - cos js_j t, cosh js_j t - 1 or J(e^(js_j |t|)).  Every
+builtin is bitwise even, G(-t) = G(t) bit for bit, so dalembert folds its sweeps.
 
     cosh-lambda   G(t) = 2 sinh^2(lambda t / 2)      exact solution branch
     cos-k         G(t) = -2 sin^2(k t / 2)           oscillatory solution branch
@@ -13,7 +14,7 @@ stack of a * sum_j c_j (1 - cos js_j t) or of a * sum_j c_j (cosh js_j t - 1).
     zero          G(t) = -1                          trivial solution (h = 0)
     quadlog       G(t) = t^2/2                       calibrated non-solution
     noisy-cosh    cosh-lambda plus a smooth even perturbation
-    powerlaw-w    G(t) = (W - 1)^2 / (2W) with W = e^(lambda t), evaluated via W
+    powerlaw-w    G(t) = (W - 1)^2 / (2W) with W = e^(lambda |t|), evaluated via W
 
 One table, ``_TABLE``, gives each family's natural domain and its parameters
 with their defaults; a value takes its default's type:
@@ -57,17 +58,17 @@ _NONNEGATIVE = ("amplitude", "seed")  # every other number must be > 0
 # checked parameters); a family with a lambda grows like cosh(lambda t), so |t| <= 700/lambda
 _TABLE = {
     "cosh-lambda": (POSITIVE_RATIOS, {"lambda": 1.0}, "cosh-lambda({lambda:g})",
-                    lambda p: _trig_sum(1.0, [1.0], [p["lambda"]], hyperbolic=True)),
+                    lambda p: _trig_sum(1.0, [1.0], [p["lambda"]], "cosh")),
     "cos-k": (LOG_LINE, {"k": 1.0}, "cos-k({k:g})", lambda p: _trig_sum(-1.0, [1.0], [p["k"]])),
     "constant-one": (LOG_LINE, {}, "constant-one", lambda p: _constant_excess(0.0)),
     "zero": (LOG_LINE, {}, "zero", lambda p: _constant_excess(-1.0)),
     "quadlog": (POSITIVE_RATIOS, {}, "quadlog", lambda p: _quadlog_excess()),
     "noisy-cosh": (LOG_LINE, {"lambda": 1.0, **_PERTURBATION},
                    "noisy-cosh({lambda:g},{mode},{amplitude:g})",
-                   lambda p: _sum_fns(_trig_sum(1.0, [1.0], [p["lambda"]], hyperbolic=True),
+                   lambda p: _sum_fns(_trig_sum(1.0, [1.0], [p["lambda"]], "cosh"),
                                       _perturbation_fns(p), 3)),
     "powerlaw-w": (POSITIVE_RATIOS, {"lambda": 1.0}, "powerlaw-w({lambda:g})",
-                   lambda p: _powerlaw_excess(p["lambda"])),
+                   lambda p: _trig_sum(1.0, [1.0], [p["lambda"]], "w")),
 }
 FAMILIES = tuple(_TABLE)
 
@@ -115,22 +116,38 @@ def _params(who: str, defaults: Mapping, given: Mapping) -> dict:
     return p
 
 
-def _trig_sum(a: float, c, js, hyperbolic: bool = False):
-    """The stack of G(t) = a * sum_j c_j (1 - cos js_j t), every circular excess, or of
-    a * sum_j c_j (cosh js_j t - 1) if hyperbolic: order k is a * sum_j c_j js_j^k wave(js_j t),
-    scaled by a last (2a may overflow), the waves 2 sin^2(z/2), sin, cos, -sin or their
-    hyperbolic 2 sinh^2(z/2), sinh, cosh, sinh (order 0 without cancellation near t = 0)."""
+def _trig_sum(a: float, c, js, shape: str = "cos"):
+    """The stack of G(t) = a * sum_j c_j wave(js_j t): order k is a * sum_j c_j js_j^k times
+    the k-th wave of the shape, then its scale (last: 2a may overflow).  Shapes and waves:
+    "cos", every circular excess: 2 sin^2(z/2), sin, cos, -sin;
+    "cosh", the hyperbolic ones: 2 sinh^2(z/2), sinh, cosh, sinh;
+    "w", powerlaw-w's route through W = e^|z|: (W - 1)/2 ((W - 1)/W), then (W -+ 1/W)/2
+    with the odd orders signed by z.  Order 0 does not cancel near t = 0 in "cos" and "cosh",
+    and in "w" (W - 1)/W <= 1 keeps it finite wherever W is."""
     import numpy as np
 
-    odd, even = (np.sinh, np.cosh) if hyperbolic else (np.sin, np.cos)
+    if shape == "w":
+        def via_w(k):
+            def wave(z):
+                w = np.exp(np.abs(z))
+                if k == 0:
+                    return 0.5 * (w - 1.0) * ((w - 1.0) / w)
+                return np.copysign(0.5 * (w - 1.0 / w), z) if k % 2 else 0.5 * (w + 1.0 / w)
+
+            return wave
+
+        scales, waves = (1.0,) * 4, [via_w(k) for k in range(4)]
+    else:
+        odd, even = (np.sinh, np.cosh) if shape == "cosh" else (np.sin, np.cos)
+        scales = (2.0, 1.0, 1.0, 1.0 if shape == "cosh" else -1.0)
+        waves = (lambda z: odd(0.5 * z) ** 2, odd, even, odd)
 
     def term(power, scale, wave):
         with np.errstate(over="ignore"):  # a coefficient past the double range is inf
             w = (c * np.power(js, power)).tolist()
         return lambda t: scale * (a * sum(wj * wave(j * t) for wj, j in zip(w, js)))
 
-    return (term(0, 2.0, lambda z: odd(0.5 * z) ** 2), term(1, 1.0, odd),
-            term(2, 1.0, even), term(3, 1.0 if hyperbolic else -1.0, odd))
+    return tuple(term(k, scale, wave) for k, (scale, wave) in enumerate(zip(scales, waves)))
 
 
 def _constant_excess(value: float):
@@ -146,43 +163,22 @@ def _quadlog_excess():
             lambda t: np.ones_like(t), lambda t: np.zeros_like(t))
 
 
-def _powerlaw_excess(lam: float):
-    # honest "via W" route, W = e^(lambda t): G = J(W) = (W - 1)^2 / (2W) and
-    # G^(k) = lambda^k (W - 1/W) / 2 for odd k, lambda^k (W + 1/W) / 2 for even k
-    import numpy as np
-
-    def via_w(k):
-        with np.errstate(over="ignore"):  # lambda^k as _trig_sum takes it, inf past the range
-            lam_k = np.power(lam, k)
-
-        def g(t):
-            w = np.exp(lam * t)
-            if k == 0:  # (W - 1)^2 overflows from W = 2^512 on, where G rounds to W / 2
-                square = (w - 1.0) ** 2
-                return np.where(np.isinf(square), 0.5 * w, square / (2.0 * w))
-            return 0.5 * lam_k * (w - 1.0 / w if k % 2 else w + 1.0 / w)
-
-        return g
-
-    return tuple(via_w(k) for k in range(4))
-
-
 def _perturbation_fns(p: Mapping):
     """Even, smooth perturbation with value 0 at t = 0 and analytic derivatives to order 3,
     from the checked parameters p (amplitude, freq, mode, seed)."""
+    import numpy as np
+
     a, f = p["amplitude"], p["freq"]
     if p["mode"] == "poly4":
         return (
             lambda t: a * ((t * t) * (t * t)),  # bitwise even, unlike numpy's t**4
-            lambda t: 4.0 * a * t**3,
+            lambda t: 4.0 * a * np.copysign(np.abs(t) ** 3, t),  # bitwise odd, unlike t**3
             lambda t: 12.0 * a * t * t,
             lambda t: 24.0 * a * t,
         )
     if p["mode"] == "sine":
         return _trig_sum(a, [1.0], [f])
     # trig: a seeded random even trig sum, coefficients fixed at construction
-    import numpy as np
-
     raw = np.random.default_rng(p["seed"]).random(5)
     return _trig_sum(a, raw / raw.sum(), f * np.arange(1, 6))
 

@@ -442,6 +442,7 @@ class TestRowBlocks:
 
 EVEN_SPECS = st.one_of(
     st.floats(0.5, 2.0).map(lambda lam: f"cosh-lambda,lambda={lam!r}"),
+    st.floats(0.3, 2.0).map(lambda lam: f"powerlaw-w,lambda={lam!r}"),
     st.floats(0.3, 3.0).map(lambda k: f"cos-k,k={k!r}"),
     st.sampled_from(["quadlog", "constant-one"]),
     st.builds(lambda mode, amp, freq, seed: (f"noisy-cosh,mode={mode},amplitude={amp!r},"
@@ -538,7 +539,6 @@ class TestMirrorFold:
         assert (rep.epsilon, rep.argmax.t, rep.argmax.u, rep.argmax.delta) == (0.0, -T, -T, 0.0)
 
     @pytest.mark.parametrize("h", [
-        make_family(FamilySpec("powerlaw-w", {"lambda": 1.5}), domain=LOG_LINE),
         sample_table(LOG_LINE, np.linspace(-2.2, 2.2, 441), np.cosh(np.linspace(-2.2, 2.2, 441))),
     ], ids=lambda h: h.name)
     def test_other_handles_take_the_whole_table(self, h):
@@ -618,12 +618,9 @@ ODD = {"sin 3t": lambda t: np.sin(3.0 * t), "t^3": lambda t: t**3, "tanh": np.ta
 def uneven(draw):
     """(h, T, m): a handle that is mostly not bitwise even, on the grid of [-T, T] with m
     intervals a side: an even family plus eta times an odd function or a one-node bump, a
-    not-a-knot table on np.linspace nodes, a lifted positive-ratio table, or powerlaw-w."""
+    not-a-knot table on np.linspace nodes, or a lifted positive-ratio table."""
     T, m = draw(st.floats(0.5, 3.0)), draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(["odd part", "bump", "table", "ratio table", "powerlaw-w"]))
-    if kind == "powerlaw-w":
-        return make_family(FamilySpec("powerlaw-w", {"lambda": draw(st.floats(0.3, 2.0))}),
-                           domain=LOG_LINE), T, m
+    kind = draw(st.sampled_from(["odd part", "bump", "table", "ratio table"]))
     spec = parse_family_spec(draw(EVEN_SPECS))
     if kind in ("table", "ratio table"):
         ts = np.linspace(-2.05 * T, 2.05 * T, draw(st.integers(50, 900)))

@@ -54,7 +54,7 @@ class TestMakeFamily:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_powerlaw_stays_finite_where_its_square_overflows(self):
-        # (W - 1)^2 overflows from W = 2^512 on; G = W / 2 to within rounding up to W = 2^1023
+        # (W - 1)^2 would overflow from W = 2^512 on; G reads (W - 1)/2 ((W - 1)/W) instead
         fw = make_family(FamilySpec("powerlaw-w", {"lambda": 170.0}), domain=LOG_LINE)
         fl = make_family(FamilySpec("cosh-lambda", {"lambda": 170.0}), domain=LOG_LINE)
         ts = np.array([1.0, 2.0, 2.5, 4.0])  # W = e^170, e^340 > 2^512, e^425, e^680
@@ -250,8 +250,9 @@ VALUES = {"lambda": "2", "k": "2", "amplitude": "1e-3", "freq": "5", "mode": "si
 TYPED = {"lambda": 2.0, "k": 2.0, "amplitude": 1e-3, "freq": 5.0, "mode": "sine", "seed": 3}
 
 # name and sha256 prefix of H and derivatives 1..3 on TS, or of F alone on e^TS, of handles
-# built before the family table existed; the table must rebuild them bit for bit, and the
-# other domain's view of each must have its twin's values (a ratio row's lift, its twin's stack)
+# built before the family table existed (powerlaw-w's since it reads W = e^(lambda |t|)); the
+# table must rebuild them bit for bit, and the other domain's view of each must have its twin's
+# values (a ratio row's lift, its twin's stack)
 TS = np.linspace(-2.0, 2.0, 41)
 PINNED = [
     ("cosh-lambda", LOG_LINE, "cosh-lambda(1)", "1ae0e9563ce32251"),
@@ -266,8 +267,8 @@ PINNED = [
     ("quadlog", POSITIVE_RATIOS, "quadlog", "86ae4420cfff62da"),
     ("noisy-cosh", LOG_LINE, "noisy-cosh(1,sine,0.001)", "54ec1d5eccc29ee5"),
     ("noisy-cosh", POSITIVE_RATIOS, "noisy-cosh(1,sine,0.001)", "7dfd46da809f2c3e"),
-    ("powerlaw-w", LOG_LINE, "powerlaw-w(1)", "9727c0d5451010d8"),
-    ("powerlaw-w", POSITIVE_RATIOS, "powerlaw-w(1)", "5cfc800b05c5b431"),
+    ("powerlaw-w", LOG_LINE, "powerlaw-w(1)", "d54d26dfa0ee5699"),
+    ("powerlaw-w", POSITIVE_RATIOS, "powerlaw-w(1)", "e83284e70acbc346"),
     ("cosh-lambda,lambda=2", LOG_LINE, "cosh-lambda(2)", "2741088c17376f6e"),
     ("cosh-lambda,lambda=2", POSITIVE_RATIOS, "cosh-lambda(2)", "3c8a717187aa4853"),
     ("cos,k=0.7", LOG_LINE, "cos-k(0.7)", "7b2e24ba817cb7ba"),
@@ -280,8 +281,8 @@ PINNED = [
      "noisy-cosh(1,trig,0.001)", "462df319e67d95e8"),
     ("noisy-cosh,mode=trig,seed=7,freq=2", POSITIVE_RATIOS,
      "noisy-cosh(1,trig,0.001)", "54b36c669f401593"),
-    ("powerlaw-w,lambda=0.5", LOG_LINE, "powerlaw-w(0.5)", "7052493f37fee33b"),
-    ("powerlaw-w,lambda=0.5", POSITIVE_RATIOS, "powerlaw-w(0.5)", "53d35dd4bbf4b720"),
+    ("powerlaw-w,lambda=0.5", LOG_LINE, "powerlaw-w(0.5)", "8dab1fae58d32b86"),
+    ("powerlaw-w,lambda=0.5", POSITIVE_RATIOS, "powerlaw-w(0.5)", "2e1182947edeca23"),
 ]
 
 
@@ -370,24 +371,31 @@ EVEN_SPECS = list(FAMILIES) + [
     "powerlaw-w,lambda=0.7", "powerlaw-w,lambda=3"]
 
 
-@pytest.mark.parametrize("spec", [
-    pytest.param(s, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 34"))
-    if s.startswith("powerlaw-w") else s for s in EVEN_SPECS])
+@pytest.mark.parametrize("spec", EVEN_SPECS)
 def test_every_even_builtin_is_bitwise_even_on_the_sweep_nodes(spec):
     """G(-t) is G(t) bit for bit on a sweep's nodes, which is what lets dalembert fold its
-    sweeps onto the triangle t >= u; powerlaw-w forms G through e^(lambda t) and is not."""
+    sweeps onto the triangle t >= u; so are the even orders, and the odd ones are odd by value
+    (+0 and -0 differ in bytes)."""
     _, nodes = symmetric_grid(4.0, 0.001)
-    g = make_family(parse_family_spec(spec), LOG_LINE).excess(nodes)
+    h = make_family(parse_family_spec(spec), LOG_LINE)
+    g = h.excess(nodes)
     assert g.tobytes() == g[::-1].tobytes()
+    for k in (1, 2, 3):
+        d = h.derivative(nodes, k)
+        assert np.array_equal(d, -d[::-1]) if k % 2 else d.tobytes() == d[::-1].tobytes(), k
 
 
 # each circular or hyperbolic stack as its terms (a, c, s, hyperbolic): G is the sum of
-# a c (cosh(s t) - 1) over hyperbolic terms and a c (1 - cos(s t)) over circular ones
+# a c (cosh(s t) - 1) over hyperbolic terms and a c (1 - cos(s t)) over circular ones;
+# powerlaw-w's J(e^(lambda |t|)) is cosh(lambda t) - 1
 _RAW = np.random.default_rng(7).random(5)
 TERMS = {
     "cosh-lambda,lambda=0.5": [(1.0, 1.0, 0.5, True)],
     "cosh-lambda,lambda=2": [(1.0, 1.0, 2.0, True)],
     "cosh-lambda,lambda=30": [(1.0, 1.0, 30.0, True)],
+    "powerlaw-w,lambda=0.5": [(1.0, 1.0, 0.5, True)],
+    "powerlaw-w,lambda=2": [(1.0, 1.0, 2.0, True)],
+    "powerlaw-w,lambda=30": [(1.0, 1.0, 30.0, True)],
     "cos-k,k=1": [(-1.0, 1.0, 1.0, False)],
     "cos-k,k=30": [(-1.0, 1.0, 30.0, False)],
     "noisy-cosh,amplitude=1e-3,freq=5": [(1.0, 1.0, 1.0, True), (1e-3, 1.0, 5.0, False)],
@@ -437,21 +445,23 @@ def _py_pow(x: float, k: int) -> float:
 @pytest.mark.parametrize("lam", [100.0, 1e6, 1e120])
 def test_steep_stacks_are_their_closed_forms(lam):
     """cosh-lambda's and powerlaw-w's stacks at nodes inside the support |t| <= 700/lambda,
-    bit for bit and NaN included: at 1e120, lambda^3 overflows and meets sinh(0) = 0."""
+    bit for bit and NaN included: at 1e120, lambda^3 overflows and meets the odd waves' 0 at
+    t = 0."""
     ts = COSH_T_MAX / lam * np.array([-1.0, -0.5, -0.1, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.1,
                                       0.5, 1.0])
     cosh = make_family(FamilySpec("cosh-lambda", {"lambda": lam}), LOG_LINE)
     power = make_family(FamilySpec("powerlaw-w", {"lambda": lam}), LOG_LINE)
     with np.errstate(over="ignore", invalid="ignore"):
-        z, w = lam * ts, np.exp(lam * ts)
-        stacks = [  # (handle, its first order checked, the closed forms from that order on)
-            (cosh, 0, [2.0 * np.sinh(0.5 * lam * ts) ** 2, lam * np.sinh(z),
-                       lam * lam * np.cosh(z), _py_pow(lam, 3) * np.sinh(z)]),
-            (power, 1, [0.5 * _py_pow(lam, k) * (w - 1.0 / w if k % 2 else w + 1.0 / w)
-                        for k in (1, 2, 3)]),
+        z, w = lam * ts, np.exp(np.abs(lam * ts))
+        stacks = [  # (handle, its closed forms of orders 0-3)
+            (cosh, [2.0 * np.sinh(0.5 * lam * ts) ** 2, lam * np.sinh(z),
+                    lam * lam * np.cosh(z), _py_pow(lam, 3) * np.sinh(z)]),
+            (power, [0.5 * (w - 1.0) * ((w - 1.0) / w)] + [
+                _py_pow(lam, k) * (np.copysign(0.5 * (w - 1.0 / w), z) if k % 2
+                                   else 0.5 * (w + 1.0 / w)) for k in (1, 2, 3)]),
         ]
-        for h, first, stack in stacks:
-            for k, want in enumerate(stack, first):
+        for h, stack in stacks:
+            for k, want in enumerate(stack):
                 got = h.excess(ts) if k == 0 else h.derivative(ts, k)
                 assert got.tobytes() == want.tobytes(), (h.name, k)
-    assert np.isnan(stacks[0][2][3]).any() == (lam == 1e120)
+    assert np.isnan(stacks[0][1][3]).any() == (lam == 1e120)

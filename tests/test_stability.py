@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -28,6 +29,7 @@ from reccost import (
     sup_defect,
 )
 from reccost.calibration import estimate_kappa
+from reccost.cli import run
 from reccost.grids import symmetric_grid
 from reccost.stability import ENVELOPE_COSH_BRANCH, ENVELOPE_DELTA_TIMES_J, certificate_sweep
 
@@ -394,6 +396,25 @@ class TestScaleLaw:
             scale, ref_scale = cert.delta / cert.inputs.a, ref.delta / ref.inputs.a
             assert abs(scale - ref_scale) <= 4 * math.ulp(ref_scale), c
             assert abs(c * cert.inputs.h - ref.inputs.h) <= 4 * math.ulp(ref.inputs.h), c
+
+
+@pytest.mark.parametrize("spec", ["cosh-lambda,lambda=1.5", "powerlaw-w,lambda=0.5", "quadlog",
+                                  "noisy-cosh,mode=poly4,amplitude=1e-3"])
+def test_the_envelope_is_delta_over_a_at_rate_sqrt_a(spec, tmp_path):
+    """The envelope (delta/a)(cosh(sqrt(a) t) - 1), its scale and rate exact: from certify,
+    from certify_ratio, and in the results of both subcommands' --json reports."""
+    parsed = parse_family_spec(spec)
+    certs = [certify(make_family(parsed, LOG_LINE), 2.0, 0.05),
+             certify_ratio(make_family(parsed, POSITIVE_RATIOS), 2.0, 0.05)]
+    fields = [(c.envelope.scale, c.envelope.rate, c.delta, c.inputs.a) for c in certs]
+    for command in ("certify", "certify-ratio"):
+        out = tmp_path / f"{command}.json"
+        run([command, "--family", spec, "--T", "2", "--step", "0.05", "--json", str(out)])
+        r = json.loads(out.read_text(encoding="utf-8"))["results"]
+        fields.append((r["envelope"]["scale"], r["envelope"]["rate"], r["delta"], r["inputs"]["a"]))
+    for scale, rate, delta, a in fields:
+        assert scale == delta / a
+        assert rate == math.sqrt(a)
 
 
 class TestCertifyRatio:
